@@ -5,13 +5,12 @@
       list-of-closures path through the whole optimizer, plus the
       presolve scenario on a capacity-starved edge architecture.
 
-   2. Scenario x kernel matrix: the solver alone (list / compiled /
-      batched) over the formulated (choice, placement) problem set of
-      each scenario, formulation excluded from the timed region so the
-      cells measure solver work.  The batched cells time the whole
-      batched pipeline — structure grouping, per-structure compilation,
-      coefficient packing, member solves — since that is the cost the
-      kernel claims to amortize (DESIGN §15).
+   2. Scenario x kernel matrix: the solver alone (the list reference
+      and the default compiled kernel) over the formulated (choice,
+      placement) problem set of each scenario, formulation excluded
+      from the timed region so the cells measure solver work.  Every
+      default solve must reach the list solve's status and objective
+      within tolerance, or the bench fails.
 
    Emits BENCH_solver.json (flat one-level object; format documented in
    README.md) so the perf trajectory has a recorded baseline —
@@ -69,7 +68,7 @@ let parse_args () =
       go rest
     | "--smoke" :: rest ->
       (* One small layer, shallow sweep: a seconds-scale sanity run for
-         the @bench / @batch aliases, not a measurement. *)
+         the @bench / @comm aliases, not a measurement. *)
       layers := [ "resnet-2" ];
       repeat := 1;
       max_choices := 4;
@@ -162,6 +161,12 @@ let scenario_problems ~max_choices arch nest =
         plan.Permutations.placements)
     plan.Permutations.choices
 
+let status_name = function
+  | Gp.Solver.Optimal -> "optimal"
+  | Gp.Solver.Infeasible -> "infeasible"
+  | Gp.Solver.Iteration_limit -> "iteration-limit"
+  | Gp.Solver.Deadline_exceeded -> "deadline-exceeded"
+
 let scalar_cell ~repeat ~kernel problems =
   let pass () =
     List.map (fun p -> Gp.Solver.solve ~kernel p) problems
@@ -169,69 +174,32 @@ let scalar_cell ~repeat ~kernel problems =
   let c_wall_s, c_wall_mean_s, c_solutions = time_repeats ~repeat pass in
   { c_wall_s; c_wall_mean_s; c_solves = List.length problems; c_solutions }
 
-(* Structure grouping, compilation and packing are inside the timed
-   region: they are the per-structure costs the batched kernel claims to
-   amortize over members. *)
-let batched_pass problems () =
-  let plans = Hashtbl.create 64 in
-  let groups = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun p ->
-      let key = Gp.Batch.structure_key p in
-      match Hashtbl.find_opt groups key with
-      | None ->
-        order := key :: !order;
-        Hashtbl.replace groups key (ref [ p ])
-      | Some members -> members := p :: !members)
-    problems;
-  let blocks =
-    List.map
-      (fun key ->
-        let members = Array.of_list (List.rev !(Hashtbl.find groups key)) in
-        let plan =
-          match Hashtbl.find_opt plans key with
-          | Some plan -> plan
-          | None ->
-            let plan = Gp.Batch.compile members.(0) in
-            Hashtbl.replace plans key plan;
-            plan
-        in
-        Gp.Batch.pack plan members)
-      (List.rev !order)
-  in
-  let solutions =
-    List.concat_map
-      (fun (block : Gp.Batch.block) ->
-        List.init block.Gp.Batch.bk_nmembers (Gp.Solver.solve_batched block))
-      blocks
-  in
-  (solutions, blocks)
-
-let batched_cell ~repeat problems =
-  let c_wall_s, c_wall_mean_s, (solutions, blocks) =
-    time_repeats ~repeat (batched_pass problems)
-  in
-  ( { c_wall_s; c_wall_mean_s; c_solves = List.length problems;
-      c_solutions = solutions },
-    blocks )
-
-(* The batched kernel is contractually bit-identical to the compiled
-   one; a drifting cell means a solver bug, so fail loudly rather than
-   record a meaningless speedup. *)
-let check_identical ~scenario compiled batched =
+(* The default kernel agrees with the list reference to solver
+   tolerance: same status, and the same objective within 1e-5 relative.
+   Well-conditioned scenarios agree to ~1e-8; on the capacity-starved
+   edge scenario both kernels report [Optimal] yet stop up to 4e-6
+   apart, because the line search stalls near the optimum of those
+   ill-conditioned programs.  A drifting cell means a solver bug, so
+   fail loudly rather than record a meaningless speedup. *)
+let check_agrees ~scenario reference candidate =
   List.iter2
     (fun (a : Gp.Solver.solution) (b : Gp.Solver.solution) ->
-      if
-        a.Gp.Solver.status <> b.Gp.Solver.status
-        || Int64.bits_of_float a.Gp.Solver.objective
-           <> Int64.bits_of_float b.Gp.Solver.objective
-      then begin
+      let objective_ok =
+        match a.Gp.Solver.status with
+        | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
+          Float.abs (a.Gp.Solver.objective -. b.Gp.Solver.objective)
+          <= 1e-5 *. (1.0 +. Float.abs a.Gp.Solver.objective)
+        | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> true
+      in
+      if a.Gp.Solver.status <> b.Gp.Solver.status || not objective_ok then begin
         Printf.eprintf
-          "FATAL: %s: batched solution differs from compiled solution\n" scenario;
+          "FATAL: %s: default solution disagrees with the list reference (status \
+           %s vs %s, objective %.17g vs %.17g)\n"
+          scenario (status_name b.Gp.Solver.status) (status_name a.Gp.Solver.status)
+          b.Gp.Solver.objective a.Gp.Solver.objective;
         exit 1
       end)
-    compiled.c_solutions batched.c_solutions
+    reference.c_solutions candidate.c_solutions
 
 let () =
   let options = parse_args () in
@@ -343,8 +311,6 @@ let () =
       c.c_wall_s c.c_wall_mean_s c.c_solves
       (float_of_int c.c_solves /. c.c_wall_s)
   in
-  let structures = ref 0 in
-  let batch_sizes = ref [] in
   let matrix =
     List.map
       (fun (scenario, arch, nest) ->
@@ -355,28 +321,12 @@ let () =
         show_cell scenario "list" cl;
         let cc = scalar_cell ~repeat:options.repeat ~kernel:`Compiled problems in
         show_cell scenario "compiled" cc;
-        let cb, blocks = batched_cell ~repeat:options.repeat problems in
-        show_cell scenario "batched" cb;
-        check_identical ~scenario cc cb;
-        structures := !structures + List.length blocks;
-        batch_sizes :=
-          !batch_sizes
-          @ List.map (fun (b : Gp.Batch.block) -> b.Gp.Batch.bk_nmembers) blocks;
-        Printf.printf "%-10s batched speedup %.2fx over compiled (%d structure(s))\n%!"
-          scenario
-          (cc.c_wall_s /. cb.c_wall_s)
-          (List.length blocks);
-        (scenario, cl, cc, cb))
+        check_agrees ~scenario cl cc;
+        Printf.printf "%-10s compiled speedup %.2fx over list\n%!" scenario
+          (cl.c_wall_s /. cc.c_wall_s);
+        (scenario, cl, cc))
       scenarios
   in
-  let batch_count = List.length !batch_sizes in
-  let batch_size_mean =
-    if batch_count = 0 then 0.0
-    else
-      float_of_int (List.fold_left ( + ) 0 !batch_sizes)
-      /. float_of_int batch_count
-  in
-  let batch_size_max = List.fold_left Int.max 0 !batch_sizes in
   let buf = Buffer.create 2048 in
   let f name v b = Json.field b name (fun b -> Json.float b v) in
   let i name v b = Json.field b name (fun b -> Json.int b v) in
@@ -392,15 +342,8 @@ let () =
   in
   let matrix_fields =
     List.concat_map
-      (fun (scenario, cl, cc, cb) ->
-        cell_fields scenario "list" cl
-        @ cell_fields scenario "compiled" cc
-        @ cell_fields scenario "batched" cb
-        @ [
-            f
-              (Printf.sprintf "%s_batched_speedup" scenario)
-              (cc.c_wall_s /. cb.c_wall_s);
-          ])
+      (fun (scenario, cl, cc) ->
+        cell_fields scenario "list" cl @ cell_fields scenario "compiled" cc)
       matrix
   in
   Json.obj buf
@@ -438,13 +381,7 @@ let () =
           per-link lowering costs over the aggregate one. *)
        f "comm_lowering_overhead" comm_overhead;
      ]
-    @ matrix_fields
-    @ [
-        i "batched_structures_compiled" !structures;
-        i "batched_batch_count" batch_count;
-        f "batched_batch_size_mean" batch_size_mean;
-        i "batched_batch_size_max" batch_size_max;
-      ]);
+    @ matrix_fields);
   Buffer.add_char buf '\n';
   let oc = open_out options.out in
   Buffer.output_buffer oc buf;

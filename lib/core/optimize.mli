@@ -87,19 +87,10 @@ type config = {
           changes), never in feasibility or ranking beyond solver
           tolerance.  [solver.warm_starts] counts seeded solves. *)
   gp_kernel : Gp.Solver.kernel;
-      (** solver evaluation/KKT strategy (default [`Compiled]); [`List]
-          selects the legacy closure-per-function path, kept as the
-          reference baseline for benchmarks and differential tests.
-          [`Batched] groups each wave's pairs by coefficient-blind
-          structure key ({!Gp.Batch.structure_key}) before the parallel
-          pool starts, compiles and factors each structure once, and
-          solves members off shared coefficient blocks
-          ({!Gp.Solver.solve_batched}).  Grouping follows enumeration
-          order and the batched solver is bit-identical to [`Compiled],
-          so reports, journals and counters (minus the [solver.batch_*]
-          family) are unchanged for any [jobs]; presolve-pruned and
-          point pairs never enter a batch, and a deadline or crash fails
-          only the affected member. *)
+      (** solver kernel passed to every {!Gp.Solver.solve} (default
+          [`Compiled], the production path); [`List] selects the
+          closure-per-function reference solver, which agrees with it
+          to solver tolerance.  No CLI flag sets it. *)
   solve_deadline_ms : float option;
       (** cooperative wall-clock budget per GP solve (default [None]):
           checked at outer-iteration boundaries, so a solve may overrun
@@ -168,10 +159,8 @@ val config_fingerprint : config -> string
     lowering changes the GP, so journaled fates of one model never
     replay under the other; [contention] is excluded — it never changes
     a solve).  Changing any of them invalidates
-    journaled pairs on the next resume.  [`Batched] fingerprints as
-    [`Compiled]: their results are bit-identical, so journal (and serve
-    store) entries are interchangeable between the two kernels.  Exposed
-    for tests; the format is not a stability guarantee. *)
+    journaled pairs on the next resume.  Exposed for tests; the format
+    is not a stability guarantee. *)
 
 val problem_key : Gp.Problem.t -> string
 (** Canonical structural key backing [dedupe]: the exact coefficient and

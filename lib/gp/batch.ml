@@ -84,8 +84,7 @@ type block = {
   bk_nz : int;
 }
 
-(* Same support construction as [Compiled.merge_support]: distinct
-   indices, ascending. *)
+(* Distinct indices, ascending. *)
 let merged_support lists =
   let tbl = Hashtbl.create 16 in
   List.iter (fun l -> Array.iter (fun i -> Hashtbl.replace tbl i ()) l) lists;
@@ -93,8 +92,9 @@ let merged_support lists =
   Array.sort compare s;
   s
 
-(* Mirror of [Compiled.of_sparse_terms] minus the [b] vector: terms are
-   lists of (index, exponent) entries, strictly ascending by index. *)
+(* Terms are lists of (index, exponent) entries, strictly ascending by
+   index, so the sparse dot products accumulate in the same order as the
+   dense walk of [Smooth.log_sum_exp]. *)
 let fn_of_sparse n ~slot sparse =
   if sparse = [] then invalid_arg "Gp.Batch: empty term list";
   let nterms = List.length sparse in
@@ -141,7 +141,8 @@ let fn_of_posynomial n index ~slot p =
   in
   fn_of_sparse n ~slot (List.map term (P.terms p))
 
-(* Pure-affine function (no log-sum-exp terms), as [Compiled.affine]. *)
+(* Pure-affine function (no log-sum-exp terms), the image of
+   [Smooth.linear]. *)
 let fn_affine entries const =
   let entries = List.sort (fun (i, _) (j, _) -> compare i j) entries in
   let entries = List.filter (fun (_, c) -> c <> 0.0) entries in
@@ -158,8 +159,7 @@ let fn_affine entries const =
   }
 
 (* Phase-I image of an inequality: the same log-sum-exp structure (and
-   the same coefficient slot) over n+1 variables, minus the slack s.
-   Mirrors [Compiled.add_linear (Compiled.extend f 1) n (-1.0)]. *)
+   the same coefficient slot) over n+1 variables, minus the slack s. *)
 let fn_minus_slack n f =
   {
     f with
@@ -187,7 +187,7 @@ let compile problem =
       (fun s -> if s = 0 then objective.f_nterms else ineqs.(s - 1).f_nterms)
   in
   (* Equality rows [a . y = -log c], split into structurally nonzero
-     rows (kept, in source order, as the scalar path does) and all-zero
+     rows (kept, in source order, as the list kernel does) and all-zero
      rows (only their right-hand sides matter, per member). *)
   let all_rows =
     List.map
@@ -289,13 +289,14 @@ let pack plan problems =
 
 (* --- flat evaluation --------------------------------------------------- *)
 
-(* These are transcriptions of [Compiled.row_dot] / [linear_part] /
-   [lse_value] / [value] / [eval_into] with three mechanical changes:
-   the per-term constant comes from [(b, boff)] instead of a field, the
-   Hessian is a flat row-major buffer with stride [hn], and array
-   accesses are unchecked.  Every float operation and its order is
-   preserved, so results are bit-identical — the QCheck properties in
-   test/test_compiled.ml enforce this. *)
+(* Sparse transcriptions of [Smooth.log_sum_exp]: the per-term constant
+   comes from [(b, boff)], the Hessian is a flat row-major buffer with
+   stride [hn], and array accesses are unchecked.  The sparse row dot
+   accumulates in ascending index order like the dense [Vec.dot]; the
+   skipped entries contribute exactly [+0.0] or [-0.0], which never
+   changes a partial sum that started at [+0.0].  Every other float
+   operation and its order is preserved, so results are bit-identical —
+   the cases in test/test_compiled.ml enforce this. *)
 
 let row_dot f k y =
   let acc = ref 0.0 in

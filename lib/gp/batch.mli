@@ -1,27 +1,28 @@
-(** Batched structure-sharing compilation of GP problems (DESIGN §15).
+(** Compiled form of geometric programs for the default solver kernel
+    (DESIGN §10).
 
-    The co-design sweep solves thousands of programs that differ only in
-    their coefficients: every placement of one permutation choice (and
-    many choices across layers) formulates the same exponent rows, the
-    same sparsity pattern and the same affine shape.  This module
-    exploits that redundancy.  A coefficient-blind {!structure_key}
-    groups problems; {!compile} lowers one representative into a
-    {!plan} — the shared exponent structure together with everything the
-    solver needs that does not depend on coefficients (per-structure
-    nullspace bases, the factored least-norm Gram system); {!pack} then
-    lays the coefficient vectors of a whole group in contiguous buffers
-    so the solver touches one flat array per function while iterating
-    batch members.
+    {!compile} lowers a problem into a {!plan}: the exponent rows of
+    every function in one contiguous sparsity index, together with
+    everything the solver needs that does not depend on coefficients
+    (the nullspace bases of the equality rows, the factored least-norm
+    Gram system).  {!pack} lays the coefficient vectors of problems that
+    share the plan's {!structure_key} out in contiguous buffers,
+    member-major.  [Solver.solve ~kernel:`Compiled] compiles each
+    problem and packs it as a one-member block.
 
-    {b Bit-identity contract.}  The evaluation primitives below perform
-    the identical float operations in the identical order as
-    {!Compiled.value} / {!Compiled.eval_into} on the member's own
-    compiled functions, and the per-structure factorizations
+    {b Bit-identity contract.}  For finite arguments, {!value} and
+    {!eval_into} execute the same floating-point operations in the same
+    order as {!Smooth.log_sum_exp} on the equivalent dense term list
+    [(a_k, log c_k)] (the list kernel's lowering), skipping only
+    operations whose operand is an exact zero and whose result is
+    provably bit-identical to not performing them (adding [+0.0]/[-0.0]
+    to partial sums that start at [+0.0] and can never become [-0.0]).
+    Values, gradients and Hessians — of the phase-I images [f(y) - s]
+    too — are therefore bit-for-bit equal to the list kernel's;
+    test/test_compiled.ml pins this with unit cases and QCheck
+    properties.  The per-structure factorizations
     ({!Mat.nullspace_basis}, {!Mat.lu_factor}) are pure functions of the
-    structure, equal bit-for-bit to the per-solve computations they
-    amortize.  [Solver.solve_batched] therefore returns exactly the
-    bits of [Solver.solve ~kernel:`Compiled] for every member —
-    test/test_compiled.ml pins this with QCheck properties. *)
+    structure. *)
 
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
@@ -34,15 +35,16 @@ val structure_key : Problem.t -> string
     exponent vector with like terms merged, so term order never depends
     on coefficients. *)
 
-(** One compiled convex function of the shared structure,
+(** One compiled convex function of the structure,
 
-      F(y) = log sum_k exp(row_k . y + b_k)  +  lin . y + lin_const,
+      F(y) = log sum_k exp(row_k . y + b_k)  +  lin . y + lin_const.
 
-    in the contiguous sparse layout of {!Compiled.t} but {e without} the
-    [b] vector: coefficient terms live in the batch {!block}, selected
-    by [(b, boff)] at each evaluation.  [f_slot] names the coefficient
-    table of the block this function reads (-1 for the coefficient-free
-    phase-I helpers). *)
+    Term [k]'s nonzero exponents are the [f_idx]/[f_coef] positions
+    [f_starts.(k) .. f_starts.(k+1) - 1], ascending by variable index.
+    The [b] vector is {e not} part of the function: coefficient terms
+    live in a {!block}, selected by [(b, boff)] at each evaluation.
+    [f_slot] names the coefficient table of the block this function
+    reads (-1 for the coefficient-free phase-I helpers). *)
 type fn = {
   f_nterms : int;
   f_starts : int array;
@@ -62,12 +64,10 @@ type gram =
   | Factored of Mat.lu
   | Gram_singular
       (** factorization failed; solves of this structure report
-          [Infeasible] exactly where the scalar path raises
-          [Mat.Singular] *)
+          [Infeasible], as the list kernel does when its Gram solve
+          raises [Mat.Singular] *)
 
-(** Everything coefficient-independent about one structure, compiled
-    once and shared by every batch member and every warm-started
-    retry. *)
+(** Everything coefficient-independent about one structure. *)
 type plan = {
   pl_key : string;
   pl_vars : string list;  (** sorted, as [Problem.variables] *)
@@ -120,12 +120,11 @@ val pack : plan -> Problem.t array -> block
 
 (** {1 Flat evaluation primitives}
 
-    Mirrors of {!Compiled.value} / {!Compiled.eval_into} over a [fn] and
-    an externally-supplied coefficient vector [(b, boff)] — bit-identical
-    by construction (same operations, same order).  [es] is caller
-    scratch of length at least [f_nterms]; [hess] is a flat row-major
-    [n * n] buffer with stride [hn].  No bounds checks: the solver owns
-    the invariants. *)
+    Evaluation of a [fn] against an externally-supplied coefficient
+    vector [(b, boff)], under the bit-identity contract above.  [es] is
+    caller scratch of length at least [f_nterms]; [hess] is a flat
+    row-major [n * n] buffer with stride [hn].  No bounds checks: the
+    solver owns the invariants. *)
 
 val value : fn -> b:float array -> boff:int -> es:float array -> float array -> float
 
@@ -139,6 +138,12 @@ val eval_into :
   hn:int ->
   float array ->
   float
+(** [eval_into f ~b ~boff ~es ~grad ~hess ~hn y] returns [F y] and fills
+    its gradient and Hessian into the given buffers.  Only the
+    [f_support] entries of [grad] and the support-square block of [hess]
+    are written (overwritten, not accumulated); everything else is left
+    untouched, so one pair of buffers can be reused across functions
+    whose supports differ. *)
 
 (** {1 Test conveniences} *)
 
@@ -155,5 +160,5 @@ val member_eval_into :
   hess:Mat.t ->
   Vec.t ->
   float
-(** Like {!Compiled.eval_into} for one member/slot pair, writing into a
-    caller matrix (cleared here, dense, for test comparison). *)
+(** {!eval_into} for one member/slot pair, writing into a caller matrix
+    (cleared here, dense, for test comparison). *)

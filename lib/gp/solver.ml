@@ -7,7 +7,7 @@ type status = Optimal | Infeasible | Iteration_limit | Deadline_exceeded
 
 type solution = { status : status; values : (string * float) list; objective : float }
 
-type kernel = [ `Compiled | `List | `Batched ]
+type kernel = [ `Compiled | `List ]
 
 let lookup sol x =
   match List.assoc_opt x sol.values with
@@ -142,8 +142,8 @@ let equality_rows n index eqs =
   List.map row eqs
 
 (* ------------------------------------------------------------------ *)
-(* Dense KKT path (shared by the list kernel and the compiled         *)
-(* kernel's fallback)                                                 *)
+(* Dense KKT path (shared by the list kernel and the flat kernel's    *)
+(* fallback)                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Newton step keeping A y = const: KKT system
@@ -264,273 +264,6 @@ let centering_list ~initial_reg ~st ~barrier_t ~(objective : Smooth.t)
   !y
 
 (* ------------------------------------------------------------------ *)
-(* Equality-constrained Newton centering — compiled kernel            *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-solve workspace: every buffer the compiled centering needs, sized
-   once for a given (n, p) and reused across Newton steps, barrier
-   updates and regularization retries.  The cache lives in the [solve]
-   call (one per kernel instantiation), so concurrent solves never share
-   a workspace. *)
-type ws = {
-  w_grad : Vec.t;  (* combined barrier gradient *)
-  w_hess : Mat.t;  (* combined barrier Hessian *)
-  w_gi : Vec.t;  (* per-function gradient buffer (support entries valid) *)
-  w_hi : Mat.t;  (* per-function Hessian buffer (support block valid) *)
-  w_dy : Vec.t;  (* Newton direction *)
-}
-
-let make_ws n =
-  {
-    w_grad = Vec.create n;
-    w_hess = Mat.create n n;
-    w_gi = Vec.create n;
-    w_hi = Mat.create n n;
-    w_dy = Vec.create n;
-  }
-
-let get_ws cache n =
-  match Hashtbl.find_opt cache n with
-  | Some ws -> ws
-  | None ->
-    let ws = make_ws n in
-    Hashtbl.add cache n ws;
-    ws
-
-(* Orthonormal nullspace bases live in [Mat.nullspace_basis] (moved
-   there so the batched plan compiler can share them); the function is
-   pure, so per-centering and per-structure computations agree bit for
-   bit. *)
-let nullspace_basis = Mat.nullspace_basis
-
-(* Same minimization as [centering_list], but over compiled functions:
-   sparse evaluation into reused buffers and a structured KKT solve.
-   With [Z] an orthonormal basis of null(A) (computed once per centering
-   call — the rows never change within one), the equality-constrained
-   Newton step reduces to the SPD system
-
-     (Z^T H Z + reg I) u = Z^T (-grad),   dy = Z u
-
-   solved by Cholesky.  [A dy = (A Z) u ~ 0] holds to machine precision
-   by construction, unlike a range-space (Schur-complement) elimination,
-   which amplifies roundoff by ||H^-1|| ~ barrier_t / reg along the
-   curvature-free log-linear directions every GP formulation has. *)
-let centering_compiled ~ws_cache ~initial_reg ~st ~barrier_t ~(objective : Compiled.t)
-    ~(ineqs : Compiled.t list) ~rows y0 =
-  let n = Vec.dim y0 in
-  let p = List.length rows in
-  let ws = get_ws ws_cache n in
-  let rows_arr = Array.of_list (List.map fst rows) in
-  let zbasis = nullspace_basis n rows_arr in
-  let q = Array.length zbasis in
-  let hz = Array.init q (fun _ -> Vec.create n) in
-  let hr = Mat.create q q in
-  let u = Vec.create q in
-  let phi y =
-    let acc = ref (barrier_t *. Compiled.value objective y) in
-    let ok = ref true in
-    List.iter
-      (fun g ->
-        let v = Compiled.value g y in
-        if v >= 0.0 then ok := false else acc := !acc -. log (-.v))
-      ineqs;
-    if !ok then Some !acc else None
-  in
-  let grad = ws.w_grad in
-  let hess = ws.w_hess in
-  let y = ref (Vec.copy y0) in
-  let converged = ref false in
-  let iter = ref 0 in
-  while (not !converged) && !iter < 80 do
-    incr iter;
-    st.newton_iters <- st.newton_iters + 1;
-    (* Combined gradient/Hessian of barrier_t * f0 - sum log(-f_i).  The
-       buffers are cleared in full: variables appearing only in equality
-       rows are outside every support, yet the factorization reads the
-       whole lower triangle. *)
-    Vec.fill grad 0.0;
-    Mat.fill hess 0.0;
-    ignore (Compiled.eval_into objective !y ~grad:ws.w_gi ~hess:ws.w_hi);
-    let sup0 = Compiled.support objective in
-    let ns0 = Array.length sup0 in
-    for a = 0 to ns0 - 1 do
-      let i = sup0.(a) in
-      grad.(i) <- barrier_t *. ws.w_gi.(i);
-      for b = 0 to ns0 - 1 do
-        let j = sup0.(b) in
-        Mat.set hess i j (barrier_t *. Mat.get ws.w_hi i j)
-      done
-    done;
-    List.iter
-      (fun g ->
-        let vi = Compiled.eval_into g !y ~grad:ws.w_gi ~hess:ws.w_hi in
-        (* vi < 0 by the line-search invariant *)
-        let inv = -1.0 /. vi in
-        let sup = Compiled.support g in
-        let ns = Array.length sup in
-        for a = 0 to ns - 1 do
-          let i = sup.(a) in
-          grad.(i) <- grad.(i) +. (inv *. ws.w_gi.(i))
-        done;
-        for a = 0 to ns - 1 do
-          let i = sup.(a) in
-          let gi_i = ws.w_gi.(i) in
-          for b = 0 to ns - 1 do
-            let j = sup.(b) in
-            Mat.add_to hess i j
-              ((inv *. Mat.get ws.w_hi i j) +. (inv *. inv *. gi_i *. ws.w_gi.(j)))
-          done
-        done)
-      ineqs;
-    (* Structured KKT solve in the nullspace basis: the products
-       [hz_j = H z_j] are fixed for this step, the reduced matrix is
-       rebuilt cheaply on each regularization retry. *)
-    for j = 0 to q - 1 do
-      let zj = zbasis.(j) in
-      let hzj = hz.(j) in
-      for i = 0 to n - 1 do
-        let acc = ref 0.0 in
-        for k = 0 to n - 1 do
-          acc := !acc +. (Mat.get hess i k *. zj.(k))
-        done;
-        hzj.(i) <- !acc
-      done
-    done;
-    let solve_structured reg =
-      for j = 0 to q - 1 do
-        for l = 0 to j do
-          Mat.set hr j l (Vec.dot zbasis.(j) hz.(l))
-        done;
-        Mat.add_to hr j j reg
-      done;
-      Mat.cholesky_in_place hr;
-      for j = 0 to q - 1 do
-        u.(j) <- -.(Vec.dot zbasis.(j) grad)
-      done;
-      Mat.cholesky_solve_in_place hr u;
-      let dy = ws.w_dy in
-      Vec.fill dy 0.0;
-      for j = 0 to q - 1 do
-        let uj = u.(j) in
-        if uj <> 0.0 then begin
-          let zj = zbasis.(j) in
-          for i = 0 to n - 1 do
-            dy.(i) <- dy.(i) +. (uj *. zj.(i))
-          done
-        end
-      done;
-      dy
-    in
-    let dy =
-      let rec attempt reg tries =
-        match solve_structured reg with
-        | dy -> Some dy
-        | exception Mat.Singular ->
-          if tries <= 0 then None
-          else begin
-            st.kkt_regularizations <- st.kkt_regularizations + 1;
-            attempt (reg *. 100.0) (tries - 1)
-          end
-      in
-      match attempt initial_reg 6 with
-      | Some dy -> Some dy
-      | None ->
-        (* Cholesky keeps failing even under heavy regularization (an
-           indefinite Hessian from numerical noise): fall back once to
-           the dense pivoted-LU KKT path before giving up on the step. *)
-        st.cholesky_fallbacks <- st.cholesky_fallbacks + 1;
-        attempt_dense ~st ~initial_reg ~hess ~grad ~rows n p
-    in
-    match dy with
-    | None ->
-      (* Singular under every factorization: accept the current
-         (feasible) point. *)
-      converged := true
-    | Some dy ->
-    let slope = Vec.dot grad dy in
-    let lambda2 = -.slope in
-    if lambda2 /. 2.0 < 1e-10 then converged := true
-    else begin
-      (* Backtracking line search with the strict-feasibility invariant. *)
-      let phi0 =
-        match phi !y with
-        | Some v -> v
-        | None -> invalid_arg "Gp.Solver: centering started at an infeasible point"
-      in
-      let rec search alpha tries =
-        if tries <= 0 then None
-        else begin
-          let cand = Vec.axpy alpha dy !y in
-          match phi cand with
-          | Some v when v <= phi0 +. (0.25 *. alpha *. slope) -> Some cand
-          | _ ->
-            st.backtracks <- st.backtracks + 1;
-            search (alpha /. 2.0) (tries - 1)
-        end
-      in
-      match search 1.0 60 with
-      | Some cand -> y := cand
-      | None -> converged := true (* cannot make progress; accept the point *)
-    end
-  done;
-  !y
-
-(* ------------------------------------------------------------------ *)
-(* Kernel dispatch                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The barrier and phase-I drivers are written once against this record
-   so both kernels run through identical control flow — the kernels
-   differ only in how a convex function is represented and evaluated
-   and in how the per-step KKT system is solved. *)
-type 'f ops = {
-  k_value : 'f -> Vec.t -> float;
-  k_centering :
-    st:stats ->
-    barrier_t:float ->
-    objective:'f ->
-    ineqs:'f list ->
-    rows:(Vec.t * float) list ->
-    Vec.t ->
-    Vec.t;
-  k_linear : int -> Vec.t -> float -> 'f;
-  k_minus_slack : int -> 'f -> 'f;
-}
-
-(* G(y, s) = f(y) - s over n + 1 variables. *)
-let minus_slack n (f : Smooth.t) =
-  let base = Smooth.extend f 1 in
-  let value y = base.Smooth.value y -. y.(n) in
-  let eval y =
-    let v, g, h = base.Smooth.eval y in
-    g.(n) <- g.(n) -. 1.0;
-    (v -. y.(n), g, h)
-  in
-  { Smooth.dim = n + 1; eval; value }
-
-let list_ops ~initial_reg : Smooth.t ops =
-  {
-    k_value = (fun (f : Smooth.t) y -> f.Smooth.value y);
-    k_centering = centering_list ~initial_reg;
-    k_linear = Smooth.linear;
-    k_minus_slack = minus_slack;
-  }
-
-let compiled_ops ws_cache ~initial_reg : Compiled.t ops =
-  {
-    k_value = Compiled.value;
-    k_centering = centering_compiled ~ws_cache ~initial_reg;
-    k_linear =
-      (fun n a b ->
-        let entries = ref [] in
-        for i = Vec.dim a - 1 downto 0 do
-          if a.(i) <> 0.0 then entries := (i, a.(i)) :: !entries
-        done;
-        Compiled.affine n !entries b);
-    k_minus_slack = (fun n f -> Compiled.add_linear (Compiled.extend f 1) n (-1.0));
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Barrier loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -540,9 +273,9 @@ let compiled_ops ws_cache ~initial_reg : Compiled.t ops =
    centering runs to completion — keeping the hot path untouched.
 
    The loop is written against an abstract [centering] closure (and the
-   inequality count [m]) so every kernel — list, compiled, batched —
-   runs through the identical control flow: same schedule, same stop
-   conditions, same stats ticks. *)
+   inequality count [m]) so both kernels run through the identical
+   control flow: same schedule, same stop conditions, same stats
+   ticks. *)
 let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~max_outer ~m
     ~centering y0 =
   let tick () =
@@ -582,25 +315,43 @@ let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~max_outer ~m
     (!y, !clean)
   end
 
+let infeasible = { status = Infeasible; values = []; objective = nan }
+
 (* ------------------------------------------------------------------ *)
-(* Phase I                                                            *)
+(* List kernel: phase I and driver                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* G(y, s) = f(y) - s over n + 1 variables. *)
+let minus_slack n (f : Smooth.t) =
+  let base = Smooth.extend f 1 in
+  let value y = base.Smooth.value y -. y.(n) in
+  let eval y =
+    let v, g, h = base.Smooth.eval y in
+    g.(n) <- g.(n) -. 1.0;
+    (v -. y.(n), g, h)
+  in
+  { Smooth.dim = n + 1; eval; value }
 
 (* Find a point satisfying the equalities and strictly satisfying the
    inequalities, or decide that none exists. *)
-let phase1 ~check ~ops ~st ~tol ~max_outer n ineqs rows y0 =
-  let strictly_ok y = List.for_all (fun g -> ops.k_value g y < -1e-9) ineqs in
+let phase1_list ~check ~initial_reg ~st ~tol ~max_outer n (ineqs : Smooth.t list) rows
+    y0 =
+  let strictly_ok y =
+    List.for_all (fun (g : Smooth.t) -> g.Smooth.value y < -1e-9) ineqs
+  in
   if strictly_ok y0 then Some y0
   else begin
     let n1 = n + 1 in
     let s_dir = Vec.init n1 (fun i -> if i = n then 1.0 else 0.0) in
-    let objective = ops.k_linear n1 s_dir 0.0 in
-    let g_ineqs = List.map (ops.k_minus_slack n) ineqs in
+    let objective = Smooth.linear n1 s_dir 0.0 in
+    let g_ineqs = List.map (minus_slack n) ineqs in
     (* Keep s bounded below so the phase-I problem is bounded. *)
-    let lower = ops.k_linear n1 (Vec.scale (-1.0) s_dir) (-20.0) in
+    let lower = Smooth.linear n1 (Vec.scale (-1.0) s_dir) (-20.0) in
     let rows1 = List.map (fun (a, d) -> (Vec.concat a [| 0.0 |], d)) rows in
     let s0 =
-      List.fold_left (fun acc g -> Float.max acc (ops.k_value g y0)) 0.0 ineqs +. 1.0
+      List.fold_left (fun acc (g : Smooth.t) -> Float.max acc (g.Smooth.value y0)) 0.0
+        ineqs
+      +. 1.0
     in
     let start = Vec.concat y0 [| s0 |] in
     let stop_early y = y.(n) < -0.5 in
@@ -609,16 +360,13 @@ let phase1 ~check ~ops ~st ~tol ~max_outer n ineqs rows y0 =
       barrier ~stop_early ~check ~st ~phase:`One ~tol ~max_outer
         ~m:(List.length all_ineqs)
         ~centering:(fun ~barrier_t y ->
-          ops.k_centering ~st ~barrier_t ~objective ~ineqs:all_ineqs ~rows:rows1 y)
+          centering_list ~initial_reg ~st ~barrier_t ~objective ~ineqs:all_ineqs
+            ~rows:rows1 y)
         start
     in
     let y = Vec.slice y1 0 n in
     if strictly_ok y then Some y else None
   end
-
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                        *)
-(* ------------------------------------------------------------------ *)
 
 let least_norm_start n rows =
   match rows with
@@ -677,25 +425,7 @@ let warm_point n index vars rows warm =
        y
      with Mat.Singular -> least_norm_start n rows)
 
-(* Internal deadline signal; never escapes [solve]. *)
-exception Deadline
-
-let now_ns () = Unix.gettimeofday () *. 1e9
-
-let solve_scalar ~tol ~max_outer ?stats ?warm_start ~kernel ?deadline_ns ~initial_reg
-    problem =
-  let st = match stats with Some st -> st | None -> fresh_stats () in
-  reset_stats st;
-  (* Cooperative deadline: checked at outer-iteration boundaries (see
-     [barrier]).  [deadline_ns <= 0] trips at the very first check, which
-     the fault-injection "stall" path relies on for determinism. *)
-  let check =
-    match deadline_ns with
-    | None -> fun () -> ()
-    | Some budget_ns ->
-      let start = now_ns () in
-      fun () -> if now_ns () -. start >= budget_ns then raise Deadline
-  in
+let solve_list ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
   let vars = Problem.variables problem in
   let n = List.length vars in
   let index = Hashtbl.create (2 * n) in
@@ -713,84 +443,70 @@ let solve_scalar ~tol ~max_outer ?stats ?warm_start ~kernel ?deadline_ns ~initia
         end)
       rows0
   in
-  let extract status y =
-    let envt = Array.map exp y in
-    let values = List.mapi (fun i x -> (x, envt.(i))) vars in
-    let lookup_env x = envt.(Hashtbl.find index x) in
-    { status; values; objective = P.eval lookup_env (Problem.objective problem) }
-  in
-  if !inconsistent then { status = Infeasible; values = []; objective = nan }
+  if !inconsistent then infeasible
   else begin
-    (* Any residual numerical failure is reported as infeasibility of this
-       program rather than escaping to the caller: the driver treats such
-       choices as unusable and moves on. *)
-    match
-      let y0 =
-        match warm_start with
-        | None -> least_norm_start n rows
-        | Some warm -> warm_point n index vars rows warm
+    let y0 =
+      match warm_start with
+      | None -> least_norm_start n rows
+      | Some warm -> warm_point n index vars rows warm
+    in
+    let objective = compile_posynomial n index (Problem.objective problem) in
+    let ineqs =
+      List.map (fun (_, p) -> compile_posynomial n index p) (Problem.ineqs problem)
+    in
+    match phase1_list ~check ~initial_reg ~st ~tol:1e-6 ~max_outer n ineqs rows y0 with
+    | None ->
+      Log.debug (fun m -> m "phase I failed: problem infeasible");
+      infeasible
+    | Some y_feas ->
+      let y_opt, clean =
+        barrier ~check ~st ~phase:`Two ~tol ~max_outer ~m:(List.length ineqs)
+          ~centering:(fun ~barrier_t y ->
+            centering_list ~initial_reg ~st ~barrier_t ~objective ~ineqs ~rows y)
+          y_feas
       in
-      let run ops objective ineqs =
-        match phase1 ~check ~ops ~st ~tol:1e-6 ~max_outer n ineqs rows y0 with
-        | None ->
-          Log.debug (fun m -> m "phase I failed: problem infeasible");
-          { status = Infeasible; values = []; objective = nan }
-        | Some y_feas ->
-          let y_opt, clean =
-            barrier ~check ~st ~phase:`Two ~tol ~max_outer ~m:(List.length ineqs)
-              ~centering:(fun ~barrier_t y ->
-                ops.k_centering ~st ~barrier_t ~objective ~ineqs ~rows y)
-              y_feas
-          in
-          extract (if clean then Optimal else Iteration_limit) y_opt
-      in
-      match kernel with
-      | `List ->
-        run (list_ops ~initial_reg)
-          (compile_posynomial n index (Problem.objective problem))
-          (List.map (fun (_, p) -> compile_posynomial n index p) (Problem.ineqs problem))
-      | `Compiled ->
-        let ws_cache = Hashtbl.create 4 in
-        run (compiled_ops ws_cache ~initial_reg)
-          (Compiled.of_posynomial n index (Problem.objective problem))
-          (List.map
-             (fun (_, p) -> Compiled.of_posynomial n index p)
-             (Problem.ineqs problem))
-    with
-    | solution -> solution
-    | exception Mat.Singular ->
-      Log.debug (fun m -> m "numerical failure: treating the program as infeasible");
-      { status = Infeasible; values = []; objective = nan }
-    | exception Deadline ->
-      st.deadline_hits <- st.deadline_hits + 1;
-      Log.debug (fun m -> m "solve deadline exceeded");
-      { status = Deadline_exceeded; values = []; objective = nan }
+      let envt = Array.map exp y_opt in
+      {
+        status = (if clean then Optimal else Iteration_limit);
+        values = List.mapi (fun i x -> (x, envt.(i))) vars;
+        objective =
+          P.eval (fun x -> envt.(Hashtbl.find index x)) (Problem.objective problem);
+      }
   end
 
 (* ------------------------------------------------------------------ *)
-(* Batched kernel (DESIGN §15)                                        *)
+(* Flat kernel (the default, [`Compiled])                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The batched kernel runs the exact algorithm of the compiled kernel —
-   same barrier schedule, same centerings, same KKT solves, same line
-   search — against a [Batch.plan] shared by every member of a
-   structure group.  What is amortized per structure: the lowering
-   itself, the nullspace bases (pure, see [Mat.nullspace_basis]) and the
-   least-norm Gram factorization ([Mat.lu_factor], bit-identical to the
-   per-solve [Mat.lu_solve]).  What is changed mechanically: all hot
-   buffers are flat unchecked float arrays, and three provably
-   unobservable evaluations are elided (the line-search merit value
-   short-circuits after the first infeasible inequality; the merit value
-   at the current iterate reuses the values the Newton assembly just
-   computed; all elided computations are pure).  Everything else is a
-   transcription, so results are bit-for-bit equal to
-   [solve ~kernel:`Compiled] — pinned by test/test_compiled.ml and the
-   determinism suite. *)
+(* The production path runs the list kernel's algorithm — same barrier
+   schedule, same stop rules, same line search, same stats ticks — over
+   the compiled form {!Batch} builds: [Batch.compile] lowers the problem
+   once into contiguous sparse exponent rows, the orthonormal nullspace
+   bases of its equality rows and the factored least-norm Gram system,
+   and [Batch.pack] lays its coefficients out as a one-member block.
+   Hot buffers are flat unchecked float arrays sized once per solve.
 
-(* A compiled structure function bound to one member's coefficients. *)
-type bfun = { bf_fn : Batch.fn; bf_b : float array; bf_off : int }
+   Each Newton step solves the equality-constrained KKT system in the
+   nullspace basis [Z] of the equality rows,
 
-(* The function set of one (phase, member) pair. *)
+     (Z^T H Z + reg I) u = Z^T (-grad),   dy = Z u,
+
+   by Cholesky.  [A dy = (A Z) u ~ 0] holds to machine precision by
+   construction, unlike a range-space (Schur-complement) elimination,
+   which amplifies roundoff by ||H^-1|| ~ barrier_t / reg along the
+   curvature-free log-linear directions every GP formulation has.  When
+   Cholesky fails at every regularization level the step falls back
+   once to the list kernel's dense pivoted-LU KKT solve.
+
+   The evaluations are bit-identical to the list kernel's
+   ({!Batch.eval_into} against [Smooth.log_sum_exp]); Newton directions
+   differ in low-order bits because the factorization differs. *)
+
+(* A compiled function bound to its coefficient table (member 0 of the
+   block, so every table offset is 0). *)
+type bfun = { bf_fn : Batch.fn; bf_b : float array }
+
+(* The function set of one phase. *)
 type bset = {
   bs_n : int;
   bs_obj : bfun;
@@ -799,7 +515,8 @@ type bset = {
   bs_rows : Vec.t array;  (* equality rows, for the dense KKT fallback *)
 }
 
-(* Per-solve workspace (never shared across concurrent solves). *)
+(* Per-phase workspace, allocated per solve (never shared across
+   concurrent solves). *)
 type bws = {
   bw_y : float array;
   bw_cand : float array;
@@ -835,9 +552,9 @@ let make_bws ~n ~q ~max_terms ~nineqs =
     bw_u0 = Array.make (max 1 q) 0.0;
   }
 
-(* Mirror of [centering_compiled] over flat buffers; see the bit-identity
-   note above. *)
-let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
+(* Same minimization as [centering_list], over the compiled functions
+   and the structured KKT solve described above. *)
+let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
   let n = fset.bs_n in
   let nineq = Array.length fset.bs_ineqs in
   let zbasis = fset.bs_zbasis in
@@ -850,19 +567,17 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
   let vis = ws.bw_vis in
   let y = ws.bw_y in
   if y != y0 then Array.blit y0 0 y 0 n;
-  (* Line-search merit value at a candidate.  The compiled path
-     evaluates every inequality and discards the accumulator when any
-     value is >= 0; stopping at the first such value skips only pure
-     computations, so the accepted candidate and every accept/reject
-     decision are unchanged.  A NaN value never triggers the exit
-     ([v >= 0.0] is false for NaN), matching the compiled path's
-     accept test, which a NaN also fails. *)
+  (* Line-search merit value at a candidate, [None] outside the strict
+     domain.  Evaluation stops at the first inequality value >= 0 (the
+     list kernel evaluates them all; the skipped work is pure).  A NaN
+     value never triggers the exit ([v >= 0.0] is false for NaN); it
+     poisons the sum instead, which then fails the accept test. *)
   let phi_cand cand =
     let ok = ref true in
     let i = ref 0 in
     while !ok && !i < nineq do
       let f = Array.unsafe_get fset.bs_ineqs !i in
-      let v = Batch.value f.bf_fn ~b:f.bf_b ~boff:f.bf_off ~es cand in
+      let v = Batch.value f.bf_fn ~b:f.bf_b ~boff:0 ~es cand in
       if v >= 0.0 then ok := false
       else begin
         Array.unsafe_set vis !i v;
@@ -873,7 +588,7 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
     else begin
       let o = fset.bs_obj in
       let acc =
-        ref (barrier_t *. Batch.value o.bf_fn ~b:o.bf_b ~boff:o.bf_off ~es cand)
+        ref (barrier_t *. Batch.value o.bf_fn ~b:o.bf_b ~boff:0 ~es cand)
       in
       for j = 0 to nineq - 1 do
         acc := !acc -. log (-.Array.unsafe_get vis j)
@@ -889,7 +604,7 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
     Array.fill grad 0 n 0.0;
     Array.fill hess 0 (n * n) 0.0;
     let o = fset.bs_obj in
-    let v0 = Batch.eval_into o.bf_fn ~b:o.bf_b ~boff:o.bf_off ~es ~grad:gi ~hess:hi ~hn:n y in
+    let v0 = Batch.eval_into o.bf_fn ~b:o.bf_b ~boff:0 ~es ~grad:gi ~hess:hi ~hn:n y in
     let sup0 = o.bf_fn.Batch.f_support in
     let ns0 = Array.length sup0 in
     for a = 0 to ns0 - 1 do
@@ -904,7 +619,7 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
     for gidx = 0 to nineq - 1 do
       let g = Array.unsafe_get fset.bs_ineqs gidx in
       let vi =
-        Batch.eval_into g.bf_fn ~b:g.bf_b ~boff:g.bf_off ~es ~grad:gi ~hess:hi ~hn:n y
+        Batch.eval_into g.bf_fn ~b:g.bf_b ~boff:0 ~es ~grad:gi ~hess:hi ~hn:n y
       in
       Array.unsafe_set vis gidx vi;
       (* vi < 0 by the line-search invariant *)
@@ -929,7 +644,8 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
         done
       done
     done;
-    (* Structured KKT solve in the shared nullspace basis. *)
+    (* Structured KKT solve in the nullspace basis: the products
+       [hz_j = H z_j] are fixed for this step. *)
     for j = 0 to q - 1 do
       let zj = zbasis.(j) in
       let hzj = ws.bw_hz.(j) in
@@ -943,9 +659,8 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
       done
     done;
     (* The reduced Hessian entries [z_j . (H z_l)] and the reduced RHS
-       [-z_j . grad] are pure per-iteration values: compute them once
-       and replay them on regularization retries (the compiled path
-       recomputes the same dots; same accumulation order, same bits). *)
+       [-z_j . grad] are fixed for this step: compute them once and
+       replay them on every regularization retry. *)
     let hr0 = ws.bw_hr0 and u0 = ws.bw_u0 in
     for j = 0 to q - 1 do
       let zj = zbasis.(j) in
@@ -1002,6 +717,9 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
       match attempt initial_reg 6 with
       | Some dy -> Some dy
       | None ->
+        (* Cholesky keeps failing even under heavy regularization (an
+           indefinite Hessian from numerical noise): fall back once to
+           the dense pivoted-LU KKT path before giving up on the step. *)
         st.cholesky_fallbacks <- st.cholesky_fallbacks + 1;
         let p = Array.length fset.bs_rows in
         let hess_m = Mat.init n n (fun i j -> hess.((i * n) + j)) in
@@ -1009,7 +727,10 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
         attempt_dense ~st ~initial_reg ~hess:hess_m ~grad ~rows n p
     in
     match dy with
-    | None -> converged := true
+    | None ->
+      (* Singular under every factorization: accept the current
+         (feasible) point. *)
+      converged := true
     | Some dy ->
       let slope =
         let acc = ref 0.0 in
@@ -1022,8 +743,7 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
       if lambda2 /. 2.0 < 1e-10 then converged := true
       else begin
         (* Merit value at the current iterate, from the values the
-           assembly above just computed — the compiled path recomputes
-           them; the evaluations are pure, so the bits agree. *)
+           assembly above just computed. *)
         let phi0 =
           let ok = ref true in
           for j = 0 to nineq - 1 do
@@ -1060,14 +780,14 @@ let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
   done;
   y
 
-(* Member function sets: phase II over n variables, phase I over n+1
-   with the slack.  The phase-I inequalities read the same coefficient
-   slots as their phase-II counterparts. *)
-let bset_phase2 (plan : Batch.plan) (block : Batch.block) mem =
-  let bind (f : Batch.fn) =
-    { bf_fn = f; bf_b = block.Batch.bk_b.(f.Batch.f_slot);
-      bf_off = mem * plan.Batch.pl_nterms.(f.Batch.f_slot) }
-  in
+(* Function sets: phase II over n variables, phase I over n+1 with the
+   slack.  The phase-I inequalities read the same coefficient slots as
+   their phase-II counterparts. *)
+let bind (block : Batch.block) (f : Batch.fn) =
+  { bf_fn = f; bf_b = block.Batch.bk_b.(f.Batch.f_slot) }
+
+let bset_phase2 (plan : Batch.plan) block =
+  let bind = bind block in
   {
     bs_n = plan.Batch.pl_n;
     bs_obj = bind plan.Batch.pl_objective;
@@ -1076,43 +796,37 @@ let bset_phase2 (plan : Batch.plan) (block : Batch.block) mem =
     bs_rows = plan.Batch.pl_rows;
   }
 
-let bset_phase1 (plan : Batch.plan) (block : Batch.block) mem =
-  let bind_slack (f : Batch.fn) =
-    { bf_fn = f; bf_b = block.Batch.bk_b.(f.Batch.f_slot);
-      bf_off = mem * plan.Batch.pl_nterms.(f.Batch.f_slot) }
-  in
-  let affine f = { bf_fn = f; bf_b = [||]; bf_off = 0 } in
+let bset_phase1 (plan : Batch.plan) block =
+  let affine f = { bf_fn = f; bf_b = [||] } in
   {
     bs_n = plan.Batch.pl_n + 1;
     bs_obj = affine plan.Batch.pl_objective1;
     bs_ineqs =
       Array.append
         [| affine plan.Batch.pl_lower1 |]
-        (Array.map bind_slack plan.Batch.pl_ineqs1);
+        (Array.map (bind block) plan.Batch.pl_ineqs1);
     bs_zbasis = plan.Batch.pl_zbasis1;
     bs_rows = plan.Batch.pl_rows1;
   }
 
-(* Mirror of the generic [phase1] over a member's function sets. *)
-let phase1_batched ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~block ~mem
-    ~fset2 ~(ws2 : bws) y0 =
+(* [phase1_list] over the compiled function sets. *)
+let phase1_flat ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~block ~fset2
+    ~(ws2 : bws) y0 =
   let n = plan.Batch.pl_n in
   let nineq = Array.length fset2.bs_ineqs in
-  (* [List.for_all] in the generic path stops at the first failure; the
-     evaluations are pure, so the early exit is unobservable. *)
   let strictly_ok y =
     let ok = ref true in
     let i = ref 0 in
     while !ok && !i < nineq do
       let f = fset2.bs_ineqs.(!i) in
-      if Batch.value f.bf_fn ~b:f.bf_b ~boff:f.bf_off ~es:ws2.bw_es y < -1e-9 then incr i
+      if Batch.value f.bf_fn ~b:f.bf_b ~boff:0 ~es:ws2.bw_es y < -1e-9 then incr i
       else ok := false
     done;
     !ok
   in
   if strictly_ok y0 then Some y0
   else begin
-    let fset1 = bset_phase1 plan block mem in
+    let fset1 = bset_phase1 plan block in
     let ws1 =
       make_bws ~n:(n + 1)
         ~q:(Array.length plan.Batch.pl_zbasis1)
@@ -1123,7 +837,7 @@ let phase1_batched ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~bloc
       let acc = ref 0.0 in
       for i = 0 to nineq - 1 do
         let f = fset2.bs_ineqs.(i) in
-        acc := Float.max !acc (Batch.value f.bf_fn ~b:f.bf_b ~boff:f.bf_off ~es:ws2.bw_es y0)
+        acc := Float.max !acc (Batch.value f.bf_fn ~b:f.bf_b ~boff:0 ~es:ws2.bw_es y0)
       done;
       !acc +. 1.0
     in
@@ -1132,19 +846,109 @@ let phase1_batched ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~bloc
     let y1, _ =
       barrier ~stop_early ~check ~st ~phase:`One ~tol:1e-6 ~max_outer ~m:(1 + nineq)
         ~centering:(fun ~barrier_t y ->
-          centering_batched ~ws:ws1 ~fset:fset1 ~initial_reg ~st ~barrier_t y)
+          centering_flat ~ws:ws1 ~fset:fset1 ~initial_reg ~st ~barrier_t y)
         start
     in
     let y = Vec.slice y1 0 n in
     if strictly_ok y then Some y else None
   end
 
-let solve_batched ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?deadline_ns
-    ?(initial_reg = 1e-9) (block : Batch.block) mem =
-  if mem < 0 || mem >= block.Batch.bk_nmembers then
-    invalid_arg "Gp.Solver.solve_batched: member index out of range";
+let solve_flat ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
+  let plan = Batch.compile problem in
+  let block = Batch.pack plan [| problem |] in
+  let n = plan.Batch.pl_n in
+  let p = Array.length plan.Batch.pl_rows in
+  (* Constant equalities reduce to 0 = d: inconsistent unless d ~ 0. *)
+  if Array.exists (fun d -> Float.abs d > 1e-9) block.Batch.bk_dz then infeasible
+  else begin
+    let overlay_rows y z =
+      Array.iteri
+        (fun i a ->
+          for j = 0 to n - 1 do
+            y.(j) <- y.(j) +. (z.(i) *. a.(j))
+          done)
+        plan.Batch.pl_rows
+    in
+    (* [least_norm_start] / [warm_point] over the Gram system the plan
+       factored once ([lu_solve_factored] is bit-identical to
+       [lu_solve]); a singular Gram raises where [lu_solve] would. *)
+    let least_norm () =
+      match plan.Batch.pl_gram with
+      | Batch.No_rows -> Vec.create n
+      | Batch.Gram_singular -> raise Mat.Singular
+      | Batch.Factored lu ->
+        let z = Mat.lu_solve_factored lu (Vec.slice block.Batch.bk_d 0 p) in
+        let y = Vec.create n in
+        overlay_rows y z;
+        y
+    in
+    let y0 =
+      match warm_start with
+      | None -> least_norm ()
+      | Some warm ->
+        let y = least_norm () in
+        List.iter
+          (fun x ->
+            match List.assoc_opt x warm with
+            | Some v when Float.is_finite v && v > 0.0 ->
+              y.(Hashtbl.find plan.Batch.pl_index x) <- log v
+            | _ -> ())
+          plan.Batch.pl_vars;
+        (match plan.Batch.pl_gram with
+        | Batch.No_rows | Batch.Gram_singular -> y
+        | Batch.Factored lu ->
+          let d =
+            Vec.init p (fun i -> block.Batch.bk_d.(i) -. Vec.dot plan.Batch.pl_rows.(i) y)
+          in
+          let z = Mat.lu_solve_factored lu d in
+          overlay_rows y z;
+          y)
+    in
+    let fset2 = bset_phase2 plan block in
+    let ws2 =
+      make_bws ~n
+        ~q:(Array.length plan.Batch.pl_zbasis)
+        ~max_terms:plan.Batch.pl_max_terms
+        ~nineqs:(Array.length fset2.bs_ineqs)
+    in
+    match phase1_flat ~check ~st ~max_outer ~initial_reg ~plan ~block ~fset2 ~ws2 y0 with
+    | None ->
+      Log.debug (fun m -> m "phase I failed: problem infeasible");
+      infeasible
+    | Some y_feas ->
+      let y_opt, clean =
+        barrier ~check ~st ~phase:`Two ~tol ~max_outer ~m:(Array.length fset2.bs_ineqs)
+          ~centering:(fun ~barrier_t y ->
+            centering_flat ~ws:ws2 ~fset:fset2 ~initial_reg ~st ~barrier_t y)
+          y_feas
+      in
+      let envt = Array.map exp y_opt in
+      {
+        status = (if clean then Optimal else Iteration_limit);
+        values = List.mapi (fun i x -> (x, envt.(i))) plan.Batch.pl_vars;
+        objective =
+          P.eval
+            (fun x -> envt.(Hashtbl.find plan.Batch.pl_index x))
+            (Problem.objective problem);
+      }
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Public entry point                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Internal deadline signal; never escapes [solve]. *)
+exception Deadline
+
+let now_ns () = Unix.gettimeofday () *. 1e9
+
+let solve ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?(kernel = `Compiled)
+    ?deadline_ns ?(initial_reg = 1e-9) problem =
   let st = match stats with Some st -> st | None -> fresh_stats () in
   reset_stats st;
+  (* Cooperative deadline: checked at outer-iteration boundaries (see
+     [barrier]).  [deadline_ns <= 0] trips at the very first check, which
+     the fault-injection "stall" path relies on for determinism. *)
   let check =
     match deadline_ns with
     | None -> fun () -> ()
@@ -1152,116 +956,18 @@ let solve_batched ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?deadline_n
       let start = now_ns () in
       fun () -> if now_ns () -. start >= budget_ns then raise Deadline
   in
-  let plan = block.Batch.bk_plan in
-  let problem = block.Batch.bk_members.(mem) in
-  let n = plan.Batch.pl_n in
-  let p = Array.length plan.Batch.pl_rows in
-  let nz = block.Batch.bk_nz in
-  (* Constant equalities reduce to 0 = d: inconsistent unless d ~ 0. *)
-  let inconsistent = ref false in
-  for r = 0 to nz - 1 do
-    if Float.abs block.Batch.bk_dz.((mem * nz) + r) > 1e-9 then inconsistent := true
-  done;
-  let extract status y =
-    let envt = Array.map exp y in
-    let values = List.mapi (fun i x -> (x, envt.(i))) plan.Batch.pl_vars in
-    let lookup_env x = envt.(Hashtbl.find plan.Batch.pl_index x) in
-    { status; values; objective = P.eval lookup_env (Problem.objective problem) }
+  let run =
+    match kernel with `Compiled -> solve_flat | `List -> solve_list
   in
-  if !inconsistent then { status = Infeasible; values = []; objective = nan }
-  else begin
-    match
-      let d_of i = block.Batch.bk_d.((mem * p) + i) in
-      let overlay_rows y z =
-        Array.iteri
-          (fun i a ->
-            for j = 0 to n - 1 do
-              y.(j) <- y.(j) +. (z.(i) *. a.(j))
-            done)
-          plan.Batch.pl_rows
-      in
-      (* [least_norm_start] / [warm_point] with the Gram factorization
-         reused from the plan: [lu_solve_factored] is bit-identical to
-         the per-solve [lu_solve], and a singular Gram raises exactly
-         where the scalar path's factorization would. *)
-      let least_norm () =
-        match plan.Batch.pl_gram with
-        | Batch.No_rows -> Vec.create n
-        | Batch.Gram_singular -> raise Mat.Singular
-        | Batch.Factored lu ->
-          let d = Vec.init p d_of in
-          let z = Mat.lu_solve_factored lu d in
-          let y = Vec.create n in
-          overlay_rows y z;
-          y
-      in
-      let y0 =
-        match warm_start with
-        | None -> least_norm ()
-        | Some warm ->
-          let y = least_norm () in
-          List.iter
-            (fun x ->
-              match List.assoc_opt x warm with
-              | Some v when Float.is_finite v && v > 0.0 ->
-                y.(Hashtbl.find plan.Batch.pl_index x) <- log v
-              | _ -> ())
-            plan.Batch.pl_vars;
-          (match plan.Batch.pl_gram with
-          | Batch.No_rows | Batch.Gram_singular -> y
-          | Batch.Factored lu ->
-            let d = Vec.init p (fun i -> d_of i -. Vec.dot plan.Batch.pl_rows.(i) y) in
-            let z = Mat.lu_solve_factored lu d in
-            overlay_rows y z;
-            y)
-      in
-      let fset2 = bset_phase2 plan block mem in
-      let ws2 =
-        make_bws ~n
-          ~q:(Array.length plan.Batch.pl_zbasis)
-          ~max_terms:plan.Batch.pl_max_terms
-          ~nineqs:(Array.length fset2.bs_ineqs)
-      in
-      match
-        phase1_batched ~check ~st ~max_outer ~initial_reg ~plan ~block ~mem ~fset2 ~ws2
-          y0
-      with
-      | None ->
-        Log.debug (fun m -> m "phase I failed: problem infeasible");
-        { status = Infeasible; values = []; objective = nan }
-      | Some y_feas ->
-        let y_opt, clean =
-          barrier ~check ~st ~phase:`Two ~tol ~max_outer
-            ~m:(Array.length fset2.bs_ineqs)
-            ~centering:(fun ~barrier_t y ->
-              centering_batched ~ws:ws2 ~fset:fset2 ~initial_reg ~st ~barrier_t y)
-            y_feas
-        in
-        extract (if clean then Optimal else Iteration_limit) y_opt
-    with
-    | solution -> solution
-    | exception Mat.Singular ->
-      Log.debug (fun m -> m "numerical failure: treating the program as infeasible");
-      { status = Infeasible; values = []; objective = nan }
-    | exception Deadline ->
-      st.deadline_hits <- st.deadline_hits + 1;
-      Log.debug (fun m -> m "solve deadline exceeded");
-      { status = Deadline_exceeded; values = []; objective = nan }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Public entry point                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let solve ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?(kernel = `Compiled)
-    ?deadline_ns ?(initial_reg = 1e-9) problem =
-  match kernel with
-  | `Batched ->
-    (* A standalone batched solve is a batch of one: compile the
-       structure, pack the single member, run the batched driver. *)
-    let plan = Batch.compile problem in
-    let block = Batch.pack plan [| problem |] in
-    solve_batched ~tol ~max_outer ?stats ?warm_start ?deadline_ns ~initial_reg block 0
-  | (`Compiled | `List) as kernel ->
-    solve_scalar ~tol ~max_outer ?stats ?warm_start ~kernel ?deadline_ns ~initial_reg
-      problem
+  (* Any residual numerical failure is reported as infeasibility of this
+     program rather than escaping to the caller: the driver treats such
+     choices as unusable and moves on. *)
+  match run ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem with
+  | solution -> solution
+  | exception Mat.Singular ->
+    Log.debug (fun m -> m "numerical failure: treating the program as infeasible");
+    infeasible
+  | exception Deadline ->
+    st.deadline_hits <- st.deadline_hits + 1;
+    Log.debug (fun m -> m "solve deadline exceeded");
+    { status = Deadline_exceeded; values = []; objective = nan }

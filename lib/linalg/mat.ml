@@ -37,8 +37,6 @@ let add_to m i j v =
 
 let copy m = { m with data = Array.copy m.data }
 
-let fill m v = Array.fill m.data 0 (Array.length m.data) v
-
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
 let add a b =

@@ -35,9 +35,6 @@ val add_to : t -> int -> int -> float -> unit
 
 val copy : t -> t
 
-val fill : t -> float -> unit
-(** [fill m v] sets every entry to [v] in place. *)
-
 val transpose : t -> t
 
 val add : t -> t -> t

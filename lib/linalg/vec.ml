@@ -16,8 +16,6 @@ let get = Array.get
 
 let set = Array.set
 
-let fill x v = Array.fill x 0 (Array.length x) v
-
 let check_dims name x y =
   if Array.length x <> Array.length y then
     invalid_arg (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name

@@ -23,8 +23,6 @@ val get : t -> int -> float
 
 val set : t -> int -> float -> unit
 
-val fill : t -> float -> unit
-
 val add : t -> t -> t
 (** [add x y] is the elementwise sum.  Raises [Invalid_argument] on
     dimension mismatch. *)

@@ -79,8 +79,8 @@ let test_lu_singular () =
 let test_lu_factored_matches () =
   (* Same systems as the direct lu tests, via the factored path; the
      factorization is reused across two right-hand sides.  Equality is
-     bitwise: the batched solver leans on lu_factor being a drop-in for
-     lu_solve. *)
+     bitwise: the default solver factors its least-norm Gram system once
+     (Gp.Batch) where the list kernel calls lu_solve per start. *)
   let same name a b =
     Alcotest.(check bool)
       (Printf.sprintf "%s: %h vs %h" name a b)

@@ -45,14 +45,14 @@ if ! cmp -s "$dir/full.txt" "$dir/resumed.txt"; then
 fi
 
 # 4. `thistle merge` must refuse journals whose fingerprints conflict:
-#    the same shard journaled under a different solver config (the
-#    legacy list kernel) carries the same pair indices with different
-#    fingerprints, and merging it with the compiled-kernel journal
+#    the same shard journaled under a different solver config (cold
+#    starts instead of warm starts) carries the same pair indices with
+#    different fingerprints, and merging it with the default journal
 #    would mix incompatible solves.
-"$cli" optimize $opts --shard 1/2 --gp-kernel list \
-    --journal "$dir/s1-list.jsonl" > /dev/null
+"$cli" optimize $opts --shard 1/2 --no-warm-start \
+    --journal "$dir/s1-cold.jsonl" > /dev/null
 if "$cli" merge $opts --journal "$dir/conflict.jsonl" \
-    "$dir/s1.jsonl" "$dir/s1-list.jsonl" > /dev/null 2> "$dir/conflict.err"; then
+    "$dir/s1.jsonl" "$dir/s1-cold.jsonl" > /dev/null 2> "$dir/conflict.err"; then
     echo "sweep smoke: merge accepted conflicting fingerprints" >&2
     exit 1
 fi
