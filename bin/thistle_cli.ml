@@ -216,9 +216,9 @@ let sweep_opts =
       value & flag
       & info [ "resume" ]
           ~doc:
-            "Replay pairs recorded in $(b,--journal) instead of re-solving them.  \
-             Entries whose fingerprint no longer matches the formulation and solver \
-             configuration are re-solved and re-journaled.")
+            "Replay pairs recorded in $(b,--journal) (required) instead of re-solving \
+             them.  Entries whose fingerprint no longer matches the formulation and \
+             solver configuration are re-solved and re-journaled.")
   in
   let build shard journal resume config =
     { config with O.shard; journal; resume }
@@ -644,21 +644,6 @@ let presolve_cmd =
         [ F.Fixed arch; F.Codesign { area_budget = Arch.eyeriss_area tech } ]
       in
       let objectives = [ F.Energy; F.Delay; F.Edp ] in
-      (* Solve-and-certify, as Optimize.run would gate a usable point. *)
-      let usable_solution (instance : F.instance) =
-        let sol = Gp.Solver.solve instance.F.problem in
-        match sol.Gp.Solver.status with
-        | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> None
-        | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
-          if not (Float.is_finite sol.Gp.Solver.objective) then None
-          else
-            let cert =
-              An.Certificate.check ~provenance:instance.F.provenance
-                instance.F.problem
-                (F.solution_env instance sol)
-            in
-            if An.Certificate.hard_failure cert then None else Some sol
-      in
       let audit nest =
         let plan = Thistle.Permutations.enumerate ~max_choices nest in
         let count = ref 0 in
@@ -684,60 +669,26 @@ let presolve_cmd =
                         let prov = instance.F.provenance in
                         incr count;
                         let t = An.Presolve.analyze problem in
-                        match t.An.Presolve.verdict with
+                        (match t.An.Presolve.verdict with
                         | An.Presolve.Infeasible proof -> (
                           incr pruned;
-                          (match An.Certificate.check_prune problem proof with
+                          match An.Certificate.check_prune problem proof with
                           | Ok () -> ()
                           | Error m ->
                             disagree "%s: proof checker rejected the pruning \
-                                      proof: %s" prov m);
-                          if check then
-                            match usable_solution instance with
-                            | Some sol ->
-                              disagree
-                                "%s: solved to %.6g despite an infeasibility \
-                                 proof (culprit %s)"
-                                prov sol.Gp.Solver.objective
-                                proof.An.Presolve.culprit
-                            | None -> ())
-                        | An.Presolve.Feasible red -> (
+                                      proof: %s" prov m)
+                        | An.Presolve.Feasible red ->
                           fixed := !fixed + List.length red.An.Presolve.fixed;
                           dropped :=
-                            !dropped + List.length red.An.Presolve.dropped;
-                          if check then
-                            match usable_solution instance with
-                            | None -> ()
-                            | Some sol ->
-                              List.iter
-                                (fun (x, v) ->
-                                  match List.assoc_opt x t.An.Presolve.box with
-                                  | Some iv
-                                    when not (An.Interval.mem ~slack:1e-4 v iv)
-                                    ->
-                                    disagree
-                                      "%s: solution %s = %g escapes the \
-                                       presolve box"
-                                      prov x v
-                                  | Some _ | None -> ())
-                                sol.Gp.Solver.values;
-                              List.iter
-                                (fun (name, _) ->
-                                  match
-                                    List.assoc_opt name (Gp.Problem.ineqs problem)
-                                  with
-                                  | None -> ()
-                                  | Some p ->
-                                    let v =
-                                      Symexpr.Posynomial.eval
-                                        (F.solution_env instance sol) p
-                                    in
-                                    if v >= 1.0 -. 1e-7 then
-                                      disagree
-                                        "%s: eliminated constraint %s \
-                                         evaluates to %g at the optimum"
-                                        prov name v)
-                                red.An.Presolve.dropped))
+                            !dropped + List.length red.An.Presolve.dropped);
+                        (* Solve the original problem and validate the
+                           verdict exactly as the sweep's Check mode does. *)
+                        if check then
+                          let sol = Gp.Solver.solve problem in
+                          if O.usable_solution instance sol then
+                            List.iter
+                              (fun d -> disagreements := d :: !disagreements)
+                              (O.presolve_disagreements instance t sol))
                       plan.Thistle.Permutations.placements)
                   plan.Thistle.Permutations.choices)
               objectives)

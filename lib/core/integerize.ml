@@ -28,6 +28,21 @@ let score objective (metrics : Accmodel.Evaluate.t) =
   | Formulate.Edp ->
     metrics.Accmodel.Evaluate.energy_pj *. metrics.Accmodel.Evaluate.cycles
 
+(* Ascending on finite scores; any non-finite score (NaN, +/-inf from an
+   overflowed or failed model evaluation) orders after every finite one
+   and ties with other non-finite scores — under a minimization
+   objective a bogus score must never displace a real one.  Note
+   [Float.compare] alone orders NaN *first*, which would put a NaN
+   candidate at the top of the shortlist. *)
+let compare_scores a b =
+  match (Float.is_finite a, Float.is_finite b) with
+  | true, true -> Float.compare a b
+  | true, false -> -1
+  | false, true -> 1
+  | false, false -> 0
+
+let improves s = function None -> true | Some s' -> compare_scores s s' < 0
+
 (* Cumulative tile extents (register, PE, SRAM) for one dim: the paper's
    top-down divisor ladder. *)
 let dim_triples ~n_divisors instance solution dim =
@@ -231,12 +246,8 @@ let run ?(n_divisors = 2) ?(n_pow2 = 2) ?(max_candidates = 65536)
           | Ok metrics ->
             incr valid;
             let s = score instance.Formulate.objective metrics in
-            let better =
-              match !best with
-              | None -> true
-              | Some (s', _, _, _) -> s < s'
-            in
-            if better then best := Some (s, arch, mapping, metrics))
+            if improves s (Option.map (fun (s', _, _, _) -> s') !best) then
+              best := Some (s, arch, mapping, metrics))
         (arch_candidates ~n_pow2 tech instance solution ~spatial_size))
     !combos);
   Obs.Metrics.add m_tried !tried;

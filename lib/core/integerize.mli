@@ -25,6 +25,22 @@ val score : Formulate.objective -> Accmodel.Evaluate.t -> float
 (** The model metric being minimized: total energy (pJ) for [Energy],
     total cycles for [Delay], their product for [Edp]. *)
 
+val compare_scores : float -> float -> int
+(** Ascending order on finite scores with every non-finite score (NaN,
+    [+/-infinity]) ranked after every finite one; non-finite scores tie
+    with each other.  This is the comparator behind every ranking of the
+    flow — the candidate fold of {!run}, and [Optimize]'s continuous
+    shortlist and final selection — since [Float.compare] alone orders
+    NaN {e first}, which under a minimization objective would crown a
+    bogus candidate. *)
+
+val improves : float -> float option -> bool
+(** [improves s best] is whether a candidate scoring [s] displaces the
+    incumbent score [best] in {!run}'s fold: strictly better under
+    {!compare_scores}, so the first of exact ties stays, a non-finite
+    incumbent yields to any finite challenger, and [None] (no incumbent
+    yet) always yields. *)
+
 val per_dim_budget : max_candidates:int -> dims:int -> int
 (** Largest integer [b >= 1] with [b^dims <= max_candidates], computed by
     integer search — the float [pow]-root round-trip undercounts on exact

@@ -73,9 +73,8 @@ let m_warm_starts = Obs.Metrics.counter "solver.warm_starts"
 let m_chol_fallbacks = Obs.Metrics.counter "solver.cholesky_fallbacks"
 let g_gap = Obs.Metrics.gauge "solver.max_duality_gap"
 
-(* Robustness counters (DESIGN §9/§11): fed sequentially from per-pair
-   records after the parallel waves complete, like the solver counters,
-   so they are functions of the workload (and injection config) alone. *)
+(* Every counter below is computed once from the sweep's final pair
+   table by [feed_counters] (DESIGN §9).  Robustness counters (§11): *)
 let m_quarantined = Obs.Metrics.counter "robust.quarantined"
 let m_retries = Obs.Metrics.counter "robust.retries"
 let m_deadline_hits = Obs.Metrics.counter "robust.deadline_hits"
@@ -88,11 +87,9 @@ let m_journal_hits = Obs.Metrics.counter "sweep.journal_hits"
 let m_journal_stale = Obs.Metrics.counter "sweep.journal_stale"
 let m_pairs_solved = Obs.Metrics.counter "sweep.pairs_solved"
 
-(* Presolve counters (DESIGN §9/§13): derived from the stage-A verdicts
-   over the owned pairs — a pure function of the workload and the
-   presolve mode — and fed sequentially after the waves.  [Prune] and
-   [Check] produce identical verdicts, hence identical counters; [Off]
-   leaves all three at zero. *)
+(* Presolve counters (DESIGN §9/§13): the formulate stage's verdicts
+   over the owned pairs.  [Prune] and [Check] produce identical
+   verdicts, hence identical counters; [Off] leaves all three at zero. *)
 let m_presolve_pruned = Obs.Metrics.counter "presolve.pruned"
 let m_presolve_vars_fixed = Obs.Metrics.counter "presolve.vars_fixed"
 let m_presolve_dropped = Obs.Metrics.counter "presolve.constraints_dropped"
@@ -101,26 +98,14 @@ let m_presolve_dropped = Obs.Metrics.counter "presolve.constraints_dropped"
    constraints emitted across the owned pairs (a function of the nest,
    the objective and [config.comm]; zero under [Overlapped] or the
    Energy objective), and shortlisted integer outcomes whose binding
-   resource is a link rather than compute.  Both fed sequentially after
-   the parallel stages. *)
+   resource is a link rather than compute. *)
 let m_comm_constraints = Obs.Metrics.counter "comm.delay_constraints"
 let m_comm_bound = Obs.Metrics.counter "comm.comm_bound_outcomes"
 
 let comm_constraint_names =
   [ "delay-reg"; "delay-dram-rd"; "delay-dram-wr"; "delay-noc-rd"; "delay-noc-wr" ]
 
-(* Ascending on finite scores; any non-finite score (NaN, +/-inf from an
-   overflowed or failed model evaluation) orders after every finite one
-   and ties with other non-finite scores — under a minimization
-   objective a bogus score must never displace a real one.  Note
-   [Float.compare] alone orders NaN *first*, which would put a NaN
-   candidate at the top of the shortlist. *)
-let compare_scores a b =
-  match (Float.is_finite a, Float.is_finite b) with
-  | true, true -> Float.compare a b
-  | true, false -> -1
-  | false, true -> 1
-  | false, false -> 0
+let compare_scores = Integerize.compare_scores
 
 (* Minimum of [score] over the list under [compare_scores]; exact ties
    keep the last listed (the historical fold behavior).  In particular a
@@ -164,20 +149,6 @@ let config_fingerprint config =
        never changes a solve, only evaluation-side scoring — it enters
        {!request_key} instead. *)
     (Archspec.Link.comm_model_name config.comm)
-
-(* Fed from the sequentially-accumulated totals (not from inside the
-   parallel sweep), so the counter values are functions of the workload
-   alone — see the Obs.Metrics determinism contract. *)
-let feed_solver_metrics (t : Gp.Solver.totals) =
-  Obs.Metrics.add m_solves t.Gp.Solver.solves;
-  Obs.Metrics.add m_outer (t.Gp.Solver.t_phase1_outer + t.Gp.Solver.t_phase2_outer);
-  Obs.Metrics.add m_phase1 t.Gp.Solver.t_phase1_outer;
-  Obs.Metrics.add m_phase2 t.Gp.Solver.t_phase2_outer;
-  Obs.Metrics.add m_newton t.Gp.Solver.t_newton_iters;
-  Obs.Metrics.add m_backtracks t.Gp.Solver.t_backtracks;
-  Obs.Metrics.add m_kkt t.Gp.Solver.t_kkt_regularizations;
-  Obs.Metrics.add m_chol_fallbacks t.Gp.Solver.t_cholesky_fallbacks;
-  Obs.Metrics.observe_max g_gap t.Gp.Solver.max_duality_gap
 
 (* Canonical structural key of a GP: the exact coefficient and exponent
    bits of every term, in formulation order, with constraint names
@@ -304,623 +275,659 @@ let request_key ~config tech arch_mode objective nest =
        config.contention);
   Buffer.contents buf
 
-(* Fate of one (choice, placement) pair after the guarded solve stage:
-   a solver solution, the quarantining failure, or the presolve proof
-   that pruned the pair without a solve, plus the final attempt's
-   telemetry, the number of extra attempts spent, and the deadline hits
-   accumulated across every attempt (retried stalls included, which the
-   final attempt's stats alone would miss). *)
+(* ------------------------------------------------------------------ *)
+(* The sweep: one pair table, named stages                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [run] is Fig. 2's flow as a straight pipeline over one table with a
+   row per owned (choice, placement) pair:
+
+     enumerate -> formulate -> seed -> solve -> certify
+       -> presolve check -> integerize -> select
+
+   Each stage is a function of what the previous ones produced.  The
+   parallel ones (formulate, the two solve waves, certify, integerize)
+   run on Exec.Par.map, which preserves sequential order, and every
+   scheduling decision is a function of the enumeration order alone, so
+   the sweep is bit-identical for any [jobs].  The §9 counters are
+   computed once, from the final table ({!feed_counters}). *)
+
+(* The work-list: pair [i] is [work.(i)] = (choice [i / nplac],
+   placement [i mod nplac]), in exact enumeration order.  Shard
+   membership, journal entries and the merge step all speak this
+   indexing (DESIGN §12). *)
+type sweep = {
+  plan : Permutations.plan;
+  work : ((Permutations.choice * Volume.t) * (string * float) list) array;
+  nplac : int;
+}
+
+(* One owned pair as formulated: its global index, the instance, its
+   {!problem_key}, its journal fingerprint, and the presolve verdict
+   that survived re-checking ([None] when presolve is off or crashed). *)
+type pair = {
+  idx : int;
+  instance : Formulate.instance;
+  key : string;
+  fp : string;
+  pre : Analysis.Presolve.t option;
+}
+
+(* How a pair's slot was produced. *)
+type source =
+  | Solved_here of { warm : bool }
+      (* handed to the solver by this run, warm-started from its
+         choice's pinned solution or cold *)
+  | Dedupe_replay  (* copied from the first pair with the same key *)
+  | Journal_replay  (* replayed from a matching journal entry *)
+  | Presolve_pruned  (* statically infeasible, never solved *)
+
+(* A pair's fate after the solve stage — a solution, the quarantining
+   failure or the pruning proof — with the final attempt's telemetry,
+   the extra attempts spent, and the deadline hits across every attempt
+   (retried stalls included, which the final attempt's stats alone
+   would miss). *)
 type slot = {
   s_fate : Sweep.Journal.fate;
   s_stats : Gp.Solver.stats;
   s_retries : int;
   s_deadline_hits : int;
+  s_source : source;
 }
 
-let run ?(config = default_config) tech arch_mode objective nest =
-  let jobs = Int.max 1 config.jobs in
+let slot ?(retries = 0) ?(deadline_hits = 0) s_source s_fate s_stats =
+  { s_fate; s_stats; s_retries = retries; s_deadline_hits = deadline_hits; s_source }
+
+(* What is settled before any solve: the slot of a journal-replayed or
+   presolve-pruned pair, and whether the pair's journal entry went
+   stale (its fingerprint no longer matches, so the pair is re-solved). *)
+type seed = { seeded : slot option; stale : bool }
+
+(* A shortlisted pair's integerization: a design point, no surviving
+   integer candidate, or the failure that quarantined it. *)
+type integerized = ((Integerize.outcome, string) result, Robust.failure) result
+
+type row = {
+  pair : pair;
+  journal_stale : bool;
+  slot : slot;
+  usable : Gp.Solver.solution option;  (* the certified solution *)
+  integerized : integerized option;  (* shortlisted rows only *)
+}
+
+(* The solution gate: a point is usable when the solver found one
+   (optimal or iteration-limited), its objective is finite, and the
+   post-solve certificate finds no hard failure — a point with
+   non-finite coordinates or constraint evaluations is discarded even
+   when the solver reported a finite objective for it. *)
+let usable_solution instance (solution : Gp.Solver.solution) =
+  match solution.Gp.Solver.status with
+  | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> false
+  | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
+    Float.is_finite solution.Gp.Solver.objective
+    &&
+    let cert =
+      Analysis.Certificate.check ~provenance:instance.Formulate.provenance
+        instance.Formulate.problem
+        (Formulate.solution_env instance solution)
+    in
+    if Analysis.Certificate.hard_failure cert then begin
+      Log.debug (fun m ->
+          m "%s: certificate rejected solution: %s" instance.Formulate.provenance
+            (Analysis.Diagnostic.summary cert.Analysis.Certificate.diagnostics));
+      false
+    end
+    else true
+
+(* Differential validation of one presolve verdict against a usable
+   solution of the original problem (DESIGN §13): a solved
+   presolve-infeasible program, a coordinate escaping the propagated
+   box, or an eliminated constraint active at the optimum is a presolve
+   soundness bug. *)
+let presolve_disagreements instance (t : Analysis.Presolve.t)
+    (solution : Gp.Solver.solution) =
+  let prov = instance.Formulate.provenance in
+  match t.Analysis.Presolve.verdict with
+  | Analysis.Presolve.Infeasible proof ->
+    [
+      Printf.sprintf "%s: solved despite an infeasibility proof (culprit %s)" prov
+        proof.Analysis.Presolve.culprit;
+    ]
+  | Analysis.Presolve.Feasible red ->
+    let escaped =
+      List.filter_map
+        (fun (x, v) ->
+          match List.assoc_opt x t.Analysis.Presolve.box with
+          | Some iv when not (Analysis.Interval.mem ~slack:1e-4 v iv) ->
+            Some
+              (Format.asprintf "%s: solution %s = %g escapes the presolve box %a" prov
+                 x v Analysis.Interval.pp iv)
+          | Some _ | None -> None)
+        solution.Gp.Solver.values
+    in
+    let active =
+      List.filter_map
+        (fun (name, _) ->
+          match List.assoc_opt name (Gp.Problem.ineqs instance.Formulate.problem) with
+          | None -> None
+          | Some p ->
+            let v =
+              Symexpr.Posynomial.eval (Formulate.solution_env instance solution) p
+            in
+            if v >= 1.0 -. 1e-7 then
+              Some
+                (Printf.sprintf
+                   "%s: eliminated constraint %s evaluates to %g at the optimum" prov
+                   name v)
+            else None)
+        red.Analysis.Presolve.dropped
+    in
+    escaped @ active
+
+(* Configurations [run] refuses outright. *)
+let check_config config =
+  if config.resume && config.journal = None then
+    Error "optimize: resume requires a journal to replay (--journal FILE)"
+  else Ok ()
+
+let enumerate config nest =
   let plan = Permutations.enumerate ~max_choices:config.max_choices nest in
   let placements =
     if config.explore_placements then plan.Permutations.placements
     else [ plan.Permutations.pinned ]
   in
-  let nplac = Int.max 1 (List.length placements) in
-  let pairs =
+  let work =
     List.concat_map
-      (fun choice_vol -> List.map (fun placement -> (choice_vol, placement)) placements)
+      (fun choice_vol -> List.map (fun pl -> (choice_vol, pl)) placements)
       plan.Permutations.choices
   in
-  let npairs = List.length pairs in
-  (* The explicit indexed work-list: pair [i] is choice [i / nplac],
-     placement [i mod nplac], in exact enumeration order.  Shard
-     membership, journal entries and the merge step all speak this
-     indexing (DESIGN §12); a shard owns whole choices so every
-     warm-start source stays shard-local. *)
-  let pair_arr = Array.of_list pairs in
-  let shard_idx = Sweep.Partition.pair_indices config.shard ~nplac ~npairs in
-  (* Stage A: formulate, lint, key and presolve every owned (choice,
-     placement) pair.  The pairs are independent — Formulate.build
-     shares no mutable state — and Exec.Par.map preserves sequential
-     order, so the stage is bit-identical for any [jobs].  A lint
-     rejection aborts the whole sweep: every pair of one layer shares
-     the formulation code, so one malformed instance means the model
-     itself is wrong, not that one choice is unlucky.
+  { plan; work = Array.of_list work; nplac = Int.max 1 (List.length placements) }
 
-     Presolve (DESIGN §13) is defense-in-depth the other way around: its
-     verdicts gate individual pairs, never the sweep, and before an
-     infeasibility verdict is allowed to stand, the proof is re-checked
-     by {!Analysis.Certificate.check_prune}.  A rejected proof — or a
-     crash inside the propagator — downgrades the pair to "solve
-     normally" with a warning, in [Prune] and [Check] alike, so a buggy
-     propagator can never silently discard a feasible pair. *)
-  let presolve_of instance =
-    match config.presolve with
-    | Analysis.Presolve.Off -> None
-    | Analysis.Presolve.Prune | Analysis.Presolve.Check -> (
-      let problem = instance.Formulate.problem in
-      let no_reduction t =
-        {
-          t with
-          Analysis.Presolve.verdict =
-            Analysis.Presolve.Feasible
-              { Analysis.Presolve.reduced = problem; fixed = []; dropped = [] };
-        }
-      in
-      match Analysis.Presolve.analyze problem with
-      | exception e ->
-        Log.warn (fun m ->
-            m "%s: presolve crashed, solving anyway: %s"
-              instance.Formulate.provenance (Printexc.to_string e));
-        None
-      | t -> (
-        match t.Analysis.Presolve.verdict with
-        | Analysis.Presolve.Feasible _ -> Some t
-        | Analysis.Presolve.Infeasible proof -> (
-          match Analysis.Certificate.check_prune problem proof with
-          | Ok () -> Some t
-          | Error msg ->
-            Log.warn (fun m ->
-                m "%s: presolve proof rejected, solving anyway: %s"
-                  instance.Formulate.provenance msg);
-            Some (no_reduction t))))
-  in
-  let formulated =
-    try
-      Ok
-        (Exec.Par.map ~jobs
-           (fun i ->
-             let choice_vol, placement = pair_arr.(i) in
-             let instance =
-               Obs.Trace.span "formulate" (fun () ->
-                   Formulate.build ~placement ~comm:config.comm tech arch_mode
-                     objective plan choice_vol)
-             in
-             Analysis.Lint.gate config.lint (Formulate.lint instance);
-             (instance, problem_key instance.Formulate.problem, presolve_of instance))
-           shard_idx)
-    with Analysis.Lint.Rejected diags ->
-      Error
-        (Printf.sprintf "optimize: lint rejected formulation: %s"
-           (Analysis.Diagnostic.summary diags))
-  in
-  match formulated with
-  | Error _ as e -> e
-  | Ok formulated ->
-  let inst :
-      (Formulate.instance * string * Analysis.Presolve.t option) option array =
-    Array.make npairs None
-  in
-  List.iter2 (fun i v -> inst.(i) <- Some v) shard_idx formulated;
-  let instance_of i =
-    match inst.(i) with
-    | Some v -> v
-    | None -> invalid_arg (Printf.sprintf "optimize: pair %d outside shard" i)
-  in
-  (* Solve schedule: two waves with sweep-level reuse.
+(* Presolve one formulated pair.  Verdicts gate individual pairs, never
+   the sweep, and an infeasibility verdict stands only once
+   {!Analysis.Certificate.check_prune} re-checks its proof.  A rejected
+   proof — or a crash inside the propagator — downgrades the pair to
+   "solve normally" with a warning, in [Prune] and [Check] alike, so a
+   buggy propagator can never silently discard a feasible pair. *)
+let presolve_of config instance =
+  match config.presolve with
+  | Analysis.Presolve.Off -> None
+  | Analysis.Presolve.Prune | Analysis.Presolve.Check -> (
+    let problem = instance.Formulate.problem in
+    match Analysis.Presolve.analyze problem with
+    | exception e ->
+      Log.warn (fun m ->
+          m "%s: presolve crashed, solving anyway: %s" instance.Formulate.provenance
+            (Printexc.to_string e));
+      None
+    | t -> (
+      match t.Analysis.Presolve.verdict with
+      | Analysis.Presolve.Feasible _ -> Some t
+      | Analysis.Presolve.Infeasible proof -> (
+        match Analysis.Certificate.check_prune problem proof with
+        | Ok () -> Some t
+        | Error msg ->
+          Log.warn (fun m ->
+              m "%s: presolve proof rejected, solving anyway: %s"
+                instance.Formulate.provenance msg);
+          Some
+            {
+              t with
+              Analysis.Presolve.verdict =
+                Analysis.Presolve.Feasible
+                  { Analysis.Presolve.reduced = problem; fixed = []; dropped = [] };
+            })))
 
-     Wave 1 solves the pinned-placement pair of every choice (pair
-     indices [c * nplac]) cold, deduplicating identical programs onto
-     their first occurrence in enumeration order.  Wave 2 solves the
-     remaining placements, deduplicating against everything already
-     keyed, and warm-starting each representative from its own choice's
-     pinned solution — which wave 1 always provides.
-
-     Wave membership, dedup representatives and warm-start sources are
-     all functions of the enumeration order alone (never of timing or
-     worker count), and Exec.Par.map preserves order within each wave,
-     so the whole schedule is bit-identical for any [jobs]. *)
-  let results : slot option array = Array.make npairs None in
-  let key_rep = Hashtbl.create (2 * npairs) in
-  let cache_hits = ref 0 in
-  let warm_starts = ref 0 in
-  (* Journal plumbing (DESIGN §12).  Each owned pair gets a fingerprint
-     of (canonical problem key, solver-config fingerprint); a resume
-     replays journal entries whose fingerprint still matches, and every
-     pair completed by THIS run is appended as it finishes — under a
-     mutex, flushed per entry — so a killed run loses at most the pairs
-     still in flight. *)
+(* Stage formulate: formulate, lint, key and presolve every owned pair.
+   The pairs are independent — Formulate.build shares no mutable state.
+   A lint rejection aborts the whole sweep: every pair of one layer
+   shares the formulation code, so one malformed instance means the
+   model itself is wrong, not that one choice is unlucky. *)
+let formulate ~config ~jobs tech arch_mode objective sweep =
   let config_fp = config_fingerprint config in
-  let pair_fp = Array.make npairs "" in
-  List.iter
-    (fun i ->
-      let _, key, _ = instance_of i in
-      pair_fp.(i) <- Sweep.Journal.fingerprint ~config:config_fp ~problem_key:key)
-    shard_idx;
-  let journal_hits = ref 0 in
-  let journal_stale = ref 0 in
-  let resumed = Array.make npairs false in
-  (if config.resume then
-     match config.journal with
-     | Some path -> (
-       match Sweep.Journal.load_existing path with
-       | Error msg ->
-         Log.warn (fun m -> m "journal %s unreadable, resuming nothing: %s" path msg)
-       | Ok entries ->
-         let tbl = Hashtbl.create (2 * List.length entries + 1) in
-         (* Last entry per pair wins: a re-run may have appended a fresh
-            entry for a pair whose earlier one had gone stale. *)
-         List.iter
-           (fun (e : Sweep.Journal.entry) -> Hashtbl.replace tbl e.Sweep.Journal.pair e)
-           entries;
-         List.iter
-           (fun i ->
-             match Hashtbl.find_opt tbl i with
-             | Some e when String.equal e.Sweep.Journal.fingerprint pair_fp.(i) ->
-               results.(i) <-
-                 Some
-                   {
-                     s_fate = e.Sweep.Journal.fate;
-                     s_stats = e.Sweep.Journal.stats;
-                     s_retries = e.Sweep.Journal.retries;
-                     s_deadline_hits = e.Sweep.Journal.deadline_hits;
-                   };
-               resumed.(i) <- true;
-               incr journal_hits
-             | Some _ -> incr journal_stale
-             | None -> ())
-           shard_idx)
-     | None -> ());
-  let journal_oc =
-    Option.map
-      (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
-      config.journal
+  match
+    Exec.Par.map ~jobs
+      (fun idx ->
+        let choice_vol, placement = sweep.work.(idx) in
+        let instance =
+          Obs.Trace.span "formulate" (fun () ->
+              Formulate.build ~placement ~comm:config.comm tech arch_mode objective
+                sweep.plan choice_vol)
+        in
+        Analysis.Lint.gate config.lint (Formulate.lint instance);
+        let key = problem_key instance.Formulate.problem in
+        {
+          idx;
+          instance;
+          key;
+          fp = Sweep.Journal.fingerprint ~config:config_fp ~problem_key:key;
+          pre = presolve_of config instance;
+        })
+      (Sweep.Partition.pair_indices config.shard ~nplac:sweep.nplac
+         ~npairs:(Array.length sweep.work))
+  with
+  | pairs -> Ok (Array.of_list pairs)
+  | exception Analysis.Lint.Rejected diags ->
+    Error
+      (Printf.sprintf "optimize: lint rejected formulation: %s"
+         (Analysis.Diagnostic.summary diags))
+
+(* Stage seed: settle what the journal and presolve can before any
+   solve.  A resume replays a pair's journal entry only while its
+   fingerprint — (problem key, {!config_fingerprint}) — still matches;
+   the last entry per pair wins, since a re-run may have appended a
+   fresh entry for a pair whose earlier one had gone stale.  In [Prune]
+   mode a statically infeasible pair gets its fate here, with all-zero
+   stats because no solver ran. *)
+let seed ~config pairs =
+  let entries = Hashtbl.create 64 in
+  (match config.journal with
+  | Some path when config.resume -> (
+    match Sweep.Journal.load_existing path with
+    | Error msg ->
+      Log.warn (fun m -> m "journal %s unreadable, resuming nothing: %s" path msg)
+    | Ok es ->
+      List.iter (fun (e : Sweep.Journal.entry) -> Hashtbl.replace entries e.pair e) es)
+  | Some _ | None -> ());
+  Array.map
+    (fun p ->
+      match Hashtbl.find_opt entries p.idx with
+      | Some e when String.equal e.Sweep.Journal.fingerprint p.fp ->
+        let seeded =
+          slot ~retries:e.Sweep.Journal.retries
+            ~deadline_hits:e.Sweep.Journal.deadline_hits Journal_replay
+            e.Sweep.Journal.fate e.Sweep.Journal.stats
+        in
+        { seeded = Some seeded; stale = false }
+      | entry ->
+        let seeded =
+          match (config.presolve, p.pre) with
+          | ( Analysis.Presolve.Prune,
+              Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible proof; _ } )
+            ->
+            Some (slot Presolve_pruned (Sweep.Journal.Pruned proof) (Gp.Solver.fresh_stats ()))
+          | _ -> None
+        in
+        { seeded; stale = Option.is_some entry })
+    pairs
+
+(* One pair's guarded solve, retried per [config.retries] (DESIGN §11).
+
+   In [Prune] mode a feasible presolve verdict swaps in the reduced
+   problem: fixed variables are gone (the solver's nullspace basis
+   shrinks accordingly) and redundant constraints are dropped.  The
+   fixed values are re-injected into every solution so downstream
+   consumers — certificates, integerization, warm starts, journal
+   replays — see a complete assignment; {!Formulate.solution_env} would
+   otherwise default them to 1.
+
+   A stall injection forces a zero deadline on that attempt, which trips
+   [Deadline_exceeded] deterministically at the solver's first check
+   without reading the wall clock.  Retries escalate the initial KKT
+   regularization — a solve that crashed or stalled was usually
+   fighting a near-singular system. *)
+let solve_pair ~config ?warm_start pair =
+  let prov = pair.instance.Formulate.provenance in
+  let problem, fixed =
+    match (config.presolve, pair.pre) with
+    | ( Analysis.Presolve.Prune,
+        Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ) ->
+      (red.Analysis.Presolve.reduced, red.Analysis.Presolve.fixed)
+    | _ -> (pair.instance.Formulate.problem, [])
   in
-  let journal_mutex = Mutex.create () in
-  let journal_emit i (slot : slot) =
-    match journal_oc with
-    | None -> ()
-    | Some oc ->
-      if not resumed.(i) then begin
-        let instance, _, _ = instance_of i in
+  let solved ?retries ?deadline_hits =
+    slot ?retries ?deadline_hits (Solved_here { warm = Option.is_some warm_start })
+  in
+  if fixed <> [] && Gp.Problem.variables problem = [] then
+    (* Every variable was pinned by monotonicity: the program is a
+       point, already proven feasible, so there is nothing to solve. *)
+    solved
+      (Sweep.Journal.Solved
+         {
+           Gp.Solver.status = Gp.Solver.Optimal;
+           objective =
+             Symexpr.Posynomial.eval (fun _ -> 1.0) (Gp.Problem.objective problem);
+           values = fixed;
+         })
+      (Gp.Solver.fresh_stats ())
+  else
+    let deadline_ns = Option.map (fun ms -> ms *. 1e6) config.solve_deadline_ms in
+    let max_attempts = 1 + Int.max 0 config.retries in
+    let start = Robust.now_ns () in
+    let rec attempt n ~dh =
+      let st = Gp.Solver.fresh_stats () in
+      let deadline_ns =
+        if Robust.Inject.stall config.inject ~site:"solve" ~provenance:prov ~attempt:n
+        then Some 0.0
+        else deadline_ns
+      in
+      let result =
+        Robust.guard ~inject:config.inject ~attempt:n ~site:"solve" ~provenance:prov
+          (fun () ->
+            Obs.Trace.span "solve"
+              ~attrs:[ ("provenance", prov) ]
+              (fun () ->
+                Gp.Solver.solve ~tol:config.gp_tol ~stats:st ~kernel:config.gp_kernel
+                  ?deadline_ns
+                  ~initial_reg:(if n = 0 then 1e-9 else 1e-5)
+                  ?warm_start problem))
+      in
+      let dh = dh + st.Gp.Solver.deadline_hits in
+      let finish fate = solved ~retries:n ~deadline_hits:dh fate st in
+      match result with
+      | Ok sol when sol.Gp.Solver.status <> Gp.Solver.Deadline_exceeded ->
+        finish
+          (Sweep.Journal.Solved
+             (if fixed = [] then sol
+              else { sol with Gp.Solver.values = sol.Gp.Solver.values @ fixed }))
+      | _ when n + 1 < max_attempts -> attempt (n + 1) ~dh
+      | Ok _ ->
+        finish
+          (Sweep.Journal.Quarantined
+             (Robust.deadline_failure ~attempts:(n + 1) ~site:"solve" ~provenance:prov
+                ~elapsed_ns:(Robust.now_ns () -. start)
+                ()))
+      | Error f -> finish (Sweep.Journal.Quarantined f)
+    in
+    attempt 0 ~dh:0
+
+(* Stage solve: two waves with sweep-level reuse.
+
+   Wave 1 solves the pinned-placement pair of every choice cold,
+   deduplicating identical programs onto their first occurrence in
+   enumeration order.  Wave 2 solves the remaining placements,
+   deduplicating against everything already keyed, and warm-starting
+   each representative from its own choice's pinned solution — which
+   wave 1 always provides.  Seeded pairs register as representatives
+   (later duplicates replay from them) but are never re-solved.  Wave
+   membership, representatives and warm-start sources are functions of
+   the enumeration order alone, never of timing or worker count.
+
+   Every pair this run settles — pruned, solved or replayed — is
+   appended to the journal as it finishes, under a mutex and flushed per
+   entry, so a killed run loses at most the pairs still in flight. *)
+let solve ~config ~jobs sweep pairs seeds =
+  let slots = Array.map (fun s -> s.seeded) seeds in
+  let journal =
+    Option.map (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path) config.journal
+  in
+  let mutex = Mutex.create () in
+  let emit k slot =
+    Option.iter
+      (fun oc ->
+        let p = pairs.(k) in
         let entry =
           {
-            Sweep.Journal.pair = i;
-            fingerprint = pair_fp.(i);
-            provenance = instance.Formulate.provenance;
+            Sweep.Journal.pair = p.idx;
+            fingerprint = p.fp;
+            provenance = p.instance.Formulate.provenance;
             fate = slot.s_fate;
             stats = slot.s_stats;
             retries = slot.s_retries;
             deadline_hits = slot.s_deadline_hits;
           }
         in
-        Mutex.lock journal_mutex;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock journal_mutex)
-          (fun () -> Sweep.Journal.append_line oc entry)
-      end
+        Mutex.protect mutex (fun () -> Sweep.Journal.append_line oc entry))
+      journal
   in
-  Fun.protect ~finally:(fun () -> Option.iter close_out_noerr journal_oc)
-  @@ fun () ->
-  (* Presolve pruning ([Prune] mode only): statically infeasible pairs
-     get their fate slot before wave selection — like journal-resumed
-     pairs they register as dedupe representatives and are never
-     handed to the solver.  The proof was independently re-checked in
-     stage A; the stats are all-zero because no solver ran. *)
-  (match config.presolve with
-  | Analysis.Presolve.Check | Analysis.Presolve.Off -> ()
-  | Analysis.Presolve.Prune ->
-    List.iter
-      (fun i ->
-        if results.(i) = None then
-          let _, _, pre = instance_of i in
-          match pre with
-          | Some
-              { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible proof; _ }
-            ->
-            let slot =
-              {
-                s_fate = Sweep.Journal.Pruned proof;
-                s_stats = Gp.Solver.fresh_stats ();
-                s_retries = 0;
-                s_deadline_hits = 0;
-              }
-            in
-            results.(i) <- Some slot;
-            journal_emit i slot
-          | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible _; _ }
-          | None ->
-            ())
-      shard_idx);
-  let deadline_ns = Option.map (fun ms -> ms *. 1e6) config.solve_deadline_ms in
-  let max_attempts = 1 + Int.max 0 config.retries in
-  (* In [Prune] mode a feasible presolve verdict swaps in the reduced
-     problem: fixed variables are gone (the solver's nullspace basis
-     shrinks accordingly) and redundant constraints are dropped.  The
-     fixed values are re-injected into every solution so downstream
-     consumers — certificates, integerization, warm starts, journal
-     replays — see a complete assignment;
-     {!Formulate.solution_env} would otherwise default them to 1. *)
-  let reduced_of i =
-    let instance, _, pre = instance_of i in
-    match (config.presolve, pre) with
-    | ( Analysis.Presolve.Prune,
-        Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } )
-      ->
-      (red.Analysis.Presolve.reduced, red.Analysis.Presolve.fixed)
-    | _ -> (instance.Formulate.problem, [])
-  in
-  (* One guarded solve attempt.  A stall injection forces a zero deadline
-     on that attempt, which trips [Deadline_exceeded] deterministically at
-     the solver's first check without reading the wall clock.  Retries
-     escalate the initial KKT regularization — a solve that crashed or
-     stalled was usually fighting a near-singular system. *)
-  let solve_pair ?warm_start i =
-    let instance, _, _ = instance_of i in
-    let prov = instance.Formulate.provenance in
-    let problem, fixed = reduced_of i in
-    let reinstate (sol : Gp.Solver.solution) =
-      if fixed = [] then sol
-      else { sol with Gp.Solver.values = sol.Gp.Solver.values @ fixed }
-    in
-    if fixed <> [] && Gp.Problem.variables problem = [] then
-      (* Every variable was pinned by monotonicity: the program is a
-         point, already proven feasible, so there is nothing to solve. *)
-      {
-        s_fate =
-          Sweep.Journal.Solved
-            {
-              Gp.Solver.status = Gp.Solver.Optimal;
-              objective =
-                Symexpr.Posynomial.eval (fun _ -> 1.0)
-                  (Gp.Problem.objective problem);
-              values = fixed;
-            };
-        s_stats = Gp.Solver.fresh_stats ();
-        s_retries = 0;
-        s_deadline_hits = 0;
-      }
+  Fun.protect ~finally:(fun () -> Option.iter close_out_noerr journal) @@ fun () ->
+  Array.iteri
+    (fun k -> function
+      | Some ({ s_source = Presolve_pruned; _ } as slot) -> emit k slot
+      | Some _ | None -> ())
+    slots;
+  let reps = Hashtbl.create (2 * Array.length pairs) in
+  let is_rep k =
+    let key = pairs.(k).key in
+    if config.dedupe && Hashtbl.mem reps key then false
     else begin
-    let attempt_once attempt =
-      let st = Gp.Solver.fresh_stats () in
-      let deadline_ns =
-        if Robust.Inject.stall config.inject ~site:"solve" ~provenance:prov ~attempt
-        then Some 0.0
-        else deadline_ns
-      in
-      let initial_reg = if attempt = 0 then 1e-9 else 1e-5 in
-      let result =
-        Robust.guard ~inject:config.inject ~attempt ~site:"solve" ~provenance:prov
-          (fun () ->
-            Obs.Trace.span "solve"
-              ~attrs:[ ("provenance", prov) ]
-              (fun () ->
-                Gp.Solver.solve ~tol:config.gp_tol ~stats:st ~kernel:config.gp_kernel
-                  ?deadline_ns ~initial_reg ?warm_start problem))
-      in
-      (result, st)
-    in
-    let start = Robust.now_ns () in
-    let rec go ~dh attempt =
-      let finish s_fate st =
-        {
-          s_fate;
-          s_stats = st;
-          s_retries = attempt;
-          s_deadline_hits = dh + st.Gp.Solver.deadline_hits;
-        }
-      in
-      match attempt_once attempt with
-      | Ok sol, st when sol.Gp.Solver.status = Gp.Solver.Deadline_exceeded ->
-        if attempt + 1 < max_attempts then
-          go ~dh:(dh + st.Gp.Solver.deadline_hits) (attempt + 1)
-        else
-          finish
-            (Sweep.Journal.Quarantined
-               (Robust.deadline_failure ~attempts:(attempt + 1) ~site:"solve"
-                  ~provenance:prov
-                  ~elapsed_ns:(Robust.now_ns () -. start)
-                  ()))
-            st
-      | Error f, st ->
-        if attempt + 1 < max_attempts then
-          go ~dh:(dh + st.Gp.Solver.deadline_hits) (attempt + 1)
-        else finish (Sweep.Journal.Quarantined f) st
-      | Ok sol, st -> finish (Sweep.Journal.Solved (reinstate sol)) st
-    in
-    go ~dh:0 0
-    end
-  in
-  (* Replaying a cached solve copies the representative's telemetry
-     into a fresh stats record, so [solve_totals] keeps counting
-     logical solves exactly as an undeduplicated sweep would; physical
-     solver work is [solves - cache_hits].  A quarantined representative
-     quarantines its replicas too (same program, same fate), with the
-     failure relabeled to the replica's own provenance. *)
-  let replay i =
-    let instance, key, _ = instance_of i in
-    let rep = Hashtbl.find key_rep key in
-    let r = Option.get results.(rep) in
-    let st = Gp.Solver.fresh_stats () in
-    Gp.Solver.copy_stats ~into:st r.s_stats;
-    let s_fate =
-      match r.s_fate with
-      | (Sweep.Journal.Solved _ | Sweep.Journal.Pruned _) as fate -> fate
-      | Sweep.Journal.Quarantined f ->
-        Sweep.Journal.Quarantined
-          { f with Robust.provenance = instance.Formulate.provenance }
-    in
-    incr cache_hits;
-    let slot = { r with s_fate; s_stats = st } in
-    results.(i) <- Some slot;
-    journal_emit i slot
-  in
-  let is_rep i =
-    let _, key, _ = instance_of i in
-    if config.dedupe && Hashtbl.mem key_rep key then false
-    else begin
-      Hashtbl.replace key_rep key i;
+      Hashtbl.replace reps key k;
       true
     end
   in
-  let pinned_idx =
-    List.filter (fun i -> Sweep.Partition.is_pinned ~nplac i) shard_idx
+  (* A replay copies the representative's telemetry into fresh stats, so
+     [solve_totals] counts logical solves exactly as an undeduplicated
+     sweep would.  A quarantined representative quarantines its replicas
+     too (same program, same fate), relabeled with their own provenance. *)
+  let replay k =
+    let rep = Option.get slots.(Hashtbl.find reps pairs.(k).key) in
+    let st = Gp.Solver.fresh_stats () in
+    Gp.Solver.copy_stats ~into:st rep.s_stats;
+    let s_fate =
+      match rep.s_fate with
+      | Sweep.Journal.Quarantined f ->
+        Sweep.Journal.Quarantined
+          { f with Robust.provenance = pairs.(k).instance.Formulate.provenance }
+      | (Sweep.Journal.Solved _ | Sweep.Journal.Pruned _) as fate -> fate
+    in
+    let slot = { rep with s_fate; s_stats = st; s_source = Dedupe_replay } in
+    slots.(k) <- Some slot;
+    emit k slot
   in
-  let other_idx =
-    List.filter (fun i -> not (Sweep.Partition.is_pinned ~nplac i)) shard_idx
+  let wave positions ~warm_of =
+    let members =
+      List.filter_map
+        (fun k -> if is_rep k && Option.is_none slots.(k) then Some (k, warm_of k) else None)
+        positions
+    in
+    let solved =
+      Exec.Par.map ~jobs
+        (fun (k, warm_start) ->
+          let slot = solve_pair ~config ?warm_start pairs.(k) in
+          emit k slot;
+          slot)
+        members
+    in
+    List.iter2 (fun (k, _) slot -> slots.(k) <- Some slot) members solved;
+    List.iter (fun k -> if Option.is_none slots.(k) then replay k) positions
   in
-  (* Wave 1: pinned placements, cold.  Journal-resumed pairs still
-     register as dedupe representatives (their slot is present, so later
-     duplicates replay from it) but are never re-solved. *)
-  let wave1 =
-    List.filter
-      (fun i ->
-        let rep = is_rep i in
-        rep && results.(i) = None)
-      pinned_idx
+  let pinned, others =
+    List.partition
+      (fun k -> Sweep.Partition.is_pinned ~nplac:sweep.nplac pairs.(k).idx)
+      (List.init (Array.length pairs) Fun.id)
   in
-  let solved1 =
-    Exec.Par.map ~jobs
-      (fun i ->
-        let r = solve_pair i in
-        journal_emit i r;
-        r)
-      wave1
-  in
-  List.iter2 (fun i r -> results.(i) <- Some r) wave1 solved1;
-  List.iter (fun i -> if results.(i) = None then replay i) pinned_idx;
-  (* Wave 2: remaining placements, warm-started from the choice's
-     pinned solution when it is usable. *)
-  let warm_of i =
-    if not config.warm_start then None
-    else
-      let pinned = i / nplac * nplac in
-      match results.(pinned) with
-      | Some { s_fate = Sweep.Journal.Solved sol; _ }
-        when sol.Gp.Solver.status <> Gp.Solver.Infeasible
-             && sol.Gp.Solver.values <> [] ->
-        Some sol.Gp.Solver.values
-      | _ -> None
-  in
-  let wave2 =
-    List.filter_map
-      (fun i ->
-        let rep = is_rep i in
-        if rep && results.(i) = None then Some (i, warm_of i) else None)
-      other_idx
-  in
-  List.iter (fun (_, w) -> if w <> None then incr warm_starts) wave2;
-  let solved2 =
-    Exec.Par.map ~jobs
-      (fun (i, warm_start) ->
-        let r = solve_pair ?warm_start i in
-        journal_emit i r;
-        r)
-      wave2
-  in
-  List.iter2 (fun (i, _) r -> results.(i) <- Some r) wave2 solved2;
-  List.iter (fun i -> if results.(i) = None then replay i) other_idx;
-  let pairs_solved = List.length wave1 + List.length wave2 in
-  (* Stage C: certificate-check every surviving pair against its
-     (possibly replayed) solution, again order-preserving and in
-     parallel.  Quarantined pairs pass through with their failure. *)
-  let attempts =
-    Exec.Par.map ~jobs
-      (fun i ->
-        let instance, _, _ = instance_of i in
-        let slot = Option.get results.(i) in
-        let usable =
-          match slot.s_fate with
-          | Sweep.Journal.Quarantined _ | Sweep.Journal.Pruned _ -> None
-          | Sweep.Journal.Solved solution ->
-            (match solution.Gp.Solver.status with
-            | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> None
-            | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
-              if not (Float.is_finite solution.Gp.Solver.objective) then None
-              else begin
-                (* Post-solve certificate: a point with non-finite coordinates
-                   or constraint evaluations is discarded even when the solver
-                   reported a finite objective for it. *)
-                let cert =
-                  Analysis.Certificate.check ~provenance:instance.Formulate.provenance
-                    instance.Formulate.problem
-                    (Formulate.solution_env instance solution)
-                in
-                if Analysis.Certificate.hard_failure cert then begin
-                  Log.debug (fun m ->
-                      m "%s: certificate rejected solution: %s"
-                        instance.Formulate.provenance
-                        (Analysis.Diagnostic.summary cert.Analysis.Certificate.diagnostics));
-                  None
-                end
-                else Some (instance, solution)
-              end)
-        in
-        (usable, slot))
-      shard_idx
-  in
-  (* Accumulate telemetry over every solve (feasible, quarantined or
-     not), in the deterministic sequential order Exec.Par.map
-     preserves. *)
-  let solve_totals =
-    List.fold_left
-      (fun acc (_, slot) -> Gp.Solver.accumulate acc slot.s_stats)
-      Gp.Solver.zero_totals attempts
-  in
-  let solve_failures =
-    List.filter_map
-      (fun (_, slot) ->
-        match slot.s_fate with Sweep.Journal.Quarantined f -> Some f | _ -> None)
-      attempts
-  in
-  (* Pruned pairs, with provenance, in enumeration order — reported like
-     quarantined pairs so audits can re-check every proof. *)
-  let pruned =
-    List.filter_map
-      (fun i ->
-        match results.(i) with
-        | Some { s_fate = Sweep.Journal.Pruned proof; _ } ->
-          let instance, _, _ = instance_of i in
-          Some (instance.Formulate.provenance, proof)
-        | _ -> None)
-      shard_idx
-  in
-  (* Check mode: every pair was solved as formulated; compare the
-     solver's findings against the presolve verdicts.  Any disagreement
-     is a presolve soundness bug and fails the run — after the counters
-     are fed, so [Check] and [Prune] report identical telemetry. *)
+  wave pinned ~warm_of:(fun _ -> None);
+  (* Shards own whole choices, so a pair's pinned pair sits [placement]
+     rows above it in the table. *)
+  wave others ~warm_of:(fun k ->
+      if not config.warm_start then None
+      else
+        match slots.(k - Sweep.Partition.placement_of ~nplac:sweep.nplac pairs.(k).idx) with
+        | Some { s_fate = Sweep.Journal.Solved sol; _ }
+          when sol.Gp.Solver.status <> Gp.Solver.Infeasible && sol.Gp.Solver.values <> []
+          ->
+          Some sol.Gp.Solver.values
+        | _ -> None);
+  let slots = Array.map Option.get slots in
+  Array.iter
+    (fun s ->
+      match s.s_fate with
+      | Sweep.Journal.Quarantined f ->
+        Log.warn (fun m -> m "quarantined: %s" (Robust.describe f))
+      | Sweep.Journal.Solved _ | Sweep.Journal.Pruned _ -> ())
+    slots;
+  slots
+
+(* Stage certify: gate every pair's solution through {!usable_solution}
+   in parallel.  Quarantined and pruned pairs pass through. *)
+let certify ~jobs pairs seeds slots =
+  Array.of_list
+    (Exec.Par.map ~jobs
+       (fun k ->
+         let pair = pairs.(k) and slot = slots.(k) in
+         let usable =
+           match slot.s_fate with
+           | Sweep.Journal.Solved sol when usable_solution pair.instance sol -> Some sol
+           | Sweep.Journal.Solved _ | Sweep.Journal.Quarantined _ | Sweep.Journal.Pruned _
+             ->
+             None
+         in
+         { pair; journal_stale = seeds.(k).stale; slot; usable; integerized = None })
+       (List.init (Array.length pairs) Fun.id))
+
+(* Stage presolve check ([Check] mode only): every pair was solved as
+   formulated, so each usable solution is compared against the pair's
+   presolve verdict.  Any disagreement fails the run — after the
+   counters are fed, so [Check] and [Prune] report identical telemetry. *)
+let presolve_check ~config table =
   let disagreements =
     if config.presolve <> Analysis.Presolve.Check then []
     else
-      List.concat
-        (List.map2
-           (fun i (usable, _) ->
-             let instance, _, pre = instance_of i in
-             let prov = instance.Formulate.provenance in
-             match (pre, usable) with
-             | None, _ | _, None -> []
-             | Some t, Some (_, (solution : Gp.Solver.solution)) -> (
-               match t.Analysis.Presolve.verdict with
-               | Analysis.Presolve.Infeasible proof ->
-                 [
-                   Printf.sprintf
-                     "%s: solved despite an infeasibility proof (culprit %s)" prov
-                     proof.Analysis.Presolve.culprit;
-                 ]
-               | Analysis.Presolve.Feasible red ->
-                 let escaped =
-                   List.filter_map
-                     (fun (x, v) ->
-                       match List.assoc_opt x t.Analysis.Presolve.box with
-                       | Some iv when not (Analysis.Interval.mem ~slack:1e-4 v iv)
-                         ->
-                         Some
-                           (Format.asprintf
-                              "%s: solution %s = %g escapes the presolve box %a"
-                              prov x v Analysis.Interval.pp iv)
-                       | Some _ | None -> None)
-                     solution.Gp.Solver.values
-                 in
-                 let active =
-                   List.filter_map
-                     (fun (name, _) ->
-                       match
-                         List.assoc_opt name
-                           (Gp.Problem.ineqs instance.Formulate.problem)
-                       with
-                       | None -> None
-                       | Some p ->
-                         let v =
-                           Symexpr.Posynomial.eval
-                             (Formulate.solution_env instance solution)
-                             p
-                         in
-                         if v >= 1.0 -. 1e-7 then
-                           Some
-                             (Printf.sprintf
-                                "%s: eliminated constraint %s evaluates to %g at \
-                                 the optimum"
-                                prov name v)
-                         else None)
-                     red.Analysis.Presolve.dropped
-                 in
-                 escaped @ active))
-           shard_idx attempts)
+      List.concat_map
+        (fun r ->
+          match (r.pair.pre, r.usable) with
+          | Some t, Some sol -> presolve_disagreements r.pair.instance t sol
+          | _ -> [])
+        (Array.to_list table)
   in
-  feed_solver_metrics solve_totals;
-  Obs.Metrics.add m_cache_hits !cache_hits;
-  Obs.Metrics.add m_warm_starts !warm_starts;
-  Obs.Metrics.add m_journal_hits !journal_hits;
-  Obs.Metrics.add m_journal_stale !journal_stale;
-  Obs.Metrics.add m_pairs_solved pairs_solved;
-  let presolve_pruned = ref 0 in
-  let presolve_fixed = ref 0 in
-  let presolve_dropped = ref 0 in
-  List.iter
-    (fun i ->
-      let _, _, pre = instance_of i in
-      match pre with
-      | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible _; _ } ->
-        incr presolve_pruned
-      | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ->
-        presolve_fixed :=
-          !presolve_fixed + List.length red.Analysis.Presolve.fixed;
-        presolve_dropped :=
-          !presolve_dropped + List.length red.Analysis.Presolve.dropped
-      | None -> ())
-    shard_idx;
-  Obs.Metrics.add m_presolve_pruned !presolve_pruned;
-  Obs.Metrics.add m_presolve_vars_fixed !presolve_fixed;
-  Obs.Metrics.add m_presolve_dropped !presolve_dropped;
-  let comm_constraints = ref 0 in
-  List.iter
-    (fun i ->
-      let instance, _, _ = instance_of i in
-      List.iter
-        (fun (name, _) ->
-          if List.mem name comm_constraint_names then incr comm_constraints)
-        (Gp.Problem.ineqs instance.Formulate.problem))
-    shard_idx;
-  Obs.Metrics.add m_comm_constraints !comm_constraints;
-  Obs.Metrics.add m_quarantined (List.length solve_failures);
-  Obs.Metrics.add m_retries
-    (List.fold_left (fun acc (_, slot) -> acc + slot.s_retries) 0 attempts);
-  Obs.Metrics.add m_deadline_hits
-    (List.fold_left (fun acc (_, slot) -> acc + slot.s_deadline_hits) 0 attempts);
-  List.iter
-    (fun f -> Log.warn (fun m -> m "quarantined: %s" (Robust.describe f)))
-    solve_failures;
   match disagreements with
+  | [] -> Ok ()
   | first :: _ ->
-    List.iter
-      (fun d -> Log.err (fun m -> m "presolve check: %s" d))
-      disagreements;
+    List.iter (fun d -> Log.err (fun m -> m "presolve check: %s" d)) disagreements;
     Error
-      (Printf.sprintf
-         "optimize: presolve check found %d disagreement(s); first: %s"
+      (Printf.sprintf "optimize: presolve check found %d disagreement(s); first: %s"
          (List.length disagreements) first)
-  | [] ->
-  let solved = List.filter_map fst attempts in
-  match solved with
+
+(* Table positions of the certified rows with their solutions, best
+   continuous objective first.  The sort is stable over enumeration
+   order, so ties keep it, and [compare_scores] (not [Float.compare],
+   which sorts NaN first) ranks any non-finite objective last, so a
+   bogus solution can never top the shortlist or become
+   [best_continuous] while a finite one exists. *)
+let ranked table =
+  List.stable_sort
+    (fun (_, a) (_, b) -> compare_scores a.Gp.Solver.objective b.Gp.Solver.objective)
+    (List.filter_map
+       (fun k -> Option.map (fun sol -> (k, sol)) table.(k).usable)
+       (List.init (Array.length table) Fun.id))
+
+(* Stage integerize: the [top_choices] best certified pairs become
+   integer design points under a guard — a crash in model evaluation
+   quarantines that candidate (no retry: the stage is deterministic in
+   its inputs, so a second run would crash the same way) instead of
+   killing the sweep. *)
+let integerize ~config ~jobs tech table =
+  let shortlist = List.filteri (fun i _ -> i < config.top_choices) (ranked table) in
+  let results =
+    Exec.Par.map ~jobs
+      (fun (k, solution) ->
+        let instance = table.(k).pair.instance in
+        let prov = instance.Formulate.provenance in
+        Robust.guard ~inject:config.inject ~site:"integerize" ~provenance:prov (fun () ->
+            Obs.Trace.span "integerize"
+              ~attrs:[ ("provenance", prov) ]
+              (fun () ->
+                Integerize.run ~n_divisors:config.n_divisors ~n_pow2:config.n_pow2
+                  ~min_pe_utilization:config.min_pe_utilization
+                  ~contention:config.contention tech instance solution)))
+      shortlist
+  in
+  let table = Array.copy table in
+  List.iter2
+    (fun (k, _) r -> table.(k) <- { (table.(k)) with integerized = Some r })
+    shortlist results;
+  table
+
+let solve_totals table =
+  Array.fold_left
+    (fun acc r -> Gp.Solver.accumulate acc r.slot.s_stats)
+    Gp.Solver.zero_totals table
+
+(* Every §9 counter of one sweep, computed once from its final table in
+   enumeration order — never bumped from inside a parallel stage — so
+   the values are functions of the workload and configuration alone
+   (the Obs.Metrics determinism contract).  [solver.*] counts logical
+   solves, replays included, as the report's [solve_totals] does;
+   [sweep.pairs_solved] counts the pairs this run handed to the solver. *)
+let feed_counters table =
+  let rows = Array.to_list table in
+  let count p = List.length (List.filter p rows) in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  let from source r = r.slot.s_source = source in
+  let reduced f =
+    sum (fun r ->
+        match r.pair.pre with
+        | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ->
+          List.length (f red)
+        | Some _ | None -> 0)
+  in
+  let t = solve_totals table in
+  Obs.Metrics.add m_solves t.Gp.Solver.solves;
+  Obs.Metrics.add m_outer (t.Gp.Solver.t_phase1_outer + t.Gp.Solver.t_phase2_outer);
+  Obs.Metrics.add m_phase1 t.Gp.Solver.t_phase1_outer;
+  Obs.Metrics.add m_phase2 t.Gp.Solver.t_phase2_outer;
+  Obs.Metrics.add m_newton t.Gp.Solver.t_newton_iters;
+  Obs.Metrics.add m_backtracks t.Gp.Solver.t_backtracks;
+  Obs.Metrics.add m_kkt t.Gp.Solver.t_kkt_regularizations;
+  Obs.Metrics.add m_chol_fallbacks t.Gp.Solver.t_cholesky_fallbacks;
+  Obs.Metrics.observe_max g_gap t.Gp.Solver.max_duality_gap;
+  Obs.Metrics.add m_cache_hits (count (from Dedupe_replay));
+  Obs.Metrics.add m_warm_starts (count (from (Solved_here { warm = true })));
+  Obs.Metrics.add m_journal_hits (count (from Journal_replay));
+  Obs.Metrics.add m_journal_stale (count (fun r -> r.journal_stale));
+  Obs.Metrics.add m_pairs_solved
+    (count (fun r ->
+         match r.slot.s_source with
+         | Solved_here _ -> true
+         | Dedupe_replay | Journal_replay | Presolve_pruned -> false));
+  Obs.Metrics.add m_presolve_pruned
+    (count (fun r ->
+         match r.pair.pre with
+         | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible _; _ } -> true
+         | Some _ | None -> false));
+  Obs.Metrics.add m_presolve_vars_fixed (reduced (fun red -> red.Analysis.Presolve.fixed));
+  Obs.Metrics.add m_presolve_dropped (reduced (fun red -> red.Analysis.Presolve.dropped));
+  Obs.Metrics.add m_comm_constraints
+    (sum (fun r ->
+         List.length
+           (List.filter
+              (fun (name, _) -> List.mem name comm_constraint_names)
+              (Gp.Problem.ineqs r.pair.instance.Formulate.problem))));
+  Obs.Metrics.add m_quarantined
+    (count (fun r ->
+         match (r.slot.s_fate, r.integerized) with
+         | Sweep.Journal.Quarantined _, _ | _, Some (Error _) -> true
+         | _ -> false));
+  Obs.Metrics.add m_retries (sum (fun r -> r.slot.s_retries));
+  Obs.Metrics.add m_deadline_hits (sum (fun r -> r.slot.s_deadline_hits));
+  Obs.Metrics.add m_comm_bound
+    (count (fun r ->
+         match r.integerized with
+         | Some (Ok (Ok o)) ->
+           o.Integerize.metrics.Accmodel.Evaluate.comm <> []
+           && o.Integerize.metrics.Accmodel.Evaluate.binding <> "compute"
+         | Some (Ok (Error _) | Error _) | None -> false))
+
+(* Stage select: the best integer design point under the model score
+   ({!select_best}, non-finite scores last), and the report. *)
+let select sweep objective nest table =
+  let rows = Array.to_list table in
+  let solve_failures =
+    List.filter_map
+      (fun r ->
+        match r.slot.s_fate with Sweep.Journal.Quarantined f -> Some f | _ -> None)
+      rows
+  in
+  (* Reported like quarantined pairs so audits can re-check every proof. *)
+  let pruned =
+    List.filter_map
+      (fun r ->
+        match r.slot.s_fate with
+        | Sweep.Journal.Pruned proof -> Some (r.pair.instance.Formulate.provenance, proof)
+        | _ -> None)
+      rows
+  in
+  let plan = sweep.plan in
+  let nchoices = List.length plan.Permutations.choices in
+  match ranked table with
   | [] ->
     Log.info (fun m ->
         m "%s: 0/%d choices solved (raw %d, %d quarantined, %d pruned)"
-          (Workload.Nest.name nest)
-          (List.length plan.Permutations.choices) plan.Permutations.raw_count
+          (Workload.Nest.name nest) nchoices plan.Permutations.raw_count
           (List.length solve_failures) (List.length pruned));
     let reasons =
       (if solve_failures = [] then []
-       else
-         [ Printf.sprintf "%d pair(s) quarantined" (List.length solve_failures) ])
+       else [ Printf.sprintf "%d pair(s) quarantined" (List.length solve_failures) ])
       @
       if pruned = [] then []
       else [ Printf.sprintf "%d pair(s) presolve-pruned" (List.length pruned) ]
@@ -929,107 +936,70 @@ let run ?(config = default_config) tech arch_mode objective nest =
       (match reasons with
       | [] -> "optimize: no permutation choice produced a feasible program"
       | reasons ->
-        Printf.sprintf
-          "optimize: no permutation choice produced a feasible program (%s)"
+        Printf.sprintf "optimize: no permutation choice produced a feasible program (%s)"
           (String.concat ", " reasons))
-  | solved ->
+  | (_, best) :: _ as ranked ->
+    let count source = List.length (List.filter (fun r -> r.slot.s_source = source) rows) in
     Log.info (fun m ->
         m "%s: %d/%d choices solved (raw %d, %d deduped, %d warm)"
-          (Workload.Nest.name nest) (List.length solved)
-          (List.length plan.Permutations.choices) plan.Permutations.raw_count
-          !cache_hits !warm_starts);
-    let ranked =
-      (* List.sort is stable, and [solved] arrives in sequential order, so
-         ties keep the deterministic enumeration order.  [compare_scores]
-         (not [Float.compare], which sorts NaN first) ranks any
-         non-finite solver objective last, so a bogus solution can never
-         top the shortlist or become [best_continuous] while a finite
-         one exists. *)
-      List.sort
-        (fun (_, a) (_, b) ->
-          compare_scores a.Gp.Solver.objective b.Gp.Solver.objective)
-        solved
-    in
-    let rec take k = function
-      | x :: rest when k > 0 -> x :: take (k - 1) rest
-      | _ -> []
-    in
-    let shortlisted = take config.top_choices ranked in
-    let best_continuous =
-      match ranked with (_, s) :: _ -> s.Gp.Solver.objective | [] -> nan
-    in
-    (* Guarded integerization: a crash in the model-evaluation stage
-       quarantines that shortlisted candidate (no retry — the stage is
-       deterministic in its inputs, so a second run would crash the same
-       way) instead of killing the sweep. *)
-    let staged =
-      Exec.Par.map ~jobs
-        (fun (instance, solution) ->
-          let prov = instance.Formulate.provenance in
-          match
-            Robust.guard ~inject:config.inject ~site:"integerize" ~provenance:prov
-              (fun () ->
-                Obs.Trace.span "integerize"
-                  ~attrs:[ ("provenance", prov) ]
-                  (fun () ->
-                    Integerize.run ~n_divisors:config.n_divisors
-                      ~n_pow2:config.n_pow2
-                      ~min_pe_utilization:config.min_pe_utilization
-                      ~contention:config.contention tech instance solution))
-          with
-          | Ok (Ok o) -> (Some o, None)
+          (Workload.Nest.name nest) (List.length ranked) nchoices
+          plan.Permutations.raw_count (count Dedupe_replay)
+          (count (Solved_here { warm = true })));
+    let integerized = List.filter_map (fun (k, _) -> table.(k).integerized) ranked in
+    let outcomes =
+      List.filter_map
+        (function
+          | Ok (Ok o) -> Some o
           | Ok (Error msg) ->
             Log.debug (fun m -> m "integerize failed: %s" msg);
-            (None, None)
-          | Error f -> (None, Some f))
-        shortlisted
+            None
+          | Error _ -> None)
+        integerized
     in
-    let outcomes = List.filter_map fst staged in
-    let integerize_failures = List.filter_map snd staged in
-    Obs.Metrics.add m_quarantined (List.length integerize_failures);
-    Obs.Metrics.add m_comm_bound
-      (List.length
-         (List.filter
-            (fun o ->
-              o.Integerize.metrics.Accmodel.Evaluate.comm <> []
-              && o.Integerize.metrics.Accmodel.Evaluate.binding <> "compute")
-            outcomes));
+    let integerize_failures =
+      List.filter_map (function Error f -> Some f | Ok _ -> None) integerized
+    in
     List.iter
       (fun f -> Log.warn (fun m -> m "quarantined: %s" (Robust.describe f)))
       integerize_failures;
-    let failures = solve_failures @ integerize_failures in
-    (* [select_best] orders non-finite model scores after every finite
-       one: the old [<] fold returned false on NaN comparisons, so a
-       quarantine-surviving but NaN-scored candidate silently displaced
-       a finite best. *)
-    let best =
-      select_best
-        ~score:(fun o -> Integerize.score objective o.Integerize.metrics)
-        outcomes
-    in
-    begin
-      match best with
-      | None ->
-        Error
-          (if integerize_failures = [] then
-             "optimize: no integer candidate survived model evaluation"
-           else
-             Printf.sprintf
-               "optimize: no integer candidate survived model evaluation (%d \
-                pair(s) quarantined)"
-               (List.length integerize_failures))
-      | Some outcome ->
-        Ok
-          {
-            outcome;
-            choices_enumerated = List.length plan.Permutations.choices;
-            choices_solved = List.length solved;
-            best_continuous;
-            solve_totals;
-            failures;
-            pruned;
-          }
-    end
+    (match
+       select_best ~score:(fun o -> Integerize.score objective o.Integerize.metrics) outcomes
+     with
+    | None ->
+      Error
+        (if integerize_failures = [] then
+           "optimize: no integer candidate survived model evaluation"
+         else
+           Printf.sprintf
+             "optimize: no integer candidate survived model evaluation (%d pair(s) \
+              quarantined)"
+             (List.length integerize_failures))
+    | Some outcome ->
+      Ok
+        {
+          outcome;
+          choices_enumerated = nchoices;
+          choices_solved = List.length ranked;
+          best_continuous = best.Gp.Solver.objective;
+          solve_totals = solve_totals table;
+          failures = solve_failures @ integerize_failures;
+          pruned;
+        })
+
+let run ?(config = default_config) tech arch_mode objective nest =
+  let ( let* ) = Result.bind in
+  let jobs = Int.max 1 config.jobs in
+  let* () = check_config config in
+  let sweep = enumerate config nest in
+  let* pairs = formulate ~config ~jobs tech arch_mode objective sweep in
+  let seeds = seed ~config pairs in
+  let slots = solve ~config ~jobs sweep pairs seeds in
+  let table = certify ~jobs pairs seeds slots in
+  let checked = presolve_check ~config table in
+  let table = if Result.is_ok checked then integerize ~config ~jobs tech table else table in
+  feed_counters table;
+  let* () = checked in
+  select sweep objective nest table
 
 let dataflow ?config tech arch objective nest =
   run ?config tech (Formulate.Fixed arch) objective nest

@@ -127,7 +127,8 @@ type config = {
           the workload and configuration alone (DESIGN §12). *)
   resume : bool;
       (** replay journal entries instead of re-solving (default
-          [false]; requires [journal]).  An entry is replayed only when
+          [false]; requires [journal] — {!run} returns [Error] for
+          [resume] without one).  An entry is replayed only when
           its fingerprint — {!Sweep.Journal.fingerprint} of the pair's
           {!problem_key} and this config's solver fingerprint — still
           matches, so stale pairs (changed formulation, tolerance,
@@ -140,12 +141,8 @@ type config = {
 val default_config : config
 
 val compare_scores : float -> float -> int
-(** Ascending order on finite scores with every non-finite score (NaN,
-    [+/-infinity]) ranked after every finite one; non-finite scores tie
-    with each other.  This is the comparator behind both the continuous
-    shortlist ranking and {!select_best} — [Float.compare] alone orders
-    NaN {e first}, which under a minimization objective would crown a
-    bogus candidate. *)
+(** {!Integerize.compare_scores}, the comparator behind the continuous
+    shortlist ranking and {!select_best}. *)
 
 val select_best : score:('a -> float) -> 'a list -> 'a option
 (** Minimum of [score] under {!compare_scores}; exact ties keep the
@@ -190,6 +187,23 @@ val request_key :
     cache must key on both.  [jobs]/[shard]/[journal]/[resume] are
     excluded — they never change the report.  Exposed for the serve
     store and tests; the format is not a stability guarantee. *)
+
+val usable_solution : Formulate.instance -> Gp.Solver.solution -> bool
+(** The sweep's solution gate: the solver found a point (optimal or
+    iteration-limited), its objective is finite, and the post-solve
+    certificate ({!Analysis.Certificate.check}) finds no hard failure.
+    Only usable solutions rank and reach integerization. *)
+
+val presolve_disagreements :
+  Formulate.instance -> Analysis.Presolve.t -> Gp.Solver.solution -> string list
+(** [presolve_disagreements instance verdict solution] differentially
+    validates a presolve verdict of [instance]'s original problem
+    against a {!usable_solution} of it (DESIGN §13): a solved
+    presolve-infeasible program, a coordinate escaping the propagated
+    box, or an eliminated constraint active at the optimum.  Each
+    disagreement is one message naming the pair's provenance; [[]]
+    means the solver agrees.  Backs [presolve = Check] and
+    [thistle presolve --check]. *)
 
 type report = {
   outcome : Integerize.outcome;

@@ -3,42 +3,7 @@ module Mat = Linalg.Mat
 module M = Symexpr.Monomial
 module P = Symexpr.Posynomial
 
-(* --- structure key ----------------------------------------------------- *)
-
-(* Coefficient-blind coarsening of [Optimize.problem_key]: identical
-   framing (term '|', posynomial '#', section 'I'/'E' markers) and the
-   same exponent bits, with the leading coefficient of each monomial
-   dropped.  Because posynomial terms are sorted by exponent vector and
-   like terms are merged, term order is purely structural: two problems
-   with equal keys align term-for-term, variable-for-variable. *)
-let structure_key problem =
-  let buf = Buffer.create 1024 in
-  let fl v = Buffer.add_string buf (Printf.sprintf "%Lx;" (Int64.bits_of_float v)) in
-  let mono m =
-    List.iter
-      (fun (x, e) ->
-        Buffer.add_string buf x;
-        Buffer.add_char buf ':';
-        fl e)
-      (M.exponents m);
-    Buffer.add_char buf '|'
-  in
-  let poly p =
-    List.iter mono (P.terms p);
-    Buffer.add_char buf '#'
-  in
-  poly (Problem.objective problem);
-  Buffer.add_char buf 'I';
-  List.iter (fun (_, p) -> poly p) (Problem.ineqs problem);
-  Buffer.add_char buf 'E';
-  List.iter
-    (fun (_, m) ->
-      mono m;
-      Buffer.add_char buf '#')
-    (Problem.eqs problem);
-  Buffer.contents buf
-
-(* --- compiled structure ------------------------------------------------ *)
+(* --- compiled problem -------------------------------------------------- *)
 
 type fn = {
   f_nterms : int;
@@ -49,21 +14,20 @@ type fn = {
   f_lin_idx : int array;
   f_lin_coef : float array;
   f_lin_const : float;
-  f_slot : int;
+  f_b : float array;
 }
 
 type gram = No_rows | Factored of Mat.lu | Gram_singular
 
 type plan = {
-  pl_key : string;
   pl_vars : string list;
   pl_n : int;
   pl_index : (string, int) Hashtbl.t;
   pl_objective : fn;
   pl_ineqs : fn array;
-  pl_nterms : int array;
-  pl_row_zero : bool array;
   pl_rows : Vec.t array;
+  pl_d : float array;
+  pl_dz : float array;
   pl_rows1 : Vec.t array;
   pl_gram : gram;
   pl_zbasis : Vec.t array;
@@ -72,16 +36,6 @@ type plan = {
   pl_lower1 : fn;
   pl_ineqs1 : fn array;
   pl_max_terms : int;
-}
-
-type block = {
-  bk_plan : plan;
-  bk_members : Problem.t array;
-  bk_nmembers : int;
-  bk_b : float array array;
-  bk_d : float array;
-  bk_dz : float array;
-  bk_nz : int;
 }
 
 (* Distinct indices, ascending. *)
@@ -94,8 +48,9 @@ let merged_support lists =
 
 (* Terms are lists of (index, exponent) entries, strictly ascending by
    index, so the sparse dot products accumulate in the same order as the
-   dense walk of [Smooth.log_sum_exp]. *)
-let fn_of_sparse n ~slot sparse =
+   dense walk of [Smooth.log_sum_exp]; [b] holds the per-term log
+   coefficients. *)
+let fn_of_sparse n ~b sparse =
   if sparse = [] then invalid_arg "Gp.Batch: empty term list";
   let nterms = List.length sparse in
   let starts = Array.make (nterms + 1) 0 in
@@ -130,16 +85,19 @@ let fn_of_sparse n ~slot sparse =
     f_lin_idx = [||];
     f_lin_coef = [||];
     f_lin_const = 0.0;
-    f_slot = slot;
+    f_b = b;
   }
 
-let fn_of_posynomial n index ~slot p =
+let fn_of_posynomial n index p =
   let term m =
     List.sort
       (fun (i, _) (j, _) -> compare i j)
       (List.map (fun (x, e) -> (Hashtbl.find index x, e)) (M.exponents m))
   in
-  fn_of_sparse n ~slot (List.map term (P.terms p))
+  let terms = P.terms p in
+  fn_of_sparse n
+    ~b:(Array.of_list (List.map (fun m -> log (M.coeff m)) terms))
+    (List.map term terms)
 
 (* Pure-affine function (no log-sum-exp terms), the image of
    [Smooth.linear]. *)
@@ -155,11 +113,11 @@ let fn_affine entries const =
     f_lin_idx = Array.of_list (List.map fst entries);
     f_lin_coef = Array.of_list (List.map snd entries);
     f_lin_const = const;
-    f_slot = -1;
+    f_b = [||];
   }
 
-(* Phase-I image of an inequality: the same log-sum-exp structure (and
-   the same coefficient slot) over n+1 variables, minus the slack s. *)
+(* Phase-I image of an inequality: the same log-sum-exp terms and
+   coefficients over n+1 variables, minus the slack s. *)
 let fn_minus_slack n f =
   {
     f with
@@ -169,40 +127,27 @@ let fn_minus_slack n f =
   }
 
 let compile problem =
-  let key = structure_key problem in
   let vars = Problem.variables problem in
   let n = List.length vars in
   let index = Hashtbl.create (2 * n) in
   List.iteri (fun i x -> Hashtbl.replace index x i) vars;
-  let objective = fn_of_posynomial n index ~slot:0 (Problem.objective problem) in
+  let objective = fn_of_posynomial n index (Problem.objective problem) in
   let ineqs =
-    Array.of_list
-      (List.mapi
-         (fun j (_, p) -> fn_of_posynomial n index ~slot:(j + 1) p)
-         (Problem.ineqs problem))
-  in
-  let nterms =
-    Array.init
-      (1 + Array.length ineqs)
-      (fun s -> if s = 0 then objective.f_nterms else ineqs.(s - 1).f_nterms)
+    Array.of_list (List.map (fun (_, p) -> fn_of_posynomial n index p) (Problem.ineqs problem))
   in
   (* Equality rows [a . y = -log c], split into structurally nonzero
      rows (kept, in source order, as the list kernel does) and all-zero
-     rows (only their right-hand sides matter, per member). *)
+     rows (only their right-hand sides matter). *)
   let all_rows =
     List.map
       (fun (_, m) ->
         let a = Vec.create n in
         List.iter (fun (x, e) -> a.(Hashtbl.find index x) <- e) (M.exponents m);
-        a)
+        (a, -.log (M.coeff m)))
       (Problem.eqs problem)
   in
-  let row_zero =
-    Array.of_list (List.map (fun a -> not (Vec.norm_inf a > 0.0)) all_rows)
-  in
-  let rows =
-    Array.of_list (List.filter (fun a -> Vec.norm_inf a > 0.0) all_rows)
-  in
+  let nonzero, zero = List.partition (fun (a, _) -> Vec.norm_inf a > 0.0) all_rows in
+  let rows = Array.of_list (List.map fst nonzero) in
   let rows1 = Array.map (fun a -> Vec.concat a [| 0.0 |]) rows in
   let p = Array.length rows in
   let gram =
@@ -220,15 +165,14 @@ let compile problem =
     Array.fold_left (fun acc f -> max acc f.f_nterms) objective.f_nterms ineqs
   in
   {
-    pl_key = key;
     pl_vars = vars;
     pl_n = n;
     pl_index = index;
     pl_objective = objective;
     pl_ineqs = ineqs;
-    pl_nterms = nterms;
-    pl_row_zero = row_zero;
     pl_rows = rows;
+    pl_d = Array.of_list (List.map snd nonzero);
+    pl_dz = Array.of_list (List.map snd zero);
     pl_rows1 = rows1;
     pl_gram = gram;
     pl_zbasis = Mat.nullspace_basis n rows;
@@ -239,58 +183,10 @@ let compile problem =
     pl_max_terms = max_terms;
   }
 
-let pack plan problems =
-  let nm = Array.length problems in
-  if nm = 0 then invalid_arg "Gp.Batch.pack: empty batch";
-  Array.iter
-    (fun pr ->
-      if not (String.equal (structure_key pr) plan.pl_key) then
-        invalid_arg "Gp.Batch.pack: problem does not share the plan's structure")
-    problems;
-  let nslots = 1 + Array.length plan.pl_ineqs in
-  let b = Array.init nslots (fun s -> Array.make (nm * plan.pl_nterms.(s)) 0.0) in
-  let p = Array.length plan.pl_rows in
-  let nz = Array.length plan.pl_row_zero - p in
-  let d = Array.make (nm * p) 0.0 in
-  let dz = Array.make (nm * nz) 0.0 in
-  Array.iteri
-    (fun m pr ->
-      let fill_slot s poly =
-        let nt = plan.pl_nterms.(s) in
-        let dst = b.(s) in
-        List.iteri (fun k mono -> dst.((m * nt) + k) <- log (M.coeff mono)) (P.terms poly)
-      in
-      fill_slot 0 (Problem.objective pr);
-      List.iteri (fun j (_, poly) -> fill_slot (j + 1) poly) (Problem.ineqs pr);
-      let r = ref 0 in
-      let z = ref 0 in
-      List.iteri
-        (fun e (_, mono) ->
-          let dv = -.log (M.coeff mono) in
-          if plan.pl_row_zero.(e) then begin
-            dz.((m * nz) + !z) <- dv;
-            incr z
-          end
-          else begin
-            d.((m * p) + !r) <- dv;
-            incr r
-          end)
-        (Problem.eqs pr))
-    problems;
-  {
-    bk_plan = plan;
-    bk_members = Array.copy problems;
-    bk_nmembers = nm;
-    bk_b = b;
-    bk_d = d;
-    bk_dz = dz;
-    bk_nz = nz;
-  }
-
 (* --- flat evaluation --------------------------------------------------- *)
 
 (* Sparse transcriptions of [Smooth.log_sum_exp]: the per-term constant
-   comes from [(b, boff)], the Hessian is a flat row-major buffer with
+   comes from [f_b], the Hessian is a flat row-major buffer with
    stride [hn], and array accesses are unchecked.  The sparse row dot
    accumulates in ascending index order like the dense [Vec.dot]; the
    skipped entries contribute exactly [+0.0] or [-0.0], which never
@@ -319,9 +215,9 @@ let linear_part f y =
   done;
   !acc
 
-let lse_value f ~b ~boff ~es y =
+let lse_value f ~es y =
   for k = 0 to f.f_nterms - 1 do
-    Array.unsafe_set es k (row_dot f k y +. Array.unsafe_get b (boff + k))
+    Array.unsafe_set es k (row_dot f k y +. Array.unsafe_get f.f_b k)
   done;
   let m = ref neg_infinity in
   for k = 0 to f.f_nterms - 1 do
@@ -333,15 +229,15 @@ let lse_value f ~b ~boff ~es y =
   done;
   !m +. log !z
 
-let value f ~b ~boff ~es y =
+let value f ~es y =
   let v =
     if f.f_nterms = 0 then linear_part f y
-    else if Array.length f.f_lin_idx = 0 then lse_value f ~b ~boff ~es y
-    else lse_value f ~b ~boff ~es y +. linear_part f y
+    else if Array.length f.f_lin_idx = 0 then lse_value f ~es y
+    else lse_value f ~es y +. linear_part f y
   in
   if f.f_lin_const <> 0.0 then v +. f.f_lin_const else v
 
-let eval_into f ~b ~boff ~es ~grad ~hess ~hn y =
+let eval_into f ~es ~grad ~hess ~hn y =
   let support = f.f_support in
   let ns = Array.length support in
   for a = 0 to ns - 1 do
@@ -357,7 +253,7 @@ let eval_into f ~b ~boff ~es ~grad ~hess ~hn y =
     if f.f_nterms = 0 then 0.0
     else begin
       for k = 0 to f.f_nterms - 1 do
-        Array.unsafe_set es k (row_dot f k y +. Array.unsafe_get b (boff + k))
+        Array.unsafe_set es k (row_dot f k y +. Array.unsafe_get f.f_b k)
       done;
       let m = ref neg_infinity in
       for k = 0 to f.f_nterms - 1 do
@@ -426,33 +322,3 @@ let eval_into f ~b ~boff ~es ~grad ~hess ~hn y =
     else v_lse +. linear_part f y
   in
   if f.f_lin_const <> 0.0 then v +. f.f_lin_const else v
-
-(* --- test conveniences ------------------------------------------------- *)
-
-let slot_fn block slot =
-  if slot = 0 then block.bk_plan.pl_objective
-  else block.bk_plan.pl_ineqs.(slot - 1)
-
-let member_value block ~member ~slot y =
-  let f = slot_fn block slot in
-  let es = Array.make (max 1 f.f_nterms) 0.0 in
-  value f ~b:block.bk_b.(slot)
-    ~boff:(member * block.bk_plan.pl_nterms.(slot))
-    ~es y
-
-let member_eval_into block ~member ~slot ~grad ~hess y =
-  let f = slot_fn block slot in
-  let n = block.bk_plan.pl_n in
-  let es = Array.make (max 1 f.f_nterms) 0.0 in
-  let hflat = Array.make (n * n) 0.0 in
-  let v =
-    eval_into f ~b:block.bk_b.(slot)
-      ~boff:(member * block.bk_plan.pl_nterms.(slot))
-      ~es ~grad ~hess:hflat ~hn:n y
-  in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Mat.set hess i j hflat.((i * n) + j)
-    done
-  done;
-  v

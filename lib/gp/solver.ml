@@ -481,10 +481,10 @@ let solve_list ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
 (* The production path runs the list kernel's algorithm — same barrier
    schedule, same stop rules, same line search, same stats ticks — over
    the compiled form {!Batch} builds: [Batch.compile] lowers the problem
-   once into contiguous sparse exponent rows, the orthonormal nullspace
-   bases of its equality rows and the factored least-norm Gram system,
-   and [Batch.pack] lays its coefficients out as a one-member block.
-   Hot buffers are flat unchecked float arrays sized once per solve.
+   once into contiguous sparse exponent rows with their log-coefficients,
+   the orthonormal nullspace bases of its equality rows and the factored
+   least-norm Gram system.  Hot buffers are flat unchecked float arrays
+   sized once per solve.
 
    Each Newton step solves the equality-constrained KKT system in the
    nullspace basis [Z] of the equality rows,
@@ -502,15 +502,11 @@ let solve_list ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
    ({!Batch.eval_into} against [Smooth.log_sum_exp]); Newton directions
    differ in low-order bits because the factorization differs. *)
 
-(* A compiled function bound to its coefficient table (member 0 of the
-   block, so every table offset is 0). *)
-type bfun = { bf_fn : Batch.fn; bf_b : float array }
-
 (* The function set of one phase. *)
 type bset = {
   bs_n : int;
-  bs_obj : bfun;
-  bs_ineqs : bfun array;
+  bs_obj : Batch.fn;
+  bs_ineqs : Batch.fn array;
   bs_zbasis : Vec.t array;
   bs_rows : Vec.t array;  (* equality rows, for the dense KKT fallback *)
 }
@@ -577,7 +573,7 @@ let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
     let i = ref 0 in
     while !ok && !i < nineq do
       let f = Array.unsafe_get fset.bs_ineqs !i in
-      let v = Batch.value f.bf_fn ~b:f.bf_b ~boff:0 ~es cand in
+      let v = Batch.value f ~es cand in
       if v >= 0.0 then ok := false
       else begin
         Array.unsafe_set vis !i v;
@@ -587,9 +583,7 @@ let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
     if not !ok then None
     else begin
       let o = fset.bs_obj in
-      let acc =
-        ref (barrier_t *. Batch.value o.bf_fn ~b:o.bf_b ~boff:0 ~es cand)
-      in
+      let acc = ref (barrier_t *. Batch.value o ~es cand) in
       for j = 0 to nineq - 1 do
         acc := !acc -. log (-.Array.unsafe_get vis j)
       done;
@@ -604,8 +598,8 @@ let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
     Array.fill grad 0 n 0.0;
     Array.fill hess 0 (n * n) 0.0;
     let o = fset.bs_obj in
-    let v0 = Batch.eval_into o.bf_fn ~b:o.bf_b ~boff:0 ~es ~grad:gi ~hess:hi ~hn:n y in
-    let sup0 = o.bf_fn.Batch.f_support in
+    let v0 = Batch.eval_into o ~es ~grad:gi ~hess:hi ~hn:n y in
+    let sup0 = o.Batch.f_support in
     let ns0 = Array.length sup0 in
     for a = 0 to ns0 - 1 do
       let i = Array.unsafe_get sup0 a in
@@ -618,13 +612,11 @@ let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
     done;
     for gidx = 0 to nineq - 1 do
       let g = Array.unsafe_get fset.bs_ineqs gidx in
-      let vi =
-        Batch.eval_into g.bf_fn ~b:g.bf_b ~boff:0 ~es ~grad:gi ~hess:hi ~hn:n y
-      in
+      let vi = Batch.eval_into g ~es ~grad:gi ~hess:hi ~hn:n y in
       Array.unsafe_set vis gidx vi;
       (* vi < 0 by the line-search invariant *)
       let inv = -1.0 /. vi in
-      let sup = g.bf_fn.Batch.f_support in
+      let sup = g.Batch.f_support in
       let ns = Array.length sup in
       for a = 0 to ns - 1 do
         let i = Array.unsafe_get sup a in
@@ -781,36 +773,28 @@ let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
   y
 
 (* Function sets: phase II over n variables, phase I over n+1 with the
-   slack.  The phase-I inequalities read the same coefficient slots as
-   their phase-II counterparts. *)
-let bind (block : Batch.block) (f : Batch.fn) =
-  { bf_fn = f; bf_b = block.Batch.bk_b.(f.Batch.f_slot) }
-
-let bset_phase2 (plan : Batch.plan) block =
-  let bind = bind block in
+   slack.  The phase-I inequalities share their phase-II counterparts'
+   coefficients. *)
+let bset_phase2 (plan : Batch.plan) =
   {
     bs_n = plan.Batch.pl_n;
-    bs_obj = bind plan.Batch.pl_objective;
-    bs_ineqs = Array.map bind plan.Batch.pl_ineqs;
+    bs_obj = plan.Batch.pl_objective;
+    bs_ineqs = plan.Batch.pl_ineqs;
     bs_zbasis = plan.Batch.pl_zbasis;
     bs_rows = plan.Batch.pl_rows;
   }
 
-let bset_phase1 (plan : Batch.plan) block =
-  let affine f = { bf_fn = f; bf_b = [||] } in
+let bset_phase1 (plan : Batch.plan) =
   {
     bs_n = plan.Batch.pl_n + 1;
-    bs_obj = affine plan.Batch.pl_objective1;
-    bs_ineqs =
-      Array.append
-        [| affine plan.Batch.pl_lower1 |]
-        (Array.map (bind block) plan.Batch.pl_ineqs1);
+    bs_obj = plan.Batch.pl_objective1;
+    bs_ineqs = Array.append [| plan.Batch.pl_lower1 |] plan.Batch.pl_ineqs1;
     bs_zbasis = plan.Batch.pl_zbasis1;
     bs_rows = plan.Batch.pl_rows1;
   }
 
 (* [phase1_list] over the compiled function sets. *)
-let phase1_flat ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~block ~fset2
+let phase1_flat ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~fset2
     ~(ws2 : bws) y0 =
   let n = plan.Batch.pl_n in
   let nineq = Array.length fset2.bs_ineqs in
@@ -819,14 +803,14 @@ let phase1_flat ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~block ~
     let i = ref 0 in
     while !ok && !i < nineq do
       let f = fset2.bs_ineqs.(!i) in
-      if Batch.value f.bf_fn ~b:f.bf_b ~boff:0 ~es:ws2.bw_es y < -1e-9 then incr i
+      if Batch.value f ~es:ws2.bw_es y < -1e-9 then incr i
       else ok := false
     done;
     !ok
   in
   if strictly_ok y0 then Some y0
   else begin
-    let fset1 = bset_phase1 plan block in
+    let fset1 = bset_phase1 plan in
     let ws1 =
       make_bws ~n:(n + 1)
         ~q:(Array.length plan.Batch.pl_zbasis1)
@@ -837,7 +821,7 @@ let phase1_flat ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~block ~
       let acc = ref 0.0 in
       for i = 0 to nineq - 1 do
         let f = fset2.bs_ineqs.(i) in
-        acc := Float.max !acc (Batch.value f.bf_fn ~b:f.bf_b ~boff:0 ~es:ws2.bw_es y0)
+        acc := Float.max !acc (Batch.value f ~es:ws2.bw_es y0)
       done;
       !acc +. 1.0
     in
@@ -855,11 +839,10 @@ let phase1_flat ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~block ~
 
 let solve_flat ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
   let plan = Batch.compile problem in
-  let block = Batch.pack plan [| problem |] in
   let n = plan.Batch.pl_n in
   let p = Array.length plan.Batch.pl_rows in
   (* Constant equalities reduce to 0 = d: inconsistent unless d ~ 0. *)
-  if Array.exists (fun d -> Float.abs d > 1e-9) block.Batch.bk_dz then infeasible
+  if Array.exists (fun d -> Float.abs d > 1e-9) plan.Batch.pl_dz then infeasible
   else begin
     let overlay_rows y z =
       Array.iteri
@@ -877,7 +860,7 @@ let solve_flat ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
       | Batch.No_rows -> Vec.create n
       | Batch.Gram_singular -> raise Mat.Singular
       | Batch.Factored lu ->
-        let z = Mat.lu_solve_factored lu (Vec.slice block.Batch.bk_d 0 p) in
+        let z = Mat.lu_solve_factored lu plan.Batch.pl_d in
         let y = Vec.create n in
         overlay_rows y z;
         y
@@ -898,20 +881,20 @@ let solve_flat ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
         | Batch.No_rows | Batch.Gram_singular -> y
         | Batch.Factored lu ->
           let d =
-            Vec.init p (fun i -> block.Batch.bk_d.(i) -. Vec.dot plan.Batch.pl_rows.(i) y)
+            Vec.init p (fun i -> plan.Batch.pl_d.(i) -. Vec.dot plan.Batch.pl_rows.(i) y)
           in
           let z = Mat.lu_solve_factored lu d in
           overlay_rows y z;
           y)
     in
-    let fset2 = bset_phase2 plan block in
+    let fset2 = bset_phase2 plan in
     let ws2 =
       make_bws ~n
         ~q:(Array.length plan.Batch.pl_zbasis)
         ~max_terms:plan.Batch.pl_max_terms
         ~nineqs:(Array.length fset2.bs_ineqs)
     in
-    match phase1_flat ~check ~st ~max_outer ~initial_reg ~plan ~block ~fset2 ~ws2 y0 with
+    match phase1_flat ~check ~st ~max_outer ~initial_reg ~plan ~fset2 ~ws2 y0 with
     | None ->
       Log.debug (fun m -> m "phase I failed: problem infeasible");
       infeasible

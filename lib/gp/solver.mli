@@ -9,10 +9,10 @@
 
     Two kernels back the same barrier driver:
     - [`Compiled] (the default, the production path): {!Batch.compile}
-      lowers the problem once into contiguous sparse exponent rows, the
-      orthonormal nullspace bases of its equality rows and the factored
-      least-norm Gram system, and {!Batch.pack} lays its coefficients out
-      as a one-member block.  The Newton loop evaluates into flat
+      lowers the problem once into contiguous sparse exponent rows with
+      their log-coefficients, the orthonormal nullspace bases of its
+      equality rows and the factored least-norm Gram system.  The Newton
+      loop evaluates into flat
       per-solve buffers and solves each KKT system in the nullspace
       basis — one in-place Cholesky factorization of the reduced Hessian
       instead of a dense [(n+p)^2] LU factorization, with the equality

@@ -54,39 +54,29 @@ let minus_slack (f : Gp.Smooth.t) =
   }
 
 (* The compiled function of slot [slot] (0 = objective, j+1 =
-   inequality j) of a packed block, phase II or its phase-I image. *)
-let compiled_fn ?(phase1 = false) (block : Gp.Batch.block) slot =
-  let plan = block.Gp.Batch.bk_plan in
+   inequality j) of a compiled problem, phase II or its phase-I image. *)
+let compiled_fn ?(phase1 = false) (plan : Gp.Batch.plan) slot =
   if slot = 0 then plan.Gp.Batch.pl_objective
   else if phase1 then plan.Gp.Batch.pl_ineqs1.(slot - 1)
   else plan.Gp.Batch.pl_ineqs.(slot - 1)
 
-(* Evaluate [f] of [block]'s member [member] through Gp.Batch.value and
-   Gp.Batch.eval_into at [y], and compare value, full gradient and full
-   Hessian bitwise against [smooth].  eval_into only writes support
-   entries, so the buffers start zeroed — off-support entries of the
-   dense path are always [+0.0] (sums from a [+0.0] start can never
-   produce [-0.0]). *)
-let disagreements (smooth : Gp.Smooth.t) (block : Gp.Batch.block) ~member
-    (f : Gp.Batch.fn) y =
+(* Evaluate [f] through Gp.Batch.value and Gp.Batch.eval_into at [y],
+   and compare value, full gradient and full Hessian bitwise against
+   [smooth].  eval_into only writes support entries, so the buffers
+   start zeroed — off-support entries of the dense path are always
+   [+0.0] (sums from a [+0.0] start can never produce [-0.0]). *)
+let disagreements (smooth : Gp.Smooth.t) (f : Gp.Batch.fn) y =
   let n = smooth.Gp.Smooth.dim in
-  let plan = block.Gp.Batch.bk_plan in
-  let b, boff =
-    if f.Gp.Batch.f_slot < 0 then ([||], 0)
-    else
-      ( block.Gp.Batch.bk_b.(f.Gp.Batch.f_slot),
-        member * plan.Gp.Batch.pl_nterms.(f.Gp.Batch.f_slot) )
-  in
   let es = Array.make (max 1 f.Gp.Batch.f_nterms) 0.0 in
   let bad = ref [] in
   let check name expected actual =
     if not (same_float expected actual) then bad := (name, expected, actual) :: !bad
   in
-  check "value" (smooth.Gp.Smooth.value y) (Gp.Batch.value f ~b ~boff ~es y);
+  check "value" (smooth.Gp.Smooth.value y) (Gp.Batch.value f ~es y);
   let v_ref, g_ref, h_ref = smooth.Gp.Smooth.eval y in
   let grad = Array.make n 0.0 in
   let hess = Array.make (n * n) 0.0 in
-  let v = Gp.Batch.eval_into f ~b ~boff ~es ~grad ~hess ~hn:n y in
+  let v = Gp.Batch.eval_into f ~es ~grad ~hess ~hn:n y in
   check "eval value" v_ref v;
   for i = 0 to n - 1 do
     check (Printf.sprintf "grad.(%d)" i) g_ref.(i) grad.(i);
@@ -96,13 +86,10 @@ let disagreements (smooth : Gp.Smooth.t) (block : Gp.Batch.block) ~member
   done;
   List.rev !bad
 
-let agree_on name smooth block f y =
+let agree_on name smooth f y =
   List.iter
     (fun (what, expected, actual) -> check_bits (name ^ " " ^ what) expected actual)
-    (disagreements smooth block ~member:0 f y)
-
-(* A problem packed as the solver packs it: a block of one. *)
-let pack_one problem = Gp.Batch.pack (Gp.Batch.compile problem) [| problem |]
+    (disagreements smooth f y)
 
 let x0 = "x0"
 let x1 = "x1"
@@ -117,18 +104,18 @@ let test_single_term () =
       ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ (x2, 1.0) ])) ]
       ()
   in
-  let block = pack_one problem in
+  let plan = Gp.Batch.compile problem in
   agree_on "single"
     (smooth_of problem (Gp.Problem.objective problem))
-    block (compiled_fn block 0)
+    (compiled_fn plan 0)
     (Vec.of_list [ 0.3; -1.2; 7.0 ])
 
 let test_constant_term () =
   (* A term with an all-zero row (a constant monomial). *)
   let objective = P.of_monomials [ M.const 2.0; M.make 1.0 [ (x0, 1.0); (x1, 1.0) ] ] in
   let problem = Gp.Problem.make ~objective () in
-  let block = pack_one problem in
-  agree_on "const-term" (smooth_of problem objective) block (compiled_fn block 0)
+  let plan = Gp.Batch.compile problem in
+  agree_on "const-term" (smooth_of problem objective) (compiled_fn plan 0)
     (Vec.of_list [ -0.4; 0.9 ])
 
 let test_affine_matches_linear () =
@@ -141,18 +128,15 @@ let test_affine_matches_linear () =
       ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ (x1, -1.0) ])) ]
       ()
   in
-  let block = pack_one problem in
-  let plan = block.Gp.Batch.bk_plan in
+  let plan = Gp.Batch.compile problem in
   let n1 = plan.Gp.Batch.pl_n + 1 in
   (* Off-support coefficients are +0.0 here; the list kernel's
      [Vec.scale (-1.0) s_dir] carries -0.0 there instead, which adds
      nothing to any sum. *)
   let dir c = Vec.init n1 (fun i -> if i = n1 - 1 then c else 0.0) in
   let y = Vec.of_list [ 1.0; 2.0; 3.0 ] in
-  agree_on "objective s" (Gp.Smooth.linear n1 (dir 1.0) 0.0) block
-    plan.Gp.Batch.pl_objective1 y;
-  agree_on "lower bound" (Gp.Smooth.linear n1 (dir (-1.0)) (-20.0)) block
-    plan.Gp.Batch.pl_lower1 y
+  agree_on "objective s" (Gp.Smooth.linear n1 (dir 1.0) 0.0) plan.Gp.Batch.pl_objective1 y;
+  agree_on "lower bound" (Gp.Smooth.linear n1 (dir (-1.0)) (-20.0)) plan.Gp.Batch.pl_lower1 y
 
 let test_stale_buffers () =
   (* eval_into must overwrite (not accumulate into) its support block
@@ -163,16 +147,14 @@ let test_stale_buffers () =
       ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ (x1, 1.0) ])) ]
       ()
   in
-  let block = pack_one problem in
-  let f = compiled_fn block 0 in
+  let f = compiled_fn (Gp.Batch.compile problem) 0 in
   let y = Vec.of_list [ 0.2; 0.4; -0.6 ] in
   let _, g_ref, h_ref = (smooth_of problem objective).Gp.Smooth.eval y in
   let n = 3 in
   let grad = Array.make n 5.0 in
   let hess = Array.make (n * n) 7.0 in
   let es = Array.make 1 0.0 in
-  ignore
-    (Gp.Batch.eval_into f ~b:block.Gp.Batch.bk_b.(0) ~boff:0 ~es ~grad ~hess ~hn:n y);
+  ignore (Gp.Batch.eval_into f ~es ~grad ~hess ~hn:n y);
   check_bits "g0" g_ref.(0) grad.(0);
   check_bits "g2" g_ref.(2) grad.(2);
   check_bits "g1 untouched" 5.0 grad.(1);
@@ -192,41 +174,10 @@ let test_slack_extension () =
       ]
   in
   let problem = Gp.Problem.make ~objective:(P.var x0) ~ineqs:[ ("g", g) ] () in
-  let block = pack_one problem in
   let smooth = minus_slack (smooth_of problem g) in
-  let f = compiled_fn ~phase1:true block 1 in
-  agree_on "slack" smooth block f (Vec.of_list [ 0.7; -0.1; 1.3 ]);
-  agree_on "slack at s=0" smooth block f (Vec.of_list [ 0.7; -0.1; 0.0 ])
-
-let test_rejects_bad_input () =
-  let problem = Gp.Problem.make ~objective:(P.var x0) () in
-  Alcotest.check_raises "empty batch" (Invalid_argument "Gp.Batch.pack: empty batch")
-    (fun () -> ignore (Gp.Batch.pack (Gp.Batch.compile problem) [||]))
-
-let test_structure_key () =
-  let p c =
-    Gp.Problem.make
-      ~objective:(P.of_monomial (M.make c [ ("x", 1.0) ]))
-      ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ ("x", -1.0) ])) ]
-      ()
-  in
-  let k1 = Gp.Batch.structure_key (p 2.0) in
-  let k2 = Gp.Batch.structure_key (p 3.0) in
-  Alcotest.(check string) "coefficient-blind" k1 k2;
-  let q =
-    Gp.Problem.make
-      ~objective:(P.of_monomial (M.make 2.0 [ ("x", 2.0) ]))
-      ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ ("x", -1.0) ])) ]
-      ()
-  in
-  Alcotest.(check bool)
-    "exponents matter" false
-    (String.equal k1 (Gp.Batch.structure_key q));
-  (* pack rejects a member of a different structure *)
-  let plan = Gp.Batch.compile (p 2.0) in
-  Alcotest.check_raises "pack mismatch"
-    (Invalid_argument "Gp.Batch.pack: problem does not share the plan's structure")
-    (fun () -> ignore (Gp.Batch.pack plan [| p 2.0; q |]))
+  let f = compiled_fn ~phase1:true (Gp.Batch.compile problem) 1 in
+  agree_on "slack" smooth f (Vec.of_list [ 0.7; -0.1; 1.3 ]);
+  agree_on "slack at s=0" smooth f (Vec.of_list [ 0.7; -0.1; 0.0 ])
 
 (* --- evaluation properties --- *)
 
@@ -262,8 +213,8 @@ let prop_bit_identical =
     ~count:500 gen_posynomial (fun (poly, y) ->
       let problem = Gp.Problem.make ~objective:poly () in
       let n = List.length (Gp.Problem.variables problem) in
-      let block = pack_one problem in
-      disagreements (smooth_of problem poly) block ~member:0 (compiled_fn block 0)
+      disagreements (smooth_of problem poly)
+        (compiled_fn (Gp.Batch.compile problem) 0)
         (Vec.slice y 0 n)
       = [])
 
@@ -274,19 +225,17 @@ let prop_slack_bit_identical =
         Gp.Problem.make ~objective:(P.const 1.0) ~ineqs:[ ("g", poly) ] ()
       in
       let n = List.length (Gp.Problem.variables problem) in
-      let block = pack_one problem in
       disagreements
         (minus_slack (smooth_of problem poly))
-        block ~member:0
-        (compiled_fn ~phase1:true block 1)
+        (compiled_fn ~phase1:true (Gp.Batch.compile problem) 1)
         (Vec.concat (Vec.slice y 0 n) [| 0.5 |])
       = [])
 
-(* Random batches of same-structure problems: one random structure
-   (exponent rows for the objective, inequalities and equalities, plus
+(* Random families of whole programs: one random structure (exponent
+   rows for the objective, inequalities and equalities, plus
    per-variable box constraints that keep the programs bounded), then
    several members that differ only in their coefficients. *)
-let gen_batch =
+let gen_family =
   let open QCheck2.Gen in
   let* n = int_range 2 4 in
   let vars = Array.init n (fun i -> Printf.sprintf "x%d" i) in
@@ -353,32 +302,26 @@ let build_problem vars obj_s ineq_s eq_s const_eq (obj_c, ineq_c, eq_c) =
   in
   Gp.Problem.make ~objective:(poly obj_s obj_c) ~ineqs:(ineqs @ box) ~eqs ()
 
-let batch_problems (vars, obj_s, ineq_s, eq_s, const_eq, members, _y) =
+let family_problems (vars, obj_s, ineq_s, eq_s, const_eq, members, _y) =
   Array.of_list (List.map (build_problem vars obj_s ineq_s eq_s const_eq) members)
 
-(* Every member of a multi-member block evaluates exactly like the list
-   kernel's lowering of that member alone: the block layout (member-major
-   coefficient tables, per-member offsets) never leaks into the bits. *)
-let prop_batched_eval_bit_identical =
-  QCheck2.Test.make
-    ~name:"batched eval is bit-identical to per-problem Smooth eval" ~count:200 gen_batch
-    (fun input ->
+(* Every function of a whole program — objective and inequalities,
+   equality rows and box constraints alongside — evaluates exactly like
+   the list kernel's lowering of it, for every member of a family. *)
+let prop_program_eval_bit_identical =
+  QCheck2.Test.make ~name:"program eval is bit-identical to per-problem Smooth eval"
+    ~count:200 gen_family (fun input ->
       let _, _, _, _, _, _, y = input in
-      let problems = batch_problems input in
-      let block = Gp.Batch.pack (Gp.Batch.compile problems.(0)) problems in
-      let ok = ref true in
-      Array.iteri
-        (fun member problem ->
-          List.iteri
-            (fun slot poly ->
-              if
-                disagreements (smooth_of problem poly) block ~member
-                  (compiled_fn block slot) y
-                <> []
-              then ok := false)
-            (Gp.Problem.objective problem :: List.map snd (Gp.Problem.ineqs problem)))
-        problems;
-      !ok)
+      Array.for_all
+        (fun problem ->
+          let plan = Gp.Batch.compile problem in
+          List.for_all
+            (fun (slot, poly) ->
+              disagreements (smooth_of problem poly) (compiled_fn plan slot) y = [])
+            (List.mapi
+               (fun slot poly -> (slot, poly))
+               (Gp.Problem.objective problem :: List.map snd (Gp.Problem.ineqs problem))))
+        (family_problems input))
 
 (* --- the solve property --- *)
 
@@ -414,8 +357,8 @@ let strictly_convex problem =
 
 let prop_default_matches_list =
   QCheck2.Test.make ~name:"default solve matches the List reference solve" ~count:60
-    gen_batch (fun input ->
-      let problems = Array.map strictly_convex (batch_problems input) in
+    gen_family (fun input ->
+      let problems = Array.map strictly_convex (family_problems input) in
       let ok = ref true in
       Array.iteri
         (fun m problem ->
@@ -446,15 +389,13 @@ let () =
           Alcotest.test_case "affine" `Quick test_affine_matches_linear;
           Alcotest.test_case "stale buffers" `Quick test_stale_buffers;
           Alcotest.test_case "slack extension" `Quick test_slack_extension;
-          Alcotest.test_case "bad input" `Quick test_rejects_bad_input;
-          Alcotest.test_case "structure key" `Quick test_structure_key;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_bit_identical;
             prop_slack_bit_identical;
-            prop_batched_eval_bit_identical;
+            prop_program_eval_bit_identical;
             prop_default_matches_list;
           ] );
     ]

@@ -203,6 +203,29 @@ let test_infeasible_arch_errors () =
     Alcotest.failf "expected failure, got energy %g"
       o.I.metrics.Accmodel.Evaluate.energy_pj
 
+(* The candidate fold keeps the first strict improvement under
+   [compare_scores]: a non-finite first score (NaN from a failed model
+   evaluation) must not block the finite candidates after it — a raw
+   [<] against a NaN incumbent is always false — and the first of exact
+   ties wins. *)
+let test_fold_skips_non_finite () =
+  let fold scores =
+    List.fold_left
+      (fun best (i, s) ->
+        if I.improves s (Option.map snd best) then Some (i, s) else best)
+      None
+      (List.mapi (fun i s -> (i, s)) scores)
+  in
+  let check name expected scores =
+    Alcotest.(check (option int)) name expected (Option.map fst (fold scores))
+  in
+  check "nan first" (Some 2) [ Float.nan; 2.0; 1.0; 1.0 ];
+  check "inf first" (Some 1) [ Float.infinity; 3.0 ];
+  check "nan later" (Some 0) [ 1.0; Float.nan ];
+  check "first of ties" (Some 0) [ 1.0; 1.0 ];
+  check "all non-finite" (Some 0) [ Float.nan; Float.neg_infinity ];
+  check "empty" None []
+
 let () =
   Alcotest.run "integerize"
     [
@@ -218,5 +241,6 @@ let () =
           Alcotest.test_case "pinned rounding" `Quick test_pinned_rounding;
           Alcotest.test_case "per-dim budget" `Quick test_per_dim_budget;
           Alcotest.test_case "infeasible arch errors" `Quick test_infeasible_arch_errors;
+          Alcotest.test_case "fold skips non-finite" `Quick test_fold_skips_non_finite;
         ] );
     ]

@@ -510,6 +510,21 @@ let test_stale_fingerprint () =
   Alcotest.(check int) "everything re-solved" solved
     (counter counters "sweep.pairs_solved")
 
+(* [resume] without [journal] has nothing to replay: the run refuses it
+   up front instead of silently re-solving everything, and solves
+   nothing. *)
+let test_resume_requires_journal () =
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  let r = O.dataflow ~config:{ fast with O.resume = true } tech arch F.Energy nest in
+  Obs.Metrics.disable ();
+  let counters = Obs.Metrics.counters (Obs.Metrics.snapshot ()) in
+  Obs.Metrics.reset ();
+  Alcotest.(check (result reject string))
+    "refused" (Error "optimize: resume requires a journal to replay (--journal FILE)")
+    (Result.map (fun _ -> ()) r);
+  Alcotest.(check int) "nothing solved" 0 (counter counters "sweep.pairs_solved")
+
 let () =
   Alcotest.run "sweep"
     [
@@ -543,5 +558,7 @@ let () =
           Alcotest.test_case "injected faults" `Quick test_shard_merge_injected;
           Alcotest.test_case "kill and resume" `Quick test_kill_and_resume;
           Alcotest.test_case "stale fingerprint" `Quick test_stale_fingerprint;
+          Alcotest.test_case "resume requires journal" `Quick
+            test_resume_requires_journal;
         ] );
     ]
