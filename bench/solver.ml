@@ -10,7 +10,10 @@
       placement) problem set of each scenario, formulation excluded
       from the timed region so the cells measure solver work.  Every
       default solve must reach the list solve's status and objective
-      within tolerance, or the bench fails.
+      within tolerance, or the bench fails.  Each scenario then times
+      the integerize stage alone over its three best solved pairs; every
+      outcome's metrics must equal the model's evaluation of its design,
+      or the bench fails.
 
    Emits BENCH_solver.json (flat one-level object; format documented in
    README.md) so the perf trajectory has a recorded baseline —
@@ -24,6 +27,7 @@
 
 module O = Thistle.Optimize
 module F = Thistle.Formulate
+module I = Thistle.Integerize
 module Permutations = Thistle.Permutations
 module Arch = Archspec.Arch
 module Conv = Workload.Conv
@@ -148,16 +152,15 @@ type cell = {
   c_solutions : Gp.Solver.solution list;  (** last repeat, for cross-checks *)
 }
 
-(* The (choice, placement) problem set of one scenario — exactly the
+(* The (choice, placement) instance set of one scenario — exactly the
    pairs the optimizer's sweep would hand the solver, duplicates
    included. *)
-let scenario_problems ~max_choices arch nest =
+let scenario_instances ~max_choices arch nest =
   let plan = Permutations.enumerate ~max_choices nest in
   List.concat_map
     (fun cv ->
       List.map
-        (fun placement ->
-          (F.build ~placement tech (F.Fixed arch) F.Energy plan cv).F.problem)
+        (fun placement -> F.build ~placement tech (F.Fixed arch) F.Energy plan cv)
         plan.Permutations.placements)
     plan.Permutations.choices
 
@@ -200,6 +203,64 @@ let check_agrees ~scenario reference candidate =
         exit 1
       end)
     reference.c_solutions candidate.c_solutions
+
+type integerize_cell = {
+  i_wall_s : float;
+  i_wall_mean_s : float;
+  i_pairs : int;
+  i_candidates : int;  (** candidates tried, summed over the pairs *)
+}
+
+(* The integerize stage alone: [Integerize.run] over the scenario's
+   shortlist — its [top_choices] best usable solved pairs, as the
+   optimizer ranks them — under the default configuration, best of
+   [repeat].  The reported metrics of every outcome must be exactly the
+   model's evaluation of its (architecture, mapping): the candidate loop
+   scores on a compiled kernel and evaluates only the winner in full, so
+   a kernel that drifted from [Evaluate.evaluate] fails here. *)
+let integerize_cell ~repeat ~scenario instances solutions =
+  let config = O.default_config in
+  let shortlist =
+    List.combine instances solutions
+    |> List.filter (fun (inst, sol) -> O.usable_solution inst sol)
+    |> List.stable_sort (fun (_, (a : Gp.Solver.solution)) (_, b) ->
+           O.compare_scores a.Gp.Solver.objective b.Gp.Solver.objective)
+    |> List.filteri (fun i _ -> i < config.O.top_choices)
+  in
+  let pass () =
+    List.map
+      (fun (inst, sol) ->
+        ( inst,
+          I.run ~n_divisors:config.O.n_divisors ~n_pow2:config.O.n_pow2
+            ~min_pe_utilization:config.O.min_pe_utilization
+            ~contention:config.O.contention tech inst sol ))
+      shortlist
+  in
+  let i_wall_s, i_wall_mean_s, outcomes = time_repeats ~repeat pass in
+  let i_candidates =
+    List.fold_left
+      (fun acc (inst, r) ->
+        match r with
+        | Error msg ->
+          Printf.eprintf "warning: %s: integerize failed on %s: %s\n" scenario
+            inst.F.provenance msg;
+          acc
+        | Ok o ->
+          let model =
+            Accmodel.Evaluate.evaluate ~comm:inst.F.comm ~contention:config.O.contention
+              tech o.I.arch inst.F.nest o.I.mapping
+          in
+          if model <> Ok o.I.metrics then begin
+            Printf.eprintf
+              "FATAL: %s: integerize metrics of %s differ from the model's evaluation \
+               of its design\n"
+              scenario inst.F.provenance;
+            exit 1
+          end;
+          acc + o.I.candidates_tried)
+      0 outcomes
+  in
+  { i_wall_s; i_wall_mean_s; i_pairs = List.length shortlist; i_candidates }
 
 let () =
   let options = parse_args () in
@@ -314,9 +375,10 @@ let () =
   let matrix =
     List.map
       (fun (scenario, arch, nest) ->
-        let problems =
-          scenario_problems ~max_choices:options.max_choices arch nest
+        let instances =
+          scenario_instances ~max_choices:options.max_choices arch nest
         in
+        let problems = List.map (fun inst -> inst.F.problem) instances in
         let cl = scalar_cell ~repeat:options.repeat ~kernel:`List problems in
         show_cell scenario "list" cl;
         let cc = scalar_cell ~repeat:options.repeat ~kernel:`Compiled problems in
@@ -324,7 +386,12 @@ let () =
         check_agrees ~scenario cl cc;
         Printf.printf "%-10s compiled speedup %.2fx over list\n%!" scenario
           (cl.c_wall_s /. cc.c_wall_s);
-        (scenario, cl, cc))
+        let ic =
+          integerize_cell ~repeat:options.repeat ~scenario instances cc.c_solutions
+        in
+        Printf.printf "%-10s integerize %6.3f %9.3f %8d pair(s), %d candidates\n%!"
+          scenario ic.i_wall_s ic.i_wall_mean_s ic.i_pairs ic.i_candidates;
+        (scenario, cl, cc, ic))
       scenarios
   in
   let buf = Buffer.create 2048 in
@@ -340,10 +407,19 @@ let () =
         (float_of_int c.c_solves /. c.c_wall_s);
     ]
   in
+  let integerize_fields scenario ic =
+    [
+      f (Printf.sprintf "%s_integerize_wall_s" scenario) ic.i_wall_s;
+      f (Printf.sprintf "%s_integerize_wall_mean_s" scenario) ic.i_wall_mean_s;
+      i (Printf.sprintf "%s_integerize_candidates" scenario) ic.i_candidates;
+    ]
+  in
   let matrix_fields =
     List.concat_map
-      (fun (scenario, cl, cc) ->
-        cell_fields scenario "list" cl @ cell_fields scenario "compiled" cc)
+      (fun (scenario, cl, cc, ic) ->
+        cell_fields scenario "list" cl
+        @ cell_fields scenario "compiled" cc
+        @ integerize_fields scenario ic)
       matrix
   in
   Json.obj buf

@@ -2,6 +2,8 @@ module Tech = Archspec.Technology
 module Arch = Archspec.Arch
 module Link = Archspec.Link
 module Level = Mapspace.Level
+module Mapping = Mapspace.Mapping
+module Kernel = Counts.Kernel
 
 type breakdown = {
   mac_energy : float;
@@ -25,19 +27,33 @@ type t = {
   ipc : float;
 }
 
-let check_capacities arch counts =
-  let reg = Counts.reg_words_per_pe counts in
-  let sram = Counts.sram_words_used counts in
-  let pes = counts.Counts.pes_used in
-  if reg > float_of_int arch.Arch.registers_per_pe then
+(* The first capacity the staged footprints exceed, in the order the
+   errors report them. *)
+type capacity = Fits | Registers of float | Sram of float | Pes of int
+
+let capacity arch k =
+  let reg = Kernel.footprint_total k ~level:Level.pe_temporal_level in
+  let sram = Kernel.footprint_total k ~level:Level.dram_temporal_level in
+  let pes = Kernel.spatial_size k in
+  if reg > float_of_int arch.Arch.registers_per_pe then Registers reg
+  else if sram > float_of_int arch.Arch.sram_words then Sram sram
+  else if pes > arch.Arch.pe_count then Pes pes
+  else Fits
+
+let fits arch k =
+  match capacity arch k with Fits -> true | Registers _ | Sram _ | Pes _ -> false
+
+let check_capacities arch k =
+  match capacity arch k with
+  | Fits -> Ok ()
+  | Registers reg ->
     Error
       (Printf.sprintf "register tile needs %g words, PE has %d" reg
          arch.Arch.registers_per_pe)
-  else if sram > float_of_int arch.Arch.sram_words then
+  | Sram sram ->
     Error (Printf.sprintf "SRAM tile needs %g words, SRAM has %d" sram arch.Arch.sram_words)
-  else if pes > arch.Arch.pe_count then
+  | Pes pes ->
     Error (Printf.sprintf "mapping uses %d PEs, architecture has %d" pes arch.Arch.pe_count)
-  else Ok ()
 
 (* Per-level, per-direction link occupancies (DESIGN §16), in the
    canonical channel order: dram-rd, dram-wr, noc-rd, noc-wr, then the
@@ -47,107 +63,131 @@ let check_capacities arch counts =
    same totals by literally walking the copy schedule and aggregates
    them through the same {!Link} helpers, so uncontended answers agree
    bit-for-bit. *)
-let comm_channels tech counts =
+let comm_channels tech k ~macs ~pes_used ~s2r ~r2s ~d2s ~s2d =
   let links = tech.Tech.links in
   let bursts ?rw_only ~level link =
-    Counts.boundary_bursts ?rw_only counts ~level
-      ~burst_words:link.Link.burst_words
+    Kernel.bursts ?rw_only k ~level ~burst_words:link.Link.burst_words
   in
   let dram = Level.dram_temporal_level and noc = Level.pe_temporal_level in
   let shared =
     [
-      Link.occupancy "dram-rd" links.Link.dram
-        ~words:(Counts.dram_to_sram counts)
+      Link.occupancy "dram-rd" links.Link.dram ~words:d2s
         ~bursts:(bursts ~level:dram links.Link.dram);
-      Link.occupancy "dram-wr" links.Link.dram
-        ~words:(Counts.sram_to_dram counts)
+      Link.occupancy "dram-wr" links.Link.dram ~words:s2d
         ~bursts:(bursts ~rw_only:true ~level:dram links.Link.dram);
-      Link.occupancy "noc-rd" links.Link.noc
-        ~words:(Counts.sram_to_reg counts)
+      Link.occupancy "noc-rd" links.Link.noc ~words:s2r
         ~bursts:(bursts ~level:noc links.Link.noc);
-      Link.occupancy "noc-wr" links.Link.noc
-        ~words:(Counts.reg_to_sram counts)
+      Link.occupancy "noc-wr" links.Link.noc ~words:r2s
         ~bursts:(bursts ~rw_only:true ~level:noc links.Link.noc);
     ]
   in
   let reg =
     Link.stream_occupancy "reg" links.Link.reg
-      ~words:(4.0 *. counts.Counts.macs /. float_of_int counts.Counts.pes_used)
+      ~words:(4.0 *. macs /. float_of_int pes_used)
   in
   (shared, reg)
 
+(* Energy (Eq. 3 with the Eq. 4 models), delay under the comm model and
+   the degeneracy check, from the kernel's staged fills; [counts] is
+   only carried into the record. *)
+let assess ~comm ~contention tech arch k counts =
+  let eps_r = Arch.register_energy tech arch in
+  let eps_s = Arch.sram_energy tech arch in
+  let eps_d = tech.Tech.energy_dram in
+  let macs = Kernel.macs k in
+  let pes_used = Kernel.spatial_size k in
+  let s2r = Kernel.fill_total k ~level:Level.pe_temporal_level in
+  let r2s = Kernel.fill_total ~rw_only:true k ~level:Level.pe_temporal_level in
+  let d2s = Kernel.fill_total k ~level:Level.dram_temporal_level in
+  let s2d = Kernel.fill_total ~rw_only:true k ~level:Level.dram_temporal_level in
+  let mac_energy = ((4.0 *. eps_r) +. tech.Tech.energy_mac) *. macs in
+  let register_energy = eps_r *. (s2r +. r2s) in
+  let sram_energy = eps_s *. (s2r +. r2s +. d2s +. s2d) in
+  let dram_energy = eps_d *. (d2s +. s2d) in
+  let energy_pj = mac_energy +. register_energy +. sram_energy +. dram_energy in
+  let compute_cycles = macs /. float_of_int pes_used in
+  let sram_cycles = (s2r +. r2s +. d2s +. s2d) /. tech.Tech.sram_bandwidth in
+  let dram_cycles = (d2s +. s2d) /. tech.Tech.dram_bandwidth in
+  let comm_occs, cycles, binding =
+    match comm with
+    | Link.Overlapped ->
+      let cycles =
+        Float.max compute_cycles (Float.max sram_cycles dram_cycles)
+      in
+      let binding =
+        Link.binding
+          [
+            ("compute", compute_cycles);
+            ("sram", sram_cycles);
+            ("dram", dram_cycles);
+          ]
+      in
+      ([], cycles, binding)
+    | Link.Comm_aware ->
+      let shared, reg = comm_channels tech k ~macs ~pes_used ~s2r ~r2s ~d2s ~s2d in
+      let cycles, binding =
+        Link.comm_cycles ~contention ~compute:compute_cycles ~shared ~reg
+      in
+      (shared @ [ reg ], cycles, binding)
+  in
+  (* Degenerate nests (overflowed trip-count products, zero-trip
+     mappings) would otherwise produce NaN/inf records through the
+     [energy / macs] and [macs / cycles] divisions below. *)
+  if not (Float.is_finite macs && macs > 0.0) then
+    Error (Printf.sprintf "degenerate nest: MAC count %g is not finite and positive" macs)
+  else if not (Float.is_finite cycles && cycles > 0.0) then
+    Error (Printf.sprintf "degenerate nest: cycle count %g is not finite and positive" cycles)
+  else if not (Float.is_finite energy_pj) then
+    Error (Printf.sprintf "degenerate nest: energy %g is not finite" energy_pj)
+  else
+    Ok
+      {
+        arch;
+        counts;
+        energy_pj;
+        energy_per_mac = energy_pj /. macs;
+        breakdown = { mac_energy; register_energy; sram_energy; dram_energy };
+        compute_cycles;
+        sram_cycles;
+        dram_cycles;
+        comm = comm_occs;
+        binding;
+        cycles;
+        ipc = macs /. cycles;
+      }
+
+(* Scoring reads only energy and cycles, so it skips packing the counts. *)
+let unpacked = { Counts.macs = 0.0; pes_used = 0; per_tensor = [] }
+
+let energy_delay ?(comm = Link.Overlapped) ?(contention = false) tech arch k =
+  match assess ~comm ~contention tech arch k unpacked with
+  | Ok m -> Some (m.energy_pj, m.cycles)
+  | Error _ -> None
+
+let kind_name = function Level.Temporal -> "temporal" | Level.Spatial -> "spatial"
+
 let evaluate ?(comm = Link.Overlapped) ?(contention = false) tech arch nest
     mapping =
-  match Counts.compute nest mapping with
+  match Mapping.validate nest mapping with
   | Error _ as e -> e
-  | Ok counts -> begin
-    match check_capacities arch counts with
-    | Error _ as e -> e
-    | Ok () ->
-      let eps_r = Arch.register_energy tech arch in
-      let eps_s = Arch.sram_energy tech arch in
-      let eps_d = tech.Tech.energy_dram in
-      let macs = counts.Counts.macs in
-      let s2r = Counts.sram_to_reg counts in
-      let r2s = Counts.reg_to_sram counts in
-      let d2s = Counts.dram_to_sram counts in
-      let s2d = Counts.sram_to_dram counts in
-      let mac_energy = ((4.0 *. eps_r) +. tech.Tech.energy_mac) *. macs in
-      let register_energy = eps_r *. (s2r +. r2s) in
-      let sram_energy = eps_s *. (s2r +. r2s +. d2s +. s2d) in
-      let dram_energy = eps_d *. (d2s +. s2d) in
-      let energy_pj = mac_energy +. register_energy +. sram_energy +. dram_energy in
-      let compute_cycles = macs /. float_of_int counts.Counts.pes_used in
-      let sram_cycles = (s2r +. r2s +. d2s +. s2d) /. tech.Tech.sram_bandwidth in
-      let dram_cycles = (d2s +. s2d) /. tech.Tech.dram_bandwidth in
-      let comm_occs, cycles, binding =
-        match comm with
-        | Link.Overlapped ->
-          let cycles =
-            Float.max compute_cycles (Float.max sram_cycles dram_cycles)
-          in
-          let binding =
-            Link.binding
-              [
-                ("compute", compute_cycles);
-                ("sram", sram_cycles);
-                ("dram", dram_cycles);
-              ]
-          in
-          ([], cycles, binding)
-        | Link.Comm_aware ->
-          let shared, reg = comm_channels tech counts in
-          let cycles, binding =
-            Link.comm_cycles ~contention ~compute:compute_cycles ~shared ~reg
-          in
-          (shared @ [ reg ], cycles, binding)
-      in
-      (* Degenerate nests (overflowed trip-count products, zero-trip
-         mappings) would otherwise produce NaN/inf records through the
-         [energy / macs] and [macs / cycles] divisions below. *)
-      if not (Float.is_finite macs && macs > 0.0) then
-        Error (Printf.sprintf "degenerate nest: MAC count %g is not finite and positive" macs)
-      else if not (Float.is_finite cycles && cycles > 0.0) then
-        Error (Printf.sprintf "degenerate nest: cycle count %g is not finite and positive" cycles)
-      else if not (Float.is_finite energy_pj) then
-        Error (Printf.sprintf "degenerate nest: energy %g is not finite" energy_pj)
-      else
-        Ok
-          {
-            arch;
-            counts;
-            energy_pj;
-            energy_per_mac = energy_pj /. macs;
-            breakdown = { mac_energy; register_energy; sram_energy; dram_energy };
-            compute_cycles;
-            sram_cycles;
-            dram_cycles;
-            comm = comm_occs;
-            binding;
-            cycles;
-            ipc = macs /. cycles;
-          }
-  end
+  | Ok () ->
+    let kinds = List.map (fun (l : Mapping.level) -> l.Mapping.kind) (Mapping.levels mapping) in
+    if kinds <> Level.canonical then
+      Error
+        (Printf.sprintf
+           "mapping has levels [%s]; the model needs the canonical reg/pe/spatial/dram \
+            hierarchy [%s]"
+           (String.concat "; " (List.map kind_name kinds))
+           (String.concat "; " (List.map kind_name Level.canonical)))
+    else begin
+      let k = Kernel.of_mapping nest mapping in
+      Kernel.footprints k;
+      match check_capacities arch k with
+      | Error _ as e -> e
+      | Ok () ->
+        Kernel.fills k;
+        assess ~comm ~contention tech arch k (Kernel.pack k)
+    end
 
 let energy t = t.energy_pj
 

@@ -57,13 +57,41 @@ val evaluate :
   Workload.Nest.t ->
   Mapspace.Mapping.t ->
   (t, string) result
-(** Fails when the mapping is invalid for the nest, exceeds the
-    architecture's register / SRAM / PE capacities, or is degenerate —
-    the MAC count, cycle count or energy comes out non-finite or
-    non-positive (overflowed trip-count products), which would otherwise
-    yield NaN/inf [energy_per_mac]/[ipc] records.  [comm] defaults to
-    [Overlapped] (the historical behavior); [contention] only affects
-    [Comm_aware]. *)
+(** Fails when the mapping is invalid for the nest, does not have the
+    canonical reg/pe/spatial/dram level structure
+    ({!Mapspace.Level.canonical}), exceeds the architecture's register /
+    SRAM / PE capacities, or is degenerate — the MAC count, cycle count
+    or energy comes out non-finite or non-positive (overflowed
+    trip-count products), which would otherwise yield NaN/inf
+    [energy_per_mac]/[ipc] records.  [comm] defaults to [Overlapped]
+    (the historical behavior); [contention] only affects [Comm_aware].
+
+    The evaluation runs in stages over a {!Counts.Kernel} compiled from
+    the mapping: footprints, then the capacity checks, then fills, then
+    energy, delay and the degeneracy check — so a mapping that does not
+    fit never has its fills computed. *)
+
+(** {2 Stages for candidate loops}
+
+    A loop scoring many factorizations of one nest compiles a canonical
+    {!Counts.Kernel} once, rewrites its factor matrix per candidate and
+    calls these on it — the same code {!evaluate} runs, without building
+    a mapping or packing counts. *)
+
+val fits : Archspec.Arch.t -> Counts.Kernel.t -> bool
+(** After {!Counts.Kernel.footprints}: the register tile, the SRAM tile
+    and the PE count all fit, i.e. {!evaluate}'s capacity checks pass. *)
+
+val energy_delay :
+  ?comm:Archspec.Link.comm_model ->
+  ?contention:bool ->
+  Archspec.Technology.t ->
+  Archspec.Arch.t ->
+  Counts.Kernel.t ->
+  (float * float) option
+(** After {!Counts.Kernel.fills}: the [energy_pj] and [cycles] that
+    {!evaluate} would report, bit for bit, or [None] where it would fail
+    the degeneracy check. *)
 
 val energy : t -> float
 

@@ -3,11 +3,13 @@ module Arch = Archspec.Arch
 module Level = Mapspace.Level
 module Mapping = Mapspace.Mapping
 module Divisors = Mapspace.Divisors
+module Evaluate = Accmodel.Evaluate
+module Kernel = Accmodel.Counts.Kernel
 
 type outcome = {
   arch : Arch.t;
   mapping : Mapping.t;
-  metrics : Accmodel.Evaluate.t;
+  metrics : Evaluate.t;
   choice : Permutations.choice;
   continuous_objective : float;
   candidates_tried : int;
@@ -21,12 +23,14 @@ let m_tried = Obs.Metrics.counter "integerize.candidates_tried"
 let m_valid = Obs.Metrics.counter "integerize.candidates_valid"
 let m_filtered = Obs.Metrics.counter "integerize.candidates_filtered"
 
-let score objective (metrics : Accmodel.Evaluate.t) =
+let score_of objective ~energy ~cycles =
   match objective with
-  | Formulate.Energy -> metrics.Accmodel.Evaluate.energy_pj
-  | Formulate.Delay -> metrics.Accmodel.Evaluate.cycles
-  | Formulate.Edp ->
-    metrics.Accmodel.Evaluate.energy_pj *. metrics.Accmodel.Evaluate.cycles
+  | Formulate.Energy -> energy
+  | Formulate.Delay -> cycles
+  | Formulate.Edp -> energy *. cycles
+
+let score objective (metrics : Evaluate.t) =
+  score_of objective ~energy:metrics.Evaluate.energy_pj ~cycles:metrics.Evaluate.cycles
 
 (* Ascending on finite scores; any non-finite score (NaN, +/-inf from an
    overflowed or failed model evaluation) orders after every finite one
@@ -77,38 +81,43 @@ let full_perm nest perm =
   in
   perm @ missing
 
+(* Round to nearest: solver-pinned values arrive as floats and may sit a
+   few ulps below the integer (3.9999999), which truncation would
+   silently turn into 3 and shift the whole divisor ladder.  Values
+   genuinely far from an integer are rejected up front by
+   [check_pinned] in [run]. *)
+let pinned_factor instance ~level dim =
+  match List.assoc_opt (Level.trip_var ~level ~dim) instance.Formulate.pinned with
+  | Some v -> int_of_float (Float.round v)
+  | None -> 1
+
+(* A tileable dim's factor at each canonical level, from its cumulative
+   (register, PE, SRAM) tile extents and the dim's extent. *)
+let level_factor ~level (r, q, s) extent =
+  if level = Level.register_level then r
+  else if level = Level.pe_temporal_level then q / r
+  else if level = Level.spatial_level then s / q
+  else extent / s
+
 (* Build a canonical 4-level mapping from per-dim cumulative extents. *)
 let mapping_of_combo instance (combo : (string * (int * int * int)) list) =
   let nest = instance.Formulate.nest in
-  let pinned_factor ~level dim =
-    match
-      List.assoc_opt (Level.trip_var ~level ~dim) instance.Formulate.pinned
-    with
-    (* Round to nearest: solver-pinned values arrive as floats and may
-       sit a few ulps below the integer (3.9999999), which truncation
-       would silently turn into 3 and shift the whole divisor ladder.
-       Values genuinely far from an integer are rejected up front by
-       [check_pinned] in [run]. *)
-    | Some v -> int_of_float (Float.round v)
-    | None -> 1
-  in
-  let factors_at ~level select =
+  let factors_at ~level =
     List.map
       (fun d ->
         match List.assoc_opt d combo with
-        | Some (r, q, s) -> (d, select (r, q, s) (Nest.extent nest d))
-        | None -> (d, pinned_factor ~level d))
+        | Some t -> (d, level_factor ~level t (Nest.extent nest d))
+        | None -> (d, pinned_factor instance ~level d))
       (Nest.dim_names nest)
   in
-  let reg = factors_at ~level:Level.register_level (fun (r, _, _) _ -> r) in
-  let pe = factors_at ~level:Level.pe_temporal_level (fun (r, q, _) _ -> q / r) in
-  let spatial = factors_at ~level:Level.spatial_level (fun (_, q, s) _ -> s / q) in
-  let dram = factors_at ~level:Level.dram_temporal_level (fun (_, _, s) n -> n / s) in
   let reg_perm = full_perm nest [] in
   let pe_perm = full_perm nest instance.Formulate.choice.Permutations.pe_perm in
   let dram_perm = full_perm nest instance.Formulate.choice.Permutations.dram_perm in
-  Mapping.canonical ~reg:(reg, reg_perm) ~pe:(pe, pe_perm) ~spatial
-    ~dram:(dram, dram_perm)
+  Mapping.canonical
+    ~reg:(factors_at ~level:Level.register_level, reg_perm)
+    ~pe:(factors_at ~level:Level.pe_temporal_level, pe_perm)
+    ~spatial:(factors_at ~level:Level.spatial_level)
+    ~dram:(factors_at ~level:Level.dram_temporal_level, dram_perm)
 
 let arch_candidates ~n_pow2 tech instance solution ~spatial_size =
   match instance.Formulate.arch_mode with
@@ -184,85 +193,146 @@ let per_dim_budget ~max_candidates ~dims =
     bisect lo (2 * lo)
   end
 
+(* The tileable dims' divisor ladders.  The cross product is bounded by
+   trimming each ladder (ordered closest-first) to the per-dim budget
+   rather than truncating the product itself: cutting mid-product would
+   silently drop whole regions of the candidate space. *)
+let ladders ~n_divisors ~max_candidates instance solution =
+  let per_dim =
+    List.map
+      (fun d -> (d, dim_triples ~n_divisors instance solution d))
+      instance.Formulate.tileable
+  in
+  let budget = per_dim_budget ~max_candidates ~dims:(List.length per_dim) in
+  List.map (fun (d, triples) -> (d, List.filteri (fun i _ -> i < budget) triples)) per_dim
+
+let levels = List.init (List.length Level.canonical) Fun.id
+
+(* The instance's canonical kernel, holding its pinned factors and its
+   permutations.  The permutations are checked once, here: when they are
+   not permutations of the nest's dims every candidate fails
+   [Mapping.validate].  Candidates then rewrite only the tileable dims'
+   factors. *)
+let compile instance =
+  let nest = instance.Formulate.nest in
+  let kernel = Kernel.compile nest Level.canonical in
+  List.iteri
+    (fun dim d ->
+      List.iter
+        (fun level -> Kernel.set_factor kernel ~level ~dim (pinned_factor instance ~level d))
+        levels)
+    (Nest.dim_names nest);
+  let choice = instance.Formulate.choice in
+  let perms_ok =
+    Kernel.set_perm kernel ~level:Level.pe_temporal_level
+      (full_perm nest choice.Permutations.pe_perm)
+    && Kernel.set_perm kernel ~level:Level.dram_temporal_level
+         (full_perm nest choice.Permutations.dram_perm)
+  in
+  (kernel, perms_ok)
+
 let run ?(n_divisors = 2) ?(n_pow2 = 2) ?(max_candidates = 65536)
     ?(min_pe_utilization = 0.0) ?(contention = false) tech instance solution =
   match check_pinned instance with
   | Some msg -> Error msg
   | None ->
   let nest = instance.Formulate.nest in
-  let per_dim =
-    List.map
-      (fun d -> (d, dim_triples ~n_divisors instance solution d))
-      instance.Formulate.tileable
+  let per_dim = ladders ~n_divisors ~max_candidates instance solution in
+  (* Everything below is scratch of this call (integerize runs under
+     [Exec.Par.map]). *)
+  let kernel, perms_ok = compile instance in
+  let tiles =
+    Array.of_list
+      (List.map
+         (fun (d, triples) ->
+           (Option.get (Kernel.dim_index kernel d), Nest.extent nest d, Array.of_list triples))
+         per_dim)
   in
-  (* Bound the cross product by trimming each dim's ladder (which is
-     ordered closest-first) rather than truncating the product itself:
-     cutting mid-product would silently drop whole regions of the
-     candidate space. *)
-  let rec take k = function
-    | x :: rest when k > 0 -> x :: take (k - 1) rest
-    | _ -> []
+  (* Codesign candidates depend on the mapping only through its PE
+     count. *)
+  let archs =
+    let memo = Hashtbl.create 16 in
+    fun spatial_size ->
+      let pes = Int.max 1 spatial_size in
+      match Hashtbl.find_opt memo pes with
+      | Some archs -> archs
+      | None ->
+        let archs = arch_candidates ~n_pow2 tech instance solution ~spatial_size in
+        Hashtbl.add memo pes archs;
+        archs
   in
-  let per_dim =
-    match per_dim with
-    | [] -> []
-    | _ ->
-      let budget_per_dim =
-        per_dim_budget ~max_candidates ~dims:(List.length per_dim)
-      in
-      List.map (fun (d, triples) -> (d, take budget_per_dim triples)) per_dim
-  in
-  let combos = ref [ [] ] in
-  List.iter
-    (fun (d, triples) ->
-      combos :=
-        List.concat_map
-          (fun combo -> List.map (fun t -> (d, t) :: combo) triples)
-          !combos)
-    per_dim;
+  (* Candidates are scored under the same communication model the GP was
+     lowered with (DESIGN §16). *)
+  let comm = instance.Formulate.comm and objective = instance.Formulate.objective in
+  let chosen = Array.make (Array.length tiles) (1, 1, 1) in
   let tried = ref 0 in
   let valid = ref 0 in
   let best = ref None in
-  Obs.Trace.span "evaluate" (fun () ->
-  List.iter
-    (fun combo ->
-      let mapping = mapping_of_combo instance combo in
-      let spatial_size = Mapping.spatial_size mapping in
-      List.iter
-        (fun arch ->
-          incr tried;
-          let utilization =
-            float_of_int spatial_size /. float_of_int arch.Arch.pe_count
-          in
-          if utilization < min_pe_utilization then ()
-          else
-          match
-            (* Candidates are scored under the same communication model
-               the GP was lowered with (DESIGN §16). *)
-            Accmodel.Evaluate.evaluate ~comm:instance.Formulate.comm ~contention
-              tech arch nest mapping
-          with
-          | Error _ -> ()
-          | Ok metrics ->
-            incr valid;
-            let s = score instance.Formulate.objective metrics in
-            if improves s (Option.map (fun (s', _, _, _) -> s') !best) then
-              best := Some (s, arch, mapping, metrics))
-        (arch_candidates ~n_pow2 tech instance solution ~spatial_size))
-    !combos);
+  (* One combo, the kernel holding its factors: validate them, then per
+     architecture candidate the utilization floor, the capacities over
+     the footprints and the score over the fills.  Each stage runs at
+     most once per combo, shared by every candidate that reaches it. *)
+  let visit () =
+    let valid_mapping = perms_ok && Kernel.valid_factors kernel in
+    let spatial_size = Kernel.spatial_size kernel in
+    List.iter
+      (fun arch ->
+        incr tried;
+        let utilization = float_of_int spatial_size /. float_of_int arch.Arch.pe_count in
+        if utilization < min_pe_utilization || not valid_mapping then ()
+        else begin
+          Kernel.footprints kernel;
+          if Evaluate.fits arch kernel then begin
+            Kernel.fills kernel;
+            match Evaluate.energy_delay ~comm ~contention tech arch kernel with
+            | None -> ()
+            | Some (energy, cycles) ->
+              incr valid;
+              let s = score_of objective ~energy ~cycles in
+              if improves s (Option.map (fun (s', _, _) -> s') !best) then
+                best := Some (s, arch, Array.copy chosen)
+          end
+        end)
+      (archs spatial_size)
+  in
+  (* The cross product of the ladders, first tileable dim outermost. *)
+  let rec walk i =
+    if i = Array.length tiles then visit ()
+    else begin
+      let dim, extent, ladder = tiles.(i) in
+      Array.iter
+        (fun t ->
+          chosen.(i) <- t;
+          List.iter
+            (fun level -> Kernel.set_factor kernel ~level ~dim (level_factor ~level t extent))
+            levels;
+          walk (i + 1))
+        ladder
+    end
+  in
+  Obs.Trace.span "evaluate" (fun () -> walk 0);
   Obs.Metrics.add m_tried !tried;
   Obs.Metrics.add m_valid !valid;
   Obs.Metrics.add m_filtered (!tried - !valid);
   match !best with
   | None -> Error "integerize: no feasible integer candidate"
-  | Some (_, arch, mapping, metrics) ->
-    Ok
-      {
-        arch;
-        mapping;
-        metrics;
-        choice = instance.Formulate.choice;
-        continuous_objective = solution.Gp.Solver.objective;
-        candidates_tried = !tried;
-        candidates_valid = !valid;
-      }
+  | Some (_, arch, chosen) -> begin
+    (* Only the winner becomes a mapping, evaluated in full for the
+       reported metrics.  Its combo lists the last tileable dim first,
+       matching the walk, where the last write of a dim wins. *)
+    let combo = List.rev (List.mapi (fun i (d, _) -> (d, chosen.(i))) per_dim) in
+    let mapping = mapping_of_combo instance combo in
+    match Evaluate.evaluate ~comm ~contention tech arch nest mapping with
+    | Error msg -> Error ("integerize: winner failed evaluation: " ^ msg)
+    | Ok metrics ->
+      Ok
+        {
+          arch;
+          mapping;
+          metrics;
+          choice = instance.Formulate.choice;
+          continuous_objective = solution.Gp.Solver.objective;
+          candidates_tried = !tried;
+          candidates_valid = !valid;
+        }
+  end

@@ -300,6 +300,49 @@ let test_degenerate_nest_rejected () =
     Alcotest.failf "degenerate nest accepted: energy/mac %g, ipc %g"
       m.Evaluate.energy_per_mac m.Evaluate.ipc
 
+(* [Mapping.validate] accepts any depth, and a Timeloop YAML with fewer
+   directives decodes to a 1-, 2- or 3-level mapping; the evaluator used
+   to raise [Invalid_argument] on those from its canonical accessors.  It
+   must return an [Error] naming the hierarchy it expects, while
+   [Counts.compute] keeps counting any depth. *)
+let test_non_canonical_rejected () =
+  let nest = Workload.Conv.to_nest (Workload.Zoo.find "resnet-8") in
+  let dims = Nest.dim_names nest in
+  let full = List.map (fun d -> (d, Nest.extent nest d)) dims in
+  let split d = if Nest.extent nest d mod 2 = 0 then 2 else 1 in
+  let inner = List.map (fun d -> (d, split d)) dims in
+  let outer = List.map (fun d -> (d, Nest.extent nest d / split d)) dims in
+  let temporal factors = { Mapping.kind = Mapspace.Level.Temporal; factors; perm = dims } in
+  let spatial factors = { Mapping.kind = Mapspace.Level.Spatial; factors; perm = [] } in
+  List.iter
+    (fun (label, levels) ->
+      let mapping = Mapping.make levels in
+      Alcotest.(check (result unit string))
+        (label ^ " validates") (Ok ())
+        (Mapping.validate nest mapping);
+      (match Counts.compute nest mapping with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: counts rejected: %s" label msg);
+      match Evaluate.evaluate tech Arch.eyeriss nest mapping with
+      | Ok _ -> Alcotest.failf "%s: non-canonical mapping evaluated" label
+      | Error msg ->
+        let mentions sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: error names the canonical levels: %s" label msg)
+          true (mentions "reg/pe/spatial/dram"))
+    [
+      ("T", [ temporal full ]);
+      ("T,T", [ temporal inner; temporal outer ]);
+      ("T,S,T", [ temporal inner; spatial [ ("k", 2) ]; temporal
+          (List.map (fun (d, f) -> (d, if d = "k" then f / 2 else f)) outer) ]);
+    ]
+
 let test_eyeriss_constants () =
   (* Eyeriss area under the Table III model, used as the co-design budget. *)
   let area = Arch.eyeriss_area tech in
@@ -333,6 +376,8 @@ let () =
           Alcotest.test_case "capacity rejection" `Quick test_capacity_rejection;
           Alcotest.test_case "degenerate nest rejected" `Quick
             test_degenerate_nest_rejected;
+          Alcotest.test_case "non-canonical mapping rejected" `Quick
+            test_non_canonical_rejected;
           Alcotest.test_case "eyeriss constants" `Quick test_eyeriss_constants;
         ] );
     ]
