@@ -152,15 +152,17 @@ type cell = {
   c_solutions : Gp.Solver.solution list;  (** last repeat, for cross-checks *)
 }
 
-(* The (choice, placement) instance set of one scenario — exactly the
-   pairs the optimizer's sweep would hand the solver, duplicates
-   included. *)
-let scenario_instances ~max_choices arch nest =
+(* The (choice, placement) instance set of one scenario: every pair the
+   optimizer's sweep formulates, duplicates included, as [F.build]
+   returns it.  The sweep hands the solver presolve-reduced programs and
+   warm-starts each placement from its choice's pinned solve; here every
+   program is solved as formulated, from the cold least-norm start. *)
+let scenario_instances ~max_choices mode nest =
   let plan = Permutations.enumerate ~max_choices nest in
   List.concat_map
     (fun cv ->
       List.map
-        (fun placement -> F.build ~placement tech (F.Fixed arch) F.Energy plan cv)
+        (fun placement -> F.build ~placement tech mode F.Energy plan cv)
         plan.Permutations.placements)
     plan.Permutations.choices
 
@@ -351,32 +353,37 @@ let () =
   (* Scenario x kernel matrix: each row is one formulated problem set,
      each column one solver kernel, timed around the bare solver.  The
      "edge" scenario reuses the starved architecture above — an
-     infeasibility-heavy workload where phase I dominates. *)
+     infeasibility-heavy workload where phase I dominates; the co-design
+     scenario frees the architecture under the Eyeriss area budget, the
+     paper's headline problem class (arch.* variables, area row). *)
   let scenarios =
     let nest_of name = Conv.to_nest (Workload.Zoo.find name) in
-    if options.smoke then [ ("resnet_2", Arch.eyeriss, nest_of "resnet-2") ]
+    if options.smoke then [ ("resnet_2", F.Fixed Arch.eyeriss, nest_of "resnet-2") ]
     else
       [
-        ("resnet_2", Arch.eyeriss, nest_of "resnet-2");
-        ("resnet_8", Arch.eyeriss, nest_of "resnet-8");
-        ("yolo_2", Arch.eyeriss, nest_of "yolo-2");
-        ("edge", edge, nest_of "resnet-2");
+        ("resnet_2", F.Fixed Arch.eyeriss, nest_of "resnet-2");
+        ("resnet_8", F.Fixed Arch.eyeriss, nest_of "resnet-8");
+        ("yolo_2", F.Fixed Arch.eyeriss, nest_of "yolo-2");
+        ("edge", F.Fixed edge, nest_of "resnet-2");
+        ( "codesign_resnet_2",
+          F.Codesign { area_budget = Arch.eyeriss_area tech },
+          nest_of "resnet-2" );
       ]
   in
   Printf.printf "scenario x kernel matrix (bare solver, %d repeat(s)):\n"
     options.repeat;
-  Printf.printf "%-10s %-9s %9s %9s %8s %10s\n" "scenario" "kernel" "min s"
+  Printf.printf "%-17s %-9s %9s %9s %8s %10s\n" "scenario" "kernel" "min s"
     "mean s" "solves" "solves/s";
   let show_cell scenario kernel (c : cell) =
-    Printf.printf "%-10s %-9s %9.3f %9.3f %8d %10.1f\n%!" scenario kernel
+    Printf.printf "%-17s %-9s %9.3f %9.3f %8d %10.1f\n%!" scenario kernel
       c.c_wall_s c.c_wall_mean_s c.c_solves
       (float_of_int c.c_solves /. c.c_wall_s)
   in
   let matrix =
     List.map
-      (fun (scenario, arch, nest) ->
+      (fun (scenario, mode, nest) ->
         let instances =
-          scenario_instances ~max_choices:options.max_choices arch nest
+          scenario_instances ~max_choices:options.max_choices mode nest
         in
         let problems = List.map (fun inst -> inst.F.problem) instances in
         let cl = scalar_cell ~repeat:options.repeat ~kernel:`List problems in
@@ -384,12 +391,12 @@ let () =
         let cc = scalar_cell ~repeat:options.repeat ~kernel:`Compiled problems in
         show_cell scenario "compiled" cc;
         check_agrees ~scenario cl cc;
-        Printf.printf "%-10s compiled speedup %.2fx over list\n%!" scenario
+        Printf.printf "%-17s compiled speedup %.2fx over list\n%!" scenario
           (cl.c_wall_s /. cc.c_wall_s);
         let ic =
           integerize_cell ~repeat:options.repeat ~scenario instances cc.c_solutions
         in
-        Printf.printf "%-10s integerize %6.3f %9.3f %8d pair(s), %d candidates\n%!"
+        Printf.printf "%-17s integerize %6.3f %9.3f %8d pair(s), %d candidates\n%!"
           scenario ic.i_wall_s ic.i_wall_mean_s ic.i_pairs ic.i_candidates;
         (scenario, cl, cc, ic))
       scenarios

@@ -20,7 +20,9 @@
     too — are therefore bit-for-bit equal to the list kernel's;
     test/test_compiled.ml pins this with unit cases and QCheck
     properties.  The factorizations ({!Mat.nullspace_basis},
-    {!Mat.lu_factor}) are pure functions of the exponents. *)
+    {!Mat.lu_factor}) are pure functions of the exponents.  The
+    nullspace products {!reduce} and {!expand} are bit-identical to the
+    dense loops over the full index range, for any input. *)
 
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
@@ -43,7 +45,21 @@ type fn = {
   f_lin_coef : float array;
   f_lin_const : float;
   f_b : float array;
+  f_single : bool;
+      (** one term, and every product of two of its exponents is finite:
+          wherever the term's exponent is finite, {!value} and
+          {!eval_into} take the affine shortcut *)
 }
+
+(** Column-compressed storage of [q] basis columns: column [j]'s stored
+    entries are positions [c_starts.(j) .. c_starts.(j+1) - 1] of
+    [c_idx] (row indices, ascending) and [c_val]. *)
+type cols = { c_starts : int array; c_idx : int array; c_val : float array }
+
+(** An orthonormal nullspace basis [Z] ([q] columns over [z_n] rows, as
+    {!Mat.nullspace_basis} returns it) in two views: [z_sparse] stores
+    each column's nonzero entries only, [z_full] every entry. *)
+type basis = { z_n : int; z_q : int; z_sparse : cols; z_full : cols }
 
 (** Outcome of factoring the least-norm Gram system [A A^T + 1e-12 I]
     once per problem. *)
@@ -69,8 +85,8 @@ type plan = {
           reduces to [0 = d] and is consistency-checked per solve *)
   pl_rows1 : Vec.t array;  (** the same rows over n+1 (slack column 0) *)
   pl_gram : gram;
-  pl_zbasis : Vec.t array;  (** nullspace basis of [pl_rows] over n *)
-  pl_zbasis1 : Vec.t array;  (** nullspace basis of [pl_rows1] over n+1 *)
+  pl_zbasis : basis;  (** nullspace basis of [pl_rows] over n *)
+  pl_zbasis1 : basis;  (** nullspace basis of [pl_rows1] over n+1 *)
   pl_objective1 : fn;  (** phase I objective: s *)
   pl_lower1 : fn;  (** phase I bound: -s - 20 <= 0 *)
   pl_ineqs1 : fn array;
@@ -104,3 +120,33 @@ val eval_into :
     are written (overwritten, not accumulated); everything else is left
     untouched, so one pair of buffers can be reused across functions
     whose supports differ. *)
+
+(** {1 Nullspace products}
+
+    The Newton step's reduction onto a {!basis} [Z], in flat buffers.
+    Each product runs over [z_sparse] when its other factor is finite
+    and over [z_full] otherwise, which makes it bit-identical to the
+    dense loop over the full index range (ascending, from [+0.0]) in
+    every case: a skipped addend [h *. 0.0] with finite [h] is a signed
+    zero, which never changes such a sum. *)
+
+val reduce :
+  basis ->
+  hess:float array ->
+  grad:float array ->
+  hz:float array ->
+  hr:float array ->
+  rhs:float array ->
+  unit
+(** [reduce z ~hess ~grad ~hz ~hr ~rhs] with [hess] the row-major
+    [n * n] Hessian and [grad] the gradient over [n = z.z_n] writes
+    [hz.(j * n + i) = (H z_j)_i], the lower triangle
+    [hr.(j * q + l) = z_j . (H z_l)] ([l <= j], stride [q = z.z_q]) and
+    [rhs.(j) = -(z_j . grad)].  The strict upper triangle of [hr] is
+    left untouched.  Raises [Invalid_argument] if a buffer is too
+    small. *)
+
+val expand : basis -> u:float array -> dy:float array -> unit
+(** [expand z ~u ~dy] overwrites [dy.(0 .. n-1)] with [Z u]: from
+    [+0.0], column by column, skipping the columns whose [u.(j)] is an
+    exact zero.  Raises [Invalid_argument] if a buffer is too small. *)

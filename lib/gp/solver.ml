@@ -496,7 +496,9 @@ let solve_list ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
    which amplifies roundoff by ||H^-1|| ~ barrier_t / reg along the
    curvature-free log-linear directions every GP formulation has.  When
    Cholesky fails at every regularization level the step falls back
-   once to the list kernel's dense pivoted-LU KKT solve.
+   once to the list kernel's dense pivoted-LU KKT solve.  The products
+   with [Z] ({!Batch.reduce}, {!Batch.expand}) skip its exact zeros
+   wherever that leaves every bit of the dense products unchanged.
 
    The evaluations are bit-identical to the list kernel's
    ({!Batch.eval_into} against [Smooth.log_sum_exp]); Newton directions
@@ -507,7 +509,7 @@ type bset = {
   bs_n : int;
   bs_obj : Batch.fn;
   bs_ineqs : Batch.fn array;
-  bs_zbasis : Vec.t array;
+  bs_zbasis : Batch.basis;
   bs_rows : Vec.t array;  (* equality rows, for the dense KKT fallback *)
 }
 
@@ -523,7 +525,7 @@ type bws = {
   bw_dy : float array;
   bw_es : float array;
   bw_vis : float array;  (* per-inequality values at the current iterate *)
-  bw_hz : Vec.t array;
+  bw_hz : float array;  (* H Z, column j at j * n *)
   bw_hr : Mat.t;
   bw_hr0 : float array;  (* pristine reduced Hessian, lower triangle, stride q *)
   bw_u : Vec.t;
@@ -541,12 +543,31 @@ let make_bws ~n ~q ~max_terms ~nineqs =
     bw_dy = Array.make n 0.0;
     bw_es = Array.make (max 1 max_terms) 0.0;
     bw_vis = Array.make (max 1 nineqs) 0.0;
-    bw_hz = Array.init q (fun _ -> Vec.create n);
+    bw_hz = Array.make (max 1 (q * n)) 0.0;
     bw_hr = Mat.create q q;
     bw_hr0 = Array.make (max 1 (q * q)) 0.0;
     bw_u = Vec.create q;
     bw_u0 = Array.make (max 1 q) 0.0;
   }
+
+(* Factor [Z^T H Z + reg I] into [ws.bw_hr], raising [reg] a
+   hundredfold after each failure, at most [tries] times; [false] when
+   every level fails. *)
+let rec factor_reduced ~ws ~st ~q reg tries =
+  let hd = Mat.data ws.bw_hr in
+  Array.blit ws.bw_hr0 0 hd 0 (q * q);
+  for j = 0 to q - 1 do
+    let o = (j * q) + j in
+    Array.unsafe_set hd o (Array.unsafe_get hd o +. reg)
+  done;
+  match Mat.cholesky_in_place ws.bw_hr with
+  | () -> true
+  | exception Mat.Singular ->
+    if tries <= 0 then false
+    else begin
+      st.kkt_regularizations <- st.kkt_regularizations + 1;
+      factor_reduced ~ws ~st ~q (reg *. 100.0) (tries - 1)
+    end
 
 (* Same minimization as [centering_list], over the compiled functions
    and the structured KKT solve described above. *)
@@ -554,7 +575,7 @@ let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
   let n = fset.bs_n in
   let nineq = Array.length fset.bs_ineqs in
   let zbasis = fset.bs_zbasis in
-  let q = Array.length zbasis in
+  let q = zbasis.Batch.z_q in
   let grad = ws.bw_grad in
   let hess = ws.bw_hess in
   let gi = ws.bw_gi in
@@ -636,79 +657,19 @@ let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
         done
       done
     done;
-    (* Structured KKT solve in the nullspace basis: the products
-       [hz_j = H z_j] are fixed for this step. *)
-    for j = 0 to q - 1 do
-      let zj = zbasis.(j) in
-      let hzj = ws.bw_hz.(j) in
-      for i = 0 to n - 1 do
-        let base = i * n in
-        let acc = ref 0.0 in
-        for k = 0 to n - 1 do
-          acc := !acc +. (Array.unsafe_get hess (base + k) *. Array.unsafe_get zj k)
-        done;
-        Array.unsafe_set hzj i !acc
-      done
-    done;
-    (* The reduced Hessian entries [z_j . (H z_l)] and the reduced RHS
-       [-z_j . grad] are fixed for this step: compute them once and
-       replay them on every regularization retry. *)
-    let hr0 = ws.bw_hr0 and u0 = ws.bw_u0 in
-    for j = 0 to q - 1 do
-      let zj = zbasis.(j) in
-      for l = 0 to j do
-        let hzl = ws.bw_hz.(l) in
-        let acc = ref 0.0 in
-        for i = 0 to n - 1 do
-          acc := !acc +. (Array.unsafe_get zj i *. Array.unsafe_get hzl i)
-        done;
-        Array.unsafe_set hr0 ((j * q) + l) !acc
-      done;
-      let acc = ref 0.0 in
-      for i = 0 to n - 1 do
-        acc := !acc +. (Array.unsafe_get zj i *. Array.unsafe_get grad i)
-      done;
-      Array.unsafe_set u0 j (-. !acc)
-    done;
-    let solve_structured reg =
-      let hr = ws.bw_hr in
-      let u = ws.bw_u in
-      for j = 0 to q - 1 do
-        for l = 0 to j do
-          Mat.set hr j l (Array.unsafe_get hr0 ((j * q) + l))
-        done;
-        Mat.add_to hr j j reg
-      done;
-      Mat.cholesky_in_place hr;
-      Array.blit u0 0 u 0 q;
-      Mat.cholesky_solve_in_place hr u;
-      let dy = ws.bw_dy in
-      Array.fill dy 0 n 0.0;
-      for j = 0 to q - 1 do
-        let uj = u.(j) in
-        if uj <> 0.0 then begin
-          let zj = zbasis.(j) in
-          for i = 0 to n - 1 do
-            Array.unsafe_set dy i (Array.unsafe_get dy i +. (uj *. Array.unsafe_get zj i))
-          done
-        end
-      done;
-      dy
-    in
+    (* Structured KKT solve in the nullspace basis.  The reduced Hessian
+       [z_j . (H z_l)] and RHS [-z_j . grad] are fixed for this step:
+       form them once and replay them on every regularization retry. *)
+    Batch.reduce zbasis ~hess ~grad ~hz:ws.bw_hz ~hr:ws.bw_hr0 ~rhs:ws.bw_u0;
     let dy =
-      let rec attempt reg tries =
-        match solve_structured reg with
-        | dy -> Some dy
-        | exception Mat.Singular ->
-          if tries <= 0 then None
-          else begin
-            st.kkt_regularizations <- st.kkt_regularizations + 1;
-            attempt (reg *. 100.0) (tries - 1)
-          end
-      in
-      match attempt initial_reg 6 with
-      | Some dy -> Some dy
-      | None ->
+      if factor_reduced ~ws ~st ~q initial_reg 6 then begin
+        let u = ws.bw_u in
+        Array.blit ws.bw_u0 0 u 0 q;
+        Mat.cholesky_solve_in_place ws.bw_hr u;
+        Batch.expand zbasis ~u ~dy:ws.bw_dy;
+        Some ws.bw_dy
+      end
+      else begin
         (* Cholesky keeps failing even under heavy regularization (an
            indefinite Hessian from numerical noise): fall back once to
            the dense pivoted-LU KKT path before giving up on the step. *)
@@ -717,6 +678,7 @@ let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
         let hess_m = Mat.init n n (fun i j -> hess.((i * n) + j)) in
         let rows = Array.to_list (Array.map (fun a -> (a, 0.0)) fset.bs_rows) in
         attempt_dense ~st ~initial_reg ~hess:hess_m ~grad ~rows n p
+      end
     in
     match dy with
     | None ->
@@ -813,7 +775,7 @@ let phase1_flat ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~fset2
     let fset1 = bset_phase1 plan in
     let ws1 =
       make_bws ~n:(n + 1)
-        ~q:(Array.length plan.Batch.pl_zbasis1)
+        ~q:plan.Batch.pl_zbasis1.Batch.z_q
         ~max_terms:plan.Batch.pl_max_terms
         ~nineqs:(1 + nineq)
     in
@@ -890,7 +852,7 @@ let solve_flat ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
     let fset2 = bset_phase2 plan in
     let ws2 =
       make_bws ~n
-        ~q:(Array.length plan.Batch.pl_zbasis)
+        ~q:plan.Batch.pl_zbasis.Batch.z_q
         ~max_terms:plan.Batch.pl_max_terms
         ~nineqs:(Array.length fset2.bs_ineqs)
     in

@@ -29,6 +29,8 @@ let cols m = m.cols
 
 let get m i j = m.data.((i * m.cols) + j)
 
+let data m = m.data
+
 let set m i j v = m.data.((i * m.cols) + j) <- v
 
 let add_to m i j v =
@@ -251,21 +253,26 @@ let nullspace_basis n rows_arr =
 
 (* In-place Cholesky over the lower triangle: entry (i, j <= i) is
    replaced by L(i, j); the strict upper triangle is left untouched, so a
-   buffer can be refilled and refactored without clearing it. *)
+   buffer can be refilled and refactored without clearing it.  The
+   squareness check makes every [i * n + j] below an in-bounds index of
+   [data], so element access is unchecked. *)
 let cholesky_in_place a =
   if a.rows <> a.cols then invalid_arg "Mat.cholesky_in_place: matrix not square";
   let n = a.rows in
+  let d = a.data in
   for i = 0 to n - 1 do
+    let ri = i * n in
     for j = 0 to i do
-      let acc = ref (get a i j) in
+      let rj = j * n in
+      let acc = ref (Array.unsafe_get d (ri + j)) in
       for k = 0 to j - 1 do
-        acc := !acc -. (get a i k *. get a j k)
+        acc := !acc -. (Array.unsafe_get d (ri + k) *. Array.unsafe_get d (rj + k))
       done;
       if i = j then begin
         if !acc <= 0.0 then raise Singular;
-        set a i j (sqrt !acc)
+        Array.unsafe_set d (ri + j) (sqrt !acc)
       end
-      else set a i j (!acc /. get a j j)
+      else Array.unsafe_set d (ri + j) (!acc /. Array.unsafe_get d (rj + j))
     done
   done
 
@@ -281,26 +288,29 @@ let cholesky a =
   l
 
 (* Forward/back substitution reading only the lower triangle of [l],
-   overwriting [y] with the solution of [l * transpose l * x = y]. *)
+   overwriting [y] with the solution of [l * transpose l * x = y].
+   Unchecked element access, as in [cholesky_in_place]. *)
 let cholesky_solve_in_place l y =
-  let n = rows l in
-  if n <> Array.length y then
+  let n = l.rows in
+  if l.cols <> n || n <> Array.length y then
     invalid_arg "Mat.cholesky_solve_in_place: dimension mismatch";
+  let d = l.data in
   (* Forward substitution with l. *)
   for i = 0 to n - 1 do
-    let acc = ref y.(i) in
+    let ri = i * n in
+    let acc = ref (Array.unsafe_get y i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (get l i j *. y.(j))
+      acc := !acc -. (Array.unsafe_get d (ri + j) *. Array.unsafe_get y j)
     done;
-    y.(i) <- !acc /. get l i i
+    Array.unsafe_set y i (!acc /. Array.unsafe_get d (ri + i))
   done;
   (* Back substitution with transpose l. *)
   for i = n - 1 downto 0 do
-    let acc = ref y.(i) in
+    let acc = ref (Array.unsafe_get y i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (get l j i *. y.(j))
+      acc := !acc -. (Array.unsafe_get d ((j * n) + i) *. Array.unsafe_get y j)
     done;
-    y.(i) <- !acc /. get l i i
+    Array.unsafe_set y i (!acc /. Array.unsafe_get d ((i * n) + i))
   done
 
 let cholesky_solve l b =

@@ -33,6 +33,11 @@ val set : t -> int -> int -> float -> unit
 val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j v] adds [v] to entry [(i, j)] in place. *)
 
+val data : t -> float array
+(** The row-major storage of the matrix itself, not a copy: entry
+    [(i, j)] is element [i * cols m + j], and writes to it are writes to
+    the matrix.  For allocation-free fills of workspace matrices. *)
+
 val copy : t -> t
 
 val transpose : t -> t
@@ -91,7 +96,9 @@ val cholesky_in_place : t -> unit
     Cholesky factor, reading only the lower triangle; the strict upper
     triangle is left untouched, so a workspace buffer can be refilled and
     refactored without clearing.  Raises [Singular] when [a] is not
-    positive definite (the buffer is then partially overwritten). *)
+    positive definite (the buffer is then partially overwritten).
+    Raises [Invalid_argument] when [a] is not square; element access is
+    otherwise unchecked. *)
 
 val cholesky_solve : t -> Vec.t -> Vec.t
 (** [cholesky_solve l b] solves [l * transpose l * x = b] given the factor
@@ -100,7 +107,8 @@ val cholesky_solve : t -> Vec.t -> Vec.t
 val cholesky_solve_in_place : t -> Vec.t -> unit
 (** [cholesky_solve_in_place l b] overwrites [b] with the solution of
     [l * transpose l * x = b] — the allocation-free core of
-    {!cholesky_solve}. *)
+    {!cholesky_solve}.  Raises [Invalid_argument] unless [l] is square
+    of [b]'s dimension; element access is otherwise unchecked. *)
 
 val solve_spd : t -> Vec.t -> Vec.t
 (** [solve_spd a b] factors and solves in one step. *)

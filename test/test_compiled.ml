@@ -65,12 +65,13 @@ let compiled_fn ?(phase1 = false) (plan : Gp.Batch.plan) slot =
    [smooth].  eval_into only writes support entries, so the buffers
    start zeroed — off-support entries of the dense path are always
    [+0.0] (sums from a [+0.0] start can never produce [-0.0]). *)
-let disagreements (smooth : Gp.Smooth.t) (f : Gp.Batch.fn) y =
+let disagreements ?within ?(same = same_float) (smooth : Gp.Smooth.t) (f : Gp.Batch.fn) y =
   let n = smooth.Gp.Smooth.dim in
+  let indices = match within with Some a -> a | None -> Array.init n Fun.id in
   let es = Array.make (max 1 f.Gp.Batch.f_nterms) 0.0 in
   let bad = ref [] in
   let check name expected actual =
-    if not (same_float expected actual) then bad := (name, expected, actual) :: !bad
+    if not (same expected actual) then bad := (name, expected, actual) :: !bad
   in
   check "value" (smooth.Gp.Smooth.value y) (Gp.Batch.value f ~es y);
   let v_ref, g_ref, h_ref = smooth.Gp.Smooth.eval y in
@@ -78,18 +79,44 @@ let disagreements (smooth : Gp.Smooth.t) (f : Gp.Batch.fn) y =
   let hess = Array.make (n * n) 0.0 in
   let v = Gp.Batch.eval_into f ~es ~grad ~hess ~hn:n y in
   check "eval value" v_ref v;
-  for i = 0 to n - 1 do
-    check (Printf.sprintf "grad.(%d)" i) g_ref.(i) grad.(i);
-    for j = 0 to n - 1 do
-      check (Printf.sprintf "hess.(%d,%d)" i j) (Mat.get h_ref i j) hess.((i * n) + j)
-    done
-  done;
+  Array.iter
+    (fun i ->
+      check (Printf.sprintf "grad.(%d)" i) g_ref.(i) grad.(i);
+      Array.iter
+        (fun j ->
+          check (Printf.sprintf "hess.(%d,%d)" i j) (Mat.get h_ref i j) hess.((i * n) + j))
+        indices)
+    indices;
   List.rev !bad
+
+(* Where a term's exponent is non-finite, every softmax weight of the
+   dense path is NaN and its [p *. 0.0] products fill the whole gradient
+   and Hessian with NaN; the compiled path writes only its support.  On
+   the support the two agree bit for bit, except that a NaN's sign is
+   not pinned: which operand's NaN an IEEE operation propagates is up to
+   the machine code, and no solver decision reads it (every comparison
+   with a NaN is false whatever its sign).  A phase-I image's slack
+   row and column are left out too: the dense path never touches them
+   (+0.0), while the compiled path's [-. g g^T] over its whole support
+   adds [-.(g_i *. 0.0)] there, which is NaN. *)
+let support_disagreements ?slack smooth (f : Gp.Batch.fn) y =
+  let same a b = same_float a b || (Float.is_nan a && Float.is_nan b) in
+  let within =
+    match slack with
+    | None -> f.Gp.Batch.f_support
+    | Some s -> Array.of_list (List.filter (( <> ) s) (Array.to_list f.Gp.Batch.f_support))
+  in
+  disagreements ~within ~same smooth f y
 
 let agree_on name smooth f y =
   List.iter
     (fun (what, expected, actual) -> check_bits (name ^ " " ^ what) expected actual)
     (disagreements smooth f y)
+
+let agree_on_support ?slack name smooth f y =
+  List.iter
+    (fun (what, expected, actual) -> check_bits (name ^ " " ^ what) expected actual)
+    (support_disagreements ?slack smooth f y)
 
 let x0 = "x0"
 let x1 = "x1"
@@ -163,6 +190,29 @@ let test_stale_buffers () =
   check_bits "h11 untouched" 7.0 hess.(4);
   check_bits "h01 untouched" 7.0 hess.(1)
 
+let test_single_term_nonfinite () =
+  (* One term, exponent 2 x0 - 2 x1 + log 3: finite coordinates that
+     overflow it to +inf, to -inf, and to inf - inf = NaN, where the
+     affine shortcut must hand over to the general path; then the
+     phase-I image of a single-term inequality, at a zero exponent and
+     at non-finite ones. *)
+  let objective = P.of_monomial (M.make 3.0 [ (x0, 2.0); (x1, -2.0) ]) in
+  let ineq = P.of_monomial (M.make 0.5 [ (x0, -2.0); (x1, 2.0) ]) in
+  let problem = Gp.Problem.make ~objective ~ineqs:[ ("g", ineq) ] () in
+  let plan = Gp.Batch.compile problem in
+  let f = compiled_fn plan 0 in
+  Alcotest.(check bool) "shortcut applies" true f.Gp.Batch.f_single;
+  let smooth = smooth_of problem objective in
+  let big = Float.max_float in
+  agree_on_support "+inf" smooth f [| big; 0.0 |];
+  agree_on_support "-inf" smooth f [| -.big; 0.0 |];
+  agree_on_support "nan" smooth f [| big; big |];
+  let slack = minus_slack (smooth_of problem ineq) in
+  let g1 = compiled_fn ~phase1:true plan 1 in
+  agree_on "slack zero exponent" slack g1 [| 0.0; log 2.0 /. 2.0; 1.0 |];
+  agree_on_support ~slack:2 "slack +inf" slack g1 [| -.big; 0.0; 0.5 |];
+  agree_on_support ~slack:2 "slack nan" slack g1 [| big; big; 0.5 |]
+
 let test_slack_extension () =
   (* The phase-I image of an inequality, G(y, s) = f(y) - s over one
      more coordinate. *)
@@ -184,10 +234,10 @@ let test_slack_extension () =
 (* A random posynomial over up to seven variables, mostly structural
    zeros like real formulations (each monomial mentions a few of the
    problem variables), plus a point to evaluate at. *)
-let gen_posynomial =
+let gen_posynomial_with ~nterms coord =
   let open QCheck2.Gen in
   let* nvars = int_range 2 7 in
-  let* nterms = int_range 1 6 in
+  let* nterms = nterms in
   let entry =
     let* zero = frequency [ (6, return true); (4, return false) ] in
     if zero then return 0.0 else float_range (-3.0) 3.0
@@ -202,8 +252,25 @@ let gen_posynomial =
             (List.mapi (fun i e -> (i, e)) exps)))
   in
   let* terms = list_size (return nterms) term in
-  let* y = array_size (return nvars) (float_range (-3.0) 3.0) in
+  let* y = array_size (return nvars) coord in
   return (P.of_monomials terms, y)
+
+let gen_posynomial =
+  QCheck2.Gen.(gen_posynomial_with ~nterms:(int_range 1 6) (float_range (-3.0) 3.0))
+
+(* Half single-term functions, at points with coordinates up to
+   [max_float]: finite, but a term's exponent [sum c_i y_i + b]
+   overflows to +inf or -inf, or to NaN where both meet in one term. *)
+let gen_extreme_posynomial =
+  let open QCheck2.Gen in
+  gen_posynomial_with
+    ~nterms:(frequency [ (1, return 1); (1, int_range 2 6) ])
+    (frequency
+       [
+         (3, float_range (-3.0) 3.0);
+         (1, return Float.max_float);
+         (1, return (-.Float.max_float));
+       ])
 
 (* [poly] as the objective, and as the only inequality under a constant
    objective for its phase-I image; either way the problem's variables
@@ -226,6 +293,31 @@ let prop_slack_bit_identical =
       in
       let n = List.length (Gp.Problem.variables problem) in
       disagreements
+        (minus_slack (smooth_of problem poly))
+        (compiled_fn ~phase1:true (Gp.Batch.compile problem) 1)
+        (Vec.concat (Vec.slice y 0 n) [| 0.5 |])
+      = [])
+
+let prop_nonfinite_bit_identical =
+  QCheck2.Test.make
+    ~name:"compiled kernel matches Smooth.log_sum_exp at non-finite exponents" ~count:500
+    gen_extreme_posynomial (fun (poly, y) ->
+      let problem = Gp.Problem.make ~objective:poly () in
+      let n = List.length (Gp.Problem.variables problem) in
+      support_disagreements (smooth_of problem poly)
+        (compiled_fn (Gp.Batch.compile problem) 0)
+        (Vec.slice y 0 n)
+      = [])
+
+let prop_nonfinite_slack_bit_identical =
+  QCheck2.Test.make
+    ~name:"compiled slack extension matches at non-finite exponents" ~count:300
+    gen_extreme_posynomial (fun (poly, y) ->
+      let problem =
+        Gp.Problem.make ~objective:(P.const 1.0) ~ineqs:[ ("g", poly) ] ()
+      in
+      let n = List.length (Gp.Problem.variables problem) in
+      support_disagreements ~slack:n
         (minus_slack (smooth_of problem poly))
         (compiled_fn ~phase1:true (Gp.Batch.compile problem) 1)
         (Vec.concat (Vec.slice y 0 n) [| 0.5 |])
@@ -323,6 +415,162 @@ let prop_program_eval_bit_identical =
                (Gp.Problem.objective problem :: List.map snd (Gp.Problem.ineqs problem))))
         (family_problems input))
 
+(* --- nullspace products --- *)
+
+(* The Newton step's products re-derived as dense loops over the basis
+   columns Mat.nullspace_basis returns, every sum over the full index
+   range from +0.0: H z_j, z_j . (H z_l) for l <= j, -(z_j . grad), and
+   Z u skipping exact-zero u_j. *)
+let dense_products zcols ~n ~hess ~grad ~u =
+  let q = Array.length zcols in
+  let sum len f =
+    let acc = ref 0.0 in
+    for k = 0 to len - 1 do
+      acc := !acc +. f k
+    done;
+    !acc
+  in
+  let hz =
+    Array.init q (fun j ->
+        Array.init n (fun i -> sum n (fun k -> hess.((i * n) + k) *. zcols.(j).(k))))
+  in
+  let hr =
+    Array.init q (fun j -> Array.init (j + 1) (fun l -> sum n (fun i -> zcols.(j).(i) *. hz.(l).(i))))
+  in
+  let rhs = Array.init q (fun j -> -.sum n (fun i -> zcols.(j).(i) *. grad.(i))) in
+  let dy = Array.make n 0.0 in
+  Array.iteri
+    (fun j z ->
+      if u.(j) <> 0.0 then
+        for i = 0 to n - 1 do
+          dy.(i) <- dy.(i) +. (u.(j) *. z.(i))
+        done)
+    zcols;
+  (hz, hr, rhs, dy)
+
+type plant = Finite | In_hess of float | In_grad of float | In_u of float
+
+(* Inputs drawn from [rng]: mostly exact or signed zeros in H, as the
+   assembled Hessians are, some exact zeros in u; [plant] puts one
+   non-finite value at a random position. *)
+let draw_inputs rng ~n ~q plant =
+  let entry () =
+    match Random.State.int rng 6 with
+    | 0 | 1 | 2 -> 0.0
+    | 3 -> -0.0
+    | _ -> Random.State.float rng 20.0 -. 10.0
+  in
+  let hess = Array.init (n * n) (fun _ -> entry ()) in
+  let grad = Array.init n (fun _ -> Random.State.float rng 20.0 -. 10.0) in
+  let u = Array.init q (fun _ -> if Random.State.int rng 4 = 0 then 0.0 else entry ()) in
+  let put a v = if Array.length a > 0 then a.(Random.State.int rng (Array.length a)) <- v in
+  (match plant with
+  | Finite -> ()
+  | In_hess v -> put hess v
+  | In_grad v -> put grad v
+  | In_u v -> put u v);
+  (hess, grad, u)
+
+(* [Batch.reduce] and [Batch.expand] over [zb] against the dense loops
+   over [zcols]; the mismatching entries, by name. *)
+let product_disagreements zb zcols ~hess ~grad ~u =
+  let n = zb.Gp.Batch.z_n and q = zb.Gp.Batch.z_q in
+  let hz_ref, hr_ref, rhs_ref, dy_ref = dense_products zcols ~n ~hess ~grad ~u in
+  let hz = Array.make (q * n) nan in
+  let hr = Array.make (q * q) 7.0 in
+  let rhs = Array.make q nan in
+  let dy = Array.make n 3.0 in
+  Gp.Batch.reduce zb ~hess ~grad ~hz ~hr ~rhs;
+  Gp.Batch.expand zb ~u ~dy;
+  let bad = ref [] in
+  let check name expected actual =
+    if not (same_float expected actual) then bad := name :: !bad
+  in
+  if Array.length zcols <> q then bad := "column count" :: !bad
+  else begin
+    for j = 0 to q - 1 do
+      for i = 0 to n - 1 do
+        check (Printf.sprintf "hz.(%d).(%d)" j i) hz_ref.(j).(i) hz.((j * n) + i)
+      done;
+      for l = 0 to q - 1 do
+        if l <= j then check (Printf.sprintf "hr.(%d,%d)" j l) hr_ref.(j).(l) hr.((j * q) + l)
+        else check (Printf.sprintf "hr.(%d,%d) untouched" j l) 7.0 hr.((j * q) + l)
+      done;
+      check (Printf.sprintf "rhs.(%d)" j) rhs_ref.(j) rhs.(j)
+    done;
+    for i = 0 to n - 1 do
+      check (Printf.sprintf "dy.(%d)" i) dy_ref.(i) dy.(i)
+    done
+  end;
+  List.rev !bad
+
+(* Both bases of a compiled problem — phase II over n, phase I over n+1
+   with the slack — against the columns Mat.nullspace_basis returns for
+   the plan's equality rows. *)
+let plan_products_agree rng plant (plan : Gp.Batch.plan) =
+  let n = plan.Gp.Batch.pl_n in
+  List.for_all
+    (fun (zb, zcols) ->
+      let hess, grad, u = draw_inputs rng ~n:zb.Gp.Batch.z_n ~q:zb.Gp.Batch.z_q plant in
+      product_disagreements zb zcols ~hess ~grad ~u = [])
+    [
+      (plan.Gp.Batch.pl_zbasis, Mat.nullspace_basis n plan.Gp.Batch.pl_rows);
+      (plan.Gp.Batch.pl_zbasis1, Mat.nullspace_basis (n + 1) plan.Gp.Batch.pl_rows1);
+    ]
+
+let gen_plant =
+  let open QCheck2.Gen in
+  let bad = oneofl [ infinity; neg_infinity; nan ] in
+  frequency
+    [
+      (3, return Finite);
+      (1, map (fun v -> In_hess v) bad);
+      (1, map (fun v -> In_grad v) bad);
+      (1, map (fun v -> In_u v) bad);
+    ]
+
+let prop_products_family =
+  QCheck2.Test.make ~name:"nullspace products match the dense loops (random programs)"
+    ~count:300
+    QCheck2.Gen.(triple gen_family gen_plant int)
+    (fun (input, plant, seed) ->
+      let rng = Random.State.make [| seed |] in
+      Array.for_all
+        (fun problem -> plan_products_agree rng plant (Gp.Batch.compile problem))
+        (family_problems input))
+
+(* The same on real formulations: resnet-2's (choice, placement)
+   programs on the fixed Eyeriss architecture and under the co-design
+   area budget, whose bases are mostly exact zeros. *)
+let test_products_zoo () =
+  let module F = Thistle.Formulate in
+  let module Perm = Thistle.Permutations in
+  let tech = Archspec.Technology.table3 in
+  let nest = Workload.Conv.to_nest (Workload.Zoo.find "resnet-2") in
+  let plan = Perm.enumerate ~max_choices:2 nest in
+  let rng = Random.State.make [| 16 |] in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun choice ->
+          List.iter
+            (fun placement ->
+              let inst = F.build ~placement tech mode F.Energy plan choice in
+              let compiled = Gp.Batch.compile inst.F.problem in
+              List.iter
+                (fun plant ->
+                  if not (plan_products_agree rng plant compiled) then
+                    Alcotest.failf "%s: nullspace products differ from the dense loops"
+                      inst.F.provenance)
+                [ Finite; Finite; In_hess nan; In_hess infinity; In_grad neg_infinity; In_u nan;
+                  In_u infinity ])
+            plan.Perm.placements)
+        plan.Perm.choices)
+    [
+      F.Fixed Archspec.Arch.eyeriss;
+      F.Codesign { area_budget = Archspec.Arch.eyeriss_area tech };
+    ]
+
 (* --- the solve property --- *)
 
 let approx a b = Float.abs (a -. b) <= 1e-4 *. (1.0 +. Float.abs b)
@@ -389,13 +637,18 @@ let () =
           Alcotest.test_case "affine" `Quick test_affine_matches_linear;
           Alcotest.test_case "stale buffers" `Quick test_stale_buffers;
           Alcotest.test_case "slack extension" `Quick test_slack_extension;
+          Alcotest.test_case "non-finite single term" `Quick test_single_term_nonfinite;
+          Alcotest.test_case "nullspace products, zoo" `Quick test_products_zoo;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_bit_identical;
             prop_slack_bit_identical;
+            prop_nonfinite_bit_identical;
+            prop_nonfinite_slack_bit_identical;
             prop_program_eval_bit_identical;
+            prop_products_family;
             prop_default_matches_list;
           ] );
     ]
