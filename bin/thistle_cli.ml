@@ -5,18 +5,19 @@ open Cmdliner
 module O = Thistle.Optimize
 module F = Thistle.Formulate
 module I = Thistle.Integerize
-module Pl = Thistle.Pipeline
 module An = Analysis
 module S = Mapper.Search
 module Arch = Archspec.Arch
 module Conv = Workload.Conv
 module Nest = Workload.Nest
 module Evaluate = Accmodel.Evaluate
+module P = Serve.Protocol
 
-let base_tech = Archspec.Technology.table3
+let ( let* ) = Result.bind
 
-(* Subcommands without a --node flag use the Table III values as-is. *)
-let tech = base_tech
+let fail msg =
+  prerr_endline msg;
+  1
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                   *)
@@ -34,11 +35,6 @@ let setup_logs =
 let layer_arg =
   let doc = "Layer name from Table II (e.g. resnet-2, yolo-7); see `thistle layers'." in
   Arg.(required & opt (some string) None & info [ "layer" ] ~docv:"NAME" ~doc)
-
-let nest_of_layer name =
-  match Workload.Zoo.find name with
-  | layer -> Ok (Conv.to_nest layer)
-  | exception Not_found -> Error (Printf.sprintf "unknown layer %S; try `thistle layers'" name)
 
 let objective_arg =
   let objective_conv =
@@ -60,8 +56,7 @@ let arch_args =
   let sram =
     Arg.(value & opt int 65536 & info [ "sram" ] ~docv:"S" ~doc:"SRAM capacity (16-bit words).")
   in
-  let build pes regs sram = Arch.make ~name:"cli" ~pes ~registers:regs ~sram_words:sram in
-  Term.(const build $ pes $ regs $ sram)
+  Term.(const (fun pes regs sram -> P.arch ~name:"cli" ~pes ~regs ~sram) $ pes $ regs $ sram)
 
 let node_arg =
   Arg.(
@@ -71,12 +66,10 @@ let node_arg =
         ~doc:"Process node in nm; Table III's 45 nm values are scaled \
               first-order (on-chip area and energy by the squared ratio).")
 
-let tech_of_node node = Archspec.Technology.scale_to_node base_tech ~node_nm:node
-
 let top_choices_arg =
   Arg.(
     value
-    & opt int O.default_config.O.top_choices
+    & opt int P.default_opts.P.top_choices
     & info [ "top-choices" ] ~docv:"K"
         ~doc:"Number of best continuous solutions to integerize and model-evaluate.")
 
@@ -93,29 +86,69 @@ let jobs_arg =
 let sweep_max_choices_arg =
   Arg.(
     value
-    & opt int O.default_config.O.max_choices
+    & opt int P.default_opts.P.max_choices
     & info [ "max-choices" ] ~docv:"N"
         ~doc:"Cap on enumerated permutation choices per layer.")
 
-(* Solver-path knobs shared by the sweep-running subcommands: a term
-   that finishes an [Optimize.config] with the requested reuse and
-   presolve settings. *)
-let solver_opts =
-  let no_dedupe_arg =
-    Arg.(
-      value & flag
-      & info [ "no-dedupe" ]
-          ~doc:
-            "Solve structurally identical programs repeatedly instead of replaying \
-             the cached solution.  Results are bit-identical either way.")
+let area_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "area" ] ~docv:"UM2"
+        ~doc:"Chip-area budget in um^2 (defaults to the Eyeriss area).")
+
+let pipeline_arg =
+  let doc = "DNN pipeline: $(b,resnet18), $(b,yolo9000), $(b,alexnet) or $(b,vgg16)." in
+  Arg.(
+    required
+    & opt (some (Arg.enum (List.map (fun (n, _) -> (n, n)) Workload.Zoo.pipelines))) None
+    & info [ "pipeline" ] ~docv:"NAME" ~doc)
+
+(* ------------------------------------------------------------------ *)
+(* Requests: one set of terms for the local subcommands and `client`  *)
+(* ------------------------------------------------------------------ *)
+
+let request_opts =
+  let build top_choices max_choices node_nm = { P.top_choices; max_choices; node_nm } in
+  Term.(const build $ top_choices_arg $ sweep_max_choices_arg $ node_arg)
+
+(* A pipeline request carries the default --top-choices, which the
+   resolver ignores. *)
+let pipeline_opts node =
+  let build max_choices node_nm = { P.default_opts with P.max_choices; node_nm } in
+  Term.(const build $ sweep_max_choices_arg $ node)
+
+let optimize_request =
+  let build layer objective arch opts =
+    Result.map (fun arch -> P.Optimize { layer; objective; arch; opts }) arch
   in
-  let no_warm_arg =
+  Term.(const build $ layer_arg $ objective_arg $ arch_args $ request_opts)
+
+let codesign_request area =
+  let build layer objective area opts = Ok (P.Codesign { layer; objective; area; opts }) in
+  Term.(const build $ layer_arg $ objective_arg $ area $ request_opts)
+
+let pipeline_request opts =
+  let build pipeline objective opts = Ok (P.Pipeline { pipeline; objective; opts }) in
+  Term.(const build $ pipeline_arg $ objective_arg $ opts)
+
+(* ------------------------------------------------------------------ *)
+(* Configuration: the daemon's base config plus option groups         *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything a request does not carry: parallelism, the lint and
+   presolve gates, and the fault-tolerance knobs (DESIGN §11).  [thistle
+   serve] runs with exactly this config as its base. *)
+let base_config =
+  let lint_mode_arg =
     Arg.(
-      value & flag
-      & info [ "no-warm-start" ]
+      value
+      & opt (Arg.enum An.Lint.modes) An.Lint.Enforce
+      & info [ "lint" ] ~docv:"MODE"
           ~doc:
-            "Start every solve from the least-norm point instead of seeding \
-             non-pinned placements from their choice's pinned solution.")
+            "Static-analysis gate over every formulated program: $(b,enforce) fails \
+             the run on any discipline or unit error, $(b,warn) logs and continues, \
+             $(b,off) skips the checks.")
   in
   let presolve_arg =
     Arg.(
@@ -131,14 +164,6 @@ let solver_opts =
              verdict disagrees with the solver; $(b,off) disables the \
              analysis.")
   in
-  let build no_dedupe no_warm presolve config =
-    { config with O.dedupe = not no_dedupe; warm_start = not no_warm; presolve }
-  in
-  Term.(const build $ no_dedupe_arg $ no_warm_arg $ presolve_arg)
-
-(* Fault-tolerance knobs (DESIGN §11), composing onto the config the same
-   way [solver_opts] does. *)
-let robust_opts =
   let deadline_arg =
     Arg.(
       value
@@ -172,23 +197,25 @@ let robust_opts =
       & info [ "inject" ] ~docv:"SPEC"
           ~doc:
             "Deterministic fault injection for exercising the quarantine machinery: \
-             comma-separated $(b,seed=INT) and $(b,KIND\\@SITE[FILTER]=PROB) clauses, \
-             e.g. $(b,seed=7,crash\\@solve=0.2,stall\\@solve[resnet-2]=1).  Decisions \
+             comma-separated $(b,seed=INT) and $(b,KIND@SITE[FILTER]=PROB) clauses, \
+             e.g. $(b,seed=7,crash@solve=0.2,stall@solve[resnet-2]=1).  Decisions \
              are a pure function of the spec and the work item, never of time.")
   in
-  let build solve_deadline_ms retries inject config =
-    { config with O.solve_deadline_ms; retries; inject }
+  let build jobs lint presolve solve_deadline_ms retries inject =
+    { O.default_config with O.jobs; lint; presolve; solve_deadline_ms; retries; inject }
   in
-  Term.(const build $ deadline_arg $ retries_arg $ inject_arg)
+  Term.(
+    const build $ jobs_arg $ lint_mode_arg $ presolve_arg $ deadline_arg $ retries_arg
+    $ inject_arg)
 
-(* Sharding/journaling knobs (DESIGN §12), composing onto the config
-   like [solver_opts] and [robust_opts]. *)
-let shard_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Sweep.Partition.parse s) in
-  let print ppf t = Format.pp_print_string ppf (Sweep.Partition.to_string t) in
-  Arg.conv (parse, print)
-
+(* Sharding/journaling knobs (DESIGN §12) of the sweep-running
+   subcommands. *)
 let sweep_opts =
+  let shard_conv =
+    let parse s = Result.map_error (fun m -> `Msg m) (Sweep.Partition.parse s) in
+    let print ppf t = Format.pp_print_string ppf (Sweep.Partition.to_string t) in
+    Arg.conv (parse, print)
+  in
   let shard_arg =
     Arg.(
       value
@@ -220,13 +247,10 @@ let sweep_opts =
              them.  Entries whose fingerprint no longer matches the formulation and \
              solver configuration are re-solved and re-journaled.")
   in
-  let build shard journal resume config =
-    { config with O.shard; journal; resume }
-  in
+  let build shard journal resume config = { config with O.shard; journal; resume } in
   Term.(const build $ shard_arg $ journal_arg $ resume_arg)
 
-(* Communication-model knobs (DESIGN §16), composing onto the config
-   like the other option groups. *)
+(* Communication-model knobs (DESIGN §16). *)
 let comm_opts =
   let comm_arg =
     Arg.(
@@ -260,15 +284,9 @@ let comm_opts =
   let build comm contention config = { config with O.comm; contention } in
   Term.(const build $ comm_arg $ contention_arg)
 
-let lint_mode_arg =
-  Arg.(
-    value
-    & opt (Arg.enum An.Lint.modes) An.Lint.Enforce
-    & info [ "lint" ] ~docv:"MODE"
-        ~doc:
-          "Static-analysis gate over every formulated program: $(b,enforce) fails the \
-           run on any discipline or unit error, $(b,warn) logs and continues, \
-           $(b,off) skips the checks.")
+(* [base_config] with each option group applied. *)
+let config_with groups =
+  List.fold_left (fun config group -> Term.(const ( |> ) $ config $ group)) base_config groups
 
 let trace_arg =
   Arg.(
@@ -327,29 +345,49 @@ let emit_code_arg =
     & info [ "emit-code" ] ~docv:"FILE"
         ~doc:"Write the tiled pseudocode of the chosen mapping to $(docv).")
 
-(* The report text itself comes from Serve.Render, the renderer shared
-   with the daemon: a served answer — warm or cold — is byte-identical
-   to this command's output by construction (DESIGN §14). *)
-let print_outcome ?(tech = base_tech) nest (report : O.report) emit emit_code =
-  let o = report.O.outcome in
-  print_string (Serve.Render.outcome ~tech report);
-  (match emit with
-  | None -> ()
-  | Some dir ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    Specs.Timeloop.write_bundle ~dir tech o.I.arch nest o.I.mapping;
-    Format.printf "wrote %s/{problem,mapping,arch}.yaml@." dir);
-  match emit_code with
-  | None -> ()
-  | Some file -> begin
-    match Codegen.Emit.pseudocode nest o.I.mapping with
-    | Ok code ->
-      let oc = open_out file in
-      output_string oc code;
-      close_out oc;
-      Format.printf "wrote %s@." file
-    | Error msg -> Format.printf "pseudocode emission failed: %s@." msg
-  end
+let resolve base request = Result.bind request (P.resolve base)
+
+(* Prints the daemon's reply to a resolved request — the same bytes
+   `thistle client` prints, by construction (DESIGN §14) — and, for one
+   layer, the local-only --emit/--emit-code files. *)
+let reply ?emit ?emit_code (r : P.resolved) =
+  match r.P.run with
+  | P.Layers _ -> (
+    match P.render r with
+    | Ok body ->
+      print_string body;
+      0
+    | Error msg -> fail msg)
+  | P.Layer { nest; _ } -> (
+    match P.solve r with
+    | Error msg -> fail msg
+    | Ok report ->
+      let o = report.O.outcome in
+      print_string (P.body r report);
+      Option.iter
+        (fun dir ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          Specs.Timeloop.write_bundle ~dir r.P.tech o.I.arch nest o.I.mapping;
+          Format.printf "wrote %s/{problem,mapping,arch}.yaml@." dir)
+        emit;
+      Option.iter
+        (fun file ->
+          match Codegen.Emit.pseudocode nest o.I.mapping with
+          | Ok code ->
+            let oc = open_out file in
+            output_string oc code;
+            close_out oc;
+            Format.printf "wrote %s@." file
+          | Error msg -> Format.printf "pseudocode emission failed: %s@." msg)
+        emit_code;
+      0)
+
+(* optimize, codesign and pipeline: resolve, then run under the
+   requested tracing and metrics recording. *)
+let run_traced ?emit ?emit_code request base trace metrics =
+  match resolve base request with
+  | Error msg -> fail msg
+  | Ok r -> with_obs ~trace ~metrics @@ fun () -> reply ?emit ?emit_code r
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                        *)
@@ -372,88 +410,27 @@ let layers_cmd =
     Term.(const (fun () () -> run ()) $ setup_logs $ const ())
 
 let optimize_cmd =
-  let run () layer objective arch top_choices max_choices emit emit_code node jobs lint
-      solver robust sweep comm trace metrics =
-    match nest_of_layer layer with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok nest ->
-      with_obs ~trace ~metrics @@ fun () -> begin
-        let tech = tech_of_node node in
-        let config =
-          comm
-            (sweep
-               (robust
-                  (solver
-                     { O.default_config with O.top_choices; max_choices; jobs; lint })))
-        in
-        match O.dataflow ~config tech arch objective nest with
-        | Error msg ->
-          prerr_endline msg;
-          1
-        | Ok report ->
-          print_outcome ~tech nest report emit emit_code;
-          0
-      end
-  in
+  let run () request emit emit_code = run_traced ?emit ?emit_code request in
   Cmd.v
     (Cmd.info "optimize"
        ~doc:
          "Optimize the dataflow of one layer for a fixed architecture (Fig. 4 / Fig. 7 \
           setting).")
     Term.(
-      const run $ setup_logs $ layer_arg $ objective_arg $ arch_args $ top_choices_arg
-      $ sweep_max_choices_arg $ emit_arg $ emit_code_arg $ node_arg $ jobs_arg
-      $ lint_mode_arg $ solver_opts $ robust_opts $ sweep_opts $ comm_opts
+      const run $ setup_logs $ optimize_request $ emit_arg $ emit_code_arg
+      $ config_with [ sweep_opts; comm_opts ]
       $ trace_arg $ metrics_out_arg)
 
 let codesign_cmd =
-  let area_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "area" ] ~docv:"UM2"
-          ~doc:"Chip-area budget in um^2 (defaults to the Eyeriss area).")
-  in
-  let run () layer objective area top_choices max_choices emit emit_code node jobs lint
-      solver robust sweep comm trace metrics =
-    match nest_of_layer layer with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok nest ->
-      with_obs ~trace ~metrics @@ fun () -> begin
-        let tech = tech_of_node node in
-        let area_budget =
-          match area with Some a -> a | None -> Arch.eyeriss_area tech
-        in
-        let config =
-          comm
-            (sweep
-               (robust
-                  (solver
-                     { O.default_config with O.top_choices; max_choices; jobs; lint })))
-        in
-        match O.codesign ~config tech ~area_budget objective nest with
-        | Error msg ->
-          prerr_endline msg;
-          1
-        | Ok report ->
-          print_string (Serve.Render.area_header area_budget);
-          print_outcome ~tech nest report emit emit_code;
-          0
-      end
-  in
+  let run () request emit emit_code = run_traced ?emit ?emit_code request in
   Cmd.v
     (Cmd.info "codesign"
        ~doc:
          "Jointly optimize architecture (PEs, registers, SRAM) and dataflow for one \
           layer under an area budget (Fig. 5 setting).")
     Term.(
-      const run $ setup_logs $ layer_arg $ objective_arg $ area_arg $ top_choices_arg
-      $ sweep_max_choices_arg $ emit_arg $ emit_code_arg $ node_arg $ jobs_arg
-      $ lint_mode_arg $ solver_opts $ robust_opts $ sweep_opts $ comm_opts
+      const run $ setup_logs $ codesign_request area_arg $ emit_arg $ emit_code_arg
+      $ config_with [ sweep_opts; comm_opts ]
       $ trace_arg $ metrics_out_arg)
 
 let mapper_cmd =
@@ -473,11 +450,13 @@ let mapper_cmd =
           ~doc:"Search domains (threads); the trial budget is split across them.")
   in
   let run () layer objective arch trials victory seed domains trace metrics =
-    match nest_of_layer layer with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok nest ->
+    match
+      let* arch = arch in
+      let* nest = P.nest_of_layer layer in
+      Ok (arch, nest)
+    with
+    | Error msg -> fail msg
+    | Ok (arch, nest) ->
       with_obs ~trace ~metrics @@ fun () ->
       let criterion =
         match objective with
@@ -486,6 +465,8 @@ let mapper_cmd =
         | F.Edp -> S.Min_edp
       in
       let config = { S.max_trials = trials; victory_condition = victory; seed } in
+      (* No --node flag: the Table III values as-is. *)
+      let tech = Archspec.Technology.table3 in
       let result = S.search_parallel ~config ~domains tech arch criterion nest in
       Printf.printf "trials: %d (%d valid, %d improvements)\n" result.S.trials
         result.S.valid_trials result.S.improvements;
@@ -505,21 +486,67 @@ let mapper_cmd =
       const run $ setup_logs $ layer_arg $ objective_arg $ arch_args $ trials_arg
       $ victory_arg $ seed_arg $ domains_arg $ trace_arg $ metrics_out_arg)
 
+(* ------------------------------------------------------------------ *)
+(* Formulation audits: lint and presolve                              *)
+(* ------------------------------------------------------------------ *)
+
+let audit_layer_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "layer" ] ~docv:"NAME"
+        ~doc:"Audit only this layer (default: the whole Table II zoo).")
+
+let audit_max_choices_arg =
+  Arg.(
+    value
+    & opt int 32
+    & info [ "max-choices" ] ~docv:"N"
+        ~doc:"Cap on permutation choices audited per layer and mode.")
+
+(* Energy programs have no delay rows, so only Delay and EDP differ
+   between the two delay models. *)
+let audited_objectives =
+  [
+    (F.Energy, O.default_config.O.comm);
+    (F.Delay, Archspec.Link.Comm_aware);
+    (F.Delay, Archspec.Link.Overlapped);
+    (F.Edp, Archspec.Link.Comm_aware);
+    (F.Edp, Archspec.Link.Overlapped);
+  ]
+
+(* The audit loop shared by lint and presolve: [check] every program the
+   optimizer would formulate per audited layer — both arch modes, every
+   (objective, delay model) of [audited_objectives], every choice within
+   the cap and every placement — with layers on [jobs] domains.  Returns
+   each layer with its checks' results in formulation order. *)
+let audit ~layer ~max_choices ~node ~jobs arch check =
+  let* tech = P.tech_of_node node in
+  let* area_budget = P.area_budget tech None in
+  let* nests =
+    match layer with
+    | None -> Ok (List.map Conv.to_nest Workload.Zoo.all_layers)
+    | Some name -> Result.map (fun nest -> [ nest ]) (P.nest_of_layer name)
+  in
+  let programs nest =
+    let plan = Thistle.Permutations.enumerate ~max_choices nest in
+    List.concat_map
+      (fun mode ->
+        List.concat_map
+          (fun (objective, comm) ->
+            List.concat_map
+              (fun choice_vol ->
+                List.map
+                  (fun placement ->
+                    check (F.build ~placement ~comm tech mode objective plan choice_vol))
+                  plan.Thistle.Permutations.placements)
+              plan.Thistle.Permutations.choices)
+          audited_objectives)
+      [ F.Fixed arch; F.Codesign { area_budget } ]
+  in
+  Ok (Exec.Par.map ~jobs (fun nest -> (nest, programs nest)) nests)
+
 let lint_cmd =
-  let layer_filter_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "layer" ] ~docv:"NAME"
-          ~doc:"Audit only this layer (default: the whole Table II zoo).")
-  in
-  let max_choices_arg =
-    Arg.(
-      value
-      & opt int 32
-      & info [ "max-choices" ] ~docv:"N"
-          ~doc:"Cap on permutation choices audited per layer and mode.")
-  in
   let certify_arg =
     Arg.(
       value & flag
@@ -529,95 +556,44 @@ let lint_cmd =
              (KKT residual, constraint violations) — much slower.")
   in
   let run () layer max_choices certify node jobs =
-    let tech = tech_of_node node in
-    let layers =
-      match layer with
-      | None -> Ok (List.map Conv.to_nest Workload.Zoo.all_layers)
-      | Some name -> Result.map (fun n -> [ n ]) (nest_of_layer name)
+    let certify_diags (instance : F.instance) =
+      let solution = Gp.Solver.solve instance.F.problem in
+      match solution.Gp.Solver.status with
+      | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> []
+      | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
+        let cert =
+          An.Certificate.check ~provenance:instance.F.provenance instance.F.problem
+            (F.solution_env instance solution)
+        in
+        cert.An.Certificate.diagnostics
     in
-    match layers with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok nests ->
-      let arch = Arch.make ~name:"lint" ~pes:168 ~registers:512 ~sram_words:65536 in
-      let modes =
-        [ F.Fixed arch; F.Codesign { area_budget = Arch.eyeriss_area tech } ]
-      in
-      let objectives = [ F.Energy; F.Delay; F.Edp ] in
-      let certify_diags (instance : F.instance) =
-        let solution = Gp.Solver.solve instance.F.problem in
-        match solution.Gp.Solver.status with
-        | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> []
-        | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
-          let cert =
-            An.Certificate.check ~provenance:instance.F.provenance
-              instance.F.problem
-              (F.solution_env instance solution)
-          in
-          cert.An.Certificate.diagnostics
-      in
-      let audit nest =
-        (* Every (mode, objective, choice, placement) combination the
-           optimizer would formulate, within the choice cap. *)
-        let plan = Thistle.Permutations.enumerate ~max_choices nest in
-        let count = ref 0 in
-        let diags = ref [] in
-        List.iter
-          (fun mode ->
-            List.iter
-              (fun objective ->
-                List.iter
-                  (fun choice_vol ->
-                    List.iter
-                      (fun placement ->
-                        let instance =
-                          F.build ~placement tech mode objective plan choice_vol
-                        in
-                        incr count;
-                        let ds = F.lint instance in
-                        let ds = if certify then ds @ certify_diags instance else ds in
-                        diags := List.rev_append ds !diags)
-                      plan.Thistle.Permutations.placements)
-                  plan.Thistle.Permutations.choices)
-              objectives)
-          modes;
-        (!count, List.rev !diags)
-      in
-      let results = Exec.Par.map ~jobs audit nests in
-      let total = List.fold_left (fun acc (n, _) -> acc + n) 0 results in
-      let diags = List.concat_map snd results in
+    let check instance =
+      let ds = F.lint instance in
+      if certify then ds @ certify_diags instance else ds
+    in
+    let arch = Arch.make ~name:"lint" ~pes:168 ~registers:512 ~sram_words:65536 in
+    match audit ~layer ~max_choices ~node ~jobs arch check with
+    | Error msg -> fail msg
+    | Ok results ->
+      let total = List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 results in
+      let diags = List.concat_map (fun (_, ds) -> List.concat ds) results in
       let errors, warnings = An.Diagnostic.count diags in
       if diags <> [] then Format.printf "%a@." An.Diagnostic.pp_table diags;
       Format.printf "linted %d formulations across %d layers: %d errors, %d warnings@."
-        total (List.length nests) errors warnings;
+        total (List.length results) errors warnings;
       if errors > 0 then 1 else 0
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "Audit the formulation layer: build every program the optimizer would (all \
-          modes, objectives, permutation choices and placements, per layer) and run \
-          the DGP discipline and unit checks without solving.")
+          modes, objectives, delay models, permutation choices and placements, per \
+          layer) and run the DGP discipline and unit checks without solving.")
     Term.(
-      const run $ setup_logs $ layer_filter_arg $ max_choices_arg $ certify_arg
+      const run $ setup_logs $ audit_layer_arg $ audit_max_choices_arg $ certify_arg
       $ node_arg $ jobs_arg)
 
 let presolve_cmd =
-  let layer_filter_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "layer" ] ~docv:"NAME"
-          ~doc:"Audit only this layer (default: the whole Table II zoo).")
-  in
-  let max_choices_arg =
-    Arg.(
-      value
-      & opt int 32
-      & info [ "max-choices" ] ~docv:"N"
-          ~doc:"Cap on permutation choices audited per layer and mode.")
-  in
   let check_arg =
     Arg.(
       value & flag
@@ -629,93 +605,56 @@ let presolve_cmd =
              constraint active at an optimum is a disagreement — much slower.")
   in
   let run () layer max_choices check arch node jobs =
-    let tech = tech_of_node node in
-    let layers =
-      match layer with
-      | None -> Ok (List.map Conv.to_nest Workload.Zoo.all_layers)
-      | Some name -> Result.map (fun n -> [ n ]) (nest_of_layer name)
+    (* Per program: (pruned, fixed, dropped, disagreements). *)
+    let verdict (instance : F.instance) =
+      let problem = instance.F.problem in
+      let t = An.Presolve.analyze problem in
+      let pruned, fixed, dropped, rejected =
+        match t.An.Presolve.verdict with
+        | An.Presolve.Feasible red ->
+          (0, List.length red.An.Presolve.fixed, List.length red.An.Presolve.dropped, [])
+        | An.Presolve.Infeasible proof ->
+          let rejected =
+            match An.Certificate.check_prune problem proof with
+            | Ok () -> []
+            | Error m ->
+              [
+                Printf.sprintf "%s: proof checker rejected the pruning proof: %s"
+                  instance.F.provenance m;
+              ]
+          in
+          (1, 0, 0, rejected)
+      in
+      (* Solve the original problem and validate the verdict exactly as
+         the sweep's Check mode does. *)
+      let contradicted =
+        if not check then []
+        else
+          let sol = Gp.Solver.solve problem in
+          if O.usable_solution instance sol then O.presolve_disagreements instance t sol
+          else []
+      in
+      (pruned, fixed, dropped, rejected @ contradicted)
     in
-    match layers with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok nests ->
-      let modes =
-        [ F.Fixed arch; F.Codesign { area_budget = Arch.eyeriss_area tech } ]
-      in
-      let objectives = [ F.Energy; F.Delay; F.Edp ] in
-      let audit nest =
-        let plan = Thistle.Permutations.enumerate ~max_choices nest in
-        let count = ref 0 in
-        let pruned = ref 0 in
-        let fixed = ref 0 in
-        let dropped = ref 0 in
-        let disagreements = ref [] in
-        let disagree fmt =
-          Printf.ksprintf (fun m -> disagreements := m :: !disagreements) fmt
-        in
-        List.iter
-          (fun mode ->
-            List.iter
-              (fun objective ->
-                List.iter
-                  (fun choice_vol ->
-                    List.iter
-                      (fun placement ->
-                        let instance =
-                          F.build ~placement tech mode objective plan choice_vol
-                        in
-                        let problem = instance.F.problem in
-                        let prov = instance.F.provenance in
-                        incr count;
-                        let t = An.Presolve.analyze problem in
-                        (match t.An.Presolve.verdict with
-                        | An.Presolve.Infeasible proof -> (
-                          incr pruned;
-                          match An.Certificate.check_prune problem proof with
-                          | Ok () -> ()
-                          | Error m ->
-                            disagree "%s: proof checker rejected the pruning \
-                                      proof: %s" prov m)
-                        | An.Presolve.Feasible red ->
-                          fixed := !fixed + List.length red.An.Presolve.fixed;
-                          dropped :=
-                            !dropped + List.length red.An.Presolve.dropped);
-                        (* Solve the original problem and validate the
-                           verdict exactly as the sweep's Check mode does. *)
-                        if check then
-                          let sol = Gp.Solver.solve problem in
-                          if O.usable_solution instance sol then
-                            List.iter
-                              (fun d -> disagreements := d :: !disagreements)
-                              (O.presolve_disagreements instance t sol))
-                      plan.Thistle.Permutations.placements)
-                  plan.Thistle.Permutations.choices)
-              objectives)
-          modes;
-        ( Nest.name nest,
-          !count,
-          !pruned,
-          !fixed,
-          !dropped,
-          List.rev !disagreements )
-      in
-      let results = Exec.Par.map ~jobs audit nests in
-      Printf.printf "%-10s %14s %8s %6s %8s\n" "layer" "formulations" "pruned"
-        "fixed" "dropped";
+    match
+      let* arch = arch in
+      audit ~layer ~max_choices ~node ~jobs arch verdict
+    with
+    | Error msg -> fail msg
+    | Ok results ->
+      let sum f vs = List.fold_left (fun acc v -> acc + f v) 0 vs in
+      let pruned (p, _, _, _) = p and fixed (_, f, _, _) = f and dropped (_, _, d, _) = d in
+      Printf.printf "%-10s %14s %8s %6s %8s\n" "layer" "formulations" "pruned" "fixed"
+        "dropped";
       List.iter
-        (fun (name, count, pruned, fixed, dropped, _) ->
-          Printf.printf "%-10s %14d %8d %6d %8d\n" name count pruned fixed dropped)
+        (fun (nest, vs) ->
+          Printf.printf "%-10s %14d %8d %6d %8d\n" (Nest.name nest) (List.length vs)
+            (sum pruned vs) (sum fixed vs) (sum dropped vs))
         results;
-      let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
+      let all = List.concat_map snd results in
       Printf.printf "total: %d formulations, %d pruned, %d fixed, %d dropped\n"
-        (total (fun (_, c, _, _, _, _) -> c))
-        (total (fun (_, _, p, _, _, _) -> p))
-        (total (fun (_, _, _, f, _, _) -> f))
-        (total (fun (_, _, _, _, d, _) -> d));
-      let disagreements =
-        List.concat_map (fun (_, _, _, _, _, ds) -> ds) results
-      in
+        (List.length all) (sum pruned all) (sum fixed all) (sum dropped all);
+      let disagreements = List.concat_map (fun (_, _, _, ds) -> ds) all in
       if disagreements <> [] then begin
         Printf.printf "%d disagreement(s):\n" (List.length disagreements);
         List.iter (fun d -> Printf.printf "  %s\n" d) disagreements;
@@ -727,13 +666,13 @@ let presolve_cmd =
     (Cmd.info "presolve"
        ~doc:
          "Audit the presolve layer: run interval bound propagation over every \
-          program the optimizer would formulate (all modes, objectives, \
-          permutation choices and placements, per layer), re-check every \
+          program the optimizer would formulate (all modes, objectives, delay \
+          models, permutation choices and placements, per layer), re-check every \
           infeasibility proof, and report prune/fix/drop counts.  With \
           $(b,--check), also solve everything and fail on any verdict the \
           solver contradicts.")
     Term.(
-      const run $ setup_logs $ layer_filter_arg $ max_choices_arg $ check_arg
+      const run $ setup_logs $ audit_layer_arg $ audit_max_choices_arg $ check_arg
       $ arch_args $ node_arg $ jobs_arg)
 
 let journal_cmd =
@@ -773,33 +712,16 @@ let journal_cmd =
     [ compact_cmd ]
 
 let pipeline_cmd =
-  let pipeline_arg =
-    let doc = "DNN pipeline: $(b,resnet18), $(b,yolo9000), $(b,alexnet) or $(b,vgg16)." in
-    Arg.(
-      required
-      & opt (some (Arg.enum Workload.Zoo.pipelines)) None
-      & info [ "pipeline" ] ~docv:"NAME" ~doc)
-  in
-  let run () layers objective max_choices jobs lint solver robust comm trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
-    let nests = List.map Conv.to_nest layers in
-    let config =
-      comm (robust (solver { O.default_config with O.max_choices; jobs; lint }))
-    in
-    (* The whole run — layer-wise co-design, dominant-arch selection,
-       comparison table — renders through the module shared with the
-       daemon, so `thistle client pipeline` replies byte-identically. *)
-    print_string (Serve.Render.pipeline ~config tech objective nests);
-    0
-  in
+  let run () request = run_traced request in
   Cmd.v
     (Cmd.info "pipeline"
        ~doc:
          "Layer-wise co-design of a whole DNN pipeline, then re-optimization for the \
           dominant layer's shared architecture (Fig. 6 / Fig. 8 flow).")
     Term.(
-      const run $ setup_logs $ pipeline_arg $ objective_arg $ sweep_max_choices_arg
-      $ jobs_arg $ lint_mode_arg $ solver_opts $ robust_opts $ comm_opts
+      const run $ setup_logs
+      $ pipeline_request (pipeline_opts (const P.default_opts.P.node_nm))
+      $ config_with [ comm_opts ]
       $ trace_arg $ metrics_out_arg)
 
 let merge_cmd =
@@ -818,86 +740,45 @@ let merge_cmd =
             "Write the combined journal to $(docv) (sorted by pair index, duplicates \
              collapsed), then resume the sweep from it.")
   in
-  let codesign_arg =
-    Arg.(
-      value & flag
-      & info [ "codesign" ]
-          ~doc:
-            "The shards ran $(b,thistle codesign); reproduce that command's report \
-             (the default reproduces $(b,thistle optimize) on the $(b,--pes/--regs/\
-             --sram) architecture).")
+  let request =
+    let codesign_arg =
+      Arg.(
+        value & flag
+        & info [ "codesign" ]
+            ~doc:
+              "The shards ran $(b,thistle codesign) (with $(b,--area)); reproduce \
+               that command's report (the default reproduces $(b,thistle optimize) \
+               on the $(b,--pes/--regs/--sram) architecture).")
+    in
+    let pick codesign codesign_request optimize_request =
+      if codesign then codesign_request else optimize_request
+    in
+    Term.(const pick $ codesign_arg $ codesign_request area_arg $ optimize_request)
   in
-  let area_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "area" ] ~docv:"UM2"
-          ~doc:
-            "Chip-area budget for $(b,--codesign) (defaults to the Eyeriss area); \
-             must match the shard runs.")
-  in
-  let run () layer objective arch codesign area top_choices max_choices node jobs lint
-      solver robust out files =
-    match nest_of_layer layer with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok nest -> (
+  let run () request base out files =
+    (* The merged run replays every journaled pair and re-runs ranking +
+       integerization over the full work-list: its report is
+       byte-identical to the corresponding unsharded command.  Pairs the
+       shards never completed (or whose fingerprints went stale) are
+       re-solved here and appended to the merged journal. *)
+    match resolve { base with O.journal = Some out; resume = true } request with
+    | Error msg -> fail msg
+    | Ok r -> (
       match Sweep.Merge.load_files files with
-      | Error msg ->
-        prerr_endline msg;
-        1
+      | Error msg -> fail msg
       | Ok entries ->
         Sweep.Journal.write_file out entries;
-        let tech = tech_of_node node in
-        let config =
-          robust
-            (solver
-               {
-                 O.default_config with
-                 O.top_choices;
-                 max_choices;
-                 jobs;
-                 lint;
-                 journal = Some out;
-                 resume = true;
-               })
-        in
-        (* The merged run replays every journaled pair and re-runs
-           ranking + integerization over the full work-list: its report
-           is byte-identical to the corresponding unsharded command.
-           Pairs the shards never completed (or whose fingerprints went
-           stale) are re-solved here and appended to the merged
-           journal. *)
-        let result =
-          if codesign then begin
-            let area_budget =
-              match area with Some a -> a | None -> Arch.eyeriss_area tech
-            in
-            print_string (Serve.Render.area_header area_budget);
-            O.codesign ~config tech ~area_budget objective nest
-          end
-          else O.dataflow ~config tech arch objective nest
-        in
-        match result with
-        | Error msg ->
-          prerr_endline msg;
-          1
-        | Ok report ->
-          print_outcome ~tech nest report None None;
-          0)
+        reply r)
   in
   Cmd.v
     (Cmd.info "merge"
        ~doc:
          "Combine per-shard sweep journals and replay them into the exact report an \
-          unsharded run would print.  Pass the same layer, objective, architecture \
-          and solver flags the shards ran with; pairs missing from the journals are \
-          re-solved.")
+          unsharded run would print.  Pass the same layer, objective, architecture, \
+          communication-model and solver flags the shards ran with; pairs missing \
+          from the journals are re-solved.")
     Term.(
-      const run $ setup_logs $ layer_arg $ objective_arg $ arch_args $ codesign_arg
-      $ area_arg $ top_choices_arg $ sweep_max_choices_arg $ node_arg $ jobs_arg
-      $ lint_mode_arg $ solver_opts $ robust_opts $ out_arg $ files_arg)
+      const run $ setup_logs $ request $ config_with [ comm_opts ] $ out_arg $ files_arg)
 
 let metrics_cmd =
   let json_arg =
@@ -911,22 +792,13 @@ let metrics_cmd =
       & opt (some string) None
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the dump to $(docv) instead of stdout.")
   in
-  let run () layer objective top_choices max_choices node jobs lint solver robust json
-      out =
-    match nest_of_layer layer with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok nest ->
-      let tech = tech_of_node node in
-      let area_budget = Arch.eyeriss_area tech in
-      let config =
-        robust
-          (solver { O.default_config with O.top_choices; max_choices; jobs; lint })
-      in
+  let run () request base json out =
+    match resolve base request with
+    | Error msg -> fail msg
+    | Ok r ->
       Obs.Metrics.reset ();
       Obs.Metrics.enable ();
-      let result = O.codesign ~config tech ~area_budget objective nest in
+      let result = P.solve r in
       Obs.Metrics.disable ();
       let dump = Obs.Metrics.snapshot () in
       let payload =
@@ -958,9 +830,8 @@ let metrics_cmd =
           and histogram (solver iterations, duality gap, integerization candidates, \
           pool queue waits) as text or JSON.")
     Term.(
-      const run $ setup_logs $ layer_arg $ objective_arg $ top_choices_arg
-      $ sweep_max_choices_arg $ node_arg $ jobs_arg $ lint_mode_arg $ solver_opts
-      $ robust_opts $ json_arg $ out_arg)
+      const run $ setup_logs $ codesign_request (const None) $ base_config $ json_arg
+      $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Serve daemon and client (DESIGN §14)                               *)
@@ -1010,18 +881,15 @@ let serve_cmd =
              served are rejected immediately with a structured response instead of \
              queueing.")
   in
-  let run () addr store max_inflight jobs lint solver robust =
+  let run () addr store max_inflight base =
     match addr with
-    | Error msg ->
-      prerr_endline msg;
-      1
+    | Error msg -> fail msg
     | Ok addr -> (
       let where =
         match addr with
         | `Unix path -> Serve.Server.Unix_sock path
         | `Tcp port -> Serve.Server.Tcp port
       in
-      let base = robust (solver { O.default_config with O.jobs; lint }) in
       let config =
         { (Serve.Server.default where) with
           Serve.Server.store_dir = store;
@@ -1030,9 +898,7 @@ let serve_cmd =
         }
       in
       match Serve.Server.start config with
-      | Error msg ->
-        prerr_endline msg;
-        1
+      | Error msg -> fail msg
       | Ok server ->
         (match Serve.Server.address server with
         | Unix.ADDR_UNIX path -> Printf.printf "listening on %s\n%!" path
@@ -1048,121 +914,60 @@ let serve_cmd =
           requests over a Unix or TCP socket, solving on the shared domain pool and \
           replaying repeated requests byte-identically from the $(b,--store).")
     Term.(
-      const run $ setup_logs $ addr_args $ store_arg $ max_inflight_arg $ jobs_arg
-      $ lint_mode_arg $ solver_opts $ robust_opts)
+      const run $ setup_logs $ addr_args $ store_arg $ max_inflight_arg $ base_config)
 
 let client_cmd =
-  let run_request addr req =
-    match addr with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok addr -> (
+  let run_request () addr request =
+    match
+      let* addr = addr in
+      let* request = request in
+      Ok (addr, request)
+    with
+    | Error msg -> fail msg
+    | Ok (addr, request) -> (
       let sockaddr =
         match addr with
         | `Unix path -> Serve.Client.unix_addr path
         | `Tcp port -> Serve.Client.tcp_addr port
       in
       match Serve.Client.connect sockaddr with
-      | Error msg ->
-        prerr_endline msg;
-        1
-      | Ok client ->
-        let result = Serve.Client.request client req in
+      | Error msg -> fail msg
+      | Ok client -> (
+        let result = Serve.Client.request client request in
         Serve.Client.close client;
-        (match result with
-        | Error msg ->
-          prerr_endline msg;
-          1
-        | Ok (Serve.Protocol.Payload { body; _ }) ->
+        match result with
+        | Error msg -> fail msg
+        | Ok (P.Payload { body; _ }) ->
           print_string body;
           0
-        | Ok (Serve.Protocol.Refused { kind; message }) ->
+        | Ok (P.Refused { kind; message }) ->
           let kind_name =
             match kind with
-            | Serve.Protocol.Rejected -> "rejected"
-            | Serve.Protocol.Bad_request -> "bad request"
-            | Serve.Protocol.Failed -> "failed"
+            | P.Rejected -> "rejected"
+            | P.Bad_request -> "bad request"
+            | P.Failed -> "failed"
           in
           Printf.eprintf "%s: %s\n" kind_name message;
           1))
   in
-  let opts_of top_choices max_choices node =
-    {
-      Serve.Protocol.top_choices;
-      max_choices;
-      node_nm = node;
-    }
-  in
-  let optimize =
-    let run () addr layer objective arch top_choices max_choices node =
-      run_request addr
-        (Serve.Protocol.Optimize
-           { layer; objective; arch; opts = opts_of top_choices max_choices node })
-    in
-    Cmd.v
-      (Cmd.info "optimize"
-         ~doc:"Ask the daemon to optimize one layer on a fixed architecture.")
-      Term.(
-        const run $ setup_logs $ addr_args $ layer_arg $ objective_arg $ arch_args
-        $ top_choices_arg $ sweep_max_choices_arg $ node_arg)
-  in
-  let codesign =
-    let area_arg =
-      Arg.(
-        value
-        & opt (some float) None
-        & info [ "area" ] ~docv:"UM2"
-            ~doc:"Chip-area budget in um^2 (defaults to the Eyeriss area).")
-    in
-    let run () addr layer objective area top_choices max_choices node =
-      run_request addr
-        (Serve.Protocol.Codesign
-           { layer; objective; area; opts = opts_of top_choices max_choices node })
-    in
-    Cmd.v
-      (Cmd.info "codesign"
-         ~doc:"Ask the daemon to co-design one layer under an area budget.")
-      Term.(
-        const run $ setup_logs $ addr_args $ layer_arg $ objective_arg $ area_arg
-        $ top_choices_arg $ sweep_max_choices_arg $ node_arg)
-  in
-  let pipeline =
-    let pipeline_arg =
-      let doc = "DNN pipeline: $(b,resnet18), $(b,yolo9000), $(b,alexnet) or $(b,vgg16)." in
-      Arg.(
-        required
-        & opt (some (Arg.enum (List.map (fun (n, _) -> (n, n)) Workload.Zoo.pipelines))) None
-        & info [ "pipeline" ] ~docv:"NAME" ~doc)
-    in
-    let run () addr pipeline objective max_choices node =
-      run_request addr
-        (Serve.Protocol.Pipeline
-           {
-             pipeline;
-             objective;
-             opts = opts_of O.default_config.O.top_choices max_choices node;
-           })
-    in
-    Cmd.v
-      (Cmd.info "pipeline"
-         ~doc:"Ask the daemon for a whole-pipeline co-design run.")
-      Term.(
-        const run $ setup_logs $ addr_args $ pipeline_arg $ objective_arg
-        $ sweep_max_choices_arg $ node_arg)
-  in
-  let metrics =
-    let run () addr = run_request addr Serve.Protocol.Metrics in
-    Cmd.v
-      (Cmd.info "metrics" ~doc:"Dump the daemon's counter snapshot as JSON.")
-      Term.(const run $ setup_logs $ addr_args)
+  let client name doc request =
+    Cmd.v (Cmd.info name ~doc) Term.(const run_request $ setup_logs $ addr_args $ request)
   in
   Cmd.group
     (Cmd.info "client"
        ~doc:
          "Send one request to a running $(b,thistle serve) daemon and print the \
           response body — byte-identical to the corresponding local subcommand.")
-    [ optimize; codesign; pipeline; metrics ]
+    [
+      client "optimize" "Ask the daemon to optimize one layer on a fixed architecture."
+        optimize_request;
+      client "codesign" "Ask the daemon to co-design one layer under an area budget."
+        (codesign_request area_arg);
+      client "pipeline" "Ask the daemon for a whole-pipeline co-design run."
+        (pipeline_request (pipeline_opts node_arg));
+      client "metrics" "Dump the daemon's counter snapshot as JSON."
+        (Term.const (Ok P.Metrics));
+    ]
 
 let main =
   let info =

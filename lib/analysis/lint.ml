@@ -10,8 +10,6 @@ let log_src = Logs.Src.create "thistle.lint" ~doc:"Thistle static-analysis gate"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let check_problem ?provenance problem = Discipline.check ?provenance problem
-
 let log_all diags =
   List.iter (fun d -> Log.warn (fun m -> m "%a" Diagnostic.pp d)) diags
 

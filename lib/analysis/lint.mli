@@ -16,11 +16,6 @@ val mode_name : mode -> string
 val modes : (string * mode) list
 (** [("enforce", Enforce); ...] — for command-line enums. *)
 
-val check_problem : ?provenance:string -> Gp.Problem.t -> Diagnostic.t list
-(** The pre-solve pass battery over an already-built problem (currently
-    {!Discipline.check}; unit checking happens at formulation time via
-    {!Dimexpr}). *)
-
 val gate : mode -> Diagnostic.t list -> unit
 (** Apply the mode: [Enforce] raises {!Rejected} when errors are present
     and logs the warnings; [Warn] logs everything; [Off] ignores. *)

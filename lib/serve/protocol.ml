@@ -47,6 +47,10 @@ let objective_of = function
   | "edp" -> F.Edp
   | s -> failwith (Printf.sprintf "unknown objective %S" s)
 
+let arch ~name ~pes ~regs ~sram =
+  if pes < 1 || regs < 1 || sram < 1 then Error "pes, regs and sram must be >= 1"
+  else Ok (Arch.make ~name ~pes ~registers:regs ~sram_words:sram)
+
 let describe = function
   | Optimize { layer; objective; arch; _ } ->
     Printf.sprintf "optimize:%s:%s:%s" layer (objective_name objective)
@@ -199,11 +203,15 @@ let decode_request =
             layer = str_of (find f "layer");
             objective = objective_of (str_of (find f "objective"));
             arch =
-              Arch.make
-                ~name:(str_of (find a "name"))
-                ~pes:(int_of (find a "pes"))
-                ~registers:(int_of (find a "regs"))
-                ~sram_words:(int_of (find a "sram"));
+              (match
+                 arch
+                   ~name:(str_of (find a "name"))
+                   ~pes:(int_of (find a "pes"))
+                   ~regs:(int_of (find a "regs"))
+                   ~sram:(int_of (find a "sram"))
+               with
+              | Ok arch -> arch
+              | Error m -> failwith m);
             opts = opts_of f;
           }
       | "codesign" ->
@@ -246,3 +254,103 @@ let decode_response =
         in
         Refused { kind; message = str_of (find r_f "msg") }
       | _ -> failwith "response carries none or both of ok/refused")
+
+(* ------------------------------------------------------------------ *)
+(* Resolution                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let ( let* ) = Result.bind
+
+type run =
+  | Layer of { mode : F.arch_mode; nest : Workload.Nest.t }
+  | Layers of { area_budget : float; nests : Workload.Nest.t list }
+
+type resolved = {
+  key : string;
+  config : O.config;
+  tech : Archspec.Technology.t;
+  objective : F.objective;
+  run : run;
+}
+
+let validate_opts o =
+  if o.top_choices < 1 then Error "top_choices must be >= 1"
+  else if o.max_choices < 1 then Error "max_choices must be >= 1"
+  else Ok ()
+
+let nest_of_layer name =
+  match Workload.Zoo.find name with
+  | layer -> Ok (Workload.Conv.to_nest layer)
+  | exception Not_found -> Error (Printf.sprintf "unknown layer %S" name)
+
+let tech_of_node node_nm =
+  if Float.is_finite node_nm && node_nm > 0.0 then
+    Ok (Archspec.Technology.scale_to_node Archspec.Technology.table3 ~node_nm)
+  else Error "node_nm must be a positive finite float"
+
+let area_budget tech area =
+  let budget = match area with Some a -> a | None -> Arch.eyeriss_area tech in
+  if Float.is_finite budget && budget > 0.0 then Ok budget
+  else Error "area budget must be a positive finite float"
+
+let one_layer base tech objective opts mode nest =
+  let config =
+    { base with O.top_choices = opts.top_choices; max_choices = opts.max_choices }
+  in
+  let key = O.request_key ~config tech mode objective nest in
+  { key; config; tech; objective; run = Layer { mode; nest } }
+
+let resolve base req =
+  let checked opts =
+    let* () = validate_opts opts in
+    tech_of_node opts.node_nm
+  in
+  match req with
+  | Metrics -> Error "a metrics request runs no solve"
+  | Optimize { layer = name; objective; arch; opts } ->
+    let* tech = checked opts in
+    let* nest = nest_of_layer name in
+    Ok (one_layer base tech objective opts (F.Fixed arch) nest)
+  | Codesign { layer = name; objective; area; opts } ->
+    let* tech = checked opts in
+    let* nest = nest_of_layer name in
+    let* area_budget = area_budget tech area in
+    Ok (one_layer base tech objective opts (F.Codesign { area_budget }) nest)
+  | Pipeline { pipeline; objective; opts } ->
+    let* tech = checked opts in
+    let* layers =
+      match List.assoc_opt pipeline Workload.Zoo.pipelines with
+      | Some layers -> Ok layers
+      | None -> Error (Printf.sprintf "unknown pipeline %S" pipeline)
+    in
+    let nests = List.map Workload.Conv.to_nest layers in
+    (* The CLI's pipeline command has no --top-choices. *)
+    let config = { base with O.max_choices = opts.max_choices } in
+    let* area_budget = area_budget tech None in
+    let key =
+      String.concat "&"
+        (describe req
+        :: List.map
+             (O.request_key ~config tech (F.Codesign { area_budget }) objective)
+             nests)
+    in
+    Ok { key; config; tech; objective; run = Layers { area_budget; nests } }
+
+let solve r =
+  match r.run with
+  | Layer { mode; nest } -> O.run ~config:r.config r.tech mode r.objective nest
+  | Layers _ -> Error "a pipeline request has no single report"
+
+let body r report =
+  let header =
+    match r.run with
+    | Layer { mode = F.Codesign { area_budget }; _ } -> Render.area_header area_budget
+    | Layer { mode = F.Fixed _; _ } | Layers _ -> ""
+  in
+  header ^ Render.outcome ~tech:r.tech report
+
+let render r =
+  match r.run with
+  | Layer _ -> Result.map (body r) (solve r)
+  | Layers { area_budget; nests } ->
+    Ok (Render.pipeline ~config:r.config r.tech ~area_budget r.objective nests)

@@ -40,9 +40,8 @@ let outcome ~tech (report : O.report) =
 
 let area_header area_budget = Printf.sprintf "area budget: %.0f um^2\n" area_budget
 
-let pipeline ~config tech objective nests =
+let pipeline ~config tech ~area_budget objective nests =
   with_ppf @@ fun ppf ->
-  let area_budget = Arch.eyeriss_area tech in
   let entries =
     Pl.run_layers ~config tech (F.Codesign { area_budget }) objective nests
   in

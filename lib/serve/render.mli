@@ -18,11 +18,12 @@ val area_header : float -> string
 val pipeline :
   config:Thistle.Optimize.config ->
   Archspec.Technology.t ->
+  area_budget:float ->
   Thistle.Formulate.objective ->
   Workload.Nest.t list ->
   string
-(** The whole [thistle pipeline] run: per-layer co-design on the shared
-    pool, dominant-arch selection, and the layer-wise vs shared-arch
-    comparison table (re-optimizing each layer for the dominant
-    architecture).  Runs solves — this is the pipeline driver, shared so
-    both front ends emit identical bytes. *)
+(** The whole [thistle pipeline] run: per-layer co-design under
+    [area_budget] on the shared pool, dominant-arch selection, and the
+    layer-wise vs shared-arch comparison table (re-optimizing each layer
+    for the dominant architecture).  Runs solves — this is the pipeline
+    driver, shared so both front ends emit identical bytes. *)

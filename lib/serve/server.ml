@@ -1,5 +1,4 @@
 module O = Thistle.Optimize
-module F = Thistle.Formulate
 
 let c_requests = Obs.Metrics.counter "serve.requests"
 let c_hits = Obs.Metrics.counter "serve.cache_hits"
@@ -52,105 +51,6 @@ let stopping t =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Request resolution                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let ( let* ) = Result.bind
-
-let validate_opts (o : Protocol.opts) =
-  if o.Protocol.top_choices < 1 then Error "top_choices must be >= 1"
-  else if o.Protocol.max_choices < 1 then Error "max_choices must be >= 1"
-  else if (not (Float.is_finite o.Protocol.node_nm)) || o.Protocol.node_nm <= 0.0
-  then Error "node_nm must be a positive finite float"
-  else Ok ()
-
-let nest_of_layer name =
-  match Workload.Zoo.find name with
-  | layer -> Ok (Workload.Conv.to_nest layer)
-  | exception Not_found -> Error (Printf.sprintf "unknown layer %S" name)
-
-let tech_of (o : Protocol.opts) =
-  Archspec.Technology.scale_to_node Archspec.Technology.table3
-    ~node_nm:o.Protocol.node_nm
-
-(* A solve-type request resolves to its cache identity plus a thunk
-   producing the rendered payload.  The request key and the payload are
-   both pure functions of the decoded request and the base config. *)
-let resolve base req =
-  match req with
-  | Protocol.Metrics -> assert false (* answered before resolution *)
-  | Protocol.Optimize { layer; objective; arch; opts } ->
-    let* () = validate_opts opts in
-    let* nest = nest_of_layer layer in
-    let config =
-      {
-        base with
-        O.top_choices = opts.Protocol.top_choices;
-        max_choices = opts.Protocol.max_choices;
-      }
-    in
-    let tech = tech_of opts in
-    let key = O.request_key ~config tech (F.Fixed arch) objective nest in
-    Ok
-      ( key,
-        config,
-        fun () ->
-          Result.map
-            (fun r -> Render.outcome ~tech r)
-            (O.dataflow ~config tech arch objective nest) )
-  | Protocol.Codesign { layer; objective; area; opts } ->
-    let* () = validate_opts opts in
-    let* nest = nest_of_layer layer in
-    let config =
-      {
-        base with
-        O.top_choices = opts.Protocol.top_choices;
-        max_choices = opts.Protocol.max_choices;
-      }
-    in
-    let tech = tech_of opts in
-    let area_budget =
-      match area with Some a -> a | None -> Archspec.Arch.eyeriss_area tech
-    in
-    let* () =
-      if Float.is_finite area_budget && area_budget > 0.0 then Ok ()
-      else Error "area budget must be a positive finite float"
-    in
-    let key =
-      O.request_key ~config tech (F.Codesign { area_budget }) objective nest
-    in
-    Ok
-      ( key,
-        config,
-        fun () ->
-          Result.map
-            (fun r -> Render.area_header area_budget ^ Render.outcome ~tech r)
-            (O.codesign ~config tech ~area_budget objective nest) )
-  | Protocol.Pipeline { pipeline; objective; opts } ->
-    let* () = validate_opts opts in
-    let* layers =
-      match List.assoc_opt pipeline Workload.Zoo.pipelines with
-      | Some layers -> Ok layers
-      | None -> Error (Printf.sprintf "unknown pipeline %S" pipeline)
-    in
-    let nests = List.map Workload.Conv.to_nest layers in
-    (* The CLI's pipeline command has no --top-choices; mirror it. *)
-    let config = { base with O.max_choices = opts.Protocol.max_choices } in
-    let tech = tech_of opts in
-    let area_budget = Archspec.Arch.eyeriss_area tech in
-    let key =
-      String.concat "&"
-        (Protocol.describe req
-        :: List.map
-             (fun nest ->
-               O.request_key ~config tech
-                 (F.Codesign { area_budget })
-                 objective nest)
-             nests)
-    in
-    Ok (key, config, fun () -> Ok (Render.pipeline ~config tech objective nests))
-
-(* ------------------------------------------------------------------ *)
 (* Request handling                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -190,10 +90,11 @@ let handle t req =
                 (Robust.Admission.limit t.adm);
           })
       (fun () ->
-        match resolve t.cfg.base req with
+        match Protocol.resolve t.cfg.base req with
         | Error m -> Protocol.Refused { kind = Protocol.Bad_request; message = m }
-        | Ok (request_key, config, compute) -> (
-          let config_fp = O.config_fingerprint config in
+        | Ok r -> (
+          let config_fp = O.config_fingerprint r.Protocol.config in
+          let request_key = r.Protocol.key in
           let digest = Store.digest ~config:config_fp ~request_key in
           with_flight t digest @@ fun () ->
           let cached =
@@ -208,8 +109,9 @@ let handle t req =
           | None -> (
             Obs.Metrics.incr c_misses;
             match
-              Robust.guard ~inject:config.O.inject ~site:"serve"
-                ~provenance:(Protocol.describe req) compute
+              Robust.guard ~inject:r.Protocol.config.O.inject ~site:"serve"
+                ~provenance:(Protocol.describe req)
+                (fun () -> Protocol.render r)
             with
             | Error f ->
               Protocol.Refused

@@ -7,9 +7,10 @@
     shared {!Exec.Pool} exactly as in the CLI.  Admission control
     ({!Robust.Admission}) bounds concurrently-served requests — an
     over-limit request gets a structured [Rejected] response instead of
-    queueing.  Responses are rendered by {!Render} and persisted in the
-    {!Store}, so a warm answer is byte-identical to a cold one and to
-    the corresponding CLI run.
+    queueing.  Requests are resolved and rendered by {!Protocol.resolve}
+    and {!Protocol.render}, exactly as the CLI runs them, and persisted
+    in the {!Store}, so a warm answer is byte-identical to a cold one
+    and to the corresponding CLI run.
 
     Counters (registered under the DESIGN §9 contract; recording is
     enabled on {!start}):

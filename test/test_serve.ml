@@ -352,6 +352,40 @@ let test_serve_survives_bad_frames () =
   | _ -> Alcotest.fail "unknown layer must be a bad request");
   Client.close c
 
+(* An optimize frame with the given arch sizes, spelled out so that it
+   can carry values [Protocol.Optimize] cannot hold. *)
+let arch_frame ~pes ~regs ~sram =
+  Printf.sprintf
+    "{\"v\":1,\"req\":\"optimize\",\"layer\":\"resnet-2\",\"objective\":\"energy\",\
+     \"arch\":{\"name\":\"z\",\"pes\":%d,\"regs\":%d,\"sram\":%d},\
+     \"top\":1,\"max\":4,\"node\":\"%Lx\"}"
+    pes regs sram
+    (Int64.bits_of_float Archspec.Technology.reference_node_nm)
+
+(* [Arch.make] raises on a non-positive size: the decoder must return
+   that as an [Error], so the daemon answers [Bad_request] and keeps the
+   connection instead of losing its handler. *)
+let test_serve_zero_arch_frame () =
+  (match Protocol.decode_request (arch_frame ~pes:64 ~regs:64 ~sram:8192) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "valid frame refused: %s" m);
+  List.iter
+    (fun (pes, regs, sram) ->
+      match Protocol.decode_request (arch_frame ~pes ~regs ~sram) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "decoded a %d/%d/%d arch" pes regs sram)
+    [ (0, 64, 8192); (64, 0, 8192); (64, 64, 0); (-1, 64, 8192) ];
+  with_server @@ fun port ->
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.request_raw c (arch_frame ~pes:0 ~regs:64 ~sram:8192) with
+  | Ok (Protocol.Refused { kind = Protocol.Bad_request; _ }) -> ()
+  | Ok _ -> Alcotest.fail "a zero-PE request must be refused"
+  | Error m -> Alcotest.failf "transport error: %s" m);
+  match ask c Protocol.Metrics with
+  | Protocol.Payload _ -> ()
+  | Protocol.Refused { message; _ } -> Alcotest.failf "refused: %s" message
+
 let test_serve_fingerprint_invalidates () =
   let dir = temp_dir "thistle-serve" in
   (* Warm the store. *)
@@ -625,6 +659,8 @@ let () =
             test_serve_miss_then_hit_byte_identical;
           Alcotest.test_case "survives torn/oversized/garbage frames" `Quick
             test_serve_survives_bad_frames;
+          Alcotest.test_case "zero-PE frame refused, connection kept" `Quick
+            test_serve_zero_arch_frame;
           Alcotest.test_case "config fingerprint invalidates" `Quick
             test_serve_fingerprint_invalidates;
           Alcotest.test_case "corrupted entry re-solves" `Quick

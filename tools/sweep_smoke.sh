@@ -8,7 +8,11 @@
 #      `thistle merge` over the two journals must reproduce the
 #      reference byte-for-byte;
 #   3. resuming from the merged journal (no shard) must also reproduce
-#      it byte-for-byte without re-solving.
+#      it byte-for-byte without re-solving;
+#   4. merge refuses journals with conflicting fingerprints;
+#   5. journal compaction is idempotent;
+#   6. shards of a delay sweep under --comm-model overlapped merge into
+#      the unsharded report when merge is given the same model.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -45,14 +49,14 @@ if ! cmp -s "$dir/full.txt" "$dir/resumed.txt"; then
 fi
 
 # 4. `thistle merge` must refuse journals whose fingerprints conflict:
-#    the same shard journaled under a different solver config (cold
-#    starts instead of warm starts) carries the same pair indices with
+#    the same shard journaled under a different solver config (a
+#    different retry policy) carries the same pair indices with
 #    different fingerprints, and merging it with the default journal
 #    would mix incompatible solves.
-"$cli" optimize $opts --shard 1/2 --no-warm-start \
-    --journal "$dir/s1-cold.jsonl" > /dev/null
+"$cli" optimize $opts --shard 1/2 --retries 2 \
+    --journal "$dir/s1-retries.jsonl" > /dev/null
 if "$cli" merge $opts --journal "$dir/conflict.jsonl" \
-    "$dir/s1.jsonl" "$dir/s1-cold.jsonl" > /dev/null 2> "$dir/conflict.err"; then
+    "$dir/s1.jsonl" "$dir/s1-retries.jsonl" > /dev/null 2> "$dir/conflict.err"; then
     echo "sweep smoke: merge accepted conflicting fingerprints" >&2
     exit 1
 fi
@@ -78,4 +82,19 @@ if ! cmp -s "$dir/merged.once.jsonl" "$dir/merged.jsonl"; then
     exit 1
 fi
 
-echo "sweep smoke: shard+merge, resume, merge-refusal and compact OK on $layer"
+# 6. The delay model enters every journal fingerprint: merge must take
+#    the shards' --comm-model, or every journaled pair goes stale and is
+#    re-solved under the other model.
+dopts="$opts --objective delay --comm-model overlapped"
+"$cli" optimize $dopts > "$dir/delay-full.txt"
+"$cli" optimize $dopts --shard 1/2 --journal "$dir/d1.jsonl" > /dev/null
+"$cli" optimize $dopts --shard 2/2 --journal "$dir/d2.jsonl" > /dev/null
+"$cli" merge $dopts --journal "$dir/delay-merged.jsonl" \
+    "$dir/d1.jsonl" "$dir/d2.jsonl" > "$dir/delay-merged.txt"
+if ! cmp -s "$dir/delay-full.txt" "$dir/delay-merged.txt"; then
+    echo "sweep smoke: merged overlapped-delay report differs from unsharded run" >&2
+    diff "$dir/delay-full.txt" "$dir/delay-merged.txt" >&2 || true
+    exit 1
+fi
+
+echo "sweep smoke: shard+merge, resume, merge-refusal, compact and overlapped-delay merge OK on $layer"
