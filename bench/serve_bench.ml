@@ -207,10 +207,10 @@ let () =
   Server.stop server;
   (try rm_rf store_dir with Sys_error _ | Unix.Unix_error _ -> ());
   let buf = Buffer.create 512 in
-  let f name v b = Json.field b name (fun b -> Json.float b v) in
-  let i name v b = Json.field b name (fun b -> Json.int b v) in
-  let s name v b = Json.field b name (fun b -> Json.str b v) in
-  Json.obj buf
+  let f name v = Json.field name (Json.float v) in
+  let i name v = Json.field name (Json.int v) in
+  let s name v = Json.field name (Json.str v) in
+  Json.obj
     [
       s "bench" "serve";
       s "layer" options.layer;
@@ -226,7 +226,8 @@ let () =
       f "serve_cache_hit_rate" hit_rate;
       i "serve_cache_hits" hits;
       i "serve_cache_misses" misses;
-    ];
+    ]
+    buf;
   Buffer.add_char buf '\n';
   let oc = open_out options.out in
   output_string oc (Buffer.contents buf);

@@ -402,9 +402,9 @@ let () =
       scenarios
   in
   let buf = Buffer.create 2048 in
-  let f name v b = Json.field b name (fun b -> Json.float b v) in
-  let i name v b = Json.field b name (fun b -> Json.int b v) in
-  let s name v b = Json.field b name (fun b -> Json.str b v) in
+  let f name v = Json.field name (Json.float v) in
+  let i name v = Json.field name (Json.int v) in
+  let s name v = Json.field name (Json.str v) in
   let cell_fields scenario kernel (c : cell) =
     [
       f (Printf.sprintf "%s_%s_wall_s" scenario kernel) c.c_wall_s;
@@ -429,7 +429,7 @@ let () =
         @ integerize_fields scenario ic)
       matrix
   in
-  Json.obj buf
+  Json.obj
     ([
        s "bench" "solver";
        s "layers" (String.concat "," options.layers);
@@ -464,7 +464,8 @@ let () =
           per-link lowering costs over the aggregate one. *)
        f "comm_lowering_overhead" comm_overhead;
      ]
-    @ matrix_fields);
+    @ matrix_fields)
+    buf;
   Buffer.add_char buf '\n';
   let oc = open_out options.out in
   Buffer.output_buffer oc buf;

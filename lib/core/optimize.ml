@@ -125,13 +125,13 @@ let select_best ~score outcomes =
    journal entry goes stale and is re-solved (DESIGN §12). *)
 let config_fingerprint config =
   Printf.sprintf
-    "v3|tol=%Lx|kernel=%s|warm=%b|dedupe=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
-    (Int64.bits_of_float config.gp_tol)
+    "v3|tol=%s|kernel=%s|warm=%b|dedupe=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
+    (Obs.Json.bits config.gp_tol)
     (match config.gp_kernel with `Compiled -> "compiled" | `List -> "list")
     config.warm_start config.dedupe
     (match config.solve_deadline_ms with
     | None -> "none"
-    | Some ms -> Printf.sprintf "%Lx" (Int64.bits_of_float ms))
+    | Some ms -> Obs.Json.bits ms)
     config.retries
     (Robust.Inject.to_string config.inject)
     (* [Check] solves every original problem exactly as [Off] does —
@@ -158,7 +158,8 @@ let config_fingerprint config =
 let problem_key problem =
   let buf = Buffer.create 1024 in
   let fl v =
-    Buffer.add_string buf (Printf.sprintf "%Lx;" (Int64.bits_of_float v))
+    Buffer.add_string buf (Obs.Json.bits v);
+    Buffer.add_char buf ';'
   in
   let mono m =
     fl (Symexpr.Monomial.coeff m);
@@ -201,7 +202,10 @@ let problem_key problem =
 let request_key ~config tech arch_mode objective nest =
   let buf = Buffer.create 512 in
   let add = Buffer.add_string buf in
-  let fl v = add (Printf.sprintf "%Lx;" (Int64.bits_of_float v)) in
+  let fl v =
+    add (Obs.Json.bits v);
+    add ";"
+  in
   add "rk2|tech:";
   fl tech.Archspec.Technology.area_mac;
   fl tech.Archspec.Technology.area_register;

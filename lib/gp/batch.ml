@@ -22,26 +22,16 @@ type cols = { c_starts : int array; c_idx : int array; c_val : float array }
 
 type basis = { z_n : int; z_q : int; z_sparse : cols; z_full : cols }
 
-type gram = No_rows | Factored of Mat.lu | Gram_singular
-
-type plan = {
-  pl_vars : string list;
-  pl_n : int;
-  pl_index : (string, int) Hashtbl.t;
-  pl_objective : fn;
-  pl_ineqs : fn array;
-  pl_rows : Vec.t array;
-  pl_d : float array;
-  pl_dz : float array;
-  pl_rows1 : Vec.t array;
-  pl_gram : gram;
-  pl_zbasis : basis;
-  pl_zbasis1 : basis;
-  pl_objective1 : fn;
-  pl_lower1 : fn;
-  pl_ineqs1 : fn array;
-  pl_max_terms : int;
+type lowered = {
+  lo_vars : string list;
+  lo_n : int;
+  lo_index : (string, int) Hashtbl.t;
+  lo_rows : Vec.t array;
+  lo_d : float array;
+  lo_dz : float array;
 }
+
+type plan = { pl_n : int; pl_objective : fn; pl_ineqs : fn array }
 
 (* Distinct indices, ascending. *)
 let merged_support lists =
@@ -106,9 +96,7 @@ let fn_of_posynomial n index p =
     ~b:(Array.of_list (List.map (fun m -> log (M.coeff m)) terms))
     (List.map term terms)
 
-(* Pure-affine function (no log-sum-exp terms), the image of
-   [Smooth.linear]. *)
-let fn_affine entries const =
+let affine entries const =
   let entries = List.sort (fun (i, _) (j, _) -> compare i j) entries in
   let entries = List.filter (fun (_, c) -> c <> 0.0) entries in
   {
@@ -124,9 +112,7 @@ let fn_affine entries const =
     f_single = false;
   }
 
-(* Phase-I image of an inequality: the same log-sum-exp terms and
-   coefficients over n+1 variables, minus the slack s. *)
-let fn_minus_slack n f =
+let minus_slack n f =
   {
     f with
     f_lin_idx = Array.append f.f_lin_idx [| n |];
@@ -151,7 +137,8 @@ let compress ~keep zcols =
     c_val = Array.of_list (List.map snd entries);
   }
 
-let basis_of n zcols =
+let nullspace n rows =
+  let zcols = Mat.nullspace_basis n rows in
   {
     z_n = n;
     z_q = Array.length zcols;
@@ -159,18 +146,14 @@ let basis_of n zcols =
     z_full = compress ~keep:(fun _ -> true) zcols;
   }
 
-let compile problem =
+let lower problem =
   let vars = Problem.variables problem in
   let n = List.length vars in
   let index = Hashtbl.create (2 * n) in
   List.iteri (fun i x -> Hashtbl.replace index x i) vars;
-  let objective = fn_of_posynomial n index (Problem.objective problem) in
-  let ineqs =
-    Array.of_list (List.map (fun (_, p) -> fn_of_posynomial n index p) (Problem.ineqs problem))
-  in
   (* Equality rows [a . y = -log c], split into structurally nonzero
-     rows (kept, in source order, as the list kernel does) and all-zero
-     rows (only their right-hand sides matter). *)
+     rows (kept, in source order) and all-zero rows (only their
+     right-hand sides matter). *)
   let all_rows =
     List.map
       (fun (_, m) ->
@@ -180,40 +163,21 @@ let compile problem =
       (Problem.eqs problem)
   in
   let nonzero, zero = List.partition (fun (a, _) -> Vec.norm_inf a > 0.0) all_rows in
-  let rows = Array.of_list (List.map fst nonzero) in
-  let rows1 = Array.map (fun a -> Vec.concat a [| 0.0 |]) rows in
-  let p = Array.length rows in
-  let gram =
-    if p = 0 then No_rows
-    else
-      match
-        Mat.lu_factor
-          (Mat.init p p (fun i j ->
-               Vec.dot rows.(i) rows.(j) +. if i = j then 1e-12 else 0.0))
-      with
-      | lu -> Factored lu
-      | exception Mat.Singular -> Gram_singular
-  in
-  let max_terms =
-    Array.fold_left (fun acc f -> max acc f.f_nterms) objective.f_nterms ineqs
-  in
   {
-    pl_vars = vars;
-    pl_n = n;
-    pl_index = index;
-    pl_objective = objective;
-    pl_ineqs = ineqs;
-    pl_rows = rows;
-    pl_d = Array.of_list (List.map snd nonzero);
-    pl_dz = Array.of_list (List.map snd zero);
-    pl_rows1 = rows1;
-    pl_gram = gram;
-    pl_zbasis = basis_of n (Mat.nullspace_basis n rows);
-    pl_zbasis1 = basis_of (n + 1) (Mat.nullspace_basis (n + 1) rows1);
-    pl_objective1 = fn_affine [ (n, 1.0) ] 0.0;
-    pl_lower1 = fn_affine [ (n, -1.0) ] (-20.0);
-    pl_ineqs1 = Array.map (fn_minus_slack n) ineqs;
-    pl_max_terms = max_terms;
+    lo_vars = vars;
+    lo_n = n;
+    lo_index = index;
+    lo_rows = Array.of_list (List.map fst nonzero);
+    lo_d = Array.of_list (List.map snd nonzero);
+    lo_dz = Array.of_list (List.map snd zero);
+  }
+
+let compile lo problem =
+  let fn p = fn_of_posynomial lo.lo_n lo.lo_index p in
+  {
+    pl_n = lo.lo_n;
+    pl_objective = fn (Problem.objective problem);
+    pl_ineqs = Array.of_list (List.map (fun (_, p) -> fn p) (Problem.ineqs problem));
   }
 
 (* --- flat evaluation --------------------------------------------------- *)

@@ -1,13 +1,13 @@
 (** Compiled form of a geometric program for the default solver kernel
-    (DESIGN §10).
+    (DESIGN §10), and the log-space lowering both kernels share.
 
-    {!compile} lowers one problem into a {!plan}: the exponent rows of
-    every function in a contiguous sparsity index with each function's
-    log-coefficients alongside, the equality right-hand sides, and
-    everything the solver needs that depends only on the exponents (the
-    nullspace bases of the equality rows, the factored least-norm Gram
-    system).  [Solver.solve ~kernel:`Compiled] compiles every problem it
-    solves.
+    {!lower} fixes the variable order and lowers the monomial equalities
+    to rows [a . y = d]; {!Solver} runs it once per solve, for either
+    kernel.  {!compile} then lowers the objective and inequalities into
+    {!fn}s: the exponent rows of every function in a contiguous sparsity
+    index with each function's log-coefficients alongside.  {!nullspace}
+    builds the basis the Newton step reduces onto.
+    [Solver.solve ~kernel:`Compiled] compiles every problem it solves.
 
     {b Bit-identity contract.}  For finite arguments, {!value} and
     {!eval_into} execute the same floating-point operations in the same
@@ -19,10 +19,10 @@
     Values, gradients and Hessians — of the phase-I images [f(y) - s]
     too — are therefore bit-for-bit equal to the list kernel's;
     test/test_compiled.ml pins this with unit cases and QCheck
-    properties.  The factorizations ({!Mat.nullspace_basis},
-    {!Mat.lu_factor}) are pure functions of the exponents.  The
-    nullspace products {!reduce} and {!expand} are bit-identical to the
-    dense loops over the full index range, for any input. *)
+    properties.  The nullspace basis ({!Mat.nullspace_basis}) is a pure
+    function of the exponents.  The nullspace products {!reduce} and
+    {!expand} are bit-identical to the dense loops over the full index
+    range, for any input. *)
 
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
@@ -61,41 +61,40 @@ type cols = { c_starts : int array; c_idx : int array; c_val : float array }
     each column's nonzero entries only, [z_full] every entry. *)
 type basis = { z_n : int; z_q : int; z_sparse : cols; z_full : cols }
 
-(** Outcome of factoring the least-norm Gram system [A A^T + 1e-12 I]
-    once per problem. *)
-type gram =
-  | No_rows  (** no (nonzero) equality rows *)
-  | Factored of Mat.lu
-  | Gram_singular
-      (** factorization failed; solves of this problem report
-          [Infeasible], as the list kernel does when its Gram solve
-          raises [Mat.Singular] *)
-
-(** One compiled problem. *)
-type plan = {
-  pl_vars : string list;  (** sorted, as [Problem.variables] *)
-  pl_n : int;
-  pl_index : (string, int) Hashtbl.t;
-  pl_objective : fn;
-  pl_ineqs : fn array;
-  pl_rows : Vec.t array;  (** nonzero equality rows, source order *)
-  pl_d : float array;  (** their right-hand sides [-log c] *)
-  pl_dz : float array;
+(** A problem's log-space lowering. *)
+type lowered = {
+  lo_vars : string list;  (** sorted, as [Problem.variables] *)
+  lo_n : int;
+  lo_index : (string, int) Hashtbl.t;  (** variable -> position in [y] *)
+  lo_rows : Vec.t array;
+      (** the structurally nonzero equality rows [a] (monomial
+          [c * prod t^a = 1] becomes [a . y = -log c]), source order *)
+  lo_d : float array;  (** their right-hand sides [-log c] *)
+  lo_dz : float array;
       (** right-hand sides of the all-zero equality rows, each of which
-          reduces to [0 = d] and is consistency-checked per solve *)
-  pl_rows1 : Vec.t array;  (** the same rows over n+1 (slack column 0) *)
-  pl_gram : gram;
-  pl_zbasis : basis;  (** nullspace basis of [pl_rows] over n *)
-  pl_zbasis1 : basis;  (** nullspace basis of [pl_rows1] over n+1 *)
-  pl_objective1 : fn;  (** phase I objective: s *)
-  pl_lower1 : fn;  (** phase I bound: -s - 20 <= 0 *)
-  pl_ineqs1 : fn array;
-      (** phase I images of [pl_ineqs] over n+1 with the -s slack,
-          sharing their coefficients *)
-  pl_max_terms : int;  (** scratch sizing for evaluation buffers *)
+          reads [0 = d] and is consistency-checked per solve *)
 }
 
-val compile : Problem.t -> plan
+val lower : Problem.t -> lowered
+
+(** One compiled problem: its objective and inequalities over [pl_n]
+    variables. *)
+type plan = { pl_n : int; pl_objective : fn; pl_ineqs : fn array }
+
+val compile : lowered -> Problem.t -> plan
+
+val affine : (int * float) list -> float -> fn
+(** [affine [(i, c_i); ...] b] is the pure-affine function
+    [sum_i c_i y_i + b] (no log-sum-exp terms), the image of
+    {!Smooth.linear}. *)
+
+val minus_slack : int -> fn -> fn
+(** [minus_slack n f] is the phase-I image [f(y) - s] over [n + 1]
+    variables, slack last, sharing [f]'s terms and coefficients. *)
+
+val nullspace : int -> Vec.t array -> basis
+(** [nullspace n rows] is {!Mat.nullspace_basis}[ n rows] in both
+    views. *)
 
 (** {1 Flat evaluation primitives}
 

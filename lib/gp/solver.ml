@@ -121,103 +121,99 @@ let log_src = Logs.Src.create "gp.solver" ~doc:"Geometric-program solver"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* ------------------------------------------------------------------ *)
-(* Lowering to log space                                              *)
+(* Kernels                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let compile_posynomial n index p =
-  let term m =
-    let a = Vec.create n in
-    List.iter (fun (x, e) -> a.(Hashtbl.find index x) <- e) (M.exponents m);
-    (a, log (M.coeff m))
+(* One phase of a solve (phase II over y, or phase I over (y, s)) under
+   one kernel.  A kernel owns only what differs between the two: how the
+   phase's functions are evaluated and how its Newton system is solved.
+   The barrier method below owns everything else.
+
+   [assemble ~barrier_t y] evaluates every function at [y], writes the
+   inequality values f_i(y) into [vis] and the gradient and Hessian of
+   the centering objective  barrier_t * f0(y) - sum_i log (-f_i(y))
+   into [grad] and [hess], and returns f0(y).  [newton] solves the
+   equality-constrained KKT system of the assembled [grad] and [hess]:
+   the Newton direction, or [None] when the system is singular at every
+   regularization level. *)
+type phase = {
+  m : int;  (* inequalities *)
+  grad : Vec.t;
+  hess : Mat.t;
+  vis : float array;
+  ineq_value : int -> Vec.t -> float;  (* f_i *)
+  obj_value : Vec.t -> float;  (* f0 *)
+  assemble : barrier_t:float -> Vec.t -> float;
+  newton : stats -> initial_reg:float -> Vec.t option;
+}
+
+(* [attempt reg] at [initial_reg], then at a hundredfold larger
+   regularization after each failure, at most six more times. *)
+let regularized ~st ~initial_reg attempt =
+  let rec go reg tries =
+    match attempt reg with
+    | Some _ as step -> step
+    | None when tries <= 0 -> None
+    | None ->
+      st.kkt_regularizations <- st.kkt_regularizations + 1;
+      go (reg *. 100.0) (tries - 1)
   in
-  Smooth.log_sum_exp n (List.map term (P.terms p))
+  go initial_reg 6
 
-(* Equality rows: monomial [c * prod t^a = 1] becomes [a . y = -log c]. *)
-let equality_rows n index eqs =
-  let row (_, m) =
-    let a = Vec.create n in
-    List.iter (fun (x, e) -> a.(Hashtbl.find index x) <- e) (M.exponents m);
-    (a, -.log (M.coeff m))
-  in
-  List.map row eqs
-
-(* ------------------------------------------------------------------ *)
-(* Dense KKT path (shared by the list kernel and the flat kernel's    *)
-(* fallback)                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Newton step keeping A y = const: KKT system
+(* Newton step keeping A y = const: the KKT system
    [H + reg I, A^T; A, 0] [dy; w] = [-grad; 0], solved densely by LU. *)
-let solve_kkt_dense ~hess ~grad ~rows n p reg =
-  let dim = n + p in
-  let kkt = Mat.create dim dim in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Mat.set kkt i j (Mat.get hess i j)
-    done;
-    Mat.add_to kkt i i reg
-  done;
-  List.iteri
-    (fun k (a, _) ->
-      for j = 0 to n - 1 do
-        Mat.set kkt (n + k) j a.(j);
-        Mat.set kkt j (n + k) a.(j)
-      done)
-    rows;
-  let rhs = Vec.create dim in
-  for i = 0 to n - 1 do
-    rhs.(i) <- -.grad.(i)
-  done;
-  Vec.slice (Mat.lu_solve kkt rhs) 0 n
+let dense_newton ~rows ~hess ~grad st ~initial_reg =
+  let n = Vec.dim grad in
+  let dim = n + Array.length rows in
+  regularized ~st ~initial_reg (fun reg ->
+      let kkt = Mat.create dim dim in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          Mat.set kkt i j (Mat.get hess i j)
+        done;
+        Mat.add_to kkt i i reg
+      done;
+      Array.iteri
+        (fun k a ->
+          for j = 0 to n - 1 do
+            Mat.set kkt (n + k) j a.(j);
+            Mat.set kkt j (n + k) a.(j)
+          done)
+        rows;
+      let rhs = Vec.create dim in
+      for i = 0 to n - 1 do
+        rhs.(i) <- -.grad.(i)
+      done;
+      match Mat.lu_solve kkt rhs with
+      | x -> Some (Vec.slice x 0 n)
+      | exception Mat.Singular -> None)
 
-let attempt_dense ~st ~initial_reg ~hess ~grad ~rows n p =
-  let rec attempt reg tries =
-    match solve_kkt_dense ~hess ~grad ~rows n p reg with
-    | dy -> Some dy
-    | exception Mat.Singular ->
-      if tries <= 0 then None
-      else begin
-        st.kkt_regularizations <- st.kkt_regularizations + 1;
-        attempt (reg *. 100.0) (tries - 1)
-      end
+(* --- List kernel: Smooth closures with dense Hessians, dense LU ---- *)
+
+(* G(y, s) = f(y) - s over n + 1 variables. *)
+let minus_slack n (f : Smooth.t) =
+  let base = Smooth.extend f 1 in
+  let value y = base.Smooth.value y -. y.(n) in
+  let eval y =
+    let v, g, h = base.Smooth.eval y in
+    g.(n) <- g.(n) -. 1.0;
+    (v -. y.(n), g, h)
   in
-  attempt initial_reg 6
+  { Smooth.dim = n + 1; eval; value }
 
-(* ------------------------------------------------------------------ *)
-(* Equality-constrained Newton centering — list kernel                *)
-(* ------------------------------------------------------------------ *)
-
-(* Minimize  barrier_t * f0(y) - sum_i log (-f_i(y))  subject to [a] y
-   fixed to its value at [y0] (the start must satisfy the equalities and
-   be strictly feasible for the inequalities).  This is the pre-compiled
-   reference path, kept verbatim as the benchmark baseline. *)
-let centering_list ~initial_reg ~st ~barrier_t ~(objective : Smooth.t)
-    ~(ineqs : Smooth.t list) ~rows y0 =
-  let n = Vec.dim y0 in
-  let p = List.length rows in
-  let phi y =
-    let acc = ref (barrier_t *. objective.Smooth.value y) in
-    let ok = ref true in
-    List.iter
-      (fun (g : Smooth.t) ->
-        let v = g.Smooth.value y in
-        if v >= 0.0 then ok := false else acc := !acc -. log (-.v))
-      ineqs;
-    if !ok then Some !acc else None
-  in
-  let y = ref (Vec.copy y0) in
-  let converged = ref false in
-  let iter = ref 0 in
-  while (not !converged) && !iter < 80 do
-    incr iter;
-    st.newton_iters <- st.newton_iters + 1;
-    let v0, g0, h0 = objective.Smooth.eval !y in
-    ignore v0;
-    let grad = Vec.scale barrier_t g0 in
-    let hess = Mat.scale barrier_t h0 in
-    List.iter
-      (fun (g : Smooth.t) ->
-        let vi, gi, hi = g.Smooth.eval !y in
+let list_phase ~rows (objective : Smooth.t) (ineqs : Smooth.t array) =
+  let n = objective.Smooth.dim in
+  let grad = Vec.create n and hess = Mat.create n n in
+  let vis = Array.make (Array.length ineqs) 0.0 in
+  let assemble ~barrier_t y =
+    let v0, g0, h0 = objective.Smooth.eval y in
+    Array.iteri (fun i g -> grad.(i) <- barrier_t *. g) g0;
+    let h = Mat.data hess in
+    Array.iteri (fun k h0k -> h.(k) <- barrier_t *. h0k) (Mat.data h0);
+    Array.iteri
+      (fun k (g : Smooth.t) ->
+        let vi, gi, hi = g.Smooth.eval y in
+        vis.(k) <- vi;
         (* vi < 0 by the line-search invariant *)
         let inv = -1.0 /. vi in
         for i = 0 to n - 1 do
@@ -229,60 +225,276 @@ let centering_list ~initial_reg ~st ~barrier_t ~(objective : Smooth.t)
           done
         done)
       ineqs;
-    match attempt_dense ~st ~initial_reg ~hess ~grad ~rows n p with
+    v0
+  in
+  {
+    m = Array.length ineqs;
+    grad;
+    hess;
+    vis;
+    ineq_value = (fun i y -> ineqs.(i).Smooth.value y);
+    obj_value = objective.Smooth.value;
+    assemble;
+    newton = dense_newton ~rows ~hess ~grad;
+  }
+
+(* A problem's phase II, and its phase I over the rows [rows1]: the
+   objective s, the bound -s + s_floor <= 0 and the images f_i - s. *)
+let list_kernel (lo : Batch.lowered) problem =
+  let n = lo.Batch.lo_n in
+  let lse p =
+    let term m =
+      let a = Vec.create n in
+      List.iter (fun (x, e) -> a.(Hashtbl.find lo.Batch.lo_index x) <- e) (M.exponents m);
+      (a, log (M.coeff m))
+    in
+    Smooth.log_sum_exp n (List.map term (P.terms p))
+  in
+  let objective = lse (Problem.objective problem) in
+  let ineqs = Array.of_list (List.map (fun (_, p) -> lse p) (Problem.ineqs problem)) in
+  let phase1 ~rows1 ~s_floor =
+    let s_dir = Vec.init (n + 1) (fun i -> if i = n then 1.0 else 0.0) in
+    list_phase ~rows:rows1
+      (Smooth.linear (n + 1) s_dir 0.0)
+      (Array.append
+         [| Smooth.linear (n + 1) (Vec.scale (-1.0) s_dir) s_floor |]
+         (Array.map (minus_slack n) ineqs))
+  in
+  (list_phase ~rows:lo.Batch.lo_rows objective ineqs, phase1)
+
+(* --- Compiled kernel: flat buffers over supports, nullspace Cholesky *)
+
+(* The production path evaluates the functions {!Batch.compile} lowers
+   once into contiguous sparse exponent rows, into flat buffers sized
+   once per phase, writing only each function's support.
+
+   Each Newton step solves the equality-constrained KKT system in the
+   nullspace basis [Z] of the equality rows,
+
+     (Z^T H Z + reg I) u = Z^T (-grad),   dy = Z u,
+
+   by Cholesky.  [A dy = (A Z) u ~ 0] holds to machine precision by
+   construction, unlike a range-space (Schur-complement) elimination,
+   which amplifies roundoff by ||H^-1|| ~ barrier_t / reg along the
+   curvature-free log-linear directions every GP formulation has.  When
+   Cholesky fails at every regularization level the step falls back
+   once to the list kernel's dense pivoted-LU KKT solve.  The products
+   with [Z] ({!Batch.reduce}, {!Batch.expand}) skip its exact zeros
+   wherever that leaves every bit of the dense products unchanged.
+
+   The evaluations are bit-identical to the list kernel's
+   ({!Batch.eval_into} against [Smooth.log_sum_exp]); Newton directions
+   differ in low-order bits because the factorization differs. *)
+let compiled_phase ~n ~rows (objective : Batch.fn) (ineqs : Batch.fn array) =
+  let nineq = Array.length ineqs in
+  let z = Batch.nullspace n rows in
+  let q = z.Batch.z_q in
+  let max_terms =
+    Array.fold_left (fun acc f -> max acc f.Batch.f_nterms) objective.Batch.f_nterms ineqs
+  in
+  let es = Array.make (max 1 max_terms) 0.0 in
+  let grad = Vec.create n and hess = Mat.create n n in
+  let vis = Array.make nineq 0.0 in
+  let h = Mat.data hess in
+  let gi = Array.make n 0.0 and hi = Array.make (n * n) 0.0 in
+  let hz = Array.make (max 1 (q * n)) 0.0 in
+  (* The reduced Hessian: [hr0] keeps the pristine lower triangle
+     (stride q), [hr] is factored in place. *)
+  let hr = Mat.create q q and hr0 = Array.make (max 1 (q * q)) 0.0 in
+  let u = Vec.create q and u0 = Array.make (max 1 q) 0.0 in
+  let dy = Vec.create n in
+  let assemble ~barrier_t y =
+    Array.fill grad 0 n 0.0;
+    Array.fill h 0 (n * n) 0.0;
+    let v0 = Batch.eval_into objective ~es ~grad:gi ~hess:hi ~hn:n y in
+    let sup0 = objective.Batch.f_support in
+    let ns0 = Array.length sup0 in
+    for a = 0 to ns0 - 1 do
+      let i = Array.unsafe_get sup0 a in
+      Array.unsafe_set grad i (barrier_t *. Array.unsafe_get gi i);
+      let base = i * n in
+      for b = 0 to ns0 - 1 do
+        let j = Array.unsafe_get sup0 b in
+        Array.unsafe_set h (base + j) (barrier_t *. Array.unsafe_get hi (base + j))
+      done
+    done;
+    for gidx = 0 to nineq - 1 do
+      let g = Array.unsafe_get ineqs gidx in
+      let vi = Batch.eval_into g ~es ~grad:gi ~hess:hi ~hn:n y in
+      Array.unsafe_set vis gidx vi;
+      (* vi < 0 by the line-search invariant *)
+      let inv = -1.0 /. vi in
+      let sup = g.Batch.f_support in
+      let ns = Array.length sup in
+      for a = 0 to ns - 1 do
+        let i = Array.unsafe_get sup a in
+        Array.unsafe_set grad i (Array.unsafe_get grad i +. (inv *. Array.unsafe_get gi i))
+      done;
+      for a = 0 to ns - 1 do
+        let i = Array.unsafe_get sup a in
+        let gi_i = Array.unsafe_get gi i in
+        let base = i * n in
+        for b = 0 to ns - 1 do
+          let j = Array.unsafe_get sup b in
+          let o = base + j in
+          Array.unsafe_set h o
+            (Array.unsafe_get h o
+            +. ((inv *. Array.unsafe_get hi o) +. (inv *. inv *. gi_i *. Array.unsafe_get gi j))
+            )
+        done
+      done
+    done;
+    v0
+  in
+  (* Factor [Z^T H Z + reg I] into [hr]. *)
+  let factor reg =
+    let hd = Mat.data hr in
+    Array.blit hr0 0 hd 0 (q * q);
+    for j = 0 to q - 1 do
+      let o = (j * q) + j in
+      Array.unsafe_set hd o (Array.unsafe_get hd o +. reg)
+    done;
+    match Mat.cholesky_in_place hr with () -> Some () | exception Mat.Singular -> None
+  in
+  let newton st ~initial_reg =
+    (* The reduced Hessian [z_j . (H z_l)] and RHS [-z_j . grad] are
+       fixed for this step: form them once and replay them on every
+       regularization retry. *)
+    Batch.reduce z ~hess:h ~grad ~hz ~hr:hr0 ~rhs:u0;
+    match regularized ~st ~initial_reg factor with
+    | Some () ->
+      Array.blit u0 0 u 0 q;
+      Mat.cholesky_solve_in_place hr u;
+      Batch.expand z ~u ~dy;
+      Some dy
     | None ->
-      (* The KKT system is numerically singular even with heavy
-         regularization: accept the current (feasible) point. *)
+      (* Cholesky keeps failing even under heavy regularization (an
+         indefinite Hessian from numerical noise): fall back once to the
+         dense pivoted-LU KKT solve before giving up on the step. *)
+      st.cholesky_fallbacks <- st.cholesky_fallbacks + 1;
+      dense_newton ~rows ~hess ~grad st ~initial_reg
+  in
+  {
+    m = nineq;
+    grad;
+    hess;
+    vis;
+    ineq_value = (fun i y -> Batch.value (Array.unsafe_get ineqs i) ~es y);
+    obj_value = (fun y -> Batch.value objective ~es y);
+    assemble;
+    newton;
+  }
+
+(* As [list_kernel], over the compiled functions. *)
+let compiled_kernel (lo : Batch.lowered) problem =
+  let plan = Batch.compile lo problem in
+  let n = lo.Batch.lo_n in
+  let phase1 ~rows1 ~s_floor =
+    compiled_phase ~n:(n + 1) ~rows:rows1
+      (Batch.affine [ (n, 1.0) ] 0.0)
+      (Array.append
+         [| Batch.affine [ (n, -1.0) ] s_floor |]
+         (Array.map (Batch.minus_slack n) plan.Batch.pl_ineqs))
+  in
+  (compiled_phase ~n ~rows:lo.Batch.lo_rows plan.Batch.pl_objective plan.Batch.pl_ineqs, phase1)
+
+(* ------------------------------------------------------------------ *)
+(* The barrier method                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Centering: minimize  barrier_t * f0(y) - sum_i log (-f_i(y))  with
+   the equality rows' values fixed at their values at [y0], which must
+   be strictly feasible.  Newton steps with a backtracking (Armijo) line
+   search that keeps the iterate strictly feasible; the loop stops when
+   the Newton decrement lambda^2 / 2 drops below 1e-10, when no step
+   makes progress, or after 80 steps. *)
+let centering ph ~st ~initial_reg ~barrier_t y0 =
+  let n = Vec.dim y0 in
+  let y = Vec.copy y0 and cand = Vec.create n in
+  (* The centering objective from f0's value and the inequality values
+     in [vis]. *)
+  let merit v0 =
+    let acc = ref (barrier_t *. v0) in
+    for i = 0 to ph.m - 1 do
+      acc := !acc -. log (-.ph.vis.(i))
+    done;
+    !acc
+  in
+  (* The same at a line-search candidate, [None] outside the strict
+     domain.  Evaluation stops at the first inequality value >= 0.  A
+     NaN value never triggers the exit ([v >= 0.0] is false for NaN); it
+     poisons the sum instead, which then fails the accept test. *)
+  let merit_at c =
+    let ok = ref true in
+    let i = ref 0 in
+    while !ok && !i < ph.m do
+      let v = ph.ineq_value !i c in
+      if v >= 0.0 then ok := false
+      else begin
+        ph.vis.(!i) <- v;
+        incr i
+      end
+    done;
+    if !ok then Some (merit (ph.obj_value c)) else None
+  in
+  let converged = ref false in
+  let iter = ref 0 in
+  while (not !converged) && !iter < 80 do
+    incr iter;
+    st.newton_iters <- st.newton_iters + 1;
+    let v0 = ph.assemble ~barrier_t y in
+    match ph.newton st ~initial_reg with
+    | None ->
+      (* Singular under every factorization: accept the current
+         (feasible) point. *)
       converged := true
     | Some dy ->
-    let slope = Vec.dot grad dy in
-    let lambda2 = -.slope in
-    if lambda2 /. 2.0 < 1e-10 then converged := true
-    else begin
-      (* Backtracking line search with the strict-feasibility invariant. *)
-      let phi0 =
-        match phi !y with
-        | Some v -> v
-        | None -> invalid_arg "Gp.Solver: centering started at an infeasible point"
-      in
-      let rec search alpha tries =
-        if tries <= 0 then None
-        else begin
-          let cand = Vec.axpy alpha dy !y in
-          match phi cand with
-          | Some v when v <= phi0 +. (0.25 *. alpha *. slope) -> Some cand
-          | _ ->
-            st.backtracks <- st.backtracks + 1;
-            search (alpha /. 2.0) (tries - 1)
-        end
-      in
-      match search 1.0 60 with
-      | Some cand -> y := cand
-      | None -> converged := true (* cannot make progress; accept the point *)
-    end
+      let slope = Vec.dot ph.grad dy in
+      let lambda2 = -.slope in
+      if lambda2 /. 2.0 < 1e-10 then converged := true
+      else begin
+        for i = 0 to ph.m - 1 do
+          if ph.vis.(i) >= 0.0 then
+            invalid_arg "Gp.Solver: centering started at an infeasible point"
+        done;
+        (* Taken from the assembly's values at [y]. *)
+        let phi0 = merit v0 in
+        let rec search alpha tries =
+          tries > 0
+          && begin
+               for i = 0 to n - 1 do
+                 cand.(i) <- (alpha *. dy.(i)) +. y.(i)
+               done;
+               match merit_at cand with
+               | Some v when v <= phi0 +. (0.25 *. alpha *. slope) -> true
+               | _ ->
+                 st.backtracks <- st.backtracks + 1;
+                 search (alpha /. 2.0) (tries - 1)
+             end
+        in
+        if search 1.0 60 then Array.blit cand 0 y 0 n
+        else converged := true (* cannot make progress; accept the point *)
+      end
   done;
-  !y
+  y
 
-(* ------------------------------------------------------------------ *)
-(* Barrier loop                                                       *)
-(* ------------------------------------------------------------------ *)
+(* The t-schedule: center at t = 1, 20, 400, ... until the duality-gap
+   bound m / t drops below [tol], [stop_early] holds, or [max_outer]
+   centerings ran.
 
-(* [check] is the cooperative deadline hook: called before every outer
+   [check] is the cooperative deadline hook: called before every outer
    (centering) iteration, it raises {!Deadline} once the caller's budget
    is spent.  Checks sit at outer-iteration boundaries only — a single
-   centering runs to completion — keeping the hot path untouched.
-
-   The loop is written against an abstract [centering] closure (and the
-   inequality count [m]) so both kernels run through the identical
-   control flow: same schedule, same stop conditions, same stats
-   ticks. *)
-let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~max_outer ~m
-    ~centering y0 =
+   centering runs to completion — keeping the hot path untouched. *)
+let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~max_outer ~initial_reg
+    ph y0 =
   let tick () =
     match phase with
     | `One -> st.phase1_outer <- st.phase1_outer + 1
     | `Two -> st.phase2_outer <- st.phase2_outer + 1
   in
+  let centering = centering ph ~st ~initial_reg in
+  let m = ph.m in
   if m = 0 then begin
     check ();
     if phase = `Two then st.duality_gap <- 0.0;
@@ -317,564 +529,109 @@ let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~max_outer ~m
 
 let infeasible = { status = Infeasible; values = []; objective = nan }
 
-(* ------------------------------------------------------------------ *)
-(* List kernel: phase I and driver                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* G(y, s) = f(y) - s over n + 1 variables. *)
-let minus_slack n (f : Smooth.t) =
-  let base = Smooth.extend f 1 in
-  let value y = base.Smooth.value y -. y.(n) in
-  let eval y =
-    let v, g, h = base.Smooth.eval y in
-    g.(n) <- g.(n) -. 1.0;
-    (v -. y.(n), g, h)
-  in
-  { Smooth.dim = n + 1; eval; value }
-
-(* Find a point satisfying the equalities and strictly satisfying the
-   inequalities, or decide that none exists. *)
-let phase1_list ~check ~initial_reg ~st ~tol ~max_outer n (ineqs : Smooth.t list) rows
-    y0 =
-  let strictly_ok y =
-    List.for_all (fun (g : Smooth.t) -> g.Smooth.value y < -1e-9) ineqs
-  in
-  if strictly_ok y0 then Some y0
-  else begin
-    let n1 = n + 1 in
-    let s_dir = Vec.init n1 (fun i -> if i = n then 1.0 else 0.0) in
-    let objective = Smooth.linear n1 s_dir 0.0 in
-    let g_ineqs = List.map (minus_slack n) ineqs in
-    (* Keep s bounded below so the phase-I problem is bounded. *)
-    let lower = Smooth.linear n1 (Vec.scale (-1.0) s_dir) (-20.0) in
-    let rows1 = List.map (fun (a, d) -> (Vec.concat a [| 0.0 |], d)) rows in
-    let s0 =
-      List.fold_left (fun acc (g : Smooth.t) -> Float.max acc (g.Smooth.value y0)) 0.0
-        ineqs
-      +. 1.0
-    in
-    let start = Vec.concat y0 [| s0 |] in
-    let stop_early y = y.(n) < -0.5 in
-    let all_ineqs = lower :: g_ineqs in
-    let y1, _ =
-      barrier ~stop_early ~check ~st ~phase:`One ~tol ~max_outer
-        ~m:(List.length all_ineqs)
-        ~centering:(fun ~barrier_t y ->
-          centering_list ~initial_reg ~st ~barrier_t ~objective ~ineqs:all_ineqs
-            ~rows:rows1 y)
-        start
-    in
-    let y = Vec.slice y1 0 n in
-    if strictly_ok y then Some y else None
-  end
-
-let least_norm_start n rows =
-  match rows with
-  | [] -> Vec.create n
-  | _ ->
-    (* y0 = A^T z with (A A^T + eps I) z = d: minimum-norm solution of the
-       (assumed full-rank) equality system, regularized for safety. *)
-    let p = List.length rows in
-    let arr = Array.of_list rows in
-    let gram =
-      Mat.init p p (fun i j ->
-          Vec.dot (fst arr.(i)) (fst arr.(j)) +. if i = j then 1e-12 else 0.0)
-    in
-    let d = Vec.init p (fun i -> snd arr.(i)) in
-    let z = Mat.lu_solve gram d in
-    let y = Vec.create n in
-    Array.iteri
-      (fun i (a, _) ->
-        for j = 0 to n - 1 do
-          y.(j) <- y.(j) +. (z.(i) *. a.(j))
-        done)
-      arr;
-    y
-
-(* Log-space start seeded from a prior solution of a structurally close
-   problem: overlay the warm values on the least-norm equality solution,
-   then project back onto the equality manifold ([y <- y + A^T z] with
-   [(A A^T + eps I) z = d - A y]), since the warm point satisfied a
-   {e different} problem's equalities. *)
-let warm_point n index vars rows warm =
-  let y = least_norm_start n rows in
-  List.iter
-    (fun x ->
-      match List.assoc_opt x warm with
-      | Some v when Float.is_finite v && v > 0.0 -> y.(Hashtbl.find index x) <- log v
-      | _ -> ())
-    vars;
-  match rows with
-  | [] -> y
-  | _ ->
-    (try
-       let p = List.length rows in
-       let arr = Array.of_list rows in
-       let gram =
-         Mat.init p p (fun i j ->
-             Vec.dot (fst arr.(i)) (fst arr.(j)) +. if i = j then 1e-12 else 0.0)
-       in
-       let d = Vec.init p (fun i -> snd arr.(i) -. Vec.dot (fst arr.(i)) y) in
-       let z = Mat.lu_solve gram d in
-       Array.iteri
-         (fun i (a, _) ->
-           for j = 0 to n - 1 do
-             y.(j) <- y.(j) +. (z.(i) *. a.(j))
-           done)
-         arr;
-       y
-     with Mat.Singular -> least_norm_start n rows)
-
-let solve_list ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
-  let vars = Problem.variables problem in
-  let n = List.length vars in
-  let index = Hashtbl.create (2 * n) in
-  List.iteri (fun i x -> Hashtbl.replace index x i) vars;
-  let rows0 = equality_rows n index (Problem.eqs problem) in
-  (* Constant equalities reduce to 0 = d: inconsistent unless d ~ 0. *)
-  let inconsistent = ref false in
-  let rows =
-    List.filter
-      (fun (a, d) ->
-        if Vec.norm_inf a > 0.0 then true
-        else begin
-          if Float.abs d > 1e-9 then inconsistent := true;
-          false
-        end)
-      rows0
-  in
-  if !inconsistent then infeasible
-  else begin
-    let y0 =
-      match warm_start with
-      | None -> least_norm_start n rows
-      | Some warm -> warm_point n index vars rows warm
-    in
-    let objective = compile_posynomial n index (Problem.objective problem) in
-    let ineqs =
-      List.map (fun (_, p) -> compile_posynomial n index p) (Problem.ineqs problem)
-    in
-    match phase1_list ~check ~initial_reg ~st ~tol:1e-6 ~max_outer n ineqs rows y0 with
-    | None ->
-      Log.debug (fun m -> m "phase I failed: problem infeasible");
-      infeasible
-    | Some y_feas ->
-      let y_opt, clean =
-        barrier ~check ~st ~phase:`Two ~tol ~max_outer ~m:(List.length ineqs)
-          ~centering:(fun ~barrier_t y ->
-            centering_list ~initial_reg ~st ~barrier_t ~objective ~ineqs ~rows y)
-          y_feas
+(* The start point: the least-norm solution y = A^T z of the equality
+   rows, with (A A^T + 1e-12 I) z = d.  A warm start overlays a prior
+   solution's values on it and projects the result back onto the
+   equality manifold, y <- y + A^T z with (A A^T + 1e-12 I) z = d - A y,
+   since the warm point satisfied a {e different} problem's equalities.
+   Both solves share one factorization; a singular Gram matrix raises
+   [Mat.Singular]. *)
+let start (lo : Batch.lowered) warm_start =
+  let n = lo.Batch.lo_n and rows = lo.Batch.lo_rows and d = lo.Batch.lo_d in
+  let p = Array.length rows in
+  let y = Vec.create n in
+  (* y <- y + A^T z with (A A^T + 1e-12 I) z = rhs *)
+  let project =
+    if p = 0 then fun _ -> ()
+    else begin
+      let gram =
+        Mat.lu_factor
+          (Mat.init p p (fun i j -> Vec.dot rows.(i) rows.(j) +. if i = j then 1e-12 else 0.0))
       in
-      let envt = Array.map exp y_opt in
-      {
-        status = (if clean then Optimal else Iteration_limit);
-        values = List.mapi (fun i x -> (x, envt.(i))) vars;
-        objective =
-          P.eval (fun x -> envt.(Hashtbl.find index x)) (Problem.objective problem);
-      }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Flat kernel (the default, [`Compiled])                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The production path runs the list kernel's algorithm — same barrier
-   schedule, same stop rules, same line search, same stats ticks — over
-   the compiled form {!Batch} builds: [Batch.compile] lowers the problem
-   once into contiguous sparse exponent rows with their log-coefficients,
-   the orthonormal nullspace bases of its equality rows and the factored
-   least-norm Gram system.  Hot buffers are flat unchecked float arrays
-   sized once per solve.
-
-   Each Newton step solves the equality-constrained KKT system in the
-   nullspace basis [Z] of the equality rows,
-
-     (Z^T H Z + reg I) u = Z^T (-grad),   dy = Z u,
-
-   by Cholesky.  [A dy = (A Z) u ~ 0] holds to machine precision by
-   construction, unlike a range-space (Schur-complement) elimination,
-   which amplifies roundoff by ||H^-1|| ~ barrier_t / reg along the
-   curvature-free log-linear directions every GP formulation has.  When
-   Cholesky fails at every regularization level the step falls back
-   once to the list kernel's dense pivoted-LU KKT solve.  The products
-   with [Z] ({!Batch.reduce}, {!Batch.expand}) skip its exact zeros
-   wherever that leaves every bit of the dense products unchanged.
-
-   The evaluations are bit-identical to the list kernel's
-   ({!Batch.eval_into} against [Smooth.log_sum_exp]); Newton directions
-   differ in low-order bits because the factorization differs. *)
-
-(* The function set of one phase. *)
-type bset = {
-  bs_n : int;
-  bs_obj : Batch.fn;
-  bs_ineqs : Batch.fn array;
-  bs_zbasis : Batch.basis;
-  bs_rows : Vec.t array;  (* equality rows, for the dense KKT fallback *)
-}
-
-(* Per-phase workspace, allocated per solve (never shared across
-   concurrent solves). *)
-type bws = {
-  bw_y : float array;
-  bw_cand : float array;
-  bw_grad : float array;
-  bw_hess : float array;  (* n * n, stride n *)
-  bw_gi : float array;
-  bw_hi : float array;  (* n * n, stride n *)
-  bw_dy : float array;
-  bw_es : float array;
-  bw_vis : float array;  (* per-inequality values at the current iterate *)
-  bw_hz : float array;  (* H Z, column j at j * n *)
-  bw_hr : Mat.t;
-  bw_hr0 : float array;  (* pristine reduced Hessian, lower triangle, stride q *)
-  bw_u : Vec.t;
-  bw_u0 : float array;  (* pristine reduced RHS *)
-}
-
-let make_bws ~n ~q ~max_terms ~nineqs =
-  {
-    bw_y = Array.make n 0.0;
-    bw_cand = Array.make n 0.0;
-    bw_grad = Array.make n 0.0;
-    bw_hess = Array.make (n * n) 0.0;
-    bw_gi = Array.make n 0.0;
-    bw_hi = Array.make (n * n) 0.0;
-    bw_dy = Array.make n 0.0;
-    bw_es = Array.make (max 1 max_terms) 0.0;
-    bw_vis = Array.make (max 1 nineqs) 0.0;
-    bw_hz = Array.make (max 1 (q * n)) 0.0;
-    bw_hr = Mat.create q q;
-    bw_hr0 = Array.make (max 1 (q * q)) 0.0;
-    bw_u = Vec.create q;
-    bw_u0 = Array.make (max 1 q) 0.0;
-  }
-
-(* Factor [Z^T H Z + reg I] into [ws.bw_hr], raising [reg] a
-   hundredfold after each failure, at most [tries] times; [false] when
-   every level fails. *)
-let rec factor_reduced ~ws ~st ~q reg tries =
-  let hd = Mat.data ws.bw_hr in
-  Array.blit ws.bw_hr0 0 hd 0 (q * q);
-  for j = 0 to q - 1 do
-    let o = (j * q) + j in
-    Array.unsafe_set hd o (Array.unsafe_get hd o +. reg)
-  done;
-  match Mat.cholesky_in_place ws.bw_hr with
-  | () -> true
-  | exception Mat.Singular ->
-    if tries <= 0 then false
-    else begin
-      st.kkt_regularizations <- st.kkt_regularizations + 1;
-      factor_reduced ~ws ~st ~q (reg *. 100.0) (tries - 1)
-    end
-
-(* Same minimization as [centering_list], over the compiled functions
-   and the structured KKT solve described above. *)
-let centering_flat ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
-  let n = fset.bs_n in
-  let nineq = Array.length fset.bs_ineqs in
-  let zbasis = fset.bs_zbasis in
-  let q = zbasis.Batch.z_q in
-  let grad = ws.bw_grad in
-  let hess = ws.bw_hess in
-  let gi = ws.bw_gi in
-  let hi = ws.bw_hi in
-  let es = ws.bw_es in
-  let vis = ws.bw_vis in
-  let y = ws.bw_y in
-  if y != y0 then Array.blit y0 0 y 0 n;
-  (* Line-search merit value at a candidate, [None] outside the strict
-     domain.  Evaluation stops at the first inequality value >= 0 (the
-     list kernel evaluates them all; the skipped work is pure).  A NaN
-     value never triggers the exit ([v >= 0.0] is false for NaN); it
-     poisons the sum instead, which then fails the accept test. *)
-  let phi_cand cand =
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < nineq do
-      let f = Array.unsafe_get fset.bs_ineqs !i in
-      let v = Batch.value f ~es cand in
-      if v >= 0.0 then ok := false
-      else begin
-        Array.unsafe_set vis !i v;
-        incr i
-      end
-    done;
-    if not !ok then None
-    else begin
-      let o = fset.bs_obj in
-      let acc = ref (barrier_t *. Batch.value o ~es cand) in
-      for j = 0 to nineq - 1 do
-        acc := !acc -. log (-.Array.unsafe_get vis j)
-      done;
-      Some !acc
+      fun rhs ->
+        let z = Mat.lu_solve_factored gram rhs in
+        Array.iteri
+          (fun i a ->
+            for j = 0 to n - 1 do
+              y.(j) <- y.(j) +. (z.(i) *. a.(j))
+            done)
+          rows
     end
   in
-  let converged = ref false in
-  let iter = ref 0 in
-  while (not !converged) && !iter < 80 do
-    incr iter;
-    st.newton_iters <- st.newton_iters + 1;
-    Array.fill grad 0 n 0.0;
-    Array.fill hess 0 (n * n) 0.0;
-    let o = fset.bs_obj in
-    let v0 = Batch.eval_into o ~es ~grad:gi ~hess:hi ~hn:n y in
-    let sup0 = o.Batch.f_support in
-    let ns0 = Array.length sup0 in
-    for a = 0 to ns0 - 1 do
-      let i = Array.unsafe_get sup0 a in
-      Array.unsafe_set grad i (barrier_t *. Array.unsafe_get gi i);
-      let base = i * n in
-      for b = 0 to ns0 - 1 do
-        let j = Array.unsafe_get sup0 b in
-        Array.unsafe_set hess (base + j) (barrier_t *. Array.unsafe_get hi (base + j))
-      done
-    done;
-    for gidx = 0 to nineq - 1 do
-      let g = Array.unsafe_get fset.bs_ineqs gidx in
-      let vi = Batch.eval_into g ~es ~grad:gi ~hess:hi ~hn:n y in
-      Array.unsafe_set vis gidx vi;
-      (* vi < 0 by the line-search invariant *)
-      let inv = -1.0 /. vi in
-      let sup = g.Batch.f_support in
-      let ns = Array.length sup in
-      for a = 0 to ns - 1 do
-        let i = Array.unsafe_get sup a in
-        Array.unsafe_set grad i (Array.unsafe_get grad i +. (inv *. Array.unsafe_get gi i))
-      done;
-      for a = 0 to ns - 1 do
-        let i = Array.unsafe_get sup a in
-        let gi_i = Array.unsafe_get gi i in
-        let base = i * n in
-        for b = 0 to ns - 1 do
-          let j = Array.unsafe_get sup b in
-          let o = base + j in
-          Array.unsafe_set hess o
-            (Array.unsafe_get hess o
-            +. ((inv *. Array.unsafe_get hi o) +. (inv *. inv *. gi_i *. Array.unsafe_get gi j))
-            )
-        done
-      done
-    done;
-    (* Structured KKT solve in the nullspace basis.  The reduced Hessian
-       [z_j . (H z_l)] and RHS [-z_j . grad] are fixed for this step:
-       form them once and replay them on every regularization retry. *)
-    Batch.reduce zbasis ~hess ~grad ~hz:ws.bw_hz ~hr:ws.bw_hr0 ~rhs:ws.bw_u0;
-    let dy =
-      if factor_reduced ~ws ~st ~q initial_reg 6 then begin
-        let u = ws.bw_u in
-        Array.blit ws.bw_u0 0 u 0 q;
-        Mat.cholesky_solve_in_place ws.bw_hr u;
-        Batch.expand zbasis ~u ~dy:ws.bw_dy;
-        Some ws.bw_dy
-      end
-      else begin
-        (* Cholesky keeps failing even under heavy regularization (an
-           indefinite Hessian from numerical noise): fall back once to
-           the dense pivoted-LU KKT path before giving up on the step. *)
-        st.cholesky_fallbacks <- st.cholesky_fallbacks + 1;
-        let p = Array.length fset.bs_rows in
-        let hess_m = Mat.init n n (fun i j -> hess.((i * n) + j)) in
-        let rows = Array.to_list (Array.map (fun a -> (a, 0.0)) fset.bs_rows) in
-        attempt_dense ~st ~initial_reg ~hess:hess_m ~grad ~rows n p
-      end
-    in
-    match dy with
-    | None ->
-      (* Singular under every factorization: accept the current
-         (feasible) point. *)
-      converged := true
-    | Some dy ->
-      let slope =
-        let acc = ref 0.0 in
-        for i = 0 to n - 1 do
-          acc := !acc +. (Array.unsafe_get grad i *. Array.unsafe_get dy i)
-        done;
-        !acc
-      in
-      let lambda2 = -.slope in
-      if lambda2 /. 2.0 < 1e-10 then converged := true
-      else begin
-        (* Merit value at the current iterate, from the values the
-           assembly above just computed. *)
-        let phi0 =
-          let ok = ref true in
-          for j = 0 to nineq - 1 do
-            if vis.(j) >= 0.0 then ok := false
-          done;
-          if not !ok then
-            invalid_arg "Gp.Solver: centering started at an infeasible point"
-          else begin
-            let acc = ref (barrier_t *. v0) in
-            for j = 0 to nineq - 1 do
-              acc := !acc -. log (-.vis.(j))
-            done;
-            !acc
-          end
-        in
-        let cand = ws.bw_cand in
-        let rec search alpha tries =
-          if tries <= 0 then false
-          else begin
-            for i = 0 to n - 1 do
-              Array.unsafe_set cand i
-                ((alpha *. Array.unsafe_get dy i) +. Array.unsafe_get y i)
-            done;
-            match phi_cand cand with
-            | Some v when v <= phi0 +. (0.25 *. alpha *. slope) -> true
-            | _ ->
-              st.backtracks <- st.backtracks + 1;
-              search (alpha /. 2.0) (tries - 1)
-          end
-        in
-        if search 1.0 60 then Array.blit cand 0 y 0 n
-        else converged := true (* cannot make progress; accept the point *)
-      end
-  done;
+  project d;
+  Option.iter
+    (fun warm ->
+      List.iter
+        (fun x ->
+          match List.assoc_opt x warm with
+          | Some v when Float.is_finite v && v > 0.0 ->
+            y.(Hashtbl.find lo.Batch.lo_index x) <- log v
+          | _ -> ())
+        lo.Batch.lo_vars;
+      project (Vec.init p (fun i -> d.(i) -. Vec.dot rows.(i) y)))
+    warm_start;
   y
 
-(* Function sets: phase II over n variables, phase I over n+1 with the
-   slack.  The phase-I inequalities share their phase-II counterparts'
-   coefficients. *)
-let bset_phase2 (plan : Batch.plan) =
-  {
-    bs_n = plan.Batch.pl_n;
-    bs_obj = plan.Batch.pl_objective;
-    bs_ineqs = plan.Batch.pl_ineqs;
-    bs_zbasis = plan.Batch.pl_zbasis;
-    bs_rows = plan.Batch.pl_rows;
-  }
-
-let bset_phase1 (plan : Batch.plan) =
-  {
-    bs_n = plan.Batch.pl_n + 1;
-    bs_obj = plan.Batch.pl_objective1;
-    bs_ineqs = Array.append [| plan.Batch.pl_lower1 |] plan.Batch.pl_ineqs1;
-    bs_zbasis = plan.Batch.pl_zbasis1;
-    bs_rows = plan.Batch.pl_rows1;
-  }
-
-(* [phase1_list] over the compiled function sets. *)
-let phase1_flat ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~fset2
-    ~(ws2 : bws) y0 =
-  let n = plan.Batch.pl_n in
-  let nineq = Array.length fset2.bs_ineqs in
+(* Phase I: find a point satisfying the equalities and strictly
+   satisfying the inequalities, or decide that none exists.  From [y0],
+   which satisfies the equalities, minimize the slack s over (y, s)
+   subject to f_i(y) - s <= 0 and s >= -20 (which keeps the problem
+   bounded), starting at s = max(0, max_i f_i(y0)) + 1 and stopping as
+   soon as s < -0.5. *)
+let phase1 ~check ~st ~initial_reg ~max_outer ~(ph2 : phase) ~phase1_of ~rows y0 =
+  let n = Vec.dim y0 in
   let strictly_ok y =
     let ok = ref true in
     let i = ref 0 in
-    while !ok && !i < nineq do
-      let f = fset2.bs_ineqs.(!i) in
-      if Batch.value f ~es:ws2.bw_es y < -1e-9 then incr i
-      else ok := false
+    while !ok && !i < ph2.m do
+      if ph2.ineq_value !i y < -1e-9 then incr i else ok := false
     done;
     !ok
   in
   if strictly_ok y0 then Some y0
   else begin
-    let fset1 = bset_phase1 plan in
-    let ws1 =
-      make_bws ~n:(n + 1)
-        ~q:plan.Batch.pl_zbasis1.Batch.z_q
-        ~max_terms:plan.Batch.pl_max_terms
-        ~nineqs:(1 + nineq)
+    let s0 = ref 0.0 in
+    for i = 0 to ph2.m - 1 do
+      s0 := Float.max !s0 (ph2.ineq_value i y0)
+    done;
+    let ph1 =
+      phase1_of ~rows1:(Array.map (fun a -> Vec.concat a [| 0.0 |]) rows) ~s_floor:(-20.0)
     in
-    let s0 =
-      let acc = ref 0.0 in
-      for i = 0 to nineq - 1 do
-        let f = fset2.bs_ineqs.(i) in
-        acc := Float.max !acc (Batch.value f ~es:ws2.bw_es y0)
-      done;
-      !acc +. 1.0
-    in
-    let start = Vec.concat y0 [| s0 |] in
-    let stop_early y = y.(n) < -0.5 in
     let y1, _ =
-      barrier ~stop_early ~check ~st ~phase:`One ~tol:1e-6 ~max_outer ~m:(1 + nineq)
-        ~centering:(fun ~barrier_t y ->
-          centering_flat ~ws:ws1 ~fset:fset1 ~initial_reg ~st ~barrier_t y)
-        start
+      barrier
+        ~stop_early:(fun y -> y.(n) < -0.5)
+        ~check ~st ~phase:`One ~tol:1e-6 ~max_outer ~initial_reg ph1
+        (Vec.concat y0 [| !s0 +. 1.0 |])
     in
     let y = Vec.slice y1 0 n in
     if strictly_ok y then Some y else None
   end
 
-let solve_flat ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem =
-  let plan = Batch.compile problem in
-  let n = plan.Batch.pl_n in
-  let p = Array.length plan.Batch.pl_rows in
+let run ~tol ~max_outer ~st ~check ?warm_start ~initial_reg ~kernel problem =
+  let lo = Batch.lower problem in
   (* Constant equalities reduce to 0 = d: inconsistent unless d ~ 0. *)
-  if Array.exists (fun d -> Float.abs d > 1e-9) plan.Batch.pl_dz then infeasible
+  if Array.exists (fun d -> Float.abs d > 1e-9) lo.Batch.lo_dz then infeasible
   else begin
-    let overlay_rows y z =
-      Array.iteri
-        (fun i a ->
-          for j = 0 to n - 1 do
-            y.(j) <- y.(j) +. (z.(i) *. a.(j))
-          done)
-        plan.Batch.pl_rows
+    let y0 = start lo warm_start in
+    let ph2, phase1_of =
+      (match kernel with `Compiled -> compiled_kernel | `List -> list_kernel) lo problem
     in
-    (* [least_norm_start] / [warm_point] over the Gram system the plan
-       factored once ([lu_solve_factored] is bit-identical to
-       [lu_solve]); a singular Gram raises where [lu_solve] would. *)
-    let least_norm () =
-      match plan.Batch.pl_gram with
-      | Batch.No_rows -> Vec.create n
-      | Batch.Gram_singular -> raise Mat.Singular
-      | Batch.Factored lu ->
-        let z = Mat.lu_solve_factored lu plan.Batch.pl_d in
-        let y = Vec.create n in
-        overlay_rows y z;
-        y
-    in
-    let y0 =
-      match warm_start with
-      | None -> least_norm ()
-      | Some warm ->
-        let y = least_norm () in
-        List.iter
-          (fun x ->
-            match List.assoc_opt x warm with
-            | Some v when Float.is_finite v && v > 0.0 ->
-              y.(Hashtbl.find plan.Batch.pl_index x) <- log v
-            | _ -> ())
-          plan.Batch.pl_vars;
-        (match plan.Batch.pl_gram with
-        | Batch.No_rows | Batch.Gram_singular -> y
-        | Batch.Factored lu ->
-          let d =
-            Vec.init p (fun i -> plan.Batch.pl_d.(i) -. Vec.dot plan.Batch.pl_rows.(i) y)
-          in
-          let z = Mat.lu_solve_factored lu d in
-          overlay_rows y z;
-          y)
-    in
-    let fset2 = bset_phase2 plan in
-    let ws2 =
-      make_bws ~n
-        ~q:plan.Batch.pl_zbasis.Batch.z_q
-        ~max_terms:plan.Batch.pl_max_terms
-        ~nineqs:(Array.length fset2.bs_ineqs)
-    in
-    match phase1_flat ~check ~st ~max_outer ~initial_reg ~plan ~fset2 ~ws2 y0 with
+    match
+      phase1 ~check ~st ~initial_reg ~max_outer ~ph2 ~phase1_of ~rows:lo.Batch.lo_rows y0
+    with
     | None ->
       Log.debug (fun m -> m "phase I failed: problem infeasible");
       infeasible
     | Some y_feas ->
       let y_opt, clean =
-        barrier ~check ~st ~phase:`Two ~tol ~max_outer ~m:(Array.length fset2.bs_ineqs)
-          ~centering:(fun ~barrier_t y ->
-            centering_flat ~ws:ws2 ~fset:fset2 ~initial_reg ~st ~barrier_t y)
-          y_feas
+        barrier ~check ~st ~phase:`Two ~tol ~max_outer ~initial_reg ph2 y_feas
       in
       let envt = Array.map exp y_opt in
       {
         status = (if clean then Optimal else Iteration_limit);
-        values = List.mapi (fun i x -> (x, envt.(i))) plan.Batch.pl_vars;
+        values = List.mapi (fun i x -> (x, envt.(i))) lo.Batch.lo_vars;
         objective =
-          P.eval
-            (fun x -> envt.(Hashtbl.find plan.Batch.pl_index x))
-            (Problem.objective problem);
+          P.eval (fun x -> envt.(Hashtbl.find lo.Batch.lo_index x)) (Problem.objective problem);
       }
   end
 
@@ -901,13 +658,10 @@ let solve ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?(kernel = `Compile
       let start = now_ns () in
       fun () -> if now_ns () -. start >= budget_ns then raise Deadline
   in
-  let run =
-    match kernel with `Compiled -> solve_flat | `List -> solve_list
-  in
   (* Any residual numerical failure is reported as infeasibility of this
      program rather than escaping to the caller: the driver treats such
      choices as unusable and moves on. *)
-  match run ~tol ~max_outer ~st ~check ?warm_start ~initial_reg problem with
+  match run ~tol ~max_outer ~st ~check ?warm_start ~initial_reg ~kernel problem with
   | solution -> solution
   | exception Mat.Singular ->
     Log.debug (fun m -> m "numerical failure: treating the program as infeasible");

@@ -7,21 +7,26 @@
     strictly feasible point (or a certificate of infeasibility), phase II
     traces the central path with equality-constrained Newton steps.
 
-    Two kernels back the same barrier driver:
+    The barrier method is written once: the lowering of the equality
+    rows and their least-norm start (a warm start projected onto them),
+    phase I, the centering loop with its line search, and the schedule
+    of barrier parameters.  A kernel is only how one phase's functions
+    are evaluated and how its Newton system is solved:
     - [`Compiled] (the default, the production path): {!Batch.compile}
-      lowers the problem once into contiguous sparse exponent rows with
-      their log-coefficients, the orthonormal nullspace bases of its
-      equality rows and the factored least-norm Gram system.  The Newton
-      loop evaluates into flat
-      per-solve buffers and solves each KKT system in the nullspace
-      basis — one in-place Cholesky factorization of the reduced Hessian
-      instead of a dense [(n+p)^2] LU factorization, with the equality
-      residual [A dy = 0] exact by construction.
-    - [`List]: the closure-per-function path with a dense [(n+p)^2] LU
-      factorization per Newton step, kept as the reference solver that
-      the tests and the solver benchmark compare against.
+      lowers the objective and inequalities once into contiguous sparse
+      exponent rows with their log-coefficients, evaluated into flat
+      buffers over each function's support.  Each KKT system is solved
+      in the nullspace basis of the equality rows — one in-place
+      Cholesky factorization of the reduced Hessian instead of a dense
+      [(n+p)^2] LU factorization, with the equality residual [A dy = 0]
+      exact by construction — falling back to the dense LU when
+      Cholesky fails at every regularization level.
+    - [`List]: closures per function ({!Smooth}) with dense Hessians and
+      a dense [(n+p)^2] LU factorization per Newton step, kept as the
+      reference solver that the tests and the solver benchmark compare
+      against.
 
-    Both kernels run the identical iteration schedule, and their
+    So both kernels run the identical iteration schedule, and their
     function evaluations are bit-for-bit equal ({!Batch.eval_into}
     against {!Smooth.log_sum_exp}); Newton directions may differ in
     low-order bits because the factorization differs, so results agree

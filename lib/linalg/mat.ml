@@ -23,10 +23,6 @@ let of_rows arr =
     init rows cols (fun i j -> arr.(i).(j))
   end
 
-let rows m = m.rows
-
-let cols m = m.cols
-
 let get m i j = m.data.((i * m.cols) + j)
 
 let data m = m.data
@@ -44,8 +40,6 @@ let transpose m = init m.cols m.rows (fun i j -> get m j i)
 let add a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Mat.add: dimension mismatch";
   { a with data = Array.mapi (fun k v -> v +. b.data.(k)) a.data }
-
-let scale s m = { m with data = Array.map (fun v -> s *. v) m.data }
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
@@ -319,16 +313,3 @@ let cholesky_solve l b =
   y
 
 let solve_spd a b = cholesky_solve (cholesky a) b
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "[@[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf ";@ ";
-      Format.fprintf ppf "%g" (get m i j)
-    done;
-    Format.fprintf ppf "@]]";
-    if i < m.rows - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -22,10 +22,6 @@ val of_rows : float array array -> t
 (** Builds a matrix from rows (copied).  Raises [Invalid_argument] if the
     rows are ragged. *)
 
-val rows : t -> int
-
-val cols : t -> int
-
 val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
@@ -43,8 +39,6 @@ val copy : t -> t
 val transpose : t -> t
 
 val add : t -> t -> t
-
-val scale : float -> t -> t
 
 val mul : t -> t -> t
 (** Matrix product.  Raises [Invalid_argument] on dimension mismatch. *)
@@ -112,5 +106,3 @@ val cholesky_solve_in_place : t -> Vec.t -> unit
 
 val solve_spd : t -> Vec.t -> Vec.t
 (** [solve_spd a b] factors and solves in one step. *)
-
-val pp : Format.formatter -> t -> unit

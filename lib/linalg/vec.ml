@@ -12,10 +12,6 @@ let of_list = Array.of_list
 
 let to_list = Array.to_list
 
-let get = Array.get
-
-let set = Array.set
-
 let check_dims name x y =
   if Array.length x <> Array.length y then
     invalid_arg (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name
@@ -51,19 +47,6 @@ let max_elt x =
   if Array.length x = 0 then invalid_arg "Vec.max_elt: empty vector";
   Array.fold_left Float.max x.(0) x
 
-let map = Array.map
-
-let map2 f x y =
-  check_dims "map2" x y;
-  Array.mapi (fun i xi -> f xi y.(i)) x
-
 let concat x y = Array.append x y
 
 let slice x pos len = Array.sub x pos len
-
-let pp ppf x =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf v -> Format.fprintf ppf "%g" v))
-    x

@@ -19,10 +19,6 @@ val of_list : float list -> t
 
 val to_list : t -> float list
 
-val get : t -> int -> float
-
-val set : t -> int -> float -> unit
-
 val add : t -> t -> t
 (** [add x y] is the elementwise sum.  Raises [Invalid_argument] on
     dimension mismatch. *)
@@ -44,14 +40,8 @@ val norm_inf : t -> float
 val max_elt : t -> float
 (** Maximum element.  Raises [Invalid_argument] on the empty vector. *)
 
-val map : (float -> float) -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-
 val concat : t -> t -> t
 
 val slice : t -> int -> int -> t
 (** [slice x pos len] extracts the sub-vector of [len] entries starting at
     [pos]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -13,32 +13,49 @@ let escape s =
     s;
   Buffer.contents b
 
-let str b s =
+type writer = Buffer.t -> unit
+
+let str s b =
   Buffer.add_char b '"';
   Buffer.add_string b (escape s);
   Buffer.add_char b '"'
 
-let int b i = Buffer.add_string b (string_of_int i)
+let int i b = Buffer.add_string b (string_of_int i)
 
-let float b v =
+let float v b =
   if Float.is_integer v && Float.abs v < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" v)
   else if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.17g" v)
-  else str b (if Float.is_nan v then "nan" else if v > 0.0 then "inf" else "-inf")
+  else str (if Float.is_nan v then "nan" else if v > 0.0 then "inf" else "-inf") b
 
-let obj b fields =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      f b)
-    fields;
-  Buffer.add_char b '}'
-
-let field b name v =
-  str b name;
+let field name v b =
+  str name b;
   Buffer.add_char b ':';
   v b
+
+let seq opening closing vs b =
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char b ',';
+      v b)
+    vs;
+  Buffer.add_char b closing
+
+let obj fields = seq '{' '}' fields
+let arr vs = seq '[' ']' vs
+
+let to_string w =
+  let b = Buffer.create 256 in
+  w b;
+  Buffer.contents b
+
+let bits v = Printf.sprintf "%Lx" (Int64.bits_of_float v)
+
+let of_bits s =
+  match Int64.of_string_opt ("0x" ^ s) with
+  | Some b -> Int64.float_of_bits b
+  | None -> failwith (Printf.sprintf "bad float bits %S" s)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing — the subset the writers above emit: objects, arrays,      *)
@@ -191,3 +208,14 @@ let parse_exn s =
   v
 
 let parse s = match parse_exn s with v -> Ok v | exception Bad m -> Error m
+
+let fields = function Obj f -> f | _ -> failwith "not an object"
+
+let find f k =
+  match List.assoc_opt k f with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "missing field %S" k)
+
+let int_of = function Int i -> i | _ -> failwith "expected an integer"
+let str_of = function Str s -> s | _ -> failwith "expected a string"
+let float_of v = of_bits (str_of v)

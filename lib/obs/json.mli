@@ -1,32 +1,53 @@
-(** Minimal JSON writing helpers shared by the trace and metrics exports.
+(** Minimal JSON writing and reading shared by the trace and metrics
+    exports, the sweep journal, the serve protocol and its store.
 
-    The observability layer emits JSON without depending on a JSON
-    library: the values it serializes are flat (strings, numbers and
-    one-level objects), so a few combinators over [Buffer] suffice.
-    Numbers are printed with enough digits to round-trip ([%.17g] for
-    non-integral floats), and non-finite floats — which raw JSON cannot
-    represent — are emitted as the strings ["inf"], ["-inf"] and
-    ["nan"]. *)
+    The values serialized are small (strings, numbers, objects and
+    arrays), so a few combinators over [Buffer] suffice, without a JSON
+    library.  Numbers are printed with enough digits to round-trip
+    ([%.17g] for non-integral floats), and non-finite floats — which raw
+    JSON cannot represent — are emitted as the strings ["inf"], ["-inf"]
+    and ["nan"]. *)
 
 val escape : string -> string
 (** JSON string escaping of the bytes of the argument (quotes, backslash,
     control characters); the result does not include the surrounding
     quotes. *)
 
-val str : Buffer.t -> string -> unit
-(** Append a quoted, escaped JSON string. *)
+(** A JSON value as a writer that appends it to a buffer, so nested
+    values compose without naming the buffer:
+    [to_string (obj [ field "v" (int 1) ])] is [{"v":1}]. *)
+type writer = Buffer.t -> unit
 
-val int : Buffer.t -> int -> unit
+val str : string -> writer
+(** A quoted, escaped JSON string. *)
 
-val float : Buffer.t -> float -> unit
+val int : int -> writer
+
+val float : float -> writer
 (** Integral floats print without an exponent or fraction; non-finite
     values fall back to quoted strings. *)
 
-val obj : Buffer.t -> (Buffer.t -> unit) list -> unit
-(** [obj b fields] appends [{f1,...,fn}], inserting the commas. *)
+val field : string -> writer -> writer
+(** [field name v] is ["name":<v>] — use inside {!obj}. *)
 
-val field : Buffer.t -> string -> (Buffer.t -> unit) -> unit
-(** [field b name v] appends ["name":<v>] — use inside {!obj}. *)
+val obj : writer list -> writer
+(** [{f1,...,fn}], commas inserted. *)
+
+val arr : writer list -> writer
+
+val to_string : writer -> string
+
+(** {2 Hex floats}
+
+    Floats that must round-trip exactly (journal entries, wire payloads,
+    fingerprints) travel as their IEEE-754 bit patterns in lowercase hex
+    ([%Lx]), so every value, NaN payloads included, survives. *)
+
+val bits : float -> string
+
+val of_bits : string -> float
+(** Inverse of {!bits}.  Raises [Failure "bad float bits ..."] on
+    anything else. *)
 
 (** {2 Parsing}
 
@@ -46,3 +67,25 @@ type value =
 val parse : string -> (value, string) result
 (** Parse one complete JSON value; trailing bytes are an error.  The
     error message names the offending offset. *)
+
+(** {2 Accessors}
+
+    For decoders of the values {!parse} returns.  Each raises [Failure]
+    with a short message naming what was expected, for the decoder to
+    turn into its [Error]. *)
+
+val fields : value -> (string * value) list
+(** The members of an object; fails with ["not an object"]. *)
+
+val find : (string * value) list -> string -> value
+(** A member by name; fails with a ["missing field"] message naming
+    it. *)
+
+val int_of : value -> int
+(** Fails with ["expected an integer"]. *)
+
+val str_of : value -> string
+(** Fails with ["expected a string"]. *)
+
+val float_of : value -> float
+(** A {!bits} string, decoded with {!of_bits}. *)

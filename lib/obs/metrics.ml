@@ -167,49 +167,32 @@ let pp_text ppf dump =
     dump
 
 let to_json dump =
-  let b = Buffer.create 512 in
-  let section pick render b =
-    Json.obj b
+  let section pick render =
+    Json.obj
       (List.filter_map
-         (fun (name, v) ->
-           match pick v with
-           | Some payload -> Some (fun b -> Json.field b name (render payload))
-           | None -> None)
+         (fun (name, v) -> Option.map (fun payload -> Json.field name (render payload)) (pick v))
          dump)
   in
-  Json.obj b
-    [
-      (fun b ->
-        Json.field b "counters"
-          (section
-             (function Counter n -> Some n | _ -> None)
-             (fun n b -> Json.int b n)));
-      (fun b ->
-        Json.field b "gauges"
-          (section
-             (function Gauge x -> Some x | _ -> None)
-             (fun x b -> Json.float b x)));
-      (fun b ->
-        Json.field b "histograms"
-          (section
-             (function
-               | Histogram { count; sum; buckets } -> Some (count, sum, buckets)
-               | _ -> None)
-             (fun (count, sum, buckets) b ->
-               Json.obj b
-                 [
-                   (fun b -> Json.field b "count" (fun b -> Json.int b count));
-                   (fun b -> Json.field b "sum" (fun b -> Json.float b sum));
-                   (fun b ->
-                     Json.field b "buckets" (fun b ->
-                         Json.obj b
+  Json.(
+    to_string
+      (obj
+         [
+           field "counters" (section (function Counter n -> Some n | _ -> None) int);
+           field "gauges" (section (function Gauge x -> Some x | _ -> None) float);
+           field "histograms"
+             (section
+                (function
+                  | Histogram { count; sum; buckets } -> Some (count, sum, buckets)
+                  | _ -> None)
+                (fun (count, sum, buckets) ->
+                  obj
+                    [
+                      field "count" (int count);
+                      field "sum" (float sum);
+                      field "buckets"
+                        (obj
                            (List.map
-                              (fun (bound, n) ->
-                                fun b ->
-                                 Json.field b
-                                   (Printf.sprintf "%.0f" bound)
-                                   (fun b -> Json.int b n))
-                              buckets)));
-                 ])));
-    ];
-  Buffer.contents b
+                              (fun (bound, n) -> field (Printf.sprintf "%.0f" bound) (int n))
+                              buckets));
+                    ]));
+         ]))

@@ -74,26 +74,20 @@ let span ?(attrs = []) name f =
   end
 
 let to_jsonl ev =
-  let b = Buffer.create 160 in
-  Json.obj b
-    [
-      (fun b -> Json.field b "type" (fun b -> Json.str b "span"));
-      (fun b -> Json.field b "name" (fun b -> Json.str b ev.name));
-      (fun b -> Json.field b "id" (fun b -> Json.int b ev.id));
-      (fun b ->
-        Json.field b "parent" (fun b ->
-            match ev.parent with
-            | None -> Buffer.add_string b "null"
-            | Some p -> Json.int b p));
-      (fun b -> Json.field b "domain" (fun b -> Json.int b ev.domain));
-      (fun b -> Json.field b "ts_ns" (fun b -> Buffer.add_string b (Int64.to_string ev.ts_ns)));
-      (fun b -> Json.field b "dur_ns" (fun b -> Buffer.add_string b (Int64.to_string ev.dur_ns)));
-      (fun b ->
-        Json.field b "attrs" (fun b ->
-            Json.obj b
-              (List.map (fun (k, v) -> fun b -> Json.field b k (fun b -> Json.str b v)) ev.attrs)));
-    ];
-  Buffer.contents b
+  let raw s b = Buffer.add_string b s in
+  Json.(
+    to_string
+      (obj
+         [
+           field "type" (str "span");
+           field "name" (str ev.name);
+           field "id" (int ev.id);
+           field "parent" (match ev.parent with None -> raw "null" | Some p -> int p);
+           field "domain" (int ev.domain);
+           field "ts_ns" (raw (Int64.to_string ev.ts_ns));
+           field "dur_ns" (raw (Int64.to_string ev.dur_ns));
+           field "attrs" (obj (List.map (fun (k, v) -> field k (str v)) ev.attrs));
+         ]))
 
 let export oc =
   List.iter

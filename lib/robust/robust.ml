@@ -28,6 +28,22 @@ let pp_summary ppf failures =
         (f.elapsed_ns /. 1e6) exn f.provenance)
     failures
 
+(* FNV-1a, 64-bit, then murmur3's 64-bit finalizer.  FNV-1a alone
+   diffuses a trailing-byte change through one multiply only, leaving
+   the draws for attempt 0 and attempt 1 of the same key about 1e-7
+   apart — retries would almost never re-roll.  The finalizer spreads
+   any single-bit change across the whole word. *)
+let hash64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  let h = Int64.logxor !h (Int64.shift_right_logical !h 33) in
+  let h = Int64.mul h 0xff51afd7ed558ccdL in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
+  Int64.logxor h (Int64.shift_right_logical h 33)
+
 exception Injected_fault of string
 
 module Inject = struct
@@ -45,32 +61,9 @@ module Inject = struct
 
   let kind_name = function `Crash -> "crash" | `Stall -> "stall"
 
-  (* FNV-1a, 64-bit: a stable string hash that does not depend on the
-     compiler's [Hashtbl.hash] internals, so decisions are reproducible
-     across builds. *)
-  let fnv64 s =
-    let prime = 0x100000001b3L in
-    let h = ref 0xcbf29ce484222325L in
-    String.iter
-      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-      s;
-    !h
-
-  (* Murmur3's 64-bit finalizer.  FNV-1a alone diffuses a trailing-byte
-     change through one multiply only, leaving the draws for attempt 0
-     and attempt 1 of the same key about 1e-7 apart — retries would
-     almost never re-roll.  The finalizer spreads any single-bit change
-     across the whole word. *)
-  let mix h =
-    let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-    let h = Int64.mul h 0xff51afd7ed558ccdL in
-    let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-    let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
-    Int64.logxor h (Int64.shift_right_logical h 33)
-
   (* Uniform draw in [0, 1) from the top 53 bits of the mixed hash. *)
   let unit_draw key =
-    Int64.to_float (Int64.shift_right_logical (mix (fnv64 key)) 11)
+    Int64.to_float (Int64.shift_right_logical (hash64 key) 11)
     /. 9007199254740992.0
 
   let contains ~sub s =

@@ -41,6 +41,12 @@ val pp_summary : Format.formatter -> failure list -> unit
 val now_ns : unit -> float
 (** Wall-clock nanoseconds, for stamping {!failure.elapsed_ns}. *)
 
+val hash64 : string -> int64
+(** A stable 64-bit string hash: FNV-1a with murmur3's 64-bit
+    finalizer.  It does not depend on the compiler's [Hashtbl.hash], so
+    injection draws and journal fingerprints are the same in every
+    build, and a one-character change flips the whole word. *)
+
 exception Injected_fault of string
 (** Raised by {!guard} when the injection config fires a crash at the
     guarded site; carries the site and provenance. *)

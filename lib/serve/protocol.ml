@@ -61,80 +61,67 @@ let describe = function
     Printf.sprintf "pipeline:%s:%s" pipeline (objective_name objective)
   | Metrics -> "metrics"
 
-(* Floats travel as IEEE-754 bit patterns in hex, like journal entries,
-   so requests re-encode byte-identically and NaN payloads survive. *)
-let bits v = Printf.sprintf "%Lx" (Int64.bits_of_float v)
-
-let of_bits s =
-  match Int64.of_string_opt ("0x" ^ s) with
-  | Some b -> Int64.float_of_bits b
-  | None -> failwith (Printf.sprintf "bad float bits %S" s)
-
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let j_str s b = J.str b s
-let j_int i b = J.int b i
-let field name v b = J.field b name v
-let obj fields b = J.obj b fields
-
-let to_string f =
-  let b = Buffer.create 256 in
-  f b;
-  Buffer.contents b
-
+(* Floats travel as IEEE-754 bit patterns in hex ({!J.bits}), like
+   journal entries, so requests re-encode byte-identically and NaN
+   payloads survive. *)
 let opts_fields o =
+  let open J in
   [
-    field "top" (j_int o.top_choices);
-    field "max" (j_int o.max_choices);
-    field "node" (j_str (bits o.node_nm));
+    field "top" (int o.top_choices);
+    field "max" (int o.max_choices);
+    field "node" (str (bits o.node_nm));
   ]
 
 let encode_request req =
+  let open J in
   to_string
   @@ obj
-       (field "v" (j_int version)
+       (field "v" (int version)
        ::
        (match req with
        | Optimize { layer; objective; arch; opts } ->
          [
-           field "req" (j_str "optimize");
-           field "layer" (j_str layer);
-           field "objective" (j_str (objective_name objective));
+           field "req" (str "optimize");
+           field "layer" (str layer);
+           field "objective" (str (objective_name objective));
            field "arch"
              (obj
                 [
-                  field "name" (j_str arch.Arch.arch_name);
-                  field "pes" (j_int arch.Arch.pe_count);
-                  field "regs" (j_int arch.Arch.registers_per_pe);
-                  field "sram" (j_int arch.Arch.sram_words);
+                  field "name" (str arch.Arch.arch_name);
+                  field "pes" (int arch.Arch.pe_count);
+                  field "regs" (int arch.Arch.registers_per_pe);
+                  field "sram" (int arch.Arch.sram_words);
                 ]);
          ]
          @ opts_fields opts
        | Codesign { layer; objective; area; opts } ->
          [
-           field "req" (j_str "codesign");
-           field "layer" (j_str layer);
-           field "objective" (j_str (objective_name objective));
+           field "req" (str "codesign");
+           field "layer" (str layer);
+           field "objective" (str (objective_name objective));
          ]
          @ (match area with
            | None -> []
-           | Some a -> [ field "area" (j_str (bits a)) ])
+           | Some a -> [ field "area" (str (bits a)) ])
          @ opts_fields opts
        | Pipeline { pipeline; objective; opts } ->
          [
-           field "req" (j_str "pipeline");
-           field "pipeline" (j_str pipeline);
-           field "objective" (j_str (objective_name objective));
+           field "req" (str "pipeline");
+           field "pipeline" (str pipeline);
+           field "objective" (str (objective_name objective));
          ]
          @ opts_fields opts
-       | Metrics -> [ field "req" (j_str "metrics") ]))
+       | Metrics -> [ field "req" (str "metrics") ]))
 
 let encode_response resp =
+  let open J in
   to_string
   @@ obj
-       (field "v" (j_int version)
+       (field "v" (int version)
        ::
        (match resp with
        | Payload { body; cached } ->
@@ -142,8 +129,8 @@ let encode_response resp =
            field "ok"
              (obj
                 [
-                  field "cached" (j_int (if cached then 1 else 0));
-                  field "body" (j_str body);
+                  field "cached" (int (if cached then 1 else 0));
+                  field "body" (str body);
                 ]);
          ]
        | Refused { kind; message } ->
@@ -155,31 +142,22 @@ let encode_response resp =
          in
          [
            field "refused"
-             (obj [ field "kind" (j_str kind_name); field "msg" (j_str message) ]);
+             (obj [ field "kind" (str kind_name); field "msg" (str message) ]);
          ]))
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let fields = function J.Obj f -> f | _ -> failwith "not an object"
-
-let find f k =
-  match List.assoc_opt k f with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "missing field %S" k)
-
-let int_of = function J.Int i -> i | _ -> failwith "expected an integer"
-let str_of = function J.Str s -> s | _ -> failwith "expected a string"
-let float_of v = of_bits (str_of v)
-
 let check_version f =
+  let open J in
   if int_of (find f "v") <> version then
     failwith
       (Printf.sprintf "protocol version mismatch (want %d, got %d)" version
          (int_of (find f "v")))
 
 let opts_of f =
+  let open J in
   {
     top_choices = int_of (find f "top");
     max_choices = int_of (find f "max");
@@ -190,10 +168,11 @@ let wrap name decode line =
   match J.parse line with
   | Error m -> Error (name ^ ": " ^ m)
   | Ok v -> (
-    try Ok (decode (fields v)) with Failure m -> Error (name ^ ": " ^ m))
+    try Ok (decode (J.fields v)) with Failure m -> Error (name ^ ": " ^ m))
 
 let decode_request =
   wrap "request" (fun f ->
+      let open J in
       check_version f;
       match str_of (find f "req") with
       | "optimize" ->
@@ -234,6 +213,7 @@ let decode_request =
 
 let decode_response =
   wrap "response" (fun f ->
+      let open J in
       check_version f;
       match (List.assoc_opt "ok" f, List.assoc_opt "refused" f) with
       | Some ok, None ->

@@ -119,9 +119,15 @@ let handle t req =
             | Ok (Error m) ->
               Protocol.Refused { kind = Protocol.Failed; message = m }
             | Ok (Ok body) ->
-              (match t.store with
-              | Some store -> Store.put store ~config:config_fp ~request_key body
-              | None -> ());
+              (* A failed write costs the cache, not the answer. *)
+              Option.iter
+                (fun store ->
+                  try Store.put store ~config:config_fp ~request_key body
+                  with (Sys_error _ | Unix.Unix_error _) as e ->
+                    Logs.warn (fun m ->
+                        m "serve: store write failed, answer not cached: %s"
+                          (Printexc.to_string e)))
+                t.store;
               Protocol.Payload { body; cached = false })))
 
 (* ------------------------------------------------------------------ *)

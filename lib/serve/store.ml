@@ -32,13 +32,15 @@ let entry_path t ~config ~request_key =
 
 let encode ~config ~request_key payload =
   let b = Buffer.create (String.length payload + 256) in
-  J.obj b
-    [
-      (fun b -> J.field b "v" (fun b -> J.int b entry_version));
-      (fun b -> J.field b "config" (fun b -> J.str b config));
-      (fun b -> J.field b "request_key" (fun b -> J.str b request_key));
-      (fun b -> J.field b "payload" (fun b -> J.str b payload));
-    ];
+  J.(
+    obj
+      [
+        field "v" (int entry_version);
+        field "config" (str config);
+        field "request_key" (str request_key);
+        field "payload" (str payload);
+      ])
+    b;
   Buffer.add_char b '\n';
   Buffer.contents b
 
@@ -60,19 +62,12 @@ let get t ~config ~request_key =
     | Error _ -> None (* torn or corrupted entry: a miss, not a crash *)
     | Ok v -> (
       try
-        let f = match v with J.Obj f -> f | _ -> failwith "not an object" in
-        let find k =
-          match List.assoc_opt k f with
-          | Some v -> v
-          | None -> failwith "missing field"
-        in
-        let str = function J.Str s -> s | _ -> failwith "expected string" in
-        let int = function J.Int i -> i | _ -> failwith "expected int" in
+        let f = J.fields v in
         if
-          int (find "v") = entry_version
-          && String.equal (str (find "config")) config
-          && String.equal (str (find "request_key")) request_key
-        then Some (str (find "payload"))
+          J.int_of (J.find f "v") = entry_version
+          && String.equal (J.str_of (J.find f "config")) config
+          && String.equal (J.str_of (J.find f "request_key")) request_key
+        then Some (J.str_of (J.find f "payload"))
         else None
       with Failure _ -> None))
 
@@ -88,12 +83,15 @@ let put t ~config ~request_key payload =
       (Printf.sprintf ".tmp-%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add tmp_seq 1))
   in
   let oc = open_out_bin tmp in
-  (match output_string oc (encode ~config ~request_key payload) with
-  | () -> close_out oc
+  match
+    output_string oc (encode ~config ~request_key payload);
+    close_out oc;
+    (* rename within one directory tree: atomic on POSIX, so readers see
+       either the old entry (or nothing) or the complete new one. *)
+    Unix.rename tmp path
+  with
+  | () -> ()
   | exception e ->
     close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  (* rename within one directory tree: atomic on POSIX, so readers see
-     either the old entry (or nothing) or the complete new one. *)
-  Unix.rename tmp path
+    raise e

@@ -36,4 +36,6 @@ val get : t -> config:string -> request_key:string -> string option
 
 val put : t -> config:string -> request_key:string -> string -> unit
 (** Atomically persist a payload.  Raises [Sys_error]/[Unix_error] only
-    for environmental failures (permissions, disk full). *)
+    for environmental failures (permissions, disk full, a store root
+    that is no longer a directory), and then leaves no temp file
+    behind. *)

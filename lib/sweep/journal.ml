@@ -18,36 +18,8 @@ type entry = {
    replay pre-presolve entries whose fingerprints happen to match. *)
 let version = 2
 
-(* FNV-1a 64 with murmur3's finalizer — the same construction lib/robust
-   uses for injection draws: stable across compilers (no Hashtbl.hash)
-   and diffusing enough that a one-character config change flips the
-   whole digest. *)
-let fnv64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  !h
-
-let mix h =
-  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-  let h = Int64.mul h 0xff51afd7ed558ccdL in
-  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
-  Int64.logxor h (Int64.shift_right_logical h 33)
-
 let fingerprint ~config ~problem_key =
-  Printf.sprintf "%016Lx" (mix (fnv64 (config ^ "\x00" ^ problem_key)))
-
-(* Floats travel as IEEE-754 bit patterns in hex so every value — NaN
-   payloads included — round-trips exactly. *)
-let bits v = Printf.sprintf "%Lx" (Int64.bits_of_float v)
-
-let of_bits s =
-  match Int64.of_string_opt ("0x" ^ s) with
-  | Some b -> Int64.float_of_bits b
-  | None -> failwith (Printf.sprintf "bad float bits %S" s)
+  Printf.sprintf "%016Lx" (Robust.hash64 (config ^ "\x00" ^ problem_key))
 
 let status_name = function
   | Gp.Solver.Optimal -> "optimal"
@@ -85,32 +57,19 @@ let side_of = function
 (* ------------------------------------------------------------------ *)
 
 let encode (e : entry) =
-  let b = Buffer.create 512 in
-  let j_str s b = Obs.Json.str b s in
-  let j_int i b = Obs.Json.int b i in
-  let field name v b = Obs.Json.field b name v in
-  let obj fields b = Obs.Json.obj b fields in
-  let arr vs b =
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char b ',';
-        v b)
-      vs;
-    Buffer.add_char b ']'
-  in
+  let open Obs.Json in
   let stats =
     let s = e.stats in
     obj
       [
-        field "p1" (j_int s.Gp.Solver.phase1_outer);
-        field "p2" (j_int s.Gp.Solver.phase2_outer);
-        field "newton" (j_int s.Gp.Solver.newton_iters);
-        field "backtracks" (j_int s.Gp.Solver.backtracks);
-        field "kkt" (j_int s.Gp.Solver.kkt_regularizations);
-        field "chol" (j_int s.Gp.Solver.cholesky_fallbacks);
-        field "dh" (j_int s.Gp.Solver.deadline_hits);
-        field "gap" (j_str (bits s.Gp.Solver.duality_gap));
+        field "p1" (int s.Gp.Solver.phase1_outer);
+        field "p2" (int s.Gp.Solver.phase2_outer);
+        field "newton" (int s.Gp.Solver.newton_iters);
+        field "backtracks" (int s.Gp.Solver.backtracks);
+        field "kkt" (int s.Gp.Solver.kkt_regularizations);
+        field "chol" (int s.Gp.Solver.cholesky_fallbacks);
+        field "dh" (int s.Gp.Solver.deadline_hits);
+        field "gap" (str (bits s.Gp.Solver.duality_gap));
       ]
   in
   let fate =
@@ -119,78 +78,67 @@ let encode (e : entry) =
       field "ok"
         (obj
            [
-             field "status" (j_str (status_name sol.Gp.Solver.status));
-             field "objective" (j_str (bits sol.Gp.Solver.objective));
+             field "status" (str (status_name sol.Gp.Solver.status));
+             field "objective" (str (bits sol.Gp.Solver.objective));
              field "values"
                (arr
                   (List.map
-                     (fun (name, v) -> arr [ j_str name; j_str (bits v) ])
+                     (fun (name, v) -> arr [ str name; str (bits v) ])
                      sol.Gp.Solver.values));
            ])
     | Quarantined f ->
       field "err"
         (obj
            [
-             field "site" (j_str f.Robust.site);
-             field "prov" (j_str f.Robust.provenance);
-             field "exn" (j_str f.Robust.exn);
-             field "backtrace" (j_str f.Robust.backtrace);
-             field "elapsed" (j_str (bits f.Robust.elapsed_ns));
-             field "attempts" (j_int f.Robust.attempts);
+             field "site" (str f.Robust.site);
+             field "prov" (str f.Robust.provenance);
+             field "exn" (str f.Robust.exn);
+             field "backtrace" (str f.Robust.backtrace);
+             field "elapsed" (str (bits f.Robust.elapsed_ns));
+             field "attempts" (int f.Robust.attempts);
            ])
     | Pruned proof ->
       field "pruned"
         (obj
            [
-             field "culprit" (j_str proof.Analysis.Presolve.culprit);
-             field "kind" (j_str (kind_name proof.Analysis.Presolve.kind));
-             field "bound" (j_str (bits proof.Analysis.Presolve.bound));
+             field "culprit" (str proof.Analysis.Presolve.culprit);
+             field "kind" (str (kind_name proof.Analysis.Presolve.kind));
+             field "bound" (str (bits proof.Analysis.Presolve.bound));
              field "steps"
                (arr
                   (List.map
                      (fun (s : Analysis.Presolve.step) ->
                        arr
                          [
-                           j_str s.Analysis.Presolve.var;
-                           j_str (side_name s.Analysis.Presolve.side);
-                           j_str (bits s.Analysis.Presolve.bound);
-                           j_str s.Analysis.Presolve.via;
+                           str s.Analysis.Presolve.var;
+                           str (side_name s.Analysis.Presolve.side);
+                           str (bits s.Analysis.Presolve.bound);
+                           str s.Analysis.Presolve.via;
                          ])
                      proof.Analysis.Presolve.steps));
            ])
   in
   obj
     [
-      field "v" (j_int version);
-      field "pair" (j_int e.pair);
-      field "fp" (j_str e.fingerprint);
-      field "prov" (j_str e.provenance);
-      field "retries" (j_int e.retries);
-      field "dh" (j_int e.deadline_hits);
+      field "v" (int version);
+      field "pair" (int e.pair);
+      field "fp" (str e.fingerprint);
+      field "prov" (str e.provenance);
+      field "retries" (int e.retries);
+      field "dh" (int e.deadline_hits);
       fate;
       field "stats" stats;
     ]
-    b;
-  Buffer.contents b
+  |> to_string
 
 (* ------------------------------------------------------------------ *)
 (* Decoding — via the shared Obs.Json subset parser (objects, arrays, *)
 (* strings, signed integers), exactly what [encode] emits.            *)
 (* ------------------------------------------------------------------ *)
 
-module P = Obs.Json
-
 let decode line =
-  let fields v = match v with P.Obj f -> f | _ -> failwith "not an object" in
-  let find f k =
-    match List.assoc_opt k f with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "missing field %S" k)
-  in
-  let int_of = function P.Int i -> i | _ -> failwith "expected an integer" in
-  let str_of = function P.Str s -> s | _ -> failwith "expected a string" in
-  let float_of v = of_bits (str_of v) in
-  match P.parse line with
+  let open Obs.Json in
+  match parse line with
   | Error m -> Error ("journal: " ^ m)
   | Ok v -> (
     try
@@ -219,10 +167,10 @@ let decode line =
           let ok_f = fields ok in
           let values =
             match find ok_f "values" with
-            | P.Arr vs ->
+            | Arr vs ->
               List.map
                 (function
-                  | P.Arr [ name; v ] -> (str_of name, float_of v)
+                  | Arr [ name; v ] -> (str_of name, float_of v)
                   | _ -> failwith "malformed values pair")
                 vs
             | _ -> failwith "values is not an array"
@@ -248,10 +196,10 @@ let decode line =
           let pr_f = fields pruned in
           let steps =
             match find pr_f "steps" with
-            | P.Arr vs ->
+            | Arr vs ->
               List.map
                 (function
-                  | P.Arr [ var; side; bound; via ] ->
+                  | Arr [ var; side; bound; via ] ->
                     {
                       Analysis.Presolve.var = str_of var;
                       side = side_of (str_of side);

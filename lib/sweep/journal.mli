@@ -51,7 +51,7 @@ val version : int
 (** Journal schema version; entries from other versions never decode. *)
 
 val fingerprint : config:string -> problem_key:string -> string
-(** 16-hex-digit digest (FNV-1a 64 with a murmur3 finalizer) of the
+(** 16-hex-digit digest ({!Robust.hash64}) of the
     pair's canonical problem key and the solver-configuration
     fingerprint.  Collisions are possible in principle (64 bits) but
     would require two different programs in one sweep to collide; the

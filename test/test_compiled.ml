@@ -53,11 +53,14 @@ let minus_slack (f : Gp.Smooth.t) =
         (v -. y.(n), g, h));
   }
 
+let compile problem = Gp.Batch.compile (Gp.Batch.lower problem) problem
+
 (* The compiled function of slot [slot] (0 = objective, j+1 =
    inequality j) of a compiled problem, phase II or its phase-I image. *)
 let compiled_fn ?(phase1 = false) (plan : Gp.Batch.plan) slot =
   if slot = 0 then plan.Gp.Batch.pl_objective
-  else if phase1 then plan.Gp.Batch.pl_ineqs1.(slot - 1)
+  else if phase1 then
+    Gp.Batch.minus_slack plan.Gp.Batch.pl_n plan.Gp.Batch.pl_ineqs.(slot - 1)
   else plan.Gp.Batch.pl_ineqs.(slot - 1)
 
 (* Evaluate [f] through Gp.Batch.value and Gp.Batch.eval_into at [y],
@@ -131,7 +134,7 @@ let test_single_term () =
       ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ (x2, 1.0) ])) ]
       ()
   in
-  let plan = Gp.Batch.compile problem in
+  let plan = compile problem in
   agree_on "single"
     (smooth_of problem (Gp.Problem.objective problem))
     (compiled_fn plan 0)
@@ -141,7 +144,7 @@ let test_constant_term () =
   (* A term with an all-zero row (a constant monomial). *)
   let objective = P.of_monomials [ M.const 2.0; M.make 1.0 [ (x0, 1.0); (x1, 1.0) ] ] in
   let problem = Gp.Problem.make ~objective () in
-  let plan = Gp.Batch.compile problem in
+  let plan = compile problem in
   agree_on "const-term" (smooth_of problem objective) (compiled_fn plan 0)
     (Vec.of_list [ -0.4; 0.9 ])
 
@@ -155,15 +158,18 @@ let test_affine_matches_linear () =
       ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ (x1, -1.0) ])) ]
       ()
   in
-  let plan = Gp.Batch.compile problem in
-  let n1 = plan.Gp.Batch.pl_n + 1 in
+  let n = (compile problem).Gp.Batch.pl_n in
+  let n1 = n + 1 in
   (* Off-support coefficients are +0.0 here; the list kernel's
      [Vec.scale (-1.0) s_dir] carries -0.0 there instead, which adds
      nothing to any sum. *)
   let dir c = Vec.init n1 (fun i -> if i = n1 - 1 then c else 0.0) in
   let y = Vec.of_list [ 1.0; 2.0; 3.0 ] in
-  agree_on "objective s" (Gp.Smooth.linear n1 (dir 1.0) 0.0) plan.Gp.Batch.pl_objective1 y;
-  agree_on "lower bound" (Gp.Smooth.linear n1 (dir (-1.0)) (-20.0)) plan.Gp.Batch.pl_lower1 y
+  agree_on "objective s" (Gp.Smooth.linear n1 (dir 1.0) 0.0) (Gp.Batch.affine [ (n, 1.0) ] 0.0) y;
+  agree_on "lower bound"
+    (Gp.Smooth.linear n1 (dir (-1.0)) (-20.0))
+    (Gp.Batch.affine [ (n, -1.0) ] (-20.0))
+    y
 
 let test_stale_buffers () =
   (* eval_into must overwrite (not accumulate into) its support block
@@ -174,7 +180,7 @@ let test_stale_buffers () =
       ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ (x1, 1.0) ])) ]
       ()
   in
-  let f = compiled_fn (Gp.Batch.compile problem) 0 in
+  let f = compiled_fn (compile problem) 0 in
   let y = Vec.of_list [ 0.2; 0.4; -0.6 ] in
   let _, g_ref, h_ref = (smooth_of problem objective).Gp.Smooth.eval y in
   let n = 3 in
@@ -199,7 +205,7 @@ let test_single_term_nonfinite () =
   let objective = P.of_monomial (M.make 3.0 [ (x0, 2.0); (x1, -2.0) ]) in
   let ineq = P.of_monomial (M.make 0.5 [ (x0, -2.0); (x1, 2.0) ]) in
   let problem = Gp.Problem.make ~objective ~ineqs:[ ("g", ineq) ] () in
-  let plan = Gp.Batch.compile problem in
+  let plan = compile problem in
   let f = compiled_fn plan 0 in
   Alcotest.(check bool) "shortcut applies" true f.Gp.Batch.f_single;
   let smooth = smooth_of problem objective in
@@ -225,7 +231,7 @@ let test_slack_extension () =
   in
   let problem = Gp.Problem.make ~objective:(P.var x0) ~ineqs:[ ("g", g) ] () in
   let smooth = minus_slack (smooth_of problem g) in
-  let f = compiled_fn ~phase1:true (Gp.Batch.compile problem) 1 in
+  let f = compiled_fn ~phase1:true (compile problem) 1 in
   agree_on "slack" smooth f (Vec.of_list [ 0.7; -0.1; 1.3 ]);
   agree_on "slack at s=0" smooth f (Vec.of_list [ 0.7; -0.1; 0.0 ])
 
@@ -281,7 +287,7 @@ let prop_bit_identical =
       let problem = Gp.Problem.make ~objective:poly () in
       let n = List.length (Gp.Problem.variables problem) in
       disagreements (smooth_of problem poly)
-        (compiled_fn (Gp.Batch.compile problem) 0)
+        (compiled_fn (compile problem) 0)
         (Vec.slice y 0 n)
       = [])
 
@@ -294,7 +300,7 @@ let prop_slack_bit_identical =
       let n = List.length (Gp.Problem.variables problem) in
       disagreements
         (minus_slack (smooth_of problem poly))
-        (compiled_fn ~phase1:true (Gp.Batch.compile problem) 1)
+        (compiled_fn ~phase1:true (compile problem) 1)
         (Vec.concat (Vec.slice y 0 n) [| 0.5 |])
       = [])
 
@@ -305,7 +311,7 @@ let prop_nonfinite_bit_identical =
       let problem = Gp.Problem.make ~objective:poly () in
       let n = List.length (Gp.Problem.variables problem) in
       support_disagreements (smooth_of problem poly)
-        (compiled_fn (Gp.Batch.compile problem) 0)
+        (compiled_fn (compile problem) 0)
         (Vec.slice y 0 n)
       = [])
 
@@ -319,7 +325,7 @@ let prop_nonfinite_slack_bit_identical =
       let n = List.length (Gp.Problem.variables problem) in
       support_disagreements ~slack:n
         (minus_slack (smooth_of problem poly))
-        (compiled_fn ~phase1:true (Gp.Batch.compile problem) 1)
+        (compiled_fn ~phase1:true (compile problem) 1)
         (Vec.concat (Vec.slice y 0 n) [| 0.5 |])
       = [])
 
@@ -406,7 +412,7 @@ let prop_program_eval_bit_identical =
       let _, _, _, _, _, _, y = input in
       Array.for_all
         (fun problem ->
-          let plan = Gp.Batch.compile problem in
+          let plan = compile problem in
           List.for_all
             (fun (slot, poly) ->
               disagreements (smooth_of problem poly) (compiled_fn plan slot) y = [])
@@ -504,19 +510,18 @@ let product_disagreements zb zcols ~hess ~grad ~u =
   end;
   List.rev !bad
 
-(* Both bases of a compiled problem — phase II over n, phase I over n+1
-   with the slack — against the columns Mat.nullspace_basis returns for
-   the plan's equality rows. *)
-let plan_products_agree rng plant (plan : Gp.Batch.plan) =
-  let n = plan.Gp.Batch.pl_n in
+(* Both bases of a problem — phase II over n, phase I over n+1 with the
+   slack — against the columns Mat.nullspace_basis returns for its
+   equality rows. *)
+let problem_products_agree rng plant problem =
+  let lo = Gp.Batch.lower problem in
+  let n = lo.Gp.Batch.lo_n and rows = lo.Gp.Batch.lo_rows in
   List.for_all
-    (fun (zb, zcols) ->
+    (fun (n, rows) ->
+      let zb = Gp.Batch.nullspace n rows in
       let hess, grad, u = draw_inputs rng ~n:zb.Gp.Batch.z_n ~q:zb.Gp.Batch.z_q plant in
-      product_disagreements zb zcols ~hess ~grad ~u = [])
-    [
-      (plan.Gp.Batch.pl_zbasis, Mat.nullspace_basis n plan.Gp.Batch.pl_rows);
-      (plan.Gp.Batch.pl_zbasis1, Mat.nullspace_basis (n + 1) plan.Gp.Batch.pl_rows1);
-    ]
+      product_disagreements zb (Mat.nullspace_basis n rows) ~hess ~grad ~u = [])
+    [ (n, rows); (n + 1, Array.map (fun a -> Vec.concat a [| 0.0 |]) rows) ]
 
 let gen_plant =
   let open QCheck2.Gen in
@@ -536,7 +541,7 @@ let prop_products_family =
     (fun (input, plant, seed) ->
       let rng = Random.State.make [| seed |] in
       Array.for_all
-        (fun problem -> plan_products_agree rng plant (Gp.Batch.compile problem))
+        (fun problem -> problem_products_agree rng plant problem)
         (family_problems input))
 
 (* The same on real formulations: resnet-2's (choice, placement)
@@ -556,10 +561,9 @@ let test_products_zoo () =
           List.iter
             (fun placement ->
               let inst = F.build ~placement tech mode F.Energy plan choice in
-              let compiled = Gp.Batch.compile inst.F.problem in
               List.iter
                 (fun plant ->
-                  if not (plan_products_agree rng plant compiled) then
+                  if not (problem_products_agree rng plant inst.F.problem) then
                     Alcotest.failf "%s: nullspace products differ from the dense loops"
                       inst.F.provenance)
                 [ Finite; Finite; In_hess nan; In_hess infinity; In_grad neg_infinity; In_u nan;

@@ -79,8 +79,9 @@ let test_lu_singular () =
 let test_lu_factored_matches () =
   (* Same systems as the direct lu tests, via the factored path; the
      factorization is reused across two right-hand sides.  Equality is
-     bitwise: the default solver factors its least-norm Gram system once
-     (Gp.Batch) where the list kernel calls lu_solve per start. *)
+     bitwise: the solver factors its least-norm Gram system once and
+     solves it for the cold start and for a warm start's projection
+     (Gp.Solver). *)
   let same name a b =
     Alcotest.(check bool)
       (Printf.sprintf "%s: %h vs %h" name a b)

@@ -216,6 +216,24 @@ let test_store_corruption_is_a_miss () =
     "repaired" (Some "good again")
     (Store.get store ~config ~request_key)
 
+let temp_files dir =
+  List.filter
+    (fun f -> String.starts_with ~prefix:".tmp-" f)
+    (Array.to_list (Sys.readdir dir))
+
+let test_store_failed_put_cleans_up () =
+  let dir = temp_dir "thistle-store" in
+  let store = Result.get_ok (Store.open_ dir) in
+  let config = "cfg" and request_key = "rk" in
+  (* A directory where the entry belongs: the final rename fails. *)
+  let path = Store.entry_path store ~config ~request_key in
+  Unix.mkdir (Filename.dirname path) 0o755;
+  Unix.mkdir path 0o755;
+  (match Store.put store ~config ~request_key "payload" with
+  | () -> Alcotest.fail "a put over a directory must fail"
+  | exception (Unix.Unix_error _ | Sys_error _) -> ());
+  Alcotest.(check (list string)) "no temp file left" [] (temp_files dir)
+
 (* ------------------------------------------------------------------ *)
 (* Request keys: the arch-name collision regression                   *)
 (* ------------------------------------------------------------------ *)
@@ -443,6 +461,21 @@ let test_serve_corrupted_entry_re_solves () =
   Alcotest.(check bool) "entry repaired" true cached;
   Alcotest.(check string) "repaired bytes" cold warm
 
+(* A store that cannot be written (here its directory was replaced by
+   a plain file) costs the cache, never the answer or the connection. *)
+let test_serve_store_write_failure () =
+  let dir = temp_dir "thistle-serve" in
+  with_server ~store_dir:dir @@ fun port ->
+  Unix.rmdir dir;
+  Out_channel.with_open_bin dir (fun oc -> output_string oc "not a directory");
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let cold, cached = payload (ask c req) in
+  Alcotest.(check bool) "answered uncached" false cached;
+  let again, cached = payload (ask c req) in
+  Alcotest.(check bool) "connection kept, still a miss" false cached;
+  Alcotest.(check string) "same bytes" cold again
+
 let test_serve_arch_name_no_collision () =
   let dir = temp_dir "thistle-serve" in
   with_server ~store_dir:dir @@ fun port ->
@@ -647,6 +680,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_store_roundtrip;
           Alcotest.test_case "corruption is a miss" `Quick
             test_store_corruption_is_a_miss;
+          Alcotest.test_case "failed put leaves no temp file" `Quick
+            test_store_failed_put_cleans_up;
         ] );
       ( "request-key",
         [
@@ -665,6 +700,8 @@ let () =
             test_serve_fingerprint_invalidates;
           Alcotest.test_case "corrupted entry re-solves" `Quick
             test_serve_corrupted_entry_re_solves;
+          Alcotest.test_case "store write failure still answers" `Quick
+            test_serve_store_write_failure;
           Alcotest.test_case "arch-name requests do not collide" `Quick
             test_serve_arch_name_no_collision;
           Alcotest.test_case "admission rejects at capacity" `Quick
