@@ -237,8 +237,10 @@ let () =
     let merged = Filename.concat dir "merged.jsonl" in
     let t_merge, resumed =
       time (fun () ->
-          (match Merge.load_files (List.rev shard_files) with
-          | Ok entries -> Journal.write_file merged entries
+          (match
+             Result.bind (Merge.load_files (List.rev shard_files)) (Journal.write_file merged)
+           with
+          | Ok () -> ()
           | Error msg ->
             Printf.eprintf "merge failed: %s\n" msg;
             exit 1);

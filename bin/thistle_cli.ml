@@ -553,7 +553,7 @@ let lint_cmd =
       & info [ "certify" ]
           ~doc:
             "Also solve every audited program and check the solution certificate \
-             (KKT residual, constraint violations) — much slower.")
+             (finite point, constraint violations) — much slower.")
   in
   let run () layer max_choices certify node jobs =
     let certify_diags (instance : F.instance) =
@@ -686,15 +686,18 @@ let journal_cmd =
     let run () files =
       List.fold_left
         (fun rc path ->
-          match Sweep.Journal.load path with
-          | Error msg ->
-            Printf.eprintf "%s: %s\n" path msg;
-            1
-          | Ok entries ->
+          let counts =
+            let* entries = Sweep.Journal.load path in
             let compacted = Sweep.Journal.compact entries in
-            Sweep.Journal.write_file path compacted;
-            Printf.printf "%s: %d entries -> %d\n" path (List.length entries)
-              (List.length compacted);
+            let* () = Sweep.Journal.write_file path compacted in
+            Ok (List.length entries, List.length compacted)
+          in
+          match counts with
+          | Error msg ->
+            prerr_endline msg;
+            1
+          | Ok (before, after) ->
+            Printf.printf "%s: %d entries -> %d\n" path before after;
             rc)
         0 files
     in
@@ -764,11 +767,13 @@ let merge_cmd =
     match resolve { base with O.journal = Some out; resume = true } request with
     | Error msg -> fail msg
     | Ok r -> (
-      match Sweep.Merge.load_files files with
+      let merged =
+        let* entries = Sweep.Merge.load_files files in
+        Result.map_error (fun m -> "merge: " ^ m) (Sweep.Journal.write_file out entries)
+      in
+      match merged with
       | Error msg -> fail msg
-      | Ok entries ->
-        Sweep.Journal.write_file out entries;
-        reply r)
+      | Ok () -> reply r)
   in
   Cmd.v
     (Cmd.info "merge"

@@ -1,7 +1,4 @@
-module M = Symexpr.Monomial
 module P = Symexpr.Posynomial
-module Mat = Linalg.Mat
-module Vec = Linalg.Vec
 
 let pass = "certificate"
 
@@ -9,95 +6,8 @@ type t = {
   objective_value : float;
   violations : (string * float) list;
   max_violation : float;
-  kkt_residual : float option;
   diagnostics : Diagnostic.t list;
 }
-
-(* Gradient of [log f] with respect to [y = log t] at the point [env]:
-   the softmax-weighted sum of the terms' exponent vectors. *)
-let log_gradient index n env p =
-  let f = P.eval env p in
-  let g = Array.make n 0.0 in
-  if Float.is_finite f && f > 0.0 then
-    List.iter
-      (fun m ->
-        let w = M.eval env m /. f in
-        List.iter
-          (fun (x, e) ->
-            match Hashtbl.find_opt index x with
-            | Some i -> g.(i) <- g.(i) +. (w *. e)
-            | None -> ())
-          (M.exponents m))
-      (P.terms p);
-  g
-
-(* Least-squares stationarity residual: fit multipliers over the
-   near-active inequalities and all equalities, clamp negative inequality
-   multipliers to zero, and report |grad L| / (1 + |grad f0|). *)
-let kkt_residual problem env =
-  let vars = Gp.Problem.variables problem in
-  let n = List.length vars in
-  let index = Hashtbl.create n in
-  List.iteri (fun i x -> Hashtbl.replace index x i) vars;
-  let g0 = log_gradient index n env (Gp.Problem.objective problem) in
-  let active =
-    List.filter
-      (fun (_, p) ->
-        let v = P.eval env p in
-        Float.is_finite v && v >= 0.99)
-      (Gp.Problem.ineqs problem)
-  in
-  let ineq_grads =
-    List.map (fun (_, p) -> log_gradient index n env p) active
-  in
-  let eq_grads =
-    List.map
-      (fun (_, m) ->
-        let g = Array.make n 0.0 in
-        List.iter
-          (fun (x, e) ->
-            match Hashtbl.find_opt index x with
-            | Some i -> g.(i) <- g.(i) +. e
-            | None -> ())
-          (M.exponents m);
-        g)
-      (Gp.Problem.eqs problem)
-  in
-  let columns = Array.of_list (ineq_grads @ eq_grads) in
-  let n_ineq = List.length ineq_grads in
-  let m = Array.length columns in
-  let norm g = sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 g) in
-  let residual_with lambda =
-    let r = Array.copy g0 in
-    Array.iteri
-      (fun j col ->
-        Array.iteri (fun i v -> r.(i) <- r.(i) +. (lambda.(j) *. v)) col)
-      columns;
-    norm r /. (1.0 +. norm g0)
-  in
-  if n = 0 then None
-  else if m = 0 then Some (residual_with [||])
-  else begin
-    let dot a b =
-      let acc = ref 0.0 in
-      Array.iteri (fun i v -> acc := !acc +. (v *. b.(i))) a;
-      !acc
-    in
-    let ata =
-      Mat.init m m (fun i j ->
-          dot columns.(i) columns.(j) +. if i = j then 1e-10 else 0.0)
-    in
-    let rhs = Vec.init m (fun j -> -.dot columns.(j) g0) in
-    match Mat.solve_spd ata rhs with
-    | exception Mat.Singular -> None
-    | lambda ->
-      (* Inequality multipliers must be nonnegative at a KKT point. *)
-      Array.iteri
-        (fun j v -> if j < n_ineq && v < 0.0 then lambda.(j) <- 0.0)
-        lambda;
-      let r = residual_with lambda in
-      if Float.is_finite r then Some r else None
-  end
 
 let check ?(tol = 1e-4) ?provenance problem env =
   let diags = ref [] in
@@ -131,10 +41,7 @@ let check ?(tol = 1e-4) ?provenance problem env =
           "constraint evaluates non-finite at the solution"
       else warning ~constraint_name:name "violated by %g (tol %g)" v tol)
     violations;
-  let hard = List.exists Diagnostic.is_error !diags in
-  let kkt_residual = if hard then None else kkt_residual problem env in
-  { objective_value; violations; max_violation; kkt_residual;
-    diagnostics = List.rev !diags }
+  { objective_value; violations; max_violation; diagnostics = List.rev !diags }
 
 let hard_failure t = List.exists Diagnostic.is_error t.diagnostics
 
@@ -233,10 +140,3 @@ let check_prune problem (proof : Presolve.proof) =
         proof.Presolve.culprit recomputed;
     Ok ()
   with Reject m -> Error m
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>objective %.6g; max violation %.3g; KKT residual %s"
-    t.objective_value t.max_violation
-    (match t.kkt_residual with Some r -> Printf.sprintf "%.3g" r | None -> "n/a");
-  List.iter (fun d -> Format.fprintf ppf "@,%a" Diagnostic.pp d) t.diagnostics;
-  Format.fprintf ppf "@]"

@@ -1,20 +1,17 @@
 (** Post-solve solution certificates.
 
-    After the interior-point solver returns a point, this pass certifies
-    it independently of the solver's own bookkeeping:
+    After the interior-point solver returns a point, this pass checks it
+    independently of the solver's own bookkeeping:
 
     - the objective value and every variable must be finite and positive;
     - constraint violations come from {!Gp.Problem.violations}, which
       reports non-finite evaluations as infinite violations — those are
       hard failures (errors); finite violations beyond the tolerance are
-      warnings (interior-point output is approximate by construction);
-    - a stationarity (KKT) residual in log space: the norm of
-      [grad f0 + sum lambda_i grad f_i + sum nu_j grad g_j] at the point,
-      with multipliers fitted by least squares over the near-active
-      constraints and negative inequality multipliers clamped to zero.
-      A small residual certifies (approximate) optimality, not just
-      feasibility; it is reported, never gated on, because iteration-limit
-      points are legitimately sub-optimal. *)
+      warnings (interior-point output is approximate by construction).
+
+    Optimality is certified by the solver itself: every solve's duality
+    gap is in {!Gp.Solver.stats} and in the [max-gap=] field of each
+    report's [solver:] line. *)
 
 type t = {
   objective_value : float;
@@ -22,9 +19,6 @@ type t = {
       (** violated constraints at the point (non-finite evaluations
           included as [infinity]) *)
   max_violation : float;  (** [0.] when feasible *)
-  kkt_residual : float option;
-      (** relative stationarity residual; [None] when the least-squares
-          system is singular or the point is unusable *)
   diagnostics : Diagnostic.t list;
 }
 
@@ -59,5 +53,3 @@ val check_prune : Gp.Problem.t -> Presolve.proof -> (unit, string) result
     it must be finite, match the proof's claimed bound, and violate 1
     beyond {!Presolve.prune_margin}.  Non-finite or non-positive step
     bounds are rejected outright. *)
-
-val pp : Format.formatter -> t -> unit

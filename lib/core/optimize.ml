@@ -516,6 +516,17 @@ let formulate ~config ~jobs tech arch_mode objective sweep =
       (Printf.sprintf "optimize: lint rejected formulation: %s"
          (Analysis.Diagnostic.summary diags))
 
+(* The journal's append channel, opened before {!seed} reads the file so
+   that a path which cannot be journaled (a directory, a missing parent)
+   fails the run before any solve. *)
+let open_journal config =
+  match config.journal with
+  | None -> Ok None
+  | Some path -> (
+    match open_out_gen [ Open_append; Open_creat ] 0o644 path with
+    | oc -> Ok (Some oc)
+    | exception Sys_error m -> Error ("optimize: cannot open journal " ^ m))
+
 (* Stage seed: settle what the journal and presolve can before any
    solve.  A resume replays a pair's journal entry only while its
    fingerprint — (problem key, {!config_fingerprint}) — still matches;
@@ -648,13 +659,10 @@ let solve_pair ~config ?warm_start pair =
    the enumeration order alone, never of timing or worker count.
 
    Every pair this run settles — pruned, solved or replayed — is
-   appended to the journal as it finishes, under a mutex and flushed per
+   appended to [journal] as it finishes, under a mutex and flushed per
    entry, so a killed run loses at most the pairs still in flight. *)
-let solve ~config ~jobs sweep pairs seeds =
+let solve ~config ~jobs ~journal sweep pairs seeds =
   let slots = Array.map (fun s -> s.seeded) seeds in
-  let journal =
-    Option.map (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path) config.journal
-  in
   let mutex = Mutex.create () in
   let emit k slot =
     Option.iter
@@ -674,7 +682,6 @@ let solve ~config ~jobs sweep pairs seeds =
         Mutex.protect mutex (fun () -> Sweep.Journal.append_line oc entry))
       journal
   in
-  Fun.protect ~finally:(fun () -> Option.iter close_out_noerr journal) @@ fun () ->
   Array.iteri
     (fun k -> function
       | Some ({ s_source = Presolve_pruned; _ } as slot) -> emit k slot
@@ -996,8 +1003,12 @@ let run ?(config = default_config) tech arch_mode objective nest =
   let* () = check_config config in
   let sweep = enumerate config nest in
   let* pairs = formulate ~config ~jobs tech arch_mode objective sweep in
+  let* journal = open_journal config in
   let seeds = seed ~config pairs in
-  let slots = solve ~config ~jobs sweep pairs seeds in
+  let slots =
+    Fun.protect ~finally:(fun () -> Option.iter close_out_noerr journal) @@ fun () ->
+    solve ~config ~jobs ~journal sweep pairs seeds
+  in
   let table = certify ~jobs pairs seeds slots in
   let checked = presolve_check ~config table in
   let table = if Result.is_ok checked then integerize ~config ~jobs tech table else table in

@@ -124,7 +124,8 @@ type config = {
           is appended as it finishes and flushed, so a killed run loses
           at most the pairs still in flight.  Entry order in a parallel
           run is timing-dependent; entry {e content} is a function of
-          the workload and configuration alone (DESIGN §12). *)
+          the workload and configuration alone (DESIGN §12).  {!run}
+          returns [Error] when the file cannot be opened for append. *)
   resume : bool;
       (** replay journal entries instead of re-solving (default
           [false]; requires [journal] — {!run} returns [Error] for

@@ -78,55 +78,6 @@ let check_perm nest what perm =
         invalid_arg (Printf.sprintf "Volume.analyze: %s mentions undeclared dim %S" what d))
     perm
 
-let analyze nest ~pe_perm ~dram_perm =
-  check_perm nest "pe_perm" pe_perm;
-  check_perm nest "dram_perm" dram_perm;
-  let all_dims = Nest.dim_names nest in
-  let analyze_tensor tensor =
-    let df0 = register_tile_footprint tensor in
-    let df1, fill1 =
-      construct ~level:Level.pe_temporal_level ~perm:pe_perm ~tensor df0
-    in
-    (* Spatial level: every dim may be parallelized; present dims extend
-       the SRAM-resident footprint. *)
-    let df2 =
-      List.fold_left
-        (fun fp dim -> extend_dim ~level:Level.spatial_level dim fp)
-        df1 all_dims
-    in
-    (* SRAM->register fills replay for present spatial dims (absent dims
-       multicast) and for every DRAM-level trip count. *)
-    let sram_to_reg =
-      let spatial_mult =
-        List.fold_left
-          (fun acc dim ->
-            if Nest.tensor_mentions tensor dim then
-              M.mul acc (M.var (Level.trip_var ~level:Level.spatial_level ~dim))
-            else acc)
-          M.one all_dims
-      in
-      let dram_mult =
-        List.fold_left
-          (fun acc dim ->
-            M.mul acc (M.var (Level.trip_var ~level:Level.dram_temporal_level ~dim)))
-          M.one all_dims
-      in
-      { fill1 with prefix = M.mul fill1.prefix (M.mul spatial_mult dram_mult) }
-    in
-    let _df3, dram_to_sram =
-      construct ~level:Level.dram_temporal_level ~perm:dram_perm ~tensor df2
-    in
-    {
-      tensor = tensor.Nest.tensor_name;
-      read_write = tensor.Nest.read_write;
-      register_footprint = df0;
-      sram_footprint = df2;
-      sram_to_reg;
-      dram_to_sram;
-    }
-  in
-  { nest; pe_perm; dram_perm; per_tensor = List.map analyze_tensor (Nest.tensors nest) }
-
 (* ------------------------------------------------------------------ *)
 (* Arbitrary level structures                                         *)
 (* ------------------------------------------------------------------ *)
@@ -158,18 +109,16 @@ let analyze_general nest ~levels =
   (* Trip counts of every level outer than [l] multiply a fill volume;
      spatial levels only through dims present in the tensor. *)
   let outer_multiplier tensor ~level =
-    let acc = ref M.one in
+    let vars = ref [] in
     for l = level + 1 to nlevels - 1 do
       let dims =
         match specs.(l) with
         | Temporal _ -> all_dims
         | Spatial -> List.filter (Nest.tensor_mentions tensor) all_dims
       in
-      List.iter
-        (fun dim -> acc := M.mul !acc (M.var (Level.trip_var ~level:l ~dim)))
-        dims
+      List.iter (fun dim -> vars := (Level.trip_var ~level:l ~dim, 1.0) :: !vars) dims
     done;
-    !acc
+    M.make 1.0 !vars
   in
   let analyze_tensor tensor =
     let df = ref (register_tile_footprint tensor) in
@@ -190,6 +139,31 @@ let analyze_general nest ~levels =
     (tensor.Nest.tensor_name, tensor.Nest.read_write, List.rev !boundaries)
   in
   { g_nest = nest; g_levels = levels; g_tensors = List.map analyze_tensor (Nest.tensors nest) }
+
+(* The canonical hierarchy: boundary 1 is the register file (filled from
+   SRAM), boundary 3 the SRAM buffer (filled from DRAM). *)
+let analyze nest ~pe_perm ~dram_perm =
+  let general =
+    analyze_general nest
+      ~levels:[ Temporal []; Temporal pe_perm; Spatial; Temporal dram_perm ]
+  in
+  let per_tensor =
+    List.map
+      (fun (tensor, read_write, boundaries) ->
+        match boundaries with
+        | [ reg; sram ] ->
+          {
+            tensor;
+            read_write;
+            register_footprint = reg.footprint;
+            sram_footprint = sram.footprint;
+            sram_to_reg = reg.fill;
+            dram_to_sram = sram.fill;
+          }
+        | _ -> assert false)
+      general.g_tensors
+  in
+  { nest; pe_perm; dram_perm; per_tensor }
 
 let fingerprint t =
   let volume_string v = P.to_string (volume_posynomial v) in

@@ -59,9 +59,11 @@ type t = {
 val analyze :
   Workload.Nest.t -> pe_perm:string list -> dram_perm:string list -> t
 (** [analyze nest ~pe_perm ~dram_perm] builds the symbolic expressions for
-    every tensor of the nest.  Each permutation must be a list of distinct
-    nest dims (a subset: dims not listed are untiled at that level).
-    Raises [Invalid_argument] otherwise. *)
+    every tensor of the nest: {!analyze_general} over the canonical levels
+    [[Temporal []; Temporal pe_perm; Spatial; Temporal dram_perm]], read off
+    at boundaries 1 (registers) and 3 (SRAM).  Each permutation must be a
+    list of distinct nest dims (a subset: dims not listed are untiled at
+    that level).  Raises [Invalid_argument] otherwise. *)
 
 val construct :
   level:int ->
@@ -104,8 +106,7 @@ type general = {
 
 val analyze_general : Workload.Nest.t -> levels:level_spec list -> general
 (** Raises [Invalid_argument] if level 0 is not temporal, or a
-    permutation is malformed.  [analyze] is equivalent to the canonical
-    instance [Temporal _; Temporal pe; Spatial; Temporal dram]. *)
+    permutation is malformed. *)
 
 val fingerprint : t -> string
 (** A canonical serialization of all volume expressions, used to prune

@@ -44,6 +44,8 @@ let encode ~config ~request_key payload =
   Buffer.add_char b '\n';
   Buffer.contents b
 
+(* An entry that cannot be opened or read in full (a directory at its
+   path, a file truncated under us) is a miss. *)
 let read_file path =
   match open_in_bin path with
   | exception Sys_error _ -> None
@@ -51,8 +53,8 @@ let read_file path =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        let n = in_channel_length ic in
-        Some (really_input_string ic n))
+        try Some (really_input_string ic (in_channel_length ic))
+        with Sys_error _ | End_of_file -> None)
 
 let get t ~config ~request_key =
   match read_file (entry_path t ~config ~request_key) with

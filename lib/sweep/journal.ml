@@ -236,6 +236,8 @@ let append_line oc e =
   output_char oc '\n';
   flush oc
 
+(* [Sys_error] messages from opening a file already name it; those from
+   reading or writing an open channel do not. *)
 let load path =
   match open_in path with
   | exception Sys_error m -> Error m
@@ -243,17 +245,17 @@ let load path =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        let entries = ref [] in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then
-               match decode line with
-               | Ok e -> entries := e :: !entries
-               | Error _ -> () (* torn tail of a killed run, or foreign line *)
-           done
-         with End_of_file -> ());
-        Ok (List.rev !entries))
+        let rec read entries =
+          match input_line ic with
+          | exception End_of_file -> Ok (List.rev entries)
+          | exception Sys_error m -> Error (path ^ ": " ^ m)
+          | line when String.trim line = "" -> read entries
+          | line -> (
+            match decode line with
+            | Ok e -> read (e :: entries)
+            | Error _ -> read entries (* torn tail of a killed run, or foreign line *))
+        in
+        read [])
 
 let load_existing path = if Sys.file_exists path then load path else Ok []
 
@@ -264,12 +266,17 @@ let compact entries =
   List.sort (fun a b -> Int.compare a.pair b.pair) kept
 
 let write_file path entries =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  match open_out path with
+  | exception Sys_error m -> Error m
+  | oc -> (
+    try
       List.iter
         (fun e ->
           output_string oc (encode e);
           output_char oc '\n')
-        entries)
+        entries;
+      close_out oc;
+      Ok ()
+    with Sys_error m ->
+      close_out_noerr oc;
+      Error (path ^ ": " ^ m))

@@ -70,7 +70,8 @@ val append_line : out_channel -> entry -> unit
 val load : string -> (entry list, string) result
 (** All decodable entries of a journal file, in file order.  Undecodable
     or wrong-version lines are dropped silently (a killed run may tear
-    its final line).  [Error] only when the file cannot be read. *)
+    its final line).  [Error] only when the file cannot be opened or read
+    (a directory, say); its message names [path] once. *)
 
 val load_existing : string -> (entry list, string) result
 (** Like {!load} but a missing file is an empty journal. *)
@@ -82,7 +83,8 @@ val compact : entry list -> entry list
     Idempotent; loading the compacted list replays exactly like loading
     the original. *)
 
-val write_file : string -> entry list -> unit
+val write_file : string -> entry list -> (unit, string) result
 (** Replace [path] with exactly [entries], one line each (used by the
     merge step to materialize a combined journal, and by
-    [thistle journal compact]). *)
+    [thistle journal compact]).  [Error] when [path] cannot be opened or
+    written; its message names [path] once. *)

@@ -27,7 +27,7 @@ let load_files files =
     | [] -> combine (List.rev acc)
     | f :: rest -> (
       match Journal.load f with
-      | Error m -> Error (Printf.sprintf "merge: %s: %s" f m)
+      | Error m -> Error ("merge: " ^ m)
       | Ok entries -> go (entries :: acc) rest)
   in
   go [] files

@@ -2,9 +2,11 @@
 # cli_errors.sh THISTLE_CLI
 #
 # Prints, for each invalid invocation below, the command, its stderr
-# and its exit status.  Each is refused by the request resolver the
-# serve daemon uses, so the CLI prints the daemon's message and exits 1
-# before any solve.
+# and its exit status.  The request errors are refused by the resolver
+# the serve daemon uses, so the CLI prints the daemon's message and
+# exits 1 before any solve.  The journal errors name a directory (.) or
+# a missing file as a journal: each exits 1 with a message naming the
+# path once, never an uncaught exception.
 set -u
 
 cli=$1
@@ -22,7 +24,12 @@ for args in \
     "metrics --layer resnet-2 --top-choices 0" \
     "merge --layer resnet-2 --sram 0 --journal merged.jsonl shard.jsonl" \
     "presolve --layer resnet-2 --pes 0" \
-    "lint --node 0"
+    "lint --node 0" \
+    "optimize --layer resnet-2 --max-choices 4 --journal ." \
+    "optimize --layer resnet-2 --max-choices 4 --journal . --resume" \
+    "journal compact ." \
+    "journal compact missing.jsonl" \
+    "merge --layer resnet-2 --max-choices 4 --journal . /dev/null"
 do
     echo "\$ thistle $args"
     # shellcheck disable=SC2086

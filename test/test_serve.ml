@@ -476,6 +476,29 @@ let test_serve_store_write_failure () =
   Alcotest.(check bool) "connection kept, still a miss" false cached;
   Alcotest.(check string) "same bytes" cold again
 
+(* A directory planted at the request's entry path cannot be read: the
+   lookup is a miss, and the daemon answers uncached and keeps serving
+   the connection. *)
+let test_serve_unreadable_entry () =
+  let dir = temp_dir "thistle-serve" in
+  let r = Result.get_ok (Protocol.resolve base req) in
+  let config = O.config_fingerprint r.Protocol.config and request_key = r.Protocol.key in
+  let store = Result.get_ok (Store.open_ dir) in
+  let path = Store.entry_path store ~config ~request_key in
+  Unix.mkdir (Filename.dirname path) 0o755;
+  Unix.mkdir path 0o755;
+  Alcotest.(check (option string))
+    "unreadable entry is a miss" None
+    (Store.get store ~config ~request_key);
+  with_server ~store_dir:dir @@ fun port ->
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let _, cached = payload (ask c req) in
+  Alcotest.(check bool) "answered uncached" false cached;
+  match ask c Protocol.Metrics with
+  | Protocol.Payload _ -> ()
+  | Protocol.Refused { message; _ } -> Alcotest.failf "refused: %s" message
+
 let test_serve_arch_name_no_collision () =
   let dir = temp_dir "thistle-serve" in
   with_server ~store_dir:dir @@ fun port ->
@@ -702,6 +725,8 @@ let () =
             test_serve_corrupted_entry_re_solves;
           Alcotest.test_case "store write failure still answers" `Quick
             test_serve_store_write_failure;
+          Alcotest.test_case "unreadable entry is a miss" `Quick
+            test_serve_unreadable_entry;
           Alcotest.test_case "arch-name requests do not collide" `Quick
             test_serve_arch_name_no_collision;
           Alcotest.test_case "admission rejects at capacity" `Quick

@@ -286,11 +286,11 @@ let test_journal_compact () =
     (List.map Journal.encode compacted)
     (List.map Journal.encode (Journal.compact compacted));
   with_temp @@ fun path ->
-  Journal.write_file path entries;
+  Result.get_ok (Journal.write_file path entries);
   (match Journal.load path with
   | Error msg -> Alcotest.failf "load failed: %s" msg
   | Ok loaded ->
-    Journal.write_file path (Journal.compact loaded);
+    Result.get_ok (Journal.write_file path (Journal.compact loaded));
     let shrunk =
       In_channel.with_open_text path @@ fun ic -> In_channel.input_lines ic
     in
@@ -403,6 +403,18 @@ let with_temp_dir f =
       Sys.rmdir dir)
     (fun () -> f dir)
 
+(* A directory given as a journal is an [Error] naming it once, for the
+   loader and the writer alike, never an exception. *)
+let test_journal_directory () =
+  with_temp_dir @@ fun dir ->
+  let expect what = function
+    | Ok _ -> Alcotest.failf "%s of a directory must fail" what
+    | Error msg ->
+      Alcotest.(check string) (what ^ " names the path once") (dir ^ ": Is a directory") msg
+  in
+  expect "load" (Journal.load dir);
+  expect "write_file" (Journal.write_file dir [ ok_entry ])
+
 let shard_merge_resume ?(config = fast) ~count () =
   with_temp_dir @@ fun dir ->
   let full, _ = run_counted config in
@@ -420,7 +432,7 @@ let shard_merge_resume ?(config = fast) ~count () =
   let merged = Filename.concat dir "merged.jsonl" in
   (match Merge.load_files shard_files with
   | Error msg -> Alcotest.failf "merge failed: %s" msg
-  | Ok entries -> Journal.write_file merged entries);
+  | Ok entries -> Result.get_ok (Journal.write_file merged entries));
   let resumed, counters =
     run_counted { config with O.journal = Some merged; resume = true }
   in
@@ -542,6 +554,7 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_journal_torn_tail;
           Alcotest.test_case "version gate" `Quick test_journal_version_gate;
           Alcotest.test_case "missing file" `Quick test_journal_missing_file;
+          Alcotest.test_case "directory is an error" `Quick test_journal_directory;
           Alcotest.test_case "compact" `Quick test_journal_compact;
           Alcotest.test_case "fingerprint sensitivity" `Quick
             test_fingerprint_sensitivity;

@@ -210,38 +210,6 @@ let prop_symbolic_matches_model =
                (List.assoc 3 tc.Counts.fills))
         analysis.V.per_tensor)
 
-(* The generic analysis instantiated at the canonical structure must
-   agree with the canonical analysis, symbolically. *)
-let test_general_matches_canonical () =
-  let nest = Workload.Matmul.nest ~ni:64 ~nj:64 ~nk:64 () in
-  let pe_perm = [ "i"; "j"; "k" ] and dram_perm = [ "i"; "k"; "j" ] in
-  let canonical = V.analyze nest ~pe_perm ~dram_perm in
-  let general =
-    V.analyze_general nest
-      ~levels:[ V.Temporal []; V.Temporal pe_perm; V.Spatial; V.Temporal dram_perm ]
-  in
-  List.iter
-    (fun tv ->
-      let _, rw, boundaries =
-        List.find (fun (n, _, _) -> n = tv.V.tensor) general.V.g_tensors
-      in
-      Alcotest.(check bool) "rw matches" tv.V.read_write rw;
-      let b1 = List.find (fun b -> b.V.level = 1) boundaries in
-      let b3 = List.find (fun b -> b.V.level = 3) boundaries in
-      check_posy "fill@1"
-        (V.volume_posynomial tv.V.sram_to_reg)
-        (V.volume_posynomial b1.V.fill);
-      check_posy "fill@3"
-        (V.volume_posynomial tv.V.dram_to_sram)
-        (V.volume_posynomial b3.V.fill);
-      check_posy "buf@1"
-        (Symexpr.Footprint.to_posynomial tv.V.register_footprint)
-        (Symexpr.Footprint.to_posynomial b1.V.footprint);
-      check_posy "buf@3"
-        (Symexpr.Footprint.to_posynomial tv.V.sram_footprint)
-        (Symexpr.Footprint.to_posynomial b3.V.footprint))
-    canonical.V.per_tensor
-
 (* Five tiling levels (a deeper hierarchy, as in the paper's Fig. 3(e)):
    the symbolic volumes must match the concrete model's counts. *)
 let test_general_five_levels () =
@@ -416,7 +384,6 @@ let () =
         ] );
       ( "general levels",
         [
-          Alcotest.test_case "matches canonical" `Quick test_general_matches_canonical;
           Alcotest.test_case "five levels vs model" `Quick test_general_five_levels;
           Alcotest.test_case "conv halos at five levels" `Quick test_general_conv_halos;
           Alcotest.test_case "validation" `Quick test_general_validation;
