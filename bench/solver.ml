@@ -1,11 +1,14 @@
-(* Solver-path benchmark, two tiers:
+(* Solver-path benchmark, three tiers:
 
    1. End-to-end: the compiled evaluation kernel + structured KKT +
       sweep reuse (the current defaults) against the legacy
       list-of-closures path through the whole optimizer, plus the
       presolve scenario on a capacity-starved edge architecture.
 
-   2. Scenario x kernel matrix: the solver alone (the list reference
+   2. Permutation enumeration alone: [Permutations.enumerate] over the
+      layer set at the sweep's [max_choices].
+
+   3. Scenario x kernel matrix: the solver alone (the list reference
       and the default compiled kernel) over the formulated (choice,
       placement) problem set of each scenario, formulation excluded
       from the timed region so the cells measure solver work.  Every
@@ -300,6 +303,17 @@ let () =
   show "compiled" compiled;
   let speedup = listed.wall_s /. compiled.wall_s in
   Printf.printf "speedup: %.2fx\n" speedup;
+  (* The enumeration stage alone: every layer's plan at the sweep's cap. *)
+  let enumerate_wall_s, enumerate_wall_mean_s, enumerate_choices =
+    time_repeats ~repeat:options.repeat (fun () ->
+        List.fold_left
+          (fun n (_, nest) ->
+            let plan = Permutations.enumerate ~max_choices:options.max_choices nest in
+            n + List.length plan.Permutations.choices)
+          0 nests)
+  in
+  Printf.printf "enumerate %9.4f s best, %.4f s mean, %d choices\n%!" enumerate_wall_s
+    enumerate_wall_mean_s enumerate_choices;
   (* Presolve scenario: a capacity-starved edge accelerator where many
      (choice, placement) pairs are statically infeasible, so interval
      pruning skips whole solves.  The roomy Eyeriss runs above prune
@@ -446,6 +460,9 @@ let () =
        i "compiled_newton_steps" compiled.newton_steps;
        f "compiled_solves_per_s" (float_of_int compiled.solves /. compiled.wall_s);
        f "speedup" speedup;
+       f "enumerate_wall_s" enumerate_wall_s;
+       f "enumerate_wall_mean_s" enumerate_wall_mean_s;
+       i "enumerate_choices" enumerate_choices;
        f "presolve_off_wall_s" presolve_off.wall_s;
        f "presolve_off_wall_mean_s" presolve_off.wall_mean_s;
        f "presolve_on_wall_s" presolve_on.wall_s;

@@ -435,7 +435,10 @@ let check_config config =
   else Ok ()
 
 let enumerate config nest =
-  let plan = Permutations.enumerate ~max_choices:config.max_choices nest in
+  let plan =
+    Obs.Trace.span "permutations.enumerate" (fun () ->
+        Permutations.enumerate ~max_choices:config.max_choices nest)
+  in
   let placements =
     if config.explore_placements then plan.Permutations.placements
     else [ plan.Permutations.pinned ]

@@ -1,5 +1,6 @@
 module Nest = Workload.Nest
 module Level = Mapspace.Level
+module P = Symexpr.Posynomial
 
 type choice = { pe_perm : string list; dram_perm : string list }
 
@@ -163,7 +164,56 @@ let enumerate ?untiled ?symmetries ?(max_choices = max_int) nest =
       dram_perm = List.map swap_name c.dram_perm;
     }
   in
-  let analyze c = Volume.analyze nest ~pe_perm:c.pe_perm ~dram_perm:c.dram_perm in
+  (* A choice's cost model is its fill volumes, tensor by tensor.  Each
+     level's permutations are analyzed once ({!Volume.inner_half},
+     {!Volume.outer_half}), the fills of each half interned to a class,
+     and two choices induce the same model exactly when both classes
+     agree.  The tables are local to this call: lint and presolve audits
+     enumerate layers on several domains. *)
+  let memo table key compute =
+    match Hashtbl.find_opt table key with
+    | Some v -> v
+    | None ->
+      let v = compute () in
+      Hashtbl.add table key v;
+      v
+  in
+  let intern table key = memo table key (fun () -> Hashtbl.length table) in
+  let fill_classes = Hashtbl.create 64 and footprint_ids = Hashtbl.create 8 in
+  let fill_class (half : Volume.half) =
+    intern fill_classes
+      (List.map
+         (fun b ->
+           let s = P.to_string (Volume.volume_posynomial b.Volume.fill) in
+           (* Class equality is equality of the string fingerprint that
+              joined these per tensor with ':', ';' and '|'. *)
+           assert (not (String.exists (fun ch -> ch = ':' || ch = ';' || ch = '|') s));
+           s)
+         half.Volume.boundaries)
+  in
+  let inners = Hashtbl.create 32 and outers = Hashtbl.create 64 in
+  let inner_of pe_perm =
+    memo inners pe_perm (fun () ->
+        let half = Volume.inner_half nest ~pe_perm in
+        (half, fill_class half, intern footprint_ids half.Volume.above))
+  in
+  (* Keyed on the SRAM footprints it starts from as well as [dram_perm],
+     so a composed analysis is [Volume.analyze]'s by construction.  The
+     footprints hold no zero or NaN floats, so [=] on them is bit
+     equality. *)
+  let outer_of inner footprints dram_perm =
+    memo outers (footprints, dram_perm) (fun () ->
+        let half =
+          Volume.outer_half nest ~sram_footprints:inner.Volume.above ~dram_perm
+        in
+        (half, fill_class half))
+  in
+  (* A choice's hoist-equivalence key and its two halves. *)
+  let analyzed c =
+    let inner, inner_class, footprints = inner_of c.pe_perm in
+    let outer, outer_class = outer_of inner footprints c.dram_perm in
+    ((inner_class, outer_class), inner, outer)
+  in
   let seen = Hashtbl.create 1024 in
   let raw_count = List.length perms * List.length perms in
   let choices = ref [] in
@@ -174,18 +224,17 @@ let enumerate ?untiled ?symmetries ?(max_choices = max_int) nest =
         (fun dram_perm ->
           if !kept < max_choices then begin
             let c = { pe_perm; dram_perm } in
-            let vol = analyze c in
-            let fp = Volume.fingerprint vol in
-            if not (Hashtbl.mem seen fp) then begin
-              Hashtbl.replace seen fp ();
+            let key, inner, outer = analyzed c in
+            if not (Hashtbl.mem seen key) then begin
+              Hashtbl.replace seen key ();
               (* Mark every symmetric twin as seen so it is pruned when
                  the enumeration reaches it. *)
               List.iter
                 (fun swaps ->
-                  let twin = swap_choice swaps c in
-                  Hashtbl.replace seen (Volume.fingerprint (analyze twin)) ())
+                  let twin, _, _ = analyzed (swap_choice swaps c) in
+                  Hashtbl.replace seen twin ())
                 symmetries;
-              choices := (c, vol) :: !choices;
+              choices := (c, Volume.compose nest ~inner ~outer) :: !choices;
               incr kept
             end
           end)

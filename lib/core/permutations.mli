@@ -8,10 +8,16 @@
       pinned to the register level;
     - extent-1 dims generate no loops at all;
     - choices whose symbolic cost model is identical (the "CanHoist false
-      for all tensors" argument) are deduplicated by the
-      {!Volume.fingerprint} of their expressions;
+      for all tensors" argument) are deduplicated: two choices are equal
+      when every tensor's fill volumes print to the same posynomials;
     - choices equivalent under a nest symmetry (e.g. the simultaneous
-      [h<->w], [r<->s] swap of a square convolution) are pruned. *)
+      [h<->w], [r<->s] swap of a square convolution) are pruned.
+
+    A level's fills depend only on its own permutation and the footprint
+    handed up from below, so each level permutation is analyzed once
+    ({!Volume.inner_half}, {!Volume.outer_half}) and a pair's analysis
+    is composed from its halves, not recomputed: about [2 * n!]
+    half-analyses for [n] tileable dims instead of [(n!)^2] full ones. *)
 
 type choice = { pe_perm : string list; dram_perm : string list }
 

@@ -79,12 +79,52 @@ let check_perm nest what perm =
     perm
 
 (* ------------------------------------------------------------------ *)
-(* Arbitrary level structures                                         *)
+(* Level structures                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type level_spec = Temporal of string list | Spatial
 
 type boundary = { level : int; footprint : FP.t; fill : volume }
+
+(* Trip counts of every level outer than [level] multiply its fill
+   volume; spatial levels only through dims present in the tensor.  Only
+   the kinds of those levels enter, never their permutations. *)
+let outer_multiplier nest specs tensor ~level =
+  let all_dims = Nest.dim_names nest in
+  let vars = ref [] in
+  for l = level + 1 to Array.length specs - 1 do
+    let dims =
+      match specs.(l) with
+      | Temporal _ -> all_dims
+      | Spatial -> List.filter (Nest.tensor_mentions tensor) all_dims
+    in
+    List.iter (fun dim -> vars := (Level.trip_var ~level:l ~dim, 1.0) :: !vars) dims
+  done;
+  M.make 1.0 !vars
+
+(* Algorithm 1 over levels [first..last] of [specs] for one tensor,
+   from the footprint of the tile below level [first]: the boundaries of
+   the temporal levels, innermost first, and the footprint of the tile
+   through level [last].  A level sees only its own permutation and the
+   footprint handed up from below. *)
+let walk nest specs tensor ~first ~last below =
+  let all_dims = Nest.dim_names nest in
+  let df = ref below in
+  let boundaries = ref [] in
+  for l = first to last do
+    match specs.(l) with
+    | Spatial ->
+      df := List.fold_left (fun fp dim -> extend_dim ~level:l dim fp) !df all_dims
+    | Temporal perm ->
+      let footprint = !df in
+      let df_l, fill0 = construct ~level:l ~perm ~tensor footprint in
+      df := df_l;
+      let fill =
+        { fill0 with prefix = M.mul fill0.prefix (outer_multiplier nest specs tensor ~level:l) }
+      in
+      boundaries := { level = l; footprint; fill } :: !boundaries
+  done;
+  (List.rev !boundaries, !df)
 
 type general = {
   g_nest : Nest.t;
@@ -103,74 +143,68 @@ let analyze_general nest ~levels =
       | Temporal perm -> check_perm nest (Printf.sprintf "level %d" i) perm
       | Spatial -> ())
     levels;
-  let all_dims = Nest.dim_names nest in
   let specs = Array.of_list levels in
-  let nlevels = Array.length specs in
-  (* Trip counts of every level outer than [l] multiply a fill volume;
-     spatial levels only through dims present in the tensor. *)
-  let outer_multiplier tensor ~level =
-    let vars = ref [] in
-    for l = level + 1 to nlevels - 1 do
-      let dims =
-        match specs.(l) with
-        | Temporal _ -> all_dims
-        | Spatial -> List.filter (Nest.tensor_mentions tensor) all_dims
-      in
-      List.iter (fun dim -> vars := (Level.trip_var ~level:l ~dim, 1.0) :: !vars) dims
-    done;
-    M.make 1.0 !vars
-  in
   let analyze_tensor tensor =
-    let df = ref (register_tile_footprint tensor) in
-    let boundaries = ref [] in
-    for l = 1 to nlevels - 1 do
-      match specs.(l) with
-      | Spatial ->
-        df := List.fold_left (fun fp dim -> extend_dim ~level:l dim fp) !df all_dims
-      | Temporal perm ->
-        let footprint = !df in
-        let df_l, fill0 = construct ~level:l ~perm ~tensor !df in
-        df := df_l;
-        let fill =
-          { fill0 with prefix = M.mul fill0.prefix (outer_multiplier tensor ~level:l) }
-        in
-        boundaries := { level = l; footprint; fill } :: !boundaries
-    done;
-    (tensor.Nest.tensor_name, tensor.Nest.read_write, List.rev !boundaries)
+    let boundaries, _ =
+      walk nest specs tensor ~first:1 ~last:(Array.length specs - 1)
+        (register_tile_footprint tensor)
+    in
+    (tensor.Nest.tensor_name, tensor.Nest.read_write, boundaries)
   in
   { g_nest = nest; g_levels = levels; g_tensors = List.map analyze_tensor (Nest.tensors nest) }
 
-(* The canonical hierarchy: boundary 1 is the register file (filled from
-   SRAM), boundary 3 the SRAM buffer (filled from DRAM). *)
-let analyze nest ~pe_perm ~dram_perm =
-  let general =
-    analyze_general nest
-      ~levels:[ Temporal []; Temporal pe_perm; Spatial; Temporal dram_perm ]
-  in
-  let per_tensor =
-    List.map
-      (fun (tensor, read_write, boundaries) ->
-        match boundaries with
-        | [ reg; sram ] ->
-          {
-            tensor;
-            read_write;
-            register_footprint = reg.footprint;
-            sram_footprint = sram.footprint;
-            sram_to_reg = reg.fill;
-            dram_to_sram = sram.fill;
-          }
-        | _ -> assert false)
-      general.g_tensors
-  in
-  { nest; pe_perm; dram_perm; per_tensor }
+(* ------------------------------------------------------------------ *)
+(* The canonical hierarchy, in two halves                             *)
+(* ------------------------------------------------------------------ *)
 
-let fingerprint t =
-  let volume_string v = P.to_string (volume_posynomial v) in
-  String.concat "|"
-    (List.map
-       (fun tv ->
-         Printf.sprintf "%s:%s;%s" tv.tensor
-           (volume_string tv.sram_to_reg)
-           (volume_string tv.dram_to_sram))
-       t.per_tensor)
+type half = { perm : string list; boundaries : boundary list; above : FP.t list }
+
+(* Boundary 1 is the register file (filled from SRAM), boundary 3 the
+   SRAM buffer (filled from DRAM).  A half walks only its own levels and
+   the levels above it enter by kind alone, so the other half's
+   permutation is left empty. *)
+let canonical ~pe_perm ~dram_perm =
+  [| Temporal []; Temporal pe_perm; Spatial; Temporal dram_perm |]
+
+let half nest specs ~first ~last perm below =
+  let walked =
+    List.map2
+      (fun tensor footprint -> walk nest specs tensor ~first ~last footprint)
+      (Nest.tensors nest) below
+  in
+  {
+    perm;
+    boundaries =
+      List.map (function [ b ], _ -> b | _ -> assert false) walked;
+    above = List.map snd walked;
+  }
+
+let inner_half nest ~pe_perm =
+  check_perm nest "level 1" pe_perm;
+  half nest (canonical ~pe_perm ~dram_perm:[]) ~first:1 ~last:2 pe_perm
+    (List.map register_tile_footprint (Nest.tensors nest))
+
+let outer_half nest ~sram_footprints ~dram_perm =
+  check_perm nest "level 3" dram_perm;
+  half nest (canonical ~pe_perm:[] ~dram_perm) ~first:3 ~last:3 dram_perm sram_footprints
+
+let compose nest ~inner ~outer =
+  let per_tensor =
+    List.map2
+      (fun (tensor, reg) sram ->
+        {
+          tensor = tensor.Nest.tensor_name;
+          read_write = tensor.Nest.read_write;
+          register_footprint = reg.footprint;
+          sram_footprint = sram.footprint;
+          sram_to_reg = reg.fill;
+          dram_to_sram = sram.fill;
+        })
+      (List.combine (Nest.tensors nest) inner.boundaries)
+      outer.boundaries
+  in
+  { nest; pe_perm = inner.perm; dram_perm = outer.perm; per_tensor }
+
+let analyze nest ~pe_perm ~dram_perm =
+  let inner = inner_half nest ~pe_perm in
+  compose nest ~inner ~outer:(outer_half nest ~sram_footprints:inner.above ~dram_perm)

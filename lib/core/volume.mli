@@ -59,11 +59,12 @@ type t = {
 val analyze :
   Workload.Nest.t -> pe_perm:string list -> dram_perm:string list -> t
 (** [analyze nest ~pe_perm ~dram_perm] builds the symbolic expressions for
-    every tensor of the nest: {!analyze_general} over the canonical levels
-    [[Temporal []; Temporal pe_perm; Spatial; Temporal dram_perm]], read off
-    at boundaries 1 (registers) and 3 (SRAM).  Each permutation must be a
-    list of distinct nest dims (a subset: dims not listed are untiled at
-    that level).  Raises [Invalid_argument] otherwise. *)
+    every tensor of the nest over the canonical levels
+    [[Temporal []; Temporal pe_perm; Spatial; Temporal dram_perm]]: the
+    {!compose} of {!inner_half} and of {!outer_half} on the SRAM
+    footprints the inner half hands up.  Each permutation must be a list
+    of distinct nest dims (a subset: dims not listed are untiled at that
+    level).  Raises [Invalid_argument] otherwise. *)
 
 val construct :
   level:int ->
@@ -108,6 +109,40 @@ val analyze_general : Workload.Nest.t -> levels:level_spec list -> general
 (** Raises [Invalid_argument] if level 0 is not temporal, or a
     permutation is malformed. *)
 
-val fingerprint : t -> string
-(** A canonical serialization of all volume expressions, used to prune
-    permutation choices that induce identical cost models. *)
+(** {2 The canonical analysis in two halves}
+
+    A level's footprint and fill depend only on that level's permutation
+    and the footprint handed up from the levels inside it; the levels
+    above enter a fill only as trip counts, by kind.  So {!analyze}
+    splits at the SRAM boundary: the inner half depends on [pe_perm]
+    alone, the outer half on the SRAM footprints and [dram_perm] alone,
+    and a permutation enumeration can analyze each level's orders once
+    and compose the pairs. *)
+
+type half = {
+  perm : string list;  (** the half's level permutation, outer to inner *)
+  boundaries : boundary list;
+      (** per tensor, in nest order: boundary 1 (inner half) or 3 (outer
+          half) *)
+  above : Symexpr.Footprint.t list;
+      (** per tensor, in nest order: the footprint of the tile through
+          the half's top level — the SRAM footprints for the inner half *)
+}
+
+val inner_half : Workload.Nest.t -> pe_perm:string list -> half
+(** Levels 1 and 2: the register footprint and the SRAM-to-register fill
+    of every tensor, and the SRAM footprints above them.  Raises
+    [Invalid_argument] on a malformed permutation. *)
+
+val outer_half :
+  Workload.Nest.t ->
+  sram_footprints:Symexpr.Footprint.t list ->
+  dram_perm:string list ->
+  half
+(** Level 3: the SRAM footprint and the DRAM-to-SRAM fill of every
+    tensor, from its SRAM footprint (nest order).  Raises
+    [Invalid_argument] on a malformed permutation. *)
+
+val compose : Workload.Nest.t -> inner:half -> outer:half -> t
+(** The analysis of [(inner.perm, outer.perm)] from its two halves;
+    equal to {!analyze} whenever [outer] was built on [inner.above]. *)

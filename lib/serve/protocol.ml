@@ -264,9 +264,23 @@ let nest_of_layer name =
   | exception Not_found -> Error (Printf.sprintf "unknown layer %S" name)
 
 let tech_of_node node_nm =
-  if Float.is_finite node_nm && node_nm > 0.0 then
-    Ok (Archspec.Technology.scale_to_node Archspec.Technology.table3 ~node_nm)
-  else Error "node_nm must be a positive finite float"
+  if not (Float.is_finite node_nm && node_nm > 0.0) then
+    Error "node_nm must be a positive finite float"
+  else
+    let t = Archspec.Technology.scale_to_node Archspec.Technology.table3 ~node_nm in
+    (* (node/45)^2 over- or underflows for extreme nodes, and every
+       constant enters the GP as a coefficient that must be positive. *)
+    let scaled =
+      Archspec.Technology.
+        [ t.area_mac; t.area_register; t.area_sram_word; t.energy_mac; t.sigma_register; t.sigma_sram ]
+    in
+    if List.for_all (fun v -> Float.is_finite v && v > 0.0) scaled then Ok t
+    else
+      Error
+        (Printf.sprintf
+           "node_nm %g is out of range: the scaled technology constants must be finite and \
+            positive"
+           node_nm)
 
 let area_budget tech area =
   let budget = match area with Some a -> a | None -> Arch.eyeriss_area tech in

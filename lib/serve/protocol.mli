@@ -116,7 +116,9 @@ val nest_of_layer : string -> (Workload.Nest.t, string) result
 
 val tech_of_node : float -> (Archspec.Technology.t, string) result
 (** Table III scaled first-order to a process node in nm; [Error]
-    unless the node is positive and finite. *)
+    unless the node is positive and finite and every scaled area and
+    energy constant stays finite and positive (nodes beyond about
+    1e154 nm or below about 1e-159 nm over- or underflow). *)
 
 val area_budget : Archspec.Technology.t -> float option -> (float, string) result
 (** A co-design area budget, the Eyeriss area under the technology when

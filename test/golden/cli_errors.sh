@@ -4,9 +4,10 @@
 # Prints, for each invalid invocation below, the command, its stderr
 # and its exit status.  The request errors are refused by the resolver
 # the serve daemon uses, so the CLI prints the daemon's message and
-# exits 1 before any solve.  The journal errors name a directory (.) or
-# a missing file as a journal: each exits 1 with a message naming the
-# path once, never an uncaught exception.
+# exits 1 before any solve; that includes nodes so extreme that the
+# (node/45)^2 technology scaling leaves the float range.  The journal
+# errors name a directory (.) or a missing file as a journal: each exits
+# 1 with a message naming the path once, never an uncaught exception.
 set -u
 
 cli=$1
@@ -20,6 +21,9 @@ for args in \
     "optimize --layer no-such-layer" \
     "codesign --layer resnet-2 --area=0" \
     "codesign --layer resnet-2 --node 0" \
+    "optimize --layer resnet-2 --node 1e300" \
+    "optimize --layer resnet-2 --node 1e-300" \
+    "codesign --layer resnet-2 --node 1e-160" \
     "pipeline --pipeline alexnet --max-choices 0" \
     "metrics --layer resnet-2 --top-choices 0" \
     "merge --layer resnet-2 --sram 0 --journal merged.jsonl shard.jsonl" \

@@ -132,7 +132,15 @@ let test_trace_independent () =
       Alcotest.(check bool)
         (Printf.sprintf "span %S present" expected)
         true (List.mem expected names))
-    [ "pipeline"; "layer"; "formulate"; "solve"; "integerize"; "evaluate" ]
+    [
+      "pipeline";
+      "layer";
+      "permutations.enumerate";
+      "formulate";
+      "solve";
+      "integerize";
+      "evaluate";
+    ]
 
 (* Replaying a cached solve is bit-identical to re-solving (the replay
    shares the representative's solution and copies its telemetry), so

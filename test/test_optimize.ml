@@ -207,6 +207,21 @@ let test_config_knobs () =
   let r = get (O.dataflow ~config tech arch F.Energy nest) in
   Alcotest.(check bool) "choices capped" true (r.O.choices_enumerated <= 2)
 
+(* Enumeration is one stage of a request: a traced run records it as
+   exactly one span, at any [jobs]. *)
+let test_enumerate_span () =
+  let nest = small_conv () in
+  let config = { fast with O.max_choices = 2; jobs = 2 } in
+  Obs.Trace.start ();
+  let r =
+    Fun.protect ~finally:Obs.Trace.stop (fun () -> O.dataflow ~config tech arch F.Energy nest)
+  in
+  ignore (get r);
+  let spans =
+    List.filter (fun e -> e.Obs.Trace.name = "permutations.enumerate") (Obs.Trace.events ())
+  in
+  Alcotest.(check int) "one permutations.enumerate span" 1 (List.length spans)
+
 let () =
   Alcotest.run "optimize"
     [
@@ -221,6 +236,7 @@ let () =
           Alcotest.test_case "nan ordering" `Quick test_nan_ordering;
           Alcotest.test_case "select best vs nan" `Quick test_select_best_nan;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
+          Alcotest.test_case "enumerate span" `Quick test_enumerate_span;
         ] );
       ( "codesign",
         [

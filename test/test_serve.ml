@@ -404,6 +404,29 @@ let test_serve_zero_arch_frame () =
   | Protocol.Payload _ -> ()
   | Protocol.Refused { message; _ } -> Alcotest.failf "refused: %s" message
 
+(* A node so extreme that the (node/45)^2 technology scaling leaves the
+   float range is refused as a bad request before any solve, and the
+   connection stays usable. *)
+let test_serve_extreme_node_refused () =
+  with_server @@ fun port ->
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  List.iter
+    (fun node_nm ->
+      let r =
+        Protocol.Optimize
+          { layer = "resnet-2"; objective = F.Energy; arch; opts = { opts with node_nm } }
+      in
+      match ask c r with
+      | Protocol.Refused { kind = Protocol.Bad_request; _ } -> ()
+      | Protocol.Refused { message; _ } ->
+        Alcotest.failf "node %g: refused, but not as a bad request: %s" node_nm message
+      | Protocol.Payload _ -> Alcotest.failf "node %g must be refused" node_nm)
+    [ 1e300; 1e-300; 1e-160 ];
+  match ask c Protocol.Metrics with
+  | Protocol.Payload _ -> ()
+  | Protocol.Refused { message; _ } -> Alcotest.failf "refused: %s" message
+
 let test_serve_fingerprint_invalidates () =
   let dir = temp_dir "thistle-serve" in
   (* Warm the store. *)
@@ -719,6 +742,8 @@ let () =
             test_serve_survives_bad_frames;
           Alcotest.test_case "zero-PE frame refused, connection kept" `Quick
             test_serve_zero_arch_frame;
+          Alcotest.test_case "extreme node refused, connection kept" `Quick
+            test_serve_extreme_node_refused;
           Alcotest.test_case "config fingerprint invalidates" `Quick
             test_serve_fingerprint_invalidates;
           Alcotest.test_case "corrupted entry re-solves" `Quick

@@ -361,9 +361,50 @@ let test_fingerprint_prunes_outer_order () =
   ignore (a, b);
   let a = V.analyze nest ~pe_perm:[ "i"; "j"; "k" ] ~dram_perm:[ "i"; "k"; "j" ] in
   let b = V.analyze nest ~pe_perm:[ "i"; "j"; "k" ] ~dram_perm:[ "k"; "i"; "j" ] in
-  Alcotest.(check bool)
-    "same fingerprint" true
-    (String.equal (V.fingerprint a) (V.fingerprint b))
+  List.iter2
+    (fun ta tb ->
+      check_posy (ta.V.tensor ^ " S->R") (V.volume_posynomial ta.V.sram_to_reg)
+        (V.volume_posynomial tb.V.sram_to_reg);
+      check_posy (ta.V.tensor ^ " D->S") (V.volume_posynomial ta.V.dram_to_sram)
+        (V.volume_posynomial tb.V.dram_to_sram))
+    a.V.per_tensor b.V.per_tensor
+
+(* [analyze] composes its two halves; the general walk runs the four
+   canonical levels in one pass.  Both must give the same footprints and
+   fills, bit for bit, whatever the permutations. *)
+let test_halves_match_general () =
+  let conv =
+    Workload.Conv.to_nest (Workload.Conv.make ~name:"c" ~k:8 ~c:4 ~hw:16 ~rs:3 ~stride:2 ())
+  in
+  let mm = Workload.Matmul.nest ~ni:16 ~nj:8 ~nk:4 () in
+  List.iter
+    (fun (nest, pe_perm, dram_perm) ->
+      let canonical = V.analyze nest ~pe_perm ~dram_perm in
+      let general =
+        V.analyze_general nest
+          ~levels:[ V.Temporal []; V.Temporal pe_perm; V.Spatial; V.Temporal dram_perm ]
+      in
+      List.iter2
+        (fun tv (name, read_write, boundaries) ->
+          let reg, sram =
+            match boundaries with [ reg; sram ] -> (reg, sram) | _ -> Alcotest.fail "boundaries"
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s" (Nest.name nest) name)
+            true
+            (tv.V.tensor = name && tv.V.read_write = read_write
+            && tv.V.register_footprint = reg.V.footprint
+            && tv.V.sram_to_reg = reg.V.fill
+            && tv.V.sram_footprint = sram.V.footprint
+            && tv.V.dram_to_sram = sram.V.fill))
+        canonical.V.per_tensor general.V.g_tensors)
+    [
+      (conv, [ "k"; "c"; "h"; "w" ], [ "w"; "h"; "c"; "k" ]);
+      (conv, [ "h"; "k"; "w"; "c" ], [ "c"; "w"; "k"; "h" ]);
+      (conv, [ "c"; "k" ], [ "h"; "r"; "k" ]);
+      (mm, [ "i"; "j"; "k" ], [ "k"; "i"; "j" ]);
+      (mm, [ "j" ], []);
+    ]
 
 let () =
   Alcotest.run "volume"
@@ -387,5 +428,6 @@ let () =
           Alcotest.test_case "five levels vs model" `Quick test_general_five_levels;
           Alcotest.test_case "conv halos at five levels" `Quick test_general_conv_halos;
           Alcotest.test_case "validation" `Quick test_general_validation;
+          Alcotest.test_case "halves match the general walk" `Quick test_halves_match_general;
         ] );
     ]
