@@ -16,7 +16,8 @@
       within tolerance, or the bench fails.  Each scenario then times
       the integerize stage alone over its three best solved pairs; every
       outcome's metrics must equal the model's evaluation of its design,
-      or the bench fails.
+      or the bench fails.  It also times the presolve stage alone,
+      [Analysis.Presolve.analyze] over its formulated programs.
 
    Emits BENCH_solver.json (flat one-level object; format documented in
    README.md) so the perf trajectory has a recorded baseline —
@@ -412,8 +413,21 @@ let () =
         in
         Printf.printf "%-17s integerize %6.3f %9.3f %8d pair(s), %d candidates\n%!"
           scenario ic.i_wall_s ic.i_wall_mean_s ic.i_pairs ic.i_candidates;
-        (scenario, cl, cc, ic))
+        let pw, pw_mean, () =
+          time_repeats ~repeat:options.repeat (fun () ->
+              List.iter (fun p -> ignore (Analysis.Presolve.analyze p)) problems)
+        in
+        Printf.printf "%-17s presolve   %6.3f %9.3f %8d program(s)\n%!" scenario pw pw_mean
+          (List.length problems);
+        (scenario, (pw, pw_mean, List.length problems), cl, cc, ic))
       scenarios
+  in
+  (* The presolve stage over every program of the matrix: per-scenario
+     best and mean wall seconds, summed. *)
+  let presolve_wall_s, presolve_wall_mean_s, presolve_programs =
+    List.fold_left
+      (fun (b, m, n) (_, (pw, pw_mean, k), _, _, _) -> (b +. pw, m +. pw_mean, n + k))
+      (0.0, 0.0, 0) matrix
   in
   let buf = Buffer.create 2048 in
   let f name v = Json.field name (Json.float v) in
@@ -437,7 +451,7 @@ let () =
   in
   let matrix_fields =
     List.concat_map
-      (fun (scenario, cl, cc, ic) ->
+      (fun (scenario, _, cl, cc, ic) ->
         cell_fields scenario "list" cl
         @ cell_fields scenario "compiled" cc
         @ integerize_fields scenario ic)
@@ -463,6 +477,9 @@ let () =
        f "enumerate_wall_s" enumerate_wall_s;
        f "enumerate_wall_mean_s" enumerate_wall_mean_s;
        i "enumerate_choices" enumerate_choices;
+       f "presolve_wall_s" presolve_wall_s;
+       f "presolve_wall_mean_s" presolve_wall_mean_s;
+       i "presolve_programs" presolve_programs;
        f "presolve_off_wall_s" presolve_off.wall_s;
        f "presolve_off_wall_mean_s" presolve_off.wall_mean_s;
        f "presolve_on_wall_s" presolve_on.wall_s;

@@ -47,11 +47,6 @@ let monomial env m =
     (fun acc (x, e) -> mul acc (pow (env x) e))
     (point (M.coeff m)) (M.exponents m)
 
-let monomial_without env ~var m =
-  List.fold_left
-    (fun acc (x, e) -> if String.equal x var then acc else mul acc (pow (env x) e))
-    (point (M.coeff m)) (M.exponents m)
-
 let posynomial env p =
   List.fold_left
     (fun acc m ->

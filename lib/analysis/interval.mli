@@ -61,10 +61,6 @@ val inv : t -> t
 val monomial : (string -> t) -> Symexpr.Monomial.t -> t
 (** Interval of [c * prod x^e] under the per-variable boxes [env]. *)
 
-val monomial_without : (string -> t) -> var:string -> Symexpr.Monomial.t -> t
-(** Like {!monomial} but with [var]'s factor removed — the coefficient
-    of [var ** e] when the monomial is read as a function of [var]. *)
-
 val posynomial : (string -> t) -> Symexpr.Posynomial.t -> t
 (** Termwise sum of {!monomial} intervals. *)
 

@@ -41,262 +41,451 @@ let improve_margin = 1e-9
 
 let max_rounds = 8
 
-exception Found_infeasible of step list (* trail, latest first *) * string * culprit_kind * float
-
 module SS = Set.Make (String)
+
+(* ------------------------------------------------------------------ *)
+(* Lowering                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The program is lowered once per call.  Variables are indices in
+   [Gp.Problem.variables] order.  A term keeps its coefficient and its
+   factors' variable indices and exponents in the monomial's own order,
+   which is the order every interval product below folds in, so each
+   endpoint is computed with the same operations, in the same order,
+   as {!Interval.monomial} computes it. *)
+type term = { coeff : float; vars : int array; exps : float array }
+
+(* A constraint row.  Rows hold the inequalities, then the equalities
+   (one term each), in the problem's order: the order propagation
+   visits them. *)
+type row = {
+  name : string;
+  terms : term array;
+  support : int array;  (* its distinct variables *)
+  eq : bool;
+  valid : bool;  (* every coefficient finite positive *)
+}
+
+type lowered = {
+  names : string array;
+  rows : row array;
+  n_ineqs : int;
+  occurs : int list array;  (* per variable, the rows that mention it *)
+  in_eq : bool array;  (* the variable occurs in an equality *)
+  signs : int array;
+      (* per variable, [sign_bits] of its exponents in the objective and
+         the non-simple-bound inequalities, or-ed together *)
+  max_factors : int;  (* per term, at most *)
+  max_terms : int;  (* per row, at most *)
+}
+
+(* A simple bound is a single-monomial inequality over a single
+   variable (the formulation's [bound:<var>] constraints): it shapes
+   the box but never opposes moving the variable to a box endpoint, so
+   it is excluded from the monotonicity scan of {!fixable}. *)
+let is_simple_bound r = Array.length r.terms = 1 && Array.length r.terms.(0).vars = 1
+
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Bit 1: a positive exponent; bit 2: a negative one. *)
+let sign_bits e = if e > 0.0 then 1 else if e < 0.0 then 2 else 0
+
+let lower problem =
+  (* Index variables by first occurrence, then renumber them in name
+     order, which is [Gp.Problem.variables]'s order. *)
+  let ids = Names.create 32 in
+  let id x =
+    match Names.find_opt ids x with
+    | Some i -> i
+    | None ->
+      let i = Names.length ids in
+      Names.add ids x i;
+      i
+  in
+  (* The objective counts only through the signs of its exponents.  It
+     is scanned first, so its variables take the first ids, at most one
+     per factor. *)
+  let objective = P.terms (Gp.Problem.objective problem) in
+  let objective_signs =
+    Array.make (List.fold_left (fun n m -> n + List.length (M.exponents m)) 0 objective) 0
+  in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (x, e) ->
+          let i = id x in
+          objective_signs.(i) <- objective_signs.(i) lor sign_bits e)
+        (M.exponents m))
+    objective;
+  let term m =
+    let exps = M.exponents m in
+    let n = List.length exps in
+    let vars = Array.make n 0 and es = Array.make n 0.0 in
+    List.iteri
+      (fun i (x, e) ->
+        vars.(i) <- id x;
+        es.(i) <- e)
+      exps;
+    { coeff = M.coeff m; vars; exps = es }
+  in
+  let ineqs =
+    List.map
+      (fun (name, p) -> (name, Array.of_list (List.map term (P.terms p)), false))
+      (Gp.Problem.ineqs problem)
+  in
+  let eqs = List.map (fun (name, m) -> (name, [| term m |], true)) (Gp.Problem.eqs problem) in
+  let nvars = Names.length ids in
+  let names = Array.make nvars "" in
+  Names.iter (fun x i -> names.(i) <- x) ids;
+  Array.sort String.compare names;
+  let rank = Array.make nvars 0 in
+  Array.iteri (fun i x -> rank.(Names.find ids x) <- i) names;
+  let signs = Array.make nvars 0 in
+  Array.iteri (fun i bits -> if bits <> 0 then signs.(rank.(i)) <- bits) objective_signs;
+  let mark = Array.make nvars (-1) in
+  let rows =
+    Array.of_list
+      (List.mapi
+         (fun c (name, terms, eq) ->
+           let support = ref [] in
+           Array.iter
+             (fun t ->
+               Array.iteri
+                 (fun i x ->
+                   let x = rank.(x) in
+                   t.vars.(i) <- x;
+                   if mark.(x) <> c then begin
+                     mark.(x) <- c;
+                     support := x :: !support
+                   end)
+                 t.vars)
+             terms;
+           let valid =
+             Array.for_all (fun t -> Float.is_finite t.coeff && t.coeff > 0.0) terms
+           in
+           { name; terms; support = Array.of_list !support; eq; valid })
+         (ineqs @ eqs))
+  in
+  let occurs = Array.make nvars [] in
+  Array.iteri (fun c r -> Array.iter (fun x -> occurs.(x) <- c :: occurs.(x)) r.support) rows;
+  let in_eq = Array.make nvars false in
+  Array.iter
+    (fun r ->
+      if r.eq then Array.iter (fun x -> in_eq.(x) <- true) r.support
+      else if not (is_simple_bound r) then
+        Array.iter
+          (fun t ->
+            Array.iteri (fun i x -> signs.(x) <- signs.(x) lor sign_bits t.exps.(i)) t.vars)
+          r.terms)
+    rows;
+  let max_over f = Array.fold_left (fun acc r -> Int.max acc (f r)) 0 rows in
+  {
+    names;
+    rows;
+    n_ineqs = List.length ineqs;
+    occurs;
+    in_eq;
+    signs;
+    max_factors =
+      max_over (fun r -> Array.fold_left (fun n t -> Int.max n (Array.length t.vars)) 0 r.terms);
+    max_terms = max_over (fun r -> Array.length r.terms);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Propagation core                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One propagation state: a mutable box plus (optionally) the trail of
-   recorded steps, latest first.  The same core runs twice — once with
-   recording for the main pass, once silently when re-verifying
-   redundancy candidates against the kept constraints only. *)
+(* One recorded bound derivation, by variable and row index. *)
+type mark = { x : int; side : side; bound : float; row : int }
+
+exception Found_infeasible of mark list (* trail, latest first *) * int * culprit_kind * float
+
+(* One propagation state: the box as two endpoint arrays plus
+   (optionally) the trail of recorded steps, latest first.  The same
+   core runs twice — once with recording for the main pass, once
+   silently when re-verifying redundancy candidates against the kept
+   constraints only.
+
+   [dirty] holds, per row, whether one of its variables changed since
+   its last visit began.  A visit reads nothing but its row and the
+   endpoints of the row's variables, so a clean row's visit would
+   repeat its previous one exactly: the same bounds, none of them an
+   improvement (else that visit would have changed a variable of the
+   row and left it dirty), and no infeasibility (else propagation would
+   have stopped there).  Skipping it leaves the box, the trail and the
+   round count as they were. *)
 type state = {
-  box : (string, Interval.t) Hashtbl.t;
-  mutable trail : step list;
+  lw : lowered;
+  lo : float array;
+  hi : float array;
+  dirty : bool array;
   record : bool;
-  mutable dirty : bool;
+  mutable trail : mark list;
+  mutable changed : bool;
+  lbs : float array;  (* buffer: term lower bounds of the row under visit *)
+  f : float array;  (* buffer: factor lower bounds of the term under visit *)
 }
 
-let env st x =
-  match Hashtbl.find_opt st.box x with Some i -> i | None -> Interval.full
+let fresh_state ~record lw =
+  let n = Array.length lw.names in
+  {
+    lw;
+    lo = Array.make n 0.0;
+    hi = Array.make n infinity;
+    dirty = Array.make (Array.length lw.rows) true;
+    record;
+    trail = [];
+    changed = false;
+    lbs = Array.make lw.max_terms 0.0;
+    f = Array.make lw.max_factors 0.0;
+  }
 
-let fresh_state ~record problem =
-  let box = Hashtbl.create 32 in
-  List.iter (fun x -> Hashtbl.replace box x Interval.full) (Gp.Problem.variables problem);
-  { box; trail = []; record; dirty = false }
+(* The endpoints of {!Interval.pow} for the factor [x ** e]. *)
+let pow_lo st x e =
+  if e > 0.0 then st.lo.(x) ** e else if e < 0.0 then st.hi.(x) ** e else 1.0
 
-(* Tighten one endpoint.  [empty_bound] certifies the infeasibility that
-   a crossing (new lower bound above the current upper bound, or vice
-   versa) implies: it re-evaluates the implying constraint over the
-   *current* box and returns its culprit kind and bound when the margin
-   holds.  When the crossing is real but not provable beyond the margin,
-   the update is skipped — the box stays a sound superset. *)
-let try_hi st ~empty_bound x v via =
-  if Float.is_finite v && v > 0.0 then begin
-    let cur = env st x in
-    if v < cur.Interval.hi *. (1.0 -. improve_margin) then begin
-      if v < cur.Interval.lo then begin
-        match empty_bound () with
-        | Some (kind, bound) -> raise (Found_infeasible (st.trail, via, kind, bound))
-        | None -> ()
-      end
-      else begin
-        Hashtbl.replace st.box x { cur with Interval.hi = v };
-        if st.record then st.trail <- { var = x; side = Hi; bound = v; via } :: st.trail;
-        st.dirty <- true
-      end
-    end
-  end
+let pow_hi st x e =
+  if e > 0.0 then st.hi.(x) ** e else if e < 0.0 then st.lo.(x) ** e else 1.0
 
-let try_lo st ~empty_bound x v via =
-  if Float.is_finite v && v > 0.0 then begin
-    let cur = env st x in
-    if v > cur.Interval.lo *. (1.0 +. improve_margin) && v > cur.Interval.lo then begin
-      if v > cur.Interval.hi then begin
-        match empty_bound () with
-        | Some (kind, bound) -> raise (Found_infeasible (st.trail, via, kind, bound))
-        | None -> ()
-      end
-      else begin
-        Hashtbl.replace st.box x { cur with Interval.lo = v };
-        if st.record then st.trail <- { var = x; side = Lo; bound = v; via } :: st.trail;
-        st.dirty <- true
-      end
-    end
-  end
+(* A term's interval endpoints over the current box, as
+   {!Interval.monomial} folds them. *)
+let term_lo st t =
+  let acc = ref t.coeff in
+  for i = 0 to Array.length t.vars - 1 do
+    acc := Interval.mul_lo !acc (pow_lo st t.vars.(i) t.exps.(i))
+  done;
+  !acc
 
-(* Lower bound of the inequality over the current box when it certifies
-   infeasibility (finite and beyond the margin), for both the
-   constraint-level check and the crossing certificate. *)
-let ineq_infeasibility st p =
-  let lb = (Interval.posynomial (env st) p).Interval.lo in
-  if Float.is_finite lb && lb > 1.0 +. prune_margin then Some (Ineq_low, lb) else None
+let term_hi st t =
+  let acc = ref t.coeff in
+  for i = 0 to Array.length t.vars - 1 do
+    acc := Interval.mul_hi !acc (pow_hi st t.vars.(i) t.exps.(i))
+  done;
+  !acc
 
-let eq_low_infeasibility st m =
-  let lb = (Interval.monomial (env st) m).Interval.lo in
-  if Float.is_finite lb && lb > 1.0 +. prune_margin then Some (Eq_low, lb) else None
+(* A row's interval lower and upper bound, as {!Interval.posynomial}
+   sums them. *)
+let row_lo st r = Array.fold_left (fun acc t -> acc +. term_lo st t) 0.0 r.terms
 
-let eq_high_infeasibility st m =
-  let ub = (Interval.monomial (env st) m).Interval.hi in
-  (* [ub < 1.] is finite by construction. *)
-  if ub < 1.0 -. prune_margin then Some (Eq_high, ub) else None
+let row_hi st r = Array.fold_left (fun acc t -> acc +. term_hi st t) 0.0 r.terms
 
-let propagate_ineq st (name, p) =
-  (match ineq_infeasibility st p with
-  | Some (kind, bound) -> raise (Found_infeasible (st.trail, name, kind, bound))
-  | None -> ());
-  let terms = P.terms p in
-  let lbs = List.map (fun m -> (Interval.monomial (env st) m).Interval.lo) terms in
-  let total = List.fold_left ( +. ) 0.0 lbs in
-  List.iteri
-    (fun k m ->
-      let slack = 1.0 -. (total -. List.nth lbs k) in
-      if slack > 0.0 then
-        List.iter
-          (fun (x, e) ->
-            let rest = (Interval.monomial_without (env st) ~var:x m).Interval.lo in
-            if rest > 0.0 && Float.is_finite rest then begin
-              (* x ** e <= slack / rest over every feasible point. *)
-              let b = (slack /. rest) ** (1.0 /. e) in
-              if e > 0.0 then
-                try_hi st ~empty_bound:(fun () -> ineq_infeasibility st p) x b name
-              else try_lo st ~empty_bound:(fun () -> ineq_infeasibility st p) x b name
-            end)
-          (M.exponents m))
+(* Raise when a row's interval bound certifies infeasibility: a lower
+   bound finite and beyond the margin above 1, or an equality's upper
+   bound beyond it below 1 (finite by construction). *)
+let infeasible st c kind bound =
+  if
+    match kind with
+    | Ineq_low | Eq_low -> Float.is_finite bound && bound > 1.0 +. prune_margin
+    | Eq_high -> bound < 1.0 -. prune_margin
+  then raise (Found_infeasible (st.trail, c, kind, bound))
+
+(* A new endpoint on [side] of [x] from row [c] that crosses the other
+   endpoint.  The crossing implies infeasibility: re-evaluate the row
+   over the current box and raise with its culprit kind and bound when
+   the margin holds.  An inequality certifies by its lower bound; an
+   equality that pushed a lower endpoint too high is violated by its
+   upper bound, and vice versa.  When the crossing is real but not
+   provable beyond the margin, the update is skipped — the box stays a
+   sound superset. *)
+let cross st c side =
+  let r = st.lw.rows.(c) in
+  if not r.eq then infeasible st c Ineq_low (row_lo st r)
+  else
+    match side with
+    | Lo -> infeasible st c Eq_high (term_hi st r.terms.(0))
+    | Hi -> infeasible st c Eq_low (term_lo st r.terms.(0))
+
+let tighten st c side x v =
+  (match side with Lo -> st.lo.(x) <- v | Hi -> st.hi.(x) <- v);
+  if st.record then st.trail <- { x; side; bound = v; row = c } :: st.trail;
+  st.changed <- true;
+  List.iter (fun r -> st.dirty.(r) <- true) st.lw.occurs.(x)
+
+(* Tighten one endpoint of [x] to [v], implied by row [c], when [v]
+   improves it beyond [improve_margin]. *)
+let try_bound st c side x v =
+  if Float.is_finite v && v > 0.0 then
+    match side with
+    | Hi ->
+      if v < st.hi.(x) *. (1.0 -. improve_margin) then
+        if v < st.lo.(x) then cross st c side else tighten st c Hi x v
+    | Lo ->
+      let cur = st.lo.(x) in
+      if v > cur *. (1.0 +. improve_margin) && v > cur then
+        if v > st.hi.(x) then cross st c side else tighten st c Lo x v
+
+(* A coefficient that is not finite positive is refused when its row is
+   first evaluated, with {!Interval.point}'s error. *)
+let check_valid r = if not r.valid then Array.iter (fun t -> ignore (Interval.point t.coeff)) r.terms
+
+let visit_ineq st c r =
+  check_valid r;
+  let terms = r.terms and lbs = st.lbs and f = st.f in
+  Array.iteri (fun k t -> lbs.(k) <- term_lo st t) terms;
+  let total = ref 0.0 in
+  Array.iteri (fun k _ -> total := !total +. lbs.(k)) terms;
+  let total = !total in
+  infeasible st c Ineq_low total;
+  Array.iteri
+    (fun k t ->
+      (* The slack uses the term bounds from the start of the visit. *)
+      let slack = 1.0 -. (total -. lbs.(k)) in
+      if slack > 0.0 then begin
+        (* The lower bound of the term's other factors caps x ** e.  A
+           step from this term moves the endpoint of x that x's own
+           factor lower bound does not read (hi for e > 0, lo for
+           e < 0), so the factor bounds taken here hold for the whole
+           term, and [prefix] then [rest] fold them in term order. *)
+        let n = Array.length t.vars in
+        for i = 0 to n - 1 do
+          f.(i) <- pow_lo st t.vars.(i) t.exps.(i)
+        done;
+        let prefix = ref t.coeff in
+        for j = 0 to n - 1 do
+          let rest = ref !prefix in
+          for i = j + 1 to n - 1 do
+            rest := Interval.mul_lo !rest f.(i)
+          done;
+          let rest = !rest in
+          if rest > 0.0 && Float.is_finite rest then begin
+            (* x ** e <= slack / rest over every feasible point. *)
+            let e = t.exps.(j) in
+            let b = (slack /. rest) ** (1.0 /. e) in
+            try_bound st c (if e > 0.0 then Hi else Lo) t.vars.(j) b
+          end;
+          prefix := Interval.mul_lo !prefix f.(j)
+        done
+      end)
     terms
 
-let propagate_eq st (name, m) =
-  (match eq_low_infeasibility st m with
-  | Some (kind, bound) -> raise (Found_infeasible (st.trail, name, kind, bound))
-  | None -> ());
-  (match eq_high_infeasibility st m with
-  | Some (kind, bound) -> raise (Found_infeasible (st.trail, name, kind, bound))
-  | None -> ());
-  List.iter
-    (fun (x, e) ->
-      let rest = Interval.monomial_without (env st) ~var:x m in
+let visit_eq st c r =
+  check_valid r;
+  let t = r.terms.(0) in
+  infeasible st c Eq_low (term_lo st t);
+  infeasible st c Eq_high (term_hi st t);
+  Array.iteri
+    (fun j x ->
+      let rest_lo = ref t.coeff and rest_hi = ref t.coeff in
+      Array.iteri
+        (fun i y ->
+          if i <> j then begin
+            rest_lo := Interval.mul_lo !rest_lo (pow_lo st y t.exps.(i));
+            rest_hi := Interval.mul_hi !rest_hi (pow_hi st y t.exps.(i))
+          end)
+        t.vars;
       (* x ** e = 1 / rest, so x ** e lies in the inverse interval. *)
-      let p_lo = if rest.Interval.hi = infinity then 0.0 else 1.0 /. rest.Interval.hi in
-      let p_hi = if rest.Interval.lo = 0.0 then infinity else 1.0 /. rest.Interval.lo in
+      let p_lo = if !rest_hi = infinity then 0.0 else 1.0 /. !rest_hi in
+      let p_hi = if !rest_lo = 0.0 then infinity else 1.0 /. !rest_lo in
+      let e = t.exps.(j) in
       let ie = 1.0 /. e in
       let x_lo, x_hi =
         if e > 0.0 then (p_lo ** ie, p_hi ** ie) else (p_hi ** ie, p_lo ** ie)
       in
-      (* A crossing from an equality bound means the equality itself is
-         statically violated on the opposite side. *)
-      try_lo st ~empty_bound:(fun () -> eq_high_infeasibility st m) x x_lo name;
-      try_hi st ~empty_bound:(fun () -> eq_low_infeasibility st m) x x_hi name)
-    (M.exponents m)
+      try_bound st c Lo x x_lo;
+      try_bound st c Hi x x_hi)
+    t.vars
 
-let propagate st ~ineqs ~eqs =
+(* Visit the rows of [order] in rounds until a round changes nothing or
+   the round cap is reached, skipping rows none of whose variables
+   changed since their last visit began. *)
+let propagate st order =
   let rounds = ref 0 in
-  st.dirty <- true;
-  while st.dirty && !rounds < max_rounds do
-    st.dirty <- false;
+  st.changed <- true;
+  while st.changed && !rounds < max_rounds do
+    st.changed <- false;
     incr rounds;
-    List.iter (propagate_ineq st) ineqs;
-    List.iter (propagate_eq st) eqs
+    Array.iter
+      (fun c ->
+        if st.dirty.(c) then begin
+          st.dirty.(c) <- false;
+          let r = st.lw.rows.(c) in
+          if r.eq then visit_eq st c r else visit_ineq st c r
+        end)
+      order
   done
 
 (* ------------------------------------------------------------------ *)
 (* Proof slicing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let constraint_vars problem name =
-  match List.assoc_opt name (Gp.Problem.ineqs problem) with
-  | Some p -> P.variables p
-  | None -> (
-    match List.assoc_opt name (Gp.Problem.eqs problem) with
-    | Some m -> M.variables m
-    | None -> [])
-
 (* Backward slice: walking the trail latest-first, keep a step iff its
    variable supports the culprit (or an already-kept step's implying
    constraint).  Every earlier step a kept step's bound rests on is
-   reached later in the walk, so the slice is support-closed; reversing
+   reached later in the walk, so the slice is support-closed; the fold
    restores application order. *)
-let slice problem trail culprit =
-  let needed = ref (SS.of_list (constraint_vars problem culprit)) in
-  let kept =
-    List.filter
-      (fun s ->
-        if SS.mem s.var !needed then begin
-          needed := SS.union !needed (SS.of_list (constraint_vars problem s.via));
-          true
-        end
-        else false)
-      trail
-  in
-  List.rev kept
+let slice lw trail culprit =
+  let needed = Array.make (Array.length lw.names) false in
+  let need c = Array.iter (fun x -> needed.(x) <- true) lw.rows.(c).support in
+  need culprit;
+  List.fold_left
+    (fun kept m ->
+      if needed.(m.x) then begin
+        need m.row;
+        { var = lw.names.(m.x); side = m.side; bound = m.bound; via = lw.rows.(m.row).name }
+        :: kept
+      end
+      else kept)
+    [] trail
 
 (* ------------------------------------------------------------------ *)
 (* Monotonicity fixing                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A simple bound is a single-monomial inequality over a single
-   variable (the formulation's [bound:<var>] constraints): it shapes
-   the box but never opposes moving the variable to a box endpoint, so
-   it is excluded from the monotonicity scan. *)
-let is_simple_bound (_, p) =
-  match P.terms p with
-  | [ m ] -> ( match M.variables m with [ _ ] -> true | _ -> false)
-  | _ -> false
-
-let fixable problem st =
-  let eq_vars =
-    List.fold_left
-      (fun acc (_, m) -> SS.union acc (SS.of_list (M.variables m)))
-      SS.empty (Gp.Problem.eqs problem)
-  in
-  let scanned =
-    P.terms (Gp.Problem.objective problem)
-    @ List.concat_map
-        (fun c -> if is_simple_bound c then [] else P.terms (snd c))
-        (Gp.Problem.ineqs problem)
-  in
-  let sign x =
-    List.fold_left
-      (fun acc m ->
-        let e = M.exponent m x in
-        match acc with
-        | `Mixed -> `Mixed
-        | `Nonneg when e >= 0.0 -> `Nonneg
-        | `Nonpos when e <= 0.0 -> `Nonpos
-        | _ -> `Mixed)
-      `Nonneg scanned
-    |> fun first ->
-    (* [`Nonneg] is the fold seed; re-run for the nonpositive case only
-       when the first pass failed, so a variable absent everywhere
-       stays `Nonneg (pinned to its lower endpoint). *)
-    if first = `Mixed then
-      List.fold_left
-        (fun acc m ->
-          let e = M.exponent m x in
-          match acc with `Nonpos when e <= 0.0 -> `Nonpos | _ -> `Mixed)
-        `Nonpos scanned
-    else first
-  in
-  List.filter_map
-    (fun x ->
-      if SS.mem x eq_vars then None
-      else
-        let i = env st x in
-        match sign x with
-        | `Nonneg when Float.is_finite i.Interval.lo && i.Interval.lo > 0.0 ->
-          Some (x, i.Interval.lo)
-        | `Nonpos when Float.is_finite i.Interval.hi && i.Interval.hi > 0.0 ->
-          Some (x, i.Interval.hi)
-        | _ -> None)
-    (Gp.Problem.variables problem)
+(* A variable outside every equality whose exponents across the scanned
+   terms are all nonnegative is pinned to its lower endpoint, one whose
+   exponents are all nonpositive to its upper endpoint (a variable
+   absent from every scanned term counts as nonnegative). *)
+let fixable st =
+  let lw = st.lw in
+  let fixed = ref [] in
+  for x = Array.length lw.names - 1 downto 0 do
+    if not lw.in_eq.(x) then begin
+      let v =
+        if lw.signs.(x) land 2 = 0 then st.lo.(x)
+        else if lw.signs.(x) land 1 = 0 then st.hi.(x)
+        else nan
+      in
+      if Float.is_finite v && v > 0.0 then fixed := (x, v) :: !fixed
+    end
+  done;
+  !fixed
 
 (* ------------------------------------------------------------------ *)
 (* Redundancy elimination                                             *)
 (* ------------------------------------------------------------------ *)
 
-let redundant problem st =
-  let ineqs = Gp.Problem.ineqs problem in
-  let ub (_, p) = (Interval.posynomial (env st) p).Interval.hi in
-  let candidates =
-    List.filter (fun c -> ub c <= 1.0 -. drop_margin) ineqs
-  in
-  if candidates = [] then []
+(* The eliminated inequalities, by row, with their certified bound, in
+   row order. *)
+let redundant st =
+  let lw = st.lw in
+  let candidate = Array.init lw.n_ineqs (fun c -> row_hi st lw.rows.(c) <= 1.0 -. drop_margin) in
+  if not (Array.exists Fun.id candidate) then []
   else begin
     (* A candidate's slackness may rest on bounds it propagated itself.
        Re-propagate from scratch with the kept constraints only; a
        candidate still slack over that (weaker) box is implied by the
        rest of the problem and safe to drop. *)
-    let cand_names = SS.of_list (List.map fst candidates) in
-    let kept = List.filter (fun (n, _) -> not (SS.mem n cand_names)) ineqs in
-    let st' = fresh_state ~record:false problem in
-    match propagate st' ~ineqs:kept ~eqs:(Gp.Problem.eqs problem) with
+    let order =
+      Array.of_list
+        (List.filter
+           (fun c -> c >= lw.n_ineqs || not candidate.(c))
+           (List.init (Array.length lw.rows) Fun.id))
+    in
+    let st' = fresh_state ~record:false lw in
+    match propagate st' order with
     | () ->
-      let ub' (_, p) = (Interval.posynomial (env st') p).Interval.hi in
       List.filter_map
-        (fun c -> if ub' c <= 1.0 -. drop_margin then Some (fst c, ub' c) else None)
-        candidates
+        (fun c ->
+          if candidate.(c) then
+            let ub = row_hi st' lw.rows.(c) in
+            if ub <= 1.0 -. drop_margin then Some (c, ub) else None
+          else None)
+        (List.init lw.n_ineqs Fun.id)
     | exception Found_infeasible _ ->
       (* The kept-only relaxation cannot be infeasible when the full
          problem was not; reachable only through margin corner cases —
@@ -319,40 +508,41 @@ let redundant problem st =
 exception Abort_fixing
 
 let reduction problem st =
-  let fixed = fixable problem st in
-  let dropped0 = redundant problem st in
-  if fixed = [] && dropped0 = [] then
-    { reduced = problem; fixed = []; dropped = [] }
+  let lw = st.lw in
+  let fixed = fixable st in
+  let dropped0 = redundant st in
+  if fixed = [] && dropped0 = [] then { reduced = problem; fixed = []; dropped = [] }
   else begin
-    let drop_names = SS.of_list (List.map fst dropped0) in
+    let ineqs = Array.of_list (Gp.Problem.ineqs problem) in
     let build fixed =
-      let fixed_set = SS.of_list (List.map fst fixed) in
-      let fixed_env x = List.assoc x fixed in
-      let collapsed =
-        List.filter_map
-          (fun (name, p) ->
-            if
-              (not (SS.mem name drop_names))
-              && List.for_all (fun x -> SS.mem x fixed_set) (P.variables p)
-            then begin
-              let v = P.eval fixed_env p in
-              if v <= 1.0 +. 1e-9 then Some (name, v) else raise Abort_fixing
-            end
-            else None)
-          (Gp.Problem.ineqs problem)
-      in
-      let collapsed_names = SS.of_list (List.map fst collapsed) in
-      let keep name = not (SS.mem name drop_names || SS.mem name collapsed_names) in
-      let reduced = Gp.Problem.bind fixed (Gp.Problem.filter_ineqs keep problem) in
-      (* Keep [dropped] in original constraint order: binding-collapsed
-         constants interleave with interval-certified drops. *)
-      let all = dropped0 @ collapsed in
-      let dropped =
-        List.filter_map
-          (fun (name, _) -> Option.map (fun v -> (name, v)) (List.assoc_opt name all))
-          (Gp.Problem.ineqs problem)
-      in
-      { reduced; fixed; dropped }
+      let is_fixed = Array.make (Array.length lw.names) false in
+      List.iter (fun (x, _) -> is_fixed.(x) <- true) fixed;
+      let values = List.map (fun (x, v) -> (lw.names.(x), v)) fixed in
+      let fixed_env x = List.assoc x values in
+      (* Per inequality: the bound it is dropped with, certified by the
+         interval pass or collapsed to a constant by the binding. *)
+      let dropped = Array.make lw.n_ineqs None in
+      List.iter (fun (c, ub) -> dropped.(c) <- Some ub) dropped0;
+      Array.iteri
+        (fun c (_, p) ->
+          if dropped.(c) = None && Array.for_all (fun x -> is_fixed.(x)) lw.rows.(c).support
+          then begin
+            let v = P.eval fixed_env p in
+            if v <= 1.0 +. 1e-9 then dropped.(c) <- Some v else raise Abort_fixing
+          end)
+        ineqs;
+      let removed = ref SS.empty and kept_dropped = ref [] in
+      for c = lw.n_ineqs - 1 downto 0 do
+        match dropped.(c) with
+        | Some v ->
+          let name = fst ineqs.(c) in
+          removed := SS.add name !removed;
+          kept_dropped := (name, v) :: !kept_dropped
+        | None -> ()
+      done;
+      let keep name = not (SS.mem name !removed) in
+      let reduced = Gp.Problem.bind values (Gp.Problem.filter_ineqs keep problem) in
+      { reduced; fixed = values; dropped = !kept_dropped }
     in
     try build fixed
     with Abort_fixing -> (
@@ -364,16 +554,21 @@ let reduction problem st =
 (* Entry point                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let box_list problem st =
-  List.map (fun x -> (x, env st x)) (Gp.Problem.variables problem)
+let box_list st =
+  List.init (Array.length st.lw.names) (fun x ->
+      (st.lw.names.(x), { Interval.lo = st.lo.(x); hi = st.hi.(x) }))
 
 let analyze problem =
-  let st = fresh_state ~record:true problem in
-  match propagate st ~ineqs:(Gp.Problem.ineqs problem) ~eqs:(Gp.Problem.eqs problem) with
-  | () -> { box = box_list problem st; verdict = Feasible (reduction problem st) }
+  let lw = lower problem in
+  let st = fresh_state ~record:true lw in
+  match propagate st (Array.init (Array.length lw.rows) Fun.id) with
+  | () -> { box = box_list st; verdict = Feasible (reduction problem st) }
   | exception Found_infeasible (trail, culprit, kind, bound) ->
-    let steps = slice problem trail culprit in
-    { box = box_list problem st; verdict = Infeasible { steps; culprit; kind; bound } }
+    let steps = slice lw trail culprit in
+    {
+      box = box_list st;
+      verdict = Infeasible { steps; culprit = lw.rows.(culprit).name; kind; bound };
+    }
 
 let pp_side ppf = function
   | Lo -> Format.pp_print_string ppf ">="

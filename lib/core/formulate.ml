@@ -74,14 +74,10 @@ let provenance_of objective nest (choice : Permutations.choice) pinned =
 let bind_pinned pinned p =
   List.fold_left (fun acc (x, v) -> P.bind x v acc) p pinned
 
-let build ?placement ?(comm = Archspec.Link.Overlapped) tech arch_mode objective
+let lower_pair ~comm ~pinned ~provenance tech arch_mode objective
     (plan : Permutations.plan) (choice, analysis) =
   let nest = plan.Permutations.nest in
-  let pinned =
-    match placement with Some p -> p | None -> plan.Permutations.pinned
-  in
   let tileable = plan.Permutations.tileable in
-  let provenance = provenance_of objective nest choice pinned in
   let ctx = D.ctx ~provenance () in
   let bind = bind_pinned pinned in
   let macs = Nest.ops nest in
@@ -251,13 +247,19 @@ let build ?placement ?(comm = Archspec.Link.Overlapped) tech arch_mode objective
             (D.mconst U.dimensionless (float_of_int (Nest.extent nest d))) ))
       tileable
   in
+  (* The first constant to overflow as the node grows. *)
+  let mac_energy = tech.Tech.energy_mac *. macs in
+  if not (Float.is_finite mac_energy) then
+    invalid_arg
+      (Printf.sprintf "MAC energy coefficient %g pJ x %g MACs = %g is out of range"
+         tech.Tech.energy_mac macs mac_energy);
   let energy =
     (* Each MAC makes 4 register accesses (two operand reads, an
        accumulator read and write), so [4 * macs] counts words moved. *)
     let mac_term =
       D.add ctx ~what:"MAC energy"
         (D.of_mono (D.mmul eps_r (D.mconst U.elements (4.0 *. macs))))
-        (D.of_mono (D.mconst U.pj (tech.Tech.energy_mac *. macs)))
+        (D.of_mono (D.mconst U.pj mac_energy))
     in
     D.sum ctx ~what:"energy" U.pj
       [
@@ -372,20 +374,35 @@ let build ?placement ?(comm = Archspec.Link.Overlapped) tech arch_mode objective
     unit_diagnostics = D.diagnostics ctx;
   }
 
+let build ?placement ?(comm = Archspec.Link.Overlapped) tech arch_mode objective
+    (plan : Permutations.plan) choice_vol =
+  let pinned =
+    match placement with Some p -> p | None -> plan.Permutations.pinned
+  in
+  let provenance = provenance_of objective plan.Permutations.nest (fst choice_vol) pinned in
+  (* Technology constants are finite once the node is resolved, but at an
+     extreme node one times a layer count can still leave the float range
+     anywhere in the model: the error names the pair. *)
+  try lower_pair ~comm ~pinned ~provenance tech arch_mode objective plan choice_vol
+  with Invalid_argument msg -> invalid_arg (provenance ^ ": " ^ msg)
+
 let lint instance =
   instance.unit_diagnostics
   @ Analysis.Discipline.check ~provenance:instance.provenance instance.problem
 
-let solution_env instance solution var =
-  match List.assoc_opt var instance.pinned with
-  | Some v -> v
-  | None -> begin
-    match List.assoc_opt var solution.Gp.Solver.values with Some v -> v | None -> 1.0
-  end
+let solution_env instance solution =
+  (* Bound in reverse, solved values first, so that a name's first
+     binding wins and a pinned value wins over a solved one. *)
+  let table = Hashtbl.create 64 in
+  let bind (x, v) = Hashtbl.replace table x v in
+  List.iter bind (List.rev solution.Gp.Solver.values);
+  List.iter bind (List.rev instance.pinned);
+  fun var -> match Hashtbl.find_opt table var with Some v -> v | None -> 1.0
 
-let cumulative instance solution dim ~level =
+let cumulative instance solution =
   let env = solution_env instance solution in
-  let rec go l acc =
-    if l > level then acc else go (l + 1) (acc *. env (Level.trip_var ~level:l ~dim))
-  in
-  go 0 1.0
+  fun dim ~level ->
+    let rec go l acc =
+      if l > level then acc else go (l + 1) (acc *. env (Level.trip_var ~level:l ~dim))
+    in
+    go 0 1.0

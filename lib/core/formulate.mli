@@ -84,7 +84,12 @@ val build :
     [delay-noc-rd]/[delay-noc-wr], each with the burst overhead folded
     into its coefficient ([Link.cycles_per_word], fractional bursts — a
     sound lower bound on the evaluation side's quantized count).
-    Write-back bounds are skipped for nests without read-write traffic. *)
+    Write-back bounds are skipped for nests without read-write traffic.
+
+    Raises [Invalid_argument], naming the pair's provenance and the
+    coefficient, when a coefficient leaves the float range, as a
+    technology constant times a layer count (first the MAC energy) does
+    at an extreme node. *)
 
 val lint : instance -> Analysis.Diagnostic.t list
 (** The instance's unit diagnostics followed by the DGP discipline
@@ -93,8 +98,12 @@ val lint : instance -> Analysis.Diagnostic.t list
 
 val solution_env : instance -> Gp.Solver.solution -> string -> float
 (** Evaluation environment combining the plan's pinned trip counts with
-    the solver's values (1.0 for anything else). *)
+    the solver's values (1.0 for anything else).  A pinned value wins
+    over a solved one, and a name's first binding wins.  Applied to an
+    instance and a solution it builds its lookup table once; apply it
+    partially to look up many names. *)
 
 val cumulative : instance -> Gp.Solver.solution -> string -> level:int -> float
 (** Real-valued tile extent of a dim through the given level, e.g. the
-    paper's [S_d] for [level = 2]. *)
+    paper's [S_d] for [level = 2].  Like {!solution_env}, partial
+    application to an instance and a solution builds the lookup once. *)

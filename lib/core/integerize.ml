@@ -49,11 +49,11 @@ let improves s = function None -> true | Some s' -> compare_scores s s' < 0
 
 (* Cumulative tile extents (register, PE, SRAM) for one dim: the paper's
    top-down divisor ladder. *)
-let dim_triples ~n_divisors instance solution dim =
+let dim_triples ~n_divisors instance cumulative dim =
   let extent = Nest.extent instance.Formulate.nest dim in
-  let r_real = Formulate.cumulative instance solution dim ~level:0 in
-  let q_real = Formulate.cumulative instance solution dim ~level:1 in
-  let s_real = Formulate.cumulative instance solution dim ~level:2 in
+  let r_real = cumulative dim ~level:0 in
+  let q_real = cumulative dim ~level:1 in
+  let s_real = cumulative dim ~level:2 in
   let triples =
     List.concat_map
       (fun s ->
@@ -198,9 +198,10 @@ let per_dim_budget ~max_candidates ~dims =
    rather than truncating the product itself: cutting mid-product would
    silently drop whole regions of the candidate space. *)
 let ladders ~n_divisors ~max_candidates instance solution =
+  let cumulative = Formulate.cumulative instance solution in
   let per_dim =
     List.map
-      (fun d -> (d, dim_triples ~n_divisors instance solution d))
+      (fun d -> (d, dim_triples ~n_divisors instance cumulative d))
       instance.Formulate.tileable
   in
   let budget = per_dim_budget ~max_candidates ~dims:(List.length per_dim) in

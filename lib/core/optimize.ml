@@ -409,15 +409,14 @@ let presolve_disagreements instance (t : Analysis.Presolve.t)
           | Some _ | None -> None)
         solution.Gp.Solver.values
     in
+    let env = Formulate.solution_env instance solution in
     let active =
       List.filter_map
         (fun (name, _) ->
           match List.assoc_opt name (Gp.Problem.ineqs instance.Formulate.problem) with
           | None -> None
           | Some p ->
-            let v =
-              Symexpr.Posynomial.eval (Formulate.solution_env instance solution) p
-            in
+            let v = Symexpr.Posynomial.eval env p in
             if v >= 1.0 -. 1e-7 then
               Some
                 (Printf.sprintf
@@ -489,7 +488,11 @@ let presolve_of config instance =
    The pairs are independent — Formulate.build shares no mutable state.
    A lint rejection aborts the whole sweep: every pair of one layer
    shares the formulation code, so one malformed instance means the
-   model itself is wrong, not that one choice is unlucky. *)
+   model itself is wrong, not that one choice is unlucky.  So does a
+   pair whose program cannot be built (a coefficient out of the float
+   range); the error is the first such pair's, in sweep order. *)
+exception Unformulable of string
+
 let formulate ~config ~jobs tech arch_mode objective sweep =
   let config_fp = config_fingerprint config in
   match
@@ -498,8 +501,12 @@ let formulate ~config ~jobs tech arch_mode objective sweep =
         let choice_vol, placement = sweep.work.(idx) in
         let instance =
           Obs.Trace.span "formulate" (fun () ->
-              Formulate.build ~placement ~comm:config.comm tech arch_mode objective
-                sweep.plan choice_vol)
+              match
+                Formulate.build ~placement ~comm:config.comm tech arch_mode objective
+                  sweep.plan choice_vol
+              with
+              | instance -> instance
+              | exception Invalid_argument msg -> raise (Unformulable msg))
         in
         Analysis.Lint.gate config.lint (Formulate.lint instance);
         let key = problem_key instance.Formulate.problem in
@@ -514,6 +521,7 @@ let formulate ~config ~jobs tech arch_mode objective sweep =
          ~npairs:(Array.length sweep.work))
   with
   | pairs -> Ok (Array.of_list pairs)
+  | exception Unformulable msg -> Error ("optimize: cannot formulate " ^ msg)
   | exception Analysis.Lint.Rejected diags ->
     Error
       (Printf.sprintf "optimize: lint rejected formulation: %s"

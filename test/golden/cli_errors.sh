@@ -5,7 +5,10 @@
 # and its exit status.  The request errors are refused by the resolver
 # the serve daemon uses, so the CLI prints the daemon's message and
 # exits 1 before any solve; that includes nodes so extreme that the
-# (node/45)^2 technology scaling leaves the float range.  The journal
+# (node/45)^2 technology scaling leaves the float range.  A node just
+# short of that passes the resolver, but a scaled constant times the
+# layer's MAC count overflows: the formulate stage refuses the pair,
+# naming it and the coefficient, and the CLI exits 1.  The journal
 # errors name a directory (.) or a missing file as a journal: each exits
 # 1 with a message naming the path once, never an uncaught exception.
 set -u
@@ -24,6 +27,7 @@ for args in \
     "optimize --layer resnet-2 --node 1e300" \
     "optimize --layer resnet-2 --node 1e-300" \
     "codesign --layer resnet-2 --node 1e-160" \
+    "optimize --layer resnet-2 --max-choices 1 --node 1e154" \
     "pipeline --pipeline alexnet --max-choices 0" \
     "metrics --layer resnet-2 --top-choices 0" \
     "merge --layer resnet-2 --sram 0 --journal merged.jsonl shard.jsonl" \

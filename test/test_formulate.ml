@@ -146,6 +146,29 @@ let test_solution_feasible () =
         (Float.abs (product -. expected) /. expected < 1e-3))
     inst.F.tileable
 
+(* The lookup table answers every name as the pinned list, then the
+   solved values, then 1.0 would: a pinned value wins over a solved one
+   and a name's first binding wins. *)
+let test_solution_env_lookup () =
+  let nest = small_conv () in
+  let plan = Perm.enumerate nest in
+  let arch = Arch.make ~name:"a" ~pes:64 ~registers:64 ~sram_words:4096 in
+  let inst = F.build tech (F.Fixed arch) F.Energy plan (first_choice plan) in
+  let pinned_name, pinned_value = List.hd inst.F.pinned in
+  let values =
+    [ ("t0.k", 2.0); (pinned_name, pinned_value +. 1.0); ("t0.k", 3.0); ("extra", 5.0) ]
+  in
+  let sol = { Gp.Solver.status = Gp.Solver.Optimal; objective = 1.0; values } in
+  let reference var =
+    match List.assoc_opt var inst.F.pinned with
+    | Some v -> v
+    | None -> ( match List.assoc_opt var values with Some v -> v | None -> 1.0)
+  in
+  let env = F.solution_env inst sol in
+  List.iter
+    (fun var -> Alcotest.(check (float 0.0)) var (reference var) (env var))
+    ("absent" :: List.map fst values @ List.map fst inst.F.pinned)
+
 (* At matched variable assignments, the GP's energy objective must equal
    the accounting formula evaluated on the relaxed volumes: check the GP
    objective against an independent recomputation from the analysis. *)
@@ -215,6 +238,7 @@ let () =
         [
           Alcotest.test_case "feasible" `Quick test_solution_feasible;
           Alcotest.test_case "objective accounting" `Quick test_objective_matches_accounting;
+          Alcotest.test_case "solution env lookup" `Quick test_solution_env_lookup;
           Alcotest.test_case "codesign dominates fixed" `Quick test_codesign_dominates_fixed;
         ] );
     ]

@@ -5,7 +5,9 @@
    always contains a known feasible point), and the end-to-end contracts
    over a capacity-starved architecture: Check mode agrees with the
    solver, and Prune mode selects a bit-identical outcome to Off while
-   actually pruning pairs. *)
+   actually pruning pairs.  A reference propagator, the string-keyed
+   pass kept verbatim, must give the same result bit for bit on zoo
+   programs and on random programs that reach every path. *)
 
 module M = Symexpr.Monomial
 module P = Symexpr.Posynomial
@@ -325,6 +327,594 @@ let test_prune_outcome_identical_to_off () =
     (Printf.sprintf "continuous objective within tolerance (|Δ| = %.3g)" rel)
     true (rel <= 1e-6)
 
+(* --- the reference propagator --- *)
+
+(* Presolve as it was written over a string-keyed box, before it moved
+   onto an index-based lowering, kept verbatim as an oracle (with the
+   one interval helper only it used).  The library's pass must return
+   exactly what this one returns, float bits included. *)
+module Oracle = struct
+  open Analysis.Presolve
+
+  module Interval = struct
+    include Analysis.Interval
+
+    let monomial_without env ~var m =
+      List.fold_left
+        (fun acc (x, e) -> if String.equal x var then acc else mul acc (pow (env x) e))
+        (point (M.coeff m)) (M.exponents m)
+  end
+
+  let improve_margin = 1e-9
+
+  let max_rounds = 8
+
+  exception Found_infeasible of step list (* trail, latest first *) * string * culprit_kind * float
+
+  module SS = Set.Make (String)
+
+  (* ------------------------------------------------------------------ *)
+  (* Propagation core                                                   *)
+  (* ------------------------------------------------------------------ *)
+
+  (* One propagation state: a mutable box plus (optionally) the trail of
+     recorded steps, latest first.  The same core runs twice — once with
+     recording for the main pass, once silently when re-verifying
+     redundancy candidates against the kept constraints only. *)
+  type state = {
+    box : (string, Interval.t) Hashtbl.t;
+    mutable trail : step list;
+    record : bool;
+    mutable dirty : bool;
+  }
+
+  let env st x =
+    match Hashtbl.find_opt st.box x with Some i -> i | None -> Interval.full
+
+  let fresh_state ~record problem =
+    let box = Hashtbl.create 32 in
+    List.iter (fun x -> Hashtbl.replace box x Interval.full) (Gp.Problem.variables problem);
+    { box; trail = []; record; dirty = false }
+
+  (* Tighten one endpoint.  [empty_bound] certifies the infeasibility that
+     a crossing (new lower bound above the current upper bound, or vice
+     versa) implies: it re-evaluates the implying constraint over the
+     *current* box and returns its culprit kind and bound when the margin
+     holds.  When the crossing is real but not provable beyond the margin,
+     the update is skipped — the box stays a sound superset. *)
+  let try_hi st ~empty_bound x v via =
+    if Float.is_finite v && v > 0.0 then begin
+      let cur = env st x in
+      if v < cur.Interval.hi *. (1.0 -. improve_margin) then begin
+        if v < cur.Interval.lo then begin
+          match empty_bound () with
+          | Some (kind, bound) -> raise (Found_infeasible (st.trail, via, kind, bound))
+          | None -> ()
+        end
+        else begin
+          Hashtbl.replace st.box x { cur with Interval.hi = v };
+          if st.record then st.trail <- { var = x; side = Hi; bound = v; via } :: st.trail;
+          st.dirty <- true
+        end
+      end
+    end
+
+  let try_lo st ~empty_bound x v via =
+    if Float.is_finite v && v > 0.0 then begin
+      let cur = env st x in
+      if v > cur.Interval.lo *. (1.0 +. improve_margin) && v > cur.Interval.lo then begin
+        if v > cur.Interval.hi then begin
+          match empty_bound () with
+          | Some (kind, bound) -> raise (Found_infeasible (st.trail, via, kind, bound))
+          | None -> ()
+        end
+        else begin
+          Hashtbl.replace st.box x { cur with Interval.lo = v };
+          if st.record then st.trail <- { var = x; side = Lo; bound = v; via } :: st.trail;
+          st.dirty <- true
+        end
+      end
+    end
+
+  (* Lower bound of the inequality over the current box when it certifies
+     infeasibility (finite and beyond the margin), for both the
+     constraint-level check and the crossing certificate. *)
+  let ineq_infeasibility st p =
+    let lb = (Interval.posynomial (env st) p).Interval.lo in
+    if Float.is_finite lb && lb > 1.0 +. prune_margin then Some (Ineq_low, lb) else None
+
+  let eq_low_infeasibility st m =
+    let lb = (Interval.monomial (env st) m).Interval.lo in
+    if Float.is_finite lb && lb > 1.0 +. prune_margin then Some (Eq_low, lb) else None
+
+  let eq_high_infeasibility st m =
+    let ub = (Interval.monomial (env st) m).Interval.hi in
+    (* [ub < 1.] is finite by construction. *)
+    if ub < 1.0 -. prune_margin then Some (Eq_high, ub) else None
+
+  let propagate_ineq st (name, p) =
+    (match ineq_infeasibility st p with
+    | Some (kind, bound) -> raise (Found_infeasible (st.trail, name, kind, bound))
+    | None -> ());
+    let terms = P.terms p in
+    let lbs = List.map (fun m -> (Interval.monomial (env st) m).Interval.lo) terms in
+    let total = List.fold_left ( +. ) 0.0 lbs in
+    List.iteri
+      (fun k m ->
+        let slack = 1.0 -. (total -. List.nth lbs k) in
+        if slack > 0.0 then
+          List.iter
+            (fun (x, e) ->
+              let rest = (Interval.monomial_without (env st) ~var:x m).Interval.lo in
+              if rest > 0.0 && Float.is_finite rest then begin
+                (* x ** e <= slack / rest over every feasible point. *)
+                let b = (slack /. rest) ** (1.0 /. e) in
+                if e > 0.0 then
+                  try_hi st ~empty_bound:(fun () -> ineq_infeasibility st p) x b name
+                else try_lo st ~empty_bound:(fun () -> ineq_infeasibility st p) x b name
+              end)
+            (M.exponents m))
+      terms
+
+  let propagate_eq st (name, m) =
+    (match eq_low_infeasibility st m with
+    | Some (kind, bound) -> raise (Found_infeasible (st.trail, name, kind, bound))
+    | None -> ());
+    (match eq_high_infeasibility st m with
+    | Some (kind, bound) -> raise (Found_infeasible (st.trail, name, kind, bound))
+    | None -> ());
+    List.iter
+      (fun (x, e) ->
+        let rest = Interval.monomial_without (env st) ~var:x m in
+        (* x ** e = 1 / rest, so x ** e lies in the inverse interval. *)
+        let p_lo = if rest.Interval.hi = infinity then 0.0 else 1.0 /. rest.Interval.hi in
+        let p_hi = if rest.Interval.lo = 0.0 then infinity else 1.0 /. rest.Interval.lo in
+        let ie = 1.0 /. e in
+        let x_lo, x_hi =
+          if e > 0.0 then (p_lo ** ie, p_hi ** ie) else (p_hi ** ie, p_lo ** ie)
+        in
+        (* A crossing from an equality bound means the equality itself is
+           statically violated on the opposite side. *)
+        try_lo st ~empty_bound:(fun () -> eq_high_infeasibility st m) x x_lo name;
+        try_hi st ~empty_bound:(fun () -> eq_low_infeasibility st m) x x_hi name)
+      (M.exponents m)
+
+  let propagate st ~ineqs ~eqs =
+    let rounds = ref 0 in
+    st.dirty <- true;
+    while st.dirty && !rounds < max_rounds do
+      st.dirty <- false;
+      incr rounds;
+      List.iter (propagate_ineq st) ineqs;
+      List.iter (propagate_eq st) eqs
+    done
+
+  (* ------------------------------------------------------------------ *)
+  (* Proof slicing                                                      *)
+  (* ------------------------------------------------------------------ *)
+
+  let constraint_vars problem name =
+    match List.assoc_opt name (Gp.Problem.ineqs problem) with
+    | Some p -> P.variables p
+    | None -> (
+      match List.assoc_opt name (Gp.Problem.eqs problem) with
+      | Some m -> M.variables m
+      | None -> [])
+
+  (* Backward slice: walking the trail latest-first, keep a step iff its
+     variable supports the culprit (or an already-kept step's implying
+     constraint).  Every earlier step a kept step's bound rests on is
+     reached later in the walk, so the slice is support-closed; reversing
+     restores application order. *)
+  let slice problem trail culprit =
+    let needed = ref (SS.of_list (constraint_vars problem culprit)) in
+    let kept =
+      List.filter
+        (fun s ->
+          if SS.mem s.var !needed then begin
+            needed := SS.union !needed (SS.of_list (constraint_vars problem s.via));
+            true
+          end
+          else false)
+        trail
+    in
+    List.rev kept
+
+  (* ------------------------------------------------------------------ *)
+  (* Monotonicity fixing                                                *)
+  (* ------------------------------------------------------------------ *)
+
+  (* A simple bound is a single-monomial inequality over a single
+     variable (the formulation's [bound:<var>] constraints): it shapes
+     the box but never opposes moving the variable to a box endpoint, so
+     it is excluded from the monotonicity scan. *)
+  let is_simple_bound (_, p) =
+    match P.terms p with
+    | [ m ] -> ( match M.variables m with [ _ ] -> true | _ -> false)
+    | _ -> false
+
+  let fixable problem st =
+    let eq_vars =
+      List.fold_left
+        (fun acc (_, m) -> SS.union acc (SS.of_list (M.variables m)))
+        SS.empty (Gp.Problem.eqs problem)
+    in
+    let scanned =
+      P.terms (Gp.Problem.objective problem)
+      @ List.concat_map
+          (fun c -> if is_simple_bound c then [] else P.terms (snd c))
+          (Gp.Problem.ineqs problem)
+    in
+    let sign x =
+      List.fold_left
+        (fun acc m ->
+          let e = M.exponent m x in
+          match acc with
+          | `Mixed -> `Mixed
+          | `Nonneg when e >= 0.0 -> `Nonneg
+          | `Nonpos when e <= 0.0 -> `Nonpos
+          | _ -> `Mixed)
+        `Nonneg scanned
+      |> fun first ->
+      (* [`Nonneg] is the fold seed; re-run for the nonpositive case only
+         when the first pass failed, so a variable absent everywhere
+         stays `Nonneg (pinned to its lower endpoint). *)
+      if first = `Mixed then
+        List.fold_left
+          (fun acc m ->
+            let e = M.exponent m x in
+            match acc with `Nonpos when e <= 0.0 -> `Nonpos | _ -> `Mixed)
+          `Nonpos scanned
+      else first
+    in
+    List.filter_map
+      (fun x ->
+        if SS.mem x eq_vars then None
+        else
+          let i = env st x in
+          match sign x with
+          | `Nonneg when Float.is_finite i.Interval.lo && i.Interval.lo > 0.0 ->
+            Some (x, i.Interval.lo)
+          | `Nonpos when Float.is_finite i.Interval.hi && i.Interval.hi > 0.0 ->
+            Some (x, i.Interval.hi)
+          | _ -> None)
+      (Gp.Problem.variables problem)
+
+  (* ------------------------------------------------------------------ *)
+  (* Redundancy elimination                                             *)
+  (* ------------------------------------------------------------------ *)
+
+  let redundant problem st =
+    let ineqs = Gp.Problem.ineqs problem in
+    let ub (_, p) = (Interval.posynomial (env st) p).Interval.hi in
+    let candidates =
+      List.filter (fun c -> ub c <= 1.0 -. drop_margin) ineqs
+    in
+    if candidates = [] then []
+    else begin
+      (* A candidate's slackness may rest on bounds it propagated itself.
+         Re-propagate from scratch with the kept constraints only; a
+         candidate still slack over that (weaker) box is implied by the
+         rest of the problem and safe to drop. *)
+      let cand_names = SS.of_list (List.map fst candidates) in
+      let kept = List.filter (fun (n, _) -> not (SS.mem n cand_names)) ineqs in
+      let st' = fresh_state ~record:false problem in
+      match propagate st' ~ineqs:kept ~eqs:(Gp.Problem.eqs problem) with
+      | () ->
+        let ub' (_, p) = (Interval.posynomial (env st') p).Interval.hi in
+        List.filter_map
+          (fun c -> if ub' c <= 1.0 -. drop_margin then Some (fst c, ub' c) else None)
+          candidates
+      | exception Found_infeasible _ ->
+        (* The kept-only relaxation cannot be infeasible when the full
+           problem was not; reachable only through margin corner cases —
+           drop nothing, stay conservative. *)
+        []
+    end
+
+  (* ------------------------------------------------------------------ *)
+  (* Reduction construction                                             *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Binding the fixed variables collapses any inequality mentioning only
+     fixed variables to a constant: such a constraint no longer restricts
+     the remaining variables — drop it, recording its constant value as
+     the certified bound.  A constant meaningfully above 1 would
+     contradict the infeasibility check that already passed; it can only
+     arise inside the float-rounding slack of an active bound, in which
+     case fixing is abandoned wholesale rather than risking an unsound
+     drop. *)
+  exception Abort_fixing
+
+  let reduction problem st =
+    let fixed = fixable problem st in
+    let dropped0 = redundant problem st in
+    if fixed = [] && dropped0 = [] then
+      { reduced = problem; fixed = []; dropped = [] }
+    else begin
+      let drop_names = SS.of_list (List.map fst dropped0) in
+      let build fixed =
+        let fixed_set = SS.of_list (List.map fst fixed) in
+        let fixed_env x = List.assoc x fixed in
+        let collapsed =
+          List.filter_map
+            (fun (name, p) ->
+              if
+                (not (SS.mem name drop_names))
+                && List.for_all (fun x -> SS.mem x fixed_set) (P.variables p)
+              then begin
+                let v = P.eval fixed_env p in
+                if v <= 1.0 +. 1e-9 then Some (name, v) else raise Abort_fixing
+              end
+              else None)
+            (Gp.Problem.ineqs problem)
+        in
+        let collapsed_names = SS.of_list (List.map fst collapsed) in
+        let keep name = not (SS.mem name drop_names || SS.mem name collapsed_names) in
+        let reduced = Gp.Problem.bind fixed (Gp.Problem.filter_ineqs keep problem) in
+        (* Keep [dropped] in original constraint order: binding-collapsed
+           constants interleave with interval-certified drops. *)
+        let all = dropped0 @ collapsed in
+        let dropped =
+          List.filter_map
+            (fun (name, _) -> Option.map (fun v -> (name, v)) (List.assoc_opt name all))
+            (Gp.Problem.ineqs problem)
+        in
+        { reduced; fixed; dropped }
+      in
+      try build fixed
+      with Abort_fixing -> (
+        try build []
+        with Abort_fixing -> { reduced = problem; fixed = []; dropped = [] })
+    end
+
+  (* ------------------------------------------------------------------ *)
+  (* Entry point                                                        *)
+  (* ------------------------------------------------------------------ *)
+
+  let box_list problem st =
+    List.map (fun x -> (x, env st x)) (Gp.Problem.variables problem)
+
+  let analyze problem =
+    let st = fresh_state ~record:true problem in
+    match propagate st ~ineqs:(Gp.Problem.ineqs problem) ~eqs:(Gp.Problem.eqs problem) with
+    | () -> { box = box_list problem st; verdict = Feasible (reduction problem st) }
+    | exception Found_infeasible (trail, culprit, kind, bound) ->
+      let steps = slice problem trail culprit in
+      { box = box_list problem st; verdict = Infeasible { steps; culprit; kind; bound } }
+end
+
+(* Everything a presolve result carries, as text with every float in
+   hex: the box, then the fixed values, the dropped bounds and the
+   reduced program (or that it is physically the input), or the proof. *)
+let render problem outcome =
+  let b = Buffer.create 1024 in
+  let monomial m =
+    Printf.bprintf b " %h" (M.coeff m);
+    List.iter (fun (x, e) -> Printf.bprintf b "*%s^%h" x e) (M.exponents m)
+  in
+  let program p =
+    Buffer.add_string b "  minimize";
+    List.iter monomial (P.terms (Gp.Problem.objective p));
+    List.iter
+      (fun (c, q) ->
+        Printf.bprintf b "\n  %s <=" c;
+        List.iter monomial (P.terms q))
+      (Gp.Problem.ineqs p);
+    List.iter
+      (fun (c, m) ->
+        Printf.bprintf b "\n  %s =" c;
+        monomial m)
+      (Gp.Problem.eqs p);
+    Buffer.add_char b '\n'
+  in
+  (match outcome with
+  | Error e -> Printf.bprintf b "raised %s\n" (Printexc.to_string e)
+  | Ok (t : Ps.t) -> (
+    List.iter (fun (x, i) -> Printf.bprintf b "box %s %h %h\n" x i.Iv.lo i.Iv.hi) t.Ps.box;
+    match t.Ps.verdict with
+    | Ps.Feasible r ->
+      List.iter (fun (x, v) -> Printf.bprintf b "fixed %s %h\n" x v) r.Ps.fixed;
+      List.iter (fun (c, v) -> Printf.bprintf b "dropped %s %h\n" c v) r.Ps.dropped;
+      if r.Ps.reduced == problem then Buffer.add_string b "reduced: the input\n"
+      else begin
+        Buffer.add_string b "reduced:\n";
+        program r.Ps.reduced
+      end
+    | Ps.Infeasible proof ->
+      List.iter
+        (fun (s : Ps.step) ->
+          Printf.bprintf b "step %s %s %h via %s\n" s.Ps.var
+            (match s.Ps.side with Ps.Lo -> "lo" | Ps.Hi -> "hi")
+            s.Ps.bound s.Ps.via)
+        proof.Ps.steps;
+      Printf.bprintf b "culprit %s %s %h\n" proof.Ps.culprit
+        (match proof.Ps.kind with
+        | Ps.Ineq_low -> "ineq-low"
+        | Ps.Eq_low -> "eq-low"
+        | Ps.Eq_high -> "eq-high")
+        proof.Ps.bound));
+  Buffer.contents b
+
+(* The oracle's and the library's results on [problem], rendered. *)
+let both problem =
+  let run analyze = render problem (try Ok (analyze problem) with e -> Error e) in
+  (run Oracle.analyze, run Ps.analyze)
+
+let check_agrees name problem =
+  let expected, got = both problem in
+  if not (String.equal expected got) then
+    Alcotest.failf "%s: presolve differs from the reference@.%a@.reference:@.%sgot:@.%s" name
+      Gp.Problem.pp problem expected got
+
+(* Every (choice, placement) program of each distinct zoo layer shape at
+   [max_choices] 2, in the six settings of the presolve golden. *)
+let test_oracle_zoo () =
+  let tech =
+    Archspec.Technology.scale_to_node Archspec.Technology.table3
+      ~node_nm:Archspec.Technology.reference_node_nm
+  in
+  let eyeriss = Arch.make ~name:"cli" ~pes:168 ~registers:512 ~sram_words:65536 in
+  let module L = Archspec.Link in
+  let settings =
+    [
+      (F.Fixed eyeriss, F.Energy, L.Comm_aware);
+      (F.Fixed eyeriss, F.Delay, L.Comm_aware);
+      (F.Fixed eyeriss, F.Delay, L.Overlapped);
+      (F.Fixed eyeriss, F.Edp, L.Comm_aware);
+      (F.Fixed edge, F.Delay, L.Comm_aware);
+      (F.Codesign { area_budget = Arch.eyeriss_area tech }, F.Energy, L.Comm_aware);
+    ]
+  in
+  let shapes = Hashtbl.create 64 in
+  let layers =
+    List.filter
+      (fun (c : Workload.Conv.t) ->
+        let shape = { c with Workload.Conv.layer_name = "" } in
+        (not (Hashtbl.mem shapes shape)) && (Hashtbl.add shapes shape (); true))
+      Workload.Zoo.all_layers
+  in
+  let programs = ref 0 and pruned = ref 0 in
+  List.iter
+    (fun layer ->
+      let nest = Workload.Conv.to_nest layer in
+      let plan = Thistle.Permutations.enumerate ~max_choices:2 nest in
+      List.iter
+        (fun (mode, objective, comm) ->
+          List.iter
+            (fun choice ->
+              List.iter
+                (fun placement ->
+                  let inst = F.build ~placement ~comm tech mode objective plan choice in
+                  check_agrees inst.F.provenance inst.F.problem;
+                  incr programs;
+                  match (Ps.analyze inst.F.problem).Ps.verdict with
+                  | Ps.Infeasible _ -> incr pruned
+                  | Ps.Feasible _ -> ())
+                plan.Thistle.Permutations.placements)
+            plan.Thistle.Permutations.choices)
+        settings)
+    layers;
+  Alcotest.(check bool)
+    (Printf.sprintf "programs with proofs among the %d compared (%d)" !programs !pruned)
+    true (!pruned > 0)
+
+(* Random programs that reach every path of the pass.  Each variable
+   draws a point and an exponent sign (positive, negative or mixed,
+   applied to its every occurrence outside simple bounds), so monotone
+   variables are common; constraints are drawn from templates: random
+   posynomials scaled to a chosen value at the point (infeasible, tight,
+   slack or far slack), simple lower and upper bounds at or around the
+   point, monomial equalities that hold at the point or miss it by 4x,
+   constants, and a pair of bounds on one variable that contradict each
+   other by less than the pruning margin, which makes fixing abort. *)
+let gen_program =
+  let open QCheck2.Gen in
+  let* nv = int_range 1 4 in
+  let vars = List.init nv (Printf.sprintf "x%d") in
+  let* point = flatten_l (List.map (fun _ -> oneofl [ 0.5; 1.0; 2.0; 3.0 ]) vars) in
+  let* signs = flatten_l (List.map (fun _ -> oneofl [ `Pos; `Neg; `Mixed ]) vars) in
+  let env x = List.assoc x (List.combine vars point) in
+  let expo = function
+    | `Pos -> oneofl [ 0.5; 1.0; 2.0 ]
+    | `Neg -> oneofl [ -0.5; -1.0; -2.0 ]
+    | `Mixed -> oneofl [ -2.0; -1.0; 1.0; 2.0 ]
+  in
+  let mono =
+    let* factors =
+      flatten_l
+        (List.map2
+           (fun x sign ->
+             let* present = bool in
+             if present then map (fun e -> Some (x, e)) (expo sign) else pure None)
+           vars signs)
+    in
+    pure (M.make 1.0 (List.filter_map Fun.id factors))
+  in
+  let var = map (List.nth vars) (int_range 0 (nv - 1)) in
+  let constraint_ =
+    frequency
+      [
+        ( 4,
+          let* ms = list_size (int_range 1 3) mono in
+          let* value = oneofl [ 3.0; 1.05; 1.0; 0.9; 0.3; 0.01 ] in
+          let p = P.of_monomials ms in
+          pure [ `Le (P.mul_monomial (M.const (value /. P.eval env p)) p) ] );
+        ( 2,
+          let* x = var in
+          let* f = oneofl [ 0.5; 1.0; 1.5 ] in
+          pure [ `Le (P.of_monomial (M.make (env x *. f) [ (x, -1.0) ])) ] );
+        ( 2,
+          let* x = var in
+          let* f = oneofl [ 0.5; 1.0; 1.5 ] in
+          pure [ `Le (P.of_monomial (M.make (1.0 /. (env x *. f)) [ (x, 1.0) ])) ] );
+        ( 1,
+          let* m = mono in
+          let* f = oneofl [ 0.25; 1.0; 4.0 ] in
+          pure [ `Eq (M.scale (f /. M.eval env m) m) ] );
+        (1, map (fun c -> [ `Le (P.const c) ]) (oneofl [ 0.5; 1.0; 2.0 ]));
+        ( 1,
+          let* x = var in
+          pure
+            [
+              `Le (P.of_monomial (M.make (env x) [ (x, -1.0) ]));
+              `Le (P.of_monomial (M.make ((1.0 +. 5e-7) /. env x) [ (x, 1.0) ]));
+            ] );
+      ]
+  in
+  let* objective = list_size (int_range 1 3) mono in
+  let* cs = map List.concat (list_size (int_range 1 6) constraint_) in
+  let ineqs = List.filter_map (function `Le p -> Some p | `Eq _ -> None) cs in
+  let eqs = List.filter_map (function `Eq m -> Some m | `Le _ -> None) cs in
+  pure
+    (Gp.Problem.make ~objective:(P.of_monomials objective)
+       ~ineqs:(List.mapi (fun k p -> (Printf.sprintf "c%d" k, p)) ineqs)
+       ~eqs:(List.mapi (fun k m -> (Printf.sprintf "e%d" k, m)) eqs)
+       ())
+
+let print_program = Format.asprintf "%a" Gp.Problem.pp
+
+let prop_oracle_agrees =
+  QCheck2.Test.make ~name:"presolve equals the reference on random programs" ~count:2000
+    ~print:print_program gen_program (fun problem ->
+      let expected, got = both problem in
+      String.equal expected got
+      || QCheck2.Test.fail_reportf "reference:@.%sgot:@.%s" expected got)
+
+(* The random programs above reach every path: each infeasibility kind,
+   fixing, constants collapsed by fixing, interval-certified drops and
+   aborted fixing.  Counted on the reference over a fixed sample. *)
+let test_random_programs_reach_every_path () =
+  let rand = Random.State.make [| 21 |] in
+  let seen = Hashtbl.create 8 in
+  let hit path = Hashtbl.replace seen path () in
+  List.iter
+    (fun problem ->
+      match (Oracle.analyze problem).Ps.verdict with
+      | Ps.Infeasible { Ps.kind = Ps.Ineq_low; _ } -> hit "ineq-low"
+      | Ps.Infeasible { Ps.kind = Ps.Eq_low; _ } -> hit "eq-low"
+      | Ps.Infeasible { Ps.kind = Ps.Eq_high; _ } -> hit "eq-high"
+      | Ps.Feasible r ->
+        let fixed x = List.mem_assoc x r.Ps.fixed in
+        if r.Ps.fixed <> [] then hit "fixed";
+        (* An interval-certified drop is below 1 - drop_margin; a
+           constraint collapsed by fixing can reach 1. *)
+        List.iter
+          (fun (c, v) ->
+            match List.assoc_opt c (Gp.Problem.ineqs problem) with
+            | Some p when List.for_all fixed (P.variables p) && v > 1.0 -. Ps.drop_margin ->
+              hit "collapsed"
+            | Some _ -> hit "certified drop"
+            | None -> ())
+          r.Ps.dropped;
+        let st = Oracle.fresh_state ~record:false problem in
+        Oracle.propagate st ~ineqs:(Gp.Problem.ineqs problem) ~eqs:(Gp.Problem.eqs problem);
+        if r.Ps.fixed = [] && Oracle.fixable problem st <> [] then hit "aborted fixing")
+    (QCheck2.Gen.generate ~rand ~n:2000 gen_program);
+  List.iter
+    (fun path -> Alcotest.(check bool) path true (Hashtbl.mem seen path))
+    [ "ineq-low"; "eq-low"; "eq-high"; "fixed"; "collapsed"; "certified drop"; "aborted fixing" ]
+
 let () =
   Alcotest.run "presolve"
     [
@@ -352,6 +942,13 @@ let () =
         ] );
       ( "soundness",
         List.map QCheck_alcotest.to_alcotest [ prop_box_contains_feasible_point ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "zoo programs" `Slow test_oracle_zoo;
+          Alcotest.test_case "random programs reach every path" `Quick
+            test_random_programs_reach_every_path;
+          QCheck_alcotest.to_alcotest prop_oracle_agrees;
+        ] );
       ( "optimize",
         [
           Alcotest.test_case "check mode agrees with solver" `Slow

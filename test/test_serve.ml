@@ -427,6 +427,40 @@ let test_serve_extreme_node_refused () =
   | Protocol.Payload _ -> ()
   | Protocol.Refused { message; _ } -> Alcotest.failf "refused: %s" message
 
+(* A node that passes the resolver but makes a scaled constant times the
+   layer's MAC count overflow: the formulate stage refuses the request,
+   naming the pair and the coefficient, and the connection stays
+   usable. *)
+let test_serve_overflowing_coefficient_refused () =
+  with_server @@ fun port ->
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let r =
+    Protocol.Optimize
+      {
+        layer = "resnet-2";
+        objective = F.Energy;
+        arch;
+        opts = { opts with node_nm = 1e154; max_choices = 1 };
+      }
+  in
+  (match ask c r with
+  | Protocol.Refused { kind = Protocol.Failed; message } ->
+    let mentions sub =
+      let n = String.length sub and m = String.length message in
+      let rec at i = i + n <= m && (String.sub message i n = sub || at (i + 1)) in
+      at 0
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "names the pair and the coefficient: %s" message)
+      true
+      (mentions "cannot formulate resnet-2 energy pe=[" && mentions "MAC energy coefficient")
+  | Protocol.Refused { message; _ } -> Alcotest.failf "refused, but not as failed: %s" message
+  | Protocol.Payload _ -> Alcotest.fail "node 1e154 must be refused");
+  match ask c Protocol.Metrics with
+  | Protocol.Payload _ -> ()
+  | Protocol.Refused { message; _ } -> Alcotest.failf "refused: %s" message
+
 let test_serve_fingerprint_invalidates () =
   let dir = temp_dir "thistle-serve" in
   (* Warm the store. *)
@@ -744,6 +778,8 @@ let () =
             test_serve_zero_arch_frame;
           Alcotest.test_case "extreme node refused, connection kept" `Quick
             test_serve_extreme_node_refused;
+          Alcotest.test_case "overflowing coefficient refused, connection kept" `Quick
+            test_serve_overflowing_coefficient_refused;
           Alcotest.test_case "config fingerprint invalidates" `Quick
             test_serve_fingerprint_invalidates;
           Alcotest.test_case "corrupted entry re-solves" `Quick
