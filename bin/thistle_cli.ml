@@ -306,37 +306,69 @@ let metrics_out_arg =
           "Record counters, gauges and timing histograms and write them as one JSON \
            object to $(docv).")
 
+(* Writes a file the command was asked for.  A path that cannot be
+   written is one message naming it, never an uncaught exception:
+   [Sys_error] messages from opening a file already name it; those from
+   writing an open channel do not. *)
+let write_output file write =
+  match open_out file with
+  | exception Sys_error m -> Error ("cannot write " ^ m)
+  | oc -> (
+    match
+      write oc;
+      close_out oc
+    with
+    | () -> Ok ()
+    | exception Sys_error m ->
+      close_out_noerr oc;
+      Error (Printf.sprintf "cannot write %s: %s" file m))
+
 (* Runs [f] with tracing/metrics recording enabled per the CLI flags and
-   writes the requested files even when [f] raises. *)
+   writes the requested files even when [f] raises.  A file that cannot
+   be written fails the command (exit 1) after the others are written. *)
 let with_obs ~trace ~metrics f =
   if trace <> None then Obs.Trace.start ();
   if metrics <> None then begin
     Obs.Metrics.reset ();
     Obs.Metrics.enable ()
   end;
-  let finish () =
-    (match trace with
-    | None -> ()
-    | Some file ->
-      Obs.Trace.stop ();
-      Obs.Trace.export_file file);
-    match metrics with
-    | None -> ()
-    | Some file ->
-      Obs.Metrics.disable ();
-      let oc = open_out file in
-      output_string oc (Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
-      output_char oc '\n';
-      close_out oc
+  let written = ref true in
+  let check = function
+    | Ok () -> ()
+    | Error msg ->
+      prerr_endline msg;
+      written := false
   in
-  Fun.protect ~finally:finish f
+  let finish () =
+    Option.iter
+      (fun file ->
+        Obs.Trace.stop ();
+        check (write_output file Obs.Trace.export))
+      trace;
+    Option.iter
+      (fun file ->
+        Obs.Metrics.disable ();
+        check
+          (write_output file (fun oc ->
+               output_string oc (Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
+               output_char oc '\n')))
+      metrics
+  in
+  let status = Fun.protect ~finally:finish f in
+  if !written then status else 1
 
+(* --emit pairs the directory with the request's --node, which arch.yaml
+   records. *)
 let emit_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "emit" ] ~docv:"DIR"
-        ~doc:"Write Timeloop-style problem/mapping/arch YAML files to $(docv).")
+  let dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "emit" ] ~docv:"DIR"
+          ~doc:"Write Timeloop-style problem/mapping/arch YAML files to $(docv).")
+  in
+  let pair dir node_nm = Option.map (fun dir -> (dir, node_nm)) dir in
+  Term.(const pair $ dir $ node_arg)
 
 let emit_code_arg =
   Arg.(
@@ -346,6 +378,40 @@ let emit_code_arg =
         ~doc:"Write the tiled pseudocode of the chosen mapping to $(docv).")
 
 let resolve base request = Result.bind request (P.resolve base)
+
+(* The local-only --emit/--emit-code files of one solved layer.  --emit
+   writes the three documents [Specs.Timeloop.write_bundle] writes, each
+   through [write_output]; like [open_out]'s, [Sys.mkdir]'s error names
+   the directory. *)
+let write_layer_files ?emit ?emit_code tech nest outcome =
+  let* () =
+    match emit with
+    | None -> Ok ()
+    | Some (dir, node_nm) ->
+      let yaml name doc =
+        write_output (Filename.concat dir name) (fun oc ->
+            output_string oc (Specs.Yaml.emit doc))
+      in
+      let* () =
+        match if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with
+        | () -> Ok ()
+        | exception Sys_error m -> Error ("cannot write " ^ m)
+      in
+      let* () = yaml "problem.yaml" (Specs.Timeloop.problem_to_yaml nest) in
+      let* () = yaml "mapping.yaml" (Specs.Timeloop.mapping_to_yaml outcome.I.mapping) in
+      let* () =
+        yaml "arch.yaml" (Specs.Timeloop.architecture_to_yaml ~node_nm tech outcome.I.arch)
+      in
+      Ok (Format.printf "wrote %s/{problem,mapping,arch}.yaml@." dir)
+  in
+  match emit_code with
+  | None -> Ok ()
+  | Some file -> (
+    match Codegen.Emit.pseudocode nest outcome.I.mapping with
+    | Error msg -> Ok (Format.printf "pseudocode emission failed: %s@." msg)
+    | Ok code ->
+      let* () = write_output file (fun oc -> output_string oc code) in
+      Ok (Format.printf "wrote %s@." file))
 
 (* Prints the daemon's reply to a resolved request — the same bytes
    `thistle client` prints, by construction (DESIGN §14) — and, for one
@@ -361,26 +427,11 @@ let reply ?emit ?emit_code (r : P.resolved) =
   | P.Layer { nest; _ } -> (
     match P.solve r with
     | Error msg -> fail msg
-    | Ok report ->
-      let o = report.O.outcome in
+    | Ok report -> (
       print_string (P.body r report);
-      Option.iter
-        (fun dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          Specs.Timeloop.write_bundle ~dir r.P.tech o.I.arch nest o.I.mapping;
-          Format.printf "wrote %s/{problem,mapping,arch}.yaml@." dir)
-        emit;
-      Option.iter
-        (fun file ->
-          match Codegen.Emit.pseudocode nest o.I.mapping with
-          | Ok code ->
-            let oc = open_out file in
-            output_string oc code;
-            close_out oc;
-            Format.printf "wrote %s@." file
-          | Error msg -> Format.printf "pseudocode emission failed: %s@." msg)
-        emit_code;
-      0)
+      match write_layer_files ?emit ?emit_code r.P.tech nest report.O.outcome with
+      | Ok () -> 0
+      | Error msg -> fail msg))
 
 (* optimize, codesign and pipeline: resolve, then run under the
    requested tracing and metrics recording. *)
@@ -820,13 +871,15 @@ let metrics_cmd =
           Buffer.contents b
         end
       in
-      (match out with
-      | None -> print_string payload
-      | Some file ->
-        let oc = open_out file in
-        output_string oc payload;
-        close_out oc);
-      (match result with Ok _ -> 0 | Error _ -> 1)
+      let written =
+        match out with
+        | None -> Ok (print_string payload)
+        | Some file -> write_output file (fun oc -> output_string oc payload)
+      in
+      match (written, result) with
+      | Error msg, _ -> fail msg
+      | Ok (), Ok _ -> 0
+      | Ok (), Error _ -> 1
   in
   Cmd.v
     (Cmd.info "metrics"

@@ -33,7 +33,8 @@ let () =
     (* Emit the Timeloop-style bundle for external evaluation. *)
     let dir = Filename.concat (Filename.get_temp_dir_name ()) "thistle-custom-layer" in
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    Specs.Timeloop.write_bundle ~dir tech o.I.arch nest o.I.mapping;
+    Specs.Timeloop.write_bundle ~dir ~node_nm:Archspec.Technology.reference_node_nm tech
+      o.I.arch nest o.I.mapping;
     Printf.printf "wrote %s/{problem,mapping,arch}.yaml\n\n" dir;
     print_endline "mapping.yaml:";
     print_string (Specs.Yaml.emit (Specs.Timeloop.mapping_to_yaml o.I.mapping))

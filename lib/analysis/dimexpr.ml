@@ -30,10 +30,6 @@ let mpow a e = { m = M.pow a.m e; mu = Units.pow a.mu e }
 
 let mscale u c a = { m = M.scale c a.m; mu = Units.mul u a.mu }
 
-let mbind x v a = { a with m = M.bind x v a.m }
-
-let raw_mono a = a.m
-
 let mono_unit a = a.mu
 
 type t = { p : P.t; pu : Units.t }

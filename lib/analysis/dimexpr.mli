@@ -13,8 +13,8 @@
     report rather than an exception mid-build.
 
     The underlying [Symexpr] values are exactly what the untagged
-    operations would build — tagging is erased by {!posy} / {!raw_mono},
-    so a formulation refactored onto this layer produces bit-identical
+    operations would build — tagging is erased by {!posy}, so a
+    formulation refactored onto this layer produces bit-identical
     problems. *)
 
 type ctx
@@ -44,11 +44,6 @@ val mpow : mono -> float -> mono
 
 val mscale : Units.t -> float -> mono -> mono
 (** [mscale u c m] multiplies by the constant [c] carrying unit [u]. *)
-
-val mbind : string -> float -> mono -> mono
-(** Partial evaluation of a dimensionless variable; the unit is kept. *)
-
-val raw_mono : mono -> Symexpr.Monomial.t
 
 val mono_unit : mono -> Units.t
 

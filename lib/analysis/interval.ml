@@ -15,8 +15,6 @@ let point v =
     invalid_arg (Printf.sprintf "Interval.point: %g not finite positive" v);
   { lo = v; hi = v }
 
-let is_full t = t.lo = 0.0 && t.hi = infinity
-
 let mem ?(slack = 0.0) v t =
   (* NaN fails both comparisons; an infinite [v] is a member only when
      the upper side is unbounded. *)

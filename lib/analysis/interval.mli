@@ -31,8 +31,6 @@ val make : lo:float -> hi:float -> t
 val point : float -> t
 (** Degenerate interval [[v, v]]; raises unless [v] is finite positive. *)
 
-val is_full : t -> bool
-
 val mem : ?slack:float -> float -> t -> bool
 (** [mem v t] is [lo <= v <= hi], with each comparison relaxed by the
     relative [slack] (default [0.]): [v >= lo *. (1 - slack)] and

@@ -33,16 +33,6 @@ let var_arch_pes = "arch.pes"
 
 let var_delay = "delay.T"
 
-(* The unit model of the formulation: trip counts are dimensionless, the
-   register-file and SRAM capacities are word counts, the PE count a bare
-   count, the delay epigraph variable a cycle count. *)
-let unit_of_var v =
-  if String.equal v var_delay then Some U.cycles
-  else if String.equal v var_arch_regs || String.equal v var_arch_sram then
-    Some U.elements
-  else if String.equal v var_arch_pes then Some U.dimensionless
-  else Option.map (fun _ -> U.dimensionless) (Level.parse_trip_var v)
-
 (* Per-access energies (Eq. 4) are pJ per word moved. *)
 let unit_access_energy = U.div U.pj U.elements
 

@@ -56,12 +56,6 @@ val var_arch_sram : string
 val var_arch_pes : string
 val var_delay : string
 
-val unit_of_var : string -> Analysis.Units.t option
-(** The unit model of the formulation's variables: trip counts are
-    dimensionless, [arch.regs] / [arch.sram] count data words,
-    [arch.pes] is a bare count, [delay.T] counts cycles.  [None] for
-    names outside the model. *)
-
 val build :
   ?placement:(string * float) list ->
   ?comm:Archspec.Link.comm_model ->

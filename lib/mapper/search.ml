@@ -63,7 +63,7 @@ let random_mapping rng nest =
 
 (* The uninstrumented body, shared by [search] and the parallel streams
    so each trial is counted exactly once. *)
-let search_raw ~config ~constraints tech arch criterion nest =
+let search_raw ~config tech arch criterion nest =
   let rng = Random.State.make [| config.seed |] in
   let best = ref None in
   let trials = ref 0 in
@@ -74,8 +74,6 @@ let search_raw ~config ~constraints tech arch criterion nest =
     incr trials;
     incr since_improvement;
     let mapping = random_mapping rng nest in
-    if not (Mapspace.Constraints.satisfies constraints mapping) then ()
-    else
     match Accmodel.Evaluate.evaluate tech arch nest mapping with
     | Error _ -> ()
     | Ok metrics ->
@@ -97,14 +95,12 @@ let search_raw ~config ~constraints tech arch criterion nest =
     improvements = !improvements;
   }
 
-let search ?(config = default_config) ?(constraints = Mapspace.Constraints.empty) tech
-    arch criterion nest =
+let search ?(config = default_config) tech arch criterion nest =
   Obs.Trace.span "mapper.search"
     ~attrs:[ ("nest", Nest.name nest) ]
-    (fun () -> feed_metrics (search_raw ~config ~constraints tech arch criterion nest))
+    (fun () -> feed_metrics (search_raw ~config tech arch criterion nest))
 
-let search_parallel ?(config = default_config)
-    ?(constraints = Mapspace.Constraints.empty) ?domains tech arch criterion nest =
+let search_parallel ?(config = default_config) ?domains tech arch criterion nest =
   let domains =
     match domains with
     | Some d -> Int.max 1 d
@@ -117,7 +113,7 @@ let search_parallel ?(config = default_config)
      least one trial; a budget of <= 1 trial runs the sequential path
      outright. *)
   let domains = Int.min domains (Int.max config.max_trials 1) in
-  if domains = 1 then search ~config ~constraints tech arch criterion nest
+  if domains = 1 then search ~config tech arch criterion nest
   else
     Obs.Trace.span "mapper.search_parallel"
       ~attrs:[ ("nest", Nest.name nest); ("domains", string_of_int domains) ]
@@ -139,7 +135,7 @@ let search_parallel ?(config = default_config)
           seed = config.seed + (7919 * k);
         }
       in
-      search_raw ~config ~constraints tech arch criterion nest
+      search_raw ~config tech arch criterion nest
     in
     let results = Exec.Par.map ~jobs:domains stream (List.init domains Fun.id) in
     feed_metrics

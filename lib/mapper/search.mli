@@ -36,19 +36,15 @@ val score : criterion -> Accmodel.Evaluate.t -> float
 
 val search :
   ?config:config ->
-  ?constraints:Mapspace.Constraints.t ->
   Archspec.Technology.t ->
   Archspec.Arch.t ->
   criterion ->
   Workload.Nest.t ->
   result
-(** [constraints] restricts the sampled mapping space (Timeloop's
-    "dataflow constraints specification"); non-conforming samples are
-    rejected before evaluation but still consume trials. *)
+(** The sequential search: one seeded stream under [config]'s budgets. *)
 
 val search_parallel :
   ?config:config ->
-  ?constraints:Mapspace.Constraints.t ->
   ?domains:int ->
   Archspec.Technology.t ->
   Archspec.Arch.t ->

@@ -95,7 +95,3 @@ let export oc =
       output_string oc (to_jsonl ev);
       output_char oc '\n')
     (events ())
-
-let export_file path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> export oc)

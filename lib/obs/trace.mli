@@ -65,6 +65,3 @@ val to_jsonl : event -> string
 
 val export : out_channel -> unit
 (** Write every collected event as JSONL. *)
-
-val export_file : string -> unit
-(** [export] to a fresh file (truncating). *)

@@ -14,8 +14,6 @@ let describe f =
     (if f.attempts = 1 then "" else "s")
     f.exn f.provenance
 
-let pp_failure ppf f = Format.pp_print_string ppf (describe f)
-
 let pp_summary ppf failures =
   Format.fprintf ppf "%-11s %8s %9s  %-40s %s@." "site" "attempts" "ms" "exception"
     "provenance";

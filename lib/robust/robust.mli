@@ -32,8 +32,6 @@ type failure = {
 val describe : failure -> string
 (** One-line rendering: site, provenance, exception, attempts. *)
 
-val pp_failure : Format.formatter -> failure -> unit
-
 val pp_summary : Format.formatter -> failure list -> unit
 (** Table of failures (site, attempts, elapsed, exception, provenance) —
     the CLI's failure summary. *)

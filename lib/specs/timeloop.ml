@@ -4,8 +4,6 @@ module Level = Mapspace.Level
 module Arch = Archspec.Arch
 module Tech = Archspec.Technology
 
-let ( let* ) = Result.bind
-
 (* ------------------------------------------------------------------ *)
 (* Problem                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -16,29 +14,6 @@ let projection_to_string proj =
        (fun { Nest.stride; iter } ->
          if stride = 1 then iter else Printf.sprintf "%d*%s" stride iter)
        proj)
-
-let projection_of_string lineno s =
-  let parse_term t =
-    let t = String.trim t in
-    match String.index_opt t '*' with
-    | None ->
-      if t = "" then Error (Printf.sprintf "%s: empty projection term" lineno)
-      else Ok { Nest.stride = 1; iter = t }
-    | Some star -> begin
-      let coeff = String.trim (String.sub t 0 star) in
-      let iter = String.trim (String.sub t (star + 1) (String.length t - star - 1)) in
-      match int_of_string_opt coeff with
-      | Some stride when stride >= 1 -> Ok { Nest.stride; iter }
-      | Some _ | None -> Error (Printf.sprintf "%s: bad stride %S" lineno coeff)
-    end
-  in
-  let rec all acc = function
-    | [] -> Ok (List.rev acc)
-    | t :: rest -> begin
-      match parse_term t with Ok i -> all (i :: acc) rest | Error _ as e -> e
-    end
-  in
-  all [] (String.split_on_char '+' s)
 
 let problem_to_yaml nest =
   let dims = Yaml.List (List.map (fun d -> Yaml.String d) (Nest.dim_names nest)) in
@@ -68,91 +43,12 @@ let problem_to_yaml nest =
           ] );
     ]
 
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "problem spec: missing %s" what)
-
-let problem_of_yaml yaml =
-  let* problem = require "problem" (Yaml.find yaml "problem") in
-  let* name =
-    require "problem.name" (Option.bind (Yaml.find problem "name") Yaml.get_string)
-  in
-  let* instance = require "problem.instance" (Yaml.find problem "instance") in
-  let* dims_yaml =
-    require "problem.dimensions" (Option.bind (Yaml.find problem "dimensions") Yaml.get_list)
-  in
-  let* dims =
-    List.fold_left
-      (fun acc d ->
-        let* acc = acc in
-        let* dim_name = require "dimension name" (Yaml.get_string d) in
-        let* extent =
-          require
-            (Printf.sprintf "instance extent for %s" dim_name)
-            (Option.bind (Yaml.find instance dim_name) Yaml.get_int)
-        in
-        Ok ({ Nest.dim_name; extent } :: acc))
-      (Ok []) dims_yaml
-  in
-  let dims = List.rev dims in
-  let* spaces =
-    require "problem.data-spaces"
-      (Option.bind (Yaml.find problem "data-spaces") Yaml.get_list)
-  in
-  let* tensors =
-    List.fold_left
-      (fun acc space ->
-        let* acc = acc in
-        let* tensor_name =
-          require "data-space name" (Option.bind (Yaml.find space "name") Yaml.get_string)
-        in
-        let* projs =
-          require "data-space projection"
-            (Option.bind (Yaml.find space "projection") Yaml.get_list)
-        in
-        let* projections =
-          List.fold_left
-            (fun acc p ->
-              let* acc = acc in
-              let* s = require "projection string" (Yaml.get_string p) in
-              let* proj = projection_of_string tensor_name s in
-              Ok (proj :: acc))
-            (Ok []) projs
-        in
-        let read_write =
-          match Yaml.find space "read-write" with Some (Yaml.Bool b) -> b | _ -> false
-        in
-        Ok
-          ({ Nest.tensor_name; projections = List.rev projections; read_write } :: acc))
-      (Ok []) spaces
-  in
-  match Nest.make ~name ~dims ~tensors:(List.rev tensors) with
-  | nest -> Ok nest
-  | exception Invalid_argument msg -> Error msg
-
 (* ------------------------------------------------------------------ *)
 (* Mapping                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let factors_to_string factors =
   String.concat " " (List.map (fun (d, f) -> Printf.sprintf "%s=%d" d f) factors)
-
-let factors_of_string s =
-  let parts = List.filter (fun p -> p <> "") (String.split_on_char ' ' s) in
-  List.fold_left
-    (fun acc part ->
-      let* acc = acc in
-      match String.index_opt part '=' with
-      | None -> Error (Printf.sprintf "mapping: bad factor %S" part)
-      | Some eq -> begin
-        let d = String.sub part 0 eq in
-        let f = String.sub part (eq + 1) (String.length part - eq - 1) in
-        match int_of_string_opt f with
-        | Some f when f >= 1 -> Ok ((d, f) :: acc)
-        | Some _ | None -> Error (Printf.sprintf "mapping: bad factor %S" part)
-      end)
-    (Ok []) parts
-  |> Result.map List.rev
 
 let level_target i =
   (* Canonical hierarchy, innermost first. *)
@@ -186,114 +82,17 @@ let mapping_to_yaml mapping =
   let directives = List.mapi directive (Mapping.levels mapping) in
   Yaml.Map [ ("mapping", Yaml.List (List.rev directives)) ]
 
-let mapping_of_yaml yaml =
-  let* directives =
-    require "mapping" (Option.bind (Yaml.find yaml "mapping") Yaml.get_list)
-  in
-  let* levels =
-    List.fold_left
-      (fun acc d ->
-        let* acc = acc in
-        let* target = require "target" (Option.bind (Yaml.find d "target") Yaml.get_string) in
-        let* typ = require "type" (Option.bind (Yaml.find d "type") Yaml.get_string) in
-        let* factors_s =
-          require "factors" (Option.bind (Yaml.find d "factors") Yaml.get_string)
-        in
-        let* factors = factors_of_string factors_s in
-        let kind =
-          match typ with "spatial" -> Level.Spatial | _ -> Level.Temporal
-        in
-        let perm =
-          match Option.bind (Yaml.find d "permutation") Yaml.get_string with
-          | Some s ->
-            List.rev (List.filter (fun p -> p <> "") (String.split_on_char ' ' s))
-          | None -> []
-        in
-        ignore target;
-        Ok ({ Mapping.kind; factors; perm } :: acc))
-      (Ok []) directives
-  in
-  (* The document lists outermost first; mappings store innermost first. *)
-  match Mapping.make levels with
-  | m -> Ok m
-  | exception Invalid_argument msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Mapspace constraints                                               *)
-(* ------------------------------------------------------------------ *)
-
-let level_of_target target typ =
-  match (target, typ) with
-  | "RegisterFile", "temporal" -> Ok 0
-  | "SRAM", "temporal" -> Ok 1
-  | "SRAM", "spatial" -> Ok 2
-  | "DRAM", "temporal" -> Ok 3
-  | _ -> Error (Printf.sprintf "constraints: unknown target %s/%s" target typ)
-
-let constraints_to_yaml constraints =
-  let directive (c : Mapspace.Constraints.level_constraint) =
-    let target, typ = level_target c.Mapspace.Constraints.c_level in
-    let base = [ ("target", Yaml.String target); ("type", Yaml.String typ) ] in
-    let opt name factors =
-      if factors = [] then [] else [ (name, Yaml.String (factors_to_string factors)) ]
-    in
-    let prefix =
-      if c.Mapspace.Constraints.perm_prefix = [] then []
-      else
-        [
-          ( "permutation_prefix",
-            Yaml.String (String.concat " " c.Mapspace.Constraints.perm_prefix) );
-        ]
-    in
-    Yaml.Map
-      (base
-      @ opt "factors" c.Mapspace.Constraints.fixed_factors
-      @ opt "max_factors" c.Mapspace.Constraints.max_factors
-      @ prefix)
-  in
-  Yaml.Map [ ("mapspace_constraints", Yaml.List (List.map directive constraints)) ]
-
-let constraints_of_yaml yaml =
-  let* directives =
-    require "mapspace_constraints"
-      (Option.bind (Yaml.find yaml "mapspace_constraints") Yaml.get_list)
-  in
-  List.fold_left
-    (fun acc d ->
-      let* acc = acc in
-      let* target = require "target" (Option.bind (Yaml.find d "target") Yaml.get_string) in
-      let* typ = require "type" (Option.bind (Yaml.find d "type") Yaml.get_string) in
-      let* level = level_of_target target typ in
-      let factors_field name =
-        match Option.bind (Yaml.find d name) Yaml.get_string with
-        | Some s -> factors_of_string s
-        | None -> Ok []
-      in
-      let* fixed = factors_field "factors" in
-      let* max_factors = factors_field "max_factors" in
-      let perm_prefix =
-        match Option.bind (Yaml.find d "permutation_prefix") Yaml.get_string with
-        | Some s -> List.filter (fun p -> p <> "") (String.split_on_char ' ' s)
-        | None -> []
-      in
-      match
-        Mapspace.Constraints.level_constraint ~level ~fixed ~max_factors ~perm_prefix ()
-      with
-      | c -> Ok (acc @ [ c ])
-      | exception Invalid_argument msg -> Error msg)
-    (Ok []) directives
-
 (* ------------------------------------------------------------------ *)
 (* Architecture                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Bandwidths are words/cycle and may be fractional (e.g. a 8.5-words/cycle
    technology point): truncating through [int_of_float] silently exported
-   8, so the round-tripped Timeloop model under-provisioned the link. *)
+   8, so the Timeloop model under-provisioned the link. *)
 let bandwidth_yaml v =
   if Float.is_integer v then Yaml.Int (int_of_float v) else Yaml.Float v
 
-let architecture_to_yaml tech arch =
+let architecture_to_yaml ~node_nm tech arch =
   let dram =
     Yaml.Map
       [
@@ -356,7 +155,7 @@ let architecture_to_yaml tech arch =
           [
             ("version", Yaml.String "A.3");
             ("name", Yaml.String arch.Arch.arch_name);
-            ("technology", Yaml.String "45nm");
+            ("technology", Yaml.String (Printf.sprintf "%gnm" node_nm));
             ( "subtree",
               Yaml.List
                 [
@@ -379,64 +178,7 @@ let architecture_to_yaml tech arch =
           ] );
     ]
 
-(* Count the replication in a name like "PE[0..167]". *)
-let replication_of_name name =
-  match (String.index_opt name '[', String.index_opt name ']') with
-  | Some lb, Some rb when rb > lb -> begin
-    let range = String.sub name (lb + 1) (rb - lb - 1) in
-    match String.split_on_char '.' range with
-    | [ lo; ""; hi ] | [ lo; hi ] -> begin
-      match (int_of_string_opt lo, int_of_string_opt hi) with
-      | Some lo, Some hi when hi >= lo -> Some (hi - lo + 1)
-      | _ -> None
-    end
-    | _ -> None
-  end
-  | _ -> None
-
-let architecture_of_yaml yaml =
-  let* root = require "architecture" (Yaml.find yaml "architecture") in
-  let* name =
-    require "architecture.name" (Option.bind (Yaml.find root "name") Yaml.get_string)
-  in
-  (* Walk the subtree collecting SRAM depth, register depth, PE count. *)
-  let sram = ref None in
-  let regs = ref None in
-  let pes = ref None in
-  let rec walk node ~replication =
-    let locals = Option.value ~default:[] (Option.bind (Yaml.find node "local") Yaml.get_list) in
-    List.iter
-      (fun local ->
-        let cls = Option.bind (Yaml.find local "class") Yaml.get_string in
-        let depth = Option.bind (Yaml.find local "attributes") (fun a -> Option.bind (Yaml.find a "depth") Yaml.get_int) in
-        match cls with
-        | Some "SRAM" -> sram := depth
-        | Some "regfile" ->
-          regs := depth;
-          pes := Some replication
-        | Some _ | None -> ())
-      locals;
-    let subtrees =
-      Option.value ~default:[] (Option.bind (Yaml.find node "subtree") Yaml.get_list)
-    in
-    List.iter
-      (fun sub ->
-        let sub_name = Option.bind (Yaml.find sub "name") Yaml.get_string in
-        let replication =
-          match Option.bind sub_name replication_of_name with
-          | Some r -> replication * r
-          | None -> replication
-        in
-        walk sub ~replication)
-      subtrees
-  in
-  walk root ~replication:1;
-  match (!pes, !regs, !sram) with
-  | Some pes, Some registers, Some sram_words ->
-    Ok (Arch.make ~name ~pes ~registers ~sram_words)
-  | _ -> Error "architecture spec: missing PE / register-file / SRAM description"
-
-let write_bundle ~dir tech arch nest mapping =
+let write_bundle ~dir ~node_nm tech arch nest mapping =
   let write name v =
     let oc = open_out (Filename.concat dir name) in
     output_string oc (Yaml.emit v);
@@ -444,4 +186,4 @@ let write_bundle ~dir tech arch nest mapping =
   in
   write "problem.yaml" (problem_to_yaml nest);
   write "mapping.yaml" (mapping_to_yaml mapping);
-  write "arch.yaml" (architecture_to_yaml tech arch)
+  write "arch.yaml" (architecture_to_yaml ~node_nm tech arch)

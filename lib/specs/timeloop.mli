@@ -1,7 +1,7 @@
 (** Timeloop-style specification documents (Fig. 3): problem, mapping and
-    architecture, emitted from — and parsed back into — this project's
-    types.  This mirrors how Thistle drives the external Timeloop model in
-    the paper's toolchain.
+    architecture, emitted from this project's types.  This mirrors how
+    Thistle drives the external Timeloop model in the paper's toolchain:
+    the documents are written for Timeloop to read, never read back.
 
     Conventions: factors are written [dim=count]; permutations are written
     innermost-first (Timeloop's convention), while {!Mapspace.Mapping}
@@ -9,34 +9,25 @@
 
 val problem_to_yaml : Workload.Nest.t -> Yaml.value
 
-val problem_of_yaml : Yaml.value -> (Workload.Nest.t, string) result
-
 val mapping_to_yaml : Mapspace.Mapping.t -> Yaml.value
 (** Canonical 4-level mappings only: emits one directive per level with
     targets [DRAM] (temporal), [SRAM] (spatial), [SRAM] (temporal) and
     [RegisterFile] (temporal). *)
 
-val mapping_of_yaml : Yaml.value -> (Mapspace.Mapping.t, string) result
-
-val constraints_to_yaml : Mapspace.Constraints.t -> Yaml.value
-(** Timeloop-style mapspace-constraints document ([mapspace_constraints]
-    list with per-level [factors], [max_factors] and
-    [permutation_prefix]); canonical 4-level targets only. *)
-
-val constraints_of_yaml : Yaml.value -> (Mapspace.Constraints.t, string) result
-
 val architecture_to_yaml :
-  Archspec.Technology.t -> Archspec.Arch.t -> Yaml.value
+  node_nm:float -> Archspec.Technology.t -> Archspec.Arch.t -> Yaml.value
 (** The Fig. 3(a) tree: DRAM, then a chip with shared SRAM and [P]
-    replicated PEs, each with a register file and a MAC unit. *)
-
-val architecture_of_yaml : Yaml.value -> (Archspec.Arch.t, string) result
+    replicated PEs, each with a register file and a MAC unit.  The
+    [technology] attribute is [node_nm] in nm (["45nm"] for Table III);
+    the bandwidths are [tech]'s. *)
 
 val write_bundle :
   dir:string ->
+  node_nm:float ->
   Archspec.Technology.t ->
   Archspec.Arch.t ->
   Workload.Nest.t ->
   Mapspace.Mapping.t ->
   unit
-(** Write [problem.yaml], [mapping.yaml] and [arch.yaml] under [dir]. *)
+(** Write [problem.yaml], [mapping.yaml] and [arch.yaml] under the
+    existing directory [dir]. *)

@@ -7,56 +7,8 @@ type value =
   | List of value list
   | Map of (string * value) list
 
-exception Parse_error of int * string
-
-(* ------------------------------------------------------------------ *)
-(* Scanning                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type line = { mutable indent : int; mutable text : string; lineno : int }
-
-(* Remove a trailing comment: '#' outside quotes, at start of line or
-   preceded by whitespace. *)
-let strip_comment s =
-  let n = String.length s in
-  let rec scan i in_quote =
-    if i >= n then n
-    else
-      match s.[i] with
-      | ('"' | '\'') as q -> begin
-        match in_quote with
-        | Some q' when q = q' -> scan (i + 1) None
-        | Some _ -> scan (i + 1) in_quote
-        | None -> scan (i + 1) (Some q)
-      end
-      | '#' when in_quote = None && (i = 0 || s.[i - 1] = ' ' || s.[i - 1] = '\t') -> i
-      | _ -> scan (i + 1) in_quote
-  in
-  String.sub s 0 (scan 0 None)
-
-let scan_lines src =
-  let raw = String.split_on_char '\n' src in
-  let lines = ref [] in
-  List.iteri
-    (fun i l ->
-      let l = strip_comment l in
-      let trimmed = String.trim l in
-      if trimmed <> "" then begin
-        let indent = ref 0 in
-        while !indent < String.length l && l.[!indent] = ' ' do
-          incr indent
-        done;
-        if !indent < String.length l && l.[!indent] = '\t' then
-          raise (Parse_error (i + 1, "tab indentation is not supported"));
-        lines := { indent = !indent; text = trimmed; lineno = i + 1 } :: !lines
-      end)
-    raw;
-  Array.of_list (List.rev !lines)
-
-(* ------------------------------------------------------------------ *)
-(* Scalars                                                            *)
-(* ------------------------------------------------------------------ *)
-
+(* The value this subset reads a scalar's text as; a quoted text is a
+   string. *)
 let scalar_of_string s =
   let n = String.length s in
   if n >= 2 && (s.[0] = '"' || s.[0] = '\'') && s.[n - 1] = s.[0] then
@@ -74,130 +26,8 @@ let scalar_of_string s =
       end
     end
 
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let is_dash_item text =
-  String.length text > 0
-  && text.[0] = '-'
-  && (String.length text = 1 || text.[1] = ' ')
-
-(* Split "key: rest" at the first colon followed by a space or EOL. *)
-let split_key_value lineno text =
-  let n = String.length text in
-  let rec find i =
-    if i >= n then None
-    else if text.[i] = ':' && (i + 1 >= n || text.[i + 1] = ' ') then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> raise (Parse_error (lineno, "expected 'key: value'"))
-  | Some i ->
-    let key = String.trim (String.sub text 0 i) in
-    let rest = if i + 1 >= n then "" else String.trim (String.sub text (i + 1) (n - i - 1)) in
-    if key = "" then raise (Parse_error (lineno, "empty key"));
-    (key, rest)
-
-let rec parse_node lines pos indent =
-  if !pos >= Array.length lines then Null
-  else begin
-    let l = lines.(!pos) in
-    if l.indent < indent then Null
-    else if is_dash_item l.text then parse_list lines pos l.indent
-    else if String.contains l.text ':' then parse_map lines pos l.indent
-    else begin
-      incr pos;
-      scalar_of_string l.text
-    end
-  end
-
-and parse_list lines pos indent =
-  let items = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    if !pos >= Array.length lines then continue_ := false
-    else begin
-      let l = lines.(!pos) in
-      if l.indent <> indent || not (is_dash_item l.text) then continue_ := false
-      else begin
-        let content = String.trim (String.sub l.text 1 (String.length l.text - 1)) in
-        if content = "" then begin
-          incr pos;
-          let item =
-            if !pos < Array.length lines && lines.(!pos).indent > indent then
-              parse_node lines pos lines.(!pos).indent
-            else Null
-          in
-          items := item :: !items
-        end
-        else begin
-          (* Inline first token: re-interpret the remainder of this line as
-             a line indented past the dash, so "- name: x" plus aligned
-             following keys parses as one map. *)
-          let content_col = indent + (String.length l.text - String.length content) in
-          l.indent <- content_col;
-          l.text <- content;
-          let item = parse_node lines pos content_col in
-          items := item :: !items
-        end
-      end
-    end
-  done;
-  List (List.rev !items)
-
-and parse_map lines pos indent =
-  let entries = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    if !pos >= Array.length lines then continue_ := false
-    else begin
-      let l = lines.(!pos) in
-      if l.indent <> indent || is_dash_item l.text then continue_ := false
-      else begin
-        let key, rest = split_key_value l.lineno l.text in
-        if rest = "" then begin
-          incr pos;
-          let v =
-            if
-              !pos < Array.length lines
-              && (lines.(!pos).indent > indent
-                 || (lines.(!pos).indent = indent && is_dash_item lines.(!pos).text))
-            then parse_node lines pos lines.(!pos).indent
-            else Null
-          in
-          entries := (key, v) :: !entries
-        end
-        else begin
-          incr pos;
-          entries := (key, scalar_of_string rest) :: !entries
-        end
-      end
-    end
-  done;
-  Map (List.rev !entries)
-
-let parse src =
-  match scan_lines src with
-  | exception Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
-  | lines ->
-    if Array.length lines = 0 then Ok Null
-    else begin
-      let pos = ref 0 in
-      match parse_node lines pos lines.(0).indent with
-      | exception Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
-      | v ->
-        if !pos < Array.length lines then
-          Error
-            (Printf.sprintf "line %d: unexpected content after document"
-               lines.(!pos).lineno)
-        else Ok v
-    end
-
-(* ------------------------------------------------------------------ *)
-(* Emission                                                           *)
-(* ------------------------------------------------------------------ *)
-
+(* A string may be written plain only if it reads back as itself and
+   holds nothing that structures a document. *)
 let plain_safe s =
   s <> ""
   && scalar_of_string s = String s
@@ -252,32 +82,3 @@ let emit v =
   let buf = Buffer.create 256 in
   emit_block buf 0 v;
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Accessors                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let find v key = match v with Map entries -> List.assoc_opt key entries | _ -> None
-
-let get_string = function String s -> Some s | _ -> None
-
-let get_int = function Int i -> Some i | _ -> None
-
-let get_list = function List l -> Some l | _ -> None
-
-let rec pp ppf = function
-  | Null -> Format.fprintf ppf "null"
-  | Bool b -> Format.fprintf ppf "%b" b
-  | Int i -> Format.fprintf ppf "%d" i
-  | Float f -> Format.fprintf ppf "%g" f
-  | String s -> Format.fprintf ppf "%S" s
-  | List items ->
-    Format.fprintf ppf "[@[%a@]]"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp)
-      items
-  | Map entries ->
-    Format.fprintf ppf "{@[%a@]}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-         (fun ppf (k, v) -> Format.fprintf ppf "%s: %a" k pp v))
-      entries

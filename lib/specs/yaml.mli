@@ -1,9 +1,9 @@
-(** A small YAML subset, sufficient for Timeloop-style specification
-    documents (Fig. 3): indentation-structured maps, block lists of
-    ["- "] items (including inline first keys, as in ["- name: x"]),
-    scalars (null/bool/int/float/plain and quoted strings) and ["#"]
-    comments.  Anchors, flow collections, multi-document streams and
-    multi-line scalars are not supported. *)
+(** The YAML subset Timeloop-style specification documents (Fig. 3) are
+    written in: indentation-structured block maps and block lists of
+    ["- "] items (a map item's first key inline after the dash, as in
+    ["- name: x"]), with null/bool/int/float/string scalars.  Emission
+    only: Thistle writes these documents for the external Timeloop model
+    and never reads them back. *)
 
 type value =
   | Null
@@ -14,21 +14,11 @@ type value =
   | List of value list
   | Map of (string * value) list
 
-val parse : string -> (value, string) result
-(** Errors carry a line number and a description. *)
-
 val emit : value -> string
-(** [parse (emit v)] returns a value equal to [v] up to scalar
-    re-interpretation (e.g. the string ["42"] emits as a quoted scalar so
-    it survives the round trip). *)
-
-val find : value -> string -> value option
-(** Map lookup; [None] on non-maps or missing keys. *)
-
-val get_string : value -> string option
-
-val get_int : value -> int option
-
-val get_list : value -> value list option
-
-val pp : Format.formatter -> value -> unit
+(** The block-style text of [v], two spaces per level, one key or list
+    item per line; an empty map or list is written [{}] or [[]].  Null
+    is [null], floats use [%g].  A string is double-quoted when it
+    would otherwise read as a null, bool or number (["42"], ["true"],
+    ["~"]) or as a quoted scalar, holds [':'] or ['#'], is empty, starts
+    with ['-'] or a space, or ends with a space; other strings are
+    written plain.  Nothing is escaped inside the quotes. *)

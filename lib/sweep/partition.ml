@@ -2,8 +2,6 @@ type t = { index : int; count : int }
 
 let full = { index = 1; count = 1 }
 
-let is_full t = t.count = 1
-
 let parse s =
   let s = String.trim s in
   match String.index_opt s '/' with

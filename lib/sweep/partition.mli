@@ -25,8 +25,6 @@ type t = {
 val full : t
 (** The trivial partition [1/1]: every choice selected. *)
 
-val is_full : t -> bool
-
 val parse : string -> (t, string) result
 (** [parse "I/N"] — 1-based; fails unless [1 <= I <= N]. *)
 

@@ -25,10 +25,6 @@ let terms p = p
 
 let is_zero p = p = []
 
-let is_monomial p = match p with [ _ ] -> true | _ -> false
-
-let as_monomial = function [ m ] -> Some m | _ -> None
-
 let add a b = normalize (a @ b)
 
 let sum ps = normalize (List.concat ps)

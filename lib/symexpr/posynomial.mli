@@ -23,11 +23,6 @@ val terms : t -> Monomial.t list
 
 val is_zero : t -> bool
 
-val is_monomial : t -> bool
-
-val as_monomial : t -> Monomial.t option
-(** [Some m] when the posynomial is a single monomial. *)
-
 val add : t -> t -> t
 
 val sum : t list -> t

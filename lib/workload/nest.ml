@@ -90,9 +90,6 @@ let projection_words n proj =
 let tensor_words n t =
   List.fold_left (fun acc proj -> acc *. projection_words n proj) 1.0 t.projections
 
-let total_words n =
-  List.fold_left (fun acc t -> acc +. tensor_words n t) 0.0 n.tensors
-
 let pp_projection ppf proj =
   List.iteri
     (fun i { stride; iter } ->

@@ -57,6 +57,4 @@ val tensor_words : t -> tensor -> float
 (** Total size of the tensor in words, from the full-extent footprint of
     each projection. *)
 
-val total_words : t -> float
-
 val pp : Format.formatter -> t -> unit

@@ -9,8 +9,12 @@
 # short of that passes the resolver, but a scaled constant times the
 # layer's MAC count overflows: the formulate stage refuses the pair,
 # naming it and the coefficient, and the CLI exits 1.  The journal
-# errors name a directory (.) or a missing file as a journal: each exits
-# 1 with a message naming the path once, never an uncaught exception.
+# errors name a directory (.) or a missing file as a journal, and the
+# output errors a file (/dev/null) as the --emit directory or a missing
+# directory for --emit-code, --trace, --metrics or metrics --out: each
+# exits 1 with a message naming the path once, never an uncaught
+# exception.  The output errors come after the solve, whose report goes
+# to stdout.
 set -u
 
 cli=$1
@@ -37,7 +41,12 @@ for args in \
     "optimize --layer resnet-2 --max-choices 4 --journal . --resume" \
     "journal compact ." \
     "journal compact missing.jsonl" \
-    "merge --layer resnet-2 --max-choices 4 --journal . /dev/null"
+    "merge --layer resnet-2 --max-choices 4 --journal . /dev/null" \
+    "optimize --layer resnet-2 --max-choices 2 --emit /dev/null" \
+    "optimize --layer resnet-2 --max-choices 2 --emit-code missing/code.txt" \
+    "optimize --layer resnet-2 --max-choices 2 --trace missing/trace.jsonl" \
+    "optimize --layer resnet-2 --max-choices 2 --metrics missing/metrics.json" \
+    "metrics --layer resnet-2 --max-choices 2 --out missing/metrics.txt"
 do
     echo "\$ thistle $args"
     # shellcheck disable=SC2086

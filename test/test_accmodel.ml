@@ -300,11 +300,11 @@ let test_degenerate_nest_rejected () =
     Alcotest.failf "degenerate nest accepted: energy/mac %g, ipc %g"
       m.Evaluate.energy_per_mac m.Evaluate.ipc
 
-(* [Mapping.validate] accepts any depth, and a Timeloop YAML with fewer
-   directives decodes to a 1-, 2- or 3-level mapping; the evaluator used
-   to raise [Invalid_argument] on those from its canonical accessors.  It
-   must return an [Error] naming the hierarchy it expects, while
-   [Counts.compute] keeps counting any depth. *)
+(* [Mapping.validate] accepts any depth, 1-, 2- and 3-level mappings
+   included; the evaluator used to raise [Invalid_argument] on those from
+   its canonical accessors.  It must return an [Error] naming the
+   hierarchy it expects, while [Counts.compute] keeps counting any
+   depth. *)
 let test_non_canonical_rejected () =
   let nest = Workload.Conv.to_nest (Workload.Zoo.find "resnet-8") in
   let dims = Nest.dim_names nest in

@@ -239,7 +239,9 @@ let test_export_file () =
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      T.export_file file;
+      let oc = open_out file in
+      T.export oc;
+      close_out oc;
       let ic = open_in file in
       let lines = ref [] in
       (try
