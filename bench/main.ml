@@ -127,11 +127,12 @@ let eyeriss_thistle =
       O.dataflow ~config:(thistle_config_for obj) tech Arch.eyeriss (objective_of obj)
         (nest_of layer_name))
 
-(* Timeloop-Mapper-style search on the Eyeriss architecture. *)
+(* Timeloop-Mapper-style search on the Eyeriss architecture, scored
+   under Thistle's delay model. *)
 let eyeriss_mapper =
   memo (fun (layer_name, obj) ->
-      S.search ~config:mapper_config tech Arch.eyeriss (criterion_of obj)
-        (nest_of layer_name))
+      S.search ~config:mapper_config ~comm:(thistle_config_for obj).O.comm tech
+        Arch.eyeriss (criterion_of obj) (nest_of layer_name))
 
 (* Layer-wise architecture-dataflow co-design at the Eyeriss area. *)
 let codesign =
@@ -419,8 +420,8 @@ let ablation_gridsearch () =
         }
       in
       let grid =
-        Mapper.Grid.search ~config:grid_config tech ~area_budget
-          Mapper.Search.Min_energy nest
+        Mapper.Grid.search ~config:grid_config ~comm:thistle_config.O.comm tech
+          ~area_budget Mapper.Search.Min_energy nest
       in
       match grid.Mapper.Grid.winner with
       | Some { Mapper.Grid.best = Some (_, m); arch; _ } ->

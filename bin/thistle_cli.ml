@@ -159,10 +159,9 @@ let base_config =
             "Interval-propagation presolve over every formulated program: \
              $(b,prune) (default) skips statically infeasible pairs — each \
              carries an independently re-checked proof — and solves reduced \
-             problems (monotone variables pinned, redundant constraints \
-             dropped); $(b,check) solves everything and fails the run if any \
-             verdict disagrees with the solver; $(b,off) disables the \
-             analysis.")
+             problems (redundant constraints dropped); $(b,off) disables the \
+             analysis.  $(b,thistle presolve --check) validates the verdicts \
+             against the solver.")
   in
   let deadline_arg =
     Arg.(
@@ -518,7 +517,11 @@ let mapper_cmd =
       let config = { S.max_trials = trials; victory_condition = victory; seed } in
       (* No --node flag: the Table III values as-is. *)
       let tech = Archspec.Technology.table3 in
-      let result = S.search_parallel ~config ~domains tech arch criterion nest in
+      (* Scored under the optimizer's delay model, as Thistle is. *)
+      let result =
+        S.search_parallel ~config ~domains ~comm:O.default_config.O.comm tech arch
+          criterion nest
+      in
       Printf.printf "trials: %d (%d valid, %d improvements)\n" result.S.trials
         result.S.valid_trials result.S.improvements;
       (match result.S.best with
@@ -656,14 +659,13 @@ let presolve_cmd =
              constraint active at an optimum is a disagreement — much slower.")
   in
   let run () layer max_choices check arch node jobs =
-    (* Per program: (pruned, fixed, dropped, disagreements). *)
+    (* Per program: (pruned, dropped, disagreements). *)
     let verdict (instance : F.instance) =
       let problem = instance.F.problem in
       let t = An.Presolve.analyze problem in
-      let pruned, fixed, dropped, rejected =
+      let pruned, dropped, rejected =
         match t.An.Presolve.verdict with
-        | An.Presolve.Feasible red ->
-          (0, List.length red.An.Presolve.fixed, List.length red.An.Presolve.dropped, [])
+        | An.Presolve.Feasible red -> (0, List.length red.An.Presolve.dropped, [])
         | An.Presolve.Infeasible proof ->
           let rejected =
             match An.Certificate.check_prune problem proof with
@@ -674,10 +676,10 @@ let presolve_cmd =
                   instance.F.provenance m;
               ]
           in
-          (1, 0, 0, rejected)
+          (1, 0, rejected)
       in
-      (* Solve the original problem and validate the verdict exactly as
-         the sweep's Check mode does. *)
+      (* Solve the original problem and validate the verdict against the
+         solution. *)
       let contradicted =
         if not check then []
         else
@@ -685,7 +687,7 @@ let presolve_cmd =
           if O.usable_solution instance sol then O.presolve_disagreements instance t sol
           else []
       in
-      (pruned, fixed, dropped, rejected @ contradicted)
+      (pruned, dropped, rejected @ contradicted)
     in
     match
       let* arch = arch in
@@ -694,18 +696,17 @@ let presolve_cmd =
     | Error msg -> fail msg
     | Ok results ->
       let sum f vs = List.fold_left (fun acc v -> acc + f v) 0 vs in
-      let pruned (p, _, _, _) = p and fixed (_, f, _, _) = f and dropped (_, _, d, _) = d in
-      Printf.printf "%-10s %14s %8s %6s %8s\n" "layer" "formulations" "pruned" "fixed"
-        "dropped";
+      let pruned (p, _, _) = p and dropped (_, d, _) = d in
+      Printf.printf "%-10s %14s %8s %8s\n" "layer" "formulations" "pruned" "dropped";
       List.iter
         (fun (nest, vs) ->
-          Printf.printf "%-10s %14d %8d %6d %8d\n" (Nest.name nest) (List.length vs)
-            (sum pruned vs) (sum fixed vs) (sum dropped vs))
+          Printf.printf "%-10s %14d %8d %8d\n" (Nest.name nest) (List.length vs)
+            (sum pruned vs) (sum dropped vs))
         results;
       let all = List.concat_map snd results in
-      Printf.printf "total: %d formulations, %d pruned, %d fixed, %d dropped\n"
-        (List.length all) (sum pruned all) (sum fixed all) (sum dropped all);
-      let disagreements = List.concat_map (fun (_, _, _, ds) -> ds) all in
+      Printf.printf "total: %d formulations, %d pruned, %d dropped\n" (List.length all)
+        (sum pruned all) (sum dropped all);
+      let disagreements = List.concat_map (fun (_, _, ds) -> ds) all in
       if disagreements <> [] then begin
         Printf.printf "%d disagreement(s):\n" (List.length disagreements);
         List.iter (fun d -> Printf.printf "  %s\n" d) disagreements;
@@ -719,7 +720,7 @@ let presolve_cmd =
          "Audit the presolve layer: run interval bound propagation over every \
           program the optimizer would formulate (all modes, objectives, delay \
           models, permutation choices and placements, per layer), re-check every \
-          infeasibility proof, and report prune/fix/drop counts.  With \
+          infeasibility proof, and report prune/drop counts.  With \
           $(b,--check), also solve everything and fail on any verdict the \
           solver contradicts.")
     Term.(

@@ -26,13 +26,15 @@ let () =
   List.iter
     (fun layer ->
       let nest = Workload.Conv.to_nest layer in
-      let mapper = S.search ~config:mapper_config tech arch S.Min_delay nest in
+      let config = { O.default_config with O.top_choices = 10 } in
+      let mapper =
+        S.search ~config:mapper_config ~comm:config.O.comm tech arch S.Min_delay nest
+      in
       let mapper_ipc =
         match mapper.S.best with
         | Some (_, m) -> m.Evaluate.ipc
         | None -> nan
       in
-      let config = { O.default_config with O.top_choices = 10 } in
       match O.dataflow ~config tech arch F.Delay nest with
       | Error msg ->
         Printf.printf "%-8s %12.2f %12s ! %s\n" layer.Workload.Conv.layer_name

@@ -24,12 +24,23 @@ let check ?(tol = 1e-4) ?provenance problem env =
   let objective_value = P.eval env (Gp.Problem.objective problem) in
   if not (Float.is_finite objective_value) then
     error "objective evaluates to %g at the solution" objective_value;
+  (* Every occurrence is checked where it stands; only the names that
+     fail are sorted, so the diagnostics keep name order. *)
+  let bad = ref [] in
+  let mono m =
+    List.iter
+      (fun (x, _) ->
+        let v = env x in
+        if not (Float.is_finite v && v > 0.0) then bad := x :: !bad)
+      (Symexpr.Monomial.exponents m)
+  in
+  let poly p = List.iter mono (P.terms p) in
+  poly (Gp.Problem.objective problem);
+  List.iter (fun (_, p) -> poly p) (Gp.Problem.ineqs problem);
+  List.iter (fun (_, m) -> mono m) (Gp.Problem.eqs problem);
   List.iter
-    (fun x ->
-      let v = env x in
-      if not (Float.is_finite v && v > 0.0) then
-        error "variable %s = %g is not finite positive" x v)
-    (Gp.Problem.variables problem);
+    (fun x -> error "variable %s = %g is not finite positive" x (env x))
+    (List.sort_uniq String.compare !bad);
   let violations = Gp.Problem.violations ~tol problem env in
   let max_violation =
     List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 violations

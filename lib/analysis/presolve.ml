@@ -1,11 +1,11 @@
 module M = Symexpr.Monomial
 module P = Symexpr.Posynomial
 
-type mode = Prune | Check | Off
+type mode = Prune | Off
 
-let modes = [ ("prune", Prune); ("check", Check); ("off", Off) ]
+let modes = [ ("prune", Prune); ("off", Off) ]
 
-let mode_name = function Prune -> "prune" | Check -> "check" | Off -> "off"
+let mode_name = function Prune -> "prune" | Off -> "off"
 
 type side = Lo | Hi
 
@@ -41,8 +41,6 @@ let improve_margin = 1e-9
 
 let max_rounds = 8
 
-module SS = Set.Make (String)
-
 (* ------------------------------------------------------------------ *)
 (* Lowering                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -71,19 +69,9 @@ type lowered = {
   rows : row array;
   n_ineqs : int;
   occurs : int list array;  (* per variable, the rows that mention it *)
-  in_eq : bool array;  (* the variable occurs in an equality *)
-  signs : int array;
-      (* per variable, [sign_bits] of its exponents in the objective and
-         the non-simple-bound inequalities, or-ed together *)
   max_factors : int;  (* per term, at most *)
   max_terms : int;  (* per row, at most *)
 }
-
-(* A simple bound is a single-monomial inequality over a single
-   variable (the formulation's [bound:<var>] constraints): it shapes
-   the box but never opposes moving the variable to a box endpoint, so
-   it is excluded from the monotonicity scan of {!fixable}. *)
-let is_simple_bound r = Array.length r.terms = 1 && Array.length r.terms.(0).vars = 1
 
 module Names = Hashtbl.Make (struct
   type t = string
@@ -91,9 +79,6 @@ module Names = Hashtbl.Make (struct
   let equal = String.equal
   let hash = Hashtbl.hash
 end)
-
-(* Bit 1: a positive exponent; bit 2: a negative one. *)
-let sign_bits e = if e > 0.0 then 1 else if e < 0.0 then 2 else 0
 
 let lower problem =
   (* Index variables by first occurrence, then renumber them in name
@@ -107,21 +92,11 @@ let lower problem =
       Names.add ids x i;
       i
   in
-  (* The objective counts only through the signs of its exponents.  It
-     is scanned first, so its variables take the first ids, at most one
-     per factor. *)
-  let objective = P.terms (Gp.Problem.objective problem) in
-  let objective_signs =
-    Array.make (List.fold_left (fun n m -> n + List.length (M.exponents m)) 0 objective) 0
-  in
+  (* The objective enters only through its variables, which belong to
+     the box even where no constraint mentions them. *)
   List.iter
-    (fun m ->
-      List.iter
-        (fun (x, e) ->
-          let i = id x in
-          objective_signs.(i) <- objective_signs.(i) lor sign_bits e)
-        (M.exponents m))
-    objective;
+    (fun m -> List.iter (fun (x, _) -> ignore (id x)) (M.exponents m))
+    (P.terms (Gp.Problem.objective problem));
   let term m =
     let exps = M.exponents m in
     let n = List.length exps in
@@ -145,8 +120,6 @@ let lower problem =
   Array.sort String.compare names;
   let rank = Array.make nvars 0 in
   Array.iteri (fun i x -> rank.(Names.find ids x) <- i) names;
-  let signs = Array.make nvars 0 in
-  Array.iteri (fun i bits -> if bits <> 0 then signs.(rank.(i)) <- bits) objective_signs;
   let mark = Array.make nvars (-1) in
   let rows =
     Array.of_list
@@ -173,24 +146,12 @@ let lower problem =
   in
   let occurs = Array.make nvars [] in
   Array.iteri (fun c r -> Array.iter (fun x -> occurs.(x) <- c :: occurs.(x)) r.support) rows;
-  let in_eq = Array.make nvars false in
-  Array.iter
-    (fun r ->
-      if r.eq then Array.iter (fun x -> in_eq.(x) <- true) r.support
-      else if not (is_simple_bound r) then
-        Array.iter
-          (fun t ->
-            Array.iteri (fun i x -> signs.(x) <- signs.(x) lor sign_bits t.exps.(i)) t.vars)
-          r.terms)
-    rows;
   let max_over f = Array.fold_left (fun acc r -> Int.max acc (f r)) 0 rows in
   {
     names;
     rows;
     n_ineqs = List.length ineqs;
     occurs;
-    in_eq;
-    signs;
     max_factors =
       max_over (fun r -> Array.fold_left (fun n t -> Int.max n (Array.length t.vars)) 0 r.terms);
     max_terms = max_over (fun r -> Array.length r.terms);
@@ -433,33 +394,10 @@ let slice lw trail culprit =
     [] trail
 
 (* ------------------------------------------------------------------ *)
-(* Monotonicity fixing                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* A variable outside every equality whose exponents across the scanned
-   terms are all nonnegative is pinned to its lower endpoint, one whose
-   exponents are all nonpositive to its upper endpoint (a variable
-   absent from every scanned term counts as nonnegative). *)
-let fixable st =
-  let lw = st.lw in
-  let fixed = ref [] in
-  for x = Array.length lw.names - 1 downto 0 do
-    if not lw.in_eq.(x) then begin
-      let v =
-        if lw.signs.(x) land 2 = 0 then st.lo.(x)
-        else if lw.signs.(x) land 1 = 0 then st.hi.(x)
-        else nan
-      in
-      if Float.is_finite v && v > 0.0 then fixed := (x, v) :: !fixed
-    end
-  done;
-  !fixed
-
-(* ------------------------------------------------------------------ *)
 (* Redundancy elimination                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The eliminated inequalities, by row, with their certified bound, in
+(* The eliminated inequalities, by name, with their certified bound, in
    row order. *)
 let redundant st =
   let lw = st.lw in
@@ -483,7 +421,7 @@ let redundant st =
         (fun c ->
           if candidate.(c) then
             let ub = row_hi st' lw.rows.(c) in
-            if ub <= 1.0 -. drop_margin then Some (c, ub) else None
+            if ub <= 1.0 -. drop_margin then Some (lw.rows.(c).name, ub) else None
           else None)
         (List.init lw.n_ineqs Fun.id)
     | exception Found_infeasible _ ->
@@ -493,62 +431,14 @@ let redundant st =
       []
   end
 
-(* ------------------------------------------------------------------ *)
-(* Reduction construction                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Binding the fixed variables collapses any inequality mentioning only
-   fixed variables to a constant: such a constraint no longer restricts
-   the remaining variables — drop it, recording its constant value as
-   the certified bound.  A constant meaningfully above 1 would
-   contradict the infeasibility check that already passed; it can only
-   arise inside the float-rounding slack of an active bound, in which
-   case fixing is abandoned wholesale rather than risking an unsound
-   drop. *)
-exception Abort_fixing
-
+(* The reduced problem is the input without the eliminated
+   inequalities; with nothing to eliminate it is the input itself. *)
 let reduction problem st =
-  let lw = st.lw in
-  let fixed = fixable st in
-  let dropped0 = redundant st in
-  if fixed = [] && dropped0 = [] then { reduced = problem; fixed = []; dropped = [] }
-  else begin
-    let ineqs = Array.of_list (Gp.Problem.ineqs problem) in
-    let build fixed =
-      let is_fixed = Array.make (Array.length lw.names) false in
-      List.iter (fun (x, _) -> is_fixed.(x) <- true) fixed;
-      let values = List.map (fun (x, v) -> (lw.names.(x), v)) fixed in
-      let fixed_env x = List.assoc x values in
-      (* Per inequality: the bound it is dropped with, certified by the
-         interval pass or collapsed to a constant by the binding. *)
-      let dropped = Array.make lw.n_ineqs None in
-      List.iter (fun (c, ub) -> dropped.(c) <- Some ub) dropped0;
-      Array.iteri
-        (fun c (_, p) ->
-          if dropped.(c) = None && Array.for_all (fun x -> is_fixed.(x)) lw.rows.(c).support
-          then begin
-            let v = P.eval fixed_env p in
-            if v <= 1.0 +. 1e-9 then dropped.(c) <- Some v else raise Abort_fixing
-          end)
-        ineqs;
-      let removed = ref SS.empty and kept_dropped = ref [] in
-      for c = lw.n_ineqs - 1 downto 0 do
-        match dropped.(c) with
-        | Some v ->
-          let name = fst ineqs.(c) in
-          removed := SS.add name !removed;
-          kept_dropped := (name, v) :: !kept_dropped
-        | None -> ()
-      done;
-      let keep name = not (SS.mem name !removed) in
-      let reduced = Gp.Problem.bind values (Gp.Problem.filter_ineqs keep problem) in
-      { reduced; fixed = values; dropped = !kept_dropped }
-    in
-    try build fixed
-    with Abort_fixing -> (
-      try build []
-      with Abort_fixing -> { reduced = problem; fixed = []; dropped = [] })
-  end
+  match redundant st with
+  | [] -> { reduced = problem; fixed = []; dropped = [] }
+  | dropped ->
+    let keep name = not (List.mem_assoc name dropped) in
+    { reduced = Gp.Problem.filter_ineqs keep problem; fixed = []; dropped }
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                        *)
@@ -569,32 +459,3 @@ let analyze problem =
       box = box_list st;
       verdict = Infeasible { steps; culprit = lw.rows.(culprit).name; kind; bound };
     }
-
-let pp_side ppf = function
-  | Lo -> Format.pp_print_string ppf ">="
-  | Hi -> Format.pp_print_string ppf "<="
-
-let pp_proof ppf proof =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "%s %a %.6g  (via %s)@," s.var pp_side s.side s.bound s.via)
-    proof.steps;
-  (match proof.kind with
-  | Ineq_low ->
-    Format.fprintf ppf "constraint %s: interval lower bound %.6g > 1" proof.culprit
-      proof.bound
-  | Eq_low ->
-    Format.fprintf ppf "equality %s: interval lower bound %.6g > 1" proof.culprit
-      proof.bound
-  | Eq_high ->
-    Format.fprintf ppf "equality %s: interval upper bound %.6g < 1" proof.culprit
-      proof.bound);
-  Format.fprintf ppf "@]"
-
-let pp ppf t =
-  match t.verdict with
-  | Infeasible proof -> Format.fprintf ppf "@[<v>infeasible:@,%a@]" pp_proof proof
-  | Feasible r ->
-    Format.fprintf ppf "feasible: %d fixed, %d dropped" (List.length r.fixed)
-      (List.length r.dropped)

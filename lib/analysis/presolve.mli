@@ -1,6 +1,6 @@
 (** Presolve: interval bound propagation over a geometric program, with
-    static infeasibility proofs, monotonicity-based variable fixing and
-    redundant-constraint elimination (DESIGN §13).
+    static infeasibility proofs and redundant-constraint elimination
+    (DESIGN §13).
 
     The pass derives a per-variable box (an {!Interval.t} over the
     positive axis) by fixed-point propagation:
@@ -14,7 +14,7 @@
       inverse of the interval of the remaining factors.
 
     Propagation is {e sound}: the box always contains every feasible
-    point of the problem.  Three verdicts follow:
+    point of the problem.  Two verdicts follow:
 
     - {b infeasibility}: a constraint whose interval lower bound over
       the box exceeds 1 (or an equality whose upper bound falls below
@@ -23,10 +23,6 @@
       of the box (backward-sliced from the culprit constraint) plus the
       culprit's certified bound.  {!Certificate.check_prune} replays it
       independently;
-    - {b variable fixing}: a variable outside every equality whose
-      exponents across the objective and every non-simple-bound
-      inequality are single-signed is monotone — pinning it to the
-      corresponding box endpoint preserves at least one optimum;
     - {b redundancy}: an inequality whose interval {e upper} bound over
       the box stays below 1 can never be active.  Because that bound may
       itself rest on the candidate's own propagation, candidates are
@@ -39,10 +35,6 @@
 
 type mode =
   | Prune  (** act on the verdicts: skip solves, shrink problems *)
-  | Check
-      (** solve everything anyway and differentially validate the
-          verdicts against the solver (a presolve-infeasible pair must
-          not solve, an eliminated constraint must not be active) *)
   | Off  (** skip the pass *)
 
 val modes : (string * mode) list
@@ -75,10 +67,13 @@ type proof = {
 
 type reduction = {
   reduced : Gp.Problem.t;
-      (** the problem after fixing and elimination; physically the
-          input problem when both lists below are empty, so the
+      (** the problem without the eliminated inequalities; physically
+          the input problem when [dropped] is empty, so the
           no-reduction path is bit-for-bit the no-presolve path *)
-  fixed : (string * float) list;  (** pinned variables, sorted by name *)
+  fixed : (string * float) list;
+      (** always empty: the pass fixes no variable.  The field remains
+          only because [perfbench/replay.ml] reads it; it goes with that
+          replay. *)
   dropped : (string * float) list;
       (** eliminated inequalities with their certified interval upper
           bound over the box, in original constraint order *)
@@ -107,7 +102,3 @@ val analyze : Gp.Problem.t -> t
     pure function of the problem (constraint and term order included),
     never of timing — the verdict enters journal fingerprinted state
     and the §9 counter contract. *)
-
-val pp_proof : Format.formatter -> proof -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -88,10 +88,8 @@ let m_journal_stale = Obs.Metrics.counter "sweep.journal_stale"
 let m_pairs_solved = Obs.Metrics.counter "sweep.pairs_solved"
 
 (* Presolve counters (DESIGN §9/§13): the formulate stage's verdicts
-   over the owned pairs.  [Prune] and [Check] produce identical
-   verdicts, hence identical counters; [Off] leaves all three at zero. *)
+   over the owned pairs; [Off] leaves both at zero. *)
 let m_presolve_pruned = Obs.Metrics.counter "presolve.pruned"
-let m_presolve_vars_fixed = Obs.Metrics.counter "presolve.vars_fixed"
 let m_presolve_dropped = Obs.Metrics.counter "presolve.constraints_dropped"
 
 (* Communication-model counters (DESIGN §9/§16): per-link delay
@@ -134,13 +132,9 @@ let config_fingerprint config =
     | Some ms -> Obs.Json.bits ms)
     config.retries
     (Robust.Inject.to_string config.inject)
-    (* [Check] solves every original problem exactly as [Off] does —
-       presolve only audits — so their journal entries are
-       interchangeable; [Prune] solves reduced problems and skips pruned
-       pairs, which is a different workload. *)
-    (match config.presolve with
-    | Analysis.Presolve.Prune -> "prune"
-    | Analysis.Presolve.Check | Analysis.Presolve.Off -> "off")
+    (* [Prune] solves reduced problems and skips pruned pairs, which is
+       a different workload from [Off]'s. *)
+    (Analysis.Presolve.mode_name config.presolve)
     (* The communication model changes the delay constraints a pair is
        lowered with, so journaled fates of one model must never replay
        under the other.  (For the Energy objective the GPs coincide, but
@@ -286,8 +280,8 @@ let request_key ~config tech arch_mode objective nest =
 (* [run] is Fig. 2's flow as a straight pipeline over one table with a
    row per owned (choice, placement) pair:
 
-     enumerate -> formulate -> seed -> solve -> certify
-       -> presolve check -> integerize -> select
+     enumerate -> formulate -> seed -> solve -> certify -> integerize
+       -> select
 
    Each stage is a function of what the previous ones produced.  The
    parallel ones (formulate, the two solve waves, certify, integerize)
@@ -308,7 +302,8 @@ type sweep = {
 
 (* One owned pair as formulated: its global index, the instance, its
    {!problem_key}, its journal fingerprint, and the presolve verdict
-   that survived re-checking ([None] when presolve is off or crashed). *)
+   that survived re-checking ([None] when presolve is off, crashed or
+   had its proof rejected). *)
 type pair = {
   idx : int;
   instance : Formulate.instance;
@@ -452,37 +447,27 @@ let enumerate config nest =
 (* Presolve one formulated pair.  Verdicts gate individual pairs, never
    the sweep, and an infeasibility verdict stands only once
    {!Analysis.Certificate.check_prune} re-checks its proof.  A rejected
-   proof — or a crash inside the propagator — downgrades the pair to
-   "solve normally" with a warning, in [Prune] and [Check] alike, so a
-   buggy propagator can never silently discard a feasible pair. *)
+   proof — or a crash inside the propagator — leaves the pair without a
+   verdict, solved as formulated, with a warning, so a buggy propagator
+   can never silently discard a feasible pair. *)
 let presolve_of config instance =
   match config.presolve with
   | Analysis.Presolve.Off -> None
-  | Analysis.Presolve.Prune | Analysis.Presolve.Check -> (
+  | Analysis.Presolve.Prune -> (
     let problem = instance.Formulate.problem in
+    let prov = instance.Formulate.provenance in
     match Analysis.Presolve.analyze problem with
     | exception e ->
       Log.warn (fun m ->
-          m "%s: presolve crashed, solving anyway: %s" instance.Formulate.provenance
-            (Printexc.to_string e));
+          m "%s: presolve crashed, solving anyway: %s" prov (Printexc.to_string e));
       None
-    | t -> (
-      match t.Analysis.Presolve.verdict with
-      | Analysis.Presolve.Feasible _ -> Some t
-      | Analysis.Presolve.Infeasible proof -> (
-        match Analysis.Certificate.check_prune problem proof with
-        | Ok () -> Some t
-        | Error msg ->
-          Log.warn (fun m ->
-              m "%s: presolve proof rejected, solving anyway: %s"
-                instance.Formulate.provenance msg);
-          Some
-            {
-              t with
-              Analysis.Presolve.verdict =
-                Analysis.Presolve.Feasible
-                  { Analysis.Presolve.reduced = problem; fixed = []; dropped = [] };
-            })))
+    | { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible proof; _ } as t -> (
+      match Analysis.Certificate.check_prune problem proof with
+      | Ok () -> Some t
+      | Error msg ->
+        Log.warn (fun m -> m "%s: presolve proof rejected, solving anyway: %s" prov msg);
+        None)
+    | t -> Some t)
 
 (* Stage formulate: formulate, lint, key and presolve every owned pair.
    The pairs are independent — Formulate.build shares no mutable state.
@@ -542,9 +527,9 @@ let open_journal config =
    solve.  A resume replays a pair's journal entry only while its
    fingerprint — (problem key, {!config_fingerprint}) — still matches;
    the last entry per pair wins, since a re-run may have appended a
-   fresh entry for a pair whose earlier one had gone stale.  In [Prune]
-   mode a statically infeasible pair gets its fate here, with all-zero
-   stats because no solver ran. *)
+   fresh entry for a pair whose earlier one had gone stale.  A
+   statically infeasible pair gets its fate here, with all-zero stats
+   because no solver ran. *)
 let seed ~config pairs =
   let entries = Hashtbl.create 64 in
   (match config.journal with
@@ -567,25 +552,18 @@ let seed ~config pairs =
         { seeded = Some seeded; stale = false }
       | entry ->
         let seeded =
-          match (config.presolve, p.pre) with
-          | ( Analysis.Presolve.Prune,
-              Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible proof; _ } )
-            ->
+          match p.pre with
+          | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible proof; _ } ->
             Some (slot Presolve_pruned (Sweep.Journal.Pruned proof) (Gp.Solver.fresh_stats ()))
-          | _ -> None
+          | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible _; _ } | None -> None
         in
         { seeded; stale = Option.is_some entry })
     pairs
 
 (* One pair's guarded solve, retried per [config.retries] (DESIGN §11).
 
-   In [Prune] mode a feasible presolve verdict swaps in the reduced
-   problem: fixed variables are gone (the solver's nullspace basis
-   shrinks accordingly) and redundant constraints are dropped.  The
-   fixed values are re-injected into every solution so downstream
-   consumers — certificates, integerization, warm starts, journal
-   replays — see a complete assignment; {!Formulate.solution_env} would
-   otherwise default them to 1.
+   A feasible presolve verdict swaps in the reduced problem, whose
+   redundant constraints are dropped.
 
    A stall injection forces a zero deadline on that attempt, which trips
    [Deadline_exceeded] deterministically at the solver's first check
@@ -594,68 +572,53 @@ let seed ~config pairs =
    fighting a near-singular system. *)
 let solve_pair ~config ?warm_start pair =
   let prov = pair.instance.Formulate.provenance in
-  let problem, fixed =
-    match (config.presolve, pair.pre) with
-    | ( Analysis.Presolve.Prune,
-        Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ) ->
-      (red.Analysis.Presolve.reduced, red.Analysis.Presolve.fixed)
-    | _ -> (pair.instance.Formulate.problem, [])
+  let problem =
+    match pair.pre with
+    | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ->
+      red.Analysis.Presolve.reduced
+    | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible _; _ } | None ->
+      pair.instance.Formulate.problem
   in
-  let solved ?retries ?deadline_hits =
-    slot ?retries ?deadline_hits (Solved_here { warm = Option.is_some warm_start })
-  in
-  if fixed <> [] && Gp.Problem.variables problem = [] then
-    (* Every variable was pinned by monotonicity: the program is a
-       point, already proven feasible, so there is nothing to solve. *)
-    solved
-      (Sweep.Journal.Solved
-         {
-           Gp.Solver.status = Gp.Solver.Optimal;
-           objective =
-             Symexpr.Posynomial.eval (fun _ -> 1.0) (Gp.Problem.objective problem);
-           values = fixed;
-         })
-      (Gp.Solver.fresh_stats ())
-  else
-    let deadline_ns = Option.map (fun ms -> ms *. 1e6) config.solve_deadline_ms in
-    let max_attempts = 1 + Int.max 0 config.retries in
-    let start = Robust.now_ns () in
-    let rec attempt n ~dh =
-      let st = Gp.Solver.fresh_stats () in
-      let deadline_ns =
-        if Robust.Inject.stall config.inject ~site:"solve" ~provenance:prov ~attempt:n
-        then Some 0.0
-        else deadline_ns
-      in
-      let result =
-        Robust.guard ~inject:config.inject ~attempt:n ~site:"solve" ~provenance:prov
-          (fun () ->
-            Obs.Trace.span "solve"
-              ~attrs:[ ("provenance", prov) ]
-              (fun () ->
-                Gp.Solver.solve ~tol:config.gp_tol ~stats:st ~kernel:config.gp_kernel
-                  ?deadline_ns
-                  ~initial_reg:(if n = 0 then 1e-9 else 1e-5)
-                  ?warm_start problem))
-      in
-      let dh = dh + st.Gp.Solver.deadline_hits in
-      let finish fate = solved ~retries:n ~deadline_hits:dh fate st in
-      match result with
-      | Ok sol when sol.Gp.Solver.status <> Gp.Solver.Deadline_exceeded ->
-        finish
-          (Sweep.Journal.Solved
-             (if fixed = [] then sol
-              else { sol with Gp.Solver.values = sol.Gp.Solver.values @ fixed }))
-      | _ when n + 1 < max_attempts -> attempt (n + 1) ~dh
-      | Ok _ ->
-        finish
-          (Sweep.Journal.Quarantined
-             (Robust.deadline_failure ~attempts:(n + 1) ~site:"solve" ~provenance:prov
-                ~elapsed_ns:(Robust.now_ns () -. start)
-                ()))
-      | Error f -> finish (Sweep.Journal.Quarantined f)
+  let deadline_ns = Option.map (fun ms -> ms *. 1e6) config.solve_deadline_ms in
+  let max_attempts = 1 + Int.max 0 config.retries in
+  let start = Robust.now_ns () in
+  let rec attempt n ~dh =
+    let st = Gp.Solver.fresh_stats () in
+    let deadline_ns =
+      if Robust.Inject.stall config.inject ~site:"solve" ~provenance:prov ~attempt:n
+      then Some 0.0
+      else deadline_ns
     in
-    attempt 0 ~dh:0
+    let result =
+      Robust.guard ~inject:config.inject ~attempt:n ~site:"solve" ~provenance:prov
+        (fun () ->
+          Obs.Trace.span "solve"
+            ~attrs:[ ("provenance", prov) ]
+            (fun () ->
+              Gp.Solver.solve ~tol:config.gp_tol ~stats:st ~kernel:config.gp_kernel
+                ?deadline_ns
+                ~initial_reg:(if n = 0 then 1e-9 else 1e-5)
+                ?warm_start problem))
+    in
+    let dh = dh + st.Gp.Solver.deadline_hits in
+    let finish fate =
+      slot ~retries:n ~deadline_hits:dh
+        (Solved_here { warm = Option.is_some warm_start })
+        fate st
+    in
+    match result with
+    | Ok sol when sol.Gp.Solver.status <> Gp.Solver.Deadline_exceeded ->
+      finish (Sweep.Journal.Solved sol)
+    | _ when n + 1 < max_attempts -> attempt (n + 1) ~dh
+    | Ok _ ->
+      finish
+        (Sweep.Journal.Quarantined
+           (Robust.deadline_failure ~attempts:(n + 1) ~site:"solve" ~provenance:prov
+              ~elapsed_ns:(Robust.now_ns () -. start)
+              ()))
+    | Error f -> finish (Sweep.Journal.Quarantined f)
+  in
+  attempt 0 ~dh:0
 
 (* Stage solve: two waves with sweep-level reuse.
 
@@ -787,29 +750,6 @@ let certify ~jobs pairs seeds slots =
          { pair; journal_stale = seeds.(k).stale; slot; usable; integerized = None })
        (List.init (Array.length pairs) Fun.id))
 
-(* Stage presolve check ([Check] mode only): every pair was solved as
-   formulated, so each usable solution is compared against the pair's
-   presolve verdict.  Any disagreement fails the run — after the
-   counters are fed, so [Check] and [Prune] report identical telemetry. *)
-let presolve_check ~config table =
-  let disagreements =
-    if config.presolve <> Analysis.Presolve.Check then []
-    else
-      List.concat_map
-        (fun r ->
-          match (r.pair.pre, r.usable) with
-          | Some t, Some sol -> presolve_disagreements r.pair.instance t sol
-          | _ -> [])
-        (Array.to_list table)
-  in
-  match disagreements with
-  | [] -> Ok ()
-  | first :: _ ->
-    List.iter (fun d -> Log.err (fun m -> m "presolve check: %s" d)) disagreements;
-    Error
-      (Printf.sprintf "optimize: presolve check found %d disagreement(s); first: %s"
-         (List.length disagreements) first)
-
 (* Table positions of the certified rows with their solutions, best
    continuous objective first.  The sort is stable over enumeration
    order, so ties keep it, and [compare_scores] (not [Float.compare],
@@ -866,13 +806,6 @@ let feed_counters table =
   let count p = List.length (List.filter p rows) in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
   let from source r = r.slot.s_source = source in
-  let reduced f =
-    sum (fun r ->
-        match r.pair.pre with
-        | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ->
-          List.length (f red)
-        | Some _ | None -> 0)
-  in
   let t = solve_totals table in
   Obs.Metrics.add m_solves t.Gp.Solver.solves;
   Obs.Metrics.add m_outer (t.Gp.Solver.t_phase1_outer + t.Gp.Solver.t_phase2_outer);
@@ -897,8 +830,12 @@ let feed_counters table =
          match r.pair.pre with
          | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible _; _ } -> true
          | Some _ | None -> false));
-  Obs.Metrics.add m_presolve_vars_fixed (reduced (fun red -> red.Analysis.Presolve.fixed));
-  Obs.Metrics.add m_presolve_dropped (reduced (fun red -> red.Analysis.Presolve.dropped));
+  Obs.Metrics.add m_presolve_dropped
+    (sum (fun r ->
+         match r.pair.pre with
+         | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ->
+           List.length red.Analysis.Presolve.dropped
+         | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible _; _ } | None -> 0));
   Obs.Metrics.add m_comm_constraints
     (sum (fun r ->
          List.length
@@ -1020,11 +957,8 @@ let run ?(config = default_config) tech arch_mode objective nest =
     Fun.protect ~finally:(fun () -> Option.iter close_out_noerr journal) @@ fun () ->
     solve ~config ~jobs ~journal sweep pairs seeds
   in
-  let table = certify ~jobs pairs seeds slots in
-  let checked = presolve_check ~config table in
-  let table = if Result.is_ok checked then integerize ~config ~jobs tech table else table in
+  let table = integerize ~config ~jobs tech (certify ~jobs pairs seeds slots) in
   feed_counters table;
-  let* () = checked in
   select sweep objective nest table
 
 let dataflow ?config tech arch objective nest =

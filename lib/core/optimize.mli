@@ -59,19 +59,14 @@ type config = {
           machine-checkable proof, independently re-verified by
           {!Analysis.Certificate.check_prune} before it is acted on
           (a rejected proof solves the pair normally) — and solves the
-          reduced problem of feasible pairs (monotone variables pinned,
-          redundant constraints dropped), with fixed values re-injected
-          into every solution.  [Check] solves everything exactly as
-          [Off] does and differentially validates the verdicts against
-          the solver's findings: a solved presolve-infeasible pair, a
-          solution escaping the propagated box, or an eliminated
-          constraint active at an optimum turns the whole run into an
-          [Error].  Pruning alone never changes the selected outcome
-          (infeasible pairs cannot rank or warm-start); fixing and
-          dropping may move the solver's iteration path within
-          tolerance, like [warm_start].
-          [presolve.pruned] / [presolve.vars_fixed] /
-          [presolve.constraints_dropped] count the verdicts. *)
+          reduced problem of feasible pairs, whose redundant constraints
+          are dropped.  Pruning alone never changes the selected outcome
+          (infeasible pairs cannot rank or warm-start); dropping may
+          move the solver's iteration path within tolerance, like
+          [warm_start].  [presolve.pruned] /
+          [presolve.constraints_dropped] count the verdicts;
+          [thistle presolve --check] validates them against the solver
+          ({!presolve_disagreements}). *)
   dedupe : bool;
       (** solve each structurally identical GP once per sweep (canonical
           coefficient/exponent key, constraint names excluded) and replay
@@ -203,8 +198,7 @@ val presolve_disagreements :
     presolve-infeasible program, a coordinate escaping the propagated
     box, or an eliminated constraint active at the optimum.  Each
     disagreement is one message naming the pair's provenance; [[]]
-    means the solver agrees.  Backs [presolve = Check] and
-    [thistle presolve --check]. *)
+    means the solver agrees.  Backs [thistle presolve --check]. *)
 
 type report = {
   outcome : Integerize.outcome;

@@ -57,15 +57,6 @@ let le_const p c =
 
 let eq m1 m2 = M.div m1 m2
 
-let bind values prob =
-  let poly p = List.fold_left (fun p (x, v) -> P.bind x v p) p values in
-  let mono m = List.fold_left (fun m (x, v) -> M.bind x v m) m values in
-  {
-    objective = poly prob.objective;
-    ineqs = List.map (fun (name, p) -> (name, poly p)) prob.ineqs;
-    eqs = List.map (fun (name, m) -> (name, mono m)) prob.eqs;
-  }
-
 let filter_ineqs keep prob =
   { prob with ineqs = List.filter (fun (name, _) -> keep name) prob.ineqs }
 

@@ -40,16 +40,6 @@ val eq : Symexpr.Monomial.t -> Symexpr.Monomial.t -> Symexpr.Monomial.t
 val variables : t -> string list
 (** All variables mentioned, sorted. *)
 
-val bind : (string * float) list -> t -> t
-(** Partial evaluation: fold each listed variable into the coefficients
-    of the objective and every constraint at the given value (presolve's
-    variable fixing).  The result is a program over the remaining
-    variables whose feasible set and objective values are exactly the
-    original's restricted to the bound assignment.  Raises
-    [Invalid_argument] (via the monomial constructors) on a non-finite
-    or non-positive value, or when a folded coefficient leaves the
-    finite positive range. *)
-
 val filter_ineqs : (string -> bool) -> t -> t
 (** Keep only the inequalities whose name satisfies the predicate
     (presolve's redundant-constraint elimination); the objective and

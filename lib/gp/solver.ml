@@ -478,6 +478,8 @@ let centering ph ~st ~initial_reg ~barrier_t y0 =
   done;
   y
 
+let max_outer = 60
+
 (* The t-schedule: center at t = 1, 20, 400, ... until the duality-gap
    bound m / t drops below [tol], [stop_early] holds, or [max_outer]
    centerings ran.
@@ -486,8 +488,7 @@ let centering ph ~st ~initial_reg ~barrier_t y0 =
    (centering) iteration, it raises {!Deadline} once the caller's budget
    is spent.  Checks sit at outer-iteration boundaries only — a single
    centering runs to completion — keeping the hot path untouched. *)
-let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~max_outer ~initial_reg
-    ph y0 =
+let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~initial_reg ph y0 =
   let tick () =
     match phase with
     | `One -> st.phase1_outer <- st.phase1_outer + 1
@@ -578,7 +579,7 @@ let start (lo : Batch.lowered) warm_start =
    subject to f_i(y) - s <= 0 and s >= -20 (which keeps the problem
    bounded), starting at s = max(0, max_i f_i(y0)) + 1 and stopping as
    soon as s < -0.5. *)
-let phase1 ~check ~st ~initial_reg ~max_outer ~(ph2 : phase) ~phase1_of ~rows y0 =
+let phase1 ~check ~st ~initial_reg ~(ph2 : phase) ~phase1_of ~rows y0 =
   let n = Vec.dim y0 in
   let strictly_ok y =
     let ok = ref true in
@@ -600,14 +601,14 @@ let phase1 ~check ~st ~initial_reg ~max_outer ~(ph2 : phase) ~phase1_of ~rows y0
     let y1, _ =
       barrier
         ~stop_early:(fun y -> y.(n) < -0.5)
-        ~check ~st ~phase:`One ~tol:1e-6 ~max_outer ~initial_reg ph1
+        ~check ~st ~phase:`One ~tol:1e-6 ~initial_reg ph1
         (Vec.concat y0 [| !s0 +. 1.0 |])
     in
     let y = Vec.slice y1 0 n in
     if strictly_ok y then Some y else None
   end
 
-let run ~tol ~max_outer ~st ~check ?warm_start ~initial_reg ~kernel problem =
+let run ~tol ~st ~check ?warm_start ~initial_reg ~kernel problem =
   let lo = Batch.lower problem in
   (* Constant equalities reduce to 0 = d: inconsistent unless d ~ 0. *)
   if Array.exists (fun d -> Float.abs d > 1e-9) lo.Batch.lo_dz then infeasible
@@ -617,14 +618,14 @@ let run ~tol ~max_outer ~st ~check ?warm_start ~initial_reg ~kernel problem =
       (match kernel with `Compiled -> compiled_kernel | `List -> list_kernel) lo problem
     in
     match
-      phase1 ~check ~st ~initial_reg ~max_outer ~ph2 ~phase1_of ~rows:lo.Batch.lo_rows y0
+      phase1 ~check ~st ~initial_reg ~ph2 ~phase1_of ~rows:lo.Batch.lo_rows y0
     with
     | None ->
       Log.debug (fun m -> m "phase I failed: problem infeasible");
       infeasible
     | Some y_feas ->
       let y_opt, clean =
-        barrier ~check ~st ~phase:`Two ~tol ~max_outer ~initial_reg ph2 y_feas
+        barrier ~check ~st ~phase:`Two ~tol ~initial_reg ph2 y_feas
       in
       let envt = Array.map exp y_opt in
       {
@@ -644,7 +645,7 @@ exception Deadline
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
-let solve ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?(kernel = `Compiled)
+let solve ?(tol = 1e-8) ?stats ?warm_start ?(kernel = `Compiled)
     ?deadline_ns ?(initial_reg = 1e-9) problem =
   let st = match stats with Some st -> st | None -> fresh_stats () in
   reset_stats st;
@@ -661,7 +662,7 @@ let solve ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?(kernel = `Compile
   (* Any residual numerical failure is reported as infeasibility of this
      program rather than escaping to the caller: the driver treats such
      choices as unusable and moves on. *)
-  match run ~tol ~max_outer ~st ~check ?warm_start ~initial_reg ~kernel problem with
+  match run ~tol ~st ~check ?warm_start ~initial_reg ~kernel problem with
   | solution -> solution
   | exception Mat.Singular ->
     Log.debug (fun m -> m "numerical failure: treating the program as infeasible");

@@ -122,7 +122,6 @@ val pp_totals : Format.formatter -> totals -> unit
 
 val solve :
   ?tol:float ->
-  ?max_outer:int ->
   ?stats:stats ->
   ?warm_start:(string * float) list ->
   ?kernel:kernel ->
@@ -131,8 +130,8 @@ val solve :
   Problem.t ->
   solution
 (** [solve problem] minimizes the problem objective.  [tol] bounds the
-    final duality gap per inequality constraint (default 1e-8);
-    [max_outer] bounds the number of barrier updates (default 60).
+    final duality gap per inequality constraint (default 1e-8); each
+    barrier phase runs at most 60 centerings.
     When [stats] is given, its fields are overwritten with this solve's
     telemetry; passing it does not change the returned solution in any
     way.

@@ -76,63 +76,15 @@ let mul_trans_vec m x =
   done;
   y
 
-let lu_solve a b =
-  if a.rows <> a.cols then invalid_arg "Mat.lu_solve: matrix not square";
-  if a.rows <> Array.length b then invalid_arg "Mat.lu_solve: dimension mismatch";
-  let n = a.rows in
-  let m = copy a in
-  let x = Array.copy b in
-  for k = 0 to n - 1 do
-    (* Partial pivoting: bring the largest remaining entry of column k to
-       the diagonal. *)
-    let pivot_row = ref k in
-    for i = k + 1 to n - 1 do
-      if Float.abs (get m i k) > Float.abs (get m !pivot_row k) then pivot_row := i
-    done;
-    if !pivot_row <> k then begin
-      for j = 0 to n - 1 do
-        let tmp = get m k j in
-        set m k j (get m !pivot_row j);
-        set m !pivot_row j tmp
-      done;
-      let tmp = x.(k) in
-      x.(k) <- x.(!pivot_row);
-      x.(!pivot_row) <- tmp
-    end;
-    let pivot = get m k k in
-    if Float.abs pivot < singular_threshold then raise Singular;
-    for i = k + 1 to n - 1 do
-      let factor = get m i k /. pivot in
-      if factor <> 0.0 then begin
-        set m i k 0.0;
-        for j = k + 1 to n - 1 do
-          add_to m i j (-.factor *. get m k j)
-        done;
-        x.(i) <- x.(i) -. (factor *. x.(k))
-      end
-    done
-  done;
-  (* Back substitution. *)
-  for i = n - 1 downto 0 do
-    let acc = ref x.(i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (get m i j *. x.(j))
-    done;
-    x.(i) <- !acc /. get m i i
-  done;
-  x
-
-(* Factored form of the elimination above.  [lu_factor] runs the exact
-   same pivot searches, row swaps, singularity checks and trailing
-   updates as [lu_solve], but stores the multiplier of step k at (i, k)
-   instead of zeroing it (a multiplier that rounds to 0.0 skips the
-   trailing update in both paths).  Because every row swap moves whole
-   rows — stored multipliers included — each logical row keeps its own
-   multipliers, so [lu_solve_factored] (all swaps applied up front, then
-   forward substitution with the stored multipliers, then the same back
-   substitution) performs the identical float operations in the
-   identical order as [lu_solve]: the two are bit-for-bit equal, which
-   test/test_linalg.ml pins with a QCheck property. *)
+(* Gaussian elimination with partial pivoting: step k brings the
+   largest remaining entry of column k to the diagonal and stores its
+   multipliers at (i, k); a multiplier that rounds to 0.0 skips the
+   trailing update.  Every row swap moves whole rows, stored multipliers
+   included, so each logical row keeps its own multipliers and
+   [lu_solve_factored] (all swaps applied up front, then forward
+   substitution with the stored multipliers, then back substitution)
+   performs the float operations of an elimination interleaved with the
+   right-hand side, in the same order. *)
 type lu = { lu_fac : t; lu_piv : int array }
 
 let lu_factor a =
@@ -184,7 +136,7 @@ let lu_solve_factored { lu_fac = m; lu_piv = piv } b =
       if factor <> 0.0 then x.(i) <- x.(i) -. (factor *. x.(k))
     done
   done;
-  (* Back substitution, identical to [lu_solve]. *)
+  (* Back substitution. *)
   for i = n - 1 downto 0 do
     let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
@@ -193,6 +145,8 @@ let lu_solve_factored { lu_fac = m; lu_piv = piv } b =
     x.(i) <- !acc /. get m i i
   done;
   x
+
+let lu_solve a b = lu_solve_factored (lu_factor a) b
 
 (* Orthonormal basis of null(A) by modified Gram-Schmidt: orthonormalize
    the rows of A, then complete the basis with coordinate vectors; the

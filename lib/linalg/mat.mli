@@ -8,7 +8,7 @@
 type t
 
 exception Singular
-(** Raised by [lu_solve] / [cholesky] when the matrix is (numerically)
+(** Raised by [lu_factor] / [cholesky] when the matrix is (numerically)
     singular or not positive definite. *)
 
 val create : int -> int -> t
@@ -49,28 +49,25 @@ val mul_trans_vec : t -> Vec.t -> Vec.t
 (** [mul_trans_vec m x] is [transpose m * x] without materializing the
     transpose. *)
 
-val lu_solve : t -> Vec.t -> Vec.t
-(** [lu_solve a b] solves [a x = b] by Gaussian elimination with partial
-    pivoting.  [a] is left unmodified.  Raises [Singular] when no pivot
-    exceeds the singularity threshold. *)
-
 type lu
 (** An LU factorization with its pivot sequence, produced by {!lu_factor}
     and reusable across any number of {!lu_solve_factored} right-hand
     sides. *)
 
 val lu_factor : t -> lu
-(** [lu_factor a] runs the elimination of {!lu_solve} once and keeps the
-    factors.  [a] is left unmodified.  Raises [Singular] exactly when
-    [lu_solve a _] would.  For any [b],
-    [lu_solve_factored (lu_factor a) b] is bit-for-bit equal to
-    [lu_solve a b] — the factored path performs the identical float
-    operations in the identical order. *)
+(** [lu_factor a] runs Gaussian elimination with partial pivoting on
+    [a] once and keeps the factors.  [a] is left unmodified.  Raises
+    [Invalid_argument] when [a] is not square, and [Singular] when no
+    pivot exceeds the singularity threshold. *)
 
 val lu_solve_factored : lu -> Vec.t -> Vec.t
 (** [lu_solve_factored lu b] solves [a x = b] from the stored factors
     without refactoring.  Raises [Invalid_argument] on dimension
     mismatch. *)
+
+val lu_solve : t -> Vec.t -> Vec.t
+(** [lu_solve a b] is [lu_solve_factored (lu_factor a) b]: one solve of
+    [a x = b], bit for bit what the factored path returns. *)
 
 val nullspace_basis : int -> Vec.t array -> Vec.t array
 (** [nullspace_basis n rows] is an orthonormal basis of the nullspace of

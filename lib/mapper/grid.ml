@@ -48,7 +48,7 @@ let architectures tech config ~area_budget =
         (powers_of_two config.min_sram config.max_sram))
     (powers_of_two config.min_regs config.max_regs)
 
-let search ?(config = default_config) tech ~area_budget criterion nest =
+let search ?(config = default_config) ~comm tech ~area_budget criterion nest =
   let archs = architectures tech config ~area_budget in
   let total_trials = ref 0 in
   let points =
@@ -61,7 +61,7 @@ let search ?(config = default_config) tech ~area_budget criterion nest =
             seed = config.seed + i;
           }
         in
-        let r = Search.search ~config:search_config tech arch criterion nest in
+        let r = Search.search ~config:search_config ~comm tech arch criterion nest in
         total_trials := !total_trials + r.Search.trials;
         { arch; best = r.Search.best })
       archs

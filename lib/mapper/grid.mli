@@ -42,6 +42,7 @@ val architectures :
 
 val search :
   ?config:config ->
+  comm:Archspec.Link.comm_model ->
   Archspec.Technology.t ->
   area_budget:float ->
   Search.criterion ->

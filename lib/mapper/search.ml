@@ -63,7 +63,7 @@ let random_mapping rng nest =
 
 (* The uninstrumented body, shared by [search] and the parallel streams
    so each trial is counted exactly once. *)
-let search_raw ~config tech arch criterion nest =
+let search_raw ~config ~comm tech arch criterion nest =
   let rng = Random.State.make [| config.seed |] in
   let best = ref None in
   let trials = ref 0 in
@@ -74,7 +74,7 @@ let search_raw ~config tech arch criterion nest =
     incr trials;
     incr since_improvement;
     let mapping = random_mapping rng nest in
-    match Accmodel.Evaluate.evaluate tech arch nest mapping with
+    match Accmodel.Evaluate.evaluate ~comm tech arch nest mapping with
     | Error _ -> ()
     | Ok metrics ->
       incr valid;
@@ -95,12 +95,12 @@ let search_raw ~config tech arch criterion nest =
     improvements = !improvements;
   }
 
-let search ?(config = default_config) tech arch criterion nest =
+let search ?(config = default_config) ~comm tech arch criterion nest =
   Obs.Trace.span "mapper.search"
     ~attrs:[ ("nest", Nest.name nest) ]
-    (fun () -> feed_metrics (search_raw ~config tech arch criterion nest))
+    (fun () -> feed_metrics (search_raw ~config ~comm tech arch criterion nest))
 
-let search_parallel ?(config = default_config) ?domains tech arch criterion nest =
+let search_parallel ?(config = default_config) ?domains ~comm tech arch criterion nest =
   let domains =
     match domains with
     | Some d -> Int.max 1 d
@@ -113,7 +113,7 @@ let search_parallel ?(config = default_config) ?domains tech arch criterion nest
      least one trial; a budget of <= 1 trial runs the sequential path
      outright. *)
   let domains = Int.min domains (Int.max config.max_trials 1) in
-  if domains = 1 then search ~config tech arch criterion nest
+  if domains = 1 then search ~config ~comm tech arch criterion nest
   else
     Obs.Trace.span "mapper.search_parallel"
       ~attrs:[ ("nest", Nest.name nest); ("domains", string_of_int domains) ]
@@ -135,7 +135,7 @@ let search_parallel ?(config = default_config) ?domains tech arch criterion nest
           seed = config.seed + (7919 * k);
         }
       in
-      search_raw ~config tech arch criterion nest
+      search_raw ~config ~comm tech arch criterion nest
     in
     let results = Exec.Par.map ~jobs:domains stream (List.init domains Fun.id) in
     feed_metrics
@@ -157,7 +157,7 @@ let search_parallel ?(config = default_config) ?domains tech arch criterion nest
       results
   end
 
-let exhaustive tech arch criterion nest ~max_points =
+let exhaustive ~comm tech arch criterion nest ~max_points =
   let dims = Nest.dim_names nest in
   let rec permutations = function
     | [] -> [ [] ]
@@ -209,7 +209,7 @@ let exhaustive tech arch criterion nest ~max_points =
                   ~spatial:(factors_at 2)
                   ~dram:(factors_at 3, dram_perm)
               in
-              match Accmodel.Evaluate.evaluate tech arch nest mapping with
+              match Accmodel.Evaluate.evaluate ~comm tech arch nest mapping with
               | Error _ -> ()
               | Ok metrics ->
                 let s = score criterion metrics in

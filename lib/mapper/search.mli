@@ -36,16 +36,21 @@ val score : criterion -> Accmodel.Evaluate.t -> float
 
 val search :
   ?config:config ->
+  comm:Archspec.Link.comm_model ->
   Archspec.Technology.t ->
   Archspec.Arch.t ->
   criterion ->
   Workload.Nest.t ->
   result
-(** The sequential search: one seeded stream under [config]'s budgets. *)
+(** The sequential search: one seeded stream under [config]'s budgets.
+    Every mapping is scored by {!Accmodel.Evaluate.evaluate} under the
+    delay model [comm], so a comparison with Thistle passes the
+    optimizer's own model. *)
 
 val search_parallel :
   ?config:config ->
   ?domains:int ->
+  comm:Archspec.Link.comm_model ->
   Archspec.Technology.t ->
   Archspec.Arch.t ->
   criterion ->
@@ -64,6 +69,7 @@ val search_parallel :
     budget of [<= 1] trial runs {!search}'s exact sequential path. *)
 
 val exhaustive :
+  comm:Archspec.Link.comm_model ->
   Archspec.Technology.t ->
   Archspec.Arch.t ->
   criterion ->

@@ -221,7 +221,12 @@ let start cfg =
     with
     | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "serve: cannot listen: %s" (Unix.error_message e))
+      let where =
+        match cfg.where with
+        | Unix_sock path -> path
+        | Tcp port -> Printf.sprintf "127.0.0.1:%d" port
+      in
+      Error (Printf.sprintf "serve: cannot listen on %s: %s" where (Unix.error_message e))
     | () ->
       let t =
         {

@@ -26,22 +26,61 @@ let scalar_of_string s =
       end
     end
 
+(* Plain words a YAML 1.1 reader types as a bool, a null, a special
+   float, a merge key or a value key, beyond those [scalar_of_string]
+   reads.  The one-letter bools y/n of the 1.1 spec stay plain: problem
+   dimensions are named n, and common readers (PyYAML) take them as
+   strings. *)
+let typed_words =
+  [ "yes"; "Yes"; "YES"; "no"; "No"; "NO"; "True"; "TRUE"; "False"; "FALSE"; "on"; "On";
+    "ON"; "off"; "Off"; "OFF"; "Null"; "NULL"; ".inf"; ".Inf"; ".INF"; "+.inf"; "+.Inf";
+    "+.INF"; ".nan"; ".NaN"; ".NAN"; "<<"; "=" ]
+
+(* A YAML 1.1 timestamp starts with a four-digit year and a dash. *)
+let looks_dated s =
+  String.length s > 4
+  && s.[4] = '-'
+  && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub s 0 4)
+
 (* A string may be written plain only if it reads back as itself and
-   holds nothing that structures a document. *)
+   holds nothing that structures a document: no flow or indicator
+   character first, no ':' or '#', no control character, and no
+   leading or trailing space. *)
 let plain_safe s =
   s <> ""
   && scalar_of_string s = String s
+  && (not (List.mem s typed_words))
+  && (not (looks_dated s))
+  && (not (String.contains "-?:,[]{}#&*!|>'\"%@`" s.[0]))
   && (not (String.contains s ':'))
   && (not (String.contains s '#'))
-  && s.[0] <> '-' && s.[0] <> ' '
+  && String.for_all (fun c -> c >= ' ' && c <> '\127') s
+  && s.[0] <> ' '
   && s.[String.length s - 1] <> ' '
+
+(* A double-quoted scalar: backslash and quote escaped, control
+   characters written as escapes. *)
+let quote s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when c < ' ' || c = '\127' -> Printf.bprintf b "\\x%02x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
 
 let scalar_to_string = function
   | Null -> "null"
   | Bool b -> string_of_bool b
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%g" f
-  | String s -> if plain_safe s then s else "\"" ^ s ^ "\""
+  | String s -> if plain_safe s then s else quote s
   | List _ | Map _ -> invalid_arg "Yaml.scalar_to_string: not a scalar"
 
 let is_scalar = function List _ | Map _ -> false | _ -> true

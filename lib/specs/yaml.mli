@@ -17,8 +17,13 @@ type value =
 val emit : value -> string
 (** The block-style text of [v], two spaces per level, one key or list
     item per line; an empty map or list is written [{}] or [[]].  Null
-    is [null], floats use [%g].  A string is double-quoted when it
-    would otherwise read as a null, bool or number (["42"], ["true"],
-    ["~"]) or as a quoted scalar, holds [':'] or ['#'], is empty, starts
-    with ['-'] or a space, or ends with a space; other strings are
-    written plain.  Nothing is escaped inside the quotes. *)
+    is [null], floats use [%g].  A string is double-quoted when a YAML
+    1.1 reader would otherwise type it as a null, bool, number,
+    timestamp, merge or value key (["42"], ["true"], ["yes"], ["off"],
+    ["~"], [".inf"], ["2001-12-14"], ["<<"], ["="]) or it would
+    read as a quoted scalar, holds [':'], ['#'] or a control character,
+    is empty, starts with a flow or indicator character (["-"], ["["],
+    ["&"], ["*"], ["!"], ...) or a space, or ends with a space; other
+    strings are written plain.  Inside the quotes ['\\'] and ['"'] are
+    escaped, and control characters are written as escapes ([\n],
+    [\t], [\xHH]). *)

@@ -14,7 +14,8 @@
 # directory for --emit-code, --trace, --metrics or metrics --out: each
 # exits 1 with a message naming the path once, never an uncaught
 # exception.  The output errors come after the solve, whose report goes
-# to stdout.
+# to stdout.  The daemon refuses a socket under a missing directory
+# before it serves anything.
 set -u
 
 cli=$1
@@ -46,7 +47,8 @@ for args in \
     "optimize --layer resnet-2 --max-choices 2 --emit-code missing/code.txt" \
     "optimize --layer resnet-2 --max-choices 2 --trace missing/trace.jsonl" \
     "optimize --layer resnet-2 --max-choices 2 --metrics missing/metrics.json" \
-    "metrics --layer resnet-2 --max-choices 2 --out missing/metrics.txt"
+    "metrics --layer resnet-2 --max-choices 2 --out missing/metrics.txt" \
+    "serve --socket missing/dir/sock"
 do
     echo "\$ thistle $args"
     # shellcheck disable=SC2086

@@ -3,17 +3,17 @@
    Runs Analysis.Presolve.analyze on every (choice, placement) program
    of resnet-2 and yolo-7 at [max_choices] 8 and prints its whole
    result with every float as an exact hex float: the verdict, both
-   endpoints of every box variable, and then either the fixed values,
-   the dropped constraints with their certified bounds and the size of
-   the reduced program, or the proof's steps and its culprit bound.
+   endpoints of every box variable, and then either the dropped
+   constraints with their certified bounds and the size of the reduced
+   program, or the proof's steps and its culprit bound.
 
    Settings: Eyeriss under Energy, under Delay with the comm-aware and
    with the overlapped delay model, and under EDP; the capacity-starved
    edge architecture under Delay, which has pruned pairs; and co-design
    at the Eyeriss area.
 
-   Proof bounds reach the journals and fixed values reach the solved
-   program, so a presolve change must keep these bits.  Captured before
+   Proof bounds reach the journals and the reduced program reaches the
+   solver, so a presolve change must keep these bits.  Captured before
    presolve moved onto its index-based lowering.
 
    Usage: presolve.exe *)
@@ -58,7 +58,6 @@ let print (t : Ps.t) =
     t.Ps.box;
   match t.Ps.verdict with
   | Ps.Feasible red ->
-    List.iter (fun (x, v) -> Printf.printf "  fixed %s %h\n" x v) red.Ps.fixed;
     List.iter (fun (c, v) -> Printf.printf "  dropped %s %h\n" c v) red.Ps.dropped;
     Printf.printf "  reduced ineqs=%d eqs=%d vars=%d\n"
       (List.length (Gp.Problem.ineqs red.Ps.reduced))

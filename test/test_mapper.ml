@@ -12,6 +12,9 @@ let tiny_nest = Workload.Matmul.nest ~name:"tiny" ~ni:4 ~nj:4 ~nk:2 ()
 
 let tiny_arch = Arch.make ~name:"tiny" ~pes:4 ~registers:16 ~sram_words:64
 
+(* The searches below score delay under the aggregate model. *)
+let comm = Archspec.Link.Overlapped
+
 let test_random_mapping_valid () =
   let rng = Random.State.make [| 11 |] in
   for _ = 1 to 50 do
@@ -21,8 +24,8 @@ let test_random_mapping_valid () =
 
 let test_search_deterministic () =
   let config = { S.max_trials = 500; victory_condition = 500; seed = 3 } in
-  let r1 = S.search ~config tech tiny_arch S.Min_energy tiny_nest in
-  let r2 = S.search ~config tech tiny_arch S.Min_energy tiny_nest in
+  let r1 = S.search ~config ~comm tech tiny_arch S.Min_energy tiny_nest in
+  let r2 = S.search ~config ~comm tech tiny_arch S.Min_energy tiny_nest in
   match (r1.S.best, r2.S.best) with
   | Some (_, e1), Some (_, e2) ->
     Alcotest.(check (float 0.0))
@@ -31,12 +34,12 @@ let test_search_deterministic () =
 
 let test_trial_budget () =
   let config = { S.max_trials = 37; victory_condition = 1000; seed = 1 } in
-  let r = S.search ~config tech tiny_arch S.Min_energy tiny_nest in
+  let r = S.search ~config ~comm tech tiny_arch S.Min_energy tiny_nest in
   Alcotest.(check int) "stops at budget" 37 r.S.trials
 
 let test_victory_condition () =
   let config = { S.max_trials = 100000; victory_condition = 50; seed = 1 } in
-  let r = S.search ~config tech tiny_arch S.Min_energy tiny_nest in
+  let r = S.search ~config ~comm tech tiny_arch S.Min_energy tiny_nest in
   (* The search must stop well before the trial budget. *)
   Alcotest.(check bool)
     (Printf.sprintf "stopped early (%d trials)" r.S.trials)
@@ -44,12 +47,12 @@ let test_victory_condition () =
 
 let test_exhaustive_is_lower_bound () =
   let exact =
-    match S.exhaustive tech tiny_arch S.Min_energy tiny_nest ~max_points:2_000_000 with
+    match S.exhaustive ~comm tech tiny_arch S.Min_energy tiny_nest ~max_points:2_000_000 with
     | Some (_, e) -> e.Accmodel.Evaluate.energy_pj
     | None -> Alcotest.fail "exhaustive found nothing"
   in
   let config = { S.max_trials = 4000; victory_condition = 4000; seed = 5 } in
-  let r = S.search ~config tech tiny_arch S.Min_energy tiny_nest in
+  let r = S.search ~config ~comm tech tiny_arch S.Min_energy tiny_nest in
   match r.S.best with
   | None -> Alcotest.fail "search found nothing"
   | Some (_, e) ->
@@ -67,34 +70,40 @@ let test_exhaustive_is_lower_bound () =
 
 let test_exhaustive_space_guard () =
   let nest = Workload.Conv.to_nest (Workload.Conv.make ~name:"big" ~k:64 ~c:64 ~hw:56 ~rs:3 ()) in
-  match S.exhaustive tech tiny_arch S.Min_energy nest ~max_points:1000 with
+  match S.exhaustive ~comm tech tiny_arch S.Min_energy nest ~max_points:1000 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected the space guard to trip"
 
 let test_delay_criterion () =
+  (* Delay is scored under the model passed in: only [Comm_aware]
+     reports per-link occupancies. *)
   let config = { S.max_trials = 2000; victory_condition = 2000; seed = 9 } in
-  let r = S.search ~config tech tiny_arch S.Min_delay tiny_nest in
-  match r.S.best with
-  | None -> Alcotest.fail "search found nothing"
-  | Some (_, e) ->
-    Alcotest.(check bool)
-      "score is cycles" true
-      (S.score S.Min_delay e = e.Accmodel.Evaluate.cycles)
+  List.iter
+    (fun (comm, links) ->
+      let r = S.search ~config ~comm tech tiny_arch S.Min_delay tiny_nest in
+      match r.S.best with
+      | None -> Alcotest.fail "search found nothing"
+      | Some (_, e) ->
+        Alcotest.(check bool)
+          "score is cycles" true
+          (S.score S.Min_delay e = e.Accmodel.Evaluate.cycles);
+        Alcotest.(check bool) "links reported" links (e.Accmodel.Evaluate.comm <> []))
+    [ (comm, false); (Archspec.Link.Comm_aware, true) ]
 
 let test_parallel_search () =
   let config = { S.max_trials = 2000; victory_condition = 2000; seed = 11 } in
-  let parallel = S.search_parallel ~config ~domains:4 tech tiny_arch S.Min_energy tiny_nest in
+  let parallel = S.search_parallel ~config ~domains:4 ~comm tech tiny_arch S.Min_energy tiny_nest in
   Alcotest.(check int) "budget split exactly" 2000 parallel.S.trials;
   (* Deterministic for a fixed (config, domains) pair. *)
-  let again = S.search_parallel ~config ~domains:4 tech tiny_arch S.Min_energy tiny_nest in
+  let again = S.search_parallel ~config ~domains:4 ~comm tech tiny_arch S.Min_energy tiny_nest in
   (match (parallel.S.best, again.S.best) with
   | Some (_, a), Some (_, b) ->
     Alcotest.(check (float 0.0))
       "deterministic" a.Accmodel.Evaluate.energy_pj b.Accmodel.Evaluate.energy_pj
   | _ -> Alcotest.fail "parallel search found nothing");
   (* One domain degrades to the sequential search. *)
-  let seq = S.search ~config tech tiny_arch S.Min_energy tiny_nest in
-  let one = S.search_parallel ~config ~domains:1 tech tiny_arch S.Min_energy tiny_nest in
+  let seq = S.search ~config ~comm tech tiny_arch S.Min_energy tiny_nest in
+  let one = S.search_parallel ~config ~domains:1 ~comm tech tiny_arch S.Min_energy tiny_nest in
   match (seq.S.best, one.S.best) with
   | Some (_, a), Some (_, b) ->
     Alcotest.(check (float 0.0))
@@ -111,9 +120,9 @@ let test_parallel_tiny_budgets () =
   List.iter
     (fun max_trials ->
       let config = { S.max_trials; victory_condition = 100; seed = 7 } in
-      let seq = S.search ~config tech tiny_arch S.Min_energy tiny_nest in
+      let seq = S.search ~config ~comm tech tiny_arch S.Min_energy tiny_nest in
       let par =
-        S.search_parallel ~config ~domains:8 tech tiny_arch S.Min_energy tiny_nest
+        S.search_parallel ~config ~domains:8 ~comm tech tiny_arch S.Min_energy tiny_nest
       in
       Alcotest.(check int)
         (Printf.sprintf "budget %d: same trial count" max_trials)
@@ -130,7 +139,7 @@ let test_parallel_tiny_budgets () =
       | _ -> Alcotest.failf "budget %d: best presence differs" max_trials)
     [ 0; 1 ];
   let config = { S.max_trials = 5; victory_condition = 100; seed = 7 } in
-  let par = S.search_parallel ~config ~domains:8 tech tiny_arch S.Min_energy tiny_nest in
+  let par = S.search_parallel ~config ~domains:8 ~comm tech tiny_arch S.Min_energy tiny_nest in
   Alcotest.(check bool)
     (Printf.sprintf "5-trial budget spends %d <= 5" par.S.trials)
     true (par.S.trials <= 5)
@@ -186,7 +195,7 @@ let test_grid_search_runs () =
       max_sram = 1024;
     }
   in
-  let r = Mapper.Grid.search ~config tech ~area_budget:200000.0 S.Min_energy nest in
+  let r = Mapper.Grid.search ~config ~comm tech ~area_budget:200000.0 S.Min_energy nest in
   Alcotest.(check bool) "some points" true (List.length r.Mapper.Grid.points > 0);
   Alcotest.(check bool)
     "trials accounted" true

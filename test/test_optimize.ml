@@ -49,7 +49,7 @@ let test_beats_or_matches_mapper () =
   let r = get (O.dataflow ~config:fast tech arch F.Energy nest) in
   let thistle_energy = r.O.outcome.I.metrics.Evaluate.energy_pj in
   let config = { S.max_trials = 5000; victory_condition = 5000; seed = 1 } in
-  let mapper = S.search ~config tech arch S.Min_energy nest in
+  let mapper = S.search ~config ~comm:Archspec.Link.Overlapped tech arch S.Min_energy nest in
   match mapper.S.best with
   | None -> Alcotest.fail "mapper found nothing"
   | Some (_, e) ->
@@ -222,6 +222,42 @@ let test_enumerate_span () =
   in
   Alcotest.(check int) "one permutations.enumerate span" 1 (List.length spans)
 
+(* A 1x1 convolution with a 1x1 kernel has no tileable dim: every trip
+   variable is pinned, so its programs range over the arch and delay
+   variables alone, which the solver must settle without help from
+   presolve.  Each objective answers on fixed Eyeriss and on co-design
+   at its area with a pinned design.  Under co-design Delay designs of
+   equal cycles tie and candidate order picks one, so only its cycles
+   are pinned. *)
+let test_no_tileable_dim () =
+  let nest =
+    Workload.Conv.to_nest (Workload.Conv.make ~name:"unit" ~k:1 ~c:1 ~hw:1 ~rs:1 ())
+  in
+  let fixed = F.Fixed Arch.eyeriss in
+  let codesign = F.Codesign { area_budget = Arch.eyeriss_area tech } in
+  List.iter
+    (fun (name, mode, objective, pes, energy) ->
+      match O.run tech mode objective nest with
+      | Error msg -> Alcotest.failf "%s: %s" name msg
+      | Ok r ->
+        let o = r.O.outcome in
+        let m = o.I.metrics in
+        Alcotest.(check (float 0.0)) (name ^ ": cycles") 0x1.8cp+3 m.Evaluate.cycles;
+        Option.iter
+          (fun e -> Alcotest.(check (float 0.0)) (name ^ ": energy") e m.Evaluate.energy_pj)
+          energy;
+        Option.iter
+          (fun p -> Alcotest.(check int) (name ^ ": PEs") p o.I.arch.Arch.pe_count)
+          pes)
+    [
+      ("fixed energy", fixed, F.Energy, Some 168, Some 0x1.25fa8dbabe2c7p+9);
+      ("fixed delay", fixed, F.Delay, Some 168, Some 0x1.25fa8dbabe2c7p+9);
+      ("fixed edp", fixed, F.Edp, Some 168, Some 0x1.25fa8dbabe2c7p+9);
+      ("codesign energy", codesign, F.Energy, Some 1, Some 0x1.01635b81dbe2cp+9);
+      ("codesign delay", codesign, F.Delay, None, None);
+      ("codesign edp", codesign, F.Edp, Some 1, Some 0x1.01635b81dbe2cp+9);
+    ]
+
 let () =
   Alcotest.run "optimize"
     [
@@ -241,6 +277,7 @@ let () =
       ( "codesign",
         [
           Alcotest.test_case "beats fixed at equal area" `Quick test_codesign_beats_fixed;
+          Alcotest.test_case "no tileable dim" `Quick test_no_tileable_dim;
         ] );
       ( "delay",
         [

@@ -3,11 +3,12 @@
    verdicts with machine-checked proofs, tampered-proof rejection by the
    independent checker, a QCheck soundness property (the propagated box
    always contains a known feasible point), and the end-to-end contracts
-   over a capacity-starved architecture: Check mode agrees with the
-   solver, and Prune mode selects a bit-identical outcome to Off while
-   actually pruning pairs.  A reference propagator, the string-keyed
-   pass kept verbatim, must give the same result bit for bit on zoo
-   programs and on random programs that reach every path. *)
+   over a capacity-starved architecture: the audit's differential check
+   finds no verdict the solver contradicts, and Prune mode selects a
+   bit-identical outcome to Off while actually pruning pairs.  A
+   reference propagator, the string-keyed pass, must give the same
+   result bit for bit on zoo programs and on random programs that reach
+   every path. *)
 
 module M = Symexpr.Monomial
 module P = Symexpr.Posynomial
@@ -132,10 +133,11 @@ let test_infeasible_equality () =
   in
   ignore (require_infeasible "equality conflict" problem)
 
-let test_monotone_fixing () =
-  (* Minimizing x y with both variables bounded below pins both to their
-     lower endpoints; the simple bounds collapse to constants and are
-     recorded as dropped. *)
+let test_monotone_left_free () =
+  (* Minimizing x y with both variables bounded below: an optimum sits
+     at the lower endpoints, but the pass fixes no variable.  It records
+     the box and hands the solver the program itself; neither bound is
+     slack over the box, so nothing is dropped. *)
   let problem =
     Gp.Problem.make
       ~objective:(P.of_monomial (M.mul (M.var "x") (M.var "y")))
@@ -146,22 +148,21 @@ let test_monotone_fixing () =
         ]
       ()
   in
-  match (Ps.analyze problem).Ps.verdict with
+  let t = Ps.analyze problem in
+  List.iter
+    (fun (x, lo) ->
+      let i = List.assoc x t.Ps.box in
+      Alcotest.(check (float 1e-12)) (x ^ ".lo") lo i.Iv.lo;
+      Alcotest.(check (float 0.0)) (x ^ ".hi") Float.infinity i.Iv.hi)
+    [ ("x", 2.0); ("y", 3.0) ];
+  match t.Ps.verdict with
   | Ps.Infeasible _ -> Alcotest.fail "expected feasible"
   | Ps.Feasible red ->
-    Alcotest.(check (list (pair string (float 0.0))))
-      "both variables pinned"
-      [ ("x", 2.0); ("y", 3.0) ]
-      red.Ps.fixed;
-    Alcotest.(check (list string)) "reduced problem is fully solved" []
-      (Gp.Problem.variables red.Ps.reduced);
-    Alcotest.(check (list string))
-      "collapsed bounds recorded in original order" [ "x>=2"; "y>=3" ]
-      (List.map fst red.Ps.dropped)
+    Alcotest.(check (list string)) "nothing dropped" [] (List.map fst red.Ps.dropped);
+    Alcotest.(check bool) "reduced is the input" true (red.Ps.reduced == problem)
 
 let test_redundant_elimination () =
-  (* x <= 10 is implied by x <= 2 (certified upper bound 0.2); the
-     objective x + 1/x is sign-mixed, so nothing is fixed. *)
+  (* x <= 10 is implied by x <= 2 (certified upper bound 0.2). *)
   let problem =
     Gp.Problem.make
       ~objective:(P.add (P.var "x") (P.of_monomial (M.var_pow "x" (-1.0))))
@@ -175,7 +176,6 @@ let test_redundant_elimination () =
   match (Ps.analyze problem).Ps.verdict with
   | Ps.Infeasible _ -> Alcotest.fail "expected feasible"
   | Ps.Feasible red ->
-    Alcotest.(check (list string)) "nothing fixed" [] (List.map fst red.Ps.fixed);
     (match red.Ps.dropped with
     | [ ("x<=10", ub) ] ->
       Alcotest.(check (float 1e-12)) "certified upper bound" 0.2 ub
@@ -291,12 +291,32 @@ let nest = Workload.Conv.to_nest (Workload.Zoo.find "resnet-2")
 
 let config presolve = { O.default_config with O.max_choices = 16; presolve }
 
-let test_check_mode_agrees_with_solver () =
-  (* Check mode solves everything and turns any presolve/solver
-     disagreement into an Error; a clean run is the differential pass. *)
-  match O.dataflow ~config:(config Ps.Check) tech edge F.Energy nest with
-  | Ok r -> Alcotest.(check int) "check mode prunes nothing" 0 (List.length r.O.pruned)
-  | Error msg -> Alcotest.failf "check mode found a disagreement: %s" msg
+let test_audit_agrees_with_solver () =
+  (* The differential pass of [thistle presolve --check]: every program
+     is solved as formulated, and a usable solution must not contradict
+     its verdict — no solved pruned program, no coordinate outside the
+     box, no eliminated constraint active at the optimum. *)
+  let plan = Thistle.Permutations.enumerate ~max_choices:16 nest in
+  let pruned = ref 0 and checked = ref 0 in
+  List.iter
+    (fun choice ->
+      List.iter
+        (fun placement ->
+          let inst = F.build ~placement tech (F.Fixed edge) F.Energy plan choice in
+          let t = Ps.analyze inst.F.problem in
+          (match t.Ps.verdict with Ps.Infeasible _ -> incr pruned | Ps.Feasible _ -> ());
+          let sol = Gp.Solver.solve inst.F.problem in
+          if O.usable_solution inst sol then begin
+            incr checked;
+            Alcotest.(check (list string))
+              (inst.F.provenance ^ ": no disagreement")
+              [] (O.presolve_disagreements inst t sol)
+          end)
+        plan.Thistle.Permutations.placements)
+    plan.Thistle.Permutations.choices;
+  Alcotest.(check bool) (Printf.sprintf "some programs pruned (%d)" !pruned) true (!pruned > 0);
+  Alcotest.(check bool) (Printf.sprintf "some solutions checked (%d)" !checked) true
+    (!checked > 0)
 
 let test_prune_outcome_identical_to_off () =
   let run presolve =
@@ -330,8 +350,8 @@ let test_prune_outcome_identical_to_off () =
 (* --- the reference propagator --- *)
 
 (* Presolve as it was written over a string-keyed box, before it moved
-   onto an index-based lowering, kept verbatim as an oracle (with the
-   one interval helper only it used).  The library's pass must return
+   onto an index-based lowering, kept as an oracle (with the one
+   interval helper only it used).  The library's pass must return
    exactly what this one returns, float bits included. *)
 module Oracle = struct
   open Analysis.Presolve
@@ -521,66 +541,6 @@ module Oracle = struct
     List.rev kept
 
   (* ------------------------------------------------------------------ *)
-  (* Monotonicity fixing                                                *)
-  (* ------------------------------------------------------------------ *)
-
-  (* A simple bound is a single-monomial inequality over a single
-     variable (the formulation's [bound:<var>] constraints): it shapes
-     the box but never opposes moving the variable to a box endpoint, so
-     it is excluded from the monotonicity scan. *)
-  let is_simple_bound (_, p) =
-    match P.terms p with
-    | [ m ] -> ( match M.variables m with [ _ ] -> true | _ -> false)
-    | _ -> false
-
-  let fixable problem st =
-    let eq_vars =
-      List.fold_left
-        (fun acc (_, m) -> SS.union acc (SS.of_list (M.variables m)))
-        SS.empty (Gp.Problem.eqs problem)
-    in
-    let scanned =
-      P.terms (Gp.Problem.objective problem)
-      @ List.concat_map
-          (fun c -> if is_simple_bound c then [] else P.terms (snd c))
-          (Gp.Problem.ineqs problem)
-    in
-    let sign x =
-      List.fold_left
-        (fun acc m ->
-          let e = M.exponent m x in
-          match acc with
-          | `Mixed -> `Mixed
-          | `Nonneg when e >= 0.0 -> `Nonneg
-          | `Nonpos when e <= 0.0 -> `Nonpos
-          | _ -> `Mixed)
-        `Nonneg scanned
-      |> fun first ->
-      (* [`Nonneg] is the fold seed; re-run for the nonpositive case only
-         when the first pass failed, so a variable absent everywhere
-         stays `Nonneg (pinned to its lower endpoint). *)
-      if first = `Mixed then
-        List.fold_left
-          (fun acc m ->
-            let e = M.exponent m x in
-            match acc with `Nonpos when e <= 0.0 -> `Nonpos | _ -> `Mixed)
-          `Nonpos scanned
-      else first
-    in
-    List.filter_map
-      (fun x ->
-        if SS.mem x eq_vars then None
-        else
-          let i = env st x in
-          match sign x with
-          | `Nonneg when Float.is_finite i.Interval.lo && i.Interval.lo > 0.0 ->
-            Some (x, i.Interval.lo)
-          | `Nonpos when Float.is_finite i.Interval.hi && i.Interval.hi > 0.0 ->
-            Some (x, i.Interval.hi)
-          | _ -> None)
-      (Gp.Problem.variables problem)
-
-  (* ------------------------------------------------------------------ *)
   (* Redundancy elimination                                             *)
   (* ------------------------------------------------------------------ *)
 
@@ -616,57 +576,16 @@ module Oracle = struct
   (* Reduction construction                                             *)
   (* ------------------------------------------------------------------ *)
 
-  (* Binding the fixed variables collapses any inequality mentioning only
-     fixed variables to a constant: such a constraint no longer restricts
-     the remaining variables — drop it, recording its constant value as
-     the certified bound.  A constant meaningfully above 1 would
-     contradict the infeasibility check that already passed; it can only
-     arise inside the float-rounding slack of an active bound, in which
-     case fixing is abandoned wholesale rather than risking an unsound
-     drop. *)
-  exception Abort_fixing
-
   let reduction problem st =
-    let fixed = fixable problem st in
-    let dropped0 = redundant problem st in
-    if fixed = [] && dropped0 = [] then
-      { reduced = problem; fixed = []; dropped = [] }
-    else begin
-      let drop_names = SS.of_list (List.map fst dropped0) in
-      let build fixed =
-        let fixed_set = SS.of_list (List.map fst fixed) in
-        let fixed_env x = List.assoc x fixed in
-        let collapsed =
-          List.filter_map
-            (fun (name, p) ->
-              if
-                (not (SS.mem name drop_names))
-                && List.for_all (fun x -> SS.mem x fixed_set) (P.variables p)
-              then begin
-                let v = P.eval fixed_env p in
-                if v <= 1.0 +. 1e-9 then Some (name, v) else raise Abort_fixing
-              end
-              else None)
-            (Gp.Problem.ineqs problem)
-        in
-        let collapsed_names = SS.of_list (List.map fst collapsed) in
-        let keep name = not (SS.mem name drop_names || SS.mem name collapsed_names) in
-        let reduced = Gp.Problem.bind fixed (Gp.Problem.filter_ineqs keep problem) in
-        (* Keep [dropped] in original constraint order: binding-collapsed
-           constants interleave with interval-certified drops. *)
-        let all = dropped0 @ collapsed in
-        let dropped =
-          List.filter_map
-            (fun (name, _) -> Option.map (fun v -> (name, v)) (List.assoc_opt name all))
-            (Gp.Problem.ineqs problem)
-        in
-        { reduced; fixed; dropped }
-      in
-      try build fixed
-      with Abort_fixing -> (
-        try build []
-        with Abort_fixing -> { reduced = problem; fixed = []; dropped = [] })
-    end
+    match redundant problem st with
+    | [] -> { reduced = problem; fixed = []; dropped = [] }
+    | dropped ->
+      let names = SS.of_list (List.map fst dropped) in
+      {
+        reduced = Gp.Problem.filter_ineqs (fun name -> not (SS.mem name names)) problem;
+        fixed = [];
+        dropped;
+      }
 
   (* ------------------------------------------------------------------ *)
   (* Entry point                                                        *)
@@ -685,8 +604,8 @@ module Oracle = struct
 end
 
 (* Everything a presolve result carries, as text with every float in
-   hex: the box, then the fixed values, the dropped bounds and the
-   reduced program (or that it is physically the input), or the proof. *)
+   hex: the box, then the dropped bounds and the reduced program (or
+   that it is physically the input), or the proof. *)
 let render problem outcome =
   let b = Buffer.create 1024 in
   let monomial m =
@@ -714,7 +633,6 @@ let render problem outcome =
     List.iter (fun (x, i) -> Printf.bprintf b "box %s %h %h\n" x i.Iv.lo i.Iv.hi) t.Ps.box;
     match t.Ps.verdict with
     | Ps.Feasible r ->
-      List.iter (fun (x, v) -> Printf.bprintf b "fixed %s %h\n" x v) r.Ps.fixed;
       List.iter (fun (c, v) -> Printf.bprintf b "dropped %s %h\n" c v) r.Ps.dropped;
       if r.Ps.reduced == problem then Buffer.add_string b "reduced: the input\n"
       else begin
@@ -801,13 +719,14 @@ let test_oracle_zoo () =
 
 (* Random programs that reach every path of the pass.  Each variable
    draws a point and an exponent sign (positive, negative or mixed,
-   applied to its every occurrence outside simple bounds), so monotone
-   variables are common; constraints are drawn from templates: random
+   applied to its every occurrence outside simple bounds), so one-sided
+   propagation is common; constraints are drawn from templates: random
    posynomials scaled to a chosen value at the point (infeasible, tight,
    slack or far slack), simple lower and upper bounds at or around the
    point, monomial equalities that hold at the point or miss it by 4x,
    constants, and a pair of bounds on one variable that contradict each
-   other by less than the pruning margin, which makes fixing abort. *)
+   other by less than the pruning margin, a crossing the pass cannot
+   prove. *)
 let gen_program =
   let open QCheck2.Gen in
   let* nv = int_range 1 4 in
@@ -882,8 +801,8 @@ let prop_oracle_agrees =
       || QCheck2.Test.fail_reportf "reference:@.%sgot:@.%s" expected got)
 
 (* The random programs above reach every path: each infeasibility kind,
-   fixing, constants collapsed by fixing, interval-certified drops and
-   aborted fixing.  Counted on the reference over a fixed sample. *)
+   interval-certified drops, and a feasible program handed on whole.
+   Counted on the reference over a fixed sample. *)
 let test_random_programs_reach_every_path () =
   let rand = Random.State.make [| 21 |] in
   let seen = Hashtbl.create 8 in
@@ -894,26 +813,12 @@ let test_random_programs_reach_every_path () =
       | Ps.Infeasible { Ps.kind = Ps.Ineq_low; _ } -> hit "ineq-low"
       | Ps.Infeasible { Ps.kind = Ps.Eq_low; _ } -> hit "eq-low"
       | Ps.Infeasible { Ps.kind = Ps.Eq_high; _ } -> hit "eq-high"
-      | Ps.Feasible r ->
-        let fixed x = List.mem_assoc x r.Ps.fixed in
-        if r.Ps.fixed <> [] then hit "fixed";
-        (* An interval-certified drop is below 1 - drop_margin; a
-           constraint collapsed by fixing can reach 1. *)
-        List.iter
-          (fun (c, v) ->
-            match List.assoc_opt c (Gp.Problem.ineqs problem) with
-            | Some p when List.for_all fixed (P.variables p) && v > 1.0 -. Ps.drop_margin ->
-              hit "collapsed"
-            | Some _ -> hit "certified drop"
-            | None -> ())
-          r.Ps.dropped;
-        let st = Oracle.fresh_state ~record:false problem in
-        Oracle.propagate st ~ineqs:(Gp.Problem.ineqs problem) ~eqs:(Gp.Problem.eqs problem);
-        if r.Ps.fixed = [] && Oracle.fixable problem st <> [] then hit "aborted fixing")
+      | Ps.Feasible { Ps.dropped = []; _ } -> hit "whole"
+      | Ps.Feasible _ -> hit "certified drop")
     (QCheck2.Gen.generate ~rand ~n:2000 gen_program);
   List.iter
     (fun path -> Alcotest.(check bool) path true (Hashtbl.mem seen path))
-    [ "ineq-low"; "eq-low"; "eq-high"; "fixed"; "collapsed"; "certified drop"; "aborted fixing" ]
+    [ "ineq-low"; "eq-low"; "eq-high"; "certified drop"; "whole" ]
 
 let () =
   Alcotest.run "presolve"
@@ -930,7 +835,7 @@ let () =
           Alcotest.test_case "bound conflict" `Quick test_infeasible_bound_conflict;
           Alcotest.test_case "constant term" `Quick test_infeasible_constant_term;
           Alcotest.test_case "equality conflict" `Quick test_infeasible_equality;
-          Alcotest.test_case "monotone fixing" `Quick test_monotone_fixing;
+          Alcotest.test_case "monotone variables left free" `Quick test_monotone_left_free;
           Alcotest.test_case "redundant elimination" `Quick test_redundant_elimination;
           Alcotest.test_case "duplicates kept" `Quick test_duplicates_not_mutually_dropped;
         ] );
@@ -951,8 +856,7 @@ let () =
         ] );
       ( "optimize",
         [
-          Alcotest.test_case "check mode agrees with solver" `Slow
-            test_check_mode_agrees_with_solver;
+          Alcotest.test_case "audit agrees with solver" `Slow test_audit_agrees_with_solver;
           Alcotest.test_case "prune outcome identical to off" `Slow
             test_prune_outcome_identical_to_off;
         ] );

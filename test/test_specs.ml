@@ -90,6 +90,48 @@ let test_emit_quotes_ambiguous () =
          ("s", Y.String "has: colon");
        ])
 
+let test_emit_quotes_yaml11_words () =
+  (* Words a YAML 1.1 reader types as bools, nulls, special floats,
+     dates, merge or value keys are quoted; one-letter dimension names
+     stay plain. *)
+  check_emit "yaml 1.1 words"
+    "- \"yes\"\n- \"No\"\n- \"on\"\n- \"OFF\"\n- \"Null\"\n- \".inf\"\n- \".NaN\"\n\
+     - \"2001-12-14\"\n- \"<<\"\n- \"=\"\n- n\n- y\n- yesterday\n- 2001x\n"
+    (Y.List
+       (List.map
+          (fun s -> Y.String s)
+          [
+            "yes"; "No"; "on"; "OFF"; "Null"; ".inf"; ".NaN"; "2001-12-14"; "<<"; "="; "n"; "y";
+            "yesterday"; "2001x";
+          ]))
+
+let test_emit_quotes_indicators () =
+  (* A leading flow or indicator character is quoted; inside a string
+     the same characters are plain. *)
+  check_emit "leading indicators"
+    "- \"[x]\"\n- \"{a}\"\n- \"&anchor\"\n- \"*alias\"\n- \"!tag\"\n- \"|x\"\n- \">x\"\n\
+     - \"%x\"\n- \"@x\"\n- \"`x\"\n- \",x\"\n- \"?x\"\n- a[x]&*!|>%@`,?\n"
+    (Y.List
+       (List.map
+          (fun s -> Y.String s)
+          [
+            "[x]"; "{a}"; "&anchor"; "*alias"; "!tag"; "|x"; ">x"; "%x"; "@x"; "`x"; ",x"; "?x";
+            "a[x]&*!|>%@`,?";
+          ]))
+
+let test_emit_escapes () =
+  (* Inside double quotes a quote and a backslash are escaped, and
+     control characters are written as escapes. *)
+  check_emit "escapes"
+    "a: \"say \\\"hi\\\": now\"\nb: \"C:\\\\dir\"\nc: \"\\\"q\\\"\"\nd: \"x\\ny\\tz\\x01\"\n"
+    (Y.Map
+       [
+         ("a", Y.String "say \"hi\": now");
+         ("b", Y.String "C:\\dir");
+         ("c", Y.String "\"q\"");
+         ("d", Y.String "x\ny\tz\001");
+       ])
+
 (* --- Timeloop specs --- *)
 
 let conv_nest =
@@ -259,6 +301,9 @@ let () =
           Alcotest.test_case "list of lists" `Quick test_list_of_lists;
           Alcotest.test_case "empty value" `Quick test_empty_values;
           Alcotest.test_case "emit quotes ambiguous" `Quick test_emit_quotes_ambiguous;
+          Alcotest.test_case "emit quotes yaml 1.1 words" `Quick test_emit_quotes_yaml11_words;
+          Alcotest.test_case "emit quotes indicators" `Quick test_emit_quotes_indicators;
+          Alcotest.test_case "emit escapes" `Quick test_emit_escapes;
         ] );
       ( "timeloop",
         [
