@@ -477,21 +477,24 @@ let ablation_technology () =
 (* Bechamel micro-benchmarks: one per experiment family                *)
 (* ------------------------------------------------------------------ *)
 
+(* Each one runs under the sweep's delay model and solver tolerance, so
+   it times what the sweep runs. *)
 let bechamel () =
   section "bechamel";
   let open Bechamel in
+  let comm = thistle_config.O.comm and tol = thistle_config.O.gp_tol in
   let nest = Conv.to_nest (Workload.Zoo.find "resnet-2") in
   let plan = Thistle.Permutations.enumerate nest in
   let choice_vol = List.hd plan.Thistle.Permutations.choices in
   let choice = fst choice_vol in
-  let instance = F.build tech (F.Fixed Arch.eyeriss) F.Energy plan choice_vol in
-  let solution = Gp.Solver.solve instance.F.problem in
+  let instance = F.build ~comm tech (F.Fixed Arch.eyeriss) F.Energy plan choice_vol in
+  let solution = Gp.Solver.solve ~tol instance.F.problem in
   let rng = Random.State.make [| 1 |] in
   let mapping =
     (* A fixed valid mapping for the model benchmark. *)
     let rec find () =
       let m = Mapper.Search.random_mapping rng nest in
-      match Evaluate.evaluate tech Arch.eyeriss nest m with
+      match Evaluate.evaluate ~comm tech Arch.eyeriss nest m with
       | Ok _ -> m
       | Error _ -> find ()
     in
@@ -503,8 +506,8 @@ let bechamel () =
         (* fig4/fig7 inner loop: one GP formulation + solve. *)
         Test.make ~name:"gp-formulate-solve"
           (Staged.stage (fun () ->
-               let inst = F.build tech (F.Fixed Arch.eyeriss) F.Energy plan choice_vol in
-               ignore (Gp.Solver.solve inst.F.problem)));
+               let inst = F.build ~comm tech (F.Fixed Arch.eyeriss) F.Energy plan choice_vol in
+               ignore (Gp.Solver.solve ~tol inst.F.problem)));
         (* Algorithm 1 symbolic analysis for one permutation choice. *)
         Test.make ~name:"volume-analyze"
           (Staged.stage (fun () ->
@@ -516,11 +519,11 @@ let bechamel () =
         Test.make ~name:"mapper-trial"
           (Staged.stage (fun () ->
                let m = Mapper.Search.random_mapping rng nest in
-               ignore (Evaluate.evaluate tech Arch.eyeriss nest m)));
+               ignore (Evaluate.evaluate ~comm tech Arch.eyeriss nest m)));
         (* the Timeloop-model stand-in: one exact evaluation. *)
         Test.make ~name:"model-evaluate"
           (Staged.stage (fun () ->
-               ignore (Evaluate.evaluate tech Arch.eyeriss nest mapping)));
+               ignore (Evaluate.evaluate ~comm tech Arch.eyeriss nest mapping)));
         (* section-IV rounding: one integerization pass. *)
         Test.make ~name:"integerize"
           (Staged.stage (fun () -> ignore (I.run tech instance solution)));

@@ -158,15 +158,17 @@ type cell = {
 
 (* The (choice, placement) instance set of one scenario: every pair the
    optimizer's sweep formulates, duplicates included, as [F.build]
-   returns it.  The sweep hands the solver presolve-reduced programs and
-   warm-starts each placement from its choice's pinned solve; here every
-   program is solved as formulated, from the cold least-norm start. *)
+   returns it under the default delay model.  The sweep hands the solver
+   presolve-reduced programs and warm-starts each placement from its
+   choice's pinned solve; here every program is solved as formulated,
+   from the cold least-norm start. *)
 let scenario_instances ~max_choices mode nest =
   let plan = Permutations.enumerate ~max_choices nest in
   List.concat_map
     (fun cv ->
       List.map
-        (fun placement -> F.build ~placement tech mode F.Energy plan cv)
+        (fun placement ->
+          F.build ~placement ~comm:O.default_config.O.comm tech mode F.Energy plan cv)
         plan.Permutations.placements)
     plan.Permutations.choices
 

@@ -48,13 +48,22 @@ let objective_arg =
 
 let arch_args =
   let pes =
-    Arg.(value & opt int 168 & info [ "pes" ] ~docv:"P" ~doc:"Number of PEs.")
+    Arg.(
+      value
+      & opt int Arch.eyeriss.Arch.pe_count
+      & info [ "pes" ] ~docv:"P" ~doc:"Number of PEs.")
   in
   let regs =
-    Arg.(value & opt int 512 & info [ "regs" ] ~docv:"R" ~doc:"Registers per PE (words).")
+    Arg.(
+      value
+      & opt int Arch.eyeriss.Arch.registers_per_pe
+      & info [ "regs" ] ~docv:"R" ~doc:"Registers per PE (words).")
   in
   let sram =
-    Arg.(value & opt int 65536 & info [ "sram" ] ~docv:"S" ~doc:"SRAM capacity (16-bit words).")
+    Arg.(
+      value
+      & opt int Arch.eyeriss.Arch.sram_words
+      & info [ "sram" ] ~docv:"S" ~doc:"SRAM capacity (16-bit words).")
   in
   Term.(const (fun pes regs sram -> P.arch ~name:"cli" ~pes ~regs ~sram) $ pes $ regs $ sram)
 
@@ -223,9 +232,10 @@ let sweep_opts =
           ~doc:
             "Own only the $(docv)-th of $(i,N) round-robin slices of the \
              (choice x placement) work-list (whole choices per shard, 1-based).  A \
-             shard solves, journals and reports its own pairs; combine the shard \
-             journals with $(b,thistle merge) to recover the exact unsharded \
-             report.")
+             shard solves, journals and reports its own pairs.  To recover the \
+             exact unsharded report, concatenate the shard journals (in any \
+             order) into one file and rerun the same command without \
+             $(b,--shard), with $(b,--journal) set to that file and $(b,--resume).")
   in
   let journal_arg =
     Arg.(
@@ -244,7 +254,8 @@ let sweep_opts =
           ~doc:
             "Replay pairs recorded in $(b,--journal) (required) instead of re-solving \
              them.  Entries whose fingerprint no longer matches the formulation and \
-             solver configuration are re-solved and re-journaled.")
+             solver configuration are re-solved and re-journaled, with one warning \
+             naming the journal and their count.")
   in
   let build shard journal resume config = { config with O.shard; journal; resume } in
   Term.(const build $ shard_arg $ journal_arg $ resume_arg)
@@ -625,8 +636,7 @@ let lint_cmd =
       let ds = F.lint instance in
       if certify then ds @ certify_diags instance else ds
     in
-    let arch = Arch.make ~name:"lint" ~pes:168 ~registers:512 ~sram_words:65536 in
-    match audit ~layer ~max_choices ~node ~jobs arch check with
+    match audit ~layer ~max_choices ~node ~jobs Arch.eyeriss check with
     | Error msg -> fail msg
     | Ok results ->
       let total = List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 results in
@@ -778,64 +788,6 @@ let pipeline_cmd =
       $ pipeline_request (pipeline_opts (const P.default_opts.P.node_nm))
       $ config_with [ comm_opts ]
       $ trace_arg $ metrics_out_arg)
-
-let merge_cmd =
-  let files_arg =
-    Arg.(
-      non_empty & pos_all string []
-      & info [] ~docv:"JOURNAL"
-          ~doc:"Per-shard completion journals (JSONL) to combine.")
-  in
-  let out_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "journal"; "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the combined journal to $(docv) (sorted by pair index, duplicates \
-             collapsed), then resume the sweep from it.")
-  in
-  let request =
-    let codesign_arg =
-      Arg.(
-        value & flag
-        & info [ "codesign" ]
-            ~doc:
-              "The shards ran $(b,thistle codesign) (with $(b,--area)); reproduce \
-               that command's report (the default reproduces $(b,thistle optimize) \
-               on the $(b,--pes/--regs/--sram) architecture).")
-    in
-    let pick codesign codesign_request optimize_request =
-      if codesign then codesign_request else optimize_request
-    in
-    Term.(const pick $ codesign_arg $ codesign_request area_arg $ optimize_request)
-  in
-  let run () request base out files =
-    (* The merged run replays every journaled pair and re-runs ranking +
-       integerization over the full work-list: its report is
-       byte-identical to the corresponding unsharded command.  Pairs the
-       shards never completed (or whose fingerprints went stale) are
-       re-solved here and appended to the merged journal. *)
-    match resolve { base with O.journal = Some out; resume = true } request with
-    | Error msg -> fail msg
-    | Ok r -> (
-      let merged =
-        let* entries = Sweep.Merge.load_files files in
-        Result.map_error (fun m -> "merge: " ^ m) (Sweep.Journal.write_file out entries)
-      in
-      match merged with
-      | Error msg -> fail msg
-      | Ok () -> reply r)
-  in
-  Cmd.v
-    (Cmd.info "merge"
-       ~doc:
-         "Combine per-shard sweep journals and replay them into the exact report an \
-          unsharded run would print.  Pass the same layer, objective, architecture, \
-          communication-model and solver flags the shards ran with; pairs missing \
-          from the journals are re-solved.")
-    Term.(
-      const run $ setup_logs $ request $ config_with [ comm_opts ] $ out_arg $ files_arg)
 
 let metrics_cmd =
   let json_arg =
@@ -1045,7 +997,6 @@ let main =
       lint_cmd;
       presolve_cmd;
       journal_cmd;
-      merge_cmd;
       metrics_cmd;
       serve_cmd;
       client_cmd;

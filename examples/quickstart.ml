@@ -26,7 +26,8 @@ let () =
       ~spatial:[ ("i", 4) ]
       ~dram:([ ("i", 32); ("j", 128) ], [ "i"; "j"; "k" ])
   in
-  (match Evaluate.evaluate tech arch nest naive with
+  (* Scored under the optimizer's delay model, like its own answer. *)
+  (match Evaluate.evaluate ~comm:O.default_config.O.comm tech arch nest naive with
   | Ok m -> Format.printf "naive mapping:@.%a@.@." Evaluate.pp m
   | Error msg -> Format.printf "naive mapping invalid: %s@.@." msg);
 

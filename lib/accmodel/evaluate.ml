@@ -159,15 +159,14 @@ let assess ~comm ~contention tech arch k counts =
 (* Scoring reads only energy and cycles, so it skips packing the counts. *)
 let unpacked = { Counts.macs = 0.0; pes_used = 0; per_tensor = [] }
 
-let energy_delay ?(comm = Link.Overlapped) ?(contention = false) tech arch k =
+let energy_delay ~comm ?(contention = false) tech arch k =
   match assess ~comm ~contention tech arch k unpacked with
   | Ok m -> Some (m.energy_pj, m.cycles)
   | Error _ -> None
 
 let kind_name = function Level.Temporal -> "temporal" | Level.Spatial -> "spatial"
 
-let evaluate ?(comm = Link.Overlapped) ?(contention = false) tech arch nest
-    mapping =
+let evaluate ~comm ?(contention = false) tech arch nest mapping =
   match Mapping.validate nest mapping with
   | Error _ as e -> e
   | Ok () ->

@@ -10,7 +10,7 @@
     - DRAM accesses.
 
     Delay depends on the communication model (DESIGN §16).  [Overlapped]
-    (the default, and the paper's Section V-B assumption) takes the
+    (the paper's Section V-B assumption) takes the
     maximum of per-component delays: compute on the used PEs, aggregate
     SRAM port traffic, aggregate DRAM traffic.  [Comm_aware] instead
     charges each per-level, per-direction link (DRAM read/write, NoC
@@ -50,7 +50,7 @@ type t = {
 }
 
 val evaluate :
-  ?comm:Archspec.Link.comm_model ->
+  comm:Archspec.Link.comm_model ->
   ?contention:bool ->
   Archspec.Technology.t ->
   Archspec.Arch.t ->
@@ -63,8 +63,8 @@ val evaluate :
     SRAM / PE capacities, or is degenerate — the MAC count, cycle count
     or energy comes out non-finite or non-positive (overflowed
     trip-count products), which would otherwise yield NaN/inf
-    [energy_per_mac]/[ipc] records.  [comm] defaults to [Overlapped]
-    (the historical behavior); [contention] only affects [Comm_aware].
+    [energy_per_mac]/[ipc] records.  [comm] selects the delay model;
+    [contention] (default false) only affects [Comm_aware].
 
     The evaluation runs in stages over a {!Counts.Kernel} compiled from
     the mapping: footprints, then the capacity checks, then fills, then
@@ -83,7 +83,7 @@ val fits : Archspec.Arch.t -> Counts.Kernel.t -> bool
     and the PE count all fit, i.e. {!evaluate}'s capacity checks pass. *)
 
 val energy_delay :
-  ?comm:Archspec.Link.comm_model ->
+  comm:Archspec.Link.comm_model ->
   ?contention:bool ->
   Archspec.Technology.t ->
   Archspec.Arch.t ->

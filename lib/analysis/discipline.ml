@@ -17,47 +17,12 @@ let check ?provenance problem =
   in
   let ineqs = Gp.Problem.ineqs problem in
   let eqs = Gp.Problem.eqs problem in
-  (* Monomial well-formedness: finite positive coefficients, finite
-     exponents.  The constructors enforce this, but the pass stands on its
-     own so that problems assembled by other frontends are covered too. *)
-  let check_mono ?constraint_name where m =
-    let c = M.coeff m in
-    if not (Float.is_finite c && c > 0.0) then
-      error ?constraint_name "%s: coefficient %g of %s is not finite positive"
-        where c (M.to_string m);
-    List.iter
-      (fun (x, e) ->
-        if not (Float.is_finite e) then
-          error ?constraint_name "%s: exponent %g of %s is not finite" where e
-            x)
-      (M.exponents m)
-  in
-  let check_posy ?constraint_name where p =
-    if P.is_zero p then error ?constraint_name "%s: empty posynomial" where
-    else List.iter (check_mono ?constraint_name where) (P.terms p)
-  in
-  check_posy "objective" (Gp.Problem.objective problem);
-  List.iter (fun (name, p) -> check_posy ~constraint_name:name "inequality" p) ineqs;
-  List.iter (fun (name, m) -> check_mono ~constraint_name:name "equality" m) eqs;
-  (* Constraint-name hygiene. *)
-  let names = List.map fst ineqs @ List.map fst eqs in
-  List.iter
-    (fun n -> if String.length n = 0 then error "empty constraint name")
-    names;
-  let rec dups seen = function
-    | [] -> []
-    | n :: rest ->
-      if List.mem n seen then n :: dups seen rest else dups (n :: seen) rest
-  in
-  List.iter
-    (fun n -> error ~constraint_name:n "duplicate constraint name")
-    (List.sort_uniq String.compare (dups [] names));
   (* Constant constraints: infeasible ones can never be repaired by the
      solver; feasible ones are vacuous. *)
   let ones _ = 1.0 in
   List.iter
     (fun (name, p) ->
-      if (not (P.is_zero p)) && List.for_all M.is_constant (P.terms p) then begin
+      if List.for_all M.is_constant (P.terms p) then begin
         let v = P.eval ones p in
         if v > 1.0 +. 1e-9 then
           error ~constraint_name:name

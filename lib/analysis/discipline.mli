@@ -2,16 +2,13 @@
     geometric program before it reaches the solver (the role CVXPY's DGP
     ruleset plays for the paper's implementation).
 
-    Checks, each reported as a {!Diagnostic.t}:
+    Well-formedness is not checked again here: every
+    {!Symexpr.Monomial} has a finite positive coefficient and finite
+    exponents by construction, and {!Gp.Problem.make} refuses an empty
+    objective or inequality and empty or duplicate constraint names.
+    What remains are the checks that need the whole program, each
+    reported as a {!Diagnostic.t}:
 
-    - every monomial coefficient is finite and strictly positive, and
-      every exponent finite, in the objective, every inequality and every
-      equality (errors);
-    - the objective and each inequality are non-empty posynomials
-      (errors);
-    - constraint names are non-empty and unique across inequalities and
-      equalities (errors) — duplicate names make violation reports and
-      diagnostics ambiguous;
     - trivially infeasible constant constraints: an all-constant
       inequality with value [> 1] or a constant equality [<> 1] can never
       be satisfied (errors); satisfiable constant constraints are vacuous

@@ -61,7 +61,6 @@ type row = {
   terms : term array;
   support : int array;  (* its distinct variables *)
   eq : bool;
-  valid : bool;  (* every coefficient finite positive *)
 }
 
 type lowered = {
@@ -138,10 +137,7 @@ let lower problem =
                    end)
                  t.vars)
              terms;
-           let valid =
-             Array.for_all (fun t -> Float.is_finite t.coeff && t.coeff > 0.0) terms
-           in
-           { name; terms; support = Array.of_list !support; eq; valid })
+           { name; terms; support = Array.of_list !support; eq })
          (ineqs @ eqs))
   in
   let occurs = Array.make nvars [] in
@@ -280,12 +276,7 @@ let try_bound st c side x v =
       if v > cur *. (1.0 +. improve_margin) && v > cur then
         if v > st.hi.(x) then cross st c side else tighten st c Lo x v
 
-(* A coefficient that is not finite positive is refused when its row is
-   first evaluated, with {!Interval.point}'s error. *)
-let check_valid r = if not r.valid then Array.iter (fun t -> ignore (Interval.point t.coeff)) r.terms
-
 let visit_ineq st c r =
-  check_valid r;
   let terms = r.terms and lbs = st.lbs and f = st.f in
   Array.iteri (fun k t -> lbs.(k) <- term_lo st t) terms;
   let total = ref 0.0 in
@@ -325,7 +316,6 @@ let visit_ineq st c r =
     terms
 
 let visit_eq st c r =
-  check_valid r;
   let t = r.terms.(0) in
   infeasible st c Eq_low (term_lo st t);
   infeasible st c Eq_high (term_hi st t);

@@ -364,8 +364,8 @@ let lower_pair ~comm ~pinned ~provenance tech arch_mode objective
     unit_diagnostics = D.diagnostics ctx;
   }
 
-let build ?placement ?(comm = Archspec.Link.Overlapped) tech arch_mode objective
-    (plan : Permutations.plan) choice_vol =
+let build ?placement ~comm tech arch_mode objective (plan : Permutations.plan)
+    choice_vol =
   let pinned =
     match placement with Some p -> p | None -> plan.Permutations.pinned
   in

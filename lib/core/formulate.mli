@@ -58,7 +58,7 @@ val var_delay : string
 
 val build :
   ?placement:(string * float) list ->
-  ?comm:Archspec.Link.comm_model ->
+  comm:Archspec.Link.comm_model ->
   Archspec.Technology.t ->
   arch_mode ->
   objective ->
@@ -70,7 +70,7 @@ val build :
     pinned assignment (window dims at the register level).
 
     [comm] selects the delay lowering (DESIGN §16; only Delay/Edp
-    objectives carry delay constraints).  [Overlapped] (default) emits
+    objectives carry delay constraints).  [Overlapped] emits
     the two aggregate [delay-sram]/[delay-dram] bandwidth bounds —
     bit-identical to the historical formulation.  [Comm_aware] instead
     bounds each link occupancy separately: [delay-reg] (per-MAC operand

@@ -80,9 +80,9 @@ let m_retries = Obs.Metrics.counter "robust.retries"
 let m_deadline_hits = Obs.Metrics.counter "robust.deadline_hits"
 
 (* Sharded/resumable sweep counters (DESIGN §9/§12).  [sweep.pairs_solved]
-   counts physical solver invocations this run — the number a resumed or
-   merged run keeps low — while [solve_totals] keeps counting logical
-   solves (journal replays included) so reports stay identical. *)
+   counts physical solver invocations this run — zero on a resume from a
+   whole journal — while [solve_totals] keeps counting logical solves
+   (journal replays included) so reports stay identical. *)
 let m_journal_hits = Obs.Metrics.counter "sweep.journal_hits"
 let m_journal_stale = Obs.Metrics.counter "sweep.journal_stale"
 let m_pairs_solved = Obs.Metrics.counter "sweep.pairs_solved"
@@ -292,8 +292,8 @@ let request_key ~config tech arch_mode objective nest =
 
 (* The work-list: pair [i] is [work.(i)] = (choice [i / nplac],
    placement [i mod nplac]), in exact enumeration order.  Shard
-   membership, journal entries and the merge step all speak this
-   indexing (DESIGN §12). *)
+   membership and journal entries both speak this indexing, so shard
+   journals combine by concatenation (DESIGN §12). *)
 type sweep = {
   plan : Permutations.plan;
   work : ((Permutations.choice * Volume.t) * (string * float) list) array;
@@ -303,13 +303,14 @@ type sweep = {
 (* One owned pair as formulated: its global index, the instance, its
    {!problem_key}, its journal fingerprint, and the presolve verdict
    that survived re-checking ([None] when presolve is off, crashed or
-   had its proof rejected). *)
+   had its proof rejected).  The sweep keeps only the verdict, not the
+   propagated box. *)
 type pair = {
   idx : int;
   instance : Formulate.instance;
   key : string;
   fp : string;
-  pre : Analysis.Presolve.t option;
+  pre : Analysis.Presolve.verdict option;
 }
 
 (* How a pair's slot was produced. *)
@@ -461,13 +462,13 @@ let presolve_of config instance =
       Log.warn (fun m ->
           m "%s: presolve crashed, solving anyway: %s" prov (Printexc.to_string e));
       None
-    | { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible proof; _ } as t -> (
+    | { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible proof as verdict; _ } -> (
       match Analysis.Certificate.check_prune problem proof with
-      | Ok () -> Some t
+      | Ok () -> Some verdict
       | Error msg ->
         Log.warn (fun m -> m "%s: presolve proof rejected, solving anyway: %s" prov msg);
         None)
-    | t -> Some t)
+    | { Analysis.Presolve.verdict; _ } -> Some verdict)
 
 (* Stage formulate: formulate, lint, key and presolve every owned pair.
    The pairs are independent — Formulate.build shares no mutable state.
@@ -527,7 +528,9 @@ let open_journal config =
    solve.  A resume replays a pair's journal entry only while its
    fingerprint — (problem key, {!config_fingerprint}) — still matches;
    the last entry per pair wins, since a re-run may have appended a
-   fresh entry for a pair whose earlier one had gone stale.  A
+   fresh entry for a pair whose earlier one had gone stale.  This is
+   also how shards combine: their journals, concatenated in any order,
+   resume into the unsharded sweep, since pair indices are global.  A
    statically infeasible pair gets its fate here, with all-zero stats
    because no solver ran. *)
 let seed ~config pairs =
@@ -540,25 +543,40 @@ let seed ~config pairs =
     | Ok es ->
       List.iter (fun (e : Sweep.Journal.entry) -> Hashtbl.replace entries e.pair e) es)
   | Some _ | None -> ());
-  Array.map
-    (fun p ->
-      match Hashtbl.find_opt entries p.idx with
-      | Some e when String.equal e.Sweep.Journal.fingerprint p.fp ->
-        let seeded =
-          slot ~retries:e.Sweep.Journal.retries
-            ~deadline_hits:e.Sweep.Journal.deadline_hits Journal_replay
-            e.Sweep.Journal.fate e.Sweep.Journal.stats
-        in
-        { seeded = Some seeded; stale = false }
-      | entry ->
-        let seeded =
-          match p.pre with
-          | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible proof; _ } ->
-            Some (slot Presolve_pruned (Sweep.Journal.Pruned proof) (Gp.Solver.fresh_stats ()))
-          | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible _; _ } | None -> None
-        in
-        { seeded; stale = Option.is_some entry })
-    pairs
+  let seeds =
+    Array.map
+      (fun p ->
+        match Hashtbl.find_opt entries p.idx with
+        | Some e when String.equal e.Sweep.Journal.fingerprint p.fp ->
+          let seeded =
+            slot ~retries:e.Sweep.Journal.retries
+              ~deadline_hits:e.Sweep.Journal.deadline_hits Journal_replay
+              e.Sweep.Journal.fate e.Sweep.Journal.stats
+          in
+          { seeded = Some seeded; stale = false }
+        | entry ->
+          let seeded =
+            match p.pre with
+            | Some (Analysis.Presolve.Infeasible proof) ->
+              Some
+                (slot Presolve_pruned (Sweep.Journal.Pruned proof) (Gp.Solver.fresh_stats ()))
+            | Some (Analysis.Presolve.Feasible _) | None -> None
+          in
+          { seeded; stale = Option.is_some entry })
+      pairs
+  in
+  (* A stale entry was journaled under another formulation or solver
+     configuration — a shard run with different flags, say.  It is
+     re-solved like a missing one, but not silently. *)
+  (match (config.journal, Array.fold_left (fun n s -> if s.stale then n + 1 else n) 0 seeds) with
+  | Some path, stale when stale > 0 ->
+    Log.warn (fun m ->
+        m "journal %s: %d stale entr%s (journaled under a different formulation \
+           or solver configuration), re-solving"
+          path stale
+          (if stale = 1 then "y" else "ies"))
+  | _ -> ());
+  seeds
 
 (* One pair's guarded solve, retried per [config.retries] (DESIGN §11).
 
@@ -574,10 +592,8 @@ let solve_pair ~config ?warm_start pair =
   let prov = pair.instance.Formulate.provenance in
   let problem =
     match pair.pre with
-    | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ->
-      red.Analysis.Presolve.reduced
-    | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible _; _ } | None ->
-      pair.instance.Formulate.problem
+    | Some (Analysis.Presolve.Feasible red) -> red.Analysis.Presolve.reduced
+    | Some (Analysis.Presolve.Infeasible _) | None -> pair.instance.Formulate.problem
   in
   let deadline_ns = Option.map (fun ms -> ms *. 1e6) config.solve_deadline_ms in
   let max_attempts = 1 + Int.max 0 config.retries in
@@ -828,14 +844,13 @@ let feed_counters table =
   Obs.Metrics.add m_presolve_pruned
     (count (fun r ->
          match r.pair.pre with
-         | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible _; _ } -> true
-         | Some _ | None -> false));
+         | Some (Analysis.Presolve.Infeasible _) -> true
+         | Some (Analysis.Presolve.Feasible _) | None -> false));
   Obs.Metrics.add m_presolve_dropped
     (sum (fun r ->
          match r.pair.pre with
-         | Some { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ->
-           List.length red.Analysis.Presolve.dropped
-         | Some { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible _; _ } | None -> 0));
+         | Some (Analysis.Presolve.Feasible red) -> List.length red.Analysis.Presolve.dropped
+         | Some (Analysis.Presolve.Infeasible _) | None -> 0));
   Obs.Metrics.add m_comm_constraints
     (sum (fun r ->
          List.length

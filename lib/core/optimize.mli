@@ -108,11 +108,11 @@ type config = {
           owns (default {!Sweep.Partition.full}).  Shards partition by
           {e whole choices} so every warm-start source is shard-local;
           a shard run formulates, solves, journals and reports only its
-          own pairs — the globally best design point comes from merging
-          the shard journals ({!Sweep.Merge}, [thistle merge]) and
-          resuming, which replays every pair and re-runs ranking and
-          integerization over the full set, byte-identical to an
-          unsharded run. *)
+          own pairs.  The globally best design point comes from
+          concatenating the shard journals (in any order) and resuming
+          the unsharded sweep from them, which replays every pair and
+          re-runs ranking and integerization over the full set,
+          byte-identical to an unsharded run. *)
   journal : string option;
       (** append-only JSONL completion journal (default [None]).  Every
           pair completed by this run — solved, replayed or quarantined —
@@ -129,7 +129,9 @@ type config = {
           {!problem_key} and this config's solver fingerprint — still
           matches, so stale pairs (changed formulation, tolerance,
           kernel, retry or injection policy) are re-solved and
-          re-journaled.  [sweep.journal_hits] / [sweep.journal_stale]
+          re-journaled, with one warning naming the journal and the
+          number of stale entries.  When a pair has several entries the
+          last one wins.  [sweep.journal_hits] / [sweep.journal_stale]
           count the two cases; [sweep.pairs_solved] counts physical
           solves this run. *)
 }

@@ -14,18 +14,6 @@ let make ~objective ?(ineqs = []) ?(eqs = []) () =
       if P.is_zero p then
         invalid_arg (Printf.sprintf "Gp.Problem.make: zero inequality %S" name))
     ineqs;
-  List.iter
-    (fun (name, m) ->
-      (* The monomial constructors enforce finite positive coefficients,
-         but equality right-hand sides arrive pre-divided — re-check so a
-         degenerate [g = 1] cannot slip into the KKT system. *)
-      let c = M.coeff m in
-      if not (Float.is_finite c && c > 0.0) then
-        invalid_arg
-          (Printf.sprintf
-             "Gp.Problem.make: equality %S has non-finite or non-positive coefficient %g"
-             name c))
-    eqs;
   let names = List.map fst ineqs @ List.map fst eqs in
   List.iter
     (fun name ->

@@ -16,11 +16,11 @@ val make :
   unit ->
   t
 (** Raises [Invalid_argument] if the objective or any inequality is the
-    zero posynomial, if an equality monomial has a non-finite or
-    non-positive coefficient, if any constraint name is empty, or if a
-    name is used by more than one constraint (inequalities and equalities
-    share one namespace) — diagnostics and violation reports key on
-    unique names. *)
+    zero posynomial, if any constraint name is empty, or if a name is
+    used by more than one constraint (inequalities and equalities share
+    one namespace) — diagnostics and violation reports key on unique
+    names.  Coefficients and exponents need no check here: every
+    {!Symexpr.Monomial} is finite by construction. *)
 
 val objective : t -> Symexpr.Posynomial.t
 

@@ -224,17 +224,6 @@ let cholesky_in_place a =
     done
   done
 
-let cholesky a =
-  if a.rows <> a.cols then invalid_arg "Mat.cholesky: matrix not square";
-  let l = create a.rows a.rows in
-  for i = 0 to a.rows - 1 do
-    for j = 0 to i do
-      set l i j (get a i j)
-    done
-  done;
-  cholesky_in_place l;
-  l
-
 (* Forward/back substitution reading only the lower triangle of [l],
    overwriting [y] with the solution of [l * transpose l * x = y].
    Unchecked element access, as in [cholesky_in_place]. *)
@@ -260,10 +249,3 @@ let cholesky_solve_in_place l y =
     done;
     Array.unsafe_set y i (!acc /. Array.unsafe_get d ((i * n) + i))
   done
-
-let cholesky_solve l b =
-  let y = Array.copy b in
-  cholesky_solve_in_place l y;
-  y
-
-let solve_spd a b = cholesky_solve (cholesky a) b

@@ -8,8 +8,8 @@
 type t
 
 exception Singular
-(** Raised by [lu_factor] / [cholesky] when the matrix is (numerically)
-    singular or not positive definite. *)
+(** Raised by [lu_factor] / [cholesky_in_place] when the matrix is
+    (numerically) singular or not positive definite. *)
 
 val create : int -> int -> t
 (** [create rows cols] is the zero matrix. *)
@@ -78,28 +78,20 @@ val nullspace_basis : int -> Vec.t array -> Vec.t array
     arguments — callers may compute it once per row structure and reuse
     the result. *)
 
-val cholesky : t -> t
-(** [cholesky a] is the lower-triangular [l] with [l * transpose l = a] for
-    symmetric positive-definite [a].  Raises [Singular] otherwise. *)
-
 val cholesky_in_place : t -> unit
 (** [cholesky_in_place a] overwrites the lower triangle of [a] with its
-    Cholesky factor, reading only the lower triangle; the strict upper
-    triangle is left untouched, so a workspace buffer can be refilled and
-    refactored without clearing.  Raises [Singular] when [a] is not
+    Cholesky factor [l], the lower-triangular matrix with
+    [l * transpose l = a] for symmetric positive-definite [a], reading
+    only the lower triangle; the strict upper triangle is left untouched,
+    so a workspace buffer can be refilled and refactored without
+    clearing.  Raises [Singular] when [a] is not
     positive definite (the buffer is then partially overwritten).
     Raises [Invalid_argument] when [a] is not square; element access is
     otherwise unchecked. *)
 
-val cholesky_solve : t -> Vec.t -> Vec.t
-(** [cholesky_solve l b] solves [l * transpose l * x = b] given the factor
-    [l] produced by [cholesky].  Only the lower triangle of [l] is read. *)
-
 val cholesky_solve_in_place : t -> Vec.t -> unit
 (** [cholesky_solve_in_place l b] overwrites [b] with the solution of
-    [l * transpose l * x = b] — the allocation-free core of
-    {!cholesky_solve}.  Raises [Invalid_argument] unless [l] is square
-    of [b]'s dimension; element access is otherwise unchecked. *)
-
-val solve_spd : t -> Vec.t -> Vec.t
-(** [solve_spd a b] factors and solves in one step. *)
+    [l * transpose l * x = b], given the factor [l] that
+    {!cholesky_in_place} leaves in its lower triangle (only that triangle
+    is read).  Raises [Invalid_argument] unless [l] is square of [b]'s
+    dimension; element access is otherwise unchecked. *)

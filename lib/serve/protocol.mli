@@ -68,7 +68,7 @@ val decode_response : string -> (response, string) result
 (** {1 Resolution}
 
     The one place a request is interpreted: the daemon and the CLI's
-    [optimize]/[codesign]/[pipeline]/[merge]/[metrics] both turn a
+    [optimize]/[codesign]/[pipeline]/[metrics] both turn a
     request into a run here, so they validate the same fields with the
     same messages and solve the same configuration (DESIGN §14). *)
 

@@ -9,8 +9,8 @@
     without a solve, plus the final attempt's solver telemetry, retry
     count and accumulated deadline hits.  Replaying an entry therefore
     reconstructs the in-memory slot of {!Thistle.Optimize.run}
-    bit-for-bit — a resumed or merged run reports exactly what the
-    uninterrupted run would have.
+    bit-for-bit — a resumed run, or one resumed from concatenated shard
+    journals, reports exactly what the uninterrupted run would have.
 
     Crash-safety contract: entries are appended (and flushed) as each
     pair completes, so a killed run's journal holds every pair that
@@ -84,7 +84,6 @@ val compact : entry list -> entry list
     the original. *)
 
 val write_file : string -> entry list -> (unit, string) result
-(** Replace [path] with exactly [entries], one line each (used by the
-    merge step to materialize a combined journal, and by
+(** Replace [path] with exactly [entries], one line each (used by
     [thistle journal compact]).  [Error] when [path] cannot be opened or
     written; its message names [path] once. *)

@@ -15,8 +15,9 @@ let check_exp who (x, a) =
     invalid_arg
       (Printf.sprintf "Monomial.%s: exponent of %s must be finite (got %g)" who x a)
 
+(* Checks the merged exponents, so a sum that overflows is refused like
+   a non-finite input. *)
 let normalize who exps =
-  List.iter (check_exp who) exps;
   let sorted = List.sort (fun (x, _) (y, _) -> String.compare x y) exps in
   (* Merge duplicate variables by adding exponents, then drop zeros. *)
   let rec merge = function
@@ -24,7 +25,9 @@ let normalize who exps =
     | pair :: rest -> pair :: merge rest
     | [] -> []
   in
-  List.filter (fun (_, a) -> a <> 0.0) (merge sorted)
+  let merged = merge sorted in
+  List.iter (check_exp who) merged;
+  List.filter (fun (_, a) -> a <> 0.0) merged
 
 let one = { coeff = 1.0; exps = [] }
 
@@ -50,11 +53,16 @@ let mentions m x = List.mem_assoc x m.exps
 
 let variables m = List.map fst m.exps
 
-let mul a b = { coeff = a.coeff *. b.coeff; exps = normalize "mul" (a.exps @ b.exps) }
+let mul a b =
+  let coeff = a.coeff *. b.coeff in
+  check_coeff "mul" coeff;
+  { coeff; exps = normalize "mul" (a.exps @ b.exps) }
 
 let div a b =
+  let coeff = a.coeff /. b.coeff in
+  check_coeff "div" coeff;
   let inv = List.map (fun (x, e) -> (x, -.e)) b.exps in
-  { coeff = a.coeff /. b.coeff; exps = normalize "div" (a.exps @ inv) }
+  { coeff; exps = normalize "div" (a.exps @ inv) }
 
 let pow m a =
   if not (Float.is_finite a) then
@@ -65,7 +73,9 @@ let pow m a =
 
 let scale c m =
   check_coeff "scale" c;
-  { m with coeff = c *. m.coeff }
+  let coeff = c *. m.coeff in
+  check_coeff "scale" coeff;
+  { m with coeff }
 
 let subst x m' m =
   match List.assoc_opt x m.exps with

@@ -1,6 +1,12 @@
 (** Monomials: [c * prod_i x_i ^ a_i] with positive coefficient [c], named
     variables [x_i] and real exponents [a_i].
 
+    Every monomial is finite by construction: each operation that makes
+    one refuses, with [Invalid_argument], a coefficient that is not
+    finite and positive or an exponent that is not finite — its inputs'
+    or its result's, after like factors merge.  So checkers downstream
+    need not check again.
+
     Monomials are the atoms of geometric programming: products, quotients
     and real powers of monomials are monomials.  The representation is
     normalized — variables sorted by name, zero exponents dropped — so
@@ -40,16 +46,21 @@ val mentions : t -> string -> bool
 val variables : t -> string list
 
 val mul : t -> t -> t
+(** Raises [Invalid_argument] if the product's coefficient leaves the
+    finite positive range (overflow or underflow to 0), or a merged
+    exponent is not finite. *)
 
 val div : t -> t -> t
+(** Raises like {!mul}. *)
 
 val pow : t -> float -> t
 (** Raises [Invalid_argument] if the power is not finite, or if the
     resulting coefficient leaves the finite positive range (overflow or
-    underflow to 0). *)
+    underflow to 0), or a resulting exponent is not finite. *)
 
 val scale : float -> t -> t
-(** Raises [Invalid_argument] if the factor is not positive. *)
+(** Raises [Invalid_argument] if the factor is not finite positive, or
+    the scaled coefficient leaves the finite positive range. *)
 
 val subst : string -> t -> t -> t
 (** [subst x m' m] replaces each occurrence [x^a] in [m] by [m'^a].  Used

@@ -2,7 +2,10 @@
 
     The representation is normalized: like terms (equal exponent vectors)
     are merged and terms are sorted, so structural equality is
-    mathematical equality modulo floating-point rounding. *)
+    mathematical equality modulo floating-point rounding.  Every term is
+    built by a {!Monomial} operation, so every coefficient is finite
+    positive and every exponent finite: an operation whose result would
+    leave that range raises [Invalid_argument]. *)
 
 type t
 
@@ -35,7 +38,8 @@ val div_monomial : t -> Monomial.t -> t
 (** Posynomial divided by a monomial is a posynomial. *)
 
 val scale : float -> t -> t
-(** Raises [Invalid_argument] if the factor is not positive. *)
+(** Raises [Invalid_argument] if the factor is not finite positive or a
+    scaled coefficient leaves the finite positive range. *)
 
 val bind : string -> float -> t -> t
 (** Partial evaluation of one variable at a positive value; like terms are

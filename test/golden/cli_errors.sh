@@ -35,14 +35,12 @@ for args in \
     "optimize --layer resnet-2 --max-choices 1 --node 1e154" \
     "pipeline --pipeline alexnet --max-choices 0" \
     "metrics --layer resnet-2 --top-choices 0" \
-    "merge --layer resnet-2 --sram 0 --journal merged.jsonl shard.jsonl" \
     "presolve --layer resnet-2 --pes 0" \
     "lint --node 0" \
     "optimize --layer resnet-2 --max-choices 4 --journal ." \
     "optimize --layer resnet-2 --max-choices 4 --journal . --resume" \
     "journal compact ." \
     "journal compact missing.jsonl" \
-    "merge --layer resnet-2 --max-choices 4 --journal . /dev/null" \
     "optimize --layer resnet-2 --max-choices 2 --emit /dev/null" \
     "optimize --layer resnet-2 --max-choices 2 --emit-code missing/code.txt" \
     "optimize --layer resnet-2 --max-choices 2 --trace missing/trace.jsonl" \

@@ -221,7 +221,7 @@ let tech = Tech.table3
 let test_energy_formula () =
   let nest, mapping = paper_matmul () in
   let arch = Arch.make ~name:"tiny" ~pes:16 ~registers:32 ~sram_words:1024 in
-  let m = ok (Evaluate.evaluate tech arch nest mapping) in
+  let m = ok (Evaluate.evaluate ~comm:Archspec.Link.Overlapped tech arch nest mapping) in
   let counts = m.Evaluate.counts in
   let eps_r = Arch.register_energy tech arch in
   let eps_s = Arch.sram_energy tech arch in
@@ -248,17 +248,17 @@ let test_capacity_rejection () =
   let nest, mapping = paper_matmul () in
   (* Register tile needs 20 words; 16 must be rejected. *)
   let tiny_regs = Arch.make ~name:"r16" ~pes:16 ~registers:16 ~sram_words:4096 in
-  (match Evaluate.evaluate tech tiny_regs nest mapping with
+  (match Evaluate.evaluate ~comm:Archspec.Link.Overlapped tech tiny_regs nest mapping with
   | Error msg -> Alcotest.(check bool) "has message" true (String.length msg > 0)
   | Ok _ -> Alcotest.fail "expected register capacity rejection");
   (* SRAM tile needs 896 words. *)
   let tiny_sram = Arch.make ~name:"s512" ~pes:16 ~registers:32 ~sram_words:512 in
-  (match Evaluate.evaluate tech tiny_sram nest mapping with
+  (match Evaluate.evaluate ~comm:Archspec.Link.Overlapped tech tiny_sram nest mapping with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected SRAM capacity rejection");
   (* Mapping uses 8 PEs. *)
   let tiny_pes = Arch.make ~name:"p4" ~pes:4 ~registers:32 ~sram_words:4096 in
-  match Evaluate.evaluate tech tiny_pes nest mapping with
+  match Evaluate.evaluate ~comm:Archspec.Link.Overlapped tech tiny_pes nest mapping with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected PE-count rejection"
 
@@ -290,7 +290,7 @@ let test_degenerate_nest_rejected () =
     Mapping.canonical ~reg:(ones, perm) ~pe:(ones, perm) ~spatial:[]
       ~dram:(full, perm)
   in
-  match Evaluate.evaluate tech Arch.eyeriss nest mapping with
+  match Evaluate.evaluate ~comm:Archspec.Link.Overlapped tech Arch.eyeriss nest mapping with
   | Error msg ->
     Alcotest.(check bool)
       (Printf.sprintf "message names degeneracy: %s" msg)
@@ -323,7 +323,7 @@ let test_non_canonical_rejected () =
       (match Counts.compute nest mapping with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "%s: counts rejected: %s" label msg);
-      match Evaluate.evaluate tech Arch.eyeriss nest mapping with
+      match Evaluate.evaluate ~comm:Archspec.Link.Overlapped tech Arch.eyeriss nest mapping with
       | Ok _ -> Alcotest.failf "%s: non-canonical mapping evaluated" label
       | Error msg ->
         let mentions sub =

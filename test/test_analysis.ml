@@ -53,6 +53,13 @@ let test_monomial_guards () =
   raises_invalid "pow overflow" (fun () -> ignore (M.pow (M.const 1e308) 4.0));
   raises_invalid "pow underflow to 0" (fun () -> ignore (M.pow (M.const 1e-308) 4.0));
   raises_invalid "pow of nan" (fun () -> ignore (M.pow (M.var "x") Float.nan));
+  (* Products, quotients and scalings check their results too. *)
+  raises_invalid "mul overflow" (fun () -> ignore (M.mul (M.const 1e200) (M.const 1e200)));
+  raises_invalid "div underflow to 0" (fun () ->
+      ignore (M.div (M.const 1e-300) (M.const 1e300)));
+  raises_invalid "scale overflow" (fun () -> ignore (M.scale 1e200 (M.const 1e200)));
+  raises_invalid "merged exponent overflow" (fun () ->
+      ignore (M.mul (M.var_pow "x" 1e308) (M.var_pow "x" 1e308)));
   (* Well-formed operations keep working. *)
   Alcotest.(check bool) "pow in range ok" true
     (M.equal (M.pow (M.const 2.0) 3.0) (M.const 8.0))
@@ -73,13 +80,9 @@ let test_problem_make_guards () =
            ()));
   raises_invalid "empty constraint name" (fun () ->
       ignore (Gp.Problem.make ~objective:(P.var "x") ~ineqs:[ ("", P.var "x") ] ()));
-  (* [M.div] can underflow a coefficient to zero; [make] must catch the
-     degenerate equality. *)
-  raises_invalid "zero equality coefficient" (fun () ->
-      ignore
-        (Gp.Problem.make ~objective:(P.var "x")
-           ~eqs:[ ("e", M.div (M.const 1e-300) (M.const 1e300)) ]
-           ()))
+  raises_invalid "zero objective" (fun () -> ignore (Gp.Problem.make ~objective:P.zero ()));
+  raises_invalid "zero inequality" (fun () ->
+      ignore (Gp.Problem.make ~objective:(P.var "x") ~ineqs:[ ("c", P.zero) ] ()))
 
 let test_violations_nonfinite () =
   let prob =
@@ -275,7 +278,7 @@ let test_formulate_lints_clean () =
             (fun choice_vol ->
               List.iter
                 (fun placement ->
-                  let inst = F.build ~placement tech mode objective plan choice_vol in
+                  let inst = F.build ~placement ~comm:Archspec.Link.Overlapped tech mode objective plan choice_vol in
                   match F.lint inst with
                   | [] -> ()
                   | ds ->
@@ -311,7 +314,7 @@ let prop_zoo_lints_clean =
       let placement = placements.(ci mod Array.length placements) in
       let mode = List.nth modes mi in
       let objective = List.nth objectives oi in
-      let inst = F.build ~placement tech mode objective plan choice_vol in
+      let inst = F.build ~placement ~comm:Archspec.Link.Overlapped tech mode objective plan choice_vol in
       F.lint inst = [])
 
 let test_gate_preserves_results () =

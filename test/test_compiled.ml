@@ -560,7 +560,7 @@ let test_products_zoo () =
         (fun choice ->
           List.iter
             (fun placement ->
-              let inst = F.build ~placement tech mode F.Energy plan choice in
+              let inst = F.build ~placement ~comm:Archspec.Link.Overlapped tech mode F.Energy plan choice in
               List.iter
                 (fun plant ->
                   if not (problem_products_agree rng plant inst.F.problem) then

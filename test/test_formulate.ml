@@ -20,7 +20,7 @@ let test_fixed_arch_constraints () =
   let nest = small_conv () in
   let plan = Perm.enumerate nest in
   let arch = Arch.make ~name:"a" ~pes:64 ~registers:64 ~sram_words:4096 in
-  let inst = F.build tech (F.Fixed arch) F.Energy plan (first_choice plan) in
+  let inst = F.build ~comm:Archspec.Link.Overlapped tech (F.Fixed arch) F.Energy plan (first_choice plan) in
   let names = List.map fst (Gp.Problem.ineqs inst.F.problem) in
   List.iter
     (fun expected ->
@@ -41,7 +41,7 @@ let test_fixed_arch_constraints () =
 let test_codesign_constraints () =
   let nest = small_conv () in
   let plan = Perm.enumerate nest in
-  let inst = F.build tech (F.Codesign { area_budget = 1e6 }) F.Energy plan (first_choice plan) in
+  let inst = F.build ~comm:Archspec.Link.Overlapped tech (F.Codesign { area_budget = 1e6 }) F.Energy plan (first_choice plan) in
   let names = List.map fst (Gp.Problem.ineqs inst.F.problem) in
   Alcotest.(check bool) "has area" true (List.mem "area" names);
   let vars = Gp.Problem.variables inst.F.problem in
@@ -54,7 +54,7 @@ let test_delay_constraints () =
   let nest = small_conv () in
   let plan = Perm.enumerate nest in
   let arch = Arch.make ~name:"a" ~pes:64 ~registers:64 ~sram_words:4096 in
-  let inst = F.build tech (F.Fixed arch) F.Delay plan (first_choice plan) in
+  let inst = F.build ~comm:Archspec.Link.Overlapped tech (F.Fixed arch) F.Delay plan (first_choice plan) in
   let names = List.map fst (Gp.Problem.ineqs inst.F.problem) in
   List.iter
     (fun expected ->
@@ -70,7 +70,7 @@ let test_edp_constraints () =
   let nest = small_conv () in
   let plan = Perm.enumerate nest in
   let arch = Arch.make ~name:"a" ~pes:64 ~registers:64 ~sram_words:4096 in
-  let inst = F.build tech (F.Fixed arch) F.Edp plan (first_choice plan) in
+  let inst = F.build ~comm:Archspec.Link.Overlapped tech (F.Fixed arch) F.Edp plan (first_choice plan) in
   let names = List.map fst (Gp.Problem.ineqs inst.F.problem) in
   Alcotest.(check bool) "has delay epigraph" true (List.mem "delay-compute" names);
   (* The objective mentions both the epigraph variable and energy terms. *)
@@ -107,7 +107,7 @@ let test_window_placements () =
     List.find (fun p -> List.assoc_opt "t2.r" p = Some 3.0) plan.Perm.placements
   in
   let arch = Arch.make ~name:"a" ~pes:64 ~registers:64 ~sram_words:4096 in
-  let inst = F.build ~placement tech (F.Fixed arch) F.Energy plan (first_choice plan) in
+  let inst = F.build ~placement ~comm:Archspec.Link.Overlapped tech (F.Fixed arch) F.Energy plan (first_choice plan) in
   let pe_constraint = List.assoc "pe-count" (Gp.Problem.ineqs inst.F.problem) in
   (* At the all-ones point the constraint value is 3*3/64 or 3/64. *)
   let v = P.eval (fun _ -> 1.0) pe_constraint in
@@ -128,7 +128,7 @@ let test_solution_feasible () =
   let nest = small_conv () in
   let plan = Perm.enumerate nest in
   let arch = Arch.make ~name:"a" ~pes:64 ~registers:64 ~sram_words:4096 in
-  let inst = F.build tech (F.Fixed arch) F.Energy plan (first_choice plan) in
+  let inst = F.build ~comm:Archspec.Link.Overlapped tech (F.Fixed arch) F.Energy plan (first_choice plan) in
   let sol = Gp.Solver.solve inst.F.problem in
   Alcotest.(check bool)
     "solved" true
@@ -153,7 +153,7 @@ let test_solution_env_lookup () =
   let nest = small_conv () in
   let plan = Perm.enumerate nest in
   let arch = Arch.make ~name:"a" ~pes:64 ~registers:64 ~sram_words:4096 in
-  let inst = F.build tech (F.Fixed arch) F.Energy plan (first_choice plan) in
+  let inst = F.build ~comm:Archspec.Link.Overlapped tech (F.Fixed arch) F.Energy plan (first_choice plan) in
   let pinned_name, pinned_value = List.hd inst.F.pinned in
   let values =
     [ ("t0.k", 2.0); (pinned_name, pinned_value +. 1.0); ("t0.k", 3.0); ("extra", 5.0) ]
@@ -176,7 +176,7 @@ let test_objective_matches_accounting () =
   let nest = small_conv () in
   let plan = Perm.enumerate nest in
   let arch = Arch.make ~name:"a" ~pes:64 ~registers:64 ~sram_words:4096 in
-  let inst = F.build tech (F.Fixed arch) F.Energy plan (first_choice plan) in
+  let inst = F.build ~comm:Archspec.Link.Overlapped tech (F.Fixed arch) F.Energy plan (first_choice plan) in
   let sol = Gp.Solver.solve inst.F.problem in
   let env = F.solution_env inst sol in
   let eps_r = Arch.register_energy tech arch in
@@ -213,8 +213,8 @@ let test_codesign_dominates_fixed () =
   let choice = first_choice plan in
   let arch = Arch.make ~name:"a" ~pes:64 ~registers:64 ~sram_words:4096 in
   let budget = Arch.area tech arch *. 2.0 in
-  let fixed = F.build tech (F.Fixed arch) F.Energy plan choice in
-  let codesign = F.build tech (F.Codesign { area_budget = budget }) F.Energy plan choice in
+  let fixed = F.build ~comm:Archspec.Link.Overlapped tech (F.Fixed arch) F.Energy plan choice in
+  let codesign = F.build ~comm:Archspec.Link.Overlapped tech (F.Codesign { area_budget = budget }) F.Energy plan choice in
   let sol_fixed = Gp.Solver.solve fixed.F.problem in
   let sol_codesign = Gp.Solver.solve codesign.F.problem in
   Alcotest.(check bool)

@@ -16,7 +16,7 @@ let small_conv () =
 
 let solve_first ?(objective = F.Energy) arch_mode nest =
   let plan = Perm.enumerate nest in
-  let inst = F.build tech arch_mode objective plan (List.hd plan.Perm.choices) in
+  let inst = F.build ~comm:Archspec.Link.Overlapped tech arch_mode objective plan (List.hd plan.Perm.choices) in
   let sol = Gp.Solver.solve inst.F.problem in
   (inst, sol)
 

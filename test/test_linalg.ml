@@ -123,30 +123,42 @@ let test_nullspace_basis () =
   let z2 = Mat.nullspace_basis 3 [| row; Vec.copy row |] in
   Alcotest.(check int) "rank-deficient dim" 2 (Array.length z2)
 
+(* The Cholesky factor of [a] as the solver computes it: the lower
+   triangle of [a], factored in place, with a zero strict upper
+   triangle. *)
+let factor n a =
+  let l = Mat.init n n (fun i j -> if j <= i then Mat.get a i j else 0.0) in
+  Mat.cholesky_in_place l;
+  l
+
+(* Solves [a x = b] through the factor, as the solver does. *)
+let solve_spd n a b =
+  let x = Array.copy b in
+  Mat.cholesky_solve_in_place (factor n a) x;
+  x
+
 let test_cholesky_known () =
   let a = Mat.of_rows [| [| 4.0; 2.0 |]; [| 2.0; 3.0 |] |] in
-  let l = Mat.cholesky a in
+  let l = factor 2 a in
   check_float "l00" 2.0 (Mat.get l 0 0);
   check_float "l10" 1.0 (Mat.get l 1 0);
   check_float "l11" (sqrt 2.0) (Mat.get l 1 1);
-  let x = Mat.solve_spd a [| 8.0; 7.0 |] in
+  let x = solve_spd 2 a [| 8.0; 7.0 |] in
   check_float "x0" 1.25 x.(0);
   check_float "x1" 1.5 x.(1)
 
 let test_cholesky_not_pd () =
   let a = Mat.of_rows [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |] |] in
-  Alcotest.check_raises "not PD" Mat.Singular (fun () -> ignore (Mat.cholesky a))
+  Alcotest.check_raises "not PD" Mat.Singular (fun () -> ignore (factor 2 a))
 
 let test_cholesky_in_place () =
-  let a = Mat.of_rows [| [| 4.0; 2.0 |]; [| 2.0; 3.0 |] |] in
   (* Stale data in the strict upper triangle must neither be read nor
      overwritten: solver workspaces refill only the lower triangle. *)
   let buf = Mat.of_rows [| [| 4.0; 99.0 |]; [| 2.0; 3.0 |] |] in
   Mat.cholesky_in_place buf;
-  let l = Mat.cholesky a in
-  check_float "l00" (Mat.get l 0 0) (Mat.get buf 0 0);
-  check_float "l10" (Mat.get l 1 0) (Mat.get buf 1 0);
-  check_float "l11" (Mat.get l 1 1) (Mat.get buf 1 1);
+  check_float "l00" 2.0 (Mat.get buf 0 0);
+  check_float "l10" 1.0 (Mat.get buf 1 0);
+  check_float "l11" (sqrt 2.0) (Mat.get buf 1 1);
   check_float "upper untouched" 99.0 (Mat.get buf 0 1);
   let y = [| 8.0; 7.0 |] in
   Mat.cholesky_solve_in_place buf y;
@@ -241,12 +253,12 @@ let prop_cholesky_roundtrip =
   QCheck2.Test.make ~name:"cholesky solve recovers x" ~count:200 (gen_spd 5)
     (fun (a, x) ->
       let b = Mat.mul_vec a x in
-      let x' = Mat.solve_spd a b in
+      let x' = solve_spd 5 a b in
       Vec.norm_inf (Vec.sub x x') < 1e-7)
 
 let prop_cholesky_factor =
   QCheck2.Test.make ~name:"L L^T = A" ~count:200 (gen_spd 4) (fun (a, _) ->
-      let l = Mat.cholesky a in
+      let l = factor 4 a in
       let llt = Mat.mul l (Mat.transpose l) in
       let ok = ref true in
       for i = 0 to 3 do

@@ -302,7 +302,7 @@ let test_audit_agrees_with_solver () =
     (fun choice ->
       List.iter
         (fun placement ->
-          let inst = F.build ~placement tech (F.Fixed edge) F.Energy plan choice in
+          let inst = F.build ~placement ~comm:Archspec.Link.Overlapped tech (F.Fixed edge) F.Energy plan choice in
           let t = Ps.analyze inst.F.problem in
           (match t.Ps.verdict with Ps.Infeasible _ -> incr pruned | Ps.Feasible _ -> ());
           let sol = Gp.Solver.solve inst.F.problem in

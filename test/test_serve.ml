@@ -253,7 +253,7 @@ let test_request_key_covers_arch () =
   let choice = List.hd plan.Thistle.Permutations.choices in
   let placement = List.hd plan.Thistle.Permutations.placements in
   let problem arch =
-    (F.build ~placement tech (F.Fixed arch) F.Energy plan choice).F.problem
+    (F.build ~placement ~comm:Archspec.Link.Overlapped tech (F.Fixed arch) F.Energy plan choice).F.problem
   in
   Alcotest.(check string)
     "problem_key collides (same GP)"

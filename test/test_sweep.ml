@@ -1,8 +1,8 @@
-(* Sharded, resumable sweeps (DESIGN §12): the partition/journal/merge
-   trio plus the end-to-end contract on Optimize.run — a sharded sweep
-   merged and resumed, or a killed run resumed from its journal, reports
-   bit-identically to the uninterrupted single-process run, re-solving
-   only the pairs the journal does not already cover. *)
+(* Sharded, resumable sweeps (DESIGN §12): the partition and journal
+   plus the end-to-end contract on Optimize.run — shard journals
+   concatenated and resumed, or a killed run resumed from its journal,
+   report bit-identically to the uninterrupted single-process run,
+   re-solving only the pairs the journal does not already cover. *)
 
 module O = Thistle.Optimize
 module F = Thistle.Formulate
@@ -12,7 +12,6 @@ module Evaluate = Accmodel.Evaluate
 module Mapping = Mapspace.Mapping
 module Partition = Sweep.Partition
 module Journal = Sweep.Journal
-module Merge = Sweep.Merge
 
 let tech = Archspec.Technology.table3
 let arch = Arch.make ~name:"mid" ~pes:64 ~registers:64 ~sram_words:8192
@@ -326,35 +325,7 @@ let test_fingerprint_sensitivity () =
     <> Journal.fingerprint ~config:"a" ~problem_key:"bc")
 
 (* ------------------------------------------------------------------ *)
-(* Merge                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_merge_combine () =
-  let e pair fingerprint = { ok_entry with Journal.pair; fingerprint } in
-  match Merge.combine [ [ e 4 "b"; e 0 "a" ]; [ e 2 "c"; e 0 "a" ] ] with
-  | Error msg -> Alcotest.failf "combine failed: %s" msg
-  | Ok merged ->
-    Alcotest.(check (list int)) "sorted, duplicates collapsed" [ 0; 2; 4 ]
-      (List.map (fun e -> e.Journal.pair) merged);
-    Alcotest.(check (list int)) "missing pairs" [ 1; 3; 5 ]
-      (Merge.missing merged ~npairs:6)
-
-let test_merge_conflict () =
-  let e pair fingerprint = { ok_entry with Journal.pair; fingerprint } in
-  match Merge.combine [ [ e 7 "aaaa" ]; [ e 7 "bbbb" ] ] with
-  | Ok _ -> Alcotest.fail "conflicting fingerprints must not merge"
-  | Error msg ->
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "error names the pair: %s" msg)
-      true (contains msg "7")
-
-(* ------------------------------------------------------------------ *)
-(* End-to-end: shard + merge + resume vs the single-process run        *)
+(* End-to-end: shard journals + resume vs the single-process run       *)
 (* ------------------------------------------------------------------ *)
 
 let get = function
@@ -379,10 +350,20 @@ let report_sig (r : O.report) =
     r.O.solve_totals
     (String.concat ";" (List.map failure_sig r.O.failures))
 
-let run_counted config =
+(* The sweeps whose shards are combined: fixed-arch energy, co-design
+   at the Eyeriss area, and delay under the aggregate overlapped model. *)
+let energy config = O.dataflow ~config tech arch F.Energy nest
+
+let codesign config =
+  O.codesign ~config tech ~area_budget:(Arch.eyeriss_area tech) F.Energy nest
+
+let overlapped_delay config =
+  O.dataflow ~config:{ config with O.comm = Archspec.Link.Overlapped } tech arch F.Delay nest
+
+let run_counted ?(sweep = energy) config =
   Obs.Metrics.reset ();
   Obs.Metrics.enable ();
-  let r = O.dataflow ~config tech arch F.Energy nest in
+  let r = sweep config in
   Obs.Metrics.disable ();
   let counters = Obs.Metrics.counters (Obs.Metrics.snapshot ()) in
   Obs.Metrics.reset ();
@@ -415,29 +396,34 @@ let test_journal_directory () =
   expect "load" (Journal.load dir);
   expect "write_file" (Journal.write_file dir [ ok_entry ])
 
-let shard_merge_resume ?(config = fast) ~count () =
+(* Runs shard [i] of [count] with its own journal. *)
+let shard_journal ?(sweep = energy) ~config ~dir ~count i =
+  let path = Filename.concat dir (Printf.sprintf "s%d-of-%d.jsonl" i count) in
+  let shard = { Partition.index = i; count } in
+  ignore (get (sweep { config with O.shard; journal = Some path }));
+  path
+
+(* Concatenates [files] into [path], in the order given. *)
+let concat path files =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter
+        (fun f -> Out_channel.output_string oc (In_channel.with_open_bin f In_channel.input_all))
+        files)
+
+(* Shards combine through resume: their journals, concatenated in
+   reverse order, resume the unsharded sweep into its exact report
+   without a solve. *)
+let shard_resume ?(sweep = energy) ?(config = fast) ~count () =
   with_temp_dir @@ fun dir ->
-  let full, _ = run_counted config in
-  let shard_files =
-    List.init count (fun i ->
-        let path = Filename.concat dir (Printf.sprintf "s%d.jsonl" (i + 1)) in
-        let shard = { Partition.index = i + 1; count } in
-        ignore
-          (get
-             (O.dataflow
-                ~config:{ config with O.shard; journal = Some path }
-                tech arch F.Energy nest));
-        path)
-  in
-  let merged = Filename.concat dir "merged.jsonl" in
-  (match Merge.load_files shard_files with
-  | Error msg -> Alcotest.failf "merge failed: %s" msg
-  | Ok entries -> Result.get_ok (Journal.write_file merged entries));
+  let full, _ = run_counted ~sweep config in
+  let shard_files = List.init count (fun i -> shard_journal ~sweep ~config ~dir ~count (i + 1)) in
+  let combined = Filename.concat dir "combined.jsonl" in
+  concat combined (List.rev shard_files);
   let resumed, counters =
-    run_counted { config with O.journal = Some merged; resume = true }
+    run_counted ~sweep { config with O.journal = Some combined; resume = true }
   in
   Alcotest.(check string)
-    (Printf.sprintf "merged %d-shard run = single-process run" count)
+    (Printf.sprintf "resumed %d-shard journals = single-process run" count)
     (report_sig full) (report_sig resumed);
   Alcotest.(check int) "every pair replayed, none stale" 0
     (counter counters "sweep.journal_stale");
@@ -447,9 +433,9 @@ let shard_merge_resume ?(config = fast) ~count () =
     (counter counters "sweep.journal_hits" > 0);
   (full, counters)
 
-let test_shard_merge_determinism () = ignore (shard_merge_resume ~count:3 ())
+let test_shard_merge_determinism () = ignore (shard_resume ~count:3 ())
 
-(* Same contract when the sweep quarantines injected faults: the merged
+(* Same contract when the sweep quarantines injected faults: the
    resume replays failures with their exact provenance fingerprints. *)
 let test_shard_merge_injected () =
   let inject =
@@ -457,9 +443,82 @@ let test_shard_merge_injected () =
     | Ok t -> t
     | Error e -> Alcotest.fail e
   in
-  let full, _ = shard_merge_resume ~config:{ fast with O.inject } ~count:2 () in
+  let full, _ = shard_resume ~config:{ fast with O.inject } ~count:2 () in
   Alcotest.(check bool) "injection actually quarantined pairs" true
     (full.O.failures <> [])
+
+(* The same contract for co-design and for overlapped delay, at two and
+   three shards. *)
+let test_shard_resume_sweeps () =
+  List.iter
+    (fun sweep -> List.iter (fun count -> ignore (shard_resume ~sweep ~count ())) [ 2; 3 ])
+    [ codesign; overlapped_delay ]
+
+(* The messages logged at [Warning] while [f] runs, with [f]'s result. *)
+let warnings_during f =
+  let warnings = ref [] in
+  let report _src level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun msg ->
+            if level = Logs.Warning then warnings := msg :: !warnings;
+            over ();
+            k ())
+          fmt)
+  in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter { Logs.report };
+  Logs.set_level (Some Logs.Warning);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level)
+    (fun () ->
+      let r = f () in
+      (r, List.rev !warnings))
+
+(* A shard journaled under another solver config (a different retry
+   policy), appended last: the last entry per pair wins, so each of that
+   shard's pairs is stale and re-solved under the resuming config, the
+   report is still the unsharded one, and one warning names the journal
+   and the stale count. *)
+let test_stale_shard () =
+  with_temp_dir @@ fun dir ->
+  let full, _ = run_counted fast in
+  let s1 = shard_journal ~config:fast ~dir ~count:2 1 in
+  let s2 = shard_journal ~config:fast ~dir ~count:2 2 in
+  let retried = Filename.concat dir "s1-of-2-retries.jsonl" in
+  ignore
+    (get
+       (energy
+          {
+            fast with
+            O.shard = { Partition.index = 1; count = 2 };
+            retries = 2;
+            journal = Some retried;
+          }));
+  let shard1_pairs = List.length (Result.get_ok (Journal.load retried)) in
+  let combined = Filename.concat dir "combined.jsonl" in
+  concat combined [ s1; s2; retried ];
+  let (resumed, counters), warnings =
+    warnings_during (fun () ->
+        run_counted { fast with O.journal = Some combined; resume = true })
+  in
+  Alcotest.(check string) "report = single-process run" (report_sig full)
+    (report_sig resumed);
+  Alcotest.(check int) "shard 1's pairs are stale" shard1_pairs
+    (counter counters "sweep.journal_stale");
+  Alcotest.(check int) "and re-solved" shard1_pairs
+    (counter counters "sweep.pairs_solved");
+  Alcotest.(check (list string))
+    "one warning names the journal and the count"
+    [
+      Printf.sprintf
+        "journal %s: %d stale entries (journaled under a different formulation or \
+         solver configuration), re-solving"
+        combined shard1_pairs;
+    ]
+    warnings
 
 (* Kill-and-resume: truncate the journal of a finished jobs=1 run to its
    first K lines (simulating a kill after K completions) and resume.
@@ -559,16 +618,14 @@ let () =
           Alcotest.test_case "fingerprint sensitivity" `Quick
             test_fingerprint_sensitivity;
         ] );
-      ( "merge",
-        [
-          Alcotest.test_case "combine" `Quick test_merge_combine;
-          Alcotest.test_case "conflict" `Quick test_merge_conflict;
-        ] );
       ( "end-to-end",
         [
           Alcotest.test_case "shard+merge determinism" `Quick
             test_shard_merge_determinism;
           Alcotest.test_case "injected faults" `Quick test_shard_merge_injected;
+          Alcotest.test_case "codesign and overlapped delay" `Quick
+            test_shard_resume_sweeps;
+          Alcotest.test_case "stale shard appended last" `Quick test_stale_shard;
           Alcotest.test_case "kill and resume" `Quick test_kill_and_resume;
           Alcotest.test_case "stale fingerprint" `Quick test_stale_fingerprint;
           Alcotest.test_case "resume requires journal" `Quick
