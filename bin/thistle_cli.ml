@@ -145,33 +145,10 @@ let pipeline_request opts =
 (* Configuration: the daemon's base config plus option groups         *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything a request does not carry: parallelism, the lint and
-   presolve gates, and the fault-tolerance knobs (DESIGN §11).  [thistle
-   serve] runs with exactly this config as its base. *)
+(* Everything a request does not carry: parallelism and the
+   fault-tolerance knobs (DESIGN §11).  [thistle serve] runs with
+   exactly this config as its base. *)
 let base_config =
-  let lint_mode_arg =
-    Arg.(
-      value
-      & opt (Arg.enum An.Lint.modes) An.Lint.Enforce
-      & info [ "lint" ] ~docv:"MODE"
-          ~doc:
-            "Static-analysis gate over every formulated program: $(b,enforce) fails \
-             the run on any discipline or unit error, $(b,warn) logs and continues, \
-             $(b,off) skips the checks.")
-  in
-  let presolve_arg =
-    Arg.(
-      value
-      & opt (Arg.enum An.Presolve.modes) An.Presolve.Prune
-      & info [ "presolve" ] ~docv:"MODE"
-          ~doc:
-            "Interval-propagation presolve over every formulated program: \
-             $(b,prune) (default) skips statically infeasible pairs — each \
-             carries an independently re-checked proof — and solves reduced \
-             problems (redundant constraints dropped); $(b,off) disables the \
-             analysis.  $(b,thistle presolve --check) validates the verdicts \
-             against the solver.")
-  in
   let deadline_arg =
     Arg.(
       value
@@ -209,12 +186,10 @@ let base_config =
              e.g. $(b,seed=7,crash@solve=0.2,stall@solve[resnet-2]=1).  Decisions \
              are a pure function of the spec and the work item, never of time.")
   in
-  let build jobs lint presolve solve_deadline_ms retries inject =
-    { O.default_config with O.jobs; lint; presolve; solve_deadline_ms; retries; inject }
+  let build jobs solve_deadline_ms retries inject =
+    { O.default_config with O.jobs; solve_deadline_ms; retries; inject }
   in
-  Term.(
-    const build $ jobs_arg $ lint_mode_arg $ presolve_arg $ deadline_arg $ retries_arg
-    $ inject_arg)
+  Term.(const build $ jobs_arg $ deadline_arg $ retries_arg $ inject_arg)
 
 (* Sharding/journaling knobs (DESIGN §12) of the sweep-running
    subcommands. *)
@@ -512,6 +487,11 @@ let mapper_cmd =
   in
   let run () layer objective arch trials victory seed domains trace metrics =
     match
+      let* () =
+        if trials < 1 then Error "--trials must be >= 1"
+        else if victory < 1 then Error "--victory must be >= 1"
+        else Ok ()
+      in
       let* arch = arch in
       let* nest = P.nest_of_layer layer in
       Ok (arch, nest)
@@ -552,7 +532,7 @@ let mapper_cmd =
       $ victory_arg $ seed_arg $ domains_arg $ trace_arg $ metrics_out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Formulation audits: lint and presolve                              *)
+(* Formulation audit                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let audit_layer_arg =
@@ -580,12 +560,13 @@ let audited_objectives =
     (F.Edp, Archspec.Link.Overlapped);
   ]
 
-(* The audit loop shared by lint and presolve: [check] every program the
-   optimizer would formulate per audited layer — both arch modes, every
-   (objective, delay model) of [audited_objectives], every choice within
-   the cap and every placement — with layers on [jobs] domains.  Returns
-   each layer with its checks' results in formulation order. *)
+(* The audit loop: [check] every program the optimizer would formulate
+   per audited layer — both arch modes, every (objective, delay model)
+   of [audited_objectives], every choice within the cap and every
+   placement — with layers on [jobs] domains.  Returns each layer with
+   its checks' results in formulation order. *)
 let audit ~layer ~max_choices ~node ~jobs arch check =
+  let* () = if max_choices < 1 then Error "max_choices must be >= 1" else Ok () in
   let* tech = P.tech_of_node node in
   let* area_budget = P.area_budget tech None in
   let* nests =
@@ -611,66 +592,31 @@ let audit ~layer ~max_choices ~node ~jobs arch check =
   in
   Ok (Exec.Par.map ~jobs (fun nest -> (nest, programs nest)) nests)
 
-let lint_cmd =
-  let certify_arg =
-    Arg.(
-      value & flag
-      & info [ "certify" ]
-          ~doc:
-            "Also solve every audited program and check the solution certificate \
-             (finite point, constraint violations) — much slower.")
-  in
-  let run () layer max_choices certify node jobs =
-    let certify_diags (instance : F.instance) =
-      let solution = Gp.Solver.solve instance.F.problem in
-      match solution.Gp.Solver.status with
-      | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> []
-      | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
-        let cert =
-          An.Certificate.check ~provenance:instance.F.provenance instance.F.problem
-            (F.solution_env instance solution)
-        in
-        cert.An.Certificate.diagnostics
-    in
-    let check instance =
-      let ds = F.lint instance in
-      if certify then ds @ certify_diags instance else ds
-    in
-    match audit ~layer ~max_choices ~node ~jobs Arch.eyeriss check with
-    | Error msg -> fail msg
-    | Ok results ->
-      let total = List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 results in
-      let diags = List.concat_map (fun (_, ds) -> List.concat ds) results in
-      let errors, warnings = An.Diagnostic.count diags in
-      if diags <> [] then Format.printf "%a@." An.Diagnostic.pp_table diags;
-      Format.printf "linted %d formulations across %d layers: %d errors, %d warnings@."
-        total (List.length results) errors warnings;
-      if errors > 0 then 1 else 0
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Audit the formulation layer: build every program the optimizer would (all \
-          modes, objectives, delay models, permutation choices and placements, per \
-          layer) and run the DGP discipline and unit checks without solving.")
-    Term.(
-      const run $ setup_logs $ audit_layer_arg $ audit_max_choices_arg $ certify_arg
-      $ node_arg $ jobs_arg)
+(* One audited program: its lint (and certificate) diagnostics, its
+   presolve verdict, and the verdict's disagreements — a rejected proof
+   or, with --solve, a verdict the solution contradicts. *)
+type audited = {
+  diags : An.Diagnostic.t list;
+  pruned : int;
+  dropped : int;
+  disagreements : string list;
+}
 
-let presolve_cmd =
-  let check_arg =
+let audit_cmd =
+  let solve_arg =
     Arg.(
       value & flag
-      & info [ "check" ]
+      & info [ "solve" ]
           ~doc:
-            "Also solve every audited program and differentially validate the \
-             presolve verdicts against the solver: a solved presolve-infeasible \
-             program, a solution escaping the propagated box, or an eliminated \
-             constraint active at an optimum is a disagreement — much slower.")
+            "Also solve every audited program once, at the sweep's tolerance, and \
+             check the solution: its certificate (finite point, constraint \
+             violations), and the presolve verdict against it — a solved \
+             presolve-infeasible program, a solution escaping the propagated box, \
+             or an eliminated constraint active at the optimum is a disagreement. \
+             Much slower.")
   in
-  let run () layer max_choices check arch node jobs =
-    (* Per program: (pruned, dropped, disagreements). *)
-    let verdict (instance : F.instance) =
+  let run () layer max_choices solve arch node jobs =
+    let check (instance : F.instance) =
       let problem = instance.F.problem in
       let t = An.Presolve.analyze problem in
       let pruned, dropped, rejected =
@@ -688,53 +634,68 @@ let presolve_cmd =
           in
           (1, 0, rejected)
       in
-      (* Solve the original problem and validate the verdict against the
-         solution. *)
-      let contradicted =
-        if not check then []
+      (* One solve at the sweep's tolerance serves both post-solve
+         checks: the certificate and the presolve differential check. *)
+      let cert_diags, contradicted =
+        if not solve then ([], [])
         else
-          let sol = Gp.Solver.solve problem in
-          if O.usable_solution instance sol then O.presolve_disagreements instance t sol
-          else []
+          let sol = Gp.Solver.solve ~tol:O.default_config.O.gp_tol problem in
+          match sol.Gp.Solver.status with
+          | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> ([], [])
+          | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
+            let cert =
+              An.Certificate.check ~provenance:instance.F.provenance problem
+                (F.solution_env instance sol)
+            in
+            ( cert.An.Certificate.diagnostics,
+              if O.usable_solution instance sol then O.presolve_disagreements instance t sol
+              else [] )
       in
-      (pruned, dropped, rejected @ contradicted)
+      {
+        diags = F.lint instance @ cert_diags;
+        pruned;
+        dropped;
+        disagreements = rejected @ contradicted;
+      }
     in
     match
       let* arch = arch in
-      audit ~layer ~max_choices ~node ~jobs arch verdict
+      audit ~layer ~max_choices ~node ~jobs arch check
     with
     | Error msg -> fail msg
     | Ok results ->
-      let sum f vs = List.fold_left (fun acc v -> acc + f v) 0 vs in
-      let pruned (p, _, _) = p and dropped (_, d, _) = d in
+      let sum f rs = List.fold_left (fun acc r -> acc + f r) 0 rs in
+      let pruned r = r.pruned and dropped r = r.dropped in
       Printf.printf "%-10s %14s %8s %8s\n" "layer" "formulations" "pruned" "dropped";
       List.iter
-        (fun (nest, vs) ->
-          Printf.printf "%-10s %14d %8d %8d\n" (Nest.name nest) (List.length vs)
-            (sum pruned vs) (sum dropped vs))
+        (fun (nest, rs) ->
+          Printf.printf "%-10s %14d %8d %8d\n" (Nest.name nest) (List.length rs)
+            (sum pruned rs) (sum dropped rs))
         results;
       let all = List.concat_map snd results in
-      Printf.printf "total: %d formulations, %d pruned, %d dropped\n" (List.length all)
-        (sum pruned all) (sum dropped all);
-      let disagreements = List.concat_map (fun (_, _, ds) -> ds) all in
-      if disagreements <> [] then begin
-        Printf.printf "%d disagreement(s):\n" (List.length disagreements);
-        List.iter (fun d -> Printf.printf "  %s\n" d) disagreements;
-        1
-      end
-      else 0
+      let diags = List.concat_map (fun r -> r.diags) all in
+      let errors, warnings = An.Diagnostic.count diags in
+      if diags <> [] then Format.printf "%a@." An.Diagnostic.pp_table diags;
+      let disagreements = List.concat_map (fun r -> r.disagreements) all in
+      List.iter (Printf.printf "disagreement: %s\n") disagreements;
+      Printf.printf
+        "total: %d formulations across %d layers: %d errors, %d warnings, %d pruned, %d \
+         dropped, %d disagreements\n"
+        (List.length all) (List.length results) errors warnings (sum pruned all)
+        (sum dropped all) (List.length disagreements);
+      if errors > 0 || disagreements <> [] then 1 else 0
   in
   Cmd.v
-    (Cmd.info "presolve"
+    (Cmd.info "audit"
        ~doc:
-         "Audit the presolve layer: run interval bound propagation over every \
-          program the optimizer would formulate (all modes, objectives, delay \
-          models, permutation choices and placements, per layer), re-check every \
-          infeasibility proof, and report prune/drop counts.  With \
-          $(b,--check), also solve everything and fail on any verdict the \
-          solver contradicts.")
+         "Audit the formulation layer: build every program the optimizer would (both \
+          arch modes, every objective and delay model, permutation choice and \
+          placement, per layer) and, without solving, run the DGP discipline and \
+          unit checks and interval-propagation presolve, re-checking every \
+          infeasibility proof.  Reports prune/drop counts per layer and fails on any \
+          error or disagreement.")
     Term.(
-      const run $ setup_logs $ audit_layer_arg $ audit_max_choices_arg $ check_arg
+      const run $ setup_logs $ audit_layer_arg $ audit_max_choices_arg $ solve_arg
       $ arch_args $ node_arg $ jobs_arg)
 
 let journal_cmd =
@@ -789,61 +750,6 @@ let pipeline_cmd =
       $ config_with [ comm_opts ]
       $ trace_arg $ metrics_out_arg)
 
-let metrics_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the dump as one JSON object instead of a text table.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the dump to $(docv) instead of stdout.")
-  in
-  let run () request base json out =
-    match resolve base request with
-    | Error msg -> fail msg
-    | Ok r ->
-      Obs.Metrics.reset ();
-      Obs.Metrics.enable ();
-      let result = P.solve r in
-      Obs.Metrics.disable ();
-      let dump = Obs.Metrics.snapshot () in
-      let payload =
-        if json then Obs.Metrics.to_json dump ^ "\n"
-        else begin
-          let b = Buffer.create 1024 in
-          let ppf = Format.formatter_of_buffer b in
-          (match result with
-          | Ok report ->
-            Format.fprintf ppf "solver: %a@." Gp.Solver.pp_totals report.O.solve_totals
-          | Error msg -> Format.fprintf ppf "optimization failed: %s@." msg);
-          Obs.Metrics.pp_text ppf dump;
-          Format.pp_print_flush ppf ();
-          Buffer.contents b
-        end
-      in
-      let written =
-        match out with
-        | None -> Ok (print_string payload)
-        | Some file -> write_output file (fun oc -> output_string oc payload)
-      in
-      match (written, result) with
-      | Error msg, _ -> fail msg
-      | Ok (), Ok _ -> 0
-      | Ok (), Error _ -> 1
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Co-design one layer with metric recording on and dump every counter, gauge \
-          and histogram (solver iterations, duality gap, integerization candidates, \
-          pool queue waits) as text or JSON.")
-    Term.(
-      const run $ setup_logs $ codesign_request (const None) $ base_config $ json_arg
-      $ out_arg)
-
 (* ------------------------------------------------------------------ *)
 (* Serve daemon and client (DESIGN §14)                               *)
 (* ------------------------------------------------------------------ *)
@@ -865,6 +771,7 @@ let addr_args =
   let build socket port =
     match (socket, port) with
     | Some path, None -> Ok (`Unix path)
+    | None, Some port when port < 0 || port > 65535 -> Error "--port must be in 0..65535"
     | None, Some port -> Ok (`Tcp port)
     | None, None -> Error "one of --socket or --port is required"
     | Some _, Some _ -> Error "--socket and --port are mutually exclusive"
@@ -994,10 +901,8 @@ let main =
       codesign_cmd;
       mapper_cmd;
       pipeline_cmd;
-      lint_cmd;
-      presolve_cmd;
+      audit_cmd;
       journal_cmd;
-      metrics_cmd;
       serve_cmd;
       client_cmd;
     ]

@@ -3,7 +3,7 @@
     Every checker — the DGP discipline pass ({!Discipline}), the
     dimensional-analysis pass ({!Dimexpr}) and the post-solve certificate
     ({!Certificate}) — reports findings through this one type, so callers
-    (the {!Lint} gate, the [thistle lint] subcommand, tests) can filter
+    (the {!Lint} gate, the [thistle audit] subcommand, tests) can filter
     by severity, key on constraint names and print uniform tables.
 
     [provenance] identifies which formulated program the finding belongs

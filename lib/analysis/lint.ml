@@ -4,8 +4,6 @@ exception Rejected of Diagnostic.t list
 
 let mode_name = function Enforce -> "enforce" | Warn -> "warn" | Off -> "off"
 
-let modes = [ ("enforce", Enforce); ("warn", Warn); ("off", Off) ]
-
 let log_src = Logs.Src.create "thistle.lint" ~doc:"Thistle static-analysis gate"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)

@@ -4,7 +4,8 @@
     {!Rejected} before the malformed program reaches the solver — with
     thousands of programs per sweep, one ill-formed formulation would
     otherwise poison a whole ranking without a trace.  [Warn] demotes
-    errors to logged warnings ([--lint=warn]); [Off] disables the gate. *)
+    errors to logged warnings; [Off] disables the gate.  The sweep's
+    [lint] config field selects the mode; no CLI flag sets it. *)
 
 type mode = Enforce | Warn | Off
 
@@ -12,9 +13,6 @@ exception Rejected of Diagnostic.t list
 (** Raised by {!gate} in [Enforce] mode; carries the error diagnostics. *)
 
 val mode_name : mode -> string
-
-val modes : (string * mode) list
-(** [("enforce", Enforce); ...] — for command-line enums. *)
 
 val gate : mode -> Diagnostic.t list -> unit
 (** Apply the mode: [Enforce] raises {!Rejected} when errors are present

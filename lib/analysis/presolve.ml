@@ -3,8 +3,6 @@ module P = Symexpr.Posynomial
 
 type mode = Prune | Off
 
-let modes = [ ("prune", Prune); ("off", Off) ]
-
 let mode_name = function Prune -> "prune" | Off -> "off"
 
 type side = Lo | Hi

@@ -37,9 +37,6 @@ type mode =
   | Prune  (** act on the verdicts: skip solves, shrink problems *)
   | Off  (** skip the pass *)
 
-val modes : (string * mode) list
-(** CLI enum, mirroring {!Lint.modes}. *)
-
 val mode_name : mode -> string
 
 type side = Lo | Hi

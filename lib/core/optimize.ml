@@ -260,11 +260,7 @@ let request_key ~config tech arch_mode objective nest =
        config.n_pow2 config.top_choices config.max_choices
        config.explore_placements);
   fl config.min_pe_utilization;
-  add
-    (match config.lint with
-    | Analysis.Lint.Enforce -> "lint=enforce"
-    | Analysis.Lint.Warn -> "lint=warn"
-    | Analysis.Lint.Off -> "lint=off");
+  add ("lint=" ^ Analysis.Lint.mode_name config.lint);
   (* Unlike the journal fingerprint, contention belongs here: it changes
      the integerizer's candidate scoring, hence the served result. *)
   add

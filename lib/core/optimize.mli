@@ -65,7 +65,7 @@ type config = {
           move the solver's iteration path within tolerance, like
           [warm_start].  [presolve.pruned] /
           [presolve.constraints_dropped] count the verdicts;
-          [thistle presolve --check] validates them against the solver
+          [thistle audit --solve] validates them against the solver
           ({!presolve_disagreements}). *)
   dedupe : bool;
       (** solve each structurally identical GP once per sweep (canonical
@@ -200,7 +200,7 @@ val presolve_disagreements :
     presolve-infeasible program, a coordinate escaping the propagated
     box, or an eliminated constraint active at the optimum.  Each
     disagreement is one message naming the pair's provenance; [[]]
-    means the solver agrees.  Backs [thistle presolve --check]. *)
+    means the solver agrees.  Backs [thistle audit --solve]. *)
 
 type report = {
   outcome : Integerize.outcome;

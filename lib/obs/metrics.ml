@@ -146,26 +146,6 @@ let snapshot () =
 let counters dump =
   List.filter_map (function name, Counter n -> Some (name, n) | _ -> None) dump
 
-let pp_text ppf dump =
-  let width =
-    List.fold_left (fun acc (name, _) -> Int.max acc (String.length name)) 10 dump
-  in
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter n -> Format.fprintf ppf "%-*s %d@." width name n
-      | Gauge x -> Format.fprintf ppf "%-*s %.6g@." width name x
-      | Histogram { count; sum; buckets } ->
-        let mean = if count = 0 then 0.0 else sum /. float_of_int count in
-        Format.fprintf ppf "%-*s count=%d sum=%.6g mean=%.6g" width name count sum mean;
-        let top =
-          List.filteri (fun i _ -> i < 3)
-            (List.sort (fun (_, a) (_, b) -> Int.compare b a) buckets)
-        in
-        List.iter (fun (bound, n) -> Format.fprintf ppf " (<=%.0f: %d)" bound n) top;
-        Format.fprintf ppf "@.")
-    dump
-
 let to_json dump =
   let section pick render =
     Json.obj

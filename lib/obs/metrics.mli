@@ -77,9 +77,6 @@ val counters : (string * value) list -> (string * int) list
 (** The counter subset of a snapshot — the deterministic slice compared
     by the regression tests. *)
 
-val pp_text : Format.formatter -> (string * value) list -> unit
-(** Human-readable table: one line per metric. *)
-
 val to_json : (string * value) list -> string
 (** One JSON object:
     [{"counters":{...},"gauges":{...},"histograms":{name:{"count":..,

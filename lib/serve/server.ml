@@ -207,9 +207,11 @@ let listen_on where =
 let start cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let store =
-    match cfg.store_dir with
-    | None -> Ok None
-    | Some dir -> Result.map Option.some (Store.open_ dir)
+    if cfg.max_inflight < 0 then Error "serve: max_inflight must be >= 0"
+    else
+      match cfg.store_dir with
+      | None -> Ok None
+      | Some dir -> Result.map Option.some (Store.open_ dir)
   in
   match store with
   | Error m -> Error m

@@ -39,7 +39,9 @@ type config = {
       (** solver-side settings; per-request knobs ({!Protocol.opts})
           overlay it, everything else is versioned by
           {!Thistle.Optimize.config_fingerprint} *)
-  max_inflight : int;  (** admission limit for solve-type requests *)
+  max_inflight : int;
+      (** admission limit for solve-type requests; 0 refuses every
+          solve, and {!start} refuses a negative limit *)
   max_frame : int;  (** per-connection request frame cap *)
 }
 

@@ -11,11 +11,13 @@
 # naming it and the coefficient, and the CLI exits 1.  The journal
 # errors name a directory (.) or a missing file as a journal, and the
 # output errors a file (/dev/null) as the --emit directory or a missing
-# directory for --emit-code, --trace, --metrics or metrics --out: each
-# exits 1 with a message naming the path once, never an uncaught
-# exception.  The output errors come after the solve, whose report goes
-# to stdout.  The daemon refuses a socket under a missing directory
-# before it serves anything.
+# directory for --emit-code, --trace or --metrics: each exits 1 with a
+# message naming the path once, never an uncaught exception.  The
+# output errors come after the solve, whose report goes to stdout.  An
+# audit or mapper search that would check nothing (no choices, no
+# trials) is refused.  The daemon refuses a socket under a missing
+# directory and a negative admission limit before it serves anything,
+# and the daemon and client refuse a port outside 0..65535.
 set -u
 
 cli=$1
@@ -34,9 +36,11 @@ for args in \
     "codesign --layer resnet-2 --node 1e-160" \
     "optimize --layer resnet-2 --max-choices 1 --node 1e154" \
     "pipeline --pipeline alexnet --max-choices 0" \
-    "metrics --layer resnet-2 --top-choices 0" \
-    "presolve --layer resnet-2 --pes 0" \
-    "lint --node 0" \
+    "audit --layer resnet-2 --pes 0" \
+    "audit --node 0" \
+    "audit --layer resnet-2 --max-choices 0" \
+    "mapper --layer resnet-2 --trials 0" \
+    "mapper --layer resnet-2 --victory 0" \
     "optimize --layer resnet-2 --max-choices 4 --journal ." \
     "optimize --layer resnet-2 --max-choices 4 --journal . --resume" \
     "journal compact ." \
@@ -45,8 +49,9 @@ for args in \
     "optimize --layer resnet-2 --max-choices 2 --emit-code missing/code.txt" \
     "optimize --layer resnet-2 --max-choices 2 --trace missing/trace.jsonl" \
     "optimize --layer resnet-2 --max-choices 2 --metrics missing/metrics.json" \
-    "metrics --layer resnet-2 --max-choices 2 --out missing/metrics.txt" \
-    "serve --socket missing/dir/sock"
+    "serve --socket missing/dir/sock" \
+    "serve --socket s.sock --max-inflight=-1" \
+    "client metrics --port 70000"
 do
     echo "\$ thistle $args"
     # shellcheck disable=SC2086

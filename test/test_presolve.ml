@@ -292,7 +292,7 @@ let nest = Workload.Conv.to_nest (Workload.Zoo.find "resnet-2")
 let config presolve = { O.default_config with O.max_choices = 16; presolve }
 
 let test_audit_agrees_with_solver () =
-  (* The differential pass of [thistle presolve --check]: every program
+  (* The differential pass of [thistle audit --solve]: every program
      is solved as formulated, and a usable solution must not contradict
      its verdict — no solved pruned program, no coordinate outside the
      box, no eliminated constraint active at the optimum. *)
