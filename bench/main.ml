@@ -1,12 +1,11 @@
 (* Reproduction harness: regenerates every table and figure of the
-   paper's evaluation (Tables II/III, Figs. 4-8) and runs Bechamel
-   micro-benchmarks of the pipeline stages.
+   paper's evaluation (Tables II/III, Figs. 4-8), plus the EDP and
+   ablation sections.
 
    Usage:
      dune exec bench/main.exe                 # everything, full settings
      dune exec bench/main.exe -- --quick      # reduced trial counts
      dune exec bench/main.exe -- --only fig4,fig7
-     dune exec bench/main.exe -- --no-bechamel
      dune exec bench/main.exe -- --metrics m.json   # counter/histogram dump *)
 
 module O = Thistle.Optimize
@@ -31,22 +30,17 @@ let area_budget = Arch.eyeriss_area tech
 type options = {
   quick : bool;
   only : string list option;
-  bechamel : bool;
   metrics : string option;
 }
 
 let parse_args () =
   let quick = ref false in
   let only = ref None in
-  let bechamel = ref true in
   let metrics = ref None in
   let rec go = function
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      go rest
-    | "--no-bechamel" :: rest ->
-      bechamel := false;
       go rest
     | "--only" :: spec :: rest ->
       only := Some (String.split_on_char ',' spec);
@@ -59,7 +53,7 @@ let parse_args () =
       exit 2
   in
   go (List.tl (Array.to_list Sys.argv));
-  { quick = !quick; only = !only; bechamel = !bechamel; metrics = !metrics }
+  { quick = !quick; only = !only; metrics = !metrics }
 
 let options = parse_args ()
 
@@ -474,83 +468,40 @@ let ablation_technology () =
     [ 45.0; 32.0; 22.0 ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per experiment family                *)
-(* ------------------------------------------------------------------ *)
 
-(* Each one runs under the sweep's delay model and solver tolerance, so
-   it times what the sweep runs. *)
-let bechamel () =
-  section "bechamel";
-  let open Bechamel in
-  let comm = thistle_config.O.comm and tol = thistle_config.O.gp_tol in
-  let nest = Conv.to_nest (Workload.Zoo.find "resnet-2") in
-  let plan = Thistle.Permutations.enumerate nest in
-  let choice_vol = List.hd plan.Thistle.Permutations.choices in
-  let choice = fst choice_vol in
-  let instance = F.build ~comm tech (F.Fixed Arch.eyeriss) F.Energy plan choice_vol in
-  let solution = Gp.Solver.solve ~tol instance.F.problem in
-  let rng = Random.State.make [| 1 |] in
-  let mapping =
-    (* A fixed valid mapping for the model benchmark. *)
-    let rec find () =
-      let m = Mapper.Search.random_mapping rng nest in
-      match Evaluate.evaluate ~comm tech Arch.eyeriss nest m with
-      | Ok _ -> m
-      | Error _ -> find ()
-    in
-    find ()
-  in
-  let tests =
-    Test.make_grouped ~name:"thistle"
-      [
-        (* fig4/fig7 inner loop: one GP formulation + solve. *)
-        Test.make ~name:"gp-formulate-solve"
-          (Staged.stage (fun () ->
-               let inst = F.build ~comm tech (F.Fixed Arch.eyeriss) F.Energy plan choice_vol in
-               ignore (Gp.Solver.solve ~tol inst.F.problem)));
-        (* Algorithm 1 symbolic analysis for one permutation choice. *)
-        Test.make ~name:"volume-analyze"
-          (Staged.stage (fun () ->
-               ignore
-                 (Thistle.Volume.analyze nest
-                    ~pe_perm:choice.Thistle.Permutations.pe_perm
-                    ~dram_perm:choice.Thistle.Permutations.dram_perm)));
-        (* fig4 baseline inner loop: one mapper trial. *)
-        Test.make ~name:"mapper-trial"
-          (Staged.stage (fun () ->
-               let m = Mapper.Search.random_mapping rng nest in
-               ignore (Evaluate.evaluate ~comm tech Arch.eyeriss nest m)));
-        (* the Timeloop-model stand-in: one exact evaluation. *)
-        Test.make ~name:"model-evaluate"
-          (Staged.stage (fun () ->
-               ignore (Evaluate.evaluate ~comm tech Arch.eyeriss nest mapping)));
-        (* section-IV rounding: one integerization pass. *)
-        Test.make ~name:"integerize"
-          (Staged.stage (fun () -> ignore (I.run tech instance solution)));
-        (* permutation enumeration with pruning. *)
-        Test.make ~name:"enumerate-choices"
-          (Staged.stage (fun () -> ignore (Thistle.Permutations.enumerate nest)));
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols (List.hd instances) raw in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      let time_ns =
-        match Analyze.OLS.estimates result with
-        | Some (t :: _) -> t
-        | Some [] | None -> nan
-      in
-      Printf.printf "%-40s %14.1f ns/run\n" name time_ns)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
+(* Every section, in the order a run prints them; --only names a subset. *)
+let sections =
+  [
+    ("table2", table2);
+    ("table3", table3);
+    ("fig4", fig4);
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("edp", edp_section);
+    ("ablation-placement", ablation_placement);
+    ("ablation-divisors", ablation_divisors);
+    ("ablation-pruning", ablation_pruning);
+    ("ablation-shortlist", ablation_shortlist);
+    ("ablation-gridsearch", ablation_gridsearch);
+    ("ablation-technology", ablation_technology);
+  ]
 
 let () =
+  (* An unknown name would select nothing: refuse it rather than print
+     only the header. *)
+  let unknown =
+    List.filter
+      (fun name -> not (List.mem_assoc name sections))
+      (Option.value options.only ~default:[])
+  in
+  if unknown <> [] then begin
+    Printf.eprintf "--only: unknown section %s; sections are %s\n"
+      (String.concat ", " unknown)
+      (String.concat ", " (List.map fst sections));
+    exit 2
+  end;
   Printf.printf "thistle reproduction harness%s\n"
     (if options.quick then " (quick mode)" else "");
   if options.metrics <> None then begin
@@ -558,21 +509,7 @@ let () =
     Obs.Metrics.enable ()
   end;
   let t0 = Unix.gettimeofday () in
-  if wants "table2" then table2 ();
-  if wants "table3" then table3 ();
-  if wants "fig4" then fig4 ();
-  if wants "fig5" then fig5 ();
-  if wants "fig6" then fig6 ();
-  if wants "fig7" then fig7 ();
-  if wants "fig8" then fig8 ();
-  if wants "edp" then edp_section ();
-  if wants "ablation-placement" then ablation_placement ();
-  if wants "ablation-divisors" then ablation_divisors ();
-  if wants "ablation-pruning" then ablation_pruning ();
-  if wants "ablation-shortlist" then ablation_shortlist ();
-  if wants "ablation-gridsearch" then ablation_gridsearch ();
-  if wants "ablation-technology" then ablation_technology ();
-  if options.bechamel && wants "bechamel" then bechamel ();
+  List.iter (fun (name, run) -> if wants name then run ()) sections;
   (match options.metrics with
   | None -> ()
   | Some file ->

@@ -560,11 +560,16 @@ let audited_objectives =
     (F.Edp, Archspec.Link.Overlapped);
   ]
 
+exception Unformulable of string
+
 (* The audit loop: [check] every program the optimizer would formulate
    per audited layer — both arch modes, every (objective, delay model)
    of [audited_objectives], every choice within the cap and every
    placement — with layers on [jobs] domains.  Returns each layer with
-   its checks' results in formulation order. *)
+   its checks' results in formulation order.  A program that cannot be
+   built (a coefficient out of the float range) refuses the whole run,
+   as the optimizer's formulate stage does; the error is the first such
+   program's, in audit order. *)
 let audit ~layer ~max_choices ~node ~jobs arch check =
   let* () = if max_choices < 1 then Error "max_choices must be >= 1" else Ok () in
   let* tech = P.tech_of_node node in
@@ -584,13 +589,17 @@ let audit ~layer ~max_choices ~node ~jobs arch check =
               (fun choice_vol ->
                 List.map
                   (fun placement ->
-                    check (F.build ~placement ~comm tech mode objective plan choice_vol))
+                    match F.build ~placement ~comm tech mode objective plan choice_vol with
+                    | instance -> check instance
+                    | exception Invalid_argument msg -> raise (Unformulable msg))
                   plan.Thistle.Permutations.placements)
               plan.Thistle.Permutations.choices)
           audited_objectives)
       [ F.Fixed arch; F.Codesign { area_budget } ]
   in
-  Ok (Exec.Par.map ~jobs (fun nest -> (nest, programs nest)) nests)
+  match Exec.Par.map ~jobs (fun nest -> (nest, programs nest)) nests with
+  | results -> Ok results
+  | exception Unformulable msg -> Error ("audit: cannot formulate " ^ msg)
 
 (* One audited program: its lint (and certificate) diagnostics, its
    presolve verdict, and the verdict's disagreements — a rejected proof

@@ -21,8 +21,6 @@ type t
 
 val dimensionless : t
 
-val of_base : base -> t
-
 val elements : t
 val bytes : t
 val pj : t

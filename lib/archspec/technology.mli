@@ -71,11 +71,6 @@ val register_access_energy : t -> registers:int -> float
 val sram_access_energy : t -> words:int -> float
 (** [eps_S = sigma_S * sqrt S] (Eq. 4). *)
 
-val register_access_energy_f : t -> float -> float
-(** Real-valued variants used on pre-integerization solver output. *)
-
-val sram_access_energy_f : t -> float -> float
-
 val pe_area : t -> registers:int -> float
 (** Area of one PE: [area_register * R + area_mac]. *)
 

@@ -71,5 +71,3 @@ let map ?pool ?jobs f xs =
         | Done v -> v
         | Pending | Raised _ -> assert false)
   end
-
-let filter_map ?pool ?jobs f xs = List.filter_map Fun.id (map ?pool ?jobs f xs)

@@ -1,13 +1,12 @@
-(** Order-preserving, exception-safe parallel list combinators on the
-    shared domain pool.
+(** Order-preserving, exception-safe parallel list map on the shared
+    domain pool.
 
-    Determinism contract: for any [jobs], [map]/[filter_map] return
-    exactly the list the sequential [List.map]/[List.filter_map] would
-    — same elements, same order.  [jobs <= 1] takes the exact sequential
-    path (no pool involved); [jobs > 1] self-schedules the items over at
-    most [jobs] lanes of the shared pool.  Results are collected into a
-    pre-sized array by item index, so scheduling order never leaks into
-    the output.
+    Determinism contract: for any [jobs], [map] returns exactly the list
+    the sequential [List.map] would — same elements, same order.
+    [jobs <= 1] takes the exact sequential path (no pool involved);
+    [jobs > 1] self-schedules the items over at most [jobs] lanes of the
+    shared pool.  Results are collected into a pre-sized array by item
+    index, so scheduling order never leaks into the output.
 
     Exception contract: every item's exception is caught on the worker;
     after the whole batch finishes, the exception of the {e smallest
@@ -23,18 +22,9 @@
     applies to the outermost loop only, which both bounds the domain
     count and makes the fallback trivially deterministic. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
-val shared_pool : jobs:int -> Pool.t
-(** The process-wide pool, created on first use and grown to at least
-    [jobs - 1] workers (the calling domain is the remaining lane).  It is
-    registered with [at_exit] for an orderly shutdown. *)
-
 val map : ?pool:Pool.t -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs], computed on up to [jobs] lanes
-    (default {!default_jobs}).  [?pool] overrides the shared pool. *)
-
-val filter_map : ?pool:Pool.t -> ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b list
-(** [filter_map ~jobs f xs] is [List.filter_map f xs] under the same
-    contract as {!map}. *)
+    (default [Domain.recommended_domain_count ()]).  The lanes run on
+    the process-wide pool, created on first use, grown to at least
+    [jobs - 1] workers (the calling domain is the remaining lane) and
+    shut down [at_exit]; [?pool] overrides it. *)

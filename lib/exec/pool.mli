@@ -19,18 +19,16 @@ val create : workers:int -> t
 (** [create ~workers] spawns [workers] worker domains ([0] is legal: every
     batch then runs entirely on the submitting domain).  Raises
     [Invalid_argument] on a negative count.  The worker count is clamped
-    to {!max_workers}. *)
-
-val max_workers : int
-(** Upper bound on worker domains per pool, kept well under the OCaml
-    runtime's hard domain limit. *)
+    to a fixed bound kept well under the OCaml runtime's hard domain
+    limit. *)
 
 val size : t -> int
 (** Current number of worker domains. *)
 
 val ensure_workers : t -> int -> unit
-(** [ensure_workers t n] grows the pool to at least [n] workers (clamped
-    to {!max_workers}); it never shrinks.  No-op on a shut-down pool. *)
+(** [ensure_workers t n] grows the pool to at least [n] workers (with
+    the same clamp as {!create}); it never shrinks.  No-op on a
+    shut-down pool. *)
 
 val run : t -> (unit -> unit) list -> unit
 (** [run t tasks] enqueues the batch and blocks until every task has

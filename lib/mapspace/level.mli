@@ -16,9 +16,6 @@ type kind = Temporal | Spatial
 val canonical : kind list
 (** [[Temporal; Temporal; Spatial; Temporal]], innermost first. *)
 
-val canonical_names : string list
-(** [["reg"; "pe"; "spatial"; "dram"]]. *)
-
 val register_level : int
 val pe_temporal_level : int
 val spatial_level : int

@@ -45,10 +45,6 @@ val to_string : writer -> string
 
 val bits : float -> string
 
-val of_bits : string -> float
-(** Inverse of {!bits}.  Raises [Failure "bad float bits ..."] on
-    anything else. *)
-
 (** {2 Parsing}
 
     A parser for exactly the subset the writers above emit — objects,
@@ -88,4 +84,6 @@ val str_of : value -> string
 (** Fails with ["expected a string"]. *)
 
 val float_of : value -> float
-(** A {!bits} string, decoded with {!of_bits}. *)
+(** A {!bits} string, decoded back to its float.  Fails with
+    ["expected a string"], or ["bad float bits ..."] on a string that
+    is not one. *)

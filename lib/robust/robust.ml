@@ -217,12 +217,6 @@ module Admission = struct
       Mutex.unlock t.lock
     end
 
-  let inflight t =
-    Mutex.lock t.lock;
-    let n = t.inflight in
-    Mutex.unlock t.lock;
-    n
-
   let with_admission t ~rejected body =
     if not (try_admit t) then rejected ()
     else Fun.protect ~finally:(fun () -> release t) body

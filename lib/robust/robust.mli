@@ -138,16 +138,6 @@ module Admission : sig
 
   val limit : t -> int
 
-  val try_admit : t -> bool
-  (** Admit if a slot is free (never blocks).  A [true] return must be
-      paired with exactly one {!release}. *)
-
-  val release : t -> unit
-  (** Raises [Invalid_argument] when nothing is admitted — an unbalanced
-      release is a caller bug, not a condition to paper over. *)
-
-  val inflight : t -> int
-
   val with_admission : t -> rejected:(unit -> 'a) -> (unit -> 'a) -> 'a
   (** [with_admission t ~rejected body] runs [body ()] inside an
       admitted slot, releasing it even on exceptions; runs [rejected ()]

@@ -33,8 +33,6 @@ val make :
 val out_height : t -> int
 (** Output feature-map height: [in_height / stride], rounded up. *)
 
-val out_width : t -> int
-
 val to_nest : t -> Nest.t
 (** The 7-dimensional nest over [n k c r s h w] with tensors [Out] (rw),
     [In], and [Ker].  Dimensions with extent 1 are kept so every layer

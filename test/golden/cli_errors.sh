@@ -8,7 +8,8 @@
 # (node/45)^2 technology scaling leaves the float range.  A node just
 # short of that passes the resolver, but a scaled constant times the
 # layer's MAC count overflows: the formulate stage refuses the pair,
-# naming it and the coefficient, and the CLI exits 1.  The journal
+# naming it and the coefficient, and the CLI exits 1; the audit refuses
+# such a node the same way.  The journal
 # errors name a directory (.) or a missing file as a journal, and the
 # output errors a file (/dev/null) as the --emit directory or a missing
 # directory for --emit-code, --trace or --metrics: each exits 1 with a
@@ -39,6 +40,7 @@ for args in \
     "audit --layer resnet-2 --pes 0" \
     "audit --node 0" \
     "audit --layer resnet-2 --max-choices 0" \
+    "audit --layer resnet-2 --max-choices 1 --node 1e152" \
     "mapper --layer resnet-2 --trials 0" \
     "mapper --layer resnet-2 --victory 0" \
     "optimize --layer resnet-2 --max-choices 4 --journal ." \

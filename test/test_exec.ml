@@ -1,5 +1,5 @@
 (* Tests for the shared domain pool (Exec.Pool) and the order-preserving,
-   exception-safe parallel combinators (Exec.Par). *)
+   exception-safe parallel map (Exec.Par). *)
 
 module Pool = Exec.Pool
 module Par = Exec.Par
@@ -10,13 +10,6 @@ let test_map_matches_sequential () =
   Alcotest.(check (list int)) "order preserved" (List.map f xs) (Par.map ~jobs:4 f xs);
   Alcotest.(check (list int)) "empty" [] (Par.map ~jobs:4 f []);
   Alcotest.(check (list int)) "singleton" [ 10 ] (Par.map ~jobs:4 f [ 3 ])
-
-let test_filter_map_matches_sequential () =
-  let xs = List.init 101 Fun.id in
-  let f x = if x mod 3 = 0 then Some (x * 2) else None in
-  Alcotest.(check (list int))
-    "filtered order" (List.filter_map f xs)
-    (Par.filter_map ~jobs:4 f xs)
 
 let test_unbalanced_work_keeps_order () =
   (* Early items carry far more work than late ones, so lanes finish out
@@ -82,20 +75,12 @@ let prop_map_equals_list_map =
       let f x = (x * 3) + 1 in
       Par.map ~jobs f xs = List.map f xs)
 
-let prop_filter_map_equals_list_filter_map =
-  let gen = QCheck2.Gen.(pair (small_list small_int) (int_range 1 8)) in
-  QCheck2.Test.make ~name:"Par.filter_map = List.filter_map for any jobs" ~count:200 gen
-    (fun (xs, jobs) ->
-      let f x = if x mod 2 = 0 then Some (x / 2) else None in
-      Par.filter_map ~jobs f xs = List.filter_map f xs)
-
 let () =
   Alcotest.run "exec"
     [
       ( "par",
         [
           Alcotest.test_case "map order" `Quick test_map_matches_sequential;
-          Alcotest.test_case "filter_map order" `Quick test_filter_map_matches_sequential;
           Alcotest.test_case "unbalanced work" `Quick test_unbalanced_work_keeps_order;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
           Alcotest.test_case "pool survives exceptions" `Quick
@@ -108,6 +93,5 @@ let () =
           Alcotest.test_case "zero workers" `Quick test_zero_worker_pool;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_map_equals_list_map; prop_filter_map_equals_list_filter_map ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_map_equals_list_map ] );
     ]

@@ -7,12 +7,9 @@
 # (default 10%).  Direction is inferred from the key name:
 #   *wall_s             lower is better
 #   *wall_mean_s        lower is better (mean-of-repeats companion)
-#   *_ms                lower is better (serve latency percentiles)
 #   *solves_per_s       higher is better
 #   *speedup            higher is better
 #   *_pruned            higher is better (presolve coverage)
-#   *hit_rate           higher is better (serve cache)
-#   *req_per_s          higher is better (serve throughput)
 # All other keys are informational and only reported when they change.
 # The comm_* keys from the communication-limited scenario follow the
 # same suffix rules (comm_aware_wall_s is lower-better, &c.);
@@ -59,8 +56,8 @@ while read -r key cur; do
     base=$(awk -v k="$key" '$1 == k { print $2; exit }' "${TMPDIR:-/tmp}/perfdiff_base.$$")
     [ -n "$base" ] || continue
     case $key in
-        *wall_s | *wall_mean_s | *_ms) dir=lower ;;
-        *solves_per_s | *speedup | *_pruned | *hit_rate | *req_per_s) dir=higher ;;
+        *wall_s | *wall_mean_s) dir=lower ;;
+        *solves_per_s | *speedup | *_pruned) dir=higher ;;
         *) dir=info ;;
     esac
     ratio=0
@@ -87,8 +84,7 @@ done < "${TMPDIR:-/tmp}/perfdiff_cur.$$"
 missing=0
 while read -r key base; do
     case $key in
-        *wall_s | *wall_mean_s | *_ms | *solves_per_s | *speedup | *_pruned \
-            | *hit_rate | *req_per_s) ;;
+        *wall_s | *wall_mean_s | *solves_per_s | *speedup | *_pruned) ;;
         *) continue ;;
     esac
     cur=$(awk -v k="$key" '$1 == k { print $2; exit }' "${TMPDIR:-/tmp}/perfdiff_cur.$$")
