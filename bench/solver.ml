@@ -285,11 +285,9 @@ let () =
   let base =
     { O.default_config with O.jobs = 1; max_choices = options.max_choices }
   in
-  (* The pre-PR solver path: closure-per-function evaluation, dense LU
-     KKT, no reuse across the sweep. *)
-  let list_config =
-    { base with O.gp_kernel = `List; dedupe = false; warm_start = false }
-  in
+  (* The reference solver path: closure-per-function evaluation, dense
+     LU KKT, no warm starts across the sweep. *)
+  let list_config = { base with O.gp_kernel = `List; warm_start = false } in
   Printf.printf "solver bench: layers %s, max-choices %d, jobs 1, best of %d run(s)\n"
     (String.concat "," options.layers)
     options.max_choices options.repeat;

@@ -33,7 +33,7 @@ let setup_logs =
   Term.(const setup $ Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Verbose logging."))
 
 let layer_arg =
-  let doc = "Layer name from Table II (e.g. resnet-2, yolo-7); see `thistle layers'." in
+  let doc = "Zoo layer name (e.g. resnet-2, yolo-7); `thistle layers' lists all 41." in
   Arg.(required & opt (some string) None & info [ "layer" ] ~docv:"NAME" ~doc)
 
 let objective_arg =
@@ -149,16 +149,31 @@ let pipeline_request opts =
    fault-tolerance knobs (DESIGN §11).  [thistle serve] runs with
    exactly this config as its base. *)
 let base_config =
+  (* No elapsed time compares past NaN, so a NaN budget would silently
+     never trip, and a zero or negative one quarantines every pair:
+     neither is a deadline.  [inf] is one that never trips. *)
+  let deadline_conv =
+    let parse s =
+      match float_of_string_opt s with
+      | Some ms when ms > 0.0 -> Ok ms
+      | Some _ | None ->
+        Error
+          (`Msg
+             (Printf.sprintf
+                "invalid value '%s', expected a positive number of milliseconds" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let deadline_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some deadline_conv) None
       & info [ "solve-deadline-ms" ] ~docv:"MS"
           ~doc:
-            "Cooperative wall-clock budget per GP solve, in milliseconds, checked at \
-             outer-iteration boundaries.  A solve that exceeds it retries per \
-             $(b,--retries) and is then quarantined; the sweep succeeds as long as \
-             any pair survives.")
+            "Cooperative wall-clock budget per GP solve, in milliseconds (a positive \
+             number; $(b,inf) sets no budget), checked at outer-iteration \
+             boundaries.  A solve that exceeds it retries per $(b,--retries) and is \
+             then quarantined; the sweep succeeds as long as any pair survives.")
   in
   let retries_arg =
     Arg.(
@@ -442,7 +457,10 @@ let layers_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "layers" ~doc:"List the Table II workloads (ResNet-18 and Yolo-9000).")
+    (Cmd.info "layers"
+       ~doc:
+         "List the 41 zoo layers: Table II's Yolo-9000 and ResNet-18, then AlexNet \
+          and VGG-16.")
     Term.(const (fun () () -> run ()) $ setup_logs $ const ())
 
 let optimize_cmd =
@@ -540,7 +558,7 @@ let audit_layer_arg =
     value
     & opt (some string) None
     & info [ "layer" ] ~docv:"NAME"
-        ~doc:"Audit only this layer (default: the whole Table II zoo).")
+        ~doc:"Audit only this layer (default: all 41 zoo layers; see `thistle layers').")
 
 let audit_max_choices_arg =
   Arg.(

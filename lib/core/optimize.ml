@@ -68,7 +68,6 @@ let m_phase2 = Obs.Metrics.counter "solver.phase2_outer_iters"
 let m_newton = Obs.Metrics.counter "solver.newton_steps"
 let m_backtracks = Obs.Metrics.counter "solver.backtracks"
 let m_kkt = Obs.Metrics.counter "solver.kkt_regularizations"
-let m_cache_hits = Obs.Metrics.counter "solver.cache_hits"
 let m_warm_starts = Obs.Metrics.counter "solver.warm_starts"
 let m_chol_fallbacks = Obs.Metrics.counter "solver.cholesky_fallbacks"
 let g_gap = Obs.Metrics.gauge "solver.max_duality_gap"
@@ -117,16 +116,19 @@ let select_best ~score outcomes =
     None outcomes
 
 (* Everything that can change a pair's journaled fate besides the
-   problem itself: solver tolerance and kernel, reuse policy, the
+   problem itself: solver tolerance and kernel, warm starts, the
    deadline/retry/injection machinery.  Entering the pair fingerprint,
    it versions the journal cache — change any of these and every
-   journal entry goes stale and is re-solved (DESIGN §12). *)
+   journal entry goes stale and is re-solved (DESIGN §12).  The
+   [dedupe=true] literal is no setting (the sweep solves every pair
+   once): it keeps the text every existing journal and serve-store
+   entry was fingerprinted with, so those entries stay valid. *)
 let config_fingerprint config =
   Printf.sprintf
-    "v3|tol=%s|kernel=%s|warm=%b|dedupe=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
+    "v3|tol=%s|kernel=%s|warm=%b|dedupe=true|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
     (Obs.Json.bits config.gp_tol)
     (match config.gp_kernel with `Compiled -> "compiled" | `List -> "list")
-    config.warm_start config.dedupe
+    config.warm_start
     (match config.solve_deadline_ms with
     | None -> "none"
     | Some ms -> Obs.Json.bits ms)
@@ -144,11 +146,12 @@ let config_fingerprint config =
        {!request_key} instead. *)
     (Archspec.Link.comm_model_name config.comm)
 
-(* Canonical structural key of a GP: the exact coefficient and exponent
-   bits of every term, in formulation order, with constraint names
-   excluded — the solver's behavior depends on names only through the
-   variable set, which the exponent maps carry.  Pairs with equal keys
-   are the same mathematical program, so one solve serves all of them. *)
+(* Canonical structural key of a GP, the structural half of a journal
+   fingerprint: the exact coefficient and exponent bits of every term,
+   in formulation order, with constraint names excluded — the solver's
+   behavior depends on names only through the variable set, which the
+   exponent maps carry.  Programs with equal keys are the same
+   mathematical program. *)
 let problem_key problem =
   let buf = Buffer.create 1024 in
   let fl v =
@@ -297,15 +300,14 @@ type sweep = {
 }
 
 (* One owned pair as formulated: its global index, the instance, its
-   {!problem_key}, its journal fingerprint, and the presolve verdict
-   that survived re-checking ([None] when presolve is off, crashed or
-   had its proof rejected).  The sweep keeps only the verdict, not the
-   propagated box. *)
+   journal fingerprint ([None] unless the run journals), and the
+   presolve verdict that survived re-checking ([None] when presolve is
+   off, crashed or had its proof rejected).  The sweep keeps only the
+   verdict, not the propagated box. *)
 type pair = {
   idx : int;
   instance : Formulate.instance;
-  key : string;
-  fp : string;
+  fp : string option;
   pre : Analysis.Presolve.verdict option;
 }
 
@@ -314,7 +316,6 @@ type source =
   | Solved_here of { warm : bool }
       (* handed to the solver by this run, warm-started from its
          choice's pinned solution or cold *)
-  | Dedupe_replay  (* copied from the first pair with the same key *)
   | Journal_replay  (* replayed from a matching journal entry *)
   | Presolve_pruned  (* statically infeasible, never solved *)
 
@@ -466,7 +467,8 @@ let presolve_of config instance =
         None)
     | { Analysis.Presolve.verdict; _ } -> Some verdict)
 
-(* Stage formulate: formulate, lint, key and presolve every owned pair.
+(* Stage formulate: formulate, lint and presolve every owned pair, and
+   fingerprint it when the run journals.
    The pairs are independent — Formulate.build shares no mutable state.
    A lint rejection aborts the whole sweep: every pair of one layer
    shares the formulation code, so one malformed instance means the
@@ -476,7 +478,7 @@ let presolve_of config instance =
 exception Unformulable of string
 
 let formulate ~config ~jobs tech arch_mode objective sweep =
-  let config_fp = config_fingerprint config in
+  let config_fp = Option.map (fun _ -> config_fingerprint config) config.journal in
   match
     Exec.Par.map ~jobs
       (fun idx ->
@@ -491,14 +493,14 @@ let formulate ~config ~jobs tech arch_mode objective sweep =
               | exception Invalid_argument msg -> raise (Unformulable msg))
         in
         Analysis.Lint.gate config.lint (Formulate.lint instance);
-        let key = problem_key instance.Formulate.problem in
-        {
-          idx;
-          instance;
-          key;
-          fp = Sweep.Journal.fingerprint ~config:config_fp ~problem_key:key;
-          pre = presolve_of config instance;
-        })
+        let fp =
+          Option.map
+            (fun config ->
+              Sweep.Journal.fingerprint ~config
+                ~problem_key:(problem_key instance.Formulate.problem))
+            config_fp
+        in
+        { idx; instance; fp; pre = presolve_of config instance })
       (Sweep.Partition.pair_indices config.shard ~nplac:sweep.nplac
          ~npairs:(Array.length sweep.work))
   with
@@ -543,7 +545,7 @@ let seed ~config pairs =
     Array.map
       (fun p ->
         match Hashtbl.find_opt entries p.idx with
-        | Some e when String.equal e.Sweep.Journal.fingerprint p.fp ->
+        | Some e when Option.equal String.equal (Some e.Sweep.Journal.fingerprint) p.fp ->
           let seeded =
             slot ~retries:e.Sweep.Journal.retries
               ~deadline_hits:e.Sweep.Journal.deadline_hits Journal_replay
@@ -632,79 +634,48 @@ let solve_pair ~config ?warm_start pair =
   in
   attempt 0 ~dh:0
 
-(* Stage solve: two waves with sweep-level reuse.
+(* Stage solve: two waves, each pair solved once.
 
-   Wave 1 solves the pinned-placement pair of every choice cold,
-   deduplicating identical programs onto their first occurrence in
-   enumeration order.  Wave 2 solves the remaining placements,
-   deduplicating against everything already keyed, and warm-starting
-   each representative from its own choice's pinned solution — which
-   wave 1 always provides.  Seeded pairs register as representatives
-   (later duplicates replay from them) but are never re-solved.  Wave
-   membership, representatives and warm-start sources are functions of
-   the enumeration order alone, never of timing or worker count.
+   Wave 1 solves the pinned-placement pair of every choice cold.  Wave 2
+   solves the remaining placements, warm-starting each from its own
+   choice's pinned solution — which wave 1 always provides.  Seeded
+   pairs are never re-solved.  Wave membership and warm-start sources
+   are functions of the enumeration order alone, never of timing or
+   worker count.
 
-   Every pair this run settles — pruned, solved or replayed — is
-   appended to [journal] as it finishes, under a mutex and flushed per
-   entry, so a killed run loses at most the pairs still in flight. *)
+   Every pair this run settles — pruned or solved — is appended to
+   [journal] as it finishes, under a mutex and flushed per entry, so a
+   killed run loses at most the pairs still in flight. *)
 let solve ~config ~jobs ~journal sweep pairs seeds =
   let slots = Array.map (fun s -> s.seeded) seeds in
   let mutex = Mutex.create () in
   let emit k slot =
-    Option.iter
-      (fun oc ->
-        let p = pairs.(k) in
-        let entry =
-          {
-            Sweep.Journal.pair = p.idx;
-            fingerprint = p.fp;
-            provenance = p.instance.Formulate.provenance;
-            fate = slot.s_fate;
-            stats = slot.s_stats;
-            retries = slot.s_retries;
-            deadline_hits = slot.s_deadline_hits;
-          }
-        in
-        Mutex.protect mutex (fun () -> Sweep.Journal.append_line oc entry))
-      journal
+    let p = pairs.(k) in
+    match (journal, p.fp) with
+    | Some oc, Some fingerprint ->
+      let entry =
+        {
+          Sweep.Journal.pair = p.idx;
+          fingerprint;
+          provenance = p.instance.Formulate.provenance;
+          fate = slot.s_fate;
+          stats = slot.s_stats;
+          retries = slot.s_retries;
+          deadline_hits = slot.s_deadline_hits;
+        }
+      in
+      Mutex.protect mutex (fun () -> Sweep.Journal.append_line oc entry)
+    | _ -> ()
   in
   Array.iteri
     (fun k -> function
       | Some ({ s_source = Presolve_pruned; _ } as slot) -> emit k slot
       | Some _ | None -> ())
     slots;
-  let reps = Hashtbl.create (2 * Array.length pairs) in
-  let is_rep k =
-    let key = pairs.(k).key in
-    if config.dedupe && Hashtbl.mem reps key then false
-    else begin
-      Hashtbl.replace reps key k;
-      true
-    end
-  in
-  (* A replay copies the representative's telemetry into fresh stats, so
-     [solve_totals] counts logical solves exactly as an undeduplicated
-     sweep would.  A quarantined representative quarantines its replicas
-     too (same program, same fate), relabeled with their own provenance. *)
-  let replay k =
-    let rep = Option.get slots.(Hashtbl.find reps pairs.(k).key) in
-    let st = Gp.Solver.fresh_stats () in
-    Gp.Solver.copy_stats ~into:st rep.s_stats;
-    let s_fate =
-      match rep.s_fate with
-      | Sweep.Journal.Quarantined f ->
-        Sweep.Journal.Quarantined
-          { f with Robust.provenance = pairs.(k).instance.Formulate.provenance }
-      | (Sweep.Journal.Solved _ | Sweep.Journal.Pruned _) as fate -> fate
-    in
-    let slot = { rep with s_fate; s_stats = st; s_source = Dedupe_replay } in
-    slots.(k) <- Some slot;
-    emit k slot
-  in
   let wave positions ~warm_of =
     let members =
       List.filter_map
-        (fun k -> if is_rep k && Option.is_none slots.(k) then Some (k, warm_of k) else None)
+        (fun k -> if Option.is_none slots.(k) then Some (k, warm_of k) else None)
         positions
     in
     let solved =
@@ -715,8 +686,7 @@ let solve ~config ~jobs ~journal sweep pairs seeds =
           slot)
         members
     in
-    List.iter2 (fun (k, _) slot -> slots.(k) <- Some slot) members solved;
-    List.iter (fun k -> if Option.is_none slots.(k) then replay k) positions
+    List.iter2 (fun (k, _) slot -> slots.(k) <- Some slot) members solved
   in
   let pinned, others =
     List.partition
@@ -811,8 +781,9 @@ let solve_totals table =
    enumeration order — never bumped from inside a parallel stage — so
    the values are functions of the workload and configuration alone
    (the Obs.Metrics determinism contract).  [solver.*] counts logical
-   solves, replays included, as the report's [solve_totals] does;
-   [sweep.pairs_solved] counts the pairs this run handed to the solver. *)
+   solves, journal replays included, as the report's [solve_totals]
+   does; [sweep.pairs_solved] counts the pairs this run handed to the
+   solver. *)
 let feed_counters table =
   let rows = Array.to_list table in
   let count p = List.length (List.filter p rows) in
@@ -828,7 +799,6 @@ let feed_counters table =
   Obs.Metrics.add m_kkt t.Gp.Solver.t_kkt_regularizations;
   Obs.Metrics.add m_chol_fallbacks t.Gp.Solver.t_cholesky_fallbacks;
   Obs.Metrics.observe_max g_gap t.Gp.Solver.max_duality_gap;
-  Obs.Metrics.add m_cache_hits (count (from Dedupe_replay));
   Obs.Metrics.add m_warm_starts (count (from (Solved_here { warm = true })));
   Obs.Metrics.add m_journal_hits (count (from Journal_replay));
   Obs.Metrics.add m_journal_stale (count (fun r -> r.journal_stale));
@@ -836,7 +806,7 @@ let feed_counters table =
     (count (fun r ->
          match r.slot.s_source with
          | Solved_here _ -> true
-         | Dedupe_replay | Journal_replay | Presolve_pruned -> false));
+         | Journal_replay | Presolve_pruned -> false));
   Obs.Metrics.add m_presolve_pruned
     (count (fun r ->
          match r.pair.pre with
@@ -909,12 +879,12 @@ let select sweep objective nest table =
         Printf.sprintf "optimize: no permutation choice produced a feasible program (%s)"
           (String.concat ", " reasons))
   | (_, best) :: _ as ranked ->
-    let count source = List.length (List.filter (fun r -> r.slot.s_source = source) rows) in
+    let warm =
+      List.length (List.filter (fun r -> r.slot.s_source = Solved_here { warm = true }) rows)
+    in
     Log.info (fun m ->
-        m "%s: %d/%d choices solved (raw %d, %d deduped, %d warm)"
-          (Workload.Nest.name nest) (List.length ranked) nchoices
-          plan.Permutations.raw_count (count Dedupe_replay)
-          (count (Solved_here { warm = true })));
+        m "%s: %d/%d choices solved (raw %d, %d warm)" (Workload.Nest.name nest)
+          (List.length ranked) nchoices plan.Permutations.raw_count warm);
     let integerized = List.filter_map (fun (k, _) -> table.(k).integerized) ranked in
     let outcomes =
       List.filter_map

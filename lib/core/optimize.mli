@@ -68,11 +68,12 @@ type config = {
           [thistle audit --solve] validates them against the solver
           ({!presolve_disagreements}). *)
   dedupe : bool;
-      (** solve each structurally identical GP once per sweep (canonical
-          coefficient/exponent key, constraint names excluded) and replay
-          the cached solution and telemetry for its duplicates (default
-          [true]).  Replays are bit-identical to re-solving, so results
-          do not depend on this flag; [solver.cache_hits] counts them. *)
+      (** inert (default [true]): nothing in the library or the CLI reads
+          it, and the sweep solves every pair once.  Permutation
+          enumeration already merges choices with identical cost models,
+          so a solve-time cache keyed on program bits never hit.  The
+          field stays only because perfbench's stage replay, which still
+          deduplicates on its own, checks it; it goes with that replay. *)
   warm_start : bool;
       (** seed each non-pinned placement's solve from its own choice's
           pinned-placement solution (default [true]).  The warm source is
@@ -115,7 +116,7 @@ type config = {
           byte-identical to an unsharded run. *)
   journal : string option;
       (** append-only JSONL completion journal (default [None]).  Every
-          pair completed by this run — solved, replayed or quarantined —
+          pair completed by this run — solved, pruned or quarantined —
           is appended as it finishes and flushed, so a killed run loses
           at most the pairs still in flight.  Entry order in a parallel
           run is timing-dependent; entry {e content} is a function of
@@ -126,7 +127,8 @@ type config = {
           [false]; requires [journal] — {!run} returns [Error] for
           [resume] without one).  An entry is replayed only when
           its fingerprint — {!Sweep.Journal.fingerprint} of the pair's
-          {!problem_key} and this config's solver fingerprint — still
+          {!problem_key} and this config's solver fingerprint, computed
+          only when [journal] is set — still
           matches, so stale pairs (changed formulation, tolerance,
           kernel, retry or injection policy) are re-solved and
           re-journaled, with one warning naming the journal and the
@@ -149,21 +151,24 @@ val select_best : score:('a -> float) -> 'a list -> 'a option
 
 val config_fingerprint : config -> string
 (** The solver-behavior fingerprint entering every journal entry's
-    {!Sweep.Journal.fingerprint}: tolerance, kernel, reuse policy,
-    deadline/retry/injection settings, and the communication model (the
-    lowering changes the GP, so journaled fates of one model never
-    replay under the other; [contention] is excluded — it never changes
-    a solve).  Changing any of them invalidates
-    journaled pairs on the next resume.  Exposed for tests; the format
-    is not a stability guarantee. *)
+    {!Sweep.Journal.fingerprint}: tolerance, kernel, warm starts,
+    deadline/retry/injection settings, presolve mode and the
+    communication model (the lowering changes the GP, so journaled fates
+    of one model never replay under the other; [contention] is excluded
+    — it never changes a solve).  Changing any of them invalidates
+    journaled pairs on the next resume.  It still prints [dedupe=true],
+    whatever [dedupe] holds, so fingerprints written before the sweep
+    stopped deduplicating stay valid.  Exposed for tests; the format is
+    not a stability guarantee. *)
 
 val problem_key : Gp.Problem.t -> string
-(** Canonical structural key backing [dedupe]: the exact coefficient and
-    exponent bits of every term in formulation order, with constraint
-    names excluded (the solver sees names only through the variable set,
-    which the exponent maps carry).  Two problems with equal keys are the
-    same mathematical program, so one solve serves both.  Exposed for
-    tests; the key format is not a stability guarantee. *)
+(** Canonical structural key of a program, the structural half of a
+    journal fingerprint: the exact coefficient and exponent bits of every
+    term in formulation order, with constraint names excluded (the
+    solver sees names only through the variable set, which the exponent
+    maps carry).  Two problems with equal keys are the same mathematical
+    program.  The sweep builds it only when it writes a journal.  Exposed
+    for tests; the key format is not a stability guarantee. *)
 
 val request_key :
   config:config ->
@@ -211,15 +216,13 @@ type report = {
       (** solver telemetry summed over {e every} GP solve of the sweep,
           feasible or not, accumulated in deterministic enumeration
           order.  For retried pairs only the final attempt's stats are
-          counted — one logical solve per pair, mirroring dedupe
-          replays; [robust.retries] counts the extra attempts. *)
+          counted — one logical solve per pair, as for journal replays;
+          [robust.retries] counts the extra attempts. *)
   failures : Robust.failure list;
       (** quarantined pairs (crashed or deadline-exceeded solves, crashed
           integerizations) in enumeration order — solve-stage failures
           first, then integerization-stage ones.  The run succeeds as
-          long as any pair survives; an empty list means a clean sweep.
-          Dedupe replicas of a quarantined representative appear here
-          too, relabeled with their own provenance. *)
+          long as any pair survives; an empty list means a clean sweep. *)
   pruned : (string * Analysis.Presolve.proof) list;
       (** presolve-pruned pairs in enumeration order, as (provenance,
           infeasibility proof) — empty unless [config.presolve = Prune].

@@ -97,7 +97,9 @@ val fresh_stats : unit -> stats
 
 val copy_stats : into:stats -> stats -> unit
 (** [copy_stats ~into st] overwrites every field of [into] with the
-    fields of [st] — used to replay a cached solve's telemetry. *)
+    fields of [st].  Only perfbench's stage replay calls it, to copy a
+    deduplicated solve's telemetry; the library sweep solves every pair
+    once. *)
 
 type totals = {
   solves : int;

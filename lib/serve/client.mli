@@ -9,6 +9,9 @@ val tcp_addr : int -> Unix.sockaddr
 (** Loopback. *)
 
 val connect : ?max_frame:int -> Unix.sockaddr -> (t, string) result
+(** [Error] names the address — the socket path, or [127.0.0.1:PORT] —
+    and the reason, e.g. no such socket or a refused connection. *)
+
 val request : t -> Protocol.request -> (Protocol.response, string) result
 (** One round trip.  Errors cover transport failures (connection reset,
     torn or oversized response frame) and undecodable responses. *)

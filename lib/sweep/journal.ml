@@ -265,18 +265,27 @@ let compact entries =
   let kept = Hashtbl.fold (fun _ e acc -> e :: acc) tbl [] in
   List.sort (fun a b -> Int.compare a.pair b.pair) kept
 
+(* The entries go to a temp file next to [path], renamed over it once
+   complete: a rename within one directory is atomic on POSIX, so a
+   failure or a kill part-way (a full disk, a file-size limit) leaves
+   the old journal whole.  Errors name [path], never the temp file. *)
 let write_file path entries =
-  match open_out path with
-  | exception Sys_error m -> Error m
-  | oc -> (
-    try
+  let tmp = Printf.sprintf "%s.tmp-%d" path (Unix.getpid ()) in
+  match Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 with
+  | exception Unix.Unix_error (e, _, _) -> Error (path ^ ": " ^ Unix.error_message e)
+  | fd -> (
+    let oc = Unix.out_channel_of_descr fd in
+    match
       List.iter
         (fun e ->
           output_string oc (encode e);
           output_char oc '\n')
         entries;
       close_out oc;
-      Ok ()
-    with Sys_error m ->
+      Sys.rename tmp path
+    with
+    | () -> Ok ()
+    | exception Sys_error m ->
       close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
       Error (path ^ ": " ^ m))

@@ -85,5 +85,8 @@ val compact : entry list -> entry list
 
 val write_file : string -> entry list -> (unit, string) result
 (** Replace [path] with exactly [entries], one line each (used by
-    [thistle journal compact]).  [Error] when [path] cannot be opened or
-    written; its message names [path] once. *)
+    [thistle journal compact]).  The lines go to a temp file in [path]'s
+    directory, renamed over [path] once complete, so a failure or a kill
+    part-way leaves [path] as it was.  [Error] when the temp file cannot
+    be written or renamed over [path] (a directory, say); its message
+    names [path] once, and the temp file is removed. *)

@@ -21,7 +21,8 @@ val pipelines : (string * Conv.t list) list
     then [alexnet] and [vgg16]. *)
 
 val all_layers : Conv.t list
-(** Concatenation of both pipelines, Yolo first as in the figures. *)
+(** The 41 layers of all four pipelines: Yolo-9000 first as in the
+    figures, then ResNet-18, AlexNet and VGG-16. *)
 
 val find : string -> Conv.t
 (** Look up a layer by name.  Raises [Not_found]. *)

@@ -16,9 +16,13 @@
 # message naming the path once, never an uncaught exception.  The
 # output errors come after the solve, whose report goes to stdout.  An
 # audit or mapper search that would check nothing (no choices, no
-# trials) is refused.  The daemon refuses a socket under a missing
-# directory and a negative admission limit before it serves anything,
-# and the daemon and client refuse a port outside 0..65535.
+# trials) is refused, and so is a solve deadline that is not a positive
+# number (NaN would never trip, zero quarantines every pair): the
+# option parser rejects it with exit 124 before any work.  The daemon
+# refuses a socket under a missing directory and a negative admission
+# limit before it serves anything, and the daemon and client refuse a
+# port outside 0..65535.  A client whose daemon is not there names the
+# socket it could not connect to.
 set -u
 
 cli=$1
@@ -37,6 +41,8 @@ for args in \
     "codesign --layer resnet-2 --node 1e-160" \
     "optimize --layer resnet-2 --max-choices 1 --node 1e154" \
     "pipeline --pipeline alexnet --max-choices 0" \
+    "optimize --layer resnet-2 --max-choices 1 --solve-deadline-ms nan" \
+    "optimize --layer resnet-2 --max-choices 1 --solve-deadline-ms 0" \
     "audit --layer resnet-2 --pes 0" \
     "audit --node 0" \
     "audit --layer resnet-2 --max-choices 0" \
@@ -53,7 +59,8 @@ for args in \
     "optimize --layer resnet-2 --max-choices 2 --metrics missing/metrics.json" \
     "serve --socket missing/dir/sock" \
     "serve --socket s.sock --max-inflight=-1" \
-    "client metrics --port 70000"
+    "client metrics --port 70000" \
+    "client metrics --socket missing.sock"
 do
     echo "\$ thistle $args"
     # shellcheck disable=SC2086

@@ -142,24 +142,6 @@ let test_trace_independent () =
       "evaluate";
     ]
 
-(* Replaying a cached solve is bit-identical to re-solving (the replay
-   shares the representative's solution and copies its telemetry), so
-   switching dedup off must not change any result or counter other than
-   solver.cache_hits itself.  Warm starts are disabled on both sides to
-   isolate the dedup path. *)
-let test_dedupe_independent () =
-  let without name = List.filter (fun (k, _) -> k <> name) in
-  let cfg dedupe = { fast_config with O.dedupe; warm_start = false } in
-  let _, fps_on, counters_on = run ~config:(cfg true) ~jobs:4 ~trace:false () in
-  let _, fps_off, counters_off = run ~config:(cfg false) ~jobs:4 ~trace:false () in
-  Alcotest.(check (list string)) "dedupe on vs off: results" fps_on fps_off;
-  Alcotest.(check (list (pair string int)))
-    "dedupe on vs off: counters"
-    (without "solver.cache_hits" counters_on)
-    (without "solver.cache_hits" counters_off);
-  Alcotest.(check int) "dedupe off reports no hits" 0
-    (counter_value counters_off "solver.cache_hits")
-
 (* Warm starts change the Newton iteration path, so converged optima may
    differ from cold starts in low-order float bits — but never in which
    integer design point wins or (beyond solver tolerance) in the
@@ -259,7 +241,6 @@ let () =
           Alcotest.test_case "injected jobs-independent" `Quick
             test_injected_jobs_independent;
           Alcotest.test_case "trace-independent" `Quick test_trace_independent;
-          Alcotest.test_case "dedupe-independent" `Quick test_dedupe_independent;
           Alcotest.test_case "warm-start outcomes" `Quick test_warm_start_outcomes;
           Alcotest.test_case "presolve outcomes" `Quick test_presolve_outcomes;
         ] );

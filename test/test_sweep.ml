@@ -385,7 +385,8 @@ let with_temp_dir f =
     (fun () -> f dir)
 
 (* A directory given as a journal is an [Error] naming it once, for the
-   loader and the writer alike, never an exception. *)
+   loader and the writer alike, never an exception.  The writer's temp
+   file, next to the journal, is gone afterwards. *)
 let test_journal_directory () =
   with_temp_dir @@ fun dir ->
   let expect what = function
@@ -394,7 +395,12 @@ let test_journal_directory () =
       Alcotest.(check string) (what ^ " names the path once") (dir ^ ": Is a directory") msg
   in
   expect "load" (Journal.load dir);
-  expect "write_file" (Journal.write_file dir [ ok_entry ])
+  expect "write_file" (Journal.write_file dir [ ok_entry ]);
+  Alcotest.(check (list string))
+    "no temp file left" []
+    (List.filter
+       (String.starts_with ~prefix:(Filename.basename dir ^ ".tmp"))
+       (Array.to_list (Sys.readdir (Filename.dirname dir))))
 
 (* Runs shard [i] of [count] with its own journal. *)
 let shard_journal ?(sweep = energy) ~config ~dir ~count i =

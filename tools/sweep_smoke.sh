@@ -13,7 +13,8 @@
 #      pair's last entry is stale: the resume re-solves exactly those
 #      pairs, still prints the reference, and warns once, naming the
 #      journal and the stale count;
-#   5. journal compaction is idempotent;
+#   5. journal compaction is idempotent, and one killed part-way by a
+#      file-size limit leaves the journal byte-identical;
 #   6. three shards of a delay sweep under --comm-model overlapped
 #      resume into the unsharded report of the same model.
 set -eu
@@ -108,11 +109,21 @@ if [ "$(grep -c "stale entr" "$dir/stale.err")" != 1 ] ||
 fi
 
 # 5. `thistle journal compact` on an empty journal succeeds and leaves
-#    it empty; compacting an already-compacted journal is a no-op.
+#    it empty; compacting an already-compacted journal is a no-op.  A
+#    compaction killed part-way (here by a 1-block file-size limit,
+#    standing in for a full disk) must leave the journal as it was.
 : > "$dir/empty.jsonl"
 "$cli" journal compact "$dir/empty.jsonl" > /dev/null
 [ ! -s "$dir/empty.jsonl" ] || fail "compacting an empty journal produced bytes"
+cp "$dir/stale.jsonl" "$dir/stale.orig.jsonl"
+[ "$(wc -c < "$dir/stale.jsonl")" -gt 4096 ] || fail "stale.jsonl is too small to outgrow the limit"
+# The braces keep the shell's own "File size limit exceeded" report quiet.
+{ (ulimit -f 1 && "$cli" journal compact "$dir/stale.jsonl") > /dev/null 2>&1 || true; } 2> /dev/null
+cmp -s "$dir/stale.orig.jsonl" "$dir/stale.jsonl" ||
+    fail "journal compact killed by a file-size limit changed the journal"
 "$cli" journal compact "$dir/stale.jsonl" > /dev/null
+! cmp -s "$dir/stale.orig.jsonl" "$dir/stale.jsonl" ||
+    fail "journal compact left a journal with superseded entries unchanged"
 cp "$dir/stale.jsonl" "$dir/stale.once.jsonl"
 "$cli" journal compact "$dir/stale.jsonl" > /dev/null
 cmp -s "$dir/stale.once.jsonl" "$dir/stale.jsonl" || fail "journal compact is not idempotent"
