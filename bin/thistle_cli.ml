@@ -198,57 +198,16 @@ let base_config =
           ~doc:
             "Deterministic fault injection for exercising the quarantine machinery: \
              comma-separated $(b,seed=INT) and $(b,KIND@SITE[FILTER]=PROB) clauses, \
-             e.g. $(b,seed=7,crash@solve=0.2,stall@solve[resnet-2]=1).  Decisions \
-             are a pure function of the spec and the work item, never of time.")
+             e.g. $(b,seed=7,crash@solve=0.2,stall@solve[resnet-2]=1).  A crash \
+             fires at $(b,solve), $(b,integerize), $(b,layer) or $(b,serve), a stall \
+             at $(b,solve) only; a clause naming any other site is refused.  \
+             Decisions are a pure function of the spec and the work item, never of \
+             time.")
   in
   let build jobs solve_deadline_ms retries inject =
     { O.default_config with O.jobs; solve_deadline_ms; retries; inject }
   in
   Term.(const build $ jobs_arg $ deadline_arg $ retries_arg $ inject_arg)
-
-(* Sharding/journaling knobs (DESIGN §12) of the sweep-running
-   subcommands. *)
-let sweep_opts =
-  let shard_conv =
-    let parse s = Result.map_error (fun m -> `Msg m) (Sweep.Partition.parse s) in
-    let print ppf t = Format.pp_print_string ppf (Sweep.Partition.to_string t) in
-    Arg.conv (parse, print)
-  in
-  let shard_arg =
-    Arg.(
-      value
-      & opt shard_conv Sweep.Partition.full
-      & info [ "shard" ] ~docv:"I/N"
-          ~doc:
-            "Own only the $(docv)-th of $(i,N) round-robin slices of the \
-             (choice x placement) work-list (whole choices per shard, 1-based).  A \
-             shard solves, journals and reports its own pairs.  To recover the \
-             exact unsharded report, concatenate the shard journals (in any \
-             order) into one file and rerun the same command without \
-             $(b,--shard), with $(b,--journal) set to that file and $(b,--resume).")
-  in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Append every completed (solved or quarantined) pair to the JSONL \
-             completion journal $(docv) as it finishes, so a killed run can be \
-             resumed with $(b,--resume).")
-  in
-  let resume_arg =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Replay pairs recorded in $(b,--journal) (required) instead of re-solving \
-             them.  Entries whose fingerprint no longer matches the formulation and \
-             solver configuration are re-solved and re-journaled, with one warning \
-             naming the journal and their count.")
-  in
-  let build shard journal resume config = { config with O.shard; journal; resume } in
-  Term.(const build $ shard_arg $ journal_arg $ resume_arg)
 
 (* Communication-model knobs (DESIGN §16). *)
 let comm_opts =
@@ -284,9 +243,8 @@ let comm_opts =
   let build comm contention config = { config with O.comm; contention } in
   Term.(const build $ comm_arg $ contention_arg)
 
-(* [base_config] with each option group applied. *)
-let config_with groups =
-  List.fold_left (fun config group -> Term.(const ( |> ) $ config $ group)) base_config groups
+(* [base_config] with the communication-model options applied. *)
+let comm_config = Term.(const ( |> ) $ base_config $ comm_opts)
 
 let trace_arg =
   Arg.(
@@ -472,7 +430,7 @@ let optimize_cmd =
           setting).")
     Term.(
       const run $ setup_logs $ optimize_request $ emit_arg $ emit_code_arg
-      $ config_with [ sweep_opts; comm_opts ]
+      $ comm_config
       $ trace_arg $ metrics_out_arg)
 
 let codesign_cmd =
@@ -484,7 +442,7 @@ let codesign_cmd =
           layer under an area budget (Fig. 5 setting).")
     Term.(
       const run $ setup_logs $ codesign_request area_arg $ emit_arg $ emit_code_arg
-      $ config_with [ sweep_opts; comm_opts ]
+      $ comm_config
       $ trace_arg $ metrics_out_arg)
 
 let mapper_cmd =
@@ -725,45 +683,6 @@ let audit_cmd =
       const run $ setup_logs $ audit_layer_arg $ audit_max_choices_arg $ solve_arg
       $ arch_args $ node_arg $ jobs_arg)
 
-let journal_cmd =
-  let compact_cmd =
-    let files_arg =
-      Arg.(
-        non_empty & pos_all string []
-        & info [] ~docv:"JOURNAL"
-            ~doc:"Completion journals (JSONL) to compact in place.")
-    in
-    let run () files =
-      List.fold_left
-        (fun rc path ->
-          let counts =
-            let* entries = Sweep.Journal.load path in
-            let compacted = Sweep.Journal.compact entries in
-            let* () = Sweep.Journal.write_file path compacted in
-            Ok (List.length entries, List.length compacted)
-          in
-          match counts with
-          | Error msg ->
-            prerr_endline msg;
-            1
-          | Ok (before, after) ->
-            Printf.printf "%s: %d entries -> %d\n" path before after;
-            rc)
-        0 files
-    in
-    Cmd.v
-      (Cmd.info "compact"
-         ~doc:
-           "Rewrite completion journals in place to one line per pair — the last \
-            entry wins, exactly as $(b,--resume) replays them — dropping \
-            superseded and torn lines.  Resuming from a compacted journal is \
-            byte-identical to resuming from the original.")
-      Term.(const run $ setup_logs $ files_arg)
-  in
-  Cmd.group
-    (Cmd.info "journal" ~doc:"Completion-journal maintenance utilities.")
-    [ compact_cmd ]
-
 let pipeline_cmd =
   let run () request = run_traced request in
   Cmd.v
@@ -774,7 +693,7 @@ let pipeline_cmd =
     Term.(
       const run $ setup_logs
       $ pipeline_request (pipeline_opts (const P.default_opts.P.node_nm))
-      $ config_with [ comm_opts ]
+      $ comm_config
       $ trace_arg $ metrics_out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -929,7 +848,6 @@ let main =
       mapper_cmd;
       pipeline_cmd;
       audit_cmd;
-      journal_cmd;
       serve_cmd;
       client_cmd;
     ]

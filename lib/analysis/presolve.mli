@@ -97,5 +97,5 @@ val drop_margin : float
 val analyze : Gp.Problem.t -> t
 (** Run propagation to a fixed point and classify.  Deterministic: a
     pure function of the problem (constraint and term order included),
-    never of timing — the verdict enters journal fingerprinted state
-    and the §9 counter contract. *)
+    never of timing — the verdict decides which pairs the sweep solves
+    and enters the §9 counter contract. *)

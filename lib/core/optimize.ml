@@ -78,21 +78,13 @@ let m_quarantined = Obs.Metrics.counter "robust.quarantined"
 let m_retries = Obs.Metrics.counter "robust.retries"
 let m_deadline_hits = Obs.Metrics.counter "robust.deadline_hits"
 
-(* Sharded/resumable sweep counters (DESIGN §9/§12).  [sweep.pairs_solved]
-   counts physical solver invocations this run — zero on a resume from a
-   whole journal — while [solve_totals] keeps counting logical solves
-   (journal replays included) so reports stay identical. *)
-let m_journal_hits = Obs.Metrics.counter "sweep.journal_hits"
-let m_journal_stale = Obs.Metrics.counter "sweep.journal_stale"
-let m_pairs_solved = Obs.Metrics.counter "sweep.pairs_solved"
-
 (* Presolve counters (DESIGN §9/§13): the formulate stage's verdicts
-   over the owned pairs; [Off] leaves both at zero. *)
+   over the sweep's pairs; [Off] leaves both at zero. *)
 let m_presolve_pruned = Obs.Metrics.counter "presolve.pruned"
 let m_presolve_dropped = Obs.Metrics.counter "presolve.constraints_dropped"
 
 (* Communication-model counters (DESIGN §9/§16): per-link delay
-   constraints emitted across the owned pairs (a function of the nest,
+   constraints emitted across the sweep's pairs (a function of the nest,
    the objective and [config.comm]; zero under [Overlapped] or the
    Energy objective), and shortlisted integer outcomes whose binding
    resource is a link rather than compute. *)
@@ -115,14 +107,13 @@ let select_best ~score outcomes =
       | Some _ | None -> Some o)
     None outcomes
 
-(* Everything that can change a pair's journaled fate besides the
-   problem itself: solver tolerance and kernel, warm starts, the
-   deadline/retry/injection machinery.  Entering the pair fingerprint,
-   it versions the journal cache — change any of these and every
-   journal entry goes stale and is re-solved (DESIGN §12).  The
-   [dedupe=true] literal is no setting (the sweep solves every pair
-   once): it keeps the text every existing journal and serve-store
-   entry was fingerprinted with, so those entries stay valid. *)
+(* Everything that can change a pair's solve besides the problem
+   itself: solver tolerance and kernel, warm starts, the
+   deadline/retry/injection machinery.  It versions the serve store
+   (DESIGN §14) — change any of these and every stored answer misses.
+   The text never changes for the same settings: the [dedupe=true]
+   literal is no setting (the sweep solves every pair once), kept so
+   that every existing store entry stays valid. *)
 let config_fingerprint config =
   Printf.sprintf
     "v3|tol=%s|kernel=%s|warm=%b|dedupe=true|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
@@ -138,20 +129,18 @@ let config_fingerprint config =
        a different workload from [Off]'s. *)
     (Analysis.Presolve.mode_name config.presolve)
     (* The communication model changes the delay constraints a pair is
-       lowered with, so journaled fates of one model must never replay
-       under the other.  (For the Energy objective the GPs coincide, but
-       [problem_key] already keys that; entering the fingerprint keeps
-       the invalidation rule uniform.)  [contention] is excluded: it
-       never changes a solve, only evaluation-side scoring — it enters
-       {!request_key} instead. *)
+       lowered with.  (For the Energy objective the GPs coincide;
+       entering the fingerprint keeps the invalidation rule uniform.)
+       [contention] is excluded: it never changes a solve, only
+       evaluation-side scoring — it enters {!request_key} instead. *)
     (Archspec.Link.comm_model_name config.comm)
 
-(* Canonical structural key of a GP, the structural half of a journal
-   fingerprint: the exact coefficient and exponent bits of every term,
-   in formulation order, with constraint names excluded — the solver's
-   behavior depends on names only through the variable set, which the
-   exponent maps carry.  Programs with equal keys are the same
-   mathematical program. *)
+(* Canonical structural key of a GP: the exact coefficient and
+   exponent bits of every term, in formulation order, with constraint
+   names excluded — the solver's behavior depends on names only through
+   the variable set, which the exponent maps carry.  Programs with equal
+   keys are the same mathematical program.  The sweep never builds it:
+   perfbench's stage replay does, and it goes with that replay. *)
 let problem_key problem =
   let buf = Buffer.create 1024 in
   let fl v =
@@ -194,8 +183,9 @@ let problem_key problem =
    nest (dims, extents, tensors, projections) and the enumeration /
    integerization / lint configuration.  Solver behavior is versioned
    separately by {!config_fingerprint}; a result cache keys on both.
-   [jobs], [shard] and the journal fields are excluded — they never
-   change the report (the bit-identity contracts of §7/§12). *)
+   [jobs] is excluded — it never changes the report (the bit-identity
+   contract of §7) — and so are [shard], [journal] and [resume], which
+   [run] refuses unless they hold their defaults. *)
 let request_key ~config tech arch_mode objective nest =
   let buf = Buffer.create 512 in
   let add = Buffer.add_string buf in
@@ -264,7 +254,7 @@ let request_key ~config tech arch_mode objective nest =
        config.explore_placements);
   fl config.min_pe_utilization;
   add ("lint=" ^ Analysis.Lint.mode_name config.lint);
-  (* Unlike the journal fingerprint, contention belongs here: it changes
+  (* Unlike {!config_fingerprint}, contention belongs here: it changes
      the integerizer's candidate scoring, hence the served result. *)
   add
     (Printf.sprintf ";comm=%s;cont=%b"
@@ -277,10 +267,9 @@ let request_key ~config tech arch_mode objective nest =
 (* ------------------------------------------------------------------ *)
 
 (* [run] is Fig. 2's flow as a straight pipeline over one table with a
-   row per owned (choice, placement) pair:
+   row per (choice, placement) pair:
 
-     enumerate -> formulate -> seed -> solve -> certify -> integerize
-       -> select
+     enumerate -> formulate -> solve -> certify -> integerize -> select
 
    Each stage is a function of what the previous ones produced.  The
    parallel ones (formulate, the two solve waves, certify, integerize)
@@ -289,34 +278,25 @@ let request_key ~config tech arch_mode objective nest =
    the sweep is bit-identical for any [jobs].  The §9 counters are
    computed once, from the final table ({!feed_counters}). *)
 
-(* The work-list: pair [i] is [work.(i)] = (choice [i / nplac],
-   placement [i mod nplac]), in exact enumeration order.  Shard
-   membership and journal entries both speak this indexing, so shard
-   journals combine by concatenation (DESIGN §12). *)
+(* The work-list: pair [k] is [work.(k)] = (choice [k / nplac],
+   placement [k mod nplac]), in exact enumeration order. *)
 type sweep = {
   plan : Permutations.plan;
   work : ((Permutations.choice * Volume.t) * (string * float) list) array;
   nplac : int;
 }
 
-(* One owned pair as formulated: its global index, the instance, its
-   journal fingerprint ([None] unless the run journals), and the
-   presolve verdict that survived re-checking ([None] when presolve is
-   off, crashed or had its proof rejected).  The sweep keeps only the
-   verdict, not the propagated box. *)
-type pair = {
-  idx : int;
-  instance : Formulate.instance;
-  fp : string option;
-  pre : Analysis.Presolve.verdict option;
-}
+(* One pair as formulated: the instance and the presolve verdict that
+   survived re-checking ([None] when presolve is off, crashed or had its
+   proof rejected).  The sweep keeps only the verdict, not the
+   propagated box. *)
+type pair = { instance : Formulate.instance; pre : Analysis.Presolve.verdict option }
 
 (* How a pair's slot was produced. *)
 type source =
   | Solved_here of { warm : bool }
-      (* handed to the solver by this run, warm-started from its
-         choice's pinned solution or cold *)
-  | Journal_replay  (* replayed from a matching journal entry *)
+      (* handed to the solver, warm-started from its choice's pinned
+         solution or cold *)
   | Presolve_pruned  (* statically infeasible, never solved *)
 
 (* A pair's fate after the solve stage — a solution, the quarantining
@@ -335,18 +315,12 @@ type slot = {
 let slot ?(retries = 0) ?(deadline_hits = 0) s_source s_fate s_stats =
   { s_fate; s_stats; s_retries = retries; s_deadline_hits = deadline_hits; s_source }
 
-(* What is settled before any solve: the slot of a journal-replayed or
-   presolve-pruned pair, and whether the pair's journal entry went
-   stale (its fingerprint no longer matches, so the pair is re-solved). *)
-type seed = { seeded : slot option; stale : bool }
-
 (* A shortlisted pair's integerization: a design point, no surviving
    integer candidate, or the failure that quarantined it. *)
 type integerized = ((Integerize.outcome, string) result, Robust.failure) result
 
 type row = {
   pair : pair;
-  journal_stale : bool;
   slot : slot;
   usable : Gp.Solver.solution option;  (* the certified solution *)
   integerized : integerized option;  (* shortlisted rows only *)
@@ -420,10 +394,12 @@ let presolve_disagreements instance (t : Analysis.Presolve.t)
     in
     escaped @ active
 
-(* Configurations [run] refuses outright. *)
+(* Configurations [run] refuses outright: sweeps are not sharded,
+   journaled or resumed (DESIGN §12), so no caller may believe one was. *)
 let check_config config =
-  if config.resume && config.journal = None then
-    Error "optimize: resume requires a journal to replay (--journal FILE)"
+  if config.shard <> Sweep.Partition.full || config.journal <> None || config.resume then
+    Error "optimize: sweeps are not sharded, journaled or resumed (shard, journal and \
+           resume must keep their defaults)"
   else Ok ()
 
 let enumerate config nest =
@@ -467,8 +443,7 @@ let presolve_of config instance =
         None)
     | { Analysis.Presolve.verdict; _ } -> Some verdict)
 
-(* Stage formulate: formulate, lint and presolve every owned pair, and
-   fingerprint it when the run journals.
+(* Stage formulate: formulate, lint and presolve every pair.
    The pairs are independent — Formulate.build shares no mutable state.
    A lint rejection aborts the whole sweep: every pair of one layer
    shares the formulation code, so one malformed instance means the
@@ -478,11 +453,10 @@ let presolve_of config instance =
 exception Unformulable of string
 
 let formulate ~config ~jobs tech arch_mode objective sweep =
-  let config_fp = Option.map (fun _ -> config_fingerprint config) config.journal in
   match
     Exec.Par.map ~jobs
-      (fun idx ->
-        let choice_vol, placement = sweep.work.(idx) in
+      (fun k ->
+        let choice_vol, placement = sweep.work.(k) in
         let instance =
           Obs.Trace.span "formulate" (fun () ->
               match
@@ -493,16 +467,8 @@ let formulate ~config ~jobs tech arch_mode objective sweep =
               | exception Invalid_argument msg -> raise (Unformulable msg))
         in
         Analysis.Lint.gate config.lint (Formulate.lint instance);
-        let fp =
-          Option.map
-            (fun config ->
-              Sweep.Journal.fingerprint ~config
-                ~problem_key:(problem_key instance.Formulate.problem))
-            config_fp
-        in
-        { idx; instance; fp; pre = presolve_of config instance })
-      (Sweep.Partition.pair_indices config.shard ~nplac:sweep.nplac
-         ~npairs:(Array.length sweep.work))
+        { instance; pre = presolve_of config instance })
+      (List.init (Array.length sweep.work) Fun.id)
   with
   | pairs -> Ok (Array.of_list pairs)
   | exception Unformulable msg -> Error ("optimize: cannot formulate " ^ msg)
@@ -510,71 +476,6 @@ let formulate ~config ~jobs tech arch_mode objective sweep =
     Error
       (Printf.sprintf "optimize: lint rejected formulation: %s"
          (Analysis.Diagnostic.summary diags))
-
-(* The journal's append channel, opened before {!seed} reads the file so
-   that a path which cannot be journaled (a directory, a missing parent)
-   fails the run before any solve. *)
-let open_journal config =
-  match config.journal with
-  | None -> Ok None
-  | Some path -> (
-    match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-    | oc -> Ok (Some oc)
-    | exception Sys_error m -> Error ("optimize: cannot open journal " ^ m))
-
-(* Stage seed: settle what the journal and presolve can before any
-   solve.  A resume replays a pair's journal entry only while its
-   fingerprint — (problem key, {!config_fingerprint}) — still matches;
-   the last entry per pair wins, since a re-run may have appended a
-   fresh entry for a pair whose earlier one had gone stale.  This is
-   also how shards combine: their journals, concatenated in any order,
-   resume into the unsharded sweep, since pair indices are global.  A
-   statically infeasible pair gets its fate here, with all-zero stats
-   because no solver ran. *)
-let seed ~config pairs =
-  let entries = Hashtbl.create 64 in
-  (match config.journal with
-  | Some path when config.resume -> (
-    match Sweep.Journal.load_existing path with
-    | Error msg ->
-      Log.warn (fun m -> m "journal %s unreadable, resuming nothing: %s" path msg)
-    | Ok es ->
-      List.iter (fun (e : Sweep.Journal.entry) -> Hashtbl.replace entries e.pair e) es)
-  | Some _ | None -> ());
-  let seeds =
-    Array.map
-      (fun p ->
-        match Hashtbl.find_opt entries p.idx with
-        | Some e when Option.equal String.equal (Some e.Sweep.Journal.fingerprint) p.fp ->
-          let seeded =
-            slot ~retries:e.Sweep.Journal.retries
-              ~deadline_hits:e.Sweep.Journal.deadline_hits Journal_replay
-              e.Sweep.Journal.fate e.Sweep.Journal.stats
-          in
-          { seeded = Some seeded; stale = false }
-        | entry ->
-          let seeded =
-            match p.pre with
-            | Some (Analysis.Presolve.Infeasible proof) ->
-              Some
-                (slot Presolve_pruned (Sweep.Journal.Pruned proof) (Gp.Solver.fresh_stats ()))
-            | Some (Analysis.Presolve.Feasible _) | None -> None
-          in
-          { seeded; stale = Option.is_some entry })
-      pairs
-  in
-  (* A stale entry was journaled under another formulation or solver
-     configuration — a shard run with different flags, say.  It is
-     re-solved like a missing one, but not silently. *)
-  (match (config.journal, Array.fold_left (fun n s -> if s.stale then n + 1 else n) 0 seeds) with
-  | Some path, stale when stale > 0 ->
-    Log.warn (fun m ->
-        m "journal %s: %d stale entr%s (journaled under a different formulation \
-           or solver configuration), re-solving"
-          path stale
-          (if stale = 1 then "y" else "ies"))
-  | _ -> ());
-  seeds
 
 (* One pair's guarded solve, retried per [config.retries] (DESIGN §11).
 
@@ -634,44 +535,25 @@ let solve_pair ~config ?warm_start pair =
   in
   attempt 0 ~dh:0
 
-(* Stage solve: two waves, each pair solved once.
+(* Stage solve: a presolve-pruned pair gets its slot first, with
+   all-zero stats because no solver runs; then two waves, each remaining
+   pair solved once.
 
    Wave 1 solves the pinned-placement pair of every choice cold.  Wave 2
    solves the remaining placements, warm-starting each from its own
-   choice's pinned solution — which wave 1 always provides.  Seeded
-   pairs are never re-solved.  Wave membership and warm-start sources
-   are functions of the enumeration order alone, never of timing or
-   worker count.
-
-   Every pair this run settles — pruned or solved — is appended to
-   [journal] as it finishes, under a mutex and flushed per entry, so a
-   killed run loses at most the pairs still in flight. *)
-let solve ~config ~jobs ~journal sweep pairs seeds =
-  let slots = Array.map (fun s -> s.seeded) seeds in
-  let mutex = Mutex.create () in
-  let emit k slot =
-    let p = pairs.(k) in
-    match (journal, p.fp) with
-    | Some oc, Some fingerprint ->
-      let entry =
-        {
-          Sweep.Journal.pair = p.idx;
-          fingerprint;
-          provenance = p.instance.Formulate.provenance;
-          fate = slot.s_fate;
-          stats = slot.s_stats;
-          retries = slot.s_retries;
-          deadline_hits = slot.s_deadline_hits;
-        }
-      in
-      Mutex.protect mutex (fun () -> Sweep.Journal.append_line oc entry)
-    | _ -> ()
+   choice's pinned solution, which wave 1 settled.  Wave membership and
+   warm-start sources are functions of the enumeration order alone,
+   never of timing or worker count. *)
+let solve ~config ~jobs sweep pairs =
+  let slots =
+    Array.map
+      (fun p ->
+        match p.pre with
+        | Some (Analysis.Presolve.Infeasible proof) ->
+          Some (slot Presolve_pruned (Sweep.Journal.Pruned proof) (Gp.Solver.fresh_stats ()))
+        | Some (Analysis.Presolve.Feasible _) | None -> None)
+      pairs
   in
-  Array.iteri
-    (fun k -> function
-      | Some ({ s_source = Presolve_pruned; _ } as slot) -> emit k slot
-      | Some _ | None -> ())
-    slots;
   let wave positions ~warm_of =
     let members =
       List.filter_map
@@ -680,26 +562,19 @@ let solve ~config ~jobs ~journal sweep pairs seeds =
     in
     let solved =
       Exec.Par.map ~jobs
-        (fun (k, warm_start) ->
-          let slot = solve_pair ~config ?warm_start pairs.(k) in
-          emit k slot;
-          slot)
+        (fun (k, warm_start) -> solve_pair ~config ?warm_start pairs.(k))
         members
     in
     List.iter2 (fun (k, _) slot -> slots.(k) <- Some slot) members solved
   in
   let pinned, others =
-    List.partition
-      (fun k -> Sweep.Partition.is_pinned ~nplac:sweep.nplac pairs.(k).idx)
-      (List.init (Array.length pairs) Fun.id)
+    List.partition (fun k -> k mod sweep.nplac = 0) (List.init (Array.length pairs) Fun.id)
   in
   wave pinned ~warm_of:(fun _ -> None);
-  (* Shards own whole choices, so a pair's pinned pair sits [placement]
-     rows above it in the table. *)
   wave others ~warm_of:(fun k ->
       if not config.warm_start then None
       else
-        match slots.(k - Sweep.Partition.placement_of ~nplac:sweep.nplac pairs.(k).idx) with
+        match slots.(k - (k mod sweep.nplac)) with
         | Some { s_fate = Sweep.Journal.Solved sol; _ }
           when sol.Gp.Solver.status <> Gp.Solver.Infeasible && sol.Gp.Solver.values <> []
           ->
@@ -717,7 +592,7 @@ let solve ~config ~jobs ~journal sweep pairs seeds =
 
 (* Stage certify: gate every pair's solution through {!usable_solution}
    in parallel.  Quarantined and pruned pairs pass through. *)
-let certify ~jobs pairs seeds slots =
+let certify ~jobs pairs slots =
   Array.of_list
     (Exec.Par.map ~jobs
        (fun k ->
@@ -729,7 +604,7 @@ let certify ~jobs pairs seeds slots =
              ->
              None
          in
-         { pair; journal_stale = seeds.(k).stale; slot; usable; integerized = None })
+         { pair; slot; usable; integerized = None })
        (List.init (Array.length pairs) Fun.id))
 
 (* Table positions of the certified rows with their solutions, best
@@ -780,10 +655,9 @@ let solve_totals table =
 (* Every §9 counter of one sweep, computed once from its final table in
    enumeration order — never bumped from inside a parallel stage — so
    the values are functions of the workload and configuration alone
-   (the Obs.Metrics determinism contract).  [solver.*] counts logical
-   solves, journal replays included, as the report's [solve_totals]
-   does; [sweep.pairs_solved] counts the pairs this run handed to the
-   solver. *)
+   (the Obs.Metrics determinism contract).  [solver.*] counts solves
+   as the report's [solve_totals] does: one per solved pair, its final
+   attempt. *)
 let feed_counters table =
   let rows = Array.to_list table in
   let count p = List.length (List.filter p rows) in
@@ -800,13 +674,6 @@ let feed_counters table =
   Obs.Metrics.add m_chol_fallbacks t.Gp.Solver.t_cholesky_fallbacks;
   Obs.Metrics.observe_max g_gap t.Gp.Solver.max_duality_gap;
   Obs.Metrics.add m_warm_starts (count (from (Solved_here { warm = true })));
-  Obs.Metrics.add m_journal_hits (count (from Journal_replay));
-  Obs.Metrics.add m_journal_stale (count (fun r -> r.journal_stale));
-  Obs.Metrics.add m_pairs_solved
-    (count (fun r ->
-         match r.slot.s_source with
-         | Solved_here _ -> true
-         | Journal_replay | Presolve_pruned -> false));
   Obs.Metrics.add m_presolve_pruned
     (count (fun r ->
          match r.pair.pre with
@@ -932,13 +799,8 @@ let run ?(config = default_config) tech arch_mode objective nest =
   let* () = check_config config in
   let sweep = enumerate config nest in
   let* pairs = formulate ~config ~jobs tech arch_mode objective sweep in
-  let* journal = open_journal config in
-  let seeds = seed ~config pairs in
-  let slots =
-    Fun.protect ~finally:(fun () -> Option.iter close_out_noerr journal) @@ fun () ->
-    solve ~config ~jobs ~journal sweep pairs seeds
-  in
-  let table = integerize ~config ~jobs tech (certify ~jobs pairs seeds slots) in
+  let slots = solve ~config ~jobs sweep pairs in
+  let table = integerize ~config ~jobs tech (certify ~jobs pairs slots) in
   feed_counters table;
   select sweep objective nest table
 

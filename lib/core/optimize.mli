@@ -105,37 +105,15 @@ type config = {
           function of (seed, kind, site, provenance, attempt), never of
           time, so injected runs stay bit-identical across [jobs]. *)
   shard : Sweep.Partition.t;
-      (** which slice of the (choice x placement) work-list this run
-          owns (default {!Sweep.Partition.full}).  Shards partition by
-          {e whole choices} so every warm-start source is shard-local;
-          a shard run formulates, solves, journals and reports only its
-          own pairs.  The globally best design point comes from
-          concatenating the shard journals (in any order) and resuming
-          the unsharded sweep from them, which replays every pair and
-          re-runs ranking and integerization over the full set,
-          byte-identical to an unsharded run. *)
-  journal : string option;
-      (** append-only JSONL completion journal (default [None]).  Every
-          pair completed by this run — solved, pruned or quarantined —
-          is appended as it finishes and flushed, so a killed run loses
-          at most the pairs still in flight.  Entry order in a parallel
-          run is timing-dependent; entry {e content} is a function of
-          the workload and configuration alone (DESIGN §12).  {!run}
-          returns [Error] when the file cannot be opened for append. *)
+      (** must stay {!Sweep.Partition.full}: sweeps are not sharded
+          (DESIGN §12). *)
+  journal : string option;  (** must stay [None]: sweeps are not journaled. *)
   resume : bool;
-      (** replay journal entries instead of re-solving (default
-          [false]; requires [journal] — {!run} returns [Error] for
-          [resume] without one).  An entry is replayed only when
-          its fingerprint — {!Sweep.Journal.fingerprint} of the pair's
-          {!problem_key} and this config's solver fingerprint, computed
-          only when [journal] is set — still
-          matches, so stale pairs (changed formulation, tolerance,
-          kernel, retry or injection policy) are re-solved and
-          re-journaled, with one warning naming the journal and the
-          number of stale entries.  When a pair has several entries the
-          last one wins.  [sweep.journal_hits] / [sweep.journal_stale]
-          count the two cases; [sweep.pairs_solved] counts physical
-          solves this run. *)
+      (** must stay [false].  {!run} returns [Error] for any other value
+          of these three fields, so no caller believes it sharded,
+          journaled or resumed a sweep.  They stay only because
+          perfbench's stage replay checks them, and go with that replay,
+          as [dedupe] will. *)
 }
 
 val default_config : config
@@ -150,25 +128,24 @@ val select_best : score:('a -> float) -> 'a list -> 'a option
     list contains nothing finite; [None] only for the empty list. *)
 
 val config_fingerprint : config -> string
-(** The solver-behavior fingerprint entering every journal entry's
-    {!Sweep.Journal.fingerprint}: tolerance, kernel, warm starts,
+(** The solver-behavior fingerprint the serve store keys on, with
+    {!request_key} (DESIGN §14): tolerance, kernel, warm starts,
     deadline/retry/injection settings, presolve mode and the
-    communication model (the lowering changes the GP, so journaled fates
-    of one model never replay under the other; [contention] is excluded
-    — it never changes a solve).  Changing any of them invalidates
-    journaled pairs on the next resume.  It still prints [dedupe=true],
-    whatever [dedupe] holds, so fingerprints written before the sweep
-    stopped deduplicating stay valid.  Exposed for tests; the format is
-    not a stability guarantee. *)
+    communication model (the lowering changes the GP; [contention] is
+    excluded — it never changes a solve).  Changing any of them makes
+    every stored answer miss.  Its text is fixed for given settings: it
+    still prints [dedupe=true], whatever [dedupe] holds, so store
+    entries written by earlier releases stay valid.  Exposed for tests;
+    the format is not a stability guarantee. *)
 
 val problem_key : Gp.Problem.t -> string
-(** Canonical structural key of a program, the structural half of a
-    journal fingerprint: the exact coefficient and exponent bits of every
-    term in formulation order, with constraint names excluded (the
-    solver sees names only through the variable set, which the exponent
-    maps carry).  Two problems with equal keys are the same mathematical
-    program.  The sweep builds it only when it writes a journal.  Exposed
-    for tests; the key format is not a stability guarantee. *)
+(** Canonical structural key of a program: the exact coefficient and
+    exponent bits of every term in formulation order, with constraint
+    names excluded (the solver sees names only through the variable set,
+    which the exponent maps carry).  Two problems with equal keys are the
+    same mathematical program.  The sweep never builds it; it stays for
+    perfbench's stage replay and goes with it.  Exposed for tests; the
+    key format is not a stability guarantee. *)
 
 val request_key :
   config:config ->
@@ -187,8 +164,9 @@ val request_key :
     enumeration/integerization/lint knob that shapes the report —
     including [comm] and [contention].  Solver
     behavior is versioned separately by {!config_fingerprint}; a result
-    cache must key on both.  [jobs]/[shard]/[journal]/[resume] are
-    excluded — they never change the report.  Exposed for the serve
+    cache must key on both.  [jobs] is excluded — it never changes the
+    report — and so are [shard]/[journal]/[resume], which {!run}
+    refuses unless they hold their defaults.  Exposed for the serve
     store and tests; the format is not a stability guarantee. *)
 
 val usable_solution : Formulate.instance -> Gp.Solver.solution -> bool
@@ -216,8 +194,8 @@ type report = {
       (** solver telemetry summed over {e every} GP solve of the sweep,
           feasible or not, accumulated in deterministic enumeration
           order.  For retried pairs only the final attempt's stats are
-          counted — one logical solve per pair, as for journal replays;
-          [robust.retries] counts the extra attempts. *)
+          counted — one solve per pair; [robust.retries] counts the
+          extra attempts. *)
   failures : Robust.failure list;
       (** quarantined pairs (crashed or deadline-exceeded solves, crashed
           integerizations) in enumeration order — solve-stage failures
@@ -228,8 +206,7 @@ type report = {
           infeasibility proof) — empty unless [config.presolve = Prune].
           Every proof was re-verified by
           {!Analysis.Certificate.check_prune} before the pair was
-          pruned, and is journaled with the pair so audits can re-check
-          it offline. *)
+          pruned, and is reported so audits can re-check it. *)
 }
 
 val run :

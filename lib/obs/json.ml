@@ -33,17 +33,14 @@ let field name v b =
   Buffer.add_char b ':';
   v b
 
-let seq opening closing vs b =
-  Buffer.add_char b opening;
+let obj fields b =
+  Buffer.add_char b '{';
   List.iteri
     (fun i v ->
       if i > 0 then Buffer.add_char b ',';
       v b)
-    vs;
-  Buffer.add_char b closing
-
-let obj fields = seq '{' '}' fields
-let arr vs = seq '[' ']' vs
+    fields;
+  Buffer.add_char b '}'
 
 let to_string w =
   let b = Buffer.create 256 in
@@ -58,15 +55,14 @@ let of_bits s =
   | None -> failwith (Printf.sprintf "bad float bits %S" s)
 
 (* ------------------------------------------------------------------ *)
-(* Parsing — the subset the writers above emit: objects, arrays,      *)
-(* strings and signed integers.  Floats never appear as JSON numbers  *)
+(* Parsing — the subset the writers above emit: objects, strings and  *)
+(* signed integers.  Floats never appear as JSON numbers              *)
 (* in round-tripped payloads (they travel as IEEE-754 bit strings),   *)
 (* so the grammar stays integer-only on purpose.                      *)
 (* ------------------------------------------------------------------ *)
 
 type value =
   | Obj of (string * value) list
-  | Arr of value list
   | Str of string
   | Int of int
 
@@ -147,9 +143,6 @@ let parse_exn s =
     | '{' ->
       incr pos;
       obj []
-    | '[' ->
-      incr pos;
-      arr []
     | '"' -> Str (string_lit ())
     | '-' | '0' .. '9' -> number ()
     | c -> bad "unexpected %C at offset %d" c !pos
@@ -173,24 +166,6 @@ let parse_exn s =
         incr pos;
         Obj (List.rev ((k, v) :: acc))
       | c -> bad "expected ',' or '}' at offset %d, got %C" !pos c
-    end
-  and arr acc =
-    skip_ws ();
-    if peek () = ']' then begin
-      incr pos;
-      Arr (List.rev acc)
-    end
-    else begin
-      let v = value () in
-      skip_ws ();
-      match peek () with
-      | ',' ->
-        incr pos;
-        arr (v :: acc)
-      | ']' ->
-        incr pos;
-        Arr (List.rev (v :: acc))
-      | c -> bad "expected ',' or ']' at offset %d, got %C" !pos c
     end
   and number () =
     let start = !pos in

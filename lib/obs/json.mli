@@ -1,9 +1,8 @@
 (** Minimal JSON writing and reading shared by the trace and metrics
-    exports, the sweep journal, the serve protocol and its store.
+    exports, the serve protocol and its store.
 
-    The values serialized are small (strings, numbers, objects and
-    arrays), so a few combinators over [Buffer] suffice, without a JSON
-    library.  Numbers are printed with enough digits to round-trip
+    The values serialized are small (strings, numbers and objects), so a
+    few combinators over [Buffer] suffice, without a JSON library.  Numbers are printed with enough digits to round-trip
     ([%.17g] for non-integral floats), and non-finite floats — which raw
     JSON cannot represent — are emitted as the strings ["inf"], ["-inf"]
     and ["nan"]. *)
@@ -33,30 +32,26 @@ val field : string -> writer -> writer
 val obj : writer list -> writer
 (** [{f1,...,fn}], commas inserted. *)
 
-val arr : writer list -> writer
-
 val to_string : writer -> string
 
 (** {2 Hex floats}
 
-    Floats that must round-trip exactly (journal entries, wire payloads,
-    fingerprints) travel as their IEEE-754 bit patterns in lowercase hex
+    Floats that must round-trip exactly (wire payloads, fingerprints and
+    keys) travel as their IEEE-754 bit patterns in lowercase hex
     ([%Lx]), so every value, NaN payloads included, survives. *)
 
 val bits : float -> string
 
 (** {2 Parsing}
 
-    A parser for exactly the subset the writers above emit — objects,
-    arrays, strings and signed integers.  Floats that must round-trip
-    exactly (journal entries, wire payloads) travel as IEEE-754 bit
-    patterns inside strings, so JSON-number floats, booleans and [null]
-    are deliberately outside the grammar.  Shared by the sweep journal
-    decoder and the serve wire protocol. *)
+    A parser for exactly the subset the serve protocol and store emit —
+    objects, strings and signed integers.  Floats that must round-trip
+    exactly (wire payloads) travel as IEEE-754 bit patterns inside
+    strings, so JSON-number floats, arrays, booleans and [null] are
+    deliberately outside the grammar. *)
 
 type value =
   | Obj of (string * value) list
-  | Arr of value list
   | Str of string
   | Int of int
 

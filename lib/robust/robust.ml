@@ -94,6 +94,12 @@ module Inject = struct
 
   let stall t ~site ~provenance ~attempt = decide t ~kind:`Stall ~site ~provenance ~attempt
 
+  (* The sites a rule of each kind can fire at: every guarded site
+     crashes, and only the solver reads a stall. *)
+  let sites = function
+    | `Crash -> [ "solve"; "integerize"; "layer"; "serve" ]
+    | `Stall -> [ "solve" ]
+
   let parse_clause clause =
     let clause = String.trim clause in
     match String.index_opt clause '=' with
@@ -134,6 +140,11 @@ module Inject = struct
             Error (Printf.sprintf "inject: probability %s is outside [0, 1]" rhs)
           | Ok kind, Some prob ->
             if site = "" then Error (Printf.sprintf "inject: clause %S has no site" clause)
+            else if not (List.mem site (sites kind)) then
+              Error
+                (Printf.sprintf
+                   "inject: clause %S never fires (crash sites: %s; stall site: %s)" clause
+                   (String.concat ", " (sites `Crash)) (String.concat ", " (sites `Stall)))
             else Ok (`Rule { kind; site; filter; prob })
       end
 

@@ -19,7 +19,9 @@
     consumes both lives in {!Optimize}. *)
 
 type failure = {
-  site : string;  (** which guarded stage failed: ["solve"], ["integerize"], ["layer"] *)
+  site : string;
+      (** which guarded stage failed: ["solve"], ["integerize"], ["layer"],
+          ["serve"] *)
   provenance : string;  (** the instance/layer identity, e.g. {!Formulate.instance.provenance} *)
   exn : string;  (** [Printexc.to_string] of the caught exception, or a synthetic tag *)
   backtrace : string;  (** raw backtrace text; may be empty when recording is off *)
@@ -42,8 +44,9 @@ val now_ns : unit -> float
 val hash64 : string -> int64
 (** A stable 64-bit string hash: FNV-1a with murmur3's 64-bit
     finalizer.  It does not depend on the compiler's [Hashtbl.hash], so
-    injection draws and journal fingerprints are the same in every
-    build, and a one-character change flips the whole word. *)
+    injection draws and the serve store's entry names
+    ({!Serve.Store.digest}) are the same in every build, and a
+    one-character change flips the whole word. *)
 
 exception Injected_fault of string
 (** Raised by {!guard} when the injection config fires a crash at the
@@ -83,9 +86,12 @@ module Inject : sig
       KIND   ::= "crash" | "stall"
       v}
 
-      [SITE] is a guarded-site name ([solve], [integerize], [layer]);
-      [FILTER] restricts the rule to provenances containing it as a
-      substring; [PROB] is a float in [0, 1].  Example:
+      [SITE] is a guarded site the rule can fire at: a crash at
+      [solve], [integerize], [layer] or [serve], a stall at [solve] only
+      (the one site that reads a stall).  Any other site is an [Error],
+      so a typo cannot make an injected run pass without injecting
+      anything.  [FILTER] restricts the rule to provenances containing
+      it as a substring; [PROB] is a float in [0, 1].  Example:
       ["seed=7,crash@solve=0.2,stall@solve[resnet-2]=1"]. *)
 
   val to_string : t -> string

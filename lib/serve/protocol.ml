@@ -65,9 +65,8 @@ let describe = function
 (* Encoding                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Floats travel as IEEE-754 bit patterns in hex ({!J.bits}), like
-   journal entries, so requests re-encode byte-identically and NaN
-   payloads survive. *)
+(* Floats travel as IEEE-754 bit patterns in hex ({!J.bits}), so
+   requests re-encode byte-identically and NaN payloads survive. *)
 let opts_fields o =
   let open J in
   [

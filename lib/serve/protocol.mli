@@ -1,9 +1,9 @@
 (** The serve wire protocol: request/response payloads and their JSON
     codec (DESIGN §14).
 
-    Payloads are the {!Obs.Json} subset — objects, arrays, strings,
-    signed integers — with floats travelling as IEEE-754 bit patterns in
-    hex strings (the journal's convention), so every request re-encodes
+    Payloads are the {!Obs.Json} subset — objects, strings, signed
+    integers — with floats travelling as IEEE-754 bit patterns in hex
+    strings ({!Obs.Json.bits}), so every request re-encodes
     to the same bytes and cache keys derived from decoded requests are
     exact.  Every payload carries a ["v"] field; a version mismatch is a
     decode error, never a guess. *)

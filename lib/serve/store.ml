@@ -13,10 +13,42 @@ let mkdir_p dir =
   in
   go dir
 
+(* Whether process [pid] exists: [kill pid 0] fails with [ESRCH] only
+   when it does not ([EPERM] means another user's live process). *)
+let running pid =
+  match Unix.kill pid 0 with
+  | () -> true
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+  | exception Unix.Unix_error _ -> true
+
+(* A daemon killed between a put's write and its rename leaves its
+   [.tmp-PID-SEQ] file behind.  Daemons may share a store, so only the
+   temp files of processes that are no longer running are removed. *)
+let remove_stale_temps root =
+  let digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
+  let stale name =
+    match String.split_on_char '-' name with
+    | [ ".tmp"; pid; seq ] when digits pid && digits seq -> (
+      match int_of_string_opt pid with
+      | Some pid -> pid > 0 && not (running pid)
+      | None -> false)
+    | _ -> false
+  in
+  match Sys.readdir root with
+  | names ->
+    Array.iter
+      (fun name ->
+        if stale name then try Sys.remove (Filename.concat root name) with Sys_error _ -> ())
+      names
+  | exception Sys_error _ -> ()
+
 let open_ root =
   match mkdir_p root with
   | () ->
-    if Sys.is_directory root then Ok { root }
+    if Sys.is_directory root then begin
+      remove_stale_temps root;
+      Ok { root }
+    end
     else Error (Printf.sprintf "store: %s is not a directory" root)
   | exception Unix.Unix_error (e, _, _) ->
     Error (Printf.sprintf "store: cannot create %s: %s" root (Unix.error_message e))
@@ -24,7 +56,7 @@ let open_ root =
 let root t = t.root
 
 let digest ~config ~request_key =
-  Sweep.Journal.fingerprint ~config ~problem_key:request_key
+  Printf.sprintf "%016Lx" (Robust.hash64 (config ^ "\x00" ^ request_key))
 
 let entry_path t ~config ~request_key =
   let d = digest ~config ~request_key in

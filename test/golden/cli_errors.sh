@@ -9,20 +9,20 @@
 # short of that passes the resolver, but a scaled constant times the
 # layer's MAC count overflows: the formulate stage refuses the pair,
 # naming it and the coefficient, and the CLI exits 1; the audit refuses
-# such a node the same way.  The journal
-# errors name a directory (.) or a missing file as a journal, and the
-# output errors a file (/dev/null) as the --emit directory or a missing
-# directory for --emit-code, --trace or --metrics: each exits 1 with a
-# message naming the path once, never an uncaught exception.  The
-# output errors come after the solve, whose report goes to stdout.  An
-# audit or mapper search that would check nothing (no choices, no
-# trials) is refused, and so is a solve deadline that is not a positive
-# number (NaN would never trip, zero quarantines every pair): the
-# option parser rejects it with exit 124 before any work.  The daemon
-# refuses a socket under a missing directory and a negative admission
-# limit before it serves anything, and the daemon and client refuse a
-# port outside 0..65535.  A client whose daemon is not there names the
-# socket it could not connect to.
+# such a node the same way.  The output errors name a file (/dev/null)
+# as the --emit directory or a missing directory for --emit-code,
+# --trace or --metrics: each exits 1 with a message naming the path
+# once, never an uncaught exception.  The output errors come after the
+# solve, whose report goes to stdout.  An audit or mapper search that
+# would check nothing (no choices, no trials) is refused, and so is a
+# solve deadline that is not a positive number (NaN would never trip,
+# zero quarantines every pair) or an injection rule that can never fire
+# (an unclosed filter makes the site "solve[", and only the solver reads
+# a stall): the option parser rejects them with exit 124 before any
+# work.  The daemon refuses a socket under a missing directory and a
+# negative admission limit before it serves anything, and the daemon
+# and client refuse a port outside 0..65535.  A client whose daemon is
+# not there names the socket it could not connect to.
 set -u
 
 cli=$1
@@ -43,16 +43,14 @@ for args in \
     "pipeline --pipeline alexnet --max-choices 0" \
     "optimize --layer resnet-2 --max-choices 1 --solve-deadline-ms nan" \
     "optimize --layer resnet-2 --max-choices 1 --solve-deadline-ms 0" \
+    "optimize --layer resnet-2 --max-choices 1 --inject crash@solve[=0.5" \
+    "optimize --layer resnet-2 --max-choices 1 --inject stall@integerize=1" \
     "audit --layer resnet-2 --pes 0" \
     "audit --node 0" \
     "audit --layer resnet-2 --max-choices 0" \
     "audit --layer resnet-2 --max-choices 1 --node 1e152" \
     "mapper --layer resnet-2 --trials 0" \
     "mapper --layer resnet-2 --victory 0" \
-    "optimize --layer resnet-2 --max-choices 4 --journal ." \
-    "optimize --layer resnet-2 --max-choices 4 --journal . --resume" \
-    "journal compact ." \
-    "journal compact missing.jsonl" \
     "optimize --layer resnet-2 --max-choices 2 --emit /dev/null" \
     "optimize --layer resnet-2 --max-choices 2 --emit-code missing/code.txt" \
     "optimize --layer resnet-2 --max-choices 2 --trace missing/trace.jsonl" \

@@ -1,14 +1,12 @@
 (* Deterministic telemetry of the golden sweeps.
 
-   Runs five capped resnet-2 sweeps in process and prints, per sweep,
+   Runs four capped resnet-2 sweeps in process and prints, per sweep,
    every registered counter (the Obs.Metrics.counters slice) and the
    [solver.max_duality_gap] gauge as an exact hex float:
 
    - the two report goldens: `optimize --max-choices 8` on the default
      Eyeriss architecture, and the capacity-starved edge architecture
-     (--pes 32 --regs 16 --sram 4096) under the delay objective, the
-     latter journaled;
-   - `--resume` of the edge sweep from that journal;
+     (--pes 32 --regs 16 --sram 4096) under the delay objective;
    - `codesign --max-choices 8` at the Eyeriss area;
    - the fault-injected sweep of the @robust smoke.
 
@@ -53,25 +51,15 @@ let print_counters title run =
   | Some _ | None -> ()
 
 let () =
-  let journal = Filename.temp_file "thistle-counters" ".jsonl" in
-  Sys.remove journal;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists journal then Sys.remove journal)
-    (fun () ->
-      print_counters "optimize" (fun () ->
-          O.dataflow ~config:(config 8) tech eyeriss F.Energy nest);
-      let edge_config = { (config 8) with O.journal = Some journal } in
-      print_counters "optimize edge delay" (fun () ->
-          O.dataflow ~config:edge_config tech edge F.Delay nest);
-      print_counters "optimize edge delay --resume" (fun () ->
-          O.dataflow ~config:{ edge_config with O.resume = true } tech edge F.Delay nest);
-      print_counters "codesign" (fun () ->
-          O.codesign ~config:(config 8) tech ~area_budget:(Arch.eyeriss_area tech)
-            F.Energy nest);
-      let inject =
-        Result.get_ok (Robust.Inject.parse "seed=11,crash@solve=0.3,stall@solve=0.2")
-      in
-      print_counters "optimize injected" (fun () ->
-          O.dataflow
-            ~config:{ (config 4) with O.inject; retries = 1 }
-            tech eyeriss F.Energy nest))
+  print_counters "optimize" (fun () ->
+      O.dataflow ~config:(config 8) tech eyeriss F.Energy nest);
+  print_counters "optimize edge delay" (fun () ->
+      O.dataflow ~config:(config 8) tech edge F.Delay nest);
+  print_counters "codesign" (fun () ->
+      O.codesign ~config:(config 8) tech ~area_budget:(Arch.eyeriss_area tech) F.Energy
+        nest);
+  let inject =
+    Result.get_ok (Robust.Inject.parse "seed=11,crash@solve=0.3,stall@solve=0.2")
+  in
+  print_counters "optimize injected" (fun () ->
+      O.dataflow ~config:{ (config 4) with O.inject; retries = 1 } tech eyeriss F.Energy nest)

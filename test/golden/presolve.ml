@@ -12,8 +12,8 @@
    edge architecture under Delay, which has pruned pairs; and co-design
    at the Eyeriss area.
 
-   Proof bounds reach the journals and the reduced program reaches the
-   solver, so a presolve change must keep these bits.  Captured before
+   Proof bounds reach the report's pruned pairs and the reduced program
+   reaches the solver, so a presolve change must keep these bits.  Captured before
    presolve moved onto its index-based lowering.
 
    Usage: presolve.exe *)

@@ -16,9 +16,15 @@
    regularizations); the capacity-starved edge architecture under
    Delay (an infeasible pair); and co-design at the Eyeriss area.
 
-   Reports round their floats, and the sweep goldens solve presolved
-   programs under the compiled kernel only, so this is the golden that
-   pins both kernels' solve bits.
+   Then the programs the sweep itself solves, in three of its settings
+   at max_choices 8 (co-design Energy, Eyeriss Delay, edge Delay): each
+   pair is presolved and, unless pruned, its reduced program is solved
+   by the compiled kernel by the sweep's rule — the pinned placement
+   cold, the others warm from its solution.  A pair whose infeasibility
+   proof checks prints [pruned].
+
+   Reports round their floats, so this is the golden that pins both
+   kernels' solve bits and the bits of the solutions the sweep ranks.
 
    Usage: solves.exe *)
 
@@ -70,6 +76,52 @@ let solve ?warm_start ?initial_reg kernel problem =
 
 let kernels = [ ("compiled", `Compiled); ("list", `List) ]
 
+(* What the sweep solves for one program: [None] when presolve prunes
+   it with a proof that checks, else the reduced program (or the
+   program itself when presolve crashes or its proof is rejected). *)
+let presolved problem =
+  match Analysis.Presolve.analyze problem with
+  | exception _ -> Some problem
+  | { Analysis.Presolve.verdict = Analysis.Presolve.Feasible red; _ } ->
+    Some red.Analysis.Presolve.reduced
+  | { Analysis.Presolve.verdict = Analysis.Presolve.Infeasible proof; _ } -> (
+    match Analysis.Certificate.check_prune problem proof with
+    | Ok () -> None
+    | Error _ -> Some problem)
+
+let sweep_settings =
+  [
+    ("codesign energy", F.Codesign { area_budget = Arch.eyeriss_area tech }, F.Energy);
+    ("eyeriss delay", F.Fixed eyeriss, F.Delay);
+    ("edge delay", F.Fixed edge, F.Delay);
+  ]
+
+let print_sweep_solves (name, mode, objective) =
+  let plan = Perm.enumerate ~max_choices:8 nest in
+  Printf.printf "== %s, presolve-reduced, max-choices 8\n" name;
+  List.iteri
+    (fun c choice ->
+      let warm_start = ref None in
+      List.iteri
+        (fun p placement ->
+          let label = Printf.sprintf "choice %d placement %d reduced" c p in
+          match
+            presolved
+              (F.build ~placement ~comm:Archspec.Link.Comm_aware tech mode objective plan
+                 choice)
+                .F.problem
+          with
+          | None -> Printf.printf "%s: pruned\n" label
+          | Some problem ->
+            let sol, st = solve ?warm_start:!warm_start `Compiled problem in
+            print_solve
+              (Printf.sprintf "%s %s" label (if !warm_start = None then "cold" else "warm"))
+              sol st;
+            if p = 0 && sol.S.status <> S.Infeasible && sol.S.values <> [] then
+              warm_start := Some sol.S.values)
+        plan.Perm.placements)
+    plan.Perm.choices
+
 let () =
   List.iter
     (fun (name, mode, objective, max_choices) ->
@@ -105,4 +157,5 @@ let () =
                 kernels)
             plan.Perm.placements)
         plan.Perm.choices)
-    settings
+    settings;
+  List.iter print_sweep_solves sweep_settings

@@ -145,7 +145,7 @@ let test_jobs_determinism () =
         (run 4 = run 1))
     [ "resnet-2"; "yolo-2" ]
 
-(* The dedup key must identify programs by their mathematics alone:
+(* The problem key must identify programs by their mathematics alone:
    renaming constraints keeps the key, perturbing any coefficient or
    exponent changes it. *)
 let test_problem_key () =
@@ -206,6 +206,30 @@ let test_config_knobs () =
   let config = { O.default_config with O.max_choices = 2; top_choices = 1 } in
   let r = get (O.dataflow ~config tech arch F.Energy nest) in
   Alcotest.(check bool) "choices capped" true (r.O.choices_enumerated <= 2)
+
+(* Sweeps are not sharded, journaled or resumed: [run] refuses a
+   non-default value of any of the three fields with one message, before
+   any work, so no caller believes it sharded or journaled a sweep. *)
+let test_refuses_shard_journal_resume () =
+  let nest = small_conv () in
+  let journal = Filename.temp_file "thistle-refused" ".jsonl" in
+  Sys.remove journal;
+  List.iter
+    (fun (field, config) ->
+      match O.run ~config tech (F.Fixed arch) F.Energy nest with
+      | Ok _ -> Alcotest.failf "a non-default %s must be refused" field
+      | Error msg ->
+        Alcotest.(check string)
+          field
+          "optimize: sweeps are not sharded, journaled or resumed (shard, journal and \
+           resume must keep their defaults)"
+          msg)
+    [
+      ("shard", { fast with O.shard = { Sweep.Partition.index = 1; count = 2 } });
+      ("journal", { fast with O.journal = Some journal });
+      ("resume", { fast with O.resume = true });
+    ];
+  Alcotest.(check bool) "no journal written" false (Sys.file_exists journal)
 
 (* Enumeration is one stage of a request: a traced run records it as
    exactly one span, at any [jobs]. *)
@@ -268,6 +292,8 @@ let () =
           Alcotest.test_case "matmul workload" `Quick test_matmul_workload;
           Alcotest.test_case "infeasible arch" `Quick test_infeasible_arch;
           Alcotest.test_case "config knobs" `Quick test_config_knobs;
+          Alcotest.test_case "refuses shard, journal and resume" `Quick
+            test_refuses_shard_journal_resume;
           Alcotest.test_case "problem key" `Quick test_problem_key;
           Alcotest.test_case "nan ordering" `Quick test_nan_ordering;
           Alcotest.test_case "select best vs nan" `Quick test_select_best_nan;

@@ -50,6 +50,12 @@ let test_parse_errors () =
       "crash@solve=nan";
       "seed=x";
       "crash_solve=0.3";
+      (* Rules that can never fire: an unknown site (a typo, or an
+         unclosed filter, which leaves the site "solve["), and a stall
+         at a site that never reads one. *)
+      "crash@Solve=1";
+      "crash@solve[=0.5";
+      "stall@integerize=1";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -81,14 +87,15 @@ let test_decide_deterministic_and_calibrated () =
   Alcotest.(check bool) "attempt re-rolls" true differs
 
 let test_decide_site_kind_filter () =
-  let t = inject_of "seed=1,crash@solve[l-large]=1,stall@integerize=1" in
+  let t = inject_of "seed=1,crash@solve[l-large]=1,stall@solve[l-small]=1" in
   let crash site prov = Robust.Inject.crash t ~site ~provenance:prov ~attempt:0 in
   let stall site prov = Robust.Inject.stall t ~site ~provenance:prov ~attempt:0 in
   Alcotest.(check bool) "filter match fires" true (crash "solve" "l-large energy");
   Alcotest.(check bool) "filter mismatch silent" false (crash "solve" "l-small energy");
   Alcotest.(check bool) "other site silent" false (crash "integerize" "l-large energy");
-  Alcotest.(check bool) "other kind honored" true (stall "integerize" "anything");
-  Alcotest.(check bool) "stall on solve silent" false (stall "solve" "l-large energy");
+  Alcotest.(check bool) "other kind honored" true (stall "solve" "l-small energy");
+  Alcotest.(check bool) "stall at other site silent" false
+    (stall "integerize" "l-small energy");
   Alcotest.(check bool) "none never fires" false
     (Robust.Inject.crash Robust.Inject.none ~site:"solve" ~provenance:"p" ~attempt:0)
 
@@ -113,8 +120,8 @@ let test_guard_catches () =
       (contains ~sub:"s failed" (Robust.describe f))
 
 let test_guard_injected_crash () =
-  let inject = inject_of "seed=1,crash@s=1" in
-  match Robust.guard ~inject ~site:"s" ~provenance:"p" (fun () -> 1) with
+  let inject = inject_of "seed=1,crash@layer=1" in
+  match Robust.guard ~inject ~site:"layer" ~provenance:"p" (fun () -> 1) with
   | Ok _ -> Alcotest.fail "expected injected failure"
   | Error f ->
     Alcotest.(check bool) "injected exn" true (contains ~sub:"Injected_fault" f.Robust.exn)

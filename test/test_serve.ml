@@ -232,7 +232,45 @@ let test_store_failed_put_cleans_up () =
   (match Store.put store ~config ~request_key "payload" with
   | () -> Alcotest.fail "a put over a directory must fail"
   | exception (Unix.Unix_error _ | Sys_error _) -> ());
-  Alcotest.(check (list string)) "no temp file left" [] (temp_files dir)
+  Alcotest.(check (list string)) "no temp file left" [] (temp_files dir);
+  (* A writer killed between write and rename leaves its temp file; the
+     next open removes it once its PID no longer runs.  Daemons may
+     share a store, so the temp files of this process and of a live one
+     (this test's parent) stay. *)
+  let dead_pid =
+    let pid = Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout Unix.stderr in
+    ignore (Unix.waitpid [] pid);
+    pid
+  in
+  let leftover pid = Printf.sprintf ".tmp-%d-0" pid in
+  List.iter
+    (fun pid -> close_out (open_out (Filename.concat dir (leftover pid))))
+    [ dead_pid; Unix.getpid (); Unix.getppid () ];
+  ignore (Result.get_ok (Store.open_ dir));
+  Alcotest.(check (list string))
+    "only the dead writer's temp file removed"
+    (List.sort compare [ leftover (Unix.getpid ()); leftover (Unix.getppid ()) ])
+    (List.sort compare (temp_files dir))
+
+(* Entry names.  The digest keeps the value stores have always been
+   written under, so an existing store stays valid; it is deterministic,
+   16 hex digits, and changes with the config, the request key and the
+   boundary between them. *)
+let test_store_digest () =
+  let base = Store.digest ~config:"cfg-a" ~request_key:"key-a" in
+  Alcotest.(check string) "pinned" "79cafc5bb4dc8315" base;
+  Alcotest.(check string) "deterministic" base
+    (Store.digest ~config:"cfg-a" ~request_key:"key-a");
+  Alcotest.(check int) "16 hex digits" 16 (String.length base);
+  Alcotest.(check bool) "hex" true
+    (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) base);
+  Alcotest.(check bool) "config changes digest" true
+    (base <> Store.digest ~config:"cfg-b" ~request_key:"key-a");
+  Alcotest.(check bool) "request key changes digest" true
+    (base <> Store.digest ~config:"cfg-a" ~request_key:"key-b");
+  (* the separator keeps (config, key) unambiguous *)
+  Alcotest.(check bool) "boundary matters" true
+    (Store.digest ~config:"ab" ~request_key:"c" <> Store.digest ~config:"a" ~request_key:"bc")
 
 (* ------------------------------------------------------------------ *)
 (* Request keys: the arch-name collision regression                   *)
@@ -762,6 +800,7 @@ let () =
             test_store_corruption_is_a_miss;
           Alcotest.test_case "failed put leaves no temp file" `Quick
             test_store_failed_put_cleans_up;
+          Alcotest.test_case "digest sensitivity" `Quick test_store_digest;
         ] );
       ( "request-key",
         [
