@@ -101,7 +101,7 @@ let parse_args () =
 type measurement = {
   wall_s : float;  (** best over repeats, whole layer set *)
   wall_mean_s : float;  (** mean over repeats *)
-  solves : int;  (** logical GP solves (replayed duplicates included) *)
+  solves : int;  (** GP solves, one per pair of the sweep *)
   newton_steps : int;
   objective_sum : float;  (** sum of best continuous objectives, sanity *)
   pruned : int;  (** pairs skipped by presolve (0 with presolve off) *)

@@ -111,12 +111,12 @@ let select_best ~score outcomes =
    itself: solver tolerance and kernel, warm starts, the
    deadline/retry/injection machinery.  It versions the serve store
    (DESIGN §14) — change any of these and every stored answer misses.
-   The text never changes for the same settings: the [dedupe=true]
-   literal is no setting (the sweep solves every pair once), kept so
-   that every existing store entry stays valid. *)
+   The leading version is bumped whenever the same settings compute a
+   different served body, the [solver:] line's step counts included, so
+   that an entry written by an older binary never replays as a hit. *)
 let config_fingerprint config =
   Printf.sprintf
-    "v3|tol=%s|kernel=%s|warm=%b|dedupe=true|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
+    "v4|tol=%s|kernel=%s|warm=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
     (Obs.Json.bits config.gp_tol)
     (match config.gp_kernel with `Compiled -> "compiled" | `List -> "list")
     config.warm_start

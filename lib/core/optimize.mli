@@ -133,10 +133,11 @@ val config_fingerprint : config -> string
     deadline/retry/injection settings, presolve mode and the
     communication model (the lowering changes the GP; [contention] is
     excluded — it never changes a solve).  Changing any of them makes
-    every stored answer miss.  Its text is fixed for given settings: it
-    still prints [dedupe=true], whatever [dedupe] holds, so store
-    entries written by earlier releases stay valid.  Exposed for tests;
-    the format is not a stability guarantee. *)
+    every stored answer miss, and so does a bump of its leading version,
+    made whenever the same settings compute a different served body
+    (the [solver:] line's counts included).  [dedupe] does not enter it:
+    the sweep solves every pair once.  Exposed for tests; the format is
+    not a stability guarantee. *)
 
 val problem_key : Gp.Problem.t -> string
 (** Canonical structural key of a program: the exact coefficient and

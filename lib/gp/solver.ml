@@ -407,7 +407,16 @@ let compiled_kernel (lo : Batch.lowered) problem =
    be strictly feasible.  Newton steps with a backtracking (Armijo) line
    search that keeps the iterate strictly feasible; the loop stops when
    the Newton decrement lambda^2 / 2 drops below 1e-10, when no step
-   makes progress, or after 80 steps. *)
+   makes progress, when a candidate rounds back to the iterate, or
+   after 80 steps.
+
+   A candidate alpha * dy + y equal to [y] in every bit ends the
+   centering at [y] without evaluating it.  Halving alpha only shrinks
+   each alpha * dy_i toward 0, and rounding is monotone, so every later
+   candidate is [y] too: the search would either accept [y] itself,
+   after which the next Newton step repeats this one up to the step
+   cap, or run out of halvings.  Both end at this [y].  The bits are
+   compared, so a zero of the other sign never matches. *)
 let centering ph ~st ~initial_reg ~barrier_t y0 =
   let n = Vec.dim y0 in
   let y = Vec.copy y0 and cand = Vec.create n in
@@ -437,6 +446,15 @@ let centering ph ~st ~initial_reg ~barrier_t y0 =
     done;
     if !ok then Some (merit (ph.obj_value c)) else None
   in
+  (* [cand] equals [y] in every bit. *)
+  let rounds_back () =
+    let rec same i =
+      i >= n
+      || Int64.equal (Int64.bits_of_float cand.(i)) (Int64.bits_of_float y.(i))
+         && same (i + 1)
+    in
+    same 0
+  in
   let converged = ref false in
   let iter = ref 0 in
   while (not !converged) && !iter < 80 do
@@ -465,6 +483,8 @@ let centering ph ~st ~initial_reg ~barrier_t y0 =
                for i = 0 to n - 1 do
                  cand.(i) <- (alpha *. dy.(i)) +. y.(i)
                done;
+               (not (rounds_back ()))
+               &&
                match merit_at cand with
                | Some v when v <= phi0 +. (0.25 *. alpha *. slope) -> true
                | _ ->
@@ -473,7 +493,10 @@ let centering ph ~st ~initial_reg ~barrier_t y0 =
              end
         in
         if search 1.0 60 then Array.blit cand 0 y 0 n
-        else converged := true (* cannot make progress; accept the point *)
+        else
+          (* No step makes progress, or the step rounds back to [y]:
+             accept the point. *)
+          converged := true
       end
   done;
   y

@@ -6,6 +6,11 @@
     standard two-phase barrier method then follows: phase I finds a
     strictly feasible point (or a certificate of infeasibility), phase II
     traces the central path with equality-constrained Newton steps.
+    Each centering takes Newton steps under a halving Armijo line search
+    and ends at the first of: a Newton decrement [λ²/2 < 1e-10]; a step
+    that no halving makes acceptable; a candidate that rounds back to
+    the iterate in every bit (every smaller step would too, so the
+    iterate is kept without evaluating it); or 80 steps.
 
     The barrier method is written once: the lowering of the equality
     rows and their least-norm start (a warm start projected onto them),

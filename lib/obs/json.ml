@@ -1,5 +1,7 @@
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+type writer = Buffer.t -> unit
+
+let str s b =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -11,13 +13,6 @@ let escape s =
       | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
-  Buffer.contents b
-
-type writer = Buffer.t -> unit
-
-let str s b =
-  Buffer.add_char b '"';
-  Buffer.add_string b (escape s);
   Buffer.add_char b '"'
 
 let int i b = Buffer.add_string b (string_of_int i)

@@ -7,18 +7,14 @@
     JSON cannot represent — are emitted as the strings ["inf"], ["-inf"]
     and ["nan"]. *)
 
-val escape : string -> string
-(** JSON string escaping of the bytes of the argument (quotes, backslash,
-    control characters); the result does not include the surrounding
-    quotes. *)
-
 (** A JSON value as a writer that appends it to a buffer, so nested
     values compose without naming the buffer:
     [to_string (obj [ field "v" (int 1) ])] is [{"v":1}]. *)
 type writer = Buffer.t -> unit
 
 val str : string -> writer
-(** A quoted, escaped JSON string. *)
+(** A quoted JSON string: quotes, backslashes and control characters of
+    the argument's bytes are escaped. *)
 
 val int : int -> writer
 

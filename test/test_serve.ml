@@ -272,6 +272,16 @@ let test_store_digest () =
   Alcotest.(check bool) "boundary matters" true
     (Store.digest ~config:"ab" ~request_key:"c" <> Store.digest ~config:"a" ~request_key:"bc")
 
+(* The store's other key half, pinned for the default config: its text
+   changes only on purpose, with a version bump whenever the same
+   settings compute a different served body (the [solver:] line's
+   counts included), so an older daemon's entries never replay. *)
+let test_config_fingerprint_pinned () =
+  Alcotest.(check string)
+    "default config"
+    "v4|tol=3eb0c6f7a0b5ed8d|kernel=compiled|warm=true|deadline=none|retries=1|inject=seed=0|presolve=prune|comm=comm"
+    (O.config_fingerprint O.default_config)
+
 (* ------------------------------------------------------------------ *)
 (* Request keys: the arch-name collision regression                   *)
 (* ------------------------------------------------------------------ *)
@@ -801,6 +811,8 @@ let () =
           Alcotest.test_case "failed put leaves no temp file" `Quick
             test_store_failed_put_cleans_up;
           Alcotest.test_case "digest sensitivity" `Quick test_store_digest;
+          Alcotest.test_case "config fingerprint pinned" `Quick
+            test_config_fingerprint_pinned;
         ] );
       ( "request-key",
         [
