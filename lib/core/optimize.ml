@@ -467,7 +467,8 @@ let formulate ~config ~jobs tech arch_mode objective sweep =
               | exception Invalid_argument msg -> raise (Unformulable msg))
         in
         Analysis.Lint.gate config.lint (Formulate.lint instance);
-        { instance; pre = presolve_of config instance })
+        let pre = Obs.Trace.span "analysis.presolve" (fun () -> presolve_of config instance) in
+        { instance; pre })
       (List.init (Array.length sweep.work) Fun.id)
   with
   | pairs -> Ok (Array.of_list pairs)
@@ -599,7 +600,9 @@ let certify ~jobs pairs slots =
          let pair = pairs.(k) and slot = slots.(k) in
          let usable =
            match slot.s_fate with
-           | Sweep.Journal.Solved sol when usable_solution pair.instance sol -> Some sol
+           | Sweep.Journal.Solved sol
+             when Obs.Trace.span "analysis.certify" (fun () -> usable_solution pair.instance sol) ->
+             Some sol
            | Sweep.Journal.Solved _ | Sweep.Journal.Quarantined _ | Sweep.Journal.Pruned _
              ->
              None

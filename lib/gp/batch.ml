@@ -16,6 +16,7 @@ type fn = {
   f_lin_const : float;
   f_b : float array;
   f_single : bool;
+  f_mirror : bool;
 }
 
 type cols = { c_starts : int array; c_idx : int array; c_val : float array }
@@ -40,6 +41,19 @@ let merged_support lists =
   let s = Array.of_seq (Seq.map fst (Hashtbl.to_seq tbl)) in
   Array.sort compare s;
   s
+
+(* Whether every term [starts.(k) .. starts.(k+1) - 1] uses at most one
+   exponent magnitude other than 1 (see [lse_eval_into]). *)
+let mirrored starts coef =
+  let ok = ref true in
+  for k = 0 to Array.length starts - 2 do
+    let other = ref 1.0 in
+    for p = starts.(k) to starts.(k + 1) - 1 do
+      let c = Float.abs coef.(p) in
+      if c <> 1.0 then if !other = 1.0 then other := c else if c <> !other then ok := false
+    done
+  done;
+  !ok
 
 (* Terms are lists of (index, exponent) entries, strictly ascending by
    index, so the sparse dot products accumulate in the same order as the
@@ -83,6 +97,7 @@ let fn_of_sparse n ~b sparse =
     f_lin_const = 0.0;
     f_b = b;
     f_single = nterms = 1 && Float.is_finite (cmax *. cmax);
+    f_mirror = mirrored starts coef;
   }
 
 let fn_of_posynomial n index p =
@@ -110,6 +125,7 @@ let affine entries const =
     f_lin_const = const;
     f_b = [||];
     f_single = false;
+    f_mirror = true;
   }
 
 let minus_slack n f =
@@ -137,14 +153,41 @@ let compress ~keep zcols =
     c_val = Array.of_list (List.map snd entries);
   }
 
+(* The last two row sets [nullspace] saw on this domain with their
+   bases, most recent first.  Every pair of a layer lowers to the same
+   equality rows, so a sweep computes its phase-II and phase-I bases
+   once each.  [Mat.nullspace_basis] is a pure function of the rows,
+   which are compared bit for bit (a zero of the other sign is another
+   row set), and a basis is never written after it is built. *)
+let recent : (int * Vec.t array * basis) list Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> [])
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
 let nullspace n rows =
-  let zcols = Mat.nullspace_basis n rows in
-  {
-    z_n = n;
-    z_q = Array.length zcols;
-    z_sparse = compress ~keep:(fun v -> v <> 0.0) zcols;
-    z_full = compress ~keep:(fun _ -> true) zcols;
-  }
+  let memo = Domain.DLS.get recent in
+  let hit (n', rows', _) =
+    n = n' && Array.length rows = Array.length rows' && Array.for_all2 same_bits rows rows'
+  in
+  match List.find_opt hit memo with
+  | Some (_, _, z) -> z
+  | None ->
+    let zcols = Mat.nullspace_basis n rows in
+    let z =
+      {
+        z_n = n;
+        z_q = Array.length zcols;
+        z_sparse = compress ~keep:(fun v -> v <> 0.0) zcols;
+        z_full = compress ~keep:(fun _ -> true) zcols;
+      }
+    in
+    let keep = match memo with [] -> [] | last :: _ -> [ last ] in
+    Domain.DLS.set recent ((n, Array.map Array.copy rows, z) :: keep);
+    z
 
 let lower problem =
   let vars = Problem.variables problem in
@@ -251,7 +294,20 @@ let value f ~es y =
   if f.f_lin_const <> 0.0 then v +. f.f_lin_const else v
 
 (* The general log-sum-exp part of [eval_into], with the exponents
-   already in [es]; the support of [grad] and [hess] is zeroed. *)
+   already in [es]; the support of [grad] and [hess] is zeroed.
+
+   Hessian entry (i, j) sums the terms' [(p *. a_i) *. a_j] in term
+   order, then adds [-.(g_i *. g_j)].  Both loops walk the upper
+   triangle (i <= j: a term's indices ascend, like the support) and
+   write each lower entry in the same pass.  Where [f_mirror] holds, the
+   lower entry is a copy of the upper one: a term uses at most one
+   exponent magnitude other than 1, so either [a_i] or [a_j] is +-1 and
+   both products are +-[(p *. a)] for the other, or [|a_i| = |a_j|] and
+   both are the same two multiplications up to sign; and
+   [g_j *. g_i = g_i *. g_j].  A product that one walk skips, because
+   its [p *. a] is zero, is a signed zero in the other, which never
+   changes a sum that started at [+0.0].  Elsewhere the lower entry
+   accumulates its own products [(p *. a_j) *. a_i]. *)
 let lse_eval_into f ~es ~grad ~hess ~hn =
   let support = f.f_support in
   let ns = Array.length support in
@@ -286,26 +342,40 @@ let lse_eval_into f ~es ~grad ~hess ~hn =
     let last = Array.unsafe_get f.f_starts (k + 1) - 1 in
     for q = first to last do
       let i = Array.unsafe_get f.f_idx q in
-      let pai = p *. Array.unsafe_get f.f_coef q in
+      let ai = Array.unsafe_get f.f_coef q in
+      let pai = p *. ai in
       if pai <> 0.0 then begin
         let base = i * hn in
-        for r = first to last do
+        for r = q to last do
           let o = base + Array.unsafe_get f.f_idx r in
           Array.unsafe_set hess o
             (Array.unsafe_get hess o +. (pai *. Array.unsafe_get f.f_coef r))
         done
-      end
+      end;
+      if not f.f_mirror then
+        for r = q + 1 to last do
+          let paj = p *. Array.unsafe_get f.f_coef r in
+          if paj <> 0.0 then begin
+            let o = (Array.unsafe_get f.f_idx r * hn) + i in
+            Array.unsafe_set hess o (Array.unsafe_get hess o +. (paj *. ai))
+          end
+        done
     done
   done;
   for a = 0 to ns - 1 do
     let i = Array.unsafe_get support a in
     let gi = Array.unsafe_get grad i in
     let base = i * hn in
-    for bj = 0 to ns - 1 do
+    for bj = a to ns - 1 do
       let j = Array.unsafe_get support bj in
+      let d = -.(gi *. Array.unsafe_get grad j) in
       let o = base + j in
-      Array.unsafe_set hess o
-        (Array.unsafe_get hess o +. -.(gi *. Array.unsafe_get grad j))
+      let h = Array.unsafe_get hess o +. d in
+      Array.unsafe_set hess o h;
+      if bj > a then begin
+        let o' = (j * hn) + i in
+        Array.unsafe_set hess o' (if f.f_mirror then h else Array.unsafe_get hess o' +. d)
+      end
     done
   done;
   v

@@ -10,19 +10,19 @@
     [Solver.solve ~kernel:`Compiled] compiles every problem it solves.
 
     {b Bit-identity contract.}  For finite arguments, {!value} and
-    {!eval_into} execute the same floating-point operations in the same
-    order as {!Smooth.log_sum_exp} on the equivalent dense term list
-    [(a_k, log c_k)] (the list kernel's lowering), skipping only
-    operations whose operand is an exact zero and whose result is
-    provably bit-identical to not performing them (adding [+0.0]/[-0.0]
-    to partial sums that start at [+0.0] and can never become [-0.0]).
-    Values, gradients and Hessians — of the phase-I images [f(y) - s]
-    too — are therefore bit-for-bit equal to the list kernel's;
-    test/test_compiled.ml pins this with unit cases and QCheck
-    properties.  The nullspace basis ({!Mat.nullspace_basis}) is a pure
-    function of the exponents.  The nullspace products {!reduce} and
-    {!expand} are bit-identical to the dense loops over the full index
-    range, for any input. *)
+    {!eval_into} return the same results bit for bit as
+    {!Smooth.log_sum_exp} on the equivalent dense term list
+    [(a_k, log c_k)] (the list kernel's lowering).  Every sum adds the
+    same addends in the same order from [+0.0]; an addend is skipped
+    only where it is an exact (signed) zero, which never changes such a
+    sum, and a Hessian entry is copied from its mirror only where the
+    two are the same products ([f_mirror]).  Values, gradients and
+    Hessians — of the phase-I images [f(y) - s] too — are therefore
+    bit-for-bit equal to the list kernel's; test/test_compiled.ml pins
+    this with unit cases and QCheck properties.  The nullspace basis
+    ({!Mat.nullspace_basis}) is a pure function of the exponents.  The
+    nullspace products {!reduce} and {!expand} are bit-identical to the
+    dense loops over the full index range, for any input. *)
 
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
@@ -49,6 +49,10 @@ type fn = {
       (** one term, and every product of two of its exponents is finite:
           wherever the term's exponent is finite, {!value} and
           {!eval_into} take the affine shortcut *)
+  f_mirror : bool;
+      (** every term uses at most one exponent magnitude other than 1:
+          {!eval_into} accumulates the Hessian's upper triangle and
+          copies it to the lower one *)
 }
 
 (** Column-compressed storage of [q] basis columns: column [j]'s stored
@@ -94,7 +98,10 @@ val minus_slack : int -> fn -> fn
 
 val nullspace : int -> Vec.t array -> basis
 (** [nullspace n rows] is {!Mat.nullspace_basis}[ n rows] in both
-    views. *)
+    views.  Each domain keeps the bases of the last two row sets it was
+    asked for and returns the kept basis when [n] and every bit of
+    [rows] match, so the pairs of one sweep, which share their equality
+    rows, share their phase-II and phase-I bases. *)
 
 (** {1 Flat evaluation primitives}
 

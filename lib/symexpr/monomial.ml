@@ -15,19 +15,46 @@ let check_exp who (x, a) =
     invalid_arg
       (Printf.sprintf "Monomial.%s: exponent of %s must be finite (got %g)" who x a)
 
+let rec strictly_sorted = function
+  | (x, _) :: ((y, _) :: _ as rest) -> String.compare x y < 0 && strictly_sorted rest
+  | _ -> true
+
 (* Checks the merged exponents, so a sum that overflows is refused like
-   a non-finite input. *)
+   a non-finite input.  Strictly sorted input has nothing to sort or
+   merge. *)
 let normalize who exps =
-  let sorted = List.sort (fun (x, _) (y, _) -> String.compare x y) exps in
-  (* Merge duplicate variables by adding exponents, then drop zeros. *)
-  let rec merge = function
-    | (x, a) :: (y, b) :: rest when String.equal x y -> merge ((x, a +. b) :: rest)
-    | pair :: rest -> pair :: merge rest
-    | [] -> []
+  let merged =
+    if strictly_sorted exps then exps
+    else begin
+      let sorted = List.sort (fun (x, _) (y, _) -> String.compare x y) exps in
+      (* Merge duplicate variables by adding exponents. *)
+      let rec merge = function
+        | (x, a) :: (y, b) :: rest when String.equal x y -> merge ((x, a +. b) :: rest)
+        | pair :: rest -> pair :: merge rest
+        | [] -> []
+      in
+      merge sorted
+    end
   in
-  let merged = merge sorted in
   List.iter (check_exp who) merged;
-  List.filter (fun (_, a) -> a <> 0.0) merged
+  if List.exists (fun (_, a) -> a = 0.0) merged then List.filter (fun (_, a) -> a <> 0.0) merged
+  else merged
+
+(* [normalize who (a @ b)] for two normalized exponent lists, in one
+   pass: a variable in both gets [a +. b], checked in name order like
+   [normalize]'s, and is dropped at zero. *)
+let rec merge_normalized who a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | ((x, ea) as pa) :: ra, ((y, eb) as pb) :: rb ->
+    let c = String.compare x y in
+    if c < 0 then pa :: merge_normalized who ra b
+    else if c > 0 then pb :: merge_normalized who a rb
+    else begin
+      let e = ea +. eb in
+      check_exp who (x, e);
+      if e = 0.0 then merge_normalized who ra rb else (x, e) :: merge_normalized who ra rb
+    end
 
 let one = { coeff = 1.0; exps = [] }
 
@@ -56,13 +83,13 @@ let variables m = List.map fst m.exps
 let mul a b =
   let coeff = a.coeff *. b.coeff in
   check_coeff "mul" coeff;
-  { coeff; exps = normalize "mul" (a.exps @ b.exps) }
+  { coeff; exps = merge_normalized "mul" a.exps b.exps }
 
 let div a b =
   let coeff = a.coeff /. b.coeff in
   check_coeff "div" coeff;
   let inv = List.map (fun (x, e) -> (x, -.e)) b.exps in
-  { coeff; exps = normalize "div" (a.exps @ inv) }
+  { coeff; exps = merge_normalized "div" a.exps inv }
 
 let pow m a =
   if not (Float.is_finite a) then
@@ -94,8 +121,19 @@ let eval env m =
 
 let is_constant m = m.exps = []
 
-let compare_exponents a b =
-  compare a.exps b.exps
+(* Polymorphic [compare] on the exponent lists, written out: a shorter
+   prefix first, then names, then exponents. *)
+let rec compare_exps a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | (x, ea) :: ra, (y, eb) :: rb -> (
+    match String.compare x y with
+    | 0 -> ( match Float.compare ea eb with 0 -> compare_exps ra rb | c -> c)
+    | c -> c)
+
+let compare_exponents a b = compare_exps a.exps b.exps
 
 let compare a b =
   match compare_exponents a b with 0 -> Float.compare a.coeff b.coeff | c -> c

@@ -85,7 +85,9 @@ val compare : t -> t -> int
 
 val compare_exponents : t -> t -> int
 (** Order on exponent vectors only, ignoring the coefficient — used to
-    merge like terms in posynomials. *)
+    sort and merge like terms in posynomials.  It is polymorphic
+    [compare] on the {!exponents} lists: lexicographic by variable name,
+    then exponent, a prefix first. *)
 
 val pp : Format.formatter -> t -> unit
 

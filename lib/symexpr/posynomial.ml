@@ -1,15 +1,25 @@
-type t = Monomial.t list (* sorted by exponent vector, like terms merged *)
+type t = Monomial.t list
+(* sorted by exponent vector, like terms merged, except after
+   [mul_monomial] and [div_monomial], which keep their argument's order *)
 
+let rec strictly_sorted = function
+  | a :: (b :: _ as rest) -> Monomial.compare_exponents a b < 0 && strictly_sorted rest
+  | _ -> true
+
+(* Strictly sorted terms have nothing to sort or merge. *)
 let normalize ms =
-  let sorted = List.sort Monomial.compare_exponents ms in
-  let rec merge = function
-    | a :: b :: rest when Monomial.compare_exponents a b = 0 ->
-      let c = Monomial.coeff a +. Monomial.coeff b in
-      merge (Monomial.make c (Monomial.exponents a) :: rest)
-    | a :: rest -> a :: merge rest
-    | [] -> []
-  in
-  merge sorted
+  if strictly_sorted ms then ms
+  else begin
+    let sorted = List.sort Monomial.compare_exponents ms in
+    let rec merge = function
+      | a :: b :: rest when Monomial.compare_exponents a b = 0 ->
+        let c = Monomial.coeff a +. Monomial.coeff b in
+        merge (Monomial.make c (Monomial.exponents a) :: rest)
+      | a :: rest -> a :: merge rest
+      | [] -> []
+    in
+    merge sorted
+  end
 
 let zero = []
 
@@ -47,7 +57,9 @@ let variables p =
 
 let num_terms = List.length
 
-let compare a b = List.compare Monomial.compare a b
+(* [mul_monomial] and [div_monomial] keep their argument's term order,
+   so two sums are compared in normal form. *)
+let compare a b = List.compare Monomial.compare (normalize a) (normalize b)
 
 let equal a b = compare a b = 0
 

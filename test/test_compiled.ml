@@ -235,18 +235,41 @@ let test_slack_extension () =
   agree_on "slack" smooth f (Vec.of_list [ 0.7; -0.1; 1.3 ]);
   agree_on "slack at s=0" smooth f (Vec.of_list [ 0.7; -0.1; 0.0 ])
 
+let test_mixed_magnitudes () =
+  (* A term with exponents 3 and 0.3: [(p *. 3) *. 0.3] and
+     [(p *. 0.3) *. 3] round differently for some weights [p], so the
+     function takes the per-entry path, and matches the dense walk bit
+     for bit whether or not that walk's Hessian comes out symmetric. *)
+  let objective =
+    P.of_monomials [ M.make 1.0 [ (x0, 3.0); (x1, 0.3) ]; M.make 2.0 [ (x0, -1.0) ] ]
+  in
+  let problem = Gp.Problem.make ~objective () in
+  let f = compiled_fn (compile problem) 0 in
+  Alcotest.(check bool) "per-entry path" false f.Gp.Batch.f_mirror;
+  let smooth = smooth_of problem objective in
+  let asymmetric = ref 0 in
+  for k = 0 to 99 do
+    let y =
+      Vec.of_list [ (float_of_int k /. 37.0) -. 1.3; (float_of_int (k * k mod 91) /. 13.0) -. 3.1 ]
+    in
+    agree_on (Printf.sprintf "point %d" k) smooth f y;
+    let _, _, h = smooth.Gp.Smooth.eval y in
+    if not (same_float (Mat.get h 0 1) (Mat.get h 1 0)) then incr asymmetric
+  done;
+  Alcotest.(check bool) "the dense Hessian is asymmetric at some point" true (!asymmetric > 0)
+
 (* --- evaluation properties --- *)
 
 (* A random posynomial over up to seven variables, mostly structural
    zeros like real formulations (each monomial mentions a few of the
    problem variables), plus a point to evaluate at. *)
-let gen_posynomial_with ~nterms coord =
+let gen_posynomial_with ?(exponent = QCheck2.Gen.float_range (-3.0) 3.0) ~nterms coord =
   let open QCheck2.Gen in
   let* nvars = int_range 2 7 in
   let* nterms = nterms in
   let entry =
     let* zero = frequency [ (6, return true); (4, return false) ] in
-    if zero then return 0.0 else float_range (-3.0) 3.0
+    if zero then return 0.0 else exponent
   in
   let term =
     let* exps = list_size (return nvars) entry in
@@ -263,6 +286,15 @@ let gen_posynomial_with ~nterms coord =
 
 let gen_posynomial =
   QCheck2.Gen.(gen_posynomial_with ~nterms:(int_range 1 6) (float_range (-3.0) 3.0))
+
+(* Exponents of magnitude 1 and 0.5 only, so every function takes the
+   mirrored path; under [gen_posynomial]'s exponents only those whose
+   terms each mention at most one variable do. *)
+let gen_mirrored_posynomial =
+  QCheck2.Gen.(
+    gen_posynomial_with
+      ~exponent:(oneofl [ -1.0; -0.5; 0.5; 1.0 ])
+      ~nterms:(int_range 1 6) (float_range (-3.0) 3.0))
 
 (* Half single-term functions, at points with coordinates up to
    [max_float]: finite, but a term's exponent [sum c_i y_i + b]
@@ -290,6 +322,21 @@ let prop_bit_identical =
         (compiled_fn (compile problem) 0)
         (Vec.slice y 0 n)
       = [])
+
+let prop_mirrored_bit_identical =
+  QCheck2.Test.make ~name:"mirrored Hessians are bit-identical to Smooth.log_sum_exp"
+    ~count:500 gen_mirrored_posynomial (fun (poly, y) ->
+      let problem = Gp.Problem.make ~objective:poly () in
+      let n = List.length (Gp.Problem.variables problem) in
+      let f = compiled_fn (compile problem) 0 in
+      let slack_problem = Gp.Problem.make ~objective:(P.const 1.0) ~ineqs:[ ("g", poly) ] () in
+      f.Gp.Batch.f_mirror
+      && disagreements (smooth_of problem poly) f (Vec.slice y 0 n) = []
+      && disagreements
+           (minus_slack (smooth_of slack_problem poly))
+           (compiled_fn ~phase1:true (compile slack_problem) 1)
+           (Vec.concat (Vec.slice y 0 n) [| 0.5 |])
+         = [])
 
 let prop_slack_bit_identical =
   QCheck2.Test.make ~name:"compiled slack extension is bit-identical" ~count:200
@@ -575,6 +622,44 @@ let test_products_zoo () =
       F.Codesign { area_budget = Archspec.Arch.eyeriss_area tech };
     ]
 
+(* [Batch.nullspace] keeps the last two row sets per domain: a repeated
+   row set gets the kept basis back, which equals a fresh
+   [Mat.nullspace_basis] bit for bit, and a row set one bit away gets
+   its own. *)
+let test_nullspace_memo () =
+  let basis_bits (zb : Gp.Batch.basis) =
+    let c = zb.Gp.Batch.z_full in
+    ( zb.Gp.Batch.z_q,
+      Array.to_list c.Gp.Batch.c_idx,
+      List.map bits (Array.to_list c.Gp.Batch.c_val) )
+  in
+  let fresh_bits n rows =
+    let zcols = Mat.nullspace_basis n rows in
+    ( Array.length zcols,
+      List.concat_map (fun _ -> List.init n Fun.id) (Array.to_list zcols),
+      List.concat_map (fun z -> List.map bits (Array.to_list z)) (Array.to_list zcols) )
+  in
+  let rows () = [| [| 1.0; 2.0; 0.0; -0.5 |]; [| 0.0; 1.0; 3.0; 0.0 |] |] in
+  let nudged = rows () in
+  nudged.(0).(1) <- Int64.float_of_bits (Int64.succ (bits 2.0));
+  let slack rs = Array.map (fun a -> Vec.concat a [| 0.0 |]) rs in
+  let check name n rs =
+    Alcotest.(check bool) name true (basis_bits (Gp.Batch.nullspace n rs) = fresh_bits n rs)
+  in
+  let a = Gp.Batch.nullspace 4 (rows ()) in
+  let a1 = Gp.Batch.nullspace 5 (slack (rows ())) in
+  Alcotest.(check bool) "repeated rows: the kept basis" true (Gp.Batch.nullspace 4 (rows ()) == a);
+  Alcotest.(check bool) "repeated slack rows: the kept basis" true
+    (Gp.Batch.nullspace 5 (slack (rows ())) == a1);
+  check "repeated rows" 4 (rows ());
+  check "repeated slack rows" 5 (slack (rows ()));
+  let b = Gp.Batch.nullspace 4 nudged in
+  Alcotest.(check bool) "one bit away: another basis" true (basis_bits b <> basis_bits a);
+  check "one bit away" 4 nudged;
+  (* [rows ()] was evicted by the nudged and slack row sets. *)
+  check "after eviction" 4 (rows ());
+  check "nudged again" 4 nudged
+
 (* --- the solve property --- *)
 
 let approx a b = Float.abs (a -. b) <= 1e-4 *. (1.0 +. Float.abs b)
@@ -642,12 +727,15 @@ let () =
           Alcotest.test_case "stale buffers" `Quick test_stale_buffers;
           Alcotest.test_case "slack extension" `Quick test_slack_extension;
           Alcotest.test_case "non-finite single term" `Quick test_single_term_nonfinite;
+          Alcotest.test_case "mixed exponent magnitudes" `Quick test_mixed_magnitudes;
           Alcotest.test_case "nullspace products, zoo" `Quick test_products_zoo;
+          Alcotest.test_case "nullspace memo" `Quick test_nullspace_memo;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_bit_identical;
+            prop_mirrored_bit_identical;
             prop_slack_bit_identical;
             prop_nonfinite_bit_identical;
             prop_nonfinite_slack_bit_identical;

@@ -137,7 +137,9 @@ let test_trace_independent () =
       "layer";
       "permutations.enumerate";
       "formulate";
+      "analysis.presolve";
       "solve";
+      "analysis.certify";
       "integerize";
       "evaluate";
     ]

@@ -91,6 +91,20 @@ let test_posynomial_bind () =
   Alcotest.(check bool) "merged constant" true (P.equal b (P.const 4.0));
   Alcotest.(check int) "single term" 1 (P.num_terms b)
 
+let test_posynomial_order_blind () =
+  (* [mul_monomial] keeps its argument's term order, which is not sorted
+     here; equality and order look at the normal form. *)
+  let x = M.var "x" and y = M.var "y" and z = M.var "z" in
+  let a =
+    P.mul_monomial (M.var_pow "x" (-1.0)) (P.add (P.of_monomial (M.mul x y)) (P.of_monomial z))
+  in
+  let b = P.of_monomials [ y; M.div z x ] in
+  Alcotest.(check string) "order kept" "y + x^-1*z" (P.to_string a);
+  Alcotest.(check string) "sorted" "x^-1*z + y" (P.to_string b);
+  Alcotest.(check bool) "equal" true (P.equal a b);
+  Alcotest.(check int) "compare" 0 (P.compare a b);
+  Alcotest.(check bool) "unequal to a different sum" false (P.equal a (P.of_monomials [ y; z ]))
+
 (* --- Affine_dim / Footprint --- *)
 
 let test_affine_dim_exact () =
@@ -162,6 +176,96 @@ let prop_bind_is_eval =
       let env' var = if String.equal var "x" then v else env var in
       approx ~eps:1e-6 (P.eval env' p) (P.eval env' bound) && not (List.mem "x" (P.variables bound)))
 
+(* --- the sort-based oracle --- *)
+
+(* Normalization as a sort and a merge, kept here as the oracle of the
+   library's one-pass forms: exponents sorted by name, like names
+   summed in input order, zeros dropped; terms sorted by polymorphic
+   [compare] on their exponent lists, like terms summed. *)
+let ref_exps exps =
+  let sorted = List.sort (fun (x, _) (y, _) -> String.compare x y) exps in
+  let rec merge = function
+    | (x, a) :: (y, b) :: rest when String.equal x y -> merge ((x, a +. b) :: rest)
+    | pair :: rest -> pair :: merge rest
+    | [] -> []
+  in
+  List.filter (fun (_, a) -> a <> 0.0) (merge sorted)
+
+let ref_compare_exponents a b = compare (M.exponents a) (M.exponents b)
+
+let ref_terms ms =
+  let sorted = List.sort ref_compare_exponents ms in
+  let rec merge = function
+    | a :: b :: rest when ref_compare_exponents a b = 0 ->
+      merge (M.make (M.coeff a +. M.coeff b) (M.exponents a) :: rest)
+    | a :: rest -> a :: merge rest
+    | [] -> []
+  in
+  merge sorted
+
+let bits = Int64.bits_of_float
+
+let same_exps a b =
+  List.equal (fun (x, e) (y, f) -> String.equal x y && Int64.equal (bits e) (bits f)) a b
+
+let same_monomial c exps m =
+  Int64.equal (bits c) (bits (M.coeff m)) && same_exps exps (M.exponents m)
+
+let same_terms expected p =
+  List.equal (fun a b -> same_monomial (M.coeff a) (M.exponents a) b) expected (P.terms p)
+
+(* Exponent lists over few names, so names repeat, with exponents that
+   cancel to zero; in random order, or strictly sorted. *)
+let gen_exps =
+  let open QCheck2.Gen in
+  let* raw =
+    list_size (int_range 0 6)
+      (pair (oneofl [ "a"; "b"; "x"; "y"; "z" ])
+         (frequency
+            [
+              (2, oneofl [ 0.0; -1.0; 1.0; 0.5; -0.5; 2.0 ]);
+              (1, float_range (-3.0) 3.0);
+            ]))
+  in
+  oneofl [ raw; List.sort_uniq (fun (x, _) (y, _) -> String.compare x y) raw ]
+
+let gen_exps_monomial =
+  QCheck2.Gen.(map2 (fun c exps -> (c, exps)) (float_range 0.1 10.0) gen_exps)
+
+let prop_monomial_oracle =
+  QCheck2.Test.make ~name:"make, mul and div equal the sort-based oracle" ~count:1000
+    QCheck2.Gen.(pair gen_exps_monomial gen_exps_monomial)
+    (fun ((ca, ea), (cb, eb)) ->
+      let a = M.make ca ea and b = M.make cb eb in
+      same_monomial ca (ref_exps ea) a
+      && same_monomial (ca *. cb) (ref_exps (M.exponents a @ M.exponents b)) (M.mul a b)
+      && same_monomial (ca /. cb)
+           (ref_exps (M.exponents a @ List.map (fun (x, e) -> (x, -.e)) (M.exponents b)))
+           (M.div a b)
+      && M.compare_exponents a b = ref_compare_exponents a b)
+
+(* Term lists as given (in random order, with like terms), or in the
+   oracle's order (strictly sorted: the fast path); and a monomial to
+   multiply a sum by, which keeps its order, unsorted in general. *)
+let gen_terms =
+  let open QCheck2.Gen in
+  let monomial = map (fun (c, e) -> M.make c e) gen_exps_monomial in
+  let* ms = list_size (int_range 0 5) monomial in
+  let* m = monomial in
+  map (fun ms -> (ms, m)) (oneofl [ ms; ref_terms ms ])
+
+let prop_posynomial_oracle =
+  QCheck2.Test.make ~name:"of_monomials, add and bind equal the sort-based oracle" ~count:1000
+    QCheck2.Gen.(triple gen_terms gen_terms (float_range 0.5 4.0))
+    (fun ((ms, m), (ns, _), v) ->
+      let p = P.of_monomials ms and q = P.of_monomials ns in
+      let u = P.mul_monomial m p in
+      same_terms (ref_terms ms) p
+      && same_terms (ref_terms (P.terms p @ P.terms q)) (P.add p q)
+      && same_terms (ref_terms (P.terms u @ P.terms q)) (P.add u q)
+      && same_terms (ref_terms (List.map (M.bind "x" v) (P.terms u))) (P.bind "x" v u)
+      && P.equal u (P.of_monomials (P.terms u)))
+
 let () =
   Alcotest.run "symexpr"
     [
@@ -180,6 +284,7 @@ let () =
           Alcotest.test_case "mul" `Quick test_posynomial_mul;
           Alcotest.test_case "div by monomial" `Quick test_posynomial_div_monomial;
           Alcotest.test_case "bind" `Quick test_posynomial_bind;
+          Alcotest.test_case "equality ignores term order" `Quick test_posynomial_order_blind;
         ] );
       ( "footprint",
         [
@@ -194,5 +299,7 @@ let () =
             prop_posynomial_add_eval;
             prop_posynomial_mul_eval;
             prop_bind_is_eval;
+            prop_monomial_oracle;
+            prop_posynomial_oracle;
           ] );
     ]
