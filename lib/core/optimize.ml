@@ -115,25 +115,32 @@ let select_best ~score outcomes =
    different served body, the [solver:] line's step counts included, so
    that an entry written by an older binary never replays as a hit. *)
 let config_fingerprint config =
-  Printf.sprintf
-    "v4|tol=%s|kernel=%s|warm=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
-    (Obs.Json.bits config.gp_tol)
-    (match config.gp_kernel with `Compiled -> "compiled" | `List -> "list")
-    config.warm_start
-    (match config.solve_deadline_ms with
-    | None -> "none"
-    | Some ms -> Obs.Json.bits ms)
-    config.retries
-    (Robust.Inject.to_string config.inject)
-    (* [Prune] solves reduced problems and skips pruned pairs, which is
-       a different workload from [Off]'s. *)
-    (Analysis.Presolve.mode_name config.presolve)
-    (* The communication model changes the delay constraints a pair is
-       lowered with.  (For the Energy objective the GPs coincide;
-       entering the fingerprint keeps the invalidation rule uniform.)
-       [contention] is excluded: it never changes a solve, only
-       evaluation-side scoring — it enters {!request_key} instead. *)
-    (Archspec.Link.comm_model_name config.comm)
+  String.concat ""
+    [
+      "v4|tol=";
+      Obs.Json.bits config.gp_tol;
+      "|kernel=";
+      (match config.gp_kernel with `Compiled -> "compiled" | `List -> "list");
+      "|warm=";
+      string_of_bool config.warm_start;
+      "|deadline=";
+      (match config.solve_deadline_ms with None -> "none" | Some ms -> Obs.Json.bits ms);
+      "|retries=";
+      string_of_int config.retries;
+      "|inject=";
+      Robust.Inject.to_string config.inject;
+      (* [Prune] solves reduced problems and skips pruned pairs, which is
+         a different workload from [Off]'s. *)
+      "|presolve=";
+      Analysis.Presolve.mode_name config.presolve;
+      (* The communication model changes the delay constraints a pair is
+         lowered with.  (For the Energy objective the GPs coincide;
+         entering the fingerprint keeps the invalidation rule uniform.)
+         [contention] is excluded: it never changes a solve, only
+         evaluation-side scoring — it enters {!request_key} instead. *)
+      "|comm=";
+      Archspec.Link.comm_model_name config.comm;
+    ]
 
 (* Canonical structural key of a GP: the exact coefficient and
    exponent bits of every term, in formulation order, with constraint
@@ -187,8 +194,9 @@ let problem_key problem =
    contract of §7) — and so are [shard], [journal] and [resume], which
    [run] refuses unless they hold their defaults. *)
 let request_key ~config tech arch_mode objective nest =
-  let buf = Buffer.create 512 in
+  let buf = Buffer.create 1024 in
   let add = Buffer.add_string buf in
+  let int i = add (string_of_int i) in
   let fl v =
     add (Obs.Json.bits v);
     add ";"
@@ -214,10 +222,14 @@ let request_key ~config tech arch_mode objective nest =
   link tech.Archspec.Technology.links.Archspec.Link.reg;
   (match arch_mode with
   | Formulate.Fixed a ->
-    add
-      (Printf.sprintf "|arch:%s:%d:%d:%d" a.Archspec.Arch.arch_name
-         a.Archspec.Arch.pe_count a.Archspec.Arch.registers_per_pe
-         a.Archspec.Arch.sram_words)
+    add "|arch:";
+    add a.Archspec.Arch.arch_name;
+    add ":";
+    int a.Archspec.Arch.pe_count;
+    add ":";
+    int a.Archspec.Arch.registers_per_pe;
+    add ":";
+    int a.Archspec.Arch.sram_words
   | Formulate.Codesign { area_budget } ->
     add "|codesign:";
     fl area_budget);
@@ -226,40 +238,54 @@ let request_key ~config tech arch_mode objective nest =
     | Formulate.Energy -> "|obj:energy"
     | Formulate.Delay -> "|obj:delay"
     | Formulate.Edp -> "|obj:edp");
-  add (Printf.sprintf "|nest:%s" (Workload.Nest.name nest));
+  add "|nest:";
+  add (Workload.Nest.name nest);
   List.iter
     (fun (d : Workload.Nest.dim) ->
-      add (Printf.sprintf ";%s=%d" d.Workload.Nest.dim_name d.Workload.Nest.extent))
+      add ";";
+      add d.Workload.Nest.dim_name;
+      add "=";
+      int d.Workload.Nest.extent)
     (Workload.Nest.dims nest);
   List.iter
     (fun (t : Workload.Nest.tensor) ->
-      add
-        (Printf.sprintf "|T:%s:%b" t.Workload.Nest.tensor_name
-           t.Workload.Nest.read_write);
+      add "|T:";
+      add t.Workload.Nest.tensor_name;
+      add ":";
+      add (string_of_bool t.Workload.Nest.read_write);
       List.iter
         (fun (proj : Workload.Nest.projection) ->
           add "[";
           List.iter
             (fun (ix : Workload.Nest.index) ->
-              add
-                (Printf.sprintf "%d*%s," ix.Workload.Nest.stride
-                   ix.Workload.Nest.iter))
+              int ix.Workload.Nest.stride;
+              add "*";
+              add ix.Workload.Nest.iter;
+              add ",")
             proj;
           add "]")
         t.Workload.Nest.projections)
     (Workload.Nest.tensors nest);
-  add
-    (Printf.sprintf "|cfg:nd=%d;np=%d;top=%d;max=%d;expl=%b;util=" config.n_divisors
-       config.n_pow2 config.top_choices config.max_choices
-       config.explore_placements);
+  add "|cfg:nd=";
+  int config.n_divisors;
+  add ";np=";
+  int config.n_pow2;
+  add ";top=";
+  int config.top_choices;
+  add ";max=";
+  int config.max_choices;
+  add ";expl=";
+  add (string_of_bool config.explore_placements);
+  add ";util=";
   fl config.min_pe_utilization;
-  add ("lint=" ^ Analysis.Lint.mode_name config.lint);
+  add "lint=";
+  add (Analysis.Lint.mode_name config.lint);
   (* Unlike {!config_fingerprint}, contention belongs here: it changes
      the integerizer's candidate scoring, hence the served result. *)
-  add
-    (Printf.sprintf ";comm=%s;cont=%b"
-       (Archspec.Link.comm_model_name config.comm)
-       config.contention);
+  add ";comm=";
+  add (Archspec.Link.comm_model_name config.comm);
+  add ";cont=";
+  add (string_of_bool config.contention);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -1,18 +1,26 @@
 type writer = Buffer.t -> unit
 
+(* Each maximal run of bytes that need no escape is copied with one
+   [add_substring]; only quotes, backslashes and control characters
+   stop a run. *)
 let str s b =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring b s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring b s !run (String.length s - !run);
   Buffer.add_char b '"'
 
 let int i b = Buffer.add_string b (string_of_int i)
@@ -42,7 +50,23 @@ let to_string w =
   w b;
   Buffer.contents b
 
-let bits v = Printf.sprintf "%Lx" (Int64.bits_of_float v)
+let hex_digits = "0123456789abcdef"
+
+(* The text [Printf.sprintf "%Lx"] prints: lowercase, no leading zeros,
+   ["0"] for a zero pattern.  [x] is never captured, so it stays
+   unboxed. *)
+let bits v =
+  let x = Int64.bits_of_float v in
+  let n = ref 1 in
+  while !n < 16 && Int64.shift_right_logical x (4 * !n) <> 0L do
+    incr n
+  done;
+  let b = Bytes.create !n in
+  for i = 0 to !n - 1 do
+    Bytes.unsafe_set b i
+      hex_digits.[Int64.to_int (Int64.shift_right_logical x (4 * (!n - 1 - i))) land 15]
+  done;
+  Bytes.unsafe_to_string b
 
 let of_bits s =
   match Int64.of_string_opt ("0x" ^ s) with
@@ -80,18 +104,21 @@ let parse_exn s =
   let expect c =
     if peek () = c then incr pos else bad "expected %C at offset %d" c !pos
   in
+  (* The bytes between escapes are copied a run at a time. *)
   let string_lit () =
     skip_ws ();
     expect '"';
     let b = Buffer.create 16 in
     let rec go () =
+      let run = !pos in
+      while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do
+        incr pos
+      done;
+      Buffer.add_substring b s run (!pos - run);
       if !pos >= n then bad "unterminated string";
-      match s.[!pos] with
-      | '"' ->
-        incr pos;
-        Buffer.contents b
-      | '\\' ->
-        incr pos;
+      incr pos;
+      if s.[!pos - 1] = '"' then Buffer.contents b
+      else begin
         if !pos >= n then bad "unterminated escape";
         (match s.[!pos] with
         | '"' -> Buffer.add_char b '"'
@@ -125,10 +152,7 @@ let parse_exn s =
         | c -> bad "unknown escape \\%C" c);
         incr pos;
         go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
+      end
     in
     go ()
   in

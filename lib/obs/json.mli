@@ -14,7 +14,11 @@ type writer = Buffer.t -> unit
 
 val str : string -> writer
 (** A quoted JSON string: quotes, backslashes and control characters of
-    the argument's bytes are escaped. *)
+    the argument's bytes are escaped ([\n], [\r], [\t], and [\u00xx]
+    for the other control characters); every other byte is copied as
+    is, a maximal run at a time.  Store entries and wire payloads
+    depend on every byte: [test_obs] holds the output to a per-byte
+    reference writer, kept in the test, over arbitrary byte strings. *)
 
 val int : int -> writer
 
@@ -37,6 +41,10 @@ val to_string : writer -> string
     ([%Lx]), so every value, NaN payloads included, survives. *)
 
 val bits : float -> string
+(** Exactly what [Printf.sprintf "%Lx" (Int64.bits_of_float v)] prints
+    (no leading zeros, ["0"] for [+0.0]), written without [Printf].
+    [test_obs] checks the two agree over arbitrary 64-bit patterns,
+    signed zeros, infinities, NaN payloads and subnormals. *)
 
 (** {2 Parsing}
 
@@ -53,7 +61,11 @@ type value =
 
 val parse : string -> (value, string) result
 (** Parse one complete JSON value; trailing bytes are an error.  The
-    error message names the offending offset. *)
+    error message names the offending offset.  A string literal's bytes
+    between escapes are copied a run at a time; [test_obs] holds its
+    value and every error message to a per-byte reference parser, kept
+    in the test, over literals built from every escape, well formed or
+    not. *)
 
 (** {2 Accessors}
 

@@ -30,12 +30,14 @@ let pp_summary ppf failures =
    diffuses a trailing-byte change through one multiply only, leaving
    the draws for attempt 0 and attempt 1 of the same key about 1e-7
    apart — retries would almost never re-roll.  The finalizer spreads
-   any single-bit change across the whole word. *)
+   any single-bit change across the whole word.  The index loop keeps
+   the accumulator unboxed: a closure capturing it would box an
+   [Int64] per byte. *)
 let hash64 s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) 0x100000001b3L
+  done;
   let h = Int64.logxor !h (Int64.shift_right_logical !h 33) in
   let h = Int64.mul h 0xff51afd7ed558ccdL in
   let h = Int64.logxor h (Int64.shift_right_logical h 33) in
@@ -165,7 +167,7 @@ module Inject = struct
 
   let to_string t =
     String.concat ","
-      (Printf.sprintf "seed=%d" t.seed
+      (("seed=" ^ string_of_int t.seed)
       :: List.map
            (fun r ->
              Printf.sprintf "%s@%s%s=%g" (kind_name r.kind) r.site

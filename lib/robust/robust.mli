@@ -46,7 +46,9 @@ val hash64 : string -> int64
     finalizer.  It does not depend on the compiler's [Hashtbl.hash], so
     injection draws and the serve store's entry names
     ({!Serve.Store.digest}) are the same in every build, and a
-    one-character change flips the whole word. *)
+    one-character change flips the whole word.  [test_robust] holds
+    its value to a [String.iter] reference fold, kept in the test,
+    over arbitrary strings, and [test_serve] pins store digests. *)
 
 exception Injected_fault of string
 (** Raised by {!guard} when the injection config fires a crash at the

@@ -23,6 +23,8 @@ let receive t =
   match Wire.read_frame ~max_frame:t.max_frame t.fd with
   | Error e -> Error ("client: " ^ Wire.describe e)
   | Ok payload -> Protocol.decode_response payload
+  | exception Unix.Unix_error (e, _, _) ->
+    Error (Printf.sprintf "client: receive failed: %s" (Unix.error_message e))
 
 let request_raw t payload =
   match Wire.write_frame t.fd payload with

@@ -55,8 +55,11 @@ let open_ root =
 
 let root t = t.root
 
+(* 16 lowercase hex digits, zero-padded: the text of ["%016Lx"]. *)
 let digest ~config ~request_key =
-  Printf.sprintf "%016Lx" (Robust.hash64 (config ^ "\x00" ^ request_key))
+  let h = Robust.hash64 (config ^ "\x00" ^ request_key) in
+  String.init 16 (fun i ->
+      "0123456789abcdef".[Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 15])
 
 let entry_path t ~config ~request_key =
   let d = digest ~config ~request_key in

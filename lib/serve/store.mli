@@ -28,9 +28,9 @@ val root : t -> string
 
 val digest : config:string -> request_key:string -> string
 (** The 16-hex entry name: {!Robust.hash64} of [config], a NUL byte and
-    [request_key], in lowercase hex.  Stores written by earlier
-    releases used the same digest, so their entries stay hits.  Exposed
-    for tests. *)
+    [request_key], as 16 zero-padded lowercase hex digits.  Stores
+    written by earlier releases used the same digest, so their entries
+    stay hits.  Exposed for tests. *)
 
 val entry_path : t -> config:string -> request_key:string -> string
 (** Where the entry for this key pair lives; exposed for tests (e.g. to

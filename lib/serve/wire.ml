@@ -23,13 +23,14 @@ let write_frame fd payload =
   done
 
 (* Reads exactly [len] bytes into [buf] starting at [off]; returns how
-   many it got before EOF (short only on EOF). *)
+   many it got before the stream ended (short only then).  A reset
+   connection ends the stream like EOF: the peer is gone either way. *)
 let read_exact fd buf off len =
   let got = ref 0 in
   let eof = ref false in
   while (not !eof) && !got < len do
     match Unix.read fd buf (off + !got) (len - !got) with
-    | 0 -> eof := true
+    | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> eof := true
     | n -> got := !got + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;

@@ -6,13 +6,14 @@
     clean close (EOF on a frame boundary) from a torn frame (EOF
     mid-frame) and from an oversized length prefix — the latter also
     covers garbage prefixes, which decode to absurd lengths — so a
-    server can drop one bad connection without dying. *)
+    server can drop one bad connection without dying.  A connection
+    reset ([ECONNRESET]) ends the stream like EOF does. *)
 
 type read_error =
-  | Closed  (** EOF on a frame boundary: the peer hung up cleanly. *)
+  | Closed  (** EOF or a reset on a frame boundary: the peer hung up. *)
   | Torn of int
-      (** EOF after [n] bytes of an incomplete frame (header included):
-          the peer died or was cut mid-write. *)
+      (** EOF or a reset after [n] bytes of an incomplete frame (header
+          included): the peer died or was cut mid-write. *)
   | Oversized of int
       (** The length prefix announces [n] bytes, above the reader's
           [max_frame].  The stream cannot be re-synchronized after this;
@@ -30,4 +31,5 @@ val write_frame : Unix.file_descr -> string -> unit
     connection. *)
 
 val read_frame : ?max_frame:int -> Unix.file_descr -> (string, read_error) result
-(** Read one complete frame, looping over short reads. *)
+(** Read one complete frame, looping over short reads.  Read errors
+    other than a reset raise [Unix_error]. *)

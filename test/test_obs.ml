@@ -375,6 +375,186 @@ let test_parallel_updates () =
     (snapshot_value "test.par.gauge" = Mx.Gauge 4000.0);
   Mx.reset ()
 
+(* ------------------------------------------------------------------ *)
+(* Obs.Json: the writer and parser against their per-byte references *)
+(* ------------------------------------------------------------------ *)
+
+module J = Obs.Json
+
+(* The byte-at-a-time [Json.str] that run copying replaced, kept as the
+   reference: the output must stay byte-identical. *)
+let str_reference s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* The byte-at-a-time string-literal parser that run copying replaced,
+   applied to an input that starts with a quote, as [Json.parse] does:
+   the literal, then optional white space, then nothing. *)
+let parse_string_reference s =
+  let n = String.length s in
+  let pos = ref 1 in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  let b = Buffer.create 16 in
+  let rec go () =
+    if !pos >= n then bad "unterminated string";
+    match s.[!pos] with
+    | '"' ->
+      incr pos;
+      Buffer.contents b
+    | '\\' ->
+      incr pos;
+      if !pos >= n then bad "unterminated escape";
+      (match s.[!pos] with
+      | '"' -> Buffer.add_char b '"'
+      | '\\' -> Buffer.add_char b '\\'
+      | '/' -> Buffer.add_char b '/'
+      | 'n' -> Buffer.add_char b '\n'
+      | 'r' -> Buffer.add_char b '\r'
+      | 't' -> Buffer.add_char b '\t'
+      | 'b' -> Buffer.add_char b '\b'
+      | 'f' -> Buffer.add_char b '\012'
+      | 'u' ->
+        if !pos + 4 >= n then bad "truncated \\u escape";
+        let code =
+          match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
+          | Some c -> c
+          | None -> bad "bad \\u escape"
+        in
+        pos := !pos + 4;
+        if code < 0x80 then Buffer.add_char b (Char.chr code)
+        else if code < 0x800 then begin
+          Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+        end
+        else begin
+          Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+          Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+        end
+      | c -> bad "unknown escape \\%C" c);
+      incr pos;
+      go ()
+    | c ->
+      Buffer.add_char b c;
+      incr pos;
+      go ()
+  in
+  match go () with
+  | exception Bad m -> Error m
+  | v ->
+    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
+      incr pos
+    done;
+    if !pos <> n then Error (Printf.sprintf "trailing bytes at offset %d" !pos) else Ok (J.Str v)
+
+let json_value = Alcotest.testable (fun ppf _ -> Format.pp_print_string ppf "<json>") ( = )
+let parsed = Alcotest.(result json_value string)
+
+(* Bytes that stop a run, weighted up against arbitrary bytes. *)
+let gen_json_bytes =
+  QCheck2.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (3, char);
+             (2, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '\255'; '/' ]);
+           ])
+      (int_range 0 48))
+
+let prop_str_reference =
+  QCheck2.Test.make ~name:"str equals the per-byte reference" ~count:2000
+    ~print:(Printf.sprintf "%S") gen_json_bytes (fun s ->
+      J.to_string (J.str s) = str_reference s)
+
+let prop_parse_inverts_str =
+  QCheck2.Test.make ~name:"parse inverts str" ~count:2000 ~print:(Printf.sprintf "%S")
+    gen_json_bytes (fun s -> J.parse (J.to_string (J.str s)) = Ok (J.Str s))
+
+(* Literal bodies built from escape fragments, well formed or not, so
+   every error path of the string parser is reached. *)
+let gen_literal =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 8)
+         (oneof
+            [
+              map (String.make 1) char;
+              oneofl
+                [ "\\"; "\""; "\\\""; "\\\\"; "\\/"; "\\b"; "\\f"; "\\n"; "\\r"; "\\t"; "\\q";
+                  "\\u"; "\\u00e9"; "\\u0000"; "\\u20ac"; "\\u12"; "\\uzz"; "\\u_1_2"; " "; "ab" ];
+            ])))
+
+let prop_parse_string_reference =
+  QCheck2.Test.make ~name:"string literals parse as the per-byte reference" ~count:3000
+    ~print:(Printf.sprintf "%S") gen_literal (fun body ->
+      let s = "\"" ^ body in
+      J.parse s = parse_string_reference s)
+
+let test_json_all_bytes () =
+  let all = String.init 256 Char.chr in
+  List.iter
+    (fun s ->
+      Alcotest.(check string) (Printf.sprintf "str %S" s) (str_reference s) (J.to_string (J.str s));
+      Alcotest.check parsed (Printf.sprintf "parse %S" s) (Ok (J.Str s))
+        (J.parse (J.to_string (J.str s))))
+    [ ""; all; "\"x\""; "\\x\\"; "\nx\001"; "x\"y"; "plain"; "\255\000" ]
+
+(* Each escape decodes as before, and each error keeps its message. *)
+let test_json_escapes_and_errors () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.check parsed (Printf.sprintf "parse %S" input) expected (J.parse input);
+      Alcotest.check parsed
+        (Printf.sprintf "reference %S" input)
+        expected (parse_string_reference input))
+    [
+      ({|"\/"|}, Ok (J.Str "/"));
+      ({|"\b"|}, Ok (J.Str "\b"));
+      ({|"\f"|}, Ok (J.Str "\012"));
+      ({|"\u00e9"|}, Ok (J.Str "\xc3\xa9"));
+      ({|"\u0000"|}, Ok (J.Str "\000"));
+      ({|"\u20ac"|}, Ok (J.Str "\xe2\x82\xac"));
+      ({|"a\"b\\c\nd"|}, Ok (J.Str "a\"b\\c\nd"));
+      ({|"abc|}, Error "unterminated string");
+      ({|"ab\|}, Error "unterminated escape");
+      ({|"\u12"|}, Error "truncated \\u escape");
+      ({|"\uzzzz"|}, Error "bad \\u escape");
+      ({|"\q"|}, Error "unknown escape \\'q'");
+      ({|"a"x|}, Error "trailing bytes at offset 3");
+    ]
+
+let prop_bits_printf =
+  QCheck2.Test.make ~name:"bits prints what %Lx prints" ~count:5000
+    ~print:(Printf.sprintf "%Lx") QCheck2.Gen.int64 (fun x ->
+      let v = Int64.float_of_bits x in
+      J.bits v = Printf.sprintf "%Lx" (Int64.bits_of_float v))
+
+let test_bits_edges () =
+  List.iter
+    (fun v ->
+      let expected = Printf.sprintf "%Lx" (Int64.bits_of_float v) in
+      Alcotest.(check string) expected expected (J.bits v);
+      Alcotest.(check int64) ("round trip " ^ expected) (Int64.bits_of_float v)
+        (Int64.bits_of_float (J.float_of (J.Str (J.bits v)))))
+    (List.map Int64.float_of_bits
+       [ 0L; 1L; 0xfL; 0x10L; 0x8000000000000000L; 0x7ff0000000000000L; 0xfff0000000000000L;
+         0x7ff8000000000000L; 0x7ff0000000000001L; 0xfff8000000000001L; 0x000fffffffffffffL;
+         0x0010000000000000L; 0x3ff0000000000000L; 0x7fefffffffffffffL; -1L ])
+
 let () =
   Alcotest.run "obs"
     [
@@ -397,4 +577,13 @@ let () =
           Alcotest.test_case "JSON well-formed" `Quick test_metrics_json_well_formed;
           Alcotest.test_case "parallel updates" `Quick test_parallel_updates;
         ] );
+      ( "json",
+        [
+          Alcotest.test_case "all bytes and end escapes" `Quick test_json_all_bytes;
+          Alcotest.test_case "escapes and errors as before" `Quick test_json_escapes_and_errors;
+          Alcotest.test_case "bits edge patterns" `Quick test_bits_edges;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_str_reference; prop_parse_inverts_str; prop_parse_string_reference; prop_bits_printf ]
+      );
     ]

@@ -330,6 +330,30 @@ let test_pipeline_pairs_crash_isolated () =
       | Ok _ -> ())
     entries
 
+(* ------------------------------------------------------------------ *)
+(* hash64 against its per-byte reference                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The [String.iter] fold that the index loop replaced, kept as the
+   reference: injection draws and store entry names depend on every
+   bit. *)
+let hash64_reference s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  let h = Int64.logxor !h (Int64.shift_right_logical !h 33) in
+  let h = Int64.mul h 0xff51afd7ed558ccdL in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
+  Int64.logxor h (Int64.shift_right_logical h 33)
+
+let prop_hash64_reference =
+  QCheck2.Test.make ~name:"hash64 equals the per-byte reference" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 700))
+    (fun s -> Int64.equal (Robust.hash64 s) (hash64_reference s))
+
 let () =
   Alcotest.run "robust"
     [
@@ -341,6 +365,7 @@ let () =
             test_decide_deterministic_and_calibrated;
           Alcotest.test_case "site/kind/filter" `Quick test_decide_site_kind_filter;
         ] );
+      ("hash", List.map QCheck_alcotest.to_alcotest [ prop_hash64_reference ]);
       ( "guard",
         [
           Alcotest.test_case "ok passthrough" `Quick test_guard_ok;

@@ -93,6 +93,53 @@ let test_wire_oversized () =
   | Error (Wire.Oversized n) -> Alcotest.(check int) "announced" 0xdeadbeef n
   | Ok _ | Error _ -> Alcotest.fail "expected Oversized"
 
+(* A loopback TCP listener; [f] gets it and its address. *)
+let with_listener f =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close listener) @@ fun () ->
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 1;
+  f listener (Unix.getsockname listener)
+
+(* Close with SO_LINGER 0: the peer gets a reset instead of EOF. *)
+let reset fd =
+  Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+  Unix.close fd
+
+let test_wire_reset_torn () =
+  with_listener @@ fun listener addr ->
+  let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect a addr;
+  let b, _ = Unix.accept listener in
+  Fun.protect ~finally:(fun () -> Unix.close b) @@ fun () ->
+  ignore (Unix.write_substring a "\x00\x00" 0 2);
+  reset a;
+  match Wire.read_frame b with
+  | Error (Wire.Torn 2) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected Torn 2"
+
+let test_client_reset_is_error () =
+  with_listener @@ fun listener addr ->
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listener in
+        ignore (Wire.read_frame fd);
+        reset fd)
+      ()
+  in
+  let c =
+    match Client.connect addr with Ok c -> c | Error m -> Alcotest.failf "connect: %s" m
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      Thread.join peer)
+  @@ fun () ->
+  match Client.request c Protocol.Metrics with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a reset connection cannot answer"
+
 (* ------------------------------------------------------------------ *)
 (* Protocol codec                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -281,6 +328,198 @@ let test_config_fingerprint_pinned () =
     "default config"
     "v4|tol=3eb0c6f7a0b5ed8d|kernel=compiled|warm=true|deadline=none|retries=1|inject=seed=0|presolve=prune|comm=comm"
     (O.config_fingerprint O.default_config)
+
+(* What addresses the store: each request kind's entry name under the
+   default fingerprint, at a non-default node and caps.  perfbench
+   starts every run on an empty store, so without these pins a key
+   changed by one byte would pass every test while every stored entry
+   silently missed. *)
+let test_store_addresses_pinned () =
+  let opts = { Protocol.top_choices = 2; max_choices = 3; node_nm = 16.0 } in
+  let address r =
+    match Protocol.resolve base r with
+    | Error m -> Alcotest.failf "resolve: %s" m
+    | Ok r ->
+      ( r.Protocol.key,
+        Store.digest ~config:(O.config_fingerprint r.Protocol.config) ~request_key:r.Protocol.key )
+  in
+  let optimize = Protocol.Optimize { layer = "resnet-2"; objective = F.Delay; arch; opts } in
+  List.iter
+    (fun (name, r, pin) -> Alcotest.(check string) name pin (snd (address r)))
+    [
+      ("optimize", optimize, "3b34ce4c429f4589");
+      ( "codesign",
+        Protocol.Codesign { layer = "yolo-7"; objective = F.Edp; area = None; opts },
+        "8b5e8a60070cf997" );
+      ( "codesign with area",
+        Protocol.Codesign { layer = "yolo-7"; objective = F.Energy; area = Some 1234.5; opts },
+        "67f2bc8fe95e908b" );
+      ( "pipeline",
+        Protocol.Pipeline { pipeline = "alexnet"; objective = F.Energy; opts },
+        "8145cbb7e33a866d" );
+    ];
+  Alcotest.(check string)
+    "optimize key text"
+    "rk2|tech:40639650266e7da9;40041987dd653738;3feb888081d799ad;3fd1ccc653ca7fca;3f52c7d01a6e050d;3f62845f0e4ba394;4060000000000000;4020000000000000;4054000000000000;links:4020000000000000;4040000000000000;4010000000000000;4054000000000000;4030000000000000;3ff0000000000000;4010000000000000;3ff0000000000000;0;|arch:t:64:64:8192|obj:delay|nest:resnet-2;n=1;k=64;c=64;r=3;s=3;h=56;w=56|T:Out:true[1*n,][1*k,][1*h,][1*w,]|T:In:false[1*n,][1*c,][1*h,1*r,][1*w,1*s,]|T:Ker:false[1*k,][1*c,][1*r,][1*s,]|cfg:nd=2;np=2;top=2;max=3;expl=true;util=0;lint=enforce;comm=comm;cont=false"
+    (fst (address optimize))
+
+(* The Printf-built [request_key] and [config_fingerprint] that the
+   buffer appends replaced, kept as references: their text addresses
+   every stored entry. *)
+let request_key_reference ~(config : O.config) (tech : Archspec.Technology.t) arch_mode objective
+    nest =
+  let buf = Buffer.create 512 in
+  let add = Buffer.add_string buf in
+  let fl v = add (Printf.sprintf "%Lx;" (Int64.bits_of_float v)) in
+  add "rk2|tech:";
+  List.iter fl
+    Archspec.Technology.
+      [
+        tech.area_mac;
+        tech.area_register;
+        tech.area_sram_word;
+        tech.energy_mac;
+        tech.sigma_register;
+        tech.sigma_sram;
+        tech.energy_dram;
+        tech.dram_bandwidth;
+        tech.sram_bandwidth;
+      ];
+  add "links:";
+  List.iter
+    (fun (l : Archspec.Link.t) ->
+      fl l.Archspec.Link.bandwidth;
+      fl l.Archspec.Link.burst_words;
+      fl l.Archspec.Link.burst_overhead)
+    Archspec.Link.[ tech.links.dram; tech.links.noc; tech.links.reg ];
+  (match arch_mode with
+  | F.Fixed a ->
+    add
+      (Printf.sprintf "|arch:%s:%d:%d:%d" a.Arch.arch_name a.Arch.pe_count a.Arch.registers_per_pe
+         a.Arch.sram_words)
+  | F.Codesign { area_budget } ->
+    add "|codesign:";
+    fl area_budget);
+  add
+    (match objective with
+    | F.Energy -> "|obj:energy"
+    | F.Delay -> "|obj:delay"
+    | F.Edp -> "|obj:edp");
+  add (Printf.sprintf "|nest:%s" (Workload.Nest.name nest));
+  List.iter
+    (fun (d : Workload.Nest.dim) ->
+      add (Printf.sprintf ";%s=%d" d.Workload.Nest.dim_name d.Workload.Nest.extent))
+    (Workload.Nest.dims nest);
+  List.iter
+    (fun (t : Workload.Nest.tensor) ->
+      add (Printf.sprintf "|T:%s:%b" t.Workload.Nest.tensor_name t.Workload.Nest.read_write);
+      List.iter
+        (fun (proj : Workload.Nest.projection) ->
+          add "[";
+          List.iter
+            (fun (ix : Workload.Nest.index) ->
+              add (Printf.sprintf "%d*%s," ix.Workload.Nest.stride ix.Workload.Nest.iter))
+            proj;
+          add "]")
+        t.Workload.Nest.projections)
+    (Workload.Nest.tensors nest);
+  add
+    (Printf.sprintf "|cfg:nd=%d;np=%d;top=%d;max=%d;expl=%b;util=" config.O.n_divisors
+       config.O.n_pow2 config.O.top_choices config.O.max_choices config.O.explore_placements);
+  fl config.O.min_pe_utilization;
+  add ("lint=" ^ Analysis.Lint.mode_name config.O.lint);
+  add
+    (Printf.sprintf ";comm=%s;cont=%b"
+       (Archspec.Link.comm_model_name config.O.comm)
+       config.O.contention);
+  Buffer.contents buf
+
+let config_fingerprint_reference (config : O.config) =
+  Printf.sprintf
+    "v4|tol=%Lx|kernel=%s|warm=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
+    (Int64.bits_of_float config.O.gp_tol)
+    (match config.O.gp_kernel with `Compiled -> "compiled" | `List -> "list")
+    config.O.warm_start
+    (match config.O.solve_deadline_ms with
+    | None -> "none"
+    | Some ms -> Printf.sprintf "%Lx" (Int64.bits_of_float ms))
+    config.O.retries
+    (Robust.Inject.to_string config.O.inject)
+    (Analysis.Presolve.mode_name config.O.presolve)
+    (Archspec.Link.comm_model_name config.O.comm)
+
+(* Configs that move every field either text reads. *)
+let key_configs =
+  [
+    O.default_config;
+    {
+      O.default_config with
+      O.n_divisors = 3;
+      n_pow2 = 5;
+      top_choices = 7;
+      max_choices = 12;
+      explore_placements = false;
+      min_pe_utilization = 0.375;
+      lint = Analysis.Lint.Warn;
+      comm = Archspec.Link.Overlapped;
+      contention = true;
+      gp_tol = 1e-9;
+      gp_kernel = `List;
+      warm_start = false;
+      solve_deadline_ms = Some 250.0;
+      retries = -2;
+      presolve = Analysis.Presolve.Off;
+    };
+    {
+      O.default_config with
+      O.top_choices = 1;
+      max_choices = 1_000_000;
+      lint = Analysis.Lint.Off;
+      contention = true;
+      solve_deadline_ms = Some infinity;
+      retries = 12;
+      inject =
+        (match Robust.Inject.parse "seed=-7,crash@solve[yolo]=0.25" with
+        | Ok t -> t
+        | Error m -> failwith m);
+    };
+  ]
+
+let test_request_key_reference () =
+  let techs =
+    [ tech; Archspec.Technology.scale_to_node tech ~node_nm:16.0 ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun config ->
+      Alcotest.(check string) "config_fingerprint" (config_fingerprint_reference config)
+        (O.config_fingerprint config);
+      List.iter
+        (fun layer ->
+          let nest = Workload.Conv.to_nest layer in
+          List.iter
+            (fun tech ->
+              List.iter
+                (fun mode ->
+                  List.iter
+                    (fun objective ->
+                      incr checked;
+                      let expected = request_key_reference ~config tech mode objective nest in
+                      let got = O.request_key ~config tech mode objective nest in
+                      if not (String.equal expected got) then
+                        Alcotest.failf "request_key of %s differs:\n%s\n%s"
+                          (Workload.Nest.name nest) expected got)
+                    [ F.Energy; F.Delay; F.Edp ])
+                [
+                  F.Fixed Arch.eyeriss;
+                  F.Fixed (Arch.make ~name:"x:y|z" ~pes:3 ~registers:1 ~sram_words:max_int);
+                  F.Codesign { area_budget = Arch.eyeriss_area tech };
+                  F.Codesign { area_budget = -0.0 };
+                ])
+            techs)
+        Workload.Zoo.all_layers)
+    key_configs;
+  Alcotest.(check int) "keys checked" (3 * 41 * 2 * 4 * 3) !checked
 
 (* ------------------------------------------------------------------ *)
 (* Request keys: the arch-name collision regression                   *)
@@ -710,6 +949,124 @@ let test_serve_concurrent_clients () =
   Alcotest.(check int) "followers hit" (n - 1) (counter "serve.cache_hits")
 
 (* ------------------------------------------------------------------ *)
+(* Property: the decoders stay total under mutation                   *)
+(* ------------------------------------------------------------------ *)
+
+let gen_opts =
+  QCheck2.Gen.(
+    map3
+      (fun top_choices max_choices node_nm -> { Protocol.top_choices; max_choices; node_nm })
+      (int_range (-2) 600) (int_range (-2) 600) float)
+
+let gen_request =
+  let open QCheck2.Gen in
+  let* layer = oneofl [ "resnet-2"; "yolo-7"; "alexnet"; "no\"such\\layer\n" ] in
+  let* objective = oneofl [ F.Energy; F.Delay; F.Edp ] in
+  let* opts = gen_opts in
+  oneof
+    [
+      map2
+        (fun name pes ->
+          Protocol.Optimize
+            {
+              layer;
+              objective;
+              arch = Arch.make ~name ~pes ~registers:64 ~sram_words:8192;
+              opts;
+            })
+        (string_size ~gen:char (int_range 0 12))
+        (int_range 1 4096);
+      map (fun area -> Protocol.Codesign { layer; objective; area; opts }) (option float);
+      return (Protocol.Pipeline { pipeline = layer; objective; opts });
+      return Protocol.Metrics;
+    ]
+
+let gen_response =
+  let open QCheck2.Gen in
+  let text = string_size ~gen:char (int_range 0 200) in
+  oneof
+    [
+      map2 (fun body cached -> Protocol.Payload { body; cached }) text bool;
+      map2
+        (fun kind message -> Protocol.Refused { kind; message })
+        (oneofl [ Protocol.Rejected; Protocol.Bad_request; Protocol.Failed ])
+        text;
+    ]
+
+(* Truncate, flip a byte, splice two inputs, or wrap in nesting; one
+   to three of them in a row. *)
+let gen_mutated valid =
+  let open QCheck2.Gen in
+  let mutate s =
+    let n = String.length s in
+    oneof
+      [
+        map (fun k -> String.sub s 0 k) (int_range 0 n);
+        map2
+          (fun i c ->
+            if n = 0 then String.make 1 c
+            else String.mapi (fun j x -> if j = i mod n then c else x) s)
+          nat char;
+        (let* other = valid in
+         map2
+           (fun i j ->
+             let m = String.length other in
+             String.sub s 0 (i mod (n + 1)) ^ String.sub other (j mod (m + 1)) (m - (j mod (m + 1))))
+           nat nat);
+        map2
+          (fun depth closed ->
+            String.concat "" (List.init depth (fun _ -> "{\"k\":"))
+            ^ s
+            ^ if closed then String.make depth '}' else "")
+          (frequency [ (4, int_range 1 64); (1, int_range 1_000 20_000) ])
+          bool;
+      ]
+  in
+  let* s = valid in
+  let* rounds = int_range 1 3 in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go rounds s
+
+let total = function Ok _ | Error _ -> true
+
+let prop_decoders_total =
+  let print = Printf.sprintf "%S" in
+  let requests = QCheck2.Gen.map Protocol.encode_request gen_request in
+  let responses = QCheck2.Gen.map Protocol.encode_response gen_response in
+  [
+    QCheck2.Test.make ~name:"decode_request is total under mutation" ~count:500 ~print
+      (gen_mutated requests) (fun s -> total (Protocol.decode_request s));
+    QCheck2.Test.make ~name:"decode_response is total under mutation" ~count:500 ~print
+      (gen_mutated responses) (fun s -> total (Protocol.decode_response s));
+    (let dir = temp_dir "thistle-store-mutation" in
+     let store = Result.get_ok (Store.open_ dir) in
+     let config = O.config_fingerprint O.default_config in
+     let request_key =
+       O.request_key ~config:O.default_config tech (F.Fixed arch) F.Energy
+         (Workload.Conv.to_nest (Workload.Zoo.find "resnet-2"))
+     in
+     let path = Store.entry_path store ~config ~request_key in
+     let entry payload =
+       Store.put store ~config ~request_key payload;
+       In_channel.with_open_bin path In_channel.input_all
+     in
+     let entries =
+       QCheck2.Gen.(map entry (string_size ~gen:char (int_range 0 300)))
+     in
+     QCheck2.Test.make ~name:"Store.get is total over clobbered entries" ~count:300 ~print
+       (gen_mutated entries) (fun bytes ->
+         Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+         (* A hit returns the payload the clobbered entry still holds,
+            never an invented one. *)
+         match Store.get store ~config ~request_key with
+         | None -> true
+         | Some p -> (
+           match Obs.Json.parse (String.trim bytes) with
+           | Ok v -> String.equal p (Obs.Json.str_of (Obs.Json.find (Obs.Json.fields v) "payload"))
+           | Error _ -> false)));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Property: replay determinism and jobs-independence                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -797,6 +1154,9 @@ let () =
           Alcotest.test_case "clean close" `Quick test_wire_closed;
           Alcotest.test_case "torn frames" `Quick test_wire_torn;
           Alcotest.test_case "oversized/garbage prefix" `Quick test_wire_oversized;
+          Alcotest.test_case "reset mid-header is torn" `Quick test_wire_reset_torn;
+          Alcotest.test_case "reset after the request is an error" `Quick
+            test_client_reset_is_error;
         ] );
       ( "protocol",
         [
@@ -813,11 +1173,14 @@ let () =
           Alcotest.test_case "digest sensitivity" `Quick test_store_digest;
           Alcotest.test_case "config fingerprint pinned" `Quick
             test_config_fingerprint_pinned;
+          Alcotest.test_case "request addresses pinned" `Quick test_store_addresses_pinned;
         ] );
       ( "request-key",
         [
           Alcotest.test_case "arch name enters the key" `Quick
             test_request_key_covers_arch;
+          Alcotest.test_case "key and fingerprint equal the Printf reference" `Quick
+            test_request_key_reference;
         ] );
       ( "daemon",
         [
@@ -849,5 +1212,5 @@ let () =
             test_serve_concurrent_clients;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_replay_deterministic ] );
+        List.map QCheck_alcotest.to_alcotest (prop_decoders_total @ [ prop_replay_deterministic ]) );
     ]
