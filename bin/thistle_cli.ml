@@ -145,69 +145,9 @@ let pipeline_request opts =
 (* Configuration: the daemon's base config plus option groups         *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything a request does not carry: parallelism and the
-   fault-tolerance knobs (DESIGN §11).  [thistle serve] runs with
-   exactly this config as its base. *)
-let base_config =
-  (* No elapsed time compares past NaN, so a NaN budget would silently
-     never trip, and a zero or negative one quarantines every pair:
-     neither is a deadline.  [inf] is one that never trips. *)
-  let deadline_conv =
-    let parse s =
-      match float_of_string_opt s with
-      | Some ms when ms > 0.0 -> Ok ms
-      | Some _ | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "invalid value '%s', expected a positive number of milliseconds" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some deadline_conv) None
-      & info [ "solve-deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Cooperative wall-clock budget per GP solve, in milliseconds (a positive \
-             number; $(b,inf) sets no budget), checked at outer-iteration \
-             boundaries.  A solve that exceeds it retries per $(b,--retries) and is \
-             then quarantined; the sweep succeeds as long as any pair survives.")
-  in
-  let retries_arg =
-    Arg.(
-      value
-      & opt int O.default_config.O.retries
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Extra solve attempts after a crash or deadline hit before the pair is \
-             quarantined.  Retried attempts escalate the solver's initial KKT \
-             regularization.")
-  in
-  let inject_conv =
-    let parse s = Result.map_error (fun m -> `Msg m) (Robust.Inject.parse s) in
-    let print ppf t = Format.pp_print_string ppf (Robust.Inject.to_string t) in
-    Arg.conv (parse, print)
-  in
-  let inject_arg =
-    Arg.(
-      value
-      & opt inject_conv Robust.Inject.none
-      & info [ "inject" ] ~docv:"SPEC"
-          ~doc:
-            "Deterministic fault injection for exercising the quarantine machinery: \
-             comma-separated $(b,seed=INT) and $(b,KIND@SITE[FILTER]=PROB) clauses, \
-             e.g. $(b,seed=7,crash@solve=0.2,stall@solve[resnet-2]=1).  A crash \
-             fires at $(b,solve), $(b,integerize), $(b,layer) or $(b,serve), a stall \
-             at $(b,solve) only; a clause naming any other site is refused.  \
-             Decisions are a pure function of the spec and the work item, never of \
-             time.")
-  in
-  let build jobs solve_deadline_ms retries inject =
-    { O.default_config with O.jobs; solve_deadline_ms; retries; inject }
-  in
-  Term.(const build $ jobs_arg $ deadline_arg $ retries_arg $ inject_arg)
+(* Everything a request does not carry: parallelism.  [thistle serve]
+   runs with exactly this config as its base. *)
+let base_config = Term.(const (fun jobs -> { O.default_config with O.jobs }) $ jobs_arg)
 
 (* Communication-model knobs (DESIGN §16). *)
 let comm_opts =
@@ -626,7 +566,7 @@ let audit_cmd =
         else
           let sol = Gp.Solver.solve ~tol:O.default_config.O.gp_tol problem in
           match sol.Gp.Solver.status with
-          | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> ([], [])
+          | Gp.Solver.Infeasible -> ([], [])
           | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
             let cert =
               An.Certificate.check ~provenance:instance.F.provenance problem

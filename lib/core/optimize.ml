@@ -40,7 +40,7 @@ let default_config =
     warm_start = true;
     gp_kernel = `Compiled;
     solve_deadline_ms = None;
-    retries = 1;
+    retries = 0;
     inject = Robust.Inject.none;
     shard = Sweep.Partition.full;
     journal = None;
@@ -73,10 +73,8 @@ let m_chol_fallbacks = Obs.Metrics.counter "solver.cholesky_fallbacks"
 let g_gap = Obs.Metrics.gauge "solver.max_duality_gap"
 
 (* Every counter below is computed once from the sweep's final pair
-   table by [feed_counters] (DESIGN §9).  Robustness counters (§11): *)
+   table by [feed_counters] (DESIGN §9).  Fault isolation (§11): *)
 let m_quarantined = Obs.Metrics.counter "robust.quarantined"
-let m_retries = Obs.Metrics.counter "robust.retries"
-let m_deadline_hits = Obs.Metrics.counter "robust.deadline_hits"
 
 (* Presolve counters (DESIGN §9/§13): the formulate stage's verdicts
    over the sweep's pairs; [Off] leaves both at zero. *)
@@ -108,25 +106,21 @@ let select_best ~score outcomes =
     None outcomes
 
 (* Everything that can change a pair's solve besides the problem
-   itself: solver tolerance and kernel, warm starts, the
-   deadline/retry/injection machinery.  It versions the serve store
-   (DESIGN §14) — change any of these and every stored answer misses.
-   The leading version is bumped whenever the same settings compute a
-   different served body, the [solver:] line's step counts included, so
-   that an entry written by an older binary never replays as a hit. *)
+   itself: solver tolerance and kernel, warm starts, crash injection.
+   It versions the serve store (DESIGN §14) — change any of these and
+   every stored answer misses.  The leading version is bumped whenever
+   the same settings compute a different served body, the [solver:]
+   line's step counts included, so that an entry written by an older
+   binary never replays as a hit. *)
 let config_fingerprint config =
   String.concat ""
     [
-      "v4|tol=";
+      "v5|tol=";
       Obs.Json.bits config.gp_tol;
       "|kernel=";
       (match config.gp_kernel with `Compiled -> "compiled" | `List -> "list");
       "|warm=";
       string_of_bool config.warm_start;
-      "|deadline=";
-      (match config.solve_deadline_ms with None -> "none" | Some ms -> Obs.Json.bits ms);
-      "|retries=";
-      string_of_int config.retries;
       "|inject=";
       Robust.Inject.to_string config.inject;
       (* [Prune] solves reduced problems and skips pruned pairs, which is
@@ -191,8 +185,9 @@ let problem_key problem =
    integerization / lint configuration.  Solver behavior is versioned
    separately by {!config_fingerprint}; a result cache keys on both.
    [jobs] is excluded — it never changes the report (the bit-identity
-   contract of §7) — and so are [shard], [journal] and [resume], which
-   [run] refuses unless they hold their defaults. *)
+   contract of §7) — and so are [shard], [journal], [resume],
+   [solve_deadline_ms] and [retries], which [run] refuses unless they
+   hold their defaults. *)
 let request_key ~config tech arch_mode objective nest =
   let buf = Buffer.create 1024 in
   let add = Buffer.add_string buf in
@@ -326,20 +321,8 @@ type source =
   | Presolve_pruned  (* statically infeasible, never solved *)
 
 (* A pair's fate after the solve stage — a solution, the quarantining
-   failure or the pruning proof — with the final attempt's telemetry,
-   the extra attempts spent, and the deadline hits across every attempt
-   (retried stalls included, which the final attempt's stats alone
-   would miss). *)
-type slot = {
-  s_fate : Sweep.Journal.fate;
-  s_stats : Gp.Solver.stats;
-  s_retries : int;
-  s_deadline_hits : int;
-  s_source : source;
-}
-
-let slot ?(retries = 0) ?(deadline_hits = 0) s_source s_fate s_stats =
-  { s_fate; s_stats; s_retries = retries; s_deadline_hits = deadline_hits; s_source }
+   failure or the pruning proof — with its solve's telemetry. *)
+type slot = { s_fate : Sweep.Journal.fate; s_stats : Gp.Solver.stats; s_source : source }
 
 (* A shortlisted pair's integerization: a design point, no surviving
    integer candidate, or the failure that quarantined it. *)
@@ -359,7 +342,7 @@ type row = {
    when the solver reported a finite objective for it. *)
 let usable_solution instance (solution : Gp.Solver.solution) =
   match solution.Gp.Solver.status with
-  | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> false
+  | Gp.Solver.Infeasible -> false
   | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
     Float.is_finite solution.Gp.Solver.objective
     &&
@@ -421,11 +404,15 @@ let presolve_disagreements instance (t : Analysis.Presolve.t)
     escaped @ active
 
 (* Configurations [run] refuses outright: sweeps are not sharded,
-   journaled or resumed (DESIGN §12), so no caller may believe one was. *)
+   journaled or resumed (DESIGN §12), and solves have no deadline and
+   are not retried (§11), so no caller may believe otherwise. *)
 let check_config config =
   if config.shard <> Sweep.Partition.full || config.journal <> None || config.resume then
     Error "optimize: sweeps are not sharded, journaled or resumed (shard, journal and \
            resume must keep their defaults)"
+  else if config.solve_deadline_ms <> None || config.retries <> 0 then
+    Error "optimize: solves have no deadline and are not retried (solve_deadline_ms and \
+           retries must keep their defaults)"
   else Ok ()
 
 let enumerate config nest =
@@ -504,16 +491,9 @@ let formulate ~config ~jobs tech arch_mode objective sweep =
       (Printf.sprintf "optimize: lint rejected formulation: %s"
          (Analysis.Diagnostic.summary diags))
 
-(* One pair's guarded solve, retried per [config.retries] (DESIGN §11).
-
-   A feasible presolve verdict swaps in the reduced problem, whose
-   redundant constraints are dropped.
-
-   A stall injection forces a zero deadline on that attempt, which trips
-   [Deadline_exceeded] deterministically at the solver's first check
-   without reading the wall clock.  Retries escalate the initial KKT
-   regularization — a solve that crashed or stalled was usually
-   fighting a near-singular system. *)
+(* One pair's guarded solve (DESIGN §11): a solve that raises
+   quarantines the pair.  A feasible presolve verdict swaps in the
+   reduced problem, whose redundant constraints are dropped. *)
 let solve_pair ~config ?warm_start pair =
   let prov = pair.instance.Formulate.provenance in
   let problem =
@@ -521,46 +501,20 @@ let solve_pair ~config ?warm_start pair =
     | Some (Analysis.Presolve.Feasible red) -> red.Analysis.Presolve.reduced
     | Some (Analysis.Presolve.Infeasible _) | None -> pair.instance.Formulate.problem
   in
-  let deadline_ns = Option.map (fun ms -> ms *. 1e6) config.solve_deadline_ms in
-  let max_attempts = 1 + Int.max 0 config.retries in
-  let start = Robust.now_ns () in
-  let rec attempt n ~dh =
-    let st = Gp.Solver.fresh_stats () in
-    let deadline_ns =
-      if Robust.Inject.stall config.inject ~site:"solve" ~provenance:prov ~attempt:n
-      then Some 0.0
-      else deadline_ns
-    in
-    let result =
-      Robust.guard ~inject:config.inject ~attempt:n ~site:"solve" ~provenance:prov
-        (fun () ->
+  let st = Gp.Solver.fresh_stats () in
+  let fate =
+    match
+      Robust.guard ~inject:config.inject ~site:"solve" ~provenance:prov (fun () ->
           Obs.Trace.span "solve"
             ~attrs:[ ("provenance", prov) ]
             (fun () ->
               Gp.Solver.solve ~tol:config.gp_tol ~stats:st ~kernel:config.gp_kernel
-                ?deadline_ns
-                ~initial_reg:(if n = 0 then 1e-9 else 1e-5)
                 ?warm_start problem))
-    in
-    let dh = dh + st.Gp.Solver.deadline_hits in
-    let finish fate =
-      slot ~retries:n ~deadline_hits:dh
-        (Solved_here { warm = Option.is_some warm_start })
-        fate st
-    in
-    match result with
-    | Ok sol when sol.Gp.Solver.status <> Gp.Solver.Deadline_exceeded ->
-      finish (Sweep.Journal.Solved sol)
-    | _ when n + 1 < max_attempts -> attempt (n + 1) ~dh
-    | Ok _ ->
-      finish
-        (Sweep.Journal.Quarantined
-           (Robust.deadline_failure ~attempts:(n + 1) ~site:"solve" ~provenance:prov
-              ~elapsed_ns:(Robust.now_ns () -. start)
-              ()))
-    | Error f -> finish (Sweep.Journal.Quarantined f)
+    with
+    | Ok sol -> Sweep.Journal.Solved sol
+    | Error f -> Sweep.Journal.Quarantined f
   in
-  attempt 0 ~dh:0
+  { s_fate = fate; s_stats = st; s_source = Solved_here { warm = Option.is_some warm_start } }
 
 (* Stage solve: a presolve-pruned pair gets its slot first, with
    all-zero stats because no solver runs; then two waves, each remaining
@@ -577,7 +531,12 @@ let solve ~config ~jobs sweep pairs =
       (fun p ->
         match p.pre with
         | Some (Analysis.Presolve.Infeasible proof) ->
-          Some (slot Presolve_pruned (Sweep.Journal.Pruned proof) (Gp.Solver.fresh_stats ()))
+          Some
+            {
+              s_fate = Sweep.Journal.Pruned proof;
+              s_stats = Gp.Solver.fresh_stats ();
+              s_source = Presolve_pruned;
+            }
         | Some (Analysis.Presolve.Feasible _) | None -> None)
       pairs
   in
@@ -685,8 +644,7 @@ let solve_totals table =
    enumeration order — never bumped from inside a parallel stage — so
    the values are functions of the workload and configuration alone
    (the Obs.Metrics determinism contract).  [solver.*] counts solves
-   as the report's [solve_totals] does: one per solved pair, its final
-   attempt. *)
+   as the report's [solve_totals] does: one per solved pair. *)
 let feed_counters table =
   let rows = Array.to_list table in
   let count p = List.length (List.filter p rows) in
@@ -724,8 +682,6 @@ let feed_counters table =
          match (r.slot.s_fate, r.integerized) with
          | Sweep.Journal.Quarantined _, _ | _, Some (Error _) -> true
          | _ -> false));
-  Obs.Metrics.add m_retries (sum (fun r -> r.slot.s_retries));
-  Obs.Metrics.add m_deadline_hits (sum (fun r -> r.slot.s_deadline_hits));
   Obs.Metrics.add m_comm_bound
     (count (fun r ->
          match r.integerized with

@@ -87,23 +87,18 @@ type config = {
           [`Compiled], the production path); [`List] selects the
           closure-per-function reference solver, which agrees with it
           to solver tolerance.  No CLI flag sets it. *)
-  solve_deadline_ms : float option;
-      (** cooperative wall-clock budget per GP solve (default [None]):
-          checked at outer-iteration boundaries, so a solve may overrun
-          by one centering.  A deadline hit retries per [retries], then
-          quarantines the pair (DESIGN §11).  Positive budgets make the
-          set of surviving pairs timing-dependent; determinism tests use
-          injection instead. *)
+  solve_deadline_ms : float option;  (** must stay [None]: solves have no deadline. *)
   retries : int;
-      (** extra solve attempts after a crash or deadline hit before the
-          pair is quarantined (default 1; negative behaves as 0).
-          Retried attempts escalate the solver's initial KKT
-          regularization from 1e-9 to 1e-5. *)
+      (** must stay [0]: solves are not retried (DESIGN §11).  {!run}
+          returns [Error] for any other value of these two fields.  They
+          stay only because perfbench's stage replay checks them, and go
+          with that replay (ROADMAP item 3). *)
   inject : Robust.Inject.t;
-      (** deterministic fault injection for testing the quarantine
-          machinery (default {!Robust.Inject.none}); decisions are a pure
-          function of (seed, kind, site, provenance, attempt), never of
-          time, so injected runs stay bit-identical across [jobs]. *)
+      (** deterministic crash injection for testing the quarantine
+          machinery (default {!Robust.Inject.none}; no CLI flag sets it);
+          decisions are a pure function of (seed, site, provenance),
+          never of time, so injected runs stay bit-identical across
+          [jobs]. *)
   shard : Sweep.Partition.t;
       (** must stay {!Sweep.Partition.full}: sweeps are not sharded
           (DESIGN §12). *)
@@ -130,7 +125,7 @@ val select_best : score:('a -> float) -> 'a list -> 'a option
 val config_fingerprint : config -> string
 (** The solver-behavior fingerprint the serve store keys on, with
     {!request_key} (DESIGN §14): tolerance, kernel, warm starts,
-    deadline/retry/injection settings, presolve mode and the
+    crash injection, presolve mode and the
     communication model (the lowering changes the GP; [contention] is
     excluded — it never changes a solve).  Changing any of them makes
     every stored answer miss, and so does a bump of its leading version,
@@ -166,8 +161,9 @@ val request_key :
     including [comm] and [contention].  Solver
     behavior is versioned separately by {!config_fingerprint}; a result
     cache must key on both.  [jobs] is excluded — it never changes the
-    report — and so are [shard]/[journal]/[resume], which {!run}
-    refuses unless they hold their defaults.  Exposed for the serve
+    report — and so are [shard]/[journal]/[resume],
+    [solve_deadline_ms] and [retries], which {!run} refuses unless they
+    hold their defaults.  Exposed for the serve
     store and tests; the format is not a stability guarantee. *)
 
 val usable_solution : Formulate.instance -> Gp.Solver.solution -> bool
@@ -194,12 +190,10 @@ type report = {
   solve_totals : Gp.Solver.totals;
       (** solver telemetry summed over {e every} GP solve of the sweep,
           feasible or not, accumulated in deterministic enumeration
-          order.  For retried pairs only the final attempt's stats are
-          counted — one solve per pair; [robust.retries] counts the
-          extra attempts. *)
+          order, one solve per solved pair. *)
   failures : Robust.failure list;
-      (** quarantined pairs (crashed or deadline-exceeded solves, crashed
-          integerizations) in enumeration order — solve-stage failures
+      (** quarantined pairs (crashed solves, crashed integerizations) in
+          enumeration order — solve-stage failures
           first, then integerization-stage ones.  The run succeeds as
           long as any pair survives; an empty list means a clean sweep. *)
   pruned : (string * Analysis.Presolve.proof) list;

@@ -3,7 +3,7 @@ module Mat = Linalg.Mat
 module P = Symexpr.Posynomial
 module M = Symexpr.Monomial
 
-type status = Optimal | Infeasible | Iteration_limit | Deadline_exceeded
+type status = Optimal | Infeasible | Iteration_limit
 
 type solution = { status : status; values : (string * float) list; objective : float }
 
@@ -33,7 +33,6 @@ type stats = {
   mutable backtracks : int;
   mutable kkt_regularizations : int;
   mutable cholesky_fallbacks : int;
-  mutable deadline_hits : int;
   mutable duality_gap : float;
 }
 
@@ -45,7 +44,6 @@ let fresh_stats () =
     backtracks = 0;
     kkt_regularizations = 0;
     cholesky_fallbacks = 0;
-    deadline_hits = 0;
     duality_gap = nan;
   }
 
@@ -56,7 +54,6 @@ let reset_stats st =
   st.backtracks <- 0;
   st.kkt_regularizations <- 0;
   st.cholesky_fallbacks <- 0;
-  st.deadline_hits <- 0;
   st.duality_gap <- nan
 
 let copy_stats ~into st =
@@ -66,7 +63,6 @@ let copy_stats ~into st =
   into.backtracks <- st.backtracks;
   into.kkt_regularizations <- st.kkt_regularizations;
   into.cholesky_fallbacks <- st.cholesky_fallbacks;
-  into.deadline_hits <- st.deadline_hits;
   into.duality_gap <- st.duality_gap
 
 type totals = {
@@ -103,7 +99,7 @@ let accumulate t s =
     t_backtracks = t.t_backtracks + s.backtracks;
     t_kkt_regularizations = t.t_kkt_regularizations + s.kkt_regularizations;
     t_cholesky_fallbacks = t.t_cholesky_fallbacks + s.cholesky_fallbacks;
-    t_deadline_hits = t.t_deadline_hits + s.deadline_hits;
+    t_deadline_hits = 0;
     max_duality_gap =
       (if Float.is_finite s.duality_gap then Float.max t.max_duality_gap s.duality_gap
        else t.max_duality_gap);
@@ -112,9 +108,9 @@ let accumulate t s =
 let pp_totals ppf t =
   Format.fprintf ppf
     "solves=%d phase1-outer=%d phase2-outer=%d newton=%d backtracks=%d kkt-reg=%d \
-     chol-fallback=%d deadline=%d max-gap=%.3g"
+     chol-fallback=%d max-gap=%.3g"
     t.solves t.t_phase1_outer t.t_phase2_outer t.t_newton_iters t.t_backtracks
-    t.t_kkt_regularizations t.t_cholesky_fallbacks t.t_deadline_hits t.max_duality_gap
+    t.t_kkt_regularizations t.t_cholesky_fallbacks t.max_duality_gap
 
 let log_src = Logs.Src.create "gp.solver" ~doc:"Geometric-program solver"
 
@@ -505,13 +501,8 @@ let max_outer = 60
 
 (* The t-schedule: center at t = 1, 20, 400, ... until the duality-gap
    bound m / t drops below [tol], [stop_early] holds, or [max_outer]
-   centerings ran.
-
-   [check] is the cooperative deadline hook: called before every outer
-   (centering) iteration, it raises {!Deadline} once the caller's budget
-   is spent.  Checks sit at outer-iteration boundaries only — a single
-   centering runs to completion — keeping the hot path untouched. *)
-let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~initial_reg ph y0 =
+   centerings ran. *)
+let barrier ?(stop_early = fun _ -> false) ~st ~phase ~tol ~initial_reg ph y0 =
   let tick () =
     match phase with
     | `One -> st.phase1_outer <- st.phase1_outer + 1
@@ -520,7 +511,6 @@ let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~initial_reg p
   let centering = centering ph ~st ~initial_reg in
   let m = ph.m in
   if m = 0 then begin
-    check ();
     if phase = `Two then st.duality_gap <- 0.0;
     (centering ~barrier_t:1.0 y0, true)
   end
@@ -534,7 +524,6 @@ let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~initial_reg p
     while not !done_ do
       incr outer;
       tick ();
-      check ();
       y := centering ~barrier_t:!t !y;
       if stop_early !y then begin
         done_ := true;
@@ -602,7 +591,7 @@ let start (lo : Batch.lowered) warm_start =
    subject to f_i(y) - s <= 0 and s >= -20 (which keeps the problem
    bounded), starting at s = max(0, max_i f_i(y0)) + 1 and stopping as
    soon as s < -0.5. *)
-let phase1 ~check ~st ~initial_reg ~(ph2 : phase) ~phase1_of ~rows y0 =
+let phase1 ~st ~initial_reg ~(ph2 : phase) ~phase1_of ~rows y0 =
   let n = Vec.dim y0 in
   let strictly_ok y =
     let ok = ref true in
@@ -624,14 +613,14 @@ let phase1 ~check ~st ~initial_reg ~(ph2 : phase) ~phase1_of ~rows y0 =
     let y1, _ =
       barrier
         ~stop_early:(fun y -> y.(n) < -0.5)
-        ~check ~st ~phase:`One ~tol:1e-6 ~initial_reg ph1
+        ~st ~phase:`One ~tol:1e-6 ~initial_reg ph1
         (Vec.concat y0 [| !s0 +. 1.0 |])
     in
     let y = Vec.slice y1 0 n in
     if strictly_ok y then Some y else None
   end
 
-let run ~tol ~st ~check ?warm_start ~initial_reg ~kernel problem =
+let run ~tol ~st ?warm_start ~initial_reg ~kernel problem =
   let lo = Batch.lower problem in
   (* Constant equalities reduce to 0 = d: inconsistent unless d ~ 0. *)
   if Array.exists (fun d -> Float.abs d > 1e-9) lo.Batch.lo_dz then infeasible
@@ -640,16 +629,12 @@ let run ~tol ~st ~check ?warm_start ~initial_reg ~kernel problem =
     let ph2, phase1_of =
       (match kernel with `Compiled -> compiled_kernel | `List -> list_kernel) lo problem
     in
-    match
-      phase1 ~check ~st ~initial_reg ~ph2 ~phase1_of ~rows:lo.Batch.lo_rows y0
-    with
+    match phase1 ~st ~initial_reg ~ph2 ~phase1_of ~rows:lo.Batch.lo_rows y0 with
     | None ->
       Log.debug (fun m -> m "phase I failed: problem infeasible");
       infeasible
     | Some y_feas ->
-      let y_opt, clean =
-        barrier ~check ~st ~phase:`Two ~tol ~initial_reg ph2 y_feas
-      in
+      let y_opt, clean = barrier ~st ~phase:`Two ~tol ~initial_reg ph2 y_feas in
       let envt = Array.map exp y_opt in
       {
         status = (if clean then Optimal else Iteration_limit);
@@ -663,34 +648,15 @@ let run ~tol ~st ~check ?warm_start ~initial_reg ~kernel problem =
 (* Public entry point                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Internal deadline signal; never escapes [solve]. *)
-exception Deadline
-
-let now_ns () = Unix.gettimeofday () *. 1e9
-
-let solve ?(tol = 1e-8) ?stats ?warm_start ?(kernel = `Compiled)
-    ?deadline_ns ?(initial_reg = 1e-9) problem =
+let solve ?(tol = 1e-8) ?stats ?warm_start ?(kernel = `Compiled) ?(initial_reg = 1e-9)
+    problem =
   let st = match stats with Some st -> st | None -> fresh_stats () in
   reset_stats st;
-  (* Cooperative deadline: checked at outer-iteration boundaries (see
-     [barrier]).  [deadline_ns <= 0] trips at the very first check, which
-     the fault-injection "stall" path relies on for determinism. *)
-  let check =
-    match deadline_ns with
-    | None -> fun () -> ()
-    | Some budget_ns ->
-      let start = now_ns () in
-      fun () -> if now_ns () -. start >= budget_ns then raise Deadline
-  in
   (* Any residual numerical failure is reported as infeasibility of this
      program rather than escaping to the caller: the driver treats such
      choices as unusable and moves on. *)
-  match run ~tol ~st ~check ?warm_start ~initial_reg ~kernel problem with
+  match run ~tol ~st ?warm_start ~initial_reg ~kernel problem with
   | solution -> solution
   | exception Mat.Singular ->
     Log.debug (fun m -> m "numerical failure: treating the program as infeasible");
     infeasible
-  | exception Deadline ->
-    st.deadline_hits <- st.deadline_hits + 1;
-    Log.debug (fun m -> m "solve deadline exceeded");
-    { status = Deadline_exceeded; values = []; objective = nan }

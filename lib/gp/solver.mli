@@ -43,10 +43,6 @@ type status =
   | Iteration_limit
       (** progress stalled; the returned point is the best found and is
           feasible, but optimality is not certified *)
-  | Deadline_exceeded
-      (** the cooperative [?deadline_ns] budget ran out before the solve
-          converged; [values] is empty and [objective] is [nan].  Counted
-          in {!stats.deadline_hits} / {!totals.t_deadline_hits}. *)
 
 type solution = {
   status : status;
@@ -89,8 +85,6 @@ type stats = {
       (** Newton steps where the structured Cholesky path failed at
           every regularization level and the dense LU path was tried
           instead; always 0 for the [`List] kernel *)
-  mutable deadline_hits : int;
-      (** 1 when this solve returned {!Deadline_exceeded}, else 0 *)
   mutable duality_gap : float;
       (** certified duality-gap bound [m / t] at the end of phase II;
           [0.0] for problems without inequalities, [nan] when phase II
@@ -115,6 +109,9 @@ type totals = {
   t_kkt_regularizations : int;
   t_cholesky_fallbacks : int;
   t_deadline_hits : int;
+      (** always 0: solves have no deadline.  The field stays only
+          because perfbench's stage replay builds this record, and goes
+          with that replay (ROADMAP item 3). *)
   max_duality_gap : float;  (** largest finite per-solve gap; [0.0] if none *)
 }
 (** Order-independent aggregation of per-solve {!stats} — summing is
@@ -132,29 +129,23 @@ val solve :
   ?stats:stats ->
   ?warm_start:(string * float) list ->
   ?kernel:kernel ->
-  ?deadline_ns:float ->
   ?initial_reg:float ->
   Problem.t ->
   solution
 (** [solve problem] minimizes the problem objective.  [tol] bounds the
     final duality gap per inequality constraint (default 1e-8); each
-    barrier phase runs at most 60 centerings.
+    barrier phase runs at most 60 centerings of at most 80 Newton steps,
+    each with at most 60 line-search halvings, so every solve is bounded
+    without a clock.  A singular system ([Linalg.Mat.Singular]) returns
+    {!Infeasible} instead of raising.
     When [stats] is given, its fields are overwritten with this solve's
     telemetry; passing it does not change the returned solution in any
     way.
 
-    [deadline_ns] is a cooperative wall-clock budget for the whole
-    solve, checked at outer-iteration boundaries (a single centering
-    always runs to completion).  When it runs out the solve returns
-    {!Deadline_exceeded} instead of raising.  A non-positive budget
-    trips deterministically at the very first check, before any solver
-    work — the fault-injection "stall" path relies on this.  With the
-    default ([None]) no clock is ever read.
-
     [initial_reg] (default [1e-9]) is the starting KKT regularization of
-    every Newton step's factorization ladder; the retry policy in
-    {!Optimize} escalates it when re-running a solve that crashed or
-    timed out.
+    every Newton step's factorization ladder.  Only perfbench's stage
+    replay passes it, always at the default; it goes with that replay
+    (ROADMAP item 3).
 
     [warm_start] supplies a prior solution's positive-space values
     (e.g. [solution.values] from a structurally close problem); they

@@ -89,6 +89,11 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
+(* The parser recurses once per object level, so an untrusted payload
+   of nothing but [{"k":] would hold it for seconds per megabyte.  What
+   the protocol and the store write nests two levels deep. *)
+let max_depth = 64
+
 let parse_exn s =
   let n = String.length s in
   let pos = ref 0 in
@@ -156,16 +161,17 @@ let parse_exn s =
     in
     go ()
   in
-  let rec value () =
+  let rec value depth =
     skip_ws ();
     match peek () with
     | '{' ->
+      if depth >= max_depth then bad "nesting deeper than %d at offset %d" max_depth !pos;
       incr pos;
-      obj []
+      obj (depth + 1) []
     | '"' -> Str (string_lit ())
     | '-' | '0' .. '9' -> number ()
     | c -> bad "unexpected %C at offset %d" c !pos
-  and obj acc =
+  and obj depth acc =
     skip_ws ();
     if peek () = '}' then begin
       incr pos;
@@ -175,12 +181,12 @@ let parse_exn s =
       let k = string_lit () in
       skip_ws ();
       expect ':';
-      let v = value () in
+      let v = value depth in
       skip_ws ();
       match peek () with
       | ',' ->
         incr pos;
-        obj ((k, v) :: acc)
+        obj depth ((k, v) :: acc)
       | '}' ->
         incr pos;
         Obj (List.rev ((k, v) :: acc))
@@ -196,7 +202,7 @@ let parse_exn s =
     | Some i -> Int i
     | None -> bad "bad number at offset %d" start
   in
-  let v = value () in
+  let v = value 0 in
   skip_ws ();
   if !pos <> n then bad "trailing bytes at offset %d" !pos;
   v

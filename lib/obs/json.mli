@@ -60,12 +60,14 @@ type value =
   | Int of int
 
 val parse : string -> (value, string) result
-(** Parse one complete JSON value; trailing bytes are an error.  The
-    error message names the offending offset.  A string literal's bytes
-    between escapes are copied a run at a time; [test_obs] holds its
-    value and every error message to a per-byte reference parser, kept
-    in the test, over literals built from every escape, well formed or
-    not. *)
+(** Parse one complete JSON value; trailing bytes are an error, and so
+    are objects nested more than 64 deep (the protocol and the store
+    nest two), which are refused before the parser recurses past that
+    depth.  The error message names the offending offset.  A string
+    literal's bytes between escapes are copied a run at a time;
+    [test_obs] holds its value and every error message to a per-byte
+    reference parser, kept in the test, over literals built from every
+    escape, well formed or not. *)
 
 (** {2 Accessors}
 

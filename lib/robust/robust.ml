@@ -4,35 +4,29 @@ type failure = {
   exn : string;
   backtrace : string;
   elapsed_ns : float;
-  attempts : int;
 }
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
-let describe f =
-  Printf.sprintf "%s failed (%d attempt%s): %s [%s]" f.site f.attempts
-    (if f.attempts = 1 then "" else "s")
-    f.exn f.provenance
+let describe f = Printf.sprintf "%s failed: %s [%s]" f.site f.exn f.provenance
 
 let pp_summary ppf failures =
-  Format.fprintf ppf "%-11s %8s %9s  %-40s %s@." "site" "attempts" "ms" "exception"
-    "provenance";
+  Format.fprintf ppf "%-11s %9s  %-40s %s@." "site" "ms" "exception" "provenance";
   List.iter
     (fun f ->
       let exn =
         if String.length f.exn <= 40 then f.exn else String.sub f.exn 0 37 ^ "..."
       in
-      Format.fprintf ppf "%-11s %8d %9.1f  %-40s %s@." f.site f.attempts
-        (f.elapsed_ns /. 1e6) exn f.provenance)
+      Format.fprintf ppf "%-11s %9.1f  %-40s %s@." f.site (f.elapsed_ns /. 1e6) exn
+        f.provenance)
     failures
 
 (* FNV-1a, 64-bit, then murmur3's 64-bit finalizer.  FNV-1a alone
    diffuses a trailing-byte change through one multiply only, leaving
-   the draws for attempt 0 and attempt 1 of the same key about 1e-7
-   apart — retries would almost never re-roll.  The finalizer spreads
-   any single-bit change across the whole word.  The index loop keeps
-   the accumulator unboxed: a closure capturing it would box an
-   [Int64] per byte. *)
+   the draws of keys that differ in their last byte about 1e-7 apart.
+   The finalizer spreads any single-bit change across the whole word.
+   The index loop keeps the accumulator unboxed: a closure capturing it
+   would box an [Int64] per byte. *)
 let hash64 s =
   let h = ref 0xcbf29ce484222325L in
   for i = 0 to String.length s - 1 do
@@ -47,19 +41,11 @@ let hash64 s =
 exception Injected_fault of string
 
 module Inject = struct
-  type kind = [ `Crash | `Stall ]
-
-  type rule = { kind : kind; site : string; filter : string option; prob : float }
+  type rule = { site : string; filter : string option; prob : float }
 
   type t = { seed : int; rules : rule list }
 
   let none = { seed = 0; rules = [] }
-
-  let is_none t = t.rules = []
-
-  let seed t = t.seed
-
-  let kind_name = function `Crash -> "crash" | `Stall -> "stall"
 
   (* Uniform draw in [0, 1) from the top 53 bits of the mixed hash. *)
   let unit_draw key =
@@ -74,12 +60,12 @@ module Inject = struct
       at 0
     end
 
-  let decide t ~kind ~site ~provenance ~attempt =
+  let crash t ~site ~provenance ~attempt =
     match
       List.fold_left
         (fun acc r ->
           if
-            r.kind = kind && r.site = site
+            r.site = site
             && (match r.filter with None -> true | Some f -> contains ~sub:f provenance)
           then Float.max acc r.prob
           else acc)
@@ -87,20 +73,11 @@ module Inject = struct
     with
     | p when p <= 0.0 -> false
     | prob ->
-      let key =
-        Printf.sprintf "%d|%s|%s|%s|%d" t.seed (kind_name kind) site provenance attempt
-      in
+      let key = Printf.sprintf "%d|crash|%s|%s|%d" t.seed site provenance attempt in
       unit_draw key < prob
 
-  let crash t ~site ~provenance ~attempt = decide t ~kind:`Crash ~site ~provenance ~attempt
-
-  let stall t ~site ~provenance ~attempt = decide t ~kind:`Stall ~site ~provenance ~attempt
-
-  (* The sites a rule of each kind can fire at: every guarded site
-     crashes, and only the solver reads a stall. *)
-  let sites = function
-    | `Crash -> [ "solve"; "integerize"; "layer"; "serve" ]
-    | `Stall -> [ "solve" ]
+  (* Every guarded site. *)
+  let sites = [ "solve"; "integerize"; "layer"; "serve" ]
 
   let parse_clause clause =
     let clause = String.trim clause in
@@ -117,37 +94,30 @@ module Inject = struct
         match String.index_opt lhs '@' with
         | None ->
           Error
-            (Printf.sprintf "inject: clause %S is neither seed=N nor KIND@SITE=PROB"
+            (Printf.sprintf "inject: clause %S is neither seed=N nor crash@SITE=PROB"
                clause)
         | Some at ->
-          let kind_s = String.sub lhs 0 at in
+          let kind = String.sub lhs 0 at in
           let site_s = String.sub lhs (at + 1) (String.length lhs - at - 1) in
-          let kind =
-            match kind_s with
-            | "crash" -> Ok `Crash
-            | "stall" -> Ok `Stall
-            | k -> Error (Printf.sprintf "inject: unknown fault kind %S" k)
-          in
           let site, filter =
             match (String.index_opt site_s '[', String.rindex_opt site_s ']') with
             | Some l, Some r when r = String.length site_s - 1 && l < r ->
               (String.sub site_s 0 l, Some (String.sub site_s (l + 1) (r - l - 1)))
             | _ -> (site_s, None)
           in
-          match (kind, float_of_string_opt rhs) with
-          | Error e, _ -> Error e
-          | Ok _, None ->
-            Error (Printf.sprintf "inject: probability %S is not a float" rhs)
-          | Ok _, Some p when not (Float.is_finite p) || p < 0.0 || p > 1.0 ->
-            Error (Printf.sprintf "inject: probability %s is outside [0, 1]" rhs)
-          | Ok kind, Some prob ->
-            if site = "" then Error (Printf.sprintf "inject: clause %S has no site" clause)
-            else if not (List.mem site (sites kind)) then
-              Error
-                (Printf.sprintf
-                   "inject: clause %S never fires (crash sites: %s; stall site: %s)" clause
-                   (String.concat ", " (sites `Crash)) (String.concat ", " (sites `Stall)))
-            else Ok (`Rule { kind; site; filter; prob })
+          if kind <> "crash" then Error (Printf.sprintf "inject: unknown fault kind %S" kind)
+          else
+            match float_of_string_opt rhs with
+            | None -> Error (Printf.sprintf "inject: probability %S is not a float" rhs)
+            | Some p when not (Float.is_finite p) || p < 0.0 || p > 1.0 ->
+              Error (Printf.sprintf "inject: probability %s is outside [0, 1]" rhs)
+            | Some prob ->
+              if site = "" then Error (Printf.sprintf "inject: clause %S has no site" clause)
+              else if not (List.mem site sites) then
+                Error
+                  (Printf.sprintf "inject: clause %S never fires (crash sites: %s)" clause
+                     (String.concat ", " sites))
+              else Ok (`Rule { site; filter; prob })
       end
 
   let parse spec =
@@ -170,7 +140,7 @@ module Inject = struct
       (("seed=" ^ string_of_int t.seed)
       :: List.map
            (fun r ->
-             Printf.sprintf "%s@%s%s=%g" (kind_name r.kind) r.site
+             Printf.sprintf "crash@%s%s=%g" r.site
                (match r.filter with None -> "" | Some f -> "[" ^ f ^ "]")
                r.prob)
            t.rules)
@@ -186,18 +156,8 @@ let guard ?(inject = Inject.none) ?(attempt = 0) ~site ~provenance body =
   | v -> Ok v
   | exception e ->
     let backtrace = Printexc.get_backtrace () in
-    Error
-      {
-        site;
-        provenance;
-        exn = Printexc.to_string e;
-        backtrace;
-        elapsed_ns = now_ns () -. start;
-        attempts = attempt + 1;
-      }
-
-let deadline_failure ?(attempts = 1) ~site ~provenance ~elapsed_ns () =
-  { site; provenance; exn = "Deadline_exceeded"; backtrace = ""; elapsed_ns; attempts }
+    let elapsed_ns = now_ns () -. start in
+    Error { site; provenance; exn = Printexc.to_string e; backtrace; elapsed_ns }
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                  *)

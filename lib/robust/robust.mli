@@ -1,4 +1,4 @@
-(** Fault isolation for the optimizer sweep.
+(** Fault isolation for the optimizer sweep (DESIGN §11).
 
     The pipeline solves one geometric program per (permutation choice ×
     window placement) across every layer of a network; at that scale one
@@ -9,14 +9,15 @@
       structured {!failure} record (provenance, exception, backtrace,
       elapsed time) instead of letting it propagate through
       {!Exec.Par}'s re-raise contract;
-    - {!Inject} is a {e deterministic} fault-injection config — crash /
-      stall decisions are pure functions of a seed and the site's
+    - {!Inject} is a {e deterministic} crash-injection config — whether
+      a site crashes is a pure function of a seed and the site's
       provenance string, never of wall-clock time or scheduling — so the
-      degradation paths are testable and independent of [--jobs].
+      quarantine paths are testable and independent of [--jobs].
 
-    Deadlines themselves live in {!Gp.Solver.solve} ([?deadline_ns],
-    status [Deadline_exceeded]); the retry/quarantine policy that
-    consumes both lives in {!Optimize}. *)
+    A failure is final: nothing is retried, because every solve is
+    already bounded and a guarded body that raised once is deterministic
+    in its inputs.  The quarantine policy that consumes failures lives
+    in {!Optimize}. *)
 
 type failure = {
   site : string;
@@ -28,18 +29,14 @@ type failure = {
   elapsed_ns : float;
       (** wall-clock time spent in the body before it failed.  Timing
           only — excluded from any determinism comparison. *)
-  attempts : int;  (** how many attempts (1 + retries) were made in total *)
 }
 
 val describe : failure -> string
-(** One-line rendering: site, provenance, exception, attempts. *)
+(** One-line rendering: site, exception, provenance. *)
 
 val pp_summary : Format.formatter -> failure list -> unit
-(** Table of failures (site, attempts, elapsed, exception, provenance) —
-    the CLI's failure summary. *)
-
-val now_ns : unit -> float
-(** Wall-clock nanoseconds, for stamping {!failure.elapsed_ns}. *)
+(** Table of failures (site, elapsed ms, exception, provenance) — the
+    report's quarantine summary. *)
 
 val hash64 : string -> int64
 (** A stable 64-bit string hash: FNV-1a with murmur3's 64-bit
@@ -55,28 +52,22 @@ exception Injected_fault of string
     guarded site; carries the site and provenance. *)
 
 module Inject : sig
-  (** Seeded, deterministic fault injection.
+  (** Seeded, deterministic crash injection.
 
-      A config is a seed plus a list of rules.  Each rule gives a fault
-      kind ([crash] raises {!Injected_fault} inside the guarded body,
-      [stall] tells the caller to force an already-expired solver
-      deadline), a site name, an optional provenance-substring filter,
-      and a probability.  Whether a given (kind, site, provenance,
-      attempt) fires is decided by hashing exactly those values with the
-      seed (FNV-1a) into [0, 1) and comparing against the largest
-      matching rule probability — never by wall clock or RNG state, so
-      decisions are reproducible, independent of scheduling, and
-      (because the attempt number enters the hash) a retry of a crashed
-      site re-rolls rather than deterministically re-crashing. *)
+      A config is a seed plus a list of rules.  Each rule names a
+      guarded site, an optional provenance-substring filter, and a
+      probability; a rule that fires raises {!Injected_fault} inside the
+      guarded body.  Whether a given (site, provenance, attempt) crashes
+      is decided by hashing [seed|crash|site|provenance|attempt] into
+      [0, 1) and comparing against the largest matching rule probability
+      — never by wall clock or RNG state, so decisions are reproducible
+      and independent of scheduling.  Only tests set a config (through
+      [Optimize.config]'s [inject] field); no CLI flag does. *)
 
   type t
 
   val none : t
   (** No rules; never fires. *)
-
-  val is_none : t -> bool
-
-  val seed : t -> int
 
   val parse : string -> (t, string) result
   (** Parse a spec string.  Grammar (comma-separated clauses):
@@ -84,29 +75,20 @@ module Inject : sig
       {v
       SPEC   ::= clause ("," clause)*
       clause ::= "seed=" INT
-               | KIND "@" SITE [ "[" FILTER "]" ] "=" PROB
-      KIND   ::= "crash" | "stall"
+               | "crash@" SITE [ "[" FILTER "]" ] "=" PROB
       v}
 
-      [SITE] is a guarded site the rule can fire at: a crash at
-      [solve], [integerize], [layer] or [serve], a stall at [solve] only
-      (the one site that reads a stall).  Any other site is an [Error],
-      so a typo cannot make an injected run pass without injecting
-      anything.  [FILTER] restricts the rule to provenances containing
-      it as a substring; [PROB] is a float in [0, 1].  Example:
-      ["seed=7,crash@solve=0.2,stall@solve[resnet-2]=1"]. *)
+      [SITE] is a guarded site: [solve], [integerize], [layer] or
+      [serve].  Any other site is an [Error], so a typo cannot make an
+      injected run pass without injecting anything.  [FILTER] restricts
+      the rule to provenances containing it as a substring; [PROB] is a
+      float in [0, 1].  Example: ["seed=7,crash@solve=0.2,crash@layer[resnet-2]=1"]. *)
 
   val to_string : t -> string
   (** Canonical spec text; [parse (to_string t)] round-trips. *)
 
-  val decide :
-    t -> kind:[ `Crash | `Stall ] -> site:string -> provenance:string -> attempt:int -> bool
-
   val crash : t -> site:string -> provenance:string -> attempt:int -> bool
-  (** [decide ~kind:`Crash]. *)
-
-  val stall : t -> site:string -> provenance:string -> attempt:int -> bool
-  (** [decide ~kind:`Stall]. *)
+  (** Whether the guarded body at [site] for [provenance] crashes. *)
 end
 
 val guard :
@@ -118,15 +100,11 @@ val guard :
   ('a, failure) result
 (** [guard ~site ~provenance body] runs [body ()] and catches any
     exception (including an {!Injected_fault} fired by [inject] for
-    this site/provenance/attempt) into a {!failure} record carrying the
+    this site and provenance) into a {!failure} record carrying the
     provenance, the exception text, the backtrace and the elapsed time.
-    [attempt] (default 0) is the retry ordinal; the recorded
-    [failure.attempts] is [attempt + 1]. *)
-
-val deadline_failure :
-  ?attempts:int -> site:string -> provenance:string -> elapsed_ns:float -> unit -> failure
-(** Synthetic failure for a solve that exhausted its deadline (and its
-    retries): [exn] is ["Deadline_exceeded"]. *)
+    [attempt] (default 0) enters the crash draw; only perfbench's stage
+    replay passes it, always 0, and it goes with that replay (ROADMAP
+    item 3). *)
 
 module Admission : sig
   (** Bounded-concurrency admission control: a counting semaphore that

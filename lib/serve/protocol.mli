@@ -16,7 +16,7 @@ type opts = {
   node_nm : float;  (** process node; Table III scaled first-order *)
 }
 (** The per-request subset of {!Thistle.Optimize.config} the protocol
-    exposes.  Everything else (kernel, reuse policy, deadlines,
+    exposes.  Everything else (kernel, warm starts, presolve, crash
     injection) is fixed server-side by the daemon's base config and
     versioned by its {!Thistle.Optimize.config_fingerprint}. *)
 

@@ -95,7 +95,8 @@ let get t ~config ~request_key =
   match read_file (entry_path t ~config ~request_key) with
   | None -> None
   | Some raw -> (
-    match J.parse (String.trim raw) with
+    (* [J.parse] skips the newline [encode] ends the entry with. *)
+    match J.parse raw with
     | Error _ -> None (* torn or corrupted entry: a miss, not a crash *)
     | Ok v -> (
       try

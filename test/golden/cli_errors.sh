@@ -14,14 +14,10 @@
 # --trace or --metrics: each exits 1 with a message naming the path
 # once, never an uncaught exception.  The output errors come after the
 # solve, whose report goes to stdout.  An audit or mapper search that
-# would check nothing (no choices, no trials) is refused, and so is a
-# solve deadline that is not a positive number (NaN would never trip,
-# zero quarantines every pair) or an injection rule that can never fire
-# (an unclosed filter makes the site "solve[", and only the solver reads
-# a stall): the option parser rejects them with exit 124 before any
-# work.  The daemon refuses a socket under a missing directory and a
-# negative admission limit before it serves anything, and the daemon
-# and client refuse a port outside 0..65535.  A client whose daemon is
+# would check nothing (no choices, no trials) is refused.  The daemon
+# refuses a socket under a missing directory and a negative admission
+# limit before it serves anything, and the daemon and client refuse a
+# port outside 0..65535.  A client whose daemon is
 # not there names the socket it could not connect to.
 set -u
 
@@ -41,10 +37,6 @@ for args in \
     "codesign --layer resnet-2 --node 1e-160" \
     "optimize --layer resnet-2 --max-choices 1 --node 1e154" \
     "pipeline --pipeline alexnet --max-choices 0" \
-    "optimize --layer resnet-2 --max-choices 1 --solve-deadline-ms nan" \
-    "optimize --layer resnet-2 --max-choices 1 --solve-deadline-ms 0" \
-    "optimize --layer resnet-2 --max-choices 1 --inject crash@solve[=0.5" \
-    "optimize --layer resnet-2 --max-choices 1 --inject stall@integerize=1" \
     "audit --layer resnet-2 --pes 0" \
     "audit --node 0" \
     "audit --layer resnet-2 --max-choices 0" \

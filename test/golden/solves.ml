@@ -3,14 +3,10 @@
    Solves the unreduced (choice, placement) programs of capped resnet-2
    sweeps directly with Gp.Solver, under the [`Compiled] and the [`List]
    kernel, and prints each solve's status, objective, every value as an
-   exact hex float, and its telemetry.  Each program is solved three
-   ways per kernel:
-
-   - cold;
-   - warm from the compiled kernel's cold solution of the choice's
-     pinned placement, as the sweep's second wave starts;
-   - cold with the initial KKT regularization the retry policy
-     escalates to (1e-5).
+   exact hex float, and its telemetry.  Each program is solved two
+   ways per kernel: cold, and warm from the compiled kernel's cold
+   solution of the choice's pinned placement, as the sweep's second
+   wave starts.
 
    Settings: Eyeriss under Energy; Eyeriss under Delay (phase I and KKT
    regularizations); the capacity-starved edge architecture under
@@ -56,7 +52,6 @@ let status_name = function
   | S.Optimal -> "optimal"
   | S.Infeasible -> "infeasible"
   | S.Iteration_limit -> "iteration-limit"
-  | S.Deadline_exceeded -> "deadline-exceeded"
 
 let print_solve label (sol : S.solution) (st : S.stats) =
   Printf.printf "%s: %s %h\n" label (status_name sol.S.status) sol.S.objective;
@@ -66,11 +61,11 @@ let print_solve label (sol : S.solution) (st : S.stats) =
     st.S.kkt_regularizations st.S.cholesky_fallbacks st.S.duality_gap;
   List.iter (fun (x, v) -> Printf.printf "  %s %h\n" x v) sol.S.values
 
-let solve ?warm_start ?initial_reg kernel problem =
+let solve ?warm_start kernel problem =
   let st = S.fresh_stats () in
   let sol =
     S.solve ~tol:Thistle.Optimize.default_config.Thistle.Optimize.gp_tol ~stats:st
-      ?warm_start ?initial_reg ~kernel problem
+      ?warm_start ~kernel problem
   in
   (sol, st)
 
@@ -151,9 +146,7 @@ let () =
                     (fun warm ->
                       let sol, st = solve ~warm_start:warm kernel problem in
                       print_solve (label "warm") sol st)
-                    warm_start;
-                  let sol, st = solve ~initial_reg:1e-5 kernel problem in
-                  print_solve (label "reg=1e-5") sol st)
+                    warm_start)
                 kernels)
             plan.Perm.placements)
         plan.Perm.choices)

@@ -670,7 +670,7 @@ let agree (a : Gp.Solver.solution) (b : Gp.Solver.solution) =
   a.Gp.Solver.status = b.Gp.Solver.status
   &&
   match a.Gp.Solver.status with
-  | Gp.Solver.Infeasible | Gp.Solver.Deadline_exceeded -> true
+  | Gp.Solver.Infeasible -> true
   | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
     approx a.Gp.Solver.objective b.Gp.Solver.objective
     && List.length a.Gp.Solver.values = List.length b.Gp.Solver.values

@@ -29,11 +29,10 @@ let fast_config = { O.default_config with O.max_choices = 8; top_choices = 1 }
 (* A bit-exact textual fingerprint of everything a run reports.  Floats
    go through Int64.bits_of_float so "close enough" can't sneak by.
    Quarantined failures enter through their deterministic fields (site,
-   provenance, exception, attempts) — elapsed time is wall clock and
-   excluded, like the timing histograms. *)
+   provenance, exception) — elapsed time is wall clock and excluded,
+   like the timing histograms. *)
 let failure_sig (f : Robust.failure) =
-  Printf.sprintf "%s:%s:%s@%d" f.Robust.site f.Robust.provenance f.Robust.exn
-    f.Robust.attempts
+  Printf.sprintf "%s:%s:%s" f.Robust.site f.Robust.provenance f.Robust.exn
 
 let fingerprint (e : Pl.entry) =
   let name = Workload.Nest.name e.Pl.nest in
@@ -97,12 +96,12 @@ let test_jobs_independent () =
   check_same "jobs 1 vs jobs 4" seq par
 
 (* Same contract under deterministic fault injection: quarantine
-   decisions are pure functions of (seed, site, provenance, attempt),
-   so which pairs fail, which survive, and every robust.* counter must
-   be bit-identical for jobs 1 vs 4. *)
+   decisions are pure functions of (seed, site, provenance), so which
+   pairs fail, which survive, and every robust.* counter must be
+   bit-identical for jobs 1 vs 4. *)
 let test_injected_jobs_independent () =
   let inject =
-    match Robust.Inject.parse "seed=5,crash@solve=0.25,stall@solve=0.1" with
+    match Robust.Inject.parse "seed=5,crash@solve=0.25" with
     | Ok t -> t
     | Error e -> Alcotest.fail e
   in

@@ -17,7 +17,6 @@ let status_name = function
   | Gp.Solver.Optimal -> "optimal"
   | Gp.Solver.Infeasible -> "infeasible"
   | Gp.Solver.Iteration_limit -> "iteration-limit"
-  | Gp.Solver.Deadline_exceeded -> "deadline-exceeded"
 
 let check_optimal sol =
   Alcotest.(check string) "status" "optimal" (status_name sol.Gp.Solver.status)
@@ -456,7 +455,6 @@ let prop_solution_feasible =
       let sol = solve prob in
       match sol.Gp.Solver.status with
       | Gp.Solver.Infeasible -> cap1 < 1.0 +. 1e-6 || cap2 < 2.0 +. 1e-6
-      | Gp.Solver.Deadline_exceeded -> false (* no deadline was set *)
       | Gp.Solver.Optimal | Gp.Solver.Iteration_limit ->
         Gp.Problem.is_feasible ~tol:1e-5 prob (Gp.Solver.env sol))
 
@@ -503,7 +501,6 @@ let prop_random_dgp_optimal =
       let sol = Gp.Solver.solve ~stats:st prob in
       match sol.Gp.Solver.status with
       | Gp.Solver.Infeasible -> false (* feasible by construction *)
-      | Gp.Solver.Deadline_exceeded -> false (* no deadline was set *)
       | Gp.Solver.Iteration_limit ->
         (* Not certified: only require the point it did return to be
            feasible (matches the solver's documented contract). *)

@@ -537,6 +537,27 @@ let test_json_escapes_and_errors () =
       ({|"a"x|}, Error "trailing bytes at offset 3");
     ]
 
+(* Objects nest at most 64 deep.  A deeper payload is refused at the
+   offset of its 65th brace, so a million-level frame costs no more
+   than a 65-level one. *)
+let test_json_nesting_bounded () =
+  let nested depth ~closed =
+    String.init (5 * (depth - 1)) (fun i -> {|{"k":|}.[i mod 5])
+    ^ "{}"
+    ^ if closed then String.make (depth - 1) '}' else ""
+  in
+  let rec depth_of = function
+    | J.Obj [] -> 1
+    | J.Obj [ ("k", v) ] -> 1 + depth_of v
+    | _ -> Alcotest.fail "unexpected shape"
+  in
+  (match J.parse (nested 64 ~closed:true) with
+  | Ok v -> Alcotest.(check int) "64 levels parse" 64 (depth_of v)
+  | Error m -> Alcotest.failf "64 levels refused: %s" m);
+  let refused = Error "nesting deeper than 64 at offset 320" in
+  Alcotest.check parsed "65 levels" refused (J.parse (nested 65 ~closed:true));
+  Alcotest.check parsed "1,000,000 levels" refused (J.parse (nested 1_000_000 ~closed:false))
+
 let prop_bits_printf =
   QCheck2.Test.make ~name:"bits prints what %Lx prints" ~count:5000
     ~print:(Printf.sprintf "%Lx") QCheck2.Gen.int64 (fun x ->
@@ -582,6 +603,7 @@ let () =
           Alcotest.test_case "all bytes and end escapes" `Quick test_json_all_bytes;
           Alcotest.test_case "escapes and errors as before" `Quick test_json_escapes_and_errors;
           Alcotest.test_case "bits edge patterns" `Quick test_bits_edges;
+          Alcotest.test_case "nesting bounded" `Quick test_json_nesting_bounded;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_str_reference; prop_parse_inverts_str; prop_parse_string_reference; prop_bits_printf ]

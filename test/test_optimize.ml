@@ -207,27 +207,33 @@ let test_config_knobs () =
   let r = get (O.dataflow ~config tech arch F.Energy nest) in
   Alcotest.(check bool) "choices capped" true (r.O.choices_enumerated <= 2)
 
-(* Sweeps are not sharded, journaled or resumed: [run] refuses a
-   non-default value of any of the three fields with one message, before
-   any work, so no caller believes it sharded or journaled a sweep. *)
+(* Sweeps are not sharded, journaled or resumed, and solves have no
+   deadline and are not retried: [run] refuses a non-default value of
+   any of those five fields with one message per group, before any
+   work, so no caller believes it sharded or journaled a sweep or
+   bounded or retried a solve. *)
 let test_refuses_shard_journal_resume () =
   let nest = small_conv () in
   let journal = Filename.temp_file "thistle-refused" ".jsonl" in
   Sys.remove journal;
+  let sweeps =
+    "optimize: sweeps are not sharded, journaled or resumed (shard, journal and resume \
+     must keep their defaults)"
+  and solves =
+    "optimize: solves have no deadline and are not retried (solve_deadline_ms and retries \
+     must keep their defaults)"
+  in
   List.iter
-    (fun (field, config) ->
+    (fun (field, config, expected) ->
       match O.run ~config tech (F.Fixed arch) F.Energy nest with
       | Ok _ -> Alcotest.failf "a non-default %s must be refused" field
-      | Error msg ->
-        Alcotest.(check string)
-          field
-          "optimize: sweeps are not sharded, journaled or resumed (shard, journal and \
-           resume must keep their defaults)"
-          msg)
+      | Error msg -> Alcotest.(check string) field expected msg)
     [
-      ("shard", { fast with O.shard = { Sweep.Partition.index = 1; count = 2 } });
-      ("journal", { fast with O.journal = Some journal });
-      ("resume", { fast with O.resume = true });
+      ("shard", { fast with O.shard = { Sweep.Partition.index = 1; count = 2 } }, sweeps);
+      ("journal", { fast with O.journal = Some journal }, sweeps);
+      ("resume", { fast with O.resume = true }, sweeps);
+      ("solve_deadline_ms", { fast with O.solve_deadline_ms = Some 1e9 }, solves);
+      ("retries", { fast with O.retries = 1 }, solves);
     ];
   Alcotest.(check bool) "no journal written" false (Sys.file_exists journal)
 

@@ -326,7 +326,7 @@ let test_store_digest () =
 let test_config_fingerprint_pinned () =
   Alcotest.(check string)
     "default config"
-    "v4|tol=3eb0c6f7a0b5ed8d|kernel=compiled|warm=true|deadline=none|retries=1|inject=seed=0|presolve=prune|comm=comm"
+    "v5|tol=3eb0c6f7a0b5ed8d|kernel=compiled|warm=true|inject=seed=0|presolve=prune|comm=comm"
     (O.config_fingerprint O.default_config)
 
 (* What addresses the store: each request kind's entry name under the
@@ -347,16 +347,16 @@ let test_store_addresses_pinned () =
   List.iter
     (fun (name, r, pin) -> Alcotest.(check string) name pin (snd (address r)))
     [
-      ("optimize", optimize, "3b34ce4c429f4589");
+      ("optimize", optimize, "ab87b81bd1bbd543");
       ( "codesign",
         Protocol.Codesign { layer = "yolo-7"; objective = F.Edp; area = None; opts },
-        "8b5e8a60070cf997" );
+        "533955249d2726a5" );
       ( "codesign with area",
         Protocol.Codesign { layer = "yolo-7"; objective = F.Energy; area = Some 1234.5; opts },
-        "67f2bc8fe95e908b" );
+        "07a41efd76cbeecf" );
       ( "pipeline",
         Protocol.Pipeline { pipeline = "alexnet"; objective = F.Energy; opts },
-        "8145cbb7e33a866d" );
+        "cdee47fdee3e548b" );
     ];
   Alcotest.(check string)
     "optimize key text"
@@ -436,14 +436,10 @@ let request_key_reference ~(config : O.config) (tech : Archspec.Technology.t) ar
 
 let config_fingerprint_reference (config : O.config) =
   Printf.sprintf
-    "v4|tol=%Lx|kernel=%s|warm=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
+    "v5|tol=%Lx|kernel=%s|warm=%b|inject=%s|presolve=%s|comm=%s"
     (Int64.bits_of_float config.O.gp_tol)
     (match config.O.gp_kernel with `Compiled -> "compiled" | `List -> "list")
     config.O.warm_start
-    (match config.O.solve_deadline_ms with
-    | None -> "none"
-    | Some ms -> Printf.sprintf "%Lx" (Int64.bits_of_float ms))
-    config.O.retries
     (Robust.Inject.to_string config.O.inject)
     (Analysis.Presolve.mode_name config.O.presolve)
     (Archspec.Link.comm_model_name config.O.comm)
@@ -466,8 +462,6 @@ let key_configs =
       gp_tol = 1e-9;
       gp_kernel = `List;
       warm_start = false;
-      solve_deadline_ms = Some 250.0;
-      retries = -2;
       presolve = Analysis.Presolve.Off;
     };
     {
@@ -476,8 +470,6 @@ let key_configs =
       max_choices = 1_000_000;
       lint = Analysis.Lint.Off;
       contention = true;
-      solve_deadline_ms = Some infinity;
-      retries = 12;
       inject =
         (match Robust.Inject.parse "seed=-7,crash@solve[yolo]=0.25" with
         | Ok t -> t
@@ -714,6 +706,26 @@ let test_serve_extreme_node_refused () =
   | Protocol.Payload _ -> ()
   | Protocol.Refused { message; _ } -> Alcotest.failf "refused: %s" message
 
+(* A frame as large as the daemon reads, of nothing but nested
+   objects: the decoder refuses it at the 65th level, so the daemon
+   answers [Bad_request] at once and keeps the connection. *)
+let test_serve_deep_nesting_refused () =
+  let frame = String.init (Wire.default_max_frame - 4) (fun i -> {|{"k":|}.[i mod 5]) in
+  (match Protocol.decode_request frame with
+  | Error m ->
+    Alcotest.(check string) "decode error" "request: nesting deeper than 64 at offset 320" m
+  | Ok _ -> Alcotest.fail "a deep frame must not decode");
+  with_server @@ fun port ->
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.request_raw c frame with
+  | Ok (Protocol.Refused { kind = Protocol.Bad_request; _ }) -> ()
+  | Ok _ -> Alcotest.fail "a deep frame must be a bad request"
+  | Error m -> Alcotest.failf "transport error: %s" m);
+  match ask c Protocol.Metrics with
+  | Protocol.Payload _ -> ()
+  | Protocol.Refused { message; _ } -> Alcotest.failf "refused: %s" message
+
 (* A node that passes the resolver but makes a scaled constant times the
    layer's MAC count overflow: the formulate stage refuses the request,
    naming the pair and the coefficient, and the connection stays
@@ -911,6 +923,62 @@ let test_serve_injected_fault_is_contained () =
   | Protocol.Payload _ -> ()
   | Protocol.Refused _ -> Alcotest.fail "daemon must survive injected faults")
 
+(* The quarantine a crash-injected sweep reports, resolved and rendered
+   as [thistle optimize --layer resnet-2 --max-choices 4] does (the
+   CLI's own path), with crashes injected into 30% of the solves.  The
+   pinned provenances and design were captured from that CLI run with
+   [--inject seed=11,crash@solve=0.3 --retries 0]; the elapsed-ms
+   column is wall clock and blanked. *)
+let test_injected_quarantine_pinned () =
+  let inject = Result.get_ok (Robust.Inject.parse "seed=11,crash@solve=0.3") in
+  let base = { O.default_config with O.jobs = 1; inject } in
+  let eyeriss = Result.get_ok (Protocol.arch ~name:"cli" ~pes:168 ~regs:512 ~sram:65536) in
+  let r =
+    Protocol.Optimize
+      {
+        layer = "resnet-2";
+        objective = F.Energy;
+        arch = eyeriss;
+        opts = { Protocol.default_opts with Protocol.max_choices = 4 };
+      }
+  in
+  let body =
+    match Result.bind (Protocol.resolve base r) Protocol.render with
+    | Ok body -> body
+    | Error m -> Alcotest.failf "render: %s" m
+  in
+  let blank_ms line =
+    if String.length line > 21 && String.sub line 0 6 = "solve " then
+      String.sub line 0 12 ^ "       ms" ^ String.sub line 21 (String.length line - 21)
+    else line
+  in
+  let row prov = {|solve              ms  Robust.Injected_fault("injected crash... |} ^ prov in
+  let prov = Printf.sprintf "resnet-2 energy pe=[k,c,h,w] dram=[%s] spatial{%s}" in
+  Alcotest.(check (list string))
+    "report"
+    [
+      "explored 4 pruned permutation choices, 12 programs solved";
+      "solver: solves=16 phase1-outer=24 phase2-outer=84 newton=920 backtracks=750 kkt-reg=0 chol-fallback=0 max-gap=2.97e-07";
+      "quarantined 4 pair(s):";
+      "site               ms  exception                                provenance";
+      row (prov "k,c,h,w" "s=3");
+      row (prov "k,c,h,w" "r=3,s=3");
+      row (prov "k,h,c,w" "s=3");
+      row (prov "k,h,w,c" "r=3,s=3");
+      "architecture: cli: P=168 R=512/PE S=65536 words (area 2363756 um^2)";
+      "mapping:";
+      "reg(temporal): k=8 c=4 r=3 s=3 h=4 w=2 perm=nkcrshw";
+      "pe(temporal): w=14 perm=kchwnrs";
+      "spatial(spatial): k=8 c=16";
+      "dram(temporal): h=14 w=2 perm=kcwhnrs";
+      "metrics:";
+      "energy 2.505e+09 pJ (21.668 pJ/MAC): mac 2.4e+09, reg 8.15e+06, sram 1.11e+07, dram 8.46e+07";
+      "cycles 9.032e+05 (compute 9.032e+05, sram 3.021e+04, dram 8.262e+04), IPC 128.00, PEs 128";
+      "links: dram-rd 1.151e+05 cyc (460288 w, 14384 bursts) dram-wr 5.018e+04 cyc (200704 w, 6272 bursts) noc-rd 1.167e+05 cyc (1.55546e+06 w, 97216 bursts) noc-wr 1.505e+04 cyc (200704 w, 12544 bursts) reg 9.032e+05 cyc (3.61267e+06 w, 3.61267e+06 bursts)";
+      "binding: compute";
+    ]
+    (List.map blank_ms (String.split_on_char '\n' (String.trim body)))
+
 let test_serve_concurrent_clients () =
   let dir = temp_dir "thistle-serve" in
   with_server ~store_dir:dir @@ fun port ->
@@ -1061,10 +1129,98 @@ let prop_decoders_total =
          match Store.get store ~config ~request_key with
          | None -> true
          | Some p -> (
-           match Obs.Json.parse (String.trim bytes) with
+           match Obs.Json.parse bytes with
            | Ok v -> String.equal p (Obs.Json.str_of (Obs.Json.find (Obs.Json.fields v) "payload"))
            | Error _ -> false)));
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Property: framing stays total over mutated streams                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Up to four frames laid out as [Wire.write_frame] writes them, then
+   one to three truncations, single-bit flips or splices with another
+   such stream. *)
+let gen_stream =
+  let open QCheck2.Gen in
+  let frame payload =
+    let n = String.length payload in
+    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) ^ payload
+  in
+  let clean =
+    map
+      (fun payloads -> String.concat "" (List.map frame payloads))
+      (list_size (int_range 0 4) (string_size ~gen:char (int_range 0 40)))
+  in
+  let mutate s =
+    let n = String.length s in
+    oneof
+      [
+        map (fun k -> String.sub s 0 k) (int_range 0 n);
+        map2
+          (fun i bit ->
+            if n = 0 then s
+            else
+              String.mapi
+                (fun j c -> if j = i mod n then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+                s)
+          nat (int_range 0 7);
+        map3
+          (fun other i j ->
+            let m = String.length other in
+            String.sub s 0 (i mod (n + 1)) ^ String.sub other (j mod (m + 1)) (m - (j mod (m + 1))))
+          clean nat nat;
+      ]
+  in
+  let* s = clean in
+  let* rounds = int_range 1 3 in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go rounds s
+
+(* What [read_frame ~max_frame] returns, read after read, on [stream]
+   followed by EOF: the reference the reads are held to. *)
+let reference_reads ~max_frame stream =
+  let n = String.length stream in
+  let rec go pos acc =
+    let left = n - pos in
+    if left = 0 then List.rev (Error Wire.Closed :: acc)
+    else if left < 4 then List.rev (Error (Wire.Torn left) :: acc)
+    else
+      let len =
+        (Char.code stream.[pos] lsl 24)
+        lor (Char.code stream.[pos + 1] lsl 16)
+        lor (Char.code stream.[pos + 2] lsl 8)
+        lor Char.code stream.[pos + 3]
+      in
+      if len > max_frame then go (pos + 4) (Error (Wire.Oversized len) :: acc)
+      else if left - 4 < len then List.rev (Error (Wire.Torn left) :: acc)
+      else go (pos + 4 + len) (Ok (String.sub stream (pos + 4) len) :: acc)
+  in
+  go 0 []
+
+(* Writes [stream], closes the writer, and reads frames until EOF shows
+   ([Closed] or [Torn]), then once more.  A read that blocked after EOF
+   would raise on the receive timeout instead of hanging the suite. *)
+let wire_reads ~max_frame stream =
+  with_pipe @@ fun a b ->
+  Unix.setsockopt_float b Unix.SO_RCVTIMEO 5.0;
+  ignore (Unix.write_substring a stream 0 (String.length stream));
+  Unix.close a;
+  let rec go acc =
+    match Wire.read_frame ~max_frame b with
+    | (Error (Wire.Closed | Wire.Torn _) as r) -> List.rev (r :: acc)
+    | (Ok _ | Error (Wire.Oversized _)) as r -> go (r :: acc)
+  in
+  let reads = go [] in
+  (reads, Wire.read_frame ~max_frame b)
+
+let prop_wire_total =
+  QCheck2.Test.make ~name:"read_frame is total over mutated streams" ~count:500
+    ~print:(fun (max_frame, s) -> Printf.sprintf "max_frame %d, %S" max_frame s)
+    QCheck2.Gen.(pair (int_range 0 48) gen_stream)
+    (fun (max_frame, stream) ->
+      let reads, after = wire_reads ~max_frame stream in
+      reads = reference_reads ~max_frame stream && after = Error Wire.Closed)
 
 (* ------------------------------------------------------------------ *)
 (* Property: replay determinism and jobs-independence                 *)
@@ -1162,6 +1318,8 @@ let () =
         [
           Alcotest.test_case "codec roundtrip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_protocol_rejects_garbage;
+          Alcotest.test_case "injected quarantine pinned" `Quick
+            test_injected_quarantine_pinned;
         ] );
       ( "store",
         [
@@ -1192,6 +1350,8 @@ let () =
             test_serve_zero_arch_frame;
           Alcotest.test_case "extreme node refused, connection kept" `Quick
             test_serve_extreme_node_refused;
+          Alcotest.test_case "deep-nested frame refused, connection kept" `Quick
+            test_serve_deep_nesting_refused;
           Alcotest.test_case "overflowing coefficient refused, connection kept" `Quick
             test_serve_overflowing_coefficient_refused;
           Alcotest.test_case "config fingerprint invalidates" `Quick
@@ -1212,5 +1372,6 @@ let () =
             test_serve_concurrent_clients;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest (prop_decoders_total @ [ prop_replay_deterministic ]) );
+        List.map QCheck_alcotest.to_alcotest
+          (prop_decoders_total @ [ prop_wire_total; prop_replay_deterministic ]) );
     ]
