@@ -121,12 +121,6 @@ let request_opts =
   let build top_choices max_choices node_nm = { P.top_choices; max_choices; node_nm } in
   Term.(const build $ top_choices_arg $ sweep_max_choices_arg $ node_arg)
 
-(* A pipeline request carries the default --top-choices, which the
-   resolver ignores. *)
-let pipeline_opts node =
-  let build max_choices node_nm = { P.default_opts with P.max_choices; node_nm } in
-  Term.(const build $ sweep_max_choices_arg $ node)
-
 let optimize_request =
   let build layer objective arch opts =
     Result.map (fun arch -> P.Optimize { layer; objective; arch; opts }) arch
@@ -137,9 +131,14 @@ let codesign_request area =
   let build layer objective area opts = Ok (P.Codesign { layer; objective; area; opts }) in
   Term.(const build $ layer_arg $ objective_arg $ area $ request_opts)
 
-let pipeline_request opts =
-  let build pipeline objective opts = Ok (P.Pipeline { pipeline; objective; opts }) in
-  Term.(const build $ pipeline_arg $ objective_arg $ opts)
+(* A pipeline request carries the default --top-choices, which the
+   resolver ignores, and the default node, so [thistle pipeline] and
+   [thistle client pipeline] take the same options. *)
+let pipeline_request =
+  let build pipeline objective max_choices =
+    Ok (P.Pipeline { pipeline; objective; opts = { P.default_opts with P.max_choices } })
+  in
+  Term.(const build $ pipeline_arg $ objective_arg $ sweep_max_choices_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Configuration: the daemon's base config plus option groups         *)
@@ -632,7 +631,7 @@ let pipeline_cmd =
           dominant layer's shared architecture (Fig. 6 / Fig. 8 flow).")
     Term.(
       const run $ setup_logs
-      $ pipeline_request (pipeline_opts (const P.default_opts.P.node_nm))
+      $ pipeline_request
       $ comm_config
       $ trace_arg $ metrics_out_arg)
 
@@ -768,7 +767,7 @@ let client_cmd =
       client "codesign" "Ask the daemon to co-design one layer under an area budget."
         (codesign_request area_arg);
       client "pipeline" "Ask the daemon for a whole-pipeline co-design run."
-        (pipeline_request (pipeline_opts node_arg));
+        pipeline_request;
       client "metrics" "Dump the daemon's counter snapshot as JSON."
         (Term.const (Ok P.Metrics));
     ]

@@ -115,7 +115,7 @@ let select_best ~score outcomes =
 let config_fingerprint config =
   String.concat ""
     [
-      "v5|tol=";
+      "v6|tol=";
       Obs.Json.bits config.gp_tol;
       "|kernel=";
       (match config.gp_kernel with `Compiled -> "compiled" | `List -> "list");

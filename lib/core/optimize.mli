@@ -95,7 +95,8 @@ type config = {
           with that replay (ROADMAP item 3). *)
   inject : Robust.Inject.t;
       (** deterministic crash injection for testing the quarantine
-          machinery (default {!Robust.Inject.none}; no CLI flag sets it);
+          machinery (default {!Robust.Inject.none}; tests build it with
+          {!Robust.Inject.make}, and no CLI flag sets it);
           decisions are a pure function of (seed, site, provenance),
           never of time, so injected runs stay bit-identical across
           [jobs]. *)
@@ -130,7 +131,9 @@ val config_fingerprint : config -> string
     excluded — it never changes a solve).  Changing any of them makes
     every stored answer miss, and so does a bump of its leading version,
     made whenever the same settings compute a different served body
-    (the [solver:] line's counts included).  [dedupe] does not enter it:
+    (the [solver:] line's counts included).  It is [v6|] since the
+    quarantine table stopped printing wall-clock milliseconds: a body
+    with quarantined pairs changed.  [dedupe] does not enter it:
     the sweep solves every pair once.  Exposed for tests; the format is
     not a stability guarantee. *)
 

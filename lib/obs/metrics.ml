@@ -66,8 +66,6 @@ let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c n)
 
 let incr c = add c 1
 
-let set g v = if Atomic.get on then Atomic.set g v
-
 let rec max_merge g v =
   let cur = Atomic.get g in
   if v <= cur then ()

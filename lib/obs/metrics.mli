@@ -2,7 +2,7 @@
     histograms.
 
     Like {!Trace}, metrics are {e disabled by default}: every update
-    ({!add}, {!incr}, {!set}, {!observe_max}, {!observe}) is a no-op
+    ({!add}, {!incr}, {!observe_max}, {!observe}) is a no-op
     behind a single atomic-load branch until {!enable} is called, so
     instrumented code pays nothing in normal runs and recording cannot
     perturb results.  Handle creation ({!counter} / {!gauge} /
@@ -23,7 +23,7 @@
       deterministic subset used by the regression tests);
     - {e gauges} keep a single float.  {!observe_max} merges by maximum,
       which is order-independent and therefore also deterministic for
-      deterministic inputs; {!set} is last-write-wins and is not;
+      deterministic inputs;
     - {e histograms} record {e timing} distributions (queue waits).
       Their contents depend on scheduling and load by nature and are
       excluded from any determinism comparison. *)
@@ -47,11 +47,10 @@ val add : counter -> int -> unit
 val incr : counter -> unit
 
 val gauge : string -> gauge
-val set : gauge -> float -> unit
 val observe_max : gauge -> float -> unit
 (** Set the gauge to the maximum of its current value and the argument
     (atomically).  An unset gauge is [neg_infinity] for this merge and
-    reads as [0.0] in snapshots until first set. *)
+    reads as [0.0] in snapshots until first observed. *)
 
 val now_ns : unit -> float
 (** Wall-clock nanoseconds, for stamping enqueue times fed into timing

@@ -1,24 +1,15 @@
-type failure = {
-  site : string;
-  provenance : string;
-  exn : string;
-  backtrace : string;
-  elapsed_ns : float;
-}
-
-let now_ns () = Unix.gettimeofday () *. 1e9
+type failure = { site : string; provenance : string; exn : string }
 
 let describe f = Printf.sprintf "%s failed: %s [%s]" f.site f.exn f.provenance
 
 let pp_summary ppf failures =
-  Format.fprintf ppf "%-11s %9s  %-40s %s@." "site" "ms" "exception" "provenance";
+  Format.fprintf ppf "%-11s %-40s %s@." "site" "exception" "provenance";
   List.iter
     (fun f ->
       let exn =
         if String.length f.exn <= 40 then f.exn else String.sub f.exn 0 37 ^ "..."
       in
-      Format.fprintf ppf "%-11s %9.1f  %-40s %s@." f.site (f.elapsed_ns /. 1e6) exn
-        f.provenance)
+      Format.fprintf ppf "%-11s %-40s %s@." f.site exn f.provenance)
     failures
 
 (* FNV-1a, 64-bit, then murmur3's 64-bit finalizer.  FNV-1a alone
@@ -41,11 +32,28 @@ let hash64 s =
 exception Injected_fault of string
 
 module Inject = struct
+  type site = Solve | Integerize | Layer | Serve
+
+  (* A rule keeps its site as the name [guard] is called with. *)
   type rule = { site : string; filter : string option; prob : float }
 
   type t = { seed : int; rules : rule list }
 
   let none = { seed = 0; rules = [] }
+
+  let rule ?filter site prob =
+    if not (prob >= 0.0 && prob <= 1.0) then
+      invalid_arg (Printf.sprintf "Robust.Inject.rule: probability %g is outside [0, 1]" prob);
+    let site =
+      match site with
+      | Solve -> "solve"
+      | Integerize -> "integerize"
+      | Layer -> "layer"
+      | Serve -> "serve"
+    in
+    { site; filter; prob }
+
+  let make ~seed rules = { seed; rules }
 
   (* Uniform draw in [0, 1) from the top 53 bits of the mixed hash. *)
   let unit_draw key =
@@ -76,65 +84,6 @@ module Inject = struct
       let key = Printf.sprintf "%d|crash|%s|%s|%d" t.seed site provenance attempt in
       unit_draw key < prob
 
-  (* Every guarded site. *)
-  let sites = [ "solve"; "integerize"; "layer"; "serve" ]
-
-  let parse_clause clause =
-    let clause = String.trim clause in
-    match String.index_opt clause '=' with
-    | None -> Error (Printf.sprintf "inject: clause %S has no '='" clause)
-    | Some eq ->
-      let lhs = String.sub clause 0 eq in
-      let rhs = String.sub clause (eq + 1) (String.length clause - eq - 1) in
-      if lhs = "seed" then
-        match int_of_string_opt rhs with
-        | Some s -> Ok (`Seed s)
-        | None -> Error (Printf.sprintf "inject: seed %S is not an integer" rhs)
-      else begin
-        match String.index_opt lhs '@' with
-        | None ->
-          Error
-            (Printf.sprintf "inject: clause %S is neither seed=N nor crash@SITE=PROB"
-               clause)
-        | Some at ->
-          let kind = String.sub lhs 0 at in
-          let site_s = String.sub lhs (at + 1) (String.length lhs - at - 1) in
-          let site, filter =
-            match (String.index_opt site_s '[', String.rindex_opt site_s ']') with
-            | Some l, Some r when r = String.length site_s - 1 && l < r ->
-              (String.sub site_s 0 l, Some (String.sub site_s (l + 1) (r - l - 1)))
-            | _ -> (site_s, None)
-          in
-          if kind <> "crash" then Error (Printf.sprintf "inject: unknown fault kind %S" kind)
-          else
-            match float_of_string_opt rhs with
-            | None -> Error (Printf.sprintf "inject: probability %S is not a float" rhs)
-            | Some p when not (Float.is_finite p) || p < 0.0 || p > 1.0 ->
-              Error (Printf.sprintf "inject: probability %s is outside [0, 1]" rhs)
-            | Some prob ->
-              if site = "" then Error (Printf.sprintf "inject: clause %S has no site" clause)
-              else if not (List.mem site sites) then
-                Error
-                  (Printf.sprintf "inject: clause %S never fires (crash sites: %s)" clause
-                     (String.concat ", " sites))
-              else Ok (`Rule { site; filter; prob })
-      end
-
-  let parse spec =
-    let clauses =
-      List.filter (fun s -> String.trim s <> "") (String.split_on_char ',' spec)
-    in
-    if clauses = [] then Error "inject: empty spec"
-    else
-      List.fold_left
-        (fun acc clause ->
-          match (acc, parse_clause clause) with
-          | (Error _ as e), _ -> e
-          | _, (Error _ as e) -> e
-          | Ok t, Ok (`Seed s) -> Ok { t with seed = s }
-          | Ok t, Ok (`Rule r) -> Ok { t with rules = t.rules @ [ r ] })
-        (Ok none) clauses
-
   let to_string t =
     String.concat ","
       (("seed=" ^ string_of_int t.seed)
@@ -147,17 +96,13 @@ module Inject = struct
 end
 
 let guard ?(inject = Inject.none) ?(attempt = 0) ~site ~provenance body =
-  let start = now_ns () in
   match
     if Inject.crash inject ~site ~provenance ~attempt then
       raise (Injected_fault (Printf.sprintf "injected crash at %s [%s]" site provenance));
     body ()
   with
   | v -> Ok v
-  | exception e ->
-    let backtrace = Printexc.get_backtrace () in
-    let elapsed_ns = now_ns () -. start in
-    Error { site; provenance; exn = Printexc.to_string e; backtrace; elapsed_ns }
+  | exception e -> Error { site; provenance; exn = Printexc.to_string e }
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                  *)

@@ -6,37 +6,35 @@
     provides the pieces the drivers thread through the stack:
 
     - {!guard} runs a pair/layer body and catches any exception into a
-      structured {!failure} record (provenance, exception, backtrace,
-      elapsed time) instead of letting it propagate through
-      {!Exec.Par}'s re-raise contract;
-    - {!Inject} is a {e deterministic} crash-injection config — whether
-      a site crashes is a pure function of a seed and the site's
-      provenance string, never of wall-clock time or scheduling — so the
-      quarantine paths are testable and independent of [--jobs].
+      {!failure} record (site, provenance, exception) instead of letting
+      it propagate through {!Exec.Par}'s re-raise contract;
+    - {!Inject} is a {e deterministic} crash-injection config that tests
+      build — whether a site crashes is a pure function of a seed and
+      the site's provenance string, never of wall-clock time or
+      scheduling — so the quarantine paths are testable and independent
+      of [--jobs].
 
     A failure is final: nothing is retried, because every solve is
     already bounded and a guarded body that raised once is deterministic
-    in its inputs.  The quarantine policy that consumes failures lives
-    in {!Optimize}. *)
+    in its inputs.  A failure record is a pure function of the guarded
+    work item, so a report that prints its quarantine (and the serve
+    store's copy of it) is the same on every run.  The quarantine
+    policy that consumes failures lives in {!Optimize}. *)
 
 type failure = {
   site : string;
       (** which guarded stage failed: ["solve"], ["integerize"], ["layer"],
           ["serve"] *)
   provenance : string;  (** the instance/layer identity, e.g. {!Formulate.instance.provenance} *)
-  exn : string;  (** [Printexc.to_string] of the caught exception, or a synthetic tag *)
-  backtrace : string;  (** raw backtrace text; may be empty when recording is off *)
-  elapsed_ns : float;
-      (** wall-clock time spent in the body before it failed.  Timing
-          only — excluded from any determinism comparison. *)
+  exn : string;  (** [Printexc.to_string] of the caught exception *)
 }
 
 val describe : failure -> string
 (** One-line rendering: site, exception, provenance. *)
 
 val pp_summary : Format.formatter -> failure list -> unit
-(** Table of failures (site, elapsed ms, exception, provenance) — the
-    report's quarantine summary. *)
+(** Table of failures (site, exception, provenance) — the report's
+    quarantine summary. *)
 
 val hash64 : string -> int64
 (** A stable 64-bit string hash: FNV-1a with murmur3's 64-bit
@@ -61,31 +59,32 @@ module Inject : sig
       is decided by hashing [seed|crash|site|provenance|attempt] into
       [0, 1) and comparing against the largest matching rule probability
       — never by wall clock or RNG state, so decisions are reproducible
-      and independent of scheduling.  Only tests set a config (through
-      [Optimize.config]'s [inject] field); no CLI flag does. *)
+      and independent of scheduling.  Only tests build a config (and set
+      it through [Optimize.config]'s [inject] field); there is no spec
+      grammar and no CLI flag. *)
+
+  type site = Solve | Integerize | Layer | Serve
+  (** The guarded sites, as {!guard} names them: ["solve"],
+      ["integerize"], ["layer"] and ["serve"]. *)
+
+  type rule
+
+  val rule : ?filter:string -> site -> float -> rule
+  (** [rule ?filter site prob] crashes [site] with probability [prob],
+      only for provenances containing [filter] as a substring when it is
+      given.  Raises [Invalid_argument] unless [prob] is in [0, 1]. *)
 
   type t
 
   val none : t
-  (** No rules; never fires. *)
+  (** Seed 0, no rules; never fires. *)
 
-  val parse : string -> (t, string) result
-  (** Parse a spec string.  Grammar (comma-separated clauses):
-
-      {v
-      SPEC   ::= clause ("," clause)*
-      clause ::= "seed=" INT
-               | "crash@" SITE [ "[" FILTER "]" ] "=" PROB
-      v}
-
-      [SITE] is a guarded site: [solve], [integerize], [layer] or
-      [serve].  Any other site is an [Error], so a typo cannot make an
-      injected run pass without injecting anything.  [FILTER] restricts
-      the rule to provenances containing it as a substring; [PROB] is a
-      float in [0, 1].  Example: ["seed=7,crash@solve=0.2,crash@layer[resnet-2]=1"]. *)
+  val make : seed:int -> rule list -> t
 
   val to_string : t -> string
-  (** Canonical spec text; [parse (to_string t)] round-trips. *)
+  (** The config as text, e.g. ["seed=7,crash@solve=0.2,crash@layer[resnet-2]=1"]
+      for seed 7, [rule Solve 0.2] and [rule ~filter:"resnet-2" Layer 1.0];
+      {!Optimize.config_fingerprint} includes it. *)
 
   val crash : t -> site:string -> provenance:string -> attempt:int -> bool
   (** Whether the guarded body at [site] for [provenance] crashes. *)
@@ -101,7 +100,7 @@ val guard :
 (** [guard ~site ~provenance body] runs [body ()] and catches any
     exception (including an {!Injected_fault} fired by [inject] for
     this site and provenance) into a {!failure} record carrying the
-    provenance, the exception text, the backtrace and the elapsed time.
+    site, the provenance and the exception text.  It reads no clock.
     [attempt] (default 0) enters the crash draw; only perfbench's stage
     replay passes it, always 0, and it goes with that replay (ROADMAP
     item 3). *)

@@ -59,6 +59,6 @@ let () =
   print_counters "codesign" (fun () ->
       O.codesign ~config:(config 8) tech ~area_budget:(Arch.eyeriss_area tech) F.Energy
         nest);
-  let inject = Result.get_ok (Robust.Inject.parse "seed=11,crash@solve=0.3") in
+  let inject = Robust.Inject.(make ~seed:11 [ rule Solve 0.3 ]) in
   print_counters "optimize injected" (fun () ->
       O.dataflow ~config:{ (config 4) with O.inject } tech eyeriss F.Energy nest)

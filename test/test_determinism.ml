@@ -26,14 +26,9 @@ let layers =
 let budget = 6.0e5
 let fast_config = { O.default_config with O.max_choices = 8; top_choices = 1 }
 
-(* A bit-exact textual fingerprint of everything a run reports.  Floats
-   go through Int64.bits_of_float so "close enough" can't sneak by.
-   Quarantined failures enter through their deterministic fields (site,
-   provenance, exception) — elapsed time is wall clock and excluded,
-   like the timing histograms. *)
-let failure_sig (f : Robust.failure) =
-  Printf.sprintf "%s:%s:%s" f.Robust.site f.Robust.provenance f.Robust.exn
-
+(* A bit-exact textual fingerprint of everything a run reports but its
+   quarantine, which [check_same] compares record by record.  Floats go
+   through Int64.bits_of_float so "close enough" can't sneak by. *)
 let fingerprint (e : Pl.entry) =
   let name = Workload.Nest.name e.Pl.nest in
   match e.Pl.result with
@@ -42,14 +37,13 @@ let fingerprint (e : Pl.entry) =
     let o = r.O.outcome in
     Format.asprintf
       "%s: arch=%s mapping=(%a) energy=%Lx cycles=%Lx continuous=%Lx enumerated=%d \
-       solved=%d tried=%d valid=%d totals=(%a) failures=[%s]"
+       solved=%d tried=%d valid=%d totals=(%a)"
       name o.I.arch.Arch.arch_name Mapping.pp o.I.mapping
       (Int64.bits_of_float o.I.metrics.Evaluate.energy_pj)
       (Int64.bits_of_float o.I.metrics.Evaluate.cycles)
       (Int64.bits_of_float r.O.best_continuous)
       r.O.choices_enumerated r.O.choices_solved o.I.candidates_tried
       o.I.candidates_valid Gp.Solver.pp_totals r.O.solve_totals
-      (String.concat ";" (List.map failure_sig r.O.failures))
 
 (* One instrumented pipeline run; returns fingerprints and the counter
    section of the metrics snapshot, leaving the registry clean. *)
@@ -70,8 +64,18 @@ let run ?(config = fast_config) ~jobs ~trace () =
   Obs.Metrics.reset ();
   (entries, List.map fingerprint entries, counters)
 
-let check_same label (_, fps_a, counters_a) (_, fps_b, counters_b) =
+let failures entries =
+  List.concat_map
+    (fun (e : Pl.entry) -> match e.Pl.result with Ok r -> r.O.failures | Error _ -> [])
+    entries
+
+let failure =
+  Alcotest.testable (fun ppf f -> Format.pp_print_string ppf (Robust.describe f)) ( = )
+
+let check_same label (entries_a, fps_a, counters_a) (entries_b, fps_b, counters_b) =
   Alcotest.(check (list string)) (label ^ ": results") fps_a fps_b;
+  Alcotest.(check (list failure))
+    (label ^ ": failures") (failures entries_a) (failures entries_b);
   Alcotest.(check (list (pair string int))) (label ^ ": counters") counters_a counters_b
 
 let counter_value counters name =
@@ -100,11 +104,7 @@ let test_jobs_independent () =
    pairs fail, which survive, and every robust.* counter must be
    bit-identical for jobs 1 vs 4. *)
 let test_injected_jobs_independent () =
-  let inject =
-    match Robust.Inject.parse "seed=5,crash@solve=0.25" with
-    | Ok t -> t
-    | Error e -> Alcotest.fail e
-  in
+  let inject = Robust.Inject.(make ~seed:5 [ rule Solve 0.25 ]) in
   let config = { fast_config with O.inject } in
   let seq = run ~config ~jobs:1 ~trace:false () in
   let par = run ~config ~jobs:4 ~trace:false () in

@@ -334,7 +334,7 @@ let test_metrics_json_well_formed () =
   let h = Mx.histogram "test.json.hist" in
   Mx.enable ();
   Mx.add c 5;
-  Mx.set g 2.5;
+  Mx.observe_max g 2.5;
   Mx.observe h 7.0;
   Mx.disable ();
   let j = parse_json (Mx.to_json (Mx.snapshot ())) in

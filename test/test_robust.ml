@@ -11,48 +11,36 @@ let contains ~sub s =
   let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
   n = 0 || at 0
 
-let inject_of spec =
-  match Robust.Inject.parse spec with
-  | Ok t -> t
-  | Error e -> Alcotest.fail e
+module Inject = Robust.Inject
 
 (* ------------------------------------------------------------------ *)
-(* Inject: parsing                                                    *)
+(* Inject: text                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_parse_roundtrip () =
-  let spec = "seed=7,crash@solve=0.2,crash@layer[resnet-2]=1" in
-  let t = inject_of spec in
-  Alcotest.(check string) "round trip" spec (Robust.Inject.to_string t);
-  Alcotest.(check string) "none" "seed=0" (Robust.Inject.to_string Robust.Inject.none)
-
-let test_parse_errors () =
+(* The text of the configs that fingerprints and goldens use: it enters
+   [Optimize.config_fingerprint], so it holds byte for byte. *)
+let test_to_string_pinned () =
   List.iter
-    (fun spec ->
-      match Robust.Inject.parse spec with
-      | Ok _ -> Alcotest.failf "spec %S should not parse" spec
-      | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%S error mentions inject" spec)
-          true
-          (contains ~sub:"inject" msg))
+    (fun (expected, t) -> Alcotest.(check string) expected expected (Inject.to_string t))
     [
-      "";
-      "crash@solve";
-      "crash@=0.5";
-      "boom@solve=0.5";
-      "crash@solve=1.5";
-      "crash@solve=-0.1";
-      "crash@solve=nan";
-      "seed=x";
-      "crash_solve=0.3";
-      (* Rules that can never fire: an unknown site (a typo, or an
-         unclosed filter, which leaves the site "solve["), and any kind
-         but crash. *)
-      "crash@Solve=1";
-      "crash@solve[=0.5";
-      "stall@solve=1";
+      ("seed=0", Inject.none);
+      ( "seed=7,crash@solve=0.2,crash@layer[resnet-2]=1",
+        Inject.(make ~seed:7 [ rule Solve 0.2; rule ~filter:"resnet-2" Layer 1.0 ]) );
+      ("seed=11,crash@solve=0.3", Inject.(make ~seed:11 [ rule Solve 0.3 ]));
+      ( "seed=-7,crash@solve[yolo]=0.25",
+        Inject.(make ~seed:(-7) [ rule ~filter:"yolo" Solve 0.25 ]) );
     ]
+
+(* A probability outside [0, 1] never reaches [crash]. *)
+let test_rule_refuses_probability () =
+  List.iter
+    (fun prob ->
+      match Inject.rule Inject.Solve prob with
+      | _ -> Alcotest.failf "probability %g accepted" prob
+      | exception Invalid_argument _ -> ())
+    [ 1.5; -0.1; Float.nan; Float.infinity ];
+  ignore (Inject.rule Inject.Solve 0.0);
+  ignore (Inject.rule Inject.Solve 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Inject: decisions                                                  *)
@@ -62,9 +50,9 @@ let test_parse_errors () =
    re-asking gives the same answer, and across many distinct
    provenances the firing rate lands near the configured probability. *)
 let test_decide_deterministic_and_calibrated () =
-  let t = inject_of "seed=3,crash@solve=0.3" in
+  let t = Inject.(make ~seed:3 [ rule Solve 0.3 ]) in
   let provs = List.init 2000 (Printf.sprintf "prov-%d") in
-  let fire p = Robust.Inject.crash t ~site:"solve" ~provenance:p ~attempt:0 in
+  let fire p = Inject.crash t ~site:"solve" ~provenance:p ~attempt:0 in
   let first = List.map fire provs in
   let second = List.map fire provs in
   Alcotest.(check (list bool)) "repeatable" first second;
@@ -77,21 +65,23 @@ let test_decide_deterministic_and_calibrated () =
   (* The attempt number enters the hash. *)
   let differs =
     List.exists
-      (fun p -> fire p <> Robust.Inject.crash t ~site:"solve" ~provenance:p ~attempt:1)
+      (fun p -> fire p <> Inject.crash t ~site:"solve" ~provenance:p ~attempt:1)
       provs
   in
   Alcotest.(check bool) "attempt re-rolls" true differs
 
 let test_decide_site_kind_filter () =
-  let t = inject_of "seed=1,crash@solve[l-large]=1,crash@layer[l-small]=1" in
-  let crash site prov = Robust.Inject.crash t ~site ~provenance:prov ~attempt:0 in
+  let t =
+    Inject.(make ~seed:1 [ rule ~filter:"l-large" Solve 1.0; rule ~filter:"l-small" Layer 1.0 ])
+  in
+  let crash site prov = Inject.crash t ~site ~provenance:prov ~attempt:0 in
   Alcotest.(check bool) "filter match fires" true (crash "solve" "l-large energy");
   Alcotest.(check bool) "filter mismatch silent" false (crash "solve" "l-small energy");
   Alcotest.(check bool) "other site silent" false (crash "integerize" "l-large energy");
   Alcotest.(check bool) "other rule honored" true (crash "layer" "l-small energy");
   Alcotest.(check bool) "other rule's filter applies" false (crash "layer" "l-large");
   Alcotest.(check bool) "none never fires" false
-    (Robust.Inject.crash Robust.Inject.none ~site:"solve" ~provenance:"p" ~attempt:0)
+    (Inject.crash Inject.none ~site:"solve" ~provenance:"p" ~attempt:0)
 
 (* ------------------------------------------------------------------ *)
 (* Guard                                                              *)
@@ -112,8 +102,34 @@ let test_guard_catches () =
     Alcotest.(check bool) "describe mentions site" true
       (contains ~sub:"s failed" (Robust.describe f))
 
+(* A failure is a function of the guarded work item alone: the same
+   raising body gives the same record, and the same quarantine table,
+   whether it fails at once or after 2 ms of work. *)
+let test_failure_is_pure () =
+  let failure ~work_s =
+    let body () =
+      let until = Unix.gettimeofday () +. work_s in
+      while Unix.gettimeofday () < until do
+        ()
+      done;
+      failwith "boom"
+    in
+    match Robust.guard ~site:"solve" ~provenance:"l-small energy" body with
+    | Ok () -> Alcotest.fail "expected failure"
+    | Error f -> f
+  in
+  let slow = failure ~work_s:0.002 and fast = failure ~work_s:0.0 in
+  Alcotest.(check bool) "same record" true (slow = fast);
+  let summary f = Format.asprintf "%a" Robust.pp_summary [ f ] in
+  Alcotest.(check string) "same summary" (summary fast) (summary slow);
+  Alcotest.(check string)
+    "pinned summary"
+    "site        exception                                provenance\n\
+     solve       Failure(\"boom\")                          l-small energy\n"
+    (summary slow)
+
 let test_guard_injected_crash () =
-  let inject = inject_of "seed=1,crash@layer=1" in
+  let inject = Inject.(make ~seed:1 [ rule Layer 1.0 ]) in
   match Robust.guard ~inject ~site:"layer" ~provenance:"p" (fun () -> 1) with
   | Ok _ -> Alcotest.fail "expected injected failure"
   | Error f ->
@@ -135,7 +151,7 @@ let opt_config inject =
     O.max_choices = 8;
     top_choices = 1;
     jobs = 2;
-    inject = inject_of inject;
+    inject;
   }
 
 let with_counters f =
@@ -148,7 +164,7 @@ let with_counters f =
   (result, fun name -> Option.value ~default:0 (List.assoc_opt name counters))
 
 let test_optimize_all_crash () =
-  let config = opt_config "seed=1,crash@solve=1" in
+  let config = opt_config Inject.(make ~seed:1 [ rule Solve 1.0 ]) in
   let result, counter =
     with_counters (fun () -> O.codesign ~config tech ~area_budget:budget F.Energy nest)
   in
@@ -160,7 +176,7 @@ let test_optimize_all_crash () =
   Alcotest.(check bool) "quarantined counted" true (counter "robust.quarantined" > 0)
 
 let test_optimize_partial_crash () =
-  let config = opt_config "seed=3,crash@solve=0.3" in
+  let config = opt_config Inject.(make ~seed:3 [ rule Solve 0.3 ]) in
   let result, counter =
     with_counters (fun () -> O.codesign ~config tech ~area_budget:budget F.Energy nest)
   in
@@ -179,9 +195,8 @@ let test_optimize_partial_crash () =
       report.O.failures
 
 let test_optimize_clean_run_empty_failures () =
-  match O.codesign ~config:(opt_config "seed=1,crash@solve=0") tech ~area_budget:budget
-          F.Energy nest
-  with
+  let config = opt_config Inject.(make ~seed:1 [ rule Solve 0.0 ]) in
+  match O.codesign ~config tech ~area_budget:budget F.Energy nest with
   | Error msg -> Alcotest.failf "clean run failed: %s" msg
   | Ok report -> Alcotest.(check int) "no failures" 0 (List.length report.O.failures)
 
@@ -212,7 +227,7 @@ let check_isolation entries =
    quarantine) is caught by the pipeline's backstop guard. *)
 let test_pipeline_layer_crash_isolated () =
   let config =
-    { (opt_config "seed=1,crash@layer[l-large]=1") with O.jobs = 3 }
+    { (opt_config Inject.(make ~seed:1 [ rule ~filter:"l-large" Layer 1.0 ])) with O.jobs = 3 }
   in
   let entries =
     Pl.run_layers ~config tech (F.Codesign { area_budget = budget }) F.Energy layers
@@ -230,7 +245,9 @@ let test_pipeline_layer_crash_isolated () =
 (* Every pair of one layer crashing quarantines that whole layer into
    its Error entry; siblings are untouched. *)
 let test_pipeline_pairs_crash_isolated () =
-  let config = { (opt_config "seed=1,crash@solve[l-large]=1") with O.jobs = 3 } in
+  let config =
+    { (opt_config Inject.(make ~seed:1 [ rule ~filter:"l-large" Solve 1.0 ])) with O.jobs = 3 }
+  in
   let entries =
     Pl.run_layers ~config tech (F.Codesign { area_budget = budget }) F.Energy layers
   in
@@ -273,8 +290,8 @@ let () =
     [
       ( "inject",
         [
-          Alcotest.test_case "parse round-trip" `Quick test_parse_roundtrip;
-          Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "to_string pinned" `Quick test_to_string_pinned;
+          Alcotest.test_case "rule refuses probability" `Quick test_rule_refuses_probability;
           Alcotest.test_case "deterministic + calibrated" `Quick
             test_decide_deterministic_and_calibrated;
           Alcotest.test_case "site/kind/filter" `Quick test_decide_site_kind_filter;
@@ -284,6 +301,7 @@ let () =
         [
           Alcotest.test_case "ok passthrough" `Quick test_guard_ok;
           Alcotest.test_case "catches exceptions" `Quick test_guard_catches;
+          Alcotest.test_case "failure is pure" `Quick test_failure_is_pure;
           Alcotest.test_case "injected crash" `Quick test_guard_injected_crash;
         ] );
       ( "optimize",

@@ -326,7 +326,7 @@ let test_store_digest () =
 let test_config_fingerprint_pinned () =
   Alcotest.(check string)
     "default config"
-    "v5|tol=3eb0c6f7a0b5ed8d|kernel=compiled|warm=true|inject=seed=0|presolve=prune|comm=comm"
+    "v6|tol=3eb0c6f7a0b5ed8d|kernel=compiled|warm=true|inject=seed=0|presolve=prune|comm=comm"
     (O.config_fingerprint O.default_config)
 
 (* What addresses the store: each request kind's entry name under the
@@ -347,16 +347,16 @@ let test_store_addresses_pinned () =
   List.iter
     (fun (name, r, pin) -> Alcotest.(check string) name pin (snd (address r)))
     [
-      ("optimize", optimize, "ab87b81bd1bbd543");
+      ("optimize", optimize, "de602dffabec2eca");
       ( "codesign",
         Protocol.Codesign { layer = "yolo-7"; objective = F.Edp; area = None; opts },
-        "533955249d2726a5" );
+        "2e32ee6f371df199" );
       ( "codesign with area",
         Protocol.Codesign { layer = "yolo-7"; objective = F.Energy; area = Some 1234.5; opts },
-        "07a41efd76cbeecf" );
+        "00fae905cfb0eb34" );
       ( "pipeline",
         Protocol.Pipeline { pipeline = "alexnet"; objective = F.Energy; opts },
-        "cdee47fdee3e548b" );
+        "aa723b5fba4acdbb" );
     ];
   Alcotest.(check string)
     "optimize key text"
@@ -436,7 +436,7 @@ let request_key_reference ~(config : O.config) (tech : Archspec.Technology.t) ar
 
 let config_fingerprint_reference (config : O.config) =
   Printf.sprintf
-    "v5|tol=%Lx|kernel=%s|warm=%b|inject=%s|presolve=%s|comm=%s"
+    "v6|tol=%Lx|kernel=%s|warm=%b|inject=%s|presolve=%s|comm=%s"
     (Int64.bits_of_float config.O.gp_tol)
     (match config.O.gp_kernel with `Compiled -> "compiled" | `List -> "list")
     config.O.warm_start
@@ -470,10 +470,7 @@ let key_configs =
       max_choices = 1_000_000;
       lint = Analysis.Lint.Off;
       contention = true;
-      inject =
-        (match Robust.Inject.parse "seed=-7,crash@solve[yolo]=0.25" with
-        | Ok t -> t
-        | Error m -> failwith m);
+      inject = Robust.Inject.(make ~seed:(-7) [ rule ~filter:"yolo" Solve 0.25 ]);
     };
   ]
 
@@ -900,7 +897,7 @@ let test_serve_injected_fault_is_contained () =
   (* crash@serve fires inside the guarded solve thunk: the request
      fails structurally, nothing is cached, and the daemon keeps
      serving. *)
-  let inject = Result.get_ok (Robust.Inject.parse "seed=3,crash@serve=1") in
+  let inject = Robust.Inject.(make ~seed:3 [ rule Serve 1.0 ]) in
   let faulty = { base with O.inject } in
   let dir = temp_dir "thistle-serve" in
   with_server ~store_dir:dir ~base:faulty @@ fun port ->
@@ -927,10 +924,10 @@ let test_serve_injected_fault_is_contained () =
    as [thistle optimize --layer resnet-2 --max-choices 4] does (the
    CLI's own path), with crashes injected into 30% of the solves.  The
    pinned provenances and design were captured from that CLI run with
-   [--inject seed=11,crash@solve=0.3 --retries 0]; the elapsed-ms
-   column is wall clock and blanked. *)
+   [--inject seed=11,crash@solve=0.3 --retries 0].  The body is pinned
+   whole: a quarantine prints no time, so it is the same on every run. *)
 let test_injected_quarantine_pinned () =
-  let inject = Result.get_ok (Robust.Inject.parse "seed=11,crash@solve=0.3") in
+  let inject = Robust.Inject.(make ~seed:11 [ rule Solve 0.3 ]) in
   let base = { O.default_config with O.jobs = 1; inject } in
   let eyeriss = Result.get_ok (Protocol.arch ~name:"cli" ~pes:168 ~regs:512 ~sram:65536) in
   let r =
@@ -947,12 +944,7 @@ let test_injected_quarantine_pinned () =
     | Ok body -> body
     | Error m -> Alcotest.failf "render: %s" m
   in
-  let blank_ms line =
-    if String.length line > 21 && String.sub line 0 6 = "solve " then
-      String.sub line 0 12 ^ "       ms" ^ String.sub line 21 (String.length line - 21)
-    else line
-  in
-  let row prov = {|solve              ms  Robust.Injected_fault("injected crash... |} ^ prov in
+  let row prov = {|solve       Robust.Injected_fault("injected crash... |} ^ prov in
   let prov = Printf.sprintf "resnet-2 energy pe=[k,c,h,w] dram=[%s] spatial{%s}" in
   Alcotest.(check (list string))
     "report"
@@ -960,7 +952,7 @@ let test_injected_quarantine_pinned () =
       "explored 4 pruned permutation choices, 12 programs solved";
       "solver: solves=16 phase1-outer=24 phase2-outer=84 newton=920 backtracks=750 kkt-reg=0 chol-fallback=0 max-gap=2.97e-07";
       "quarantined 4 pair(s):";
-      "site               ms  exception                                provenance";
+      "site        exception                                provenance";
       row (prov "k,c,h,w" "s=3");
       row (prov "k,c,h,w" "r=3,s=3");
       row (prov "k,h,c,w" "s=3");
@@ -977,7 +969,7 @@ let test_injected_quarantine_pinned () =
       "links: dram-rd 1.151e+05 cyc (460288 w, 14384 bursts) dram-wr 5.018e+04 cyc (200704 w, 6272 bursts) noc-rd 1.167e+05 cyc (1.55546e+06 w, 97216 bursts) noc-wr 1.505e+04 cyc (200704 w, 12544 bursts) reg 9.032e+05 cyc (3.61267e+06 w, 3.61267e+06 bursts)";
       "binding: compute";
     ]
-    (List.map blank_ms (String.split_on_char '\n' (String.trim body)))
+    (String.split_on_char '\n' (String.trim body))
 
 let test_serve_concurrent_clients () =
   let dir = temp_dir "thistle-serve" in
